@@ -46,7 +46,10 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .shard import PeerClosed, ReplicaCore, _parent_alive, zoo_from_payload
+# bootstrap_meta is re-exported: a node's hello is the shard tier's spawn
+# payload, so there is one builder for both.
+from .shard import (PeerClosed, ReplicaCore, _parent_alive, bootstrap_meta,
+                    zoo_from_payload)
 
 #: How long a node's accept loop sleeps between liveness polls (seconds).
 _ACCEPT_POLL_S = 0.5
@@ -99,25 +102,6 @@ class NodeStats:
     quarantined: bool = False
     #: Why the node behind this slot most recently died, if it ever did.
     last_death_reason: Optional[str] = None
-
-
-def bootstrap_meta(repository) -> Dict:
-    """The hello/bootstrap dict for ``repository``'s current snapshot.
-
-    The same payload the shard tier passes at spawn: everything a replica
-    needs to rebuild bit-identical serving state from scratch.
-    """
-    from .shard import zoo_to_payload
-    snapshot = repository.snapshot()
-    return {
-        "zoo": zoo_to_payload(snapshot.zoo),
-        "version": snapshot.version,
-        "in_dim": repository.in_dim,
-        "num_classes": repository.num_classes,
-        "runtime": repository.runtime.to_dict(),
-        "seed": repository.seed,
-        "retain": repository.retain,
-    }
 
 
 class _CoreHolder:

@@ -36,6 +36,14 @@ Two transports carry the framed bytes:
     ``Condition.notify`` by contrast blocks until woken waiters acknowledge
     and wedges forever when a waiter was SIGKILLed.
 
+    Counter-store rule: head and tail are stored through a cast
+    ``memoryview`` (one 4-byte item assignment), never with
+    ``struct.pack_into`` — CPython zero-fills ``pack_into``'s destination
+    before packing, so the other process would transiently read a counter
+    of 0, take an empty ring for a full one and parse stale bytes as a
+    length prefix (the "undecodable response" worker losses recorded as
+    observation 4 of ``benchmarks/e2e/README.md``).
+
     Ordering caveat: publishing the head after the payload memcpy relies on
     store ordering the producer's CPU provides — guaranteed on x86/x86-64
     (TSO) but not architecturally on weakly-ordered ISAs (pure Python has
@@ -169,6 +177,10 @@ class ShmRing:
     def __init__(self, shm, capacity: int, owner: bool) -> None:
         self._shm = shm
         self._buf = shm.buf
+        # Head (item 0) and tail (item 2) as native u32 items of a cast
+        # view — never ``struct.pack_into``, which zero-fills first (the
+        # counter-store rule in the module docstring).
+        self._counters = shm.buf[:_RING_HEADER].cast("I")
         self.capacity = capacity
         self._owner = owner
         self._closed = False
@@ -202,16 +214,16 @@ class ShmRing:
 
     # -- counters ------------------------------------------------------
     def _head(self) -> int:
-        return struct.unpack_from("<I", self._buf, 0)[0]
+        return self._counters[0]
 
     def _tail(self) -> int:
-        return struct.unpack_from("<I", self._buf, 8)[0]
+        return self._counters[2]
 
     def _set_head(self, value: int) -> None:
-        struct.pack_into("<I", self._buf, 0, value & _COUNTER_MASK)
+        self._counters[0] = value & _COUNTER_MASK
 
     def _set_tail(self, value: int) -> None:
-        struct.pack_into("<I", self._buf, 8, value & _COUNTER_MASK)
+        self._counters[2] = value & _COUNTER_MASK
 
     def _used(self) -> int:
         return (self._head() - self._tail()) & _COUNTER_MASK
@@ -302,8 +314,11 @@ class ShmRing:
         if self._closed:
             return
         self._closed = True
-        self._buf = None
+        counters, self._counters, self._buf = self._counters, None, None
         try:
+            # The cast view is an export of ``shm.buf``: release it first
+            # or ``shm.close()`` refuses to unmap.
+            counters.release()
             self._shm.close()
         except (OSError, BufferError):  # pragma: no cover - teardown race
             # BufferError: a reader thread still holds a view for a few
@@ -453,6 +468,25 @@ def zoo_from_payload(payload: Dict):
     from ..core.zoo import ArchitectureZoo, ZooEntry
     return ArchitectureZoo([ZooEntry.from_dict(entry)
                             for entry in payload["entries"]])
+
+
+def bootstrap_meta(repository) -> Dict:
+    """The bootstrap dict for ``repository``'s current snapshot.
+
+    Everything a replica needs to rebuild bit-identical serving state from
+    scratch — a shard receives it as a spawn argument, a node as the
+    ``meta`` of its hello envelope.
+    """
+    snapshot = repository.snapshot()
+    return {
+        "zoo": zoo_to_payload(snapshot.zoo),
+        "version": snapshot.version,
+        "in_dim": repository.in_dim,
+        "num_classes": repository.num_classes,
+        "runtime": repository.runtime.to_dict(),
+        "seed": repository.seed,
+        "retain": repository.retain,
+    }
 
 
 # ----------------------------------------------------------------------

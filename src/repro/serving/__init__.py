@@ -32,6 +32,9 @@ Layer map
   frames answered from exactly one snapshot).
 * :mod:`repro.serving.app` — :class:`ServingApp`, :class:`Client`,
   :func:`serve`: explicit start/stop/closed lifecycle, context managers.
+* :mod:`repro.serving.workers` — the one parent-side worker mechanism
+  both pool tiers specialise: a correlated-RPC ``WorkerLink`` over a byte
+  channel and a ``WorkerPool`` of slots (internal; not part of ``__all__``).
 * :mod:`repro.serving.sharding` — :class:`ShardPool`: process-parallel
   serving shards (multi-core scaling) behind a
   :class:`ShardingConfig`-enabled app; frames cross to worker processes

@@ -71,10 +71,10 @@ class ServingApp:
         self.repository = repository
         self.config = _as_serving_config(config)
         # NodeProcess replicas the *app* owns (started by the caller and
-        # handed over so the supervisor may respawn them).  Matched to
-        # cluster slots by "host:port" address; processes serving addresses
-        # outside config.cluster.nodes are rejected up front — a typo here
-        # would silently leave a replica unsupervised.
+        # handed over so a supervised cluster pool may restart them).
+        # Matched to cluster slots by "host:port" address; processes
+        # serving addresses outside config.cluster.nodes are rejected up
+        # front — a typo here would silently leave a replica unsupervised.
         self._node_processes = list(node_processes or [])
         if self._node_processes:
             configured = set(self.config.cluster.nodes)
@@ -164,8 +164,12 @@ class ServingApp:
             # is unreachable; node deaths *after* startup are handled by
             # heartbeat failover instead.
             try:
-                self._cluster = ClusterPool(self.repository,
-                                            self.config.cluster).start()
+                # Owned replicas are handed over only to a supervised app:
+                # without a supervisor nothing ever restarted them.
+                self._cluster = ClusterPool(
+                    self.repository, self.config.cluster,
+                    node_processes=self._node_processes
+                    if self.config.supervisor.enabled else ()).start()
             except Exception:
                 if self._pool is not None:  # pragma: no cover - configs
                     self._pool.stop()       # are mutually exclusive
@@ -227,18 +231,11 @@ class ServingApp:
         # repository; shard replication is already covered by the preparer
         # registered above).
         self._on_publish(self.repository.snapshot())
-        if (self.config.supervisor.enabled
-                and (self._pool is not None or self._cluster is not None)):
-            # Match app-owned node processes to their cluster slot index so
-            # the supervisor can respawn the right process for a dead slot.
-            by_address = {p.address: p for p in self._node_processes}
-            owned = {index: by_address[address]
-                     for index, address in
-                     enumerate(self.config.cluster.nodes)
-                     if address in by_address}
-            self._supervisor = Supervisor(
-                self.config.supervisor, shard_pool=self._pool,
-                cluster_pool=self._cluster, node_processes=owned).start()
+        pools = [pool for pool in (self._pool, self._cluster)
+                 if pool is not None]
+        if self.config.supervisor.enabled and pools:
+            self._supervisor = Supervisor(self.config.supervisor,
+                                          pools).start()
         return self
 
     def _edge_fns(self):

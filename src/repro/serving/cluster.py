@@ -31,31 +31,30 @@ Guarantees preserved across the network boundary
   ``"hash"`` pins each zoo entry to a node on a consistent hash ring
   (64 vnodes per node), so an entry's compiled plans and arenas stay hot
   on one machine and a dead node only reshuffles its own arc.
+
+The parent-side mechanism — correlated requests, the reader thread, crash
+propagation, heartbeat probes, publish replication, slot bookkeeping — is
+the tier-agnostic :class:`~repro.serving.workers.WorkerLink`/
+:class:`~repro.serving.workers.WorkerPool`; this module adds only what is
+node-specific: a socket byte channel, dial + hello, the latest-replicated
+bootstrap, the routing policies and the heartbeat loop.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import select
 import socket
 import threading
 import time
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.executor import ArrayDict, FrameState
 from ..runtime.node import NodeCrashedError, NodeStats, bootstrap_meta
-from ..runtime.shard import zoo_to_payload
-from ..system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT,
-                               Message, NODE_KIND_PING, NODE_KIND_PONG,
-                               SHARD_KIND_BATCH, SHARD_KIND_PUBLISH,
-                               SHARD_KIND_PUBLISHED, SHARD_KIND_READY,
-                               WIRE_FORMAT_RAW, recv_message, send_payload,
-                               serialize_message)
+from ..system.messages import MAX_MESSAGE_BYTES, recv_payload, send_payload
 from .config import ClusterConfig, ROUTING_HASH
-from .repository import ModelRepository, ServingSnapshot
-from .sharding import _PendingReply
+from .repository import ModelRepository
+from .workers import WorkerLink, WorkerPool
 
 __all__ = ["ClusterPool", "NodeCrashedError"]
 
@@ -64,406 +63,68 @@ __all__ = ["ClusterPool", "NodeCrashedError"]
 #: trivially cheap.
 _VNODES = 64
 
-#: Reader-side poll quantum (seconds): bounds how long a stop/crash takes
-#: to be noticed without burning CPU on an idle connection.
-_READ_POLL_S = 0.2
-
 
 def _ring_point(key: str) -> int:
     """Stable 64-bit ring position for ``key`` (never Python's salted hash)."""
     return int.from_bytes(hashlib.md5(key.encode()).digest()[:8], "big")
 
 
-class _Node:
-    """One replica node: its socket, reader thread and counters.
+class _SocketChannel:
+    """The byte-channel surface of :class:`~repro.runtime.shard.ShardChannel`
+    over one connected TCP socket (length-prefixed blobs).
 
-    Single-use by design: a crashed node's object stays in the pool (its
-    counters and death time still show in stats) until a reconnect builds
-    a *replacement* ``_Node``, carries the cumulative counters over and
-    swaps it into the routing table — no half-revived state to reason
-    about.
+    One bound for every blocking socket op: the timeout set at dial
+    (request-scale).  A send or a mid-frame read stalled longer than that
+    means the node is unreachable by contract; ``send_bytes`` ignores its
+    per-call ``timeout`` because a ``settimeout`` from a sender would race
+    the reader thread's mid-frame reads on the same socket.
     """
 
-    def __init__(self, node_id: int, address: str,
-                 request_timeout_s: float) -> None:
-        self.node_id = node_id
-        self.address = address
-        host, _, port = address.rpartition(":")
-        self._host, self._port = host, int(port)
-        self.request_timeout_s = request_timeout_s
-        self.ready = threading.Event()
-        self.ready_error: Optional[str] = None
-        #: Why this incarnation died (set once by ``mark_crashed``);
-        #: ``None`` while it lives.
-        self.death_reason: Optional[str] = None
-        self._sock: Optional[socket.socket] = None
-        self._reader: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
-        self._send_lock = threading.Lock()
-        self._pending: Dict[int, _PendingReply] = {}
-        self._corr = itertools.count(1)
-        self._stopping = False
-        self.crashed = False
-        #: ``time.monotonic`` of death, for reconnect pacing.
-        self.died_at: Optional[float] = None
-        #: ``time.monotonic`` of the last envelope received — *any*
-        #: traffic counts as liveness, so a node busy with a long frame is
-        #: never declared dead for answering pongs late.
-        self.last_seen = time.monotonic()
-        # Outstanding heartbeat probes: correlation id -> perf_counter().
-        self._pings: Dict[int, float] = {}
-        # Counters (under self._lock) folded into NodeStats.
-        self.frames = 0
-        self.batches = 0
-        self.errors = 0
-        self.service_time_s = 0.0
-        self.bytes_to_node = 0
-        self.bytes_from_node = 0
-        self.snapshot_version = 0
-        self.rtt_ms: Optional[float] = None
-        self.pid: Optional[int] = None
-
-    # -- connection -----------------------------------------------------
-    def connect(self, hello_meta: Dict, timeout: float) -> None:
-        """Dial the node and ship the bootstrap hello (does not wait ready)."""
-        sock = socket.create_connection((self._host, self._port),
-                                        timeout=timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # One bound for every blocking socket op from here on: a send or a
-        # mid-frame read stalled longer than the request timeout means the
-        # node is unreachable by contract.
-        sock.settimeout(self.request_timeout_s)
+    def __init__(self, sock: socket.socket,
+                 max_bytes: int = MAX_MESSAGE_BYTES) -> None:
         self._sock = sock
-        self._reader = threading.Thread(target=self._read_loop, daemon=True,
-                                        name=f"node-{self.node_id}-reader")
-        self._reader.start()
-        self._send([Message(kind=SHARD_KIND_PUBLISH, frame_id=next(self._corr),
-                            meta=dict(hello_meta))])
+        #: What the peer's ``recv_payload`` accepts; larger envelopes are
+        #: refused before the first byte instead of killing the stream.
+        self.max_message_bytes = max_bytes
 
-    def wait_ready(self, timeout: float) -> None:
-        if not self.ready.wait(timeout):
-            self.mark_crashed(f"no ready within {timeout:.1f}s")
-            raise NodeCrashedError(
-                f"node {self.node_id} ({self.address}) did not become "
-                f"ready within {timeout:.1f}s")
-        if self.crashed:
-            raise NodeCrashedError(
-                f"node {self.node_id} ({self.address}) failed to start: "
-                f"{self.ready_error or 'connection lost'}")
+    def send_bytes(self, blob: bytes, timeout: Optional[float] = None) -> int:
+        return send_payload(self._sock, blob)
 
-    def carry_counters(self, old: "_Node") -> None:
-        """Continue ``old``'s cumulative stats row (reconnect bookkeeping).
+    def recv_bytes(self, timeout: float = 0.2) -> Optional[bytes]:
+        # The idle wait is a select() on readability, never a recv
+        # timeout: one firing after the length prefix would discard the
+        # partial frame and permanently desync the stream.
+        try:
+            readable, _, _ = select.select([self._sock], [], [], timeout)
+        except (OSError, ValueError) as exc:  # socket torn down mid-select
+            raise ConnectionError("connection closed") from exc
+        if not readable:
+            return None
+        try:
+            blob = recv_payload(self._sock, self.max_message_bytes)
+        except socket.timeout as exc:
+            raise ConnectionError("peer stalled mid-frame") from exc
+        if blob is None:
+            raise ConnectionError("connection closed by peer")
+        return blob
 
-        Snapshot under ``old``'s lock, add under our own: by the time a
-        replacement node carries counters its reader thread is already
-        running, so the bare ``+=`` would race the reader's increments.
-        """
-        with old._lock:
-            carried = (old.frames, old.batches, old.errors,
-                       old.service_time_s, old.bytes_to_node,
-                       old.bytes_from_node)
-        with self._lock:
-            self.frames += carried[0]
-            self.batches += carried[1]
-            self.errors += carried[2]
-            self.service_time_s += carried[3]
-            self.bytes_to_node += carried[4]
-            self.bytes_from_node += carried[5]
-
-    # -- health --------------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        return not self.crashed and self.ready.is_set()
-
-    def in_flight(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
-    def mark_crashed(self, reason: str) -> None:
-        """Fail every in-flight request and refuse new ones."""
-        with self._lock:
-            if self.crashed:
-                return
-            self.crashed = True
-            self.died_at = time.monotonic()
-            self.rtt_ms = None
-            self._pings.clear()
-            pending = list(self._pending.values())
-            self._pending.clear()
-            self.errors += len(pending)
-        self.death_reason = reason
-        self.ready_error = self.ready_error or reason
-        self.ready.set()  # wake a wait_ready() on a node that died
-        self._close_socket()
-        exc = NodeCrashedError(
-            f"node {self.node_id} ({self.address}) is gone: {reason}")
-        for reply in pending:
-            reply.fail(exc)
-
-    def _close_socket(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return
+    def close(self) -> None:
         try:
             # shutdown (not just close) reliably unblocks a reader thread
             # parked in recv on the same socket.
-            sock.shutdown(socket.SHUT_RDWR)
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         try:
-            sock.close()
+            self._sock.close()
         except OSError:
             pass
 
-    # -- request plumbing ----------------------------------------------
-    def _register(self, count: int) -> Tuple[int, _PendingReply]:
-        reply = _PendingReply(count)
-        with self._lock:
-            if self.crashed:
-                raise NodeCrashedError(
-                    f"node {self.node_id} ({self.address}) already crashed")
-            corr = next(self._corr)
-            self._pending[corr] = reply
-        return corr, reply
-
-    def _forget(self, corr: int) -> None:
-        with self._lock:
-            self._pending.pop(corr, None)
-
-    def _send(self, messages: Sequence[Message]) -> None:
-        """Ship one or more envelopes back-to-back (atomic on the stream).
-
-        Serialization happens before the first byte goes out and the whole
-        sequence is sent under one lock, so a batch header and its frames
-        are never interleaved with another thread's envelope (a ping
-        landing mid-batch would desync the node's protocol).
-        """
-        blobs = [serialize_message(message, wire_format=WIRE_FORMAT_RAW)
-                 for message in messages]
-        with self._send_lock:
-            sock = self._sock
-            if sock is None or self.crashed:
-                raise NodeCrashedError(
-                    f"node {self.node_id} ({self.address}) is not connected")
-            for blob in blobs:
-                sent = send_payload(sock, blob)
-                with self._lock:
-                    self.bytes_to_node += sent
-
-    def _request(self, messages: Sequence[Message], corr: int,
-                 reply: _PendingReply) -> _PendingReply:
-        try:
-            self._send(messages)
-        except NodeCrashedError:
-            self._forget(corr)
-            raise
-        except (socket.timeout, OSError) as exc:
-            self._forget(corr)
-            with self._lock:
-                self.errors += 1
-            self.mark_crashed(f"request transport failed: {exc}")
-            raise NodeCrashedError(str(exc)) from exc
-        return self._await(corr, reply, self.request_timeout_s)
-
-    def _await(self, corr: int, reply: _PendingReply,
-               timeout: float) -> _PendingReply:
-        if not reply.event.wait(timeout):
-            self._forget(corr)
-            with self._lock:
-                self.errors += 1
-            # A node that stops answering is unreachable by contract
-            # (ClusterConfig.request_timeout_s): poison it so the router
-            # stops feeding it and reroutes around it.
-            self.mark_crashed(f"no answer within {timeout:.1f}s")
-            raise NodeCrashedError(
-                f"node {self.node_id} ({self.address}) did not answer "
-                f"within {timeout:.1f}s")
-        self._forget(corr)
-        if reply.error is not None:
-            raise reply.error
-        return reply
-
-    # -- public request API ---------------------------------------------
-    def request_frame(self, entry: str, arrays: ArrayDict,
-                      meta: Dict) -> FrameState:
-        corr, reply = self._register(1)
-        self._request([Message(kind=KIND_FRAME, frame_id=corr, arrays=arrays,
-                               meta={"entry": entry, "frame": meta})],
-                      corr, reply)
-        result_arrays, result_meta, service = reply.results[0]
-        with self._lock:
-            self.frames += 1
-            self.service_time_s += service
-        return result_arrays, result_meta
-
-    def request_batch(self, entry: str,
-                      requests: Sequence[FrameState]) -> List[FrameState]:
-        corr, reply = self._register(len(requests))
-        envelopes = [Message(kind=SHARD_KIND_BATCH, frame_id=corr,
-                             meta={"entry": entry, "count": len(requests)})]
-        envelopes.extend(
-            Message(kind=KIND_FRAME, frame_id=corr, arrays=arrays,
-                    meta={"frame": meta, "index": index})
-            for index, (arrays, meta) in enumerate(requests))
-        self._request(envelopes, corr, reply)
-        with self._lock:
-            self.batches += 1
-            self.frames += len(requests)
-            self.service_time_s += sum(result[2] for result in reply.results)
-        return [(arrays, meta) for arrays, meta, _ in reply.results]
-
-    def start_publish(self, payload: Dict,
-                      version: int) -> Tuple[int, _PendingReply]:
-        """Phase 1 of snapshot replication: ship the envelope, don't wait.
-
-        Splitting send from await lets the pool broadcast to every node
-        first and collect acknowledgements second, so the fleet rebuilds
-        the zoo's models/plans concurrently instead of one node after
-        another.
-        """
-        corr, reply = self._register(1)
-        try:
-            self._send([Message(kind=SHARD_KIND_PUBLISH, frame_id=corr,
-                                meta={"zoo": payload, "version": version})])
-        except NodeCrashedError:
-            self._forget(corr)
-            raise
-        except (socket.timeout, OSError) as exc:
-            self._forget(corr)
-            self.mark_crashed(f"publish transport failed: {exc}")
-            raise NodeCrashedError(str(exc)) from exc
-        return corr, reply
-
-    def finish_publish(self, corr: int, reply: _PendingReply, version: int,
-                       timeout: float) -> None:
-        """Phase 2: wait for the node's acknowledgement of ``version``."""
-        self._await(corr, reply, timeout)
-        with self._lock:
-            self.snapshot_version = max(self.snapshot_version, version)
-
-    # -- heartbeats ------------------------------------------------------
-    def outstanding_pings(self) -> int:
-        with self._lock:
-            return len(self._pings)
-
-    def send_ping(self) -> None:
-        corr = next(self._corr)
-        with self._lock:
-            if self.crashed:
-                return
-            self._pings[corr] = time.perf_counter()
-        try:
-            self._send([Message(kind=NODE_KIND_PING, frame_id=corr)])
-        except NodeCrashedError:
-            pass
-        except (socket.timeout, OSError) as exc:
-            self.mark_crashed(f"heartbeat transport failed: {exc}")
-
-    # -- reader ----------------------------------------------------------
-    def _read_loop(self) -> None:
-        sock = self._sock
-        while not self._stopping:
-            try:
-                readable, _, _ = select.select([sock], [], [], _READ_POLL_S)
-            except (OSError, ValueError):  # socket torn down mid-select
-                self.mark_crashed("connection closed")
-                return
-            if not readable:
-                continue
-            try:
-                message = recv_message(sock)
-            except socket.timeout:
-                self.mark_crashed(
-                    f"node stalled mid-frame for {self.request_timeout_s:.1f}s")
-                return
-            except (ConnectionError, OSError, ValueError) as exc:
-                if not self._stopping:
-                    self.mark_crashed(f"response transport failed: {exc}")
-                return
-            if message is None:
-                if not self._stopping:
-                    self.mark_crashed("connection closed by node")
-                return
-            with self._lock:
-                self.bytes_from_node += message.wire_bytes or 0
-                self.last_seen = time.monotonic()
-            self._dispatch(message)
-
-    def _dispatch(self, message: Message) -> None:
-        if message.kind == SHARD_KIND_READY:
-            with self._lock:
-                self.snapshot_version = int(message.meta.get("version", 0))
-                self.pid = message.meta.get("pid")
-            self.ready.set()
-            return
-        if message.kind == NODE_KIND_PONG:
-            with self._lock:
-                sent_at = self._pings.pop(message.frame_id, None)
-                # A pong for probe N proves every earlier probe's question
-                # ("are you alive?") answered too.
-                for corr in [c for c in self._pings if c < message.frame_id]:
-                    self._pings.pop(corr, None)
-                if sent_at is not None:
-                    self.rtt_ms = (time.perf_counter() - sent_at) * 1e3
-                self.snapshot_version = max(
-                    self.snapshot_version,
-                    int(message.meta.get("version", 0)))
-            return
-        with self._lock:
-            reply = self._pending.get(message.frame_id)
-        if reply is None:
-            if message.kind == KIND_ERROR and not self.ready.is_set():
-                # Bootstrap failure: the node could not build its
-                # repository and reported why — surface the real traceback
-                # instead of a generic "connection lost".
-                self.ready_error = (
-                    f"{message.meta.get('error', 'bootstrap failed')}\n"
-                    f"{message.meta.get('traceback', '')}")
-                self.mark_crashed(self.ready_error)
-            return  # late reply for a timed-out/abandoned request
-        if message.kind == KIND_RESULT:
-            index = message.batch_index if message.batch_index is not None else 0
-            reply.complete_index(index, (dict(message.arrays),
-                                         message.meta.get("frame", {}),
-                                         float(message.meta.get(
-                                             "service_time_s", 0.0))))
-        elif message.kind in (KIND_ERROR, SHARD_KIND_PUBLISHED):
-            if message.kind == KIND_ERROR:
-                with self._lock:
-                    self.errors += 1
-                reply.fail(RuntimeError(
-                    f"node {self.node_id} execution failed: "
-                    f"{message.meta.get('error', 'unknown')}\n"
-                    f"--- node traceback ---\n"
-                    f"{message.meta.get('traceback', '')}"))
-            else:
-                reply.complete_index(0, ({}, dict(message.meta), 0.0))
-
-    # -- lifecycle -------------------------------------------------------
-    def stop(self, join_timeout_s: float = 5.0) -> None:
-        self._stopping = True
-        self._close_socket()
-        self.mark_crashed("cluster pool stopped")
-        if self._reader is not None:
-            self._reader.join(timeout=join_timeout_s)
-
-    def stats(self) -> NodeStats:
-        with self._lock:
-            return NodeStats(
-                node_id=self.node_id,
-                address=self.address,
-                alive=self.alive,
-                frames=self.frames,
-                batches=self.batches,
-                errors=self.errors,
-                service_time_s=self.service_time_s,
-                bytes_to_node=self.bytes_to_node,
-                bytes_from_node=self.bytes_from_node,
-                snapshot_version=self.snapshot_version,
-                rtt_ms=self.rtt_ms)
+    def unlink(self) -> None:  # sockets have no backing object to unlink
+        pass
 
 
-class ClusterPool:
+class ClusterPool(WorkerPool):
     """Owns the connections to a fleet of replica nodes serving one zoo.
 
     Built (and started) by :class:`~repro.serving.app.ServingApp` when its
@@ -471,25 +132,25 @@ class ClusterPool:
     The pool's :meth:`edge_fns`/:meth:`batch_fns` mirror the repository's
     router mappings but execute on the fleet; the routing policy picks the
     node per request (least-loaded) or per entry (consistent hash).
+
+    ``node_processes`` are the :class:`~repro.runtime.node.NodeProcess`
+    replicas the caller owns and hands over for self-healing: a
+    :meth:`respawn` restarts a dead one before it redials.  Every other
+    node process is not owned by the pool — whoever launched it stops it,
+    and a respawn only redials.
     """
 
-    def __init__(self, repository: ModelRepository,
-                 config: ClusterConfig) -> None:
+    tier = "node"
+
+    def __init__(self, repository: ModelRepository, config: ClusterConfig,
+                 node_processes: Sequence = ()) -> None:
         if not config.enabled:
             raise ValueError("a ClusterPool needs at least one node address")
-        self.repository = repository
-        self.config = config
-        self._nodes: List[_Node] = []
-        self._rr = itertools.count()
+        super().__init__(repository, config, len(config.nodes),
+                         config.connect_timeout_s)
+        self._owned = {config.nodes.index(process.address): process
+                       for process in node_processes}
         self._ring: List[Tuple[int, int]] = []
-        self._started = False
-        self._stopped = False
-        self._publish_lock = threading.Lock()
-        # Slot-level supervision bookkeeping that must survive _Node
-        # replacement (a reconnect swaps the object, not the slot).
-        self._restarts: List[int] = [0] * len(config.nodes)
-        self._quarantine: List[Optional[str]] = [None] * len(config.nodes)
-        self._death_reasons: List[Optional[str]] = [None] * len(config.nodes)
         # The bootstrap hello of the *latest replicated* snapshot: kept
         # current by prepare_publish so a node reconnecting in the window
         # between fleet replication and the parent's swap still receives
@@ -501,196 +162,118 @@ class ClusterPool:
 
     # ------------------------------------------------------------------
     def start(self) -> "ClusterPool":
-        """Dial every node, wait until the whole fleet is serving.
-
-        Startup is strict — a cluster that begins life degraded is a
-        deployment error, unlike a node dying later (failover handles
-        that).  Hellos are broadcast first and awaited second, so the
-        fleet builds its models concurrently.
-        """
-        if self._started:
-            raise RuntimeError("ClusterPool is already started")
-        self._started = True
+        """Dial every node, wait until the whole fleet is serving."""
         # Under the publish lock for lock discipline: a publisher advancing
-        # the hello (prepare_publish) holds it, so the bootstrap write uses
-        # the same lock even though no other thread exists yet at start().
+        # the hello (_replicated) holds it, so the bootstrap write uses the
+        # same lock even though no other thread exists yet at start().
         with self._publish_lock:
             self._hello_meta = bootstrap_meta(self.repository)
-        try:
-            for node_id, address in enumerate(self.config.nodes):
-                node = _Node(node_id, address,
-                             request_timeout_s=self.config.request_timeout_s)
-                try:
-                    node.connect(self._hello_meta,
-                                 timeout=self.config.connect_timeout_s)
-                except OSError as exc:
-                    node.mark_crashed(f"dial failed: {exc}")
-                    raise RuntimeError(
-                        f"node {node_id} ({address}) is unreachable: "
-                        f"{exc}") from exc
-                finally:
-                    self._nodes.append(node)
-            deadline = time.monotonic() + self.config.connect_timeout_s
-            for node in self._nodes:
-                node.wait_ready(max(deadline - time.monotonic(), 0.001))
-        except Exception:
-            self.stop()
-            raise
-        self._ring = self._build_ring()
+        super().start()
+        self._ring = sorted(
+            (_ring_point(f"{address}#{vnode}"), index)
+            for index, address in enumerate(self.config.nodes)
+            for vnode in range(_VNODES))
         self._hb_thread = threading.Thread(target=self._heartbeat_loop,
                                            daemon=True,
                                            name="cluster-heartbeat")
         self._hb_thread.start()
         return self
 
+    def _open_link(self, index: int, timeout: float) -> WorkerLink:
+        """Dial node ``index`` and ship the bootstrap hello."""
+        address = self.config.nodes[index]
+        host, _, port = address.rpartition(":")
+        try:
+            sock = socket.create_connection(
+                (host, int(port)), timeout=self.config.connect_timeout_s)
+        except OSError as exc:
+            raise RuntimeError(
+                f"node {index} ({address}) is unreachable: {exc}") from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(self.config.request_timeout_s)
+        channel = _SocketChannel(sock)
+        # on_crash=close: a poisoned node's reader unblocks at once and
+        # the peer sees the link drop (sockets tolerate a concurrent send).
+        link = WorkerLink(f"node {index} ({address})", channel,
+                          crash_error=NodeCrashedError,
+                          request_timeout_s=self.config.request_timeout_s,
+                          on_crash=channel.close)
+        try:
+            link.hello(self._hello_meta)
+        except Exception:
+            link.stop()
+            raise
+        return link
+
+    def respawn(self, index: int, timeout: Optional[float] = None) -> None:
+        """Bring slot ``index`` back: restart an owned dead replica on the
+        address it bound, then redial through the re-sync handshake.
+
+        The hello replays the latest replicated snapshot under the publish
+        lock, so a reconnect can never interleave with fleet replication:
+        a publish broadcast sees either the dead node (skipped) or the
+        fully re-synced replacement, and the rejoined node can never serve
+        a version it missed while dead.  See :meth:`WorkerPool.respawn`.
+        """
+        process = self._owned.get(index)
+        if process is not None and not process.alive():
+            # SO_REUSEADDR in the node listener makes the same-port rebind
+            # safe; the configured address for this slot stays valid.
+            process.restart(timeout=self._start_timeout_s
+                            if timeout is None else timeout)
+        super().respawn(index, timeout)
+
+    def _replicated(self, payload: Dict, version: int) -> None:
+        # Only now — with at least one node acknowledged and the parent
+        # about to swap — may this snapshot become the reconnect
+        # bootstrap.  Advancing the hello before the outcome is known
+        # would, on an aborted publish, hand reconnecting nodes a version
+        # the router never serves.
+        if self._hello_meta is not None:
+            self._hello_meta = dict(self._hello_meta, zoo=payload,
+                                    version=version)
+
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _pick_least_loaded(self) -> _Node:
-        """Live node with the fewest in-flight requests, ties round-robin.
-
-        The round-robin tie-break matters for sequential traffic: every
-        frame would otherwise see all nodes at zero in-flight and pile
-        onto node 0.
-        """
-        nodes = self._nodes
-        count = len(nodes)
-        if count:
-            start = next(self._rr)
-            best: Optional[_Node] = None
-            best_load = None
-            for offset in range(count):
-                node = nodes[(start + offset) % count]
-                if not node.alive:
-                    continue
-                load = node.in_flight()
-                if best_load is None or load < best_load:
-                    best, best_load = node, load
-            if best is not None:
-                return best
-        raise NodeCrashedError(f"all {count} cluster nodes are down")
-
-    def _build_ring(self) -> List[Tuple[int, int]]:
-        ring = []
-        for node in self._nodes:
-            for vnode in range(_VNODES):
-                ring.append((_ring_point(f"{node.address}#{vnode}"),
-                             node.node_id))
-        ring.sort()
-        return ring
-
-    def _pick_hash(self, name: str) -> _Node:
-        """Owner of ``name`` on the ring; a dead owner's arc falls clockwise."""
-        ring = self._ring
-        if ring:
-            start = bisect_right(ring, (_ring_point(name), -1))
-            seen: set = set()
-            for offset in range(len(ring)):
-                _, node_id = ring[(start + offset) % len(ring)]
-                if node_id in seen:
-                    continue
-                seen.add(node_id)
-                node = self._nodes[node_id]
-                if node.alive:
-                    return node
-        raise NodeCrashedError(
-            f"all {len(self._nodes)} cluster nodes are down")
-
-    def _pick(self, name: str) -> _Node:
+    def _pick(self, name: str) -> WorkerLink:
         if self.config.routing == ROUTING_HASH:
             return self._pick_hash(name)
-        return self._pick_least_loaded()
+        # Live node with the fewest in-flight requests, ties round-robin
+        # (min keeps the first minimum of the rotated order).  The
+        # tie-break matters for sequential traffic: every frame would
+        # otherwise see all nodes at zero in-flight and pile onto node 0.
+        best = min(self._live_links(), key=WorkerLink.in_flight,
+                   default=None)
+        if best is None:
+            raise NodeCrashedError(
+                f"all {self.num_slots} cluster nodes are down")
+        return best
 
-    def edge_fn(self, name: str) -> Callable[[ArrayDict, Dict], FrameState]:
-        def edge_fn(arrays: ArrayDict, meta: Dict) -> FrameState:
-            return self._pick(name).request_frame(name, arrays, meta)
-
-        return edge_fn
-
-    def batch_fn(self, name: str
-                 ) -> Callable[[Sequence[FrameState]], List[FrameState]]:
-        def batch_fn(requests: Sequence[FrameState]) -> List[FrameState]:
-            return self._pick(name).request_batch(name, list(requests))
-
-        return batch_fn
-
-    def edge_fns(self) -> Dict[str, Callable[[ArrayDict, Dict], FrameState]]:
-        """Fleet-routing per-frame callables, one per retained entry name."""
-        return {name: self.edge_fn(name)
-                for name in self.repository.serving_names()}
-
-    def batch_fns(self) -> Dict[str, Callable[[Sequence[FrameState]],
-                                              List[FrameState]]]:
-        """Fleet-routing batched callables, one per retained entry name."""
-        return {name: self.batch_fn(name)
-                for name in self.repository.serving_names()}
-
-    # ------------------------------------------------------------------
-    # Publish replication (registered as a repository pre-swap preparer)
-    # ------------------------------------------------------------------
-    def prepare_publish(self, snapshot: ServingSnapshot) -> None:
-        """Replicate ``snapshot`` to every live node before the local swap.
-
-        Runs as a :meth:`ModelRepository.add_preparer` hook: by the time
-        the router's repository installs the snapshot (and its version can
-        be stamped onto results), every live node has acknowledged it.  A
-        node that fails to install the snapshot is treated like a crashed
-        node (routed around) rather than failing the publish — unless *no*
-        node is left, which aborts the publish.
-        """
-        with self._publish_lock:
-            payload = zoo_to_payload(snapshot.zoo)
-
-            def poison(node: _Node, exc: Exception) -> None:
-                # The node diverged (or died) — it can never serve a frame
-                # pinned to a snapshot it lacks, so take it out of routing.
-                node.mark_crashed(f"snapshot v{snapshot.version} "
-                                  f"replication failed: {exc}")
-
-            in_flight = []
-            for node in list(self._nodes):
-                if not node.alive:
-                    continue
-                try:
-                    corr, reply = node.start_publish(payload,
-                                                     snapshot.version)
-                except Exception as exc:
-                    poison(node, exc)
-                    continue
-                in_flight.append((node, corr, reply))
-            for node, corr, reply in in_flight:
-                try:
-                    node.finish_publish(corr, reply, snapshot.version,
-                                        self.config.publish_timeout_s)
-                except Exception as exc:
-                    poison(node, exc)
-            if not any(node.alive for node in self._nodes):
-                raise RuntimeError(
-                    f"publish of snapshot v{snapshot.version} aborted: no "
-                    "cluster node accepted it")
-            # Only now — with at least one node acknowledged and the parent
-            # about to swap — may this snapshot become the reconnect
-            # bootstrap.  Advancing the hello before the outcome is known
-            # would, on an aborted publish, hand reconnecting nodes a
-            # version the router never serves.
-            if self._hello_meta is not None:
-                self._hello_meta = dict(self._hello_meta,
-                                        zoo=payload, version=snapshot.version)
-
-    def sync(self, snapshot: ServingSnapshot) -> None:
-        """Idempotent re-broadcast (covers publishes racing pool startup)."""
-        self.prepare_publish(snapshot)
+    def _pick_hash(self, name: str) -> WorkerLink:
+        """Owner of ``name`` on the ring; a dead owner's arc falls clockwise."""
+        ring = self._ring
+        start = bisect_right(ring, (_ring_point(name), -1))
+        seen: set = set()
+        for offset in range(len(ring)):
+            _, index = ring[(start + offset) % len(ring)]
+            if index not in seen:
+                seen.add(index)
+                if self._links[index].alive:
+                    return self._links[index]
+        raise NodeCrashedError(
+            f"all {self.num_slots} cluster nodes are down")
 
     # ------------------------------------------------------------------
     # Heartbeats + reconnect
     # ------------------------------------------------------------------
     def _heartbeat_loop(self) -> None:
         interval = self.config.heartbeat_ms / 1e3
-        grace = interval * self.config.heartbeat_misses
+        misses = self.config.heartbeat_misses
         while not self._hb_stop.wait(interval):
             now = time.monotonic()
-            for index, node in enumerate(list(self._nodes)):
-                if node.alive:
+            for index, link in enumerate(list(self._links)):
+                if link.alive:
                     # A node with requests in flight is never declared dead
                     # by heartbeat: its connection loop answers pings inline,
                     # so a long frame legitimately silences the link for its
@@ -698,117 +281,47 @@ class ClusterPool:
                     # a wedged node there; heartbeats police only idle
                     # connections, where no other traffic would reveal a
                     # partition.
-                    if (node.in_flight() == 0
-                            and node.outstanding_pings() >= self.config.heartbeat_misses
-                            and now - node.last_seen >= grace):
-                        node.mark_crashed(
-                            f"missed {self.config.heartbeat_misses} "
-                            f"heartbeats ({node.outstanding_pings()} probes "
+                    if (link.in_flight() == 0
+                            and link.outstanding_pings() >= misses
+                            and now - link.last_seen >= interval * misses):
+                        link.mark_crashed(
+                            f"missed {misses} heartbeats "
+                            f"({link.outstanding_pings()} probes "
                             f"unanswered, silent for "
-                            f"{now - node.last_seen:.2f}s)")
-                    elif node.outstanding_pings() < self.config.heartbeat_misses:
-                        node.send_ping()
+                            f"{now - link.last_seen:.2f}s)")
+                    elif link.outstanding_pings() < misses:
+                        link.send_ping()
                 elif (self.config.reconnect_s is not None
-                      and node.died_at is not None
+                      and link.died_at is not None
                       and self._quarantine[index] is None
-                      and now - node.died_at >= self.config.reconnect_s):
-                    self._try_reconnect(index, node)
-
-    def _try_reconnect(self, index: int, old: _Node) -> bool:
-        """Redial a dead node; it rejoins routing only after a full re-sync.
-
-        Runs under the publish lock so a reconnect can never interleave
-        with fleet replication: the hello the node receives is always the
-        latest replicated snapshot, and a publish broadcast sees either the
-        dead node (skipped) or the fully re-synced replacement.  Returns
-        True when the replacement entered rotation.
-        """
-        self._death_reasons[index] = (old.death_reason
-                                      or self._death_reasons[index])
-        replacement = _Node(old.node_id, old.address,
-                            request_timeout_s=self.config.request_timeout_s)
-        try:
-            with self._publish_lock:
-                replacement.connect(dict(self._hello_meta),
-                                    timeout=self.config.connect_timeout_s)
-                replacement.wait_ready(self.config.connect_timeout_s)
-                replacement.carry_counters(old)
-                self._nodes[index] = replacement
-                self._restarts[index] += 1
-            return True
-        except Exception:
-            replacement.stop()
-            old.died_at = time.monotonic()  # back off before the next try
-            return False
+                      and now - link.died_at >= self.config.reconnect_s):
+                    try:
+                        self.respawn(index)
+                    except Exception:
+                        # Back off before the next try.
+                        link.died_at = time.monotonic()
 
     # ------------------------------------------------------------------
-    # Self-healing (driven by repro.serving.supervisor)
-    # ------------------------------------------------------------------
-    def reconnect_node(self, index: int) -> bool:
-        """Redial slot ``index`` now, bypassing the ``reconnect_s`` pacing.
+    def _stats_view(self, index: int, link: WorkerLink,
+                    counters: Dict) -> NodeStats:
+        return NodeStats(
+            node_id=index,
+            address=self.config.nodes[index],
+            alive=counters["alive"],
+            frames=counters["frames"],
+            batches=counters["batches"],
+            errors=counters["errors"],
+            service_time_s=counters["service_time_s"],
+            bytes_to_node=counters["bytes_sent"],
+            bytes_from_node=counters["bytes_received"],
+            snapshot_version=counters["snapshot_version"],
+            rtt_ms=counters["rtt_ms"])
 
-        The supervisor's entry point after it has respawned the node
-        *process* behind the address: the re-handshake replays the latest
-        replicated snapshot under the publish lock (the same path the
-        heartbeat-driven reconnect takes), so the rejoined node can never
-        serve a version it missed while dead.  Returns True when the node
-        is back in rotation.
-        """
-        node = self._nodes[index]
-        if node.alive:
-            return True
-        if self._quarantine[index] is not None:
-            return False
-        return self._try_reconnect(index, node)
-
-    def set_quarantined(self, index: int, reason: str) -> None:
-        """Mark slot ``index`` crash-looping: no further reconnects, ever.
-
-        Both reconnect paths honor the flag — the supervisor's explicit
-        :meth:`reconnect_node` and the heartbeat loop's ``reconnect_s``
-        redial.
-        """
-        self._quarantine[index] = reason
-
-    def quarantine_reason(self, index: int) -> Optional[str]:
-        return self._quarantine[index]
-
-    def restarts(self, index: int) -> int:
-        return self._restarts[index]
-
-    # ------------------------------------------------------------------
-    def stats(self) -> List[NodeStats]:
-        """Per-node counters (router-side view), node order preserved.
-
-        Slot-level supervision fields (``restarts``, ``quarantined``,
-        ``last_death_reason``) survive node replacement: they live on the
-        pool, not on the ``_Node`` they describe.
-        """
-        folded = []
-        for index, node in enumerate(self._nodes):
-            stats = node.stats()
-            stats.restarts = self._restarts[index]
-            stats.quarantined = self._quarantine[index] is not None
-            stats.last_death_reason = (node.death_reason
-                                       or self._death_reasons[index])
-            folded.append(stats)
-        return folded
-
-    def live_count(self) -> int:
-        return sum(1 for node in self._nodes if node.alive)
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._nodes)
+    num_nodes = WorkerPool.num_slots
 
     def stop(self) -> None:
-        """Drop every connection (idempotent).  Node processes are not
-        owned by the pool — whoever launched them stops them."""
-        if self._stopped:
-            return
-        self._stopped = True
+        """Drop every connection (idempotent); node processes keep running."""
         self._hb_stop.set()
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5.0)
-        for node in self._nodes:
-            node.stop()
+        super().stop()

@@ -34,6 +34,13 @@ Guarantees preserved across the process boundary
   instead of hanging clients, and new traffic is routed to the surviving
   shards.
 
+The parent-side mechanism — correlated requests, the reader thread, crash
+propagation, publish replication, slot bookkeeping — is the tier-agnostic
+:class:`~repro.serving.workers.WorkerLink`/:class:`~repro.serving.workers.
+WorkerPool`; this module adds only what is shard-specific: spawning a worker
+behind a ring/pipe channel, respawning it under the repository's publish
+barrier, round-robin routing, and shedding *before* the ring.
+
 ``num_shards=1`` (the default) never builds a pool at all — the app serves
 in-process exactly as before — and platforms without
 ``multiprocessing.shared_memory`` fall back the same way (with a warning).
@@ -41,23 +48,15 @@ in-process exactly as before — and platforms without
 
 from __future__ import annotations
 
-import itertools
-import threading
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import multiprocessing
+from typing import Dict
 
-from ..core.executor import ArrayDict, FrameState
-from ..runtime.shard import (ShardChannel, ShardCrashedError, ShardStats,
+from ..runtime.shard import (ShardCrashedError, ShardStats, bootstrap_meta,
                              create_channel, transport_available,
-                             zoo_to_payload, _shard_main)
-from ..system.scheduler import BackpressureError
-from ..system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT,
-                               KIND_STOP, Message, SHARD_KIND_BATCH,
-                               SHARD_KIND_PUBLISH, SHARD_KIND_PUBLISHED,
-                               SHARD_KIND_READY, WIRE_FORMAT_RAW,
-                               deserialize_message, serialize_message)
+                             _shard_main)
 from .config import ShardingConfig
-from .repository import ModelRepository, ServingSnapshot
+from .repository import ModelRepository
+from .workers import WorkerLink, WorkerPool
 
 __all__ = ["ShardPool", "ShardCrashedError", "sharding_supported"]
 
@@ -74,381 +73,7 @@ def sharding_supported(transport: str) -> bool:
     return transport_available(transport)
 
 
-class _PendingReply:
-    """Parent-side slot for one in-flight shard request (frame or batch)."""
-
-    __slots__ = ("event", "count", "results", "error", "received")
-
-    def __init__(self, count: int) -> None:
-        self.event = threading.Event()
-        self.count = count
-        self.results: List[Optional[Tuple[ArrayDict, Dict, float]]] = \
-            [None] * count
-        self.error: Optional[BaseException] = None
-        self.received = 0
-
-    def complete_index(self, index: int,
-                       result: Tuple[ArrayDict, Dict, float]) -> None:
-        if 0 <= index < self.count and self.results[index] is None:
-            self.results[index] = result
-            self.received += 1
-        if self.received >= self.count:
-            self.event.set()
-
-    def fail(self, exc: BaseException) -> None:
-        self.error = exc
-        self.event.set()
-
-
-class _Shard:
-    """One worker process plus its channel, reader thread and counters."""
-
-    def __init__(self, shard_id: int, process, channel: ShardChannel,
-                 request_timeout_s: float) -> None:
-        self.shard_id = shard_id
-        self.process = process
-        self.channel = channel
-        self.request_timeout_s = request_timeout_s
-        self.ready = threading.Event()
-        self.ready_error: Optional[str] = None
-        #: Why this worker died (first crash reason wins); ``None`` while
-        #: it lives.  Surfaced as ``ShardStats.last_death_reason``.
-        self.death_reason: Optional[str] = None
-        self._lock = threading.Lock()
-        self._send_lock = threading.Lock()
-        self._pending: Dict[int, _PendingReply] = {}
-        self._corr = itertools.count(1)
-        self._stopping = False
-        self._stopped = False
-        self.crashed = False
-        # Counters (under self._lock) folded into ShardStats.
-        self.frames = 0
-        self.batches = 0
-        self.errors = 0
-        self.service_time_s = 0.0
-        self.bytes_to_shard = 0
-        self.bytes_from_shard = 0
-        self.snapshot_version = 0
-        self.reader = threading.Thread(target=self._read_loop, daemon=True,
-                                       name=f"shard-{shard_id}-reader")
-        self.reader.start()
-
-    # -- health --------------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        return (not self.crashed and self.process is not None
-                and self.process.is_alive())
-
-    def mark_crashed(self, reason: str) -> None:
-        """Fail every in-flight request and refuse new ones."""
-        with self._lock:
-            if self.crashed:
-                return
-            self.crashed = True
-            pending = list(self._pending.values())
-            self._pending.clear()
-            self.errors += len(pending)
-        self.death_reason = reason
-        self.ready_error = self.ready_error or reason
-        self.ready.set()  # wake a start() waiting on a worker that died
-        exc = ShardCrashedError(
-            f"shard {self.shard_id} (pid {getattr(self.process, 'pid', '?')}) "
-            f"is gone: {reason}")
-        for reply in pending:
-            reply.fail(exc)
-
-    # -- request plumbing ----------------------------------------------
-    def _register(self, count: int) -> Tuple[int, _PendingReply]:
-        reply = _PendingReply(count)
-        with self._lock:
-            if self.crashed:
-                raise ShardCrashedError(
-                    f"shard {self.shard_id} already crashed")
-            corr = next(self._corr)
-            self._pending[corr] = reply
-        return corr, reply
-
-    def _forget(self, corr: int) -> None:
-        with self._lock:
-            self._pending.pop(corr, None)
-
-    def _send(self, messages: Sequence[Message],
-              timeout: Optional[float] = None,
-              shed_timeout: Optional[float] = None) -> None:
-        """Ship one or more envelopes back-to-back (atomic on the ring).
-
-        Every envelope is size-checked against the transport *before* the
-        first one is written: a mid-sequence failure would desync the
-        worker's protocol (it would swallow unrelated envelopes as the
-        missing frames of a half-sent batch).
-
-        ``shed_timeout`` bounds the wait for the *first* envelope only:
-        a ring with no room within it raises
-        :class:`~repro.system.scheduler.BackpressureError` — nothing has
-        been written yet, so shedding is safe and the shard stays healthy
-        (shed *before* the ring, never after).  Once the first envelope
-        is on the ring the full ``timeout`` applies: giving up
-        mid-sequence would desync the protocol, so from there on a
-        timeout keeps the historical crash semantics.
-        """
-        blobs = [serialize_message(message, wire_format=WIRE_FORMAT_RAW)
-                 for message in messages]
-        limit = self.channel.max_message_bytes
-        if limit is not None:
-            for blob in blobs:
-                if len(blob) > limit:
-                    raise ValueError(
-                        f"envelope of {len(blob)} bytes exceeds the "
-                        f"{limit}-byte shard ring message limit — raise "
-                        "ShardingConfig.ring_bytes for frames this large")
-        timeout = self.request_timeout_s if timeout is None else timeout
-        with self._send_lock:
-            for index, blob in enumerate(blobs):
-                if index == 0 and shed_timeout is not None:
-                    try:
-                        sent = self.channel.send_bytes(
-                            blob, timeout=min(shed_timeout, timeout))
-                    except TimeoutError as exc:
-                        raise BackpressureError(
-                            f"shard {self.shard_id} ring had no room within "
-                            f"{shed_timeout:.3f}s") from exc
-                else:
-                    sent = self.channel.send_bytes(blob, timeout=timeout)
-                with self._lock:
-                    self.bytes_to_shard += sent
-
-    def _await(self, corr: int, reply: _PendingReply,
-               timeout: float) -> _PendingReply:
-        if not reply.event.wait(timeout):
-            self._forget(corr)
-            with self._lock:
-                self.errors += 1
-            # A worker that stops answering is unreachable by contract
-            # (ShardingConfig.request_timeout_s): poison it so the router
-            # stops feeding it — a wedged-but-alive worker would otherwise
-            # keep stalling every Nth request forever — and kill the
-            # process (it is serial; everything queued behind the stuck
-            # request would time out too).
-            self.mark_crashed(f"no answer within {timeout:.1f}s")
-            try:
-                self.process.kill()
-            except Exception:  # pragma: no cover - already gone
-                pass
-            raise ShardCrashedError(
-                f"shard {self.shard_id} did not answer within {timeout:.1f}s")
-        self._forget(corr)
-        if reply.error is not None:
-            raise reply.error
-        return reply
-
-    # -- public request API ---------------------------------------------
-    def request_frame(self, entry: str, arrays: ArrayDict,
-                      meta: Dict) -> FrameState:
-        corr, reply = self._register(1)
-        try:
-            self._send([Message(kind=KIND_FRAME, frame_id=corr, arrays=arrays,
-                                meta={"entry": entry, "frame": meta})],
-                       shed_timeout=RING_SHED_TIMEOUT_S)
-        except BackpressureError:
-            # Ring full, nothing written: shed upstream (the edge server
-            # answers "rejected"); the shard itself is healthy.
-            self._forget(corr)
-            raise
-        except (TimeoutError, ValueError, OSError) as exc:
-            self._forget(corr)
-            with self._lock:
-                self.errors += 1
-            if isinstance(exc, ValueError):
-                raise  # oversized frame: a caller bug, not a dead shard
-            self.mark_crashed(f"request transport failed: {exc}")
-            raise ShardCrashedError(str(exc)) from exc
-        self._await(corr, reply, self.request_timeout_s)
-        result_arrays, result_meta, service = reply.results[0]
-        with self._lock:
-            self.frames += 1
-            self.service_time_s += service
-        return result_arrays, result_meta
-
-    def request_batch(self, entry: str,
-                      requests: Sequence[FrameState]) -> List[FrameState]:
-        corr, reply = self._register(len(requests))
-        envelopes = [Message(kind=SHARD_KIND_BATCH, frame_id=corr,
-                             meta={"entry": entry, "count": len(requests)})]
-        envelopes.extend(
-            Message(kind=KIND_FRAME, frame_id=corr, arrays=arrays,
-                    meta={"frame": meta, "index": index})
-            for index, (arrays, meta) in enumerate(requests))
-        try:
-            self._send(envelopes, shed_timeout=RING_SHED_TIMEOUT_S)
-        except BackpressureError:
-            self._forget(corr)  # nothing on the ring: shed, don't crash
-            raise
-        except (TimeoutError, ValueError, OSError) as exc:
-            self._forget(corr)
-            with self._lock:
-                self.errors += 1
-            if isinstance(exc, ValueError):
-                raise
-            self.mark_crashed(f"request transport failed: {exc}")
-            raise ShardCrashedError(str(exc)) from exc
-        self._await(corr, reply, self.request_timeout_s)
-        with self._lock:
-            self.batches += 1
-            self.frames += len(requests)
-            self.service_time_s += sum(result[2] for result in reply.results)
-        return [(arrays, meta) for arrays, meta, _ in reply.results]
-
-    def start_publish(self, payload: Dict,
-                      version: int) -> Tuple[int, _PendingReply]:
-        """Phase 1 of snapshot replication: ship the envelope, don't wait.
-
-        Splitting send from await lets the pool broadcast to every shard
-        first and collect acknowledgements second, so the N workers rebuild
-        the zoo's models/plans concurrently instead of one after another.
-        """
-        corr, reply = self._register(1)
-        try:
-            self._send([Message(kind=SHARD_KIND_PUBLISH, frame_id=corr,
-                                meta={"zoo": payload, "version": version})])
-        except (TimeoutError, OSError) as exc:
-            self._forget(corr)
-            self.mark_crashed(f"publish transport failed: {exc}")
-            raise ShardCrashedError(str(exc)) from exc
-        return corr, reply
-
-    def finish_publish(self, corr: int, reply: _PendingReply, version: int,
-                       timeout: float) -> None:
-        """Phase 2: wait for the shard's acknowledgement of ``version``."""
-        self._await(corr, reply, timeout)
-        with self._lock:
-            self.snapshot_version = version
-
-    # -- reader ----------------------------------------------------------
-    def _read_loop(self) -> None:
-        while not self._stopping:
-            try:
-                blob = self.channel.recv_bytes(timeout=0.2)
-            except Exception as exc:  # torn-down channel mid-read
-                self.mark_crashed(f"response transport failed: {exc}")
-                return
-            if blob is None:
-                if self._stopping:
-                    return
-                if self.process is not None and not self.process.is_alive():
-                    self.mark_crashed(
-                        f"worker process exited with code "
-                        f"{self.process.exitcode}")
-                    return
-                continue
-            try:
-                message = deserialize_message(blob)
-            except Exception as exc:
-                self.mark_crashed(f"undecodable shard response: {exc}")
-                return
-            with self._lock:
-                self.bytes_from_shard += len(blob)
-            self._dispatch(message)
-
-    def _dispatch(self, message: Message) -> None:
-        if message.kind == SHARD_KIND_READY:
-            with self._lock:
-                self.snapshot_version = int(message.meta.get("version", 0))
-            self.ready.set()
-            return
-        with self._lock:
-            reply = self._pending.get(message.frame_id)
-        if reply is None:
-            if message.kind == KIND_ERROR and not self.ready.is_set():
-                # Bootstrap failure: the worker could not build its
-                # repository and reported why with correlation id 0 —
-                # surface the real traceback instead of a generic
-                # "worker exited".
-                self.ready_error = (
-                    f"{message.meta.get('error', 'bootstrap failed')}\n"
-                    f"{message.meta.get('traceback', '')}")
-                self.mark_crashed(self.ready_error)
-            return  # late reply for a timed-out/abandoned request
-        if message.kind == KIND_RESULT:
-            index = message.batch_index if message.batch_index is not None else 0
-            reply.complete_index(index, (dict(message.arrays),
-                                         message.meta.get("frame", {}),
-                                         float(message.meta.get(
-                                             "service_time_s", 0.0))))
-        elif message.kind in (KIND_ERROR, SHARD_KIND_PUBLISHED):
-            if message.kind == KIND_ERROR:
-                with self._lock:
-                    self.errors += 1
-                reply.fail(RuntimeError(
-                    f"shard {self.shard_id} execution failed: "
-                    f"{message.meta.get('error', 'unknown')}\n"
-                    f"--- shard traceback ---\n"
-                    f"{message.meta.get('traceback', '')}"))
-            else:
-                reply.complete_index(0, ({}, dict(message.meta), 0.0))
-
-    # -- lifecycle -------------------------------------------------------
-    def stop(self, join_timeout_s: float = 5.0) -> None:
-        """Kill the worker and release its transport (idempotent).
-
-        Safe to call twice — the supervisor stops a dead shard before
-        respawning its slot, and the pool's own ``stop()`` may race it.
-        Closing *and unlinking* the rings here, before any replacement is
-        spawned, is what keeps long respawn histories from leaking shared
-        memory segments (pinned by ``tests/test_serving_selfheal.py``).
-        """
-        if self._stopped:
-            return
-        self._stopped = True
-        self._stopping = True
-        if self.alive:
-            try:
-                # Short timeout: a wedged worker with a full ring must not
-                # stall shutdown for request_timeout_s — it gets killed
-                # right below anyway.
-                self._send([Message(kind=KIND_STOP)], timeout=1.0)
-            except Exception:
-                pass
-        if self.process is not None:
-            self.process.join(timeout=join_timeout_s)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=join_timeout_s)
-        self.mark_crashed("shard pool stopped")
-        self.reader.join(timeout=join_timeout_s)
-        self.channel.close()
-        self.channel.unlink()
-
-    def carry_counters(self, old: "_Shard") -> None:
-        """Fold a dead predecessor's cumulative counters into this shard.
-
-        Keeps slot-level statistics monotonic across a respawn (``old`` is
-        dead and stopped, so reading its counters without its lock is
-        safe — nothing mutates them anymore).
-        """
-        with self._lock:
-            self.frames += old.frames
-            self.batches += old.batches
-            self.errors += old.errors
-            self.service_time_s += old.service_time_s
-            self.bytes_to_shard += old.bytes_to_shard
-            self.bytes_from_shard += old.bytes_from_shard
-
-    def stats(self) -> ShardStats:
-        with self._lock:
-            return ShardStats(
-                shard_id=self.shard_id,
-                pid=getattr(self.process, "pid", None),
-                alive=self.alive,
-                frames=self.frames,
-                batches=self.batches,
-                errors=self.errors,
-                service_time_s=self.service_time_s,
-                bytes_to_shard=self.bytes_to_shard,
-                bytes_from_shard=self.bytes_from_shard,
-                snapshot_version=self.snapshot_version)
-
-
-class ShardPool:
+class ShardPool(WorkerPool):
     """Owns ``num_shards`` worker processes serving one repository's zoo.
 
     Built (and started) by :class:`~repro.serving.app.ServingApp` when its
@@ -457,6 +82,8 @@ class ShardPool:
     repository's router mappings but execute on worker processes; frames
     are spread round-robin over the live shards.
     """
+
+    tier = "shard"
 
     def __init__(self, repository: ModelRepository,
                  config: ShardingConfig) -> None:
@@ -467,306 +94,63 @@ class ShardPool:
             raise RuntimeError(
                 f"shard transport {config.transport!r} is not available on "
                 "this platform")
-        self.repository = repository
-        self.config = config
-        self._shards: List[_Shard] = []
-        self._rr = itertools.count()
-        self._started = False
-        self._stopped = False
-        self._publish_lock = threading.Lock()
-        #: Serializes respawns against stop(); guards _stopped.
-        self._lifecycle_lock = threading.Lock()
-        # Slot-level bookkeeping that must survive _Shard replacement.
-        self._restarts: List[int] = []
-        self._quarantine: List[Optional[str]] = []
-        self._death_reasons: List[Optional[str]] = []
+        super().__init__(repository, config, config.num_shards,
+                         config.start_timeout_s)
 
-    # ------------------------------------------------------------------
-    def start(self) -> "ShardPool":
-        """Spawn the workers, wait until every one is serving.
-
-        Workers are started with the repository's *current* snapshot; a
-        publish landing during startup is caught by the re-sync the app
-        performs right after registering the pool's publish preparer.
-        """
-        if self._started:
-            raise RuntimeError("ShardPool is already started")
-        import multiprocessing
+    def _open_link(self, index: int, timeout: float) -> WorkerLink:
+        """Spawn one worker on the repository's current snapshot."""
         # Spawned (not forked) workers: a forked child would inherit the
         # parent's BLAS/thread state mid-flight, which is a known deadlock
         # source — and spawn keeps the bootstrap honest (everything a shard
         # needs must cross as picklable/JSON data).
         ctx = multiprocessing.get_context("spawn")
-        bootstrap = self._bootstrap()
-        self._started = True
-        self._restarts = [0] * self.config.num_shards
-        self._quarantine = [None] * self.config.num_shards
-        self._death_reasons = [None] * self.config.num_shards
-        try:
-            for shard_id in range(self.config.num_shards):
-                self._shards.append(self._spawn_shard(ctx, shard_id,
-                                                      bootstrap))
-            deadline = time.monotonic() + self.config.start_timeout_s
-            for shard in self._shards:
-                self._wait_ready(shard, deadline,
-                                 self.config.start_timeout_s)
-        except Exception:
-            self.stop()
-            raise
-        return self
-
-    def _bootstrap(self) -> Dict:
-        """The worker bootstrap payload for the repository's current snapshot."""
-        snapshot = self.repository.snapshot()
-        return {
-            "zoo": zoo_to_payload(snapshot.zoo),
-            "version": snapshot.version,
-            "in_dim": self.repository.in_dim,
-            "num_classes": self.repository.num_classes,
-            "runtime": self.repository.runtime.to_dict(),
-            "seed": self.repository.seed,
-            "retain": self.repository.retain,
-        }
-
-    def _spawn_shard(self, ctx, shard_id: int, bootstrap: Dict) -> _Shard:
         channel, spec = create_channel(ctx, self.config.transport,
                                        self.config.ring_bytes)
-        process = ctx.Process(
-            target=_shard_main, args=(shard_id, spec, bootstrap),
-            daemon=True, name=f"serving-shard-{shard_id}")
-        process.start()
-        return _Shard(shard_id, process, channel,
-                      request_timeout_s=self.config.request_timeout_s)
+        try:
+            process = ctx.Process(
+                target=_shard_main,
+                args=(index, spec, bootstrap_meta(self.repository)),
+                daemon=True, name=f"serving-shard-{index}")
+            process.start()
+        except Exception:
+            channel.close()
+            channel.unlink()
+            raise
+        # on_crash=kill: a worker that stopped answering (or diverged on a
+        # publish) is serial and poisoned — everything queued behind the
+        # stuck request would time out too.
+        return WorkerLink(f"shard {index} (pid {process.pid})", channel,
+                          crash_error=ShardCrashedError,
+                          request_timeout_s=self.config.request_timeout_s,
+                          process=process, on_crash=process.kill,
+                          shed_timeout_s=RING_SHED_TIMEOUT_S)
 
-    @staticmethod
-    def _wait_ready(shard: _Shard, deadline: float, budget: float) -> None:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0 or not shard.ready.wait(remaining):
-            raise RuntimeError(
-                f"shard {shard.shard_id} did not become ready "
-                f"within {budget:.1f}s")
-        if shard.crashed or not shard.process.is_alive():
-            raise RuntimeError(
-                f"shard {shard.shard_id} failed to start: "
-                f"{shard.ready_error or 'worker exited'}")
+    def _respawn_exclusion(self):
+        # _open_link reads the repository's *current* snapshot, so nothing
+        # short of the repository's own barrier keeps a publish from
+        # swapping between that read and the slot swap.
+        return self.repository.publish_barrier()
 
-    # ------------------------------------------------------------------
-    # Self-healing (driven by repro.serving.supervisor)
-    # ------------------------------------------------------------------
-    def respawn(self, index: int, timeout: Optional[float] = None) -> None:
-        """Replace the dead worker behind slot ``index`` with a fresh one.
+    def _pick(self, name: str) -> WorkerLink:
+        """Next live shard, round-robin; raises when every shard is down."""
+        link = next(self._live_links(), None)
+        if link is None:
+            raise ShardCrashedError(
+                f"all {self.num_slots} serving shards are down")
+        return link
 
-        Sequence, and why the order matters:
+    def _stats_view(self, index: int, link: WorkerLink,
+                    counters: Dict) -> ShardStats:
+        return ShardStats(
+            shard_id=index,
+            pid=link.pid,
+            alive=counters["alive"],
+            frames=counters["frames"],
+            batches=counters["batches"],
+            errors=counters["errors"],
+            service_time_s=counters["service_time_s"],
+            bytes_to_shard=counters["bytes_sent"],
+            bytes_from_shard=counters["bytes_received"],
+            snapshot_version=counters["snapshot_version"])
 
-        1. Stop the corpse — joining the process and closing *and
-           unlinking* its shared-memory rings before any replacement
-           transport exists, so restart cycles never accumulate leaked
-           segments.
-        2. Under the repository's ``publish_barrier`` (the same lock
-           ``publish()`` takes): read the current snapshot, spawn a fresh
-           worker bootstrapped from it, and wait for its ready ack.
-           Holding the barrier across spawn-and-swap means no publish can
-           land between the bootstrap read and the slot swap — so a frame
-           can never be stamped with a snapshot version the fresh worker
-           lacks (the sharded tier's pinning invariant, preserved across
-           restarts).  Publishes queue behind the respawn, exactly as
-           they queue behind a node reconnect in the cluster tier.
-        3. Swap the fresh shard into the slot — unless the pool stopped
-           meanwhile, in which case the fresh worker is torn down and the
-           respawn aborts cleanly.
-
-        Raises on failure (spawn error, ready timeout, pool stopped); the
-        supervisor counts a failed respawn as another death.
-        """
-        if not self._started:
-            raise RuntimeError("ShardPool is not started")
-        if self._quarantine[index] is not None:
-            raise RuntimeError(f"shard slot {index} is quarantined: "
-                               f"{self._quarantine[index]}")
-        old = self._shards[index]
-        if old.alive:
-            raise RuntimeError(
-                f"shard {index} is alive; refusing to respawn over it")
-        # The reader thread's liveness poll may not have named the death
-        # yet (a worker killed while idle, respawned within the poll
-        # quantum) — fall back to the exit code so the slot's
-        # ``last_death_reason`` never reads as "nothing happened".
-        self._death_reasons[index] = (
-            old.death_reason or self._death_reasons[index]
-            or f"worker process exited with code "
-               f"{getattr(old.process, 'exitcode', None)}")
-        old.stop()
-        import multiprocessing
-        ctx = multiprocessing.get_context("spawn")
-        budget = self.config.start_timeout_s if timeout is None else timeout
-        with self.repository.publish_barrier():
-            with self._lifecycle_lock:
-                if self._stopped:
-                    raise RuntimeError(
-                        "shard pool stopped; respawn aborted")
-            fresh = self._spawn_shard(ctx, index, self._bootstrap())
-            try:
-                self._wait_ready(fresh, time.monotonic() + budget, budget)
-                fresh.carry_counters(old)
-                with self._lifecycle_lock:
-                    if self._stopped:
-                        raise RuntimeError(
-                            "shard pool stopped during respawn")
-                    # A single list-item store: _pick() sees either the
-                    # old (dead, routed around) or the new (live) shard,
-                    # never a half-state.
-                    self._shards[index] = fresh
-                    self._restarts[index] += 1
-            except Exception:
-                fresh.stop()
-                raise
-
-    def set_quarantined(self, index: int, reason: str) -> None:
-        """Mark slot ``index`` crash-looping: no further respawns, ever."""
-        self._quarantine[index] = reason
-
-    def quarantine_reason(self, index: int) -> Optional[str]:
-        return self._quarantine[index]
-
-    def restarts(self, index: int) -> int:
-        return self._restarts[index]
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _pick(self) -> _Shard:
-        """Next live shard, round-robin; raises when every shard is down.
-
-        The shared counter is drawn exactly once and the probe walks a
-        local window from there — drawing inside the loop would let
-        concurrent callers interleave counter values such that one thread
-        sees only dead slots and falsely reports every shard down.
-        """
-        count = len(self._shards)
-        if count:
-            start = next(self._rr)
-            for offset in range(count):
-                shard = self._shards[(start + offset) % count]
-                if shard.alive:
-                    return shard
-        raise ShardCrashedError(
-            f"all {count} serving shards are down")
-
-    def edge_fn(self, name: str) -> Callable[[ArrayDict, Dict], FrameState]:
-        def edge_fn(arrays: ArrayDict, meta: Dict) -> FrameState:
-            return self._pick().request_frame(name, arrays, meta)
-
-        return edge_fn
-
-    def batch_fn(self, name: str
-                 ) -> Callable[[Sequence[FrameState]], List[FrameState]]:
-        def batch_fn(requests: Sequence[FrameState]) -> List[FrameState]:
-            return self._pick().request_batch(name, list(requests))
-
-        return batch_fn
-
-    def edge_fns(self) -> Dict[str, Callable[[ArrayDict, Dict], FrameState]]:
-        """Shard-routing per-frame callables, one per retained entry name."""
-        return {name: self.edge_fn(name)
-                for name in self.repository.serving_names()}
-
-    def batch_fns(self) -> Dict[str, Callable[[Sequence[FrameState]],
-                                              List[FrameState]]]:
-        """Shard-routing batched callables, one per retained entry name."""
-        return {name: self.batch_fn(name)
-                for name in self.repository.serving_names()}
-
-    # ------------------------------------------------------------------
-    # Publish replication (registered as a repository pre-swap preparer)
-    # ------------------------------------------------------------------
-    def prepare_publish(self, snapshot: ServingSnapshot) -> None:
-        """Replicate ``snapshot`` to every live shard before the parent swap.
-
-        Runs as a :meth:`ModelRepository.add_preparer` hook: by the time
-        the parent repository installs the snapshot (and its version can be
-        stamped onto device results), every live shard has acknowledged it.
-        A shard that fails to install the snapshot is treated like a
-        crashed shard (killed and routed around) rather than failing the
-        publish — unless *no* shard is left, which aborts the publish.
-        """
-        with self._publish_lock:
-            payload = zoo_to_payload(snapshot.zoo)
-
-            def poison(shard: _Shard, exc: Exception) -> None:
-                # The shard diverged (or died) — it can never serve a frame
-                # pinned to a snapshot it lacks, so take it out of routing.
-                shard.mark_crashed(f"snapshot v{snapshot.version} "
-                                   f"replication failed: {exc}")
-                try:
-                    shard.process.kill()
-                except Exception:
-                    pass
-
-            # Broadcast first, await second: every worker rebuilds the new
-            # zoo's models and plans concurrently, so a publish costs one
-            # (slowest-shard) build instead of num_shards sequential ones.
-            in_flight = []
-            for shard in list(self._shards):
-                if not shard.alive:
-                    continue
-                try:
-                    corr, reply = shard.start_publish(payload,
-                                                      snapshot.version)
-                except Exception as exc:
-                    poison(shard, exc)
-                    continue
-                in_flight.append((shard, corr, reply))
-            for shard, corr, reply in in_flight:
-                try:
-                    shard.finish_publish(corr, reply, snapshot.version,
-                                         self.config.publish_timeout_s)
-                except Exception as exc:
-                    poison(shard, exc)
-            if not any(shard.alive for shard in self._shards):
-                raise RuntimeError(
-                    f"publish of snapshot v{snapshot.version} aborted: no "
-                    "serving shard accepted it")
-
-    def sync(self, snapshot: ServingSnapshot) -> None:
-        """Idempotent re-broadcast (covers publishes racing pool startup)."""
-        self.prepare_publish(snapshot)
-
-    # ------------------------------------------------------------------
-    def stats(self) -> List[ShardStats]:
-        """Per-shard counters (parent-side view), shard order preserved.
-
-        Slot-level supervision fields (``restarts``, ``quarantined``,
-        ``last_death_reason``) survive worker replacement: they live on
-        the pool, not on the ``_Shard`` they describe.
-        """
-        folded = []
-        for index, shard in enumerate(self._shards):
-            stats = shard.stats()
-            stats.restarts = self._restarts[index]
-            stats.quarantined = self._quarantine[index] is not None
-            stats.last_death_reason = (shard.death_reason
-                                       or self._death_reasons[index])
-            folded.append(stats)
-        return folded
-
-    def live_count(self) -> int:
-        return sum(1 for shard in self._shards if shard.alive)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._shards)
-
-    def stop(self) -> None:
-        """Stop every worker (idempotent): stop envelope, join, kill, unlink.
-
-        Serialized against :meth:`respawn` by the lifecycle lock: a respawn
-        in flight either completes before the flag is read (its fresh shard
-        is in ``_shards`` and stopped below) or observes the flag and tears
-        its fresh worker down itself.
-        """
-        with self._lifecycle_lock:
-            if self._stopped:
-                return
-            self._stopped = True
-        for shard in self._shards:
-            shard.stop()
+    num_shards = WorkerPool.num_slots

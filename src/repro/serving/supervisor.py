@@ -5,10 +5,11 @@ shard fails its in-flight frames with ``ShardCrashedError`` and is routed
 around, a dead cluster node likewise — but detection alone means every
 crash permanently shrinks the pool.  The :class:`Supervisor` is the
 *recovery* half: a monitor thread owned by
-:class:`~repro.serving.app.ServingApp` that watches
-:class:`~repro.serving.sharding.ShardPool` slots and app-owned
-:class:`~repro.runtime.node.NodeProcess` replicas and brings dead workers
-back, within explicit safety bounds:
+:class:`~repro.serving.app.ServingApp` that watches the slots of every
+:class:`~repro.serving.workers.WorkerPool` it is given (shards, cluster
+nodes — it consumes only the pools' uniform ``slot_alive``/``respawn``/
+``set_quarantined``/``death_reason`` surface) and brings dead workers back,
+within explicit safety bounds:
 
 * **Jittered exponential backoff** — a freshly dead worker is respawned
   after ``backoff_initial_s``; consecutive deaths of the same slot grow
@@ -45,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .config import SupervisorConfig
 
@@ -72,77 +73,30 @@ class _Slot:
         self.was_alive = True
 
 
-class _Target:
-    """One supervised pool: uniform alive/respawn/quarantine surface."""
-
-    def __init__(self, tier: str, count: int,
-                 alive: Callable[[int], bool],
-                 respawn: Callable[[int], None],
-                 quarantine: Callable[[int, str], None],
-                 death_reason: Callable[[int], Optional[str]]) -> None:
-        self.tier = tier
-        self.slots = [_Slot(tier, index) for index in range(count)]
-        self.alive = alive
-        self.respawn = respawn
-        self.quarantine = quarantine
-        self.death_reason = death_reason
-
-
 class Supervisor:
     """Monitor thread that heals a :class:`~repro.serving.app.ServingApp`.
 
     Built by the app when ``ServingConfig.supervisor.enabled`` is set and
-    at least one pool exists.  ``node_processes`` maps cluster slot
-    indices to the :class:`~repro.runtime.node.NodeProcess` objects the
-    app owns — only owned processes can be respawned; a slot without one
-    (a remote machine's node) is still *reconnected* when its process
-    proves reachable again, mirroring ``ClusterConfig.reconnect_s``.
+    at least one pool exists.  How a slot comes back is the pool's
+    business (:meth:`~repro.serving.workers.WorkerPool.respawn`): a shard
+    pool spawns a fresh worker, a cluster pool restarts the
+    :class:`~repro.runtime.node.NodeProcess` it was handed for the slot —
+    only owned processes can be restarted; a slot without one (a remote
+    machine's node) is still *redialed* when its process proves reachable
+    again, mirroring ``ClusterConfig.reconnect_s``.
     """
 
-    def __init__(self, config: SupervisorConfig, *, shard_pool=None,
-                 cluster_pool=None,
-                 node_processes: Optional[Dict[int, object]] = None) -> None:
+    def __init__(self, config: SupervisorConfig, pools: Sequence) -> None:
         self.config = config
-        self._shard_pool = shard_pool
-        self._cluster_pool = cluster_pool
-        self._node_processes = dict(node_processes or {})
-        self._targets: List[_Target] = []
-        if shard_pool is not None:
-            self._targets.append(_Target(
-                "shard", shard_pool.num_shards,
-                alive=lambda i: shard_pool.stats()[i].alive,
-                respawn=self._respawn_shard,
-                quarantine=shard_pool.set_quarantined,
-                death_reason=lambda i: shard_pool.stats()[i].last_death_reason))
-        if cluster_pool is not None:
-            self._targets.append(_Target(
-                "node", cluster_pool.num_nodes,
-                alive=lambda i: cluster_pool.stats()[i].alive,
-                respawn=self._respawn_node,
-                quarantine=cluster_pool.set_quarantined,
-                death_reason=lambda i: cluster_pool.stats()[i].last_death_reason))
+        self._pools: List[Tuple[object, List[_Slot]]] = [
+            (pool, [_Slot(pool.tier, index)
+                    for index in range(pool.num_slots)])
+            for pool in pools]
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         # Observability (written only by the monitor thread; read anywhere).
         self._degraded_since: Optional[float] = None
         self._last_recovery_s: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    # Respawn actions
-    # ------------------------------------------------------------------
-    def _respawn_shard(self, index: int) -> None:
-        self._shard_pool.respawn(index,
-                                 timeout=self.config.respawn_timeout_s)
-
-    def _respawn_node(self, index: int) -> None:
-        process = self._node_processes.get(index)
-        if process is not None and not process.alive():
-            # SO_REUSEADDR in the node listener makes the same-port rebind
-            # safe; the configured address for this slot stays valid.
-            process.restart(timeout=self.config.respawn_timeout_s)
-        if not self._cluster_pool.reconnect_node(index):
-            raise ConnectionError(
-                f"node slot {index} respawned but did not re-enter rotation")
 
     # ------------------------------------------------------------------
     # Monitor loop
@@ -152,8 +106,7 @@ class Supervisor:
         while slot.deaths and now - slot.deaths[0] > window:
             slot.deaths.popleft()
 
-    def _record_death(self, target: _Target, slot: _Slot,
-                      now: float) -> None:
+    def _record_death(self, pool, slot: _Slot, now: float) -> None:
         """One observed death: feed the window, quarantine or back off."""
         slot.deaths.append(now)
         self._prune(slot, now)
@@ -161,51 +114,51 @@ class Supervisor:
         if len(slot.deaths) >= self.config.quarantine_deaths:
             reason = (f"crash loop: {len(slot.deaths)} deaths within "
                       f"{self.config.quarantine_window_s:.0f}s "
-                      f"(last: {target.death_reason(slot.index) or 'unknown'})")
+                      f"(last: {pool.death_reason(slot.index) or 'unknown'})")
             slot.quarantined = reason
-            target.quarantine(slot.index, reason)
+            pool.set_quarantined(slot.index, reason)
             return
         slot.backoff_until = now + self.config.backoff_s(slot.consecutive)
 
     def _scan(self) -> None:
         now = time.monotonic()
         all_strong = True
-        for target in self._targets:
-            for slot in target.slots:
+        for pool, slots in self._pools:
+            for slot in slots:
                 if slot.quarantined is not None:
                     continue
-                try:
-                    alive = target.alive(slot.index)
-                except Exception:
-                    alive = False
-                if alive:
+                if pool.slot_alive(slot.index):
                     if not slot.was_alive:
                         slot.was_alive = True
                         slot.consecutive = 0
                     continue
-                all_strong = False
                 if self._degraded_since is None:
                     self._degraded_since = now
                 if slot.was_alive:
                     # Alive -> dead transition: this is the death event.
                     slot.was_alive = False
-                    self._record_death(target, slot, now)
-                    continue
-                if now < slot.backoff_until:
-                    continue
-                try:
-                    target.respawn(slot.index)
-                except Exception:
-                    slot.failed_respawns += 1
-                    self._record_death(target, slot, now)
-                else:
-                    slot.restarts += 1
-                    slot.was_alive = True
-                    slot.consecutive = 0
+                    self._record_death(pool, slot, now)
+                elif now >= slot.backoff_until:
+                    try:
+                        pool.respawn(slot.index,
+                                     timeout=self.config.respawn_timeout_s)
+                    except Exception:
+                        slot.failed_respawns += 1
+                        self._record_death(pool, slot, now)
+                    else:
+                        slot.restarts += 1
+                        slot.was_alive = True
+                        slot.consecutive = 0
+                        continue  # back in rotation within this very scan
+                # Still down at the end of its handling (death just
+                # recorded, backing off, or respawn failed).
+                all_strong = False
         if all_strong and self._degraded_since is not None:
             # Quarantined slots are excluded above: "full strength" means
-            # every slot the supervisor still fights for is serving.
-            self._last_recovery_s = now - self._degraded_since
+            # every slot the supervisor still fights for is serving.  A
+            # fresh clock read: the respawn that closed the outage ran
+            # inside this scan, after ``now`` was taken.
+            self._last_recovery_s = time.monotonic() - self._degraded_since
             self._degraded_since = None
 
     def _run(self) -> None:
@@ -251,17 +204,13 @@ class Supervisor:
         outage completed (never degraded, or still degraded —
         ``degraded`` says which).
         """
-        slots = []
-        for target in self._targets:
-            for slot in target.slots:
-                slots.append({
-                    "tier": slot.tier,
-                    "index": slot.index,
-                    "restarts": slot.restarts,
-                    "failed_respawns": slot.failed_respawns,
-                    "deaths_in_window": len(slot.deaths),
-                    "quarantined": slot.quarantined,
-                })
+        slots = [{"tier": slot.tier,
+                  "index": slot.index,
+                  "restarts": slot.restarts,
+                  "failed_respawns": slot.failed_respawns,
+                  "deaths_in_window": len(slot.deaths),
+                  "quarantined": slot.quarantined}
+                 for _, pool_slots in self._pools for slot in pool_slots]
         return {
             "slots": slots,
             "restarts_total": sum(s["restarts"] for s in slots),

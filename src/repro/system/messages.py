@@ -393,9 +393,9 @@ def _recv_exact(sock: socket.socket, size: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def recv_message(sock: socket.socket,
-                 max_bytes: int = MAX_MESSAGE_BYTES) -> Optional[Message]:
-    """Receive one framed message.
+def recv_payload(sock: socket.socket,
+                 max_bytes: int = MAX_MESSAGE_BYTES) -> Optional[bytes]:
+    """Receive one length-prefixed blob — the inverse of :func:`send_payload`.
 
     Returns ``None`` on a clean peer close (the stream ended on a frame
     boundary) and raises :class:`ConnectionError` when the stream is
@@ -420,8 +420,21 @@ def recv_message(sock: socket.socket,
         raise ConnectionError(
             f"connection closed mid-frame: length prefix announced {length} "
             "bytes but no payload followed")
+    return blob
+
+
+def recv_message(sock: socket.socket,
+                 max_bytes: int = MAX_MESSAGE_BYTES) -> Optional[Message]:
+    """Receive and decode one framed message (see :func:`recv_payload`).
+
+    ``None`` is a clean peer close; a truncated or oversized frame raises
+    :class:`ConnectionError` and undecodable bytes :class:`ValueError`.
+    """
+    blob = recv_payload(sock, max_bytes)
+    if blob is None:
+        return None
     message = deserialize_message(blob)
-    message.wire_bytes = length + _LENGTH_SIZE
+    message.wire_bytes = len(blob) + _LENGTH_SIZE
     return message
 
 

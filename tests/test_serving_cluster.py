@@ -362,7 +362,7 @@ class TestClusterFailover:
         pool = ClusterPool(repo, ClusterConfig(nodes=(one_node.address,)))
         pool.start()
         try:
-            node = pool._nodes[0]
+            node = pool._links[0]
             arrays, meta = repo.device_fn("m")(_frames(1)[0])
             one_node.kill()
             failures = []
@@ -392,7 +392,7 @@ class TestClusterFailover:
                 nodes=(proxy.address,), heartbeat_ms=NO_HEARTBEAT_MS))
             pool.start()
             try:
-                node = pool._nodes[0]
+                node = pool._links[0]
                 arrays, meta = repo.device_fn("m")(_frames(1)[0])
                 # The node executes the frame but its reply is held.
                 proxy.server_to_client.delay_next(600.0)
@@ -437,7 +437,7 @@ class TestClusterFailover:
                 heartbeat_misses=2))
             pool.start()
             try:
-                node = pool._nodes[0]
+                node = pool._links[0]
                 arrays, meta = repo.device_fn("m")(_frames(1)[0])
                 # Hold the node->router flow: the node executes the frame
                 # instantly but its reply (and every pong behind it) is

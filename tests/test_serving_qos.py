@@ -669,7 +669,7 @@ class TestAsyncFrontendGuarantees:
             server=ServerConfig(frontend=FRONTEND_ASYNC),
             sharding=ShardingConfig(num_shards=2))
         with serve(ZOO_V1, config, in_dim=3, num_classes=3) as app:
-            for shard in app.shard_pool._shards:
+            for shard in app.shard_pool._links:
                 shard.process.kill()
             wait_until(lambda: not any(s.alive for s in
                                        app.shard_pool.stats()),

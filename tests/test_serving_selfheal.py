@@ -18,10 +18,11 @@ SIGKILL rather than a simulated flag:
   arbitrarily long restart histories never leak segments; ``stop()``
   racing an in-flight respawn is clean either way the race lands.
 
-The chaos tests also dump the supervisor's machine-readable counters to
-``benchmarks/results/supervisor_stats.json`` (restart totals,
-time-to-full-strength, hardware envelope) — the artifact the CI
-``cluster-chaos`` job uploads.
+The chaos tests also dump the supervisor's machine-readable counters
+(restart totals, time-to-full-strength, hardware envelope) to
+``supervisor_stats.json`` under pytest's base temp directory — never into
+the checkout; the CI ``cluster-chaos`` job passes ``--basetemp`` and
+uploads the artifact from there.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from repro.graph.data import Batch
 from repro.runtime.node import NodeProcess
 from repro.serving import (ClientConfig, ClusterConfig, ModelRepository,
                            RetryPolicy, ServingConfig, ShardingConfig,
-                           SupervisorConfig, serve, sharding_supported)
+                           Supervisor, SupervisorConfig, serve,
+                           sharding_supported)
 from repro.serving.sharding import ShardPool
 
 needs_shm = pytest.mark.skipif(
@@ -95,28 +97,24 @@ def _supervisor(**kwargs) -> SupervisorConfig:
 RETRIES = ClientConfig(retry=RetryPolicy(max_retries=8, backoff_ms=25.0,
                                          max_backoff_ms=200.0))
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
-                           "benchmarks", "results")
+@pytest.fixture
+def supervisor_artifact(tmp_path_factory):
+    """Recorder merging one tier's supervisor counters into the CI artifact."""
+    path = tmp_path_factory.getbasetemp() / "supervisor_stats.json"
 
+    def record(tier: str, stats: dict) -> None:
+        payload = json.loads(path.read_text("utf-8")) if path.exists() else {}
+        payload[tier] = stats
+        payload["hardware"] = {
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        }
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
 
-def _record_supervisor_artifact(tier: str, stats: dict) -> None:
-    """Merge one tier's supervisor counters into the CI chaos artifact."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "supervisor_stats.json")
-    payload = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    payload[tier] = stats
-    payload["hardware"] = {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    return record
 
 
 class _Traffic:
@@ -217,6 +215,79 @@ class TestSupervisorConfig:
 
 
 # ----------------------------------------------------------------------
+# Supervisor._scan driven by hand (no monitor thread, no sleeps)
+# ----------------------------------------------------------------------
+class _ScriptedPool:
+    """The uniform slot surface the supervisor consumes, fully scripted."""
+
+    tier = "scripted"
+
+    def __init__(self, count: int, respawn_works: bool = True) -> None:
+        self.alive = [True] * count
+        self.respawn_works = respawn_works
+        self.quarantined: dict = {}
+
+    @property
+    def num_slots(self) -> int:
+        return len(self.alive)
+
+    def slot_alive(self, index: int) -> bool:
+        return self.alive[index]
+
+    def respawn(self, index: int, timeout=None) -> None:
+        if not self.respawn_works:
+            raise RuntimeError("scripted respawn failure")
+        self.alive[index] = True
+
+    def set_quarantined(self, index: int, reason: str) -> None:
+        self.quarantined[index] = reason
+
+    def death_reason(self, index: int) -> str:
+        return "scripted death"
+
+
+class TestSupervisorScan:
+    #: A backoff shorter than two clock reads: the scan after the one that
+    #: saw the death may respawn at once, with no sleep in the test.
+    INSTANT = dict(backoff_initial_s=1e-9, backoff_max_s=1e-9)
+
+    def test_recovery_booked_by_the_scan_that_respawned(self):
+        pool = _ScriptedPool(2)
+        supervisor = Supervisor(_supervisor(**self.INSTANT), [pool])
+        supervisor._scan()
+        assert not supervisor.stats()["degraded"]
+        pool.alive[1] = False
+        supervisor._scan()  # observes the death, starts the backoff
+        stats = supervisor.stats()
+        assert stats["degraded"]
+        assert stats["time_to_full_strength_s"] is None
+        supervisor._scan()  # respawns: the outage ends within this scan
+        assert pool.alive == [True, True]
+        stats = supervisor.stats()
+        assert stats["degraded"] is False
+        assert stats["time_to_full_strength_s"] > 0.0
+        assert stats["restarts_total"] == 1
+        assert stats["slots"][1]["tier"] == "scripted"
+
+    def test_failed_respawns_keep_degraded_until_quarantine(self):
+        pool = _ScriptedPool(1, respawn_works=False)
+        supervisor = Supervisor(
+            _supervisor(quarantine_deaths=3, **self.INSTANT), [pool])
+        pool.alive[0] = False
+        supervisor._scan()  # death 1
+        supervisor._scan()  # failed respawn: death 2
+        stats = supervisor.stats()
+        assert stats["degraded"] and stats["slots"][0]["failed_respawns"] == 1
+        assert not pool.quarantined
+        supervisor._scan()  # failed respawn: death 3 -> quarantine
+        assert "crash loop" in pool.quarantined[0]
+        assert "scripted death" in pool.quarantined[0]
+        supervisor._scan()  # nothing left to fight for: outage closed
+        stats = supervisor.stats()
+        assert stats["quarantined_total"] == 1 and not stats["degraded"]
+
+
+# ----------------------------------------------------------------------
 # ShardPool.respawn hygiene (pool-level, no supervisor thread)
 # ----------------------------------------------------------------------
 @needs_shm
@@ -227,7 +298,7 @@ class TestShardRespawnHygiene:
         pool = ShardPool(repo, ShardingConfig(num_shards=2)).start()
         try:
             for cycle in range(3):
-                victim = pool._shards[0]
+                victim = pool._links[0]
                 names = _ring_names(victim)
                 assert all(_shm_exists(name) for name in names)
                 victim.process.kill()
@@ -250,7 +321,7 @@ class TestShardRespawnHygiene:
         try:
             with pytest.raises(RuntimeError, match="alive"):
                 pool.respawn(0)
-            victim = pool._shards[1]
+            victim = pool._links[1]
             victim.process.kill()
             wait_until(lambda: not victim.alive,
                        message="victim shard marked dead")
@@ -264,9 +335,9 @@ class TestShardRespawnHygiene:
         """stop() racing respawn(): both orders settle with nothing leaked."""
         repo = ModelRepository(in_dim=3, num_classes=3, zoo=ZOO_V1)
         pool = ShardPool(repo, ShardingConfig(num_shards=2)).start()
-        initial_names = [name for shard in pool._shards
+        initial_names = [name for shard in pool._links
                          for name in _ring_names(shard)]
-        victim = pool._shards[0]
+        victim = pool._links[0]
         victim.process.kill()
         wait_until(lambda: not victim.alive,
                    message="victim shard marked dead")
@@ -290,7 +361,7 @@ class TestShardRespawnHygiene:
             assert "stopped" in str(outcome[0])
         # Either way the pool is fully torn down: every ring (the corpse's,
         # the survivor's, and a swapped-in replacement's) is unlinked.
-        final_names = [name for shard in pool._shards
+        final_names = [name for shard in pool._links
                        for name in _ring_names(shard)]
         for name in set(initial_names + final_names):
             assert not _shm_exists(name), f"segment {name} leaked"
@@ -302,7 +373,8 @@ class TestShardRespawnHygiene:
 @pytest.mark.slow
 @needs_shm
 class TestShardSelfHealing:
-    def test_sigkill_under_traffic_returns_to_full_strength(self):
+    def test_sigkill_under_traffic_returns_to_full_strength(
+            self, supervisor_artifact):
         """Kill 1 of 2 shards mid-stream: zero failures, full recovery."""
         frames = _frames(2)
         expected = _reference_logits(ZOO_V1, "m", frames)
@@ -314,7 +386,7 @@ class TestShardSelfHealing:
             with _Traffic(app, frames) as traffic:
                 wait_until(lambda: len(traffic.rounds) >= 2,
                            message="pre-kill traffic flowing")
-                pool._shards[0].process.kill()
+                pool._links[0].process.kill()
                 wait_until(lambda: pool.restarts(0) == 1, timeout=60.0,
                            message="supervisor respawned the dead shard")
                 wait_until(lambda: pool.live_count() == 2,
@@ -334,7 +406,7 @@ class TestShardSelfHealing:
             assert not supervisor_stats["degraded"]
             recovery = supervisor_stats["time_to_full_strength_s"]
             assert recovery is not None and recovery > 0.0
-            _record_supervisor_artifact("shard", supervisor_stats)
+            supervisor_artifact("shard", supervisor_stats)
 
     def test_crash_loop_quarantined_and_publish_survives(self):
         """K deaths in the window: quarantine, report, keep publishing."""
@@ -345,10 +417,10 @@ class TestShardSelfHealing:
         with serve(ZOO_V1, config, in_dim=3, num_classes=3,
                    repository=repo) as app:
             pool = app.shard_pool
-            pool._shards[0].process.kill()
+            pool._links[0].process.kill()
             wait_until(lambda: pool.restarts(0) == 1, timeout=60.0,
                        message="first respawn of the crashing slot")
-            pool._shards[0].process.kill()
+            pool._links[0].process.kill()
             wait_until(lambda: pool.quarantine_reason(0) is not None,
                        timeout=60.0, message="slot quarantined")
             reason = pool.quarantine_reason(0)
@@ -378,7 +450,7 @@ class TestShardSelfHealing:
 # ----------------------------------------------------------------------
 @pytest.mark.cluster
 class TestNodeSelfHealing:
-    def test_sigkill_node_under_traffic_self_heals(self):
+    def test_sigkill_node_under_traffic_self_heals(self, supervisor_artifact):
         """Kill 1 of 2 owned replicas mid-stream: restart, rejoin, no loss."""
         frames = _frames(2)
         expected = _reference_logits(ZOO_V1, "m", frames)
@@ -416,7 +488,7 @@ class TestNodeSelfHealing:
                 assert supervisor_stats["restarts_total"] >= 1
                 recovery = supervisor_stats["time_to_full_strength_s"]
                 assert recovery is not None and recovery > 0.0
-                _record_supervisor_artifact("node", supervisor_stats)
+                supervisor_artifact("node", supervisor_stats)
 
     def test_node_crash_loop_quarantined(self):
         frames = _frames(2)

@@ -18,6 +18,7 @@ directly at the bottom — they must stay correct without a running server.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -269,7 +270,7 @@ class TestShardCrash:
     def test_all_shards_down_gives_clean_per_frame_errors(self):
         frames = _frames(2)
         with serve(ZOO_V1, _sharded_config(), in_dim=3, num_classes=3) as app:
-            for shard in app.shard_pool._shards:
+            for shard in app.shard_pool._links:
                 shard.process.kill()
             wait_until(lambda: not any(s.alive for s in
                                        app.shard_pool.stats()),
@@ -291,7 +292,7 @@ class TestShardCrash:
         frames = _frames(2)
         expected = _reference_logits(ZOO_V1, "m", frames)
         with serve(ZOO_V1, _sharded_config(), in_dim=3, num_classes=3) as app:
-            victim = app.shard_pool._shards[0]
+            victim = app.shard_pool._links[0]
             victim.process.kill()
             wait_until(lambda: not victim.alive,
                        message="victim shard marked dead")
@@ -309,7 +310,7 @@ class TestShardCrash:
         from repro.serving.sharding import ShardPool
         pool = ShardPool(repo, ShardingConfig(num_shards=2)).start()
         try:
-            shard = pool._shards[0]
+            shard = pool._links[0]
             arrays, meta = repo.device_fn("m")(_frames(1)[0])
             failures = []
 
@@ -336,6 +337,20 @@ class TestShardCrash:
 # ----------------------------------------------------------------------
 # Transport primitives (no server involved)
 # ----------------------------------------------------------------------
+#: Two non-zero head values with no byte in common with zero-filled memory.
+_HEAD_A, _HEAD_B = 0xFFFFFFFF, 0x7F7F7F7F
+
+
+def _flip_head(handle) -> None:
+    """Child process: rewrite the ring head until the parent moves the tail."""
+    ring = ShmRing.attach(handle)
+    deadline = time.monotonic() + 30.0
+    while ring._tail() == 0 and time.monotonic() < deadline:
+        ring._set_head(_HEAD_A)
+        ring._set_head(_HEAD_B)
+    ring.close()
+
+
 @pytest.mark.skipif(not shm_available(), reason="no shared memory")
 class TestShmRing:
     def _ring(self, capacity=1 << 16):
@@ -412,3 +427,31 @@ class TestShmRing:
             peer.close()
             ring.close()
             ring.unlink()
+
+    def test_counter_store_is_never_torn_across_processes(self):
+        """A head store must expose the old value or the new one, never 0.
+
+        ``struct.pack_into`` zero-fills its destination before packing, so
+        a consumer in another process polling the head would transiently
+        read 0 — and take an empty ring for a full one.
+        """
+        ring = ShmRing.create(1 << 10)
+        ring._set_head(_HEAD_A)
+        writer = multiprocessing.get_context("spawn").Process(
+            target=_flip_head, args=(ring.handle(),), daemon=True)
+        writer.start()
+        try:
+            wait_until(lambda: ring._head() == _HEAD_B, timeout=30.0,
+                       message="writer process flipping the head")
+            seen = set()
+            deadline = time.monotonic() + 1.5
+            while time.monotonic() < deadline:
+                seen.add(ring._head())
+        finally:
+            ring._set_tail(1)
+            writer.join(timeout=30.0)
+            ring.close()
+            ring.unlink()
+        assert not writer.is_alive(), "writer process ignored the stop flag"
+        assert seen <= {_HEAD_A, _HEAD_B}, (
+            f"torn head store: reader saw {sorted(seen - {_HEAD_A, _HEAD_B})}")

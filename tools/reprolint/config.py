@@ -49,6 +49,8 @@ LAYERING_RULES = {
                              "repro.system"},
     f"{SERVING}/builders.py": {"repro.core", "repro.serving"},
     f"{SERVING}/repository.py": {"repro.core", "repro.serving"},
+    f"{SERVING}/workers.py": {"repro.core", "repro.runtime", "repro.system",
+                              "repro.serving"},
     f"{SERVING}/sharding.py": {"repro.core", "repro.runtime", "repro.system",
                                "repro.serving"},
     f"{SERVING}/cluster.py": {"repro.core", "repro.runtime", "repro.system",
@@ -89,6 +91,7 @@ DTYPE_CASTS = frozenset({
 LOCK_TARGETS = (
     f"{SYSTEM}/engine.py",
     f"{SYSTEM}/scheduler.py",
+    f"{SERVING}/workers.py",
     f"{SERVING}/sharding.py",
     f"{SERVING}/cluster.py",
     f"{SERVING}/repository.py",
@@ -106,6 +109,7 @@ KIND_SCOPE = (
     f"{SYSTEM}/scheduler.py",
     f"{RUNTIME}/shard.py",
     f"{RUNTIME}/node.py",
+    f"{SERVING}/workers.py",
     f"{SERVING}/sharding.py",
     f"{SERVING}/cluster.py",
     f"{SERVING}/app.py",
