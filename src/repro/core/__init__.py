@@ -4,8 +4,7 @@ from .architecture import (Architecture, ValidityReport, check_validity, is_vali
                            DEVICE, EDGE)
 from .design_space import DesignSpace
 from .executor import (ArchitectureModel, ServingCallables, batched_edge_fn,
-                       collate_arrays, split_callables, split_results,
-                       zoo_callables, zoo_edge_fns, zoo_serving_callables)
+                       collate_arrays, split_callables, split_results)
 from .supernet import SuperNet, AccuracyCache
 from .performance import (EfficiencyEstimate, SimulatorEvaluator,
                           CostEstimatorEvaluator, PredictorEvaluator)
@@ -27,8 +26,7 @@ __all__ = [
     "Architecture", "ValidityReport", "check_validity", "is_valid", "DEVICE", "EDGE",
     "DesignSpace",
     "ArchitectureModel", "ServingCallables", "batched_edge_fn", "collate_arrays",
-    "split_callables", "split_results", "zoo_callables", "zoo_edge_fns",
-    "zoo_serving_callables",
+    "split_callables", "split_results",
     "SuperNet", "AccuracyCache",
     "EfficiencyEstimate", "SimulatorEvaluator", "CostEstimatorEvaluator",
     "PredictorEvaluator",

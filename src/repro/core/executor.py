@@ -42,7 +42,6 @@ the batch vector's graph boundaries).
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +53,6 @@ from ..gnn.operations import (ClassifierOp, ExecState, Operation, OpSpec, OpType
                               build_operation)
 from ..runtime import InferencePlan, PlanCompileError, compile_plan
 from .architecture import Architecture
-from .zoo import ArchitectureZoo
 
 
 class ArchitectureModel(nn.Module):
@@ -583,76 +581,3 @@ def _serialized(fn: Callable, lock: threading.Lock) -> Callable:
             return fn(*args)
 
     return locked_fn
-
-
-# ----------------------------------------------------------------------
-# Deprecated zoo builders (use the repro.serving facade)
-# ----------------------------------------------------------------------
-class ZooBuilderDeprecationWarning(DeprecationWarning):
-    """Warning category of the deprecated ``zoo_*`` builder shims.
-
-    A dedicated subclass so CI can escalate exactly these warnings to
-    errors (``-W error::repro.core.executor.ZooBuilderDeprecationWarning``)
-    without breaking on unrelated third-party deprecations.
-    """
-
-
-def _deprecated_zoo_builder(name: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated; build serving callables through the "
-        "repro.serving facade instead (build_zoo_callables, ModelRepository "
-        "or serve)", ZooBuilderDeprecationWarning, stacklevel=3)
-
-
-def zoo_serving_callables(zoo: ArchitectureZoo, in_dim: int,
-                          num_classes: int, seed: int = 0,
-                          runtime: str = "auto", dtype=None
-                          ) -> Dict[str, ServingCallables]:
-    """Deprecated: use :func:`repro.serving.build_zoo_callables`.
-
-    Thin shim kept for one release so existing callers keep working: emits a
-    :class:`DeprecationWarning` and delegates to the facade builder, which
-    returns the identical per-entry :class:`ServingCallables` (same locking
-    contract, same two-plan compilation).
-    """
-    _deprecated_zoo_builder("zoo_serving_callables")
-    from ..serving import build_zoo_callables
-    return build_zoo_callables(zoo, in_dim=in_dim, num_classes=num_classes,
-                               config=_as_runtime_config(runtime, dtype),
-                               seed=seed)
-
-
-def zoo_callables(zoo: ArchitectureZoo, in_dim: int,
-                  num_classes: int, seed: int = 0,
-                  runtime: str = "auto", dtype=None
-                  ) -> Dict[str, Tuple[Callable[[Batch], Tuple[ArrayDict, Dict]],
-                                       Callable[[ArrayDict, Dict], Tuple[ArrayDict, Dict]]]]:
-    """Deprecated: use :func:`repro.serving.build_zoo_callables`.
-
-    Emits a :class:`DeprecationWarning` and delegates to the facade; the
-    returned mapping still holds the ``(device_fn, edge_fn)`` pair of every
-    zoo entry.
-    """
-    _deprecated_zoo_builder("zoo_callables")
-    from ..serving import build_zoo_callables
-    return {name: (serving.device_fn, serving.edge_fn)
-            for name, serving in build_zoo_callables(
-                zoo, in_dim=in_dim, num_classes=num_classes,
-                config=_as_runtime_config(runtime, dtype), seed=seed).items()}
-
-
-def zoo_edge_fns(zoo: ArchitectureZoo, in_dim: int,
-                 num_classes: int, seed: int = 0,
-                 runtime: str = "auto", dtype=None
-                 ) -> Dict[str, Callable[[ArrayDict, Dict], Tuple[ArrayDict, Dict]]]:
-    """Deprecated: use :func:`repro.serving.build_zoo_callables`.
-
-    Emits a :class:`DeprecationWarning` and delegates to the facade; the
-    returned mapping still holds the edge-side callable of every zoo entry.
-    """
-    _deprecated_zoo_builder("zoo_edge_fns")
-    from ..serving import build_zoo_callables
-    return {name: serving.edge_fn
-            for name, serving in build_zoo_callables(
-                zoo, in_dim=in_dim, num_classes=num_classes,
-                config=_as_runtime_config(runtime, dtype), seed=seed).items()}

@@ -30,7 +30,7 @@ callables had.  Note the memory consequence: arena footprint scales with
 the number of threads that ever executed the segment, not with the number
 of plans.  The serving layer additionally wraps each zoo entry's callables
 in a per-entry lock (see
-:func:`repro.core.executor.zoo_serving_callables`) for the same reason the
+:func:`repro.serving.build_zoo_callables`) for the same reason the
 eager path did: models are shared and ``Sample(random)`` draws from one
 shared generator.
 """

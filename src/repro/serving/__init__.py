@@ -22,10 +22,11 @@ Layer map
 * :mod:`repro.serving.config` — frozen, validated, ``to_dict``/``from_dict``
   round-trippable configuration (:class:`RuntimeConfig`,
   :class:`BatchingConfig`, :class:`ServerConfig`, :class:`QosConfig`,
-  :class:`ClientConfig`, composed by :class:`ServingConfig`).
+  :class:`ClientConfig`, composed by :class:`ServingConfig`); every knob
+  is declared once, and ``python -m repro.serving.config`` prints the
+  reference tables of ``docs/serving.md`` from those declarations.
 * :mod:`repro.serving.builders` — :func:`build_callables` /
-  :func:`build_zoo_callables`, the config-driven replacements for the
-  deprecated ``zoo_*`` free functions.
+  :func:`build_zoo_callables`, the config-driven callable builders.
 * :mod:`repro.serving.repository` — :class:`ModelRepository` /
   :class:`ServingSnapshot`: zoo → callables → compiled plans behind a
   versioned, atomically swappable snapshot (hot reload with in-flight

@@ -22,7 +22,6 @@ table under live traffic (see :mod:`repro.serving.repository`).
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -176,14 +175,6 @@ class ServingApp:
                     self._pool = None
                 raise
         server_config, batching = self.config.server, self.config.batching
-        # The QoS policy guards the whole admission path; the batching
-        # config's max_queue_depth is a convenience alias for the same
-        # knob (an explicit QosConfig value wins).
-        qos_policy = self.config.qos.policy()
-        if (qos_policy.max_queue_depth is None
-                and batching.max_queue_depth is not None):
-            qos_policy = dataclasses.replace(
-                qos_policy, max_queue_depth=batching.max_queue_depth)
         backend = self._pool if self._pool is not None else self._cluster
         try:
             if backend is not None:
@@ -208,7 +199,7 @@ class ServingApp:
                 max_workers=server_config.max_workers,
                 backlog=server_config.backlog,
                 frontend=server_config.frontend,
-                qos=qos_policy,
+                qos=self.config.qos.policy(),
                 session_log_limit=server_config.session_log_limit,
                 max_batch_size=batching.max_batch_size,
                 max_wait_ms=batching.max_wait_ms,

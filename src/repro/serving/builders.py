@@ -1,9 +1,8 @@
 """Config-driven builders turning models and zoos into engine callables.
 
-These are the facade's replacements for the deprecated ``zoo_*`` free
-functions of :mod:`repro.core.executor`: instead of re-threading loose
-``runtime=``/``dtype=`` keywords through every constructor, callers hand a
-single :class:`~repro.serving.config.RuntimeConfig` to
+Instead of re-threading loose ``runtime=``/``dtype=`` keywords through
+every constructor, callers hand a single
+:class:`~repro.serving.config.RuntimeConfig` to
 
 * :func:`build_callables` — one trained/initialized model into a
   :class:`~repro.core.executor.ServingCallables`, and

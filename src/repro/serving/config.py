@@ -1,32 +1,17 @@
 """Frozen configuration objects of the serving facade.
 
-Every knob the serving stack exposes lives in one of four small frozen
-dataclasses instead of being threaded as loose keyword arguments through
-every constructor:
+Every knob the serving stack exposes is **one dataclass field carrying its
+own declaration** — ``name: T = knob(default, kind, "effect", min=...,
+unit=...)`` — from which validation, canonicalisation, the ``to_dict`` /
+``from_dict`` round trip and the reference tables of ``docs/serving.md``
+are derived (``python -m repro.serving.config`` prints the tables;
+``tools/check_docs.py`` fails when the document drifts from them).
 
-:class:`RuntimeConfig`
-    How zoo entries execute — eager autograd vs compiled plans, the compute
-    /wire dtype, and which plan segments to compile.
-:class:`BatchingConfig`
-    The micro-batcher (frames per batched engine call, coalescing window).
-:class:`ServerConfig`
-    The :class:`~repro.system.engine.EdgeServer` socket/worker knobs and
-    the transport frontend (``"threaded"`` / ``"async"``).
-:class:`QosConfig`
-    Admission control between the frontends and the execution tiers —
-    bounded queues with load shedding, per-frame deadlines, priority
-    classes, per-client fairness (see :mod:`repro.system.scheduler`).
-:class:`ClientConfig`
-    The :class:`~repro.system.engine.DeviceClient` wire framing/dtype,
-    the three timeouts (connect / handshake / pipeline) and the QoS
-    knobs frames carry (deadline, priority, rejection handling).
-
-:class:`ServingConfig` composes the server-side configs into the single value
-:func:`repro.serving.serve` takes.  All configs validate in ``__post_init__``
-(construction never yields a half-usable config) and round-trip through
-``to_dict`` / ``from_dict`` so they can live in JSON files or ride along in
-wire metadata; ``from_dict`` rejects unknown keys so a typo in a config file
-fails loudly instead of silently running with defaults.
+:class:`ServingConfig` composes the server-side configs into the single
+value :func:`repro.serving.serve` takes; :class:`ClientConfig` travels with
+each client.  Construction never yields a half-usable config:
+``_Config.__post_init__`` checks every field, and rules that span knobs
+live in per-class ``_validate()`` hooks.
 """
 
 from __future__ import annotations
@@ -34,8 +19,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple, Type
+from pathlib import Path
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
@@ -43,52 +30,131 @@ from ..core.executor import RUNTIMES
 from ..runtime import KERNEL_BACKENDS, PRECISIONS, SEGMENTS
 from ..runtime.shard import SHARD_TRANSPORT_SHM, SHARD_TRANSPORTS
 from ..system.messages import WIRE_FORMAT_ZLIB, WIRE_FORMATS
-from ..system.scheduler import QosPolicy
+from ..system.scheduler import QosPolicy, check_priority_map
 from ..system.transport import FRONTEND_THREADED, FRONTENDS
 
-
-def _canonical_dtype(value: Any, *, knob: str) -> str:
-    """Normalize a user-supplied dtype (name, np.dtype, type) to its name."""
-    try:
-        dtype = np.dtype(value)
-    except Exception:
-        raise ValueError(f"{knob} {value!r} is not a valid numpy dtype")
-    if not np.issubdtype(dtype, np.floating):
-        raise ValueError(f"{knob} must be a floating dtype, got {dtype}")
-    return dtype.name
+#: Scalar kinds: the types accepted for each and how errors name them.
+_SCALARS = {bool: ((bool, np.bool_), "a bool"),
+            int: ((int, np.integer), "an integer"),
+            float: ((int, float, np.integer, np.floating), "a number"),
+            str: (str, "a non-empty string")}
 
 
-def _check_int(value: Any, *, knob: str, minimum: int) -> int:
-    """Validate an integral knob (bools and non-integral floats rejected)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{knob} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{knob} must be at least {minimum}, got {value}")
-    return int(value)
+@dataclass(frozen=True)
+class Knob:
+    """One knob's declaration: all that validation and the docs need.
+
+    ``kind`` is ``int`` / ``float`` / ``bool`` / ``str``, ``"dtype"`` (a
+    floating numpy dtype, stored by name so configs stay JSON), a tuple of
+    allowed strings, a nested :class:`_Config` class (plain mappings are
+    accepted, handy for file-borne configs), or a ``callable(name, value)``
+    returning the canonical value of a structured field.
+    """
+
+    kind: Any
+    doc: str
+    min: Optional[float] = None
+    max: Optional[float] = None
+    exclusive: bool = False  #: ``min`` itself is out of range
+    optional: bool = False   #: ``None`` is a valid value
+    unit: str = ""
+
+    @property
+    def nested(self) -> Optional[Type["_Config"]]:
+        """The config class this knob nests, if it nests one."""
+        kind = self.kind
+        is_config = isinstance(kind, type) and issubclass(kind, _Config)
+        return kind if is_config else None
+
+    def check(self, name: str, value: Any) -> Any:
+        """Validate ``value`` for the knob called ``name``; canonical form."""
+        kind = self.kind
+        if value is None:
+            if not self.optional:
+                raise ValueError(f"{name} may not be None")
+        elif kind in _SCALARS:
+            accepted, noun = _SCALARS[kind]
+            # Never coerce across kinds: bool("no") is True and True == 1.
+            if (not isinstance(value, accepted) or (kind is str and not value)
+                    or (kind is not bool and isinstance(value, bool))):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
+            value = kind(value)
+            if kind in (int, float):
+                self._check_range(name, value)
+        elif kind == "dtype":
+            try:
+                value = np.dtype(value)
+            except Exception:
+                raise ValueError(f"{name} {value!r} is not a numpy dtype")
+            if not np.issubdtype(value, np.floating):
+                raise ValueError(f"{name} must be a floating dtype, got "
+                                 f"{value}")
+            value = value.name
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                label = name.replace("_", " ")
+                raise ValueError(f"unknown {label} {value!r}; {name} must be "
+                                 f"one of {kind}")
+        elif self.nested:
+            if isinstance(value, Mapping):
+                value = kind.from_dict(value)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__} (or a "
+                                 f"mapping), got {type(value).__name__}")
+        else:
+            value = kind(name, value)
+        return value
+
+    def _check_range(self, name: str, value: float) -> None:
+        if not math.isfinite(value):
+            # NaN compares False against everything, so without this check
+            # it would sail through the bounds below and surface as a
+            # confusing socket/threading failure far from the config that
+            # caused it.
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.min is not None and (value < self.min or (
+                self.exclusive and value == self.min)):
+            bound = "greater than" if self.exclusive else "at least"
+            raise ValueError(f"{name} must be {bound} {self.min}, got {value}")
+        if self.max is not None and value > self.max:
+            raise ValueError(f"{name} must be at most {self.max}, got {value}")
+
+    def valid(self) -> str:
+        """The accepted values, as the docs tables print them."""
+        if isinstance(self.kind, tuple):
+            return " / ".join(f'`"{choice}"`' for choice in self.kind)
+        span = ("" if self.min is None else
+                f"{self.min:g} – {self.max:g}" if self.max is not None else
+                f"{'>' if self.exclusive else '≥'} {self.min:g}")
+        return f"{span} {self.unit}".strip()
 
 
-def _check_number(value: Any, *, knob: str, minimum: float,
-                  inclusive: bool = True) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating,
-                                                         np.integer)):
-        raise ValueError(f"{knob} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        # NaN compares False against everything, so without this check it
-        # would sail through the bound below and surface as a confusing
-        # socket/threading failure far from the config that caused it.
-        raise ValueError(f"{knob} must be finite, got {value!r}")
-    if value < minimum or (not inclusive and value == minimum):
-        bound = "at least" if inclusive else "greater than"
-        raise ValueError(f"{knob} must be {bound} {minimum}, got {value}")
-    return value
+def knob(default: Any, kind: Any, doc: str = "", **attrs: Any) -> Any:
+    """Declare one config field.  A callable ``default`` is a factory, a
+    ``None`` default makes the knob optional, and a nested config's ``doc``
+    defaults to the summary line of its class."""
+    how = "default_factory" if callable(default) else "default"
+    spec = Knob(kind, doc or kind.__doc__.splitlines()[0],
+                optional=default is None, **attrs)
+    return field(metadata={"knob": spec}, **{how: default})
+
+
+#: The two commonest ranges: a strictly positive duration in s / in ms.
+_POSITIVE_S = dict(min=0.0, exclusive=True, unit="s")
+_POSITIVE_MS = dict(min=0.0, exclusive=True, unit="ms")
 
 
 class _Config:
-    """Shared ``to_dict`` / ``from_dict`` for the frozen config dataclasses."""
+    """Validation and ``to_dict`` / ``from_dict`` of the frozen configs."""
 
-    #: Field name -> nested config class, for composing configs.
-    _nested: Dict[str, Type["_Config"]] = {}
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = f.metadata["knob"].check(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Hook for rules that span knobs (fields are canonical here)."""
 
     def to_dict(self) -> Dict:
         """Plain-JSON form (nested configs become nested dicts)."""
@@ -104,11 +170,8 @@ class _Config:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "_Config":
-        """Rebuild a config from :meth:`to_dict` output.
-
-        Unknown keys raise :class:`ValueError` — a misspelled knob in a
-        config file must fail loudly, not silently fall back to defaults.
-        """
+        """Rebuild a config from :meth:`to_dict` output; unknown keys raise —
+        a misspelled knob must fail loudly, not silently run on defaults."""
         if not isinstance(payload, Mapping):
             raise ValueError(f"{cls.__name__}.from_dict expects a mapping, "
                              f"got {type(payload).__name__}")
@@ -118,112 +181,67 @@ class _Config:
             raise ValueError(f"unknown {cls.__name__} field(s) "
                              f"{sorted(unknown)} (expected a subset of "
                              f"{names})")
-        kwargs: Dict = {}
-        for name in names:
-            if name not in payload:
-                continue
-            value = payload[name]
-            nested = cls._nested.get(name)
-            if nested is not None and isinstance(value, Mapping):
-                value = nested.from_dict(value)
-            kwargs[name] = value
-        return cls(**kwargs)
+        return cls(**payload)
+
+
+def _segments(name: str, value: Any) -> Tuple[str, ...]:
+    segments = tuple(value)
+    if not segments:
+        raise ValueError(f"{name} may not be empty (use None for the default)")
+    for segment in segments:
+        Knob(SEGMENTS, "").check("plan segment", segment)
+    return segments
+
+
+def _precision_policy(name: str, value: Any) -> Dict[str, str]:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping of entry name -> "
+                         f"precision, got {type(value).__name__}")
+    return {entry: Knob(PRECISIONS, "").check(f"{name}[{entry!r}]", precision)
+            for entry, precision in value.items()}
 
 
 @dataclass(frozen=True)
 class RuntimeConfig(_Config):
-    """How serving callables execute a zoo entry's model.
+    """How serving callables execute a zoo entry's model."""
 
-    Parameters
-    ----------
-    runtime:
-        ``"auto"`` (compile, fall back to eager on unsupported constructs),
-        ``"compiled"`` (require plans) or ``"eager"`` (autograd under
-        ``no_grad``).
-    dtype:
-        Compiled compute **and** wire dtype; ``None`` means ``float64``.
-        Accepts a dtype name, ``np.dtype`` or scalar type; stored as the
-        canonical name so configs stay JSON-serializable.
-    segments:
-        Plan segments compiled for the per-frame callables; ``None`` means
-        ``("device", "edge")`` — batched callables always compile just
-        ``("edge",)`` with their own arena.
-    precision:
-        Default execution precision for every entry: ``"float64"`` /
-        ``"float32"`` (equivalent to ``dtype``) or ``"int8"`` (calibrated
-        post-training quantization; wire states stay float32).  ``None``
-        defers to ``dtype`` (then ``"float64"``).  Setting both
-        ``precision`` and ``dtype`` to conflicting values is rejected.
-    precision_policy:
-        Per-entry overrides: maps zoo entry names to a precision, winning
-        over ``precision`` for that entry.  Entries absent from the map use
-        the default.  Unknown precisions are rejected at construction.
-    backend:
-        Kernel backend executing compiled plans: ``"numpy"`` (reference),
-        ``"numba"`` (optional JIT; requires numba installed — fails loudly
-        at build time otherwise) or ``"auto"`` (default: numba when
-        importable, else numpy).
-    """
+    # "eager" stays as the reference the ≤1e-9 plan contract compares
+    # against (tests/test_runtime_plans.py); "auto"'s eager fallback is
+    # unreachable for zoo-built models but shares that code.
+    runtime: str = knob(
+        "auto", RUNTIMES, '``"auto"`` compiles plans (eager only for what '
+        'plans do not support), ``"compiled"`` requires plans, ``"eager"`` '
+        "runs autograd under ``no_grad`` — float64 only")
+    dtype: Optional[str] = knob(
+        None, "dtype", "Compiled compute **and** wire dtype (name, np.dtype "
+        'or scalar type); ``None`` = float64, ``"float32"`` halves frame bytes')
+    segments: Optional[Tuple[str, ...]] = knob(
+        None, _segments, "Plan segments compiled for the per-frame callables; "
+        '``None`` = ``("device", "edge")``; batched ones compile ``("edge",)``')
+    precision: Optional[str] = knob(
+        None, PRECISIONS, 'Default precision of every entry: ``"float64"`` / '
+        '``"float32"`` (same as ``dtype``; a conflict is rejected) or '
+        '``"int8"`` (calibrated quantization, wire states stay float32); '
+        "``None`` defers to ``dtype``, then float64")
+    precision_policy: Dict[str, str] = knob(
+        dict, _precision_policy, "Per-entry precision overrides by zoo entry "
+        'name (``{"hot": "int8"}``), winning over ``precision``')
+    backend: str = knob(
+        "auto", KERNEL_BACKENDS, 'Plan kernels: ``"numpy"`` (reference), '
+        '``"numba"`` (optional JIT; fails loudly at build time when not '
+        'installed) or ``"auto"`` (numba when importable, else numpy)')
 
-    runtime: str = "auto"
-    dtype: Optional[str] = None
-    segments: Optional[Tuple[str, ...]] = None
-    precision: Optional[str] = None
-    precision_policy: Dict[str, str] = field(default_factory=dict)
-    backend: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.runtime not in RUNTIMES:
-            raise ValueError(f"unknown runtime {self.runtime!r} "
-                             f"(expected one of {RUNTIMES})")
-        if self.dtype is not None:
-            object.__setattr__(self, "dtype",
-                               _canonical_dtype(self.dtype, knob="dtype"))
-        if self.precision is not None and self.precision not in PRECISIONS:
-            raise ValueError(f"unknown precision {self.precision!r} "
-                             f"(expected one of {PRECISIONS})")
-        if (self.precision is not None and self.dtype is not None
-                and self.precision != self.dtype):
-            raise ValueError(
-                f"precision={self.precision!r} conflicts with "
-                f"dtype={self.dtype!r}; set one of the two (precision "
-                "supersedes dtype)")
-        if not isinstance(self.precision_policy, Mapping):
-            raise ValueError("precision_policy must be a mapping of entry "
-                             f"name -> precision, got "
-                             f"{type(self.precision_policy).__name__}")
-        policy = dict(self.precision_policy)
-        for entry_name, precision in policy.items():
-            if precision not in PRECISIONS:
-                raise ValueError(
-                    f"unknown precision {precision!r} for entry "
-                    f"{entry_name!r} in precision_policy (expected one of "
-                    f"{PRECISIONS})")
-        object.__setattr__(self, "precision_policy", policy)
-        if self.backend not in KERNEL_BACKENDS:
-            raise ValueError(f"unknown kernel backend {self.backend!r} "
-                             f"(expected one of {KERNEL_BACKENDS})")
-        if self.runtime == "eager":
-            if self.dtype not in (None, "float64"):
-                raise ValueError(
-                    "the eager runtime computes in float64 only; use "
-                    "runtime='compiled' for a different compute dtype")
-            eager_precisions = {self.precision, *policy.values()} - {None}
-            if eager_precisions - {"float64"}:
-                raise ValueError(
-                    "the eager runtime computes in float64 only; use "
-                    "runtime='compiled' (or 'auto') for float32/int8 "
-                    "precisions")
-        if self.segments is not None:
-            segments = tuple(self.segments)
-            if not segments:
-                raise ValueError("segments may not be empty (use None for "
-                                 "the default)")
-            unknown = set(segments) - set(SEGMENTS)
-            if unknown:
-                raise ValueError(f"unknown plan segment(s) {sorted(unknown)} "
-                                 f"(expected a subset of {SEGMENTS})")
-            object.__setattr__(self, "segments", segments)
+    def _validate(self) -> None:
+        if self.precision and self.dtype and self.precision != self.dtype:
+            raise ValueError(f"precision={self.precision!r} conflicts with "
+                             f"dtype={self.dtype!r}; set one of the two "
+                             "(precision supersedes dtype)")
+        narrow = {self.dtype, self.precision,
+                  *self.precision_policy.values()} - {None, "float64"}
+        if self.runtime == "eager" and narrow:
+            raise ValueError("the eager runtime computes in float64 only; use "
+                             "runtime='compiled' (or 'auto') for "
+                             f"{sorted(narrow)}")
 
     @property
     def numpy_dtype(self) -> Optional[np.dtype]:
@@ -232,47 +250,20 @@ class RuntimeConfig(_Config):
 
     def precision_for(self, entry_name: Optional[str] = None) -> str:
         """Effective precision of one entry: policy → precision → dtype."""
-        if entry_name is not None:
-            override = self.precision_policy.get(entry_name)
-            if override is not None:
-                return override
-        if self.precision is not None:
-            return self.precision
-        if self.dtype is not None:
-            return self.dtype
-        return "float64"
+        return (self.precision_policy.get(entry_name) or self.precision
+                or self.dtype or "float64")
 
 
 @dataclass(frozen=True)
 class BatchingConfig(_Config):
-    """Cross-client micro-batching knobs of the edge server.
+    """Cross-client micro-batching of the edge server."""
 
-    ``max_batch_size=1`` (the default) disables micro-batching entirely —
-    no batcher threads, exact per-frame serving.  ``max_wait_ms`` bounds how
-    long the first frame of a batch waits for company.  ``max_queue_depth``
-    caps how many admitted frames may wait for execution at once (across
-    the batcher queues and the direct path); ``None`` — the default —
-    keeps the historical unbounded behavior, an integer turns on load
-    shedding: frames beyond the cap get a wire-level ``"rejected"`` reply
-    instead of queueing without bound.  It is a convenience alias for
-    :attr:`QosConfig.max_queue_depth` (an explicit value there wins).
-    """
-
-    max_batch_size: int = 1
-    max_wait_ms: float = 2.0
-    max_queue_depth: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "max_batch_size",
-                           _check_int(self.max_batch_size,
-                                      knob="max_batch_size", minimum=1))
-        object.__setattr__(self, "max_wait_ms",
-                           _check_number(self.max_wait_ms, knob="max_wait_ms",
-                                         minimum=0.0))
-        if self.max_queue_depth is not None:
-            object.__setattr__(self, "max_queue_depth",
-                               _check_int(self.max_queue_depth,
-                                          knob="max_queue_depth", minimum=1))
+    max_batch_size: int = knob(
+        1, int, "Upper bound on frames per batched engine call; 1 disables "
+        "micro-batching (no batcher threads, exact per-frame serving)", min=1)
+    max_wait_ms: float = knob(
+        2.0, float, "Longest the first frame of a batch waits for company; "
+        "bounds the latency batching adds", min=0.0, unit="ms")
 
     @property
     def enabled(self) -> bool:
@@ -281,66 +272,32 @@ class BatchingConfig(_Config):
 
 @dataclass(frozen=True)
 class ShardingConfig(_Config):
-    """Process-parallel serving shards of a :class:`~repro.serving.ServingApp`.
+    """Process-parallel serving shards (``repro.serving.sharding``)."""
 
-    ``num_shards=1`` (the default) serves in process exactly as before — no
-    worker processes, no transport.  With ``num_shards > 1`` the app spawns
-    that many shard worker processes, each holding its own compiled plans
-    and buffer arenas, and routes frames (and whole micro-batches) to them
-    over the chosen transport; see :mod:`repro.serving.sharding`.
-
-    Parameters
-    ----------
-    num_shards:
-        Worker processes executing engine calls.  Sizing rule of thumb:
-        number of cores minus one (the parent's socket/batcher threads and
-        the loopback device segments need a core of their own).
-    transport:
-        ``"shm"`` — per-shard shared-memory ring buffers carrying the raw
-        wire framing (default) — or ``"pipe"`` — the same framing over
-        ``multiprocessing.Pipe`` (portability fallback / A-B baseline).
-    ring_bytes:
-        Capacity of each shared-memory ring (one request + one response
-        ring per shard).  A single frame must fit: size it to a few times
-        the largest raw-framed frame you expect.
-    request_timeout_s:
-        Upper bound on one frame/batch round trip to a shard before it is
-        treated as unreachable (guards against a wedged — not crashed —
-        worker; crashes are detected immediately).
-    start_timeout_s:
-        How long :meth:`~repro.serving.sharding.ShardPool.start` waits for
-        every worker to build its models/plans and report ready.
-    publish_timeout_s:
-        How long a publish waits for each shard to acknowledge a new
-        snapshot before the shard is treated as failed.
-    """
-
-    num_shards: int = 1
-    transport: str = SHARD_TRANSPORT_SHM
-    ring_bytes: int = 4 * 1024 * 1024
-    request_timeout_s: float = 60.0
-    start_timeout_s: float = 60.0
-    publish_timeout_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "num_shards",
-                           _check_int(self.num_shards, knob="num_shards",
-                                      minimum=1))
-        if self.transport not in SHARD_TRANSPORTS:
-            raise ValueError(f"unknown shard transport {self.transport!r} "
-                             f"(expected one of {SHARD_TRANSPORTS})")
-        object.__setattr__(self, "ring_bytes",
-                           _check_int(self.ring_bytes, knob="ring_bytes",
-                                      minimum=64 * 1024))
-        for knob in ("request_timeout_s", "start_timeout_s",
-                     "publish_timeout_s"):
-            object.__setattr__(self, knob,
-                               _check_number(getattr(self, knob), knob=knob,
-                                             minimum=0.0, inclusive=False))
+    num_shards: int = knob(
+        1, int, "Worker processes executing engine calls (own plans + arenas "
+        "each); 1 serves in process.  Size to cores minus one: the parent's "
+        "socket/batcher threads need a core", min=1)
+    transport: str = knob(
+        SHARD_TRANSPORT_SHM, SHARD_TRANSPORTS, '``"shm"``: shared-memory '
+        'rings carrying the raw wire framing; ``"pipe"``: the same framing '
+        "over ``multiprocessing.Pipe`` (kernel-ordered: for weak-memory ISAs)")
+    ring_bytes: int = knob(
+        4 * 1024 * 1024, int, "Capacity of each request/response ring (4 MiB);"
+        " a frame must fit: a few times the largest raw-framed frame",
+        min=64 * 1024, unit="B")
+    request_timeout_s: float = knob(
+        60.0, float, "Round-trip bound before a wedged shard is treated as "
+        "unreachable (crashes are detected immediately)", **_POSITIVE_S)
+    start_timeout_s: float = knob(
+        60.0, float, "Wait for every worker to build its models/plans and "
+        "report ready", **_POSITIVE_S)
+    publish_timeout_s: float = knob(
+        60.0, float, "Wait per shard for a snapshot-replication ack before "
+        "the shard is treated as failed", **_POSITIVE_S)
 
     @property
     def enabled(self) -> bool:
-        """True when serving should spawn worker processes."""
         return self.num_shards > 1
 
 
@@ -352,253 +309,136 @@ ROUTING_HASH = "hash"
 ROUTING_POLICIES = (ROUTING_LEAST_LOADED, ROUTING_HASH)
 
 
+def _nodes(name: str, value: Any) -> Tuple[str, ...]:
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a sequence of 'host:port' "
+                         "strings, not a single string")
+    nodes = tuple(value)
+    for address in nodes:
+        host, _, port = (address.rpartition(":")
+                         if isinstance(address, str) else ("", "", ""))
+        if not host:
+            raise ValueError(f"node address {address!r} must look like "
+                             "'host:port'")
+        if not port.isdigit() or not 0 < int(port) <= 65535:
+            raise ValueError(f"node address {address!r} has an invalid "
+                             "port (expected 1-65535)")
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"duplicate node address in {list(nodes)}")
+    return nodes
+
+
 @dataclass(frozen=True)
 class ClusterConfig(_Config):
-    """Multi-node cluster tier of a :class:`~repro.serving.ServingApp`.
+    """Multi-node cluster tier over TCP (``repro.serving.cluster``)."""
 
-    ``nodes=()`` (the default) disables the tier entirely.  With addresses
-    configured the app dials each ``"host:port"`` replica node
-    (:mod:`repro.runtime.node`), bootstraps it with the current snapshot,
-    and routes frames to the fleet over TCP; see
-    :mod:`repro.serving.cluster`.
-
-    Parameters
-    ----------
-    nodes:
-        Replica node addresses, each ``"host:port"``.  Order fixes node
-        ids (stats rows, hash-ring seeds).
-    routing:
-        ``"least_loaded"`` (default) sends each frame to the node with the
-        fewest in-flight requests (round-robin tie-break); ``"hash"``
-        pins each zoo entry name to a node via a consistent hash ring, so
-        an entry's compiled plans and arenas stay hot on one node.
-    heartbeat_ms:
-        Interval between ping probes to every node.
-    heartbeat_misses:
-        Consecutive unanswered probes before a node is declared dead
-        (its in-flight frames fail fast, new traffic reroutes).
-    connect_timeout_s:
-        Bound on dialing + bootstrapping one node at startup/reconnect.
-    request_timeout_s:
-        Upper bound on one frame/batch round trip to a node before it is
-        treated as unreachable (guards against a wedged — not crashed —
-        node; dead connections are detected immediately).
-    publish_timeout_s:
-        How long a publish waits for each node to acknowledge a new
-        snapshot before the node is treated as failed.
-    reconnect_s:
-        Redial period for dead nodes — a healed node rejoins routing after
-        a re-handshake re-syncs its snapshot.  ``None`` (default) never
-        redials: a dead node stays dead until the app restarts.
-    """
-
-    nodes: Tuple[str, ...] = ()
-    routing: str = ROUTING_LEAST_LOADED
-    heartbeat_ms: float = 100.0
-    heartbeat_misses: int = 3
-    connect_timeout_s: float = 30.0
-    request_timeout_s: float = 60.0
-    publish_timeout_s: float = 60.0
-    reconnect_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.nodes, str):
-            raise ValueError("nodes must be a sequence of 'host:port' "
-                             "strings, not a single string")
-        nodes = tuple(self.nodes)
-        for address in nodes:
-            if (not isinstance(address, str) or ":" not in address
-                    or not address.rsplit(":", 1)[0]):
-                raise ValueError(f"node address {address!r} must look like "
-                                 "'host:port'")
-            port = address.rsplit(":", 1)[1]
-            if not port.isdigit() or not 0 < int(port) <= 65535:
-                raise ValueError(f"node address {address!r} has an invalid "
-                                 "port (expected 1-65535)")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError(f"duplicate node address in {list(nodes)}")
-        object.__setattr__(self, "nodes", nodes)
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing policy {self.routing!r} "
-                             f"(expected one of {ROUTING_POLICIES})")
-        object.__setattr__(self, "heartbeat_ms",
-                           _check_number(self.heartbeat_ms,
-                                         knob="heartbeat_ms", minimum=0.0,
-                                         inclusive=False))
-        object.__setattr__(self, "heartbeat_misses",
-                           _check_int(self.heartbeat_misses,
-                                      knob="heartbeat_misses", minimum=1))
-        for knob in ("connect_timeout_s", "request_timeout_s",
-                     "publish_timeout_s"):
-            object.__setattr__(self, knob,
-                               _check_number(getattr(self, knob), knob=knob,
-                                             minimum=0.0, inclusive=False))
-        if self.reconnect_s is not None:
-            object.__setattr__(self, "reconnect_s",
-                               _check_number(self.reconnect_s,
-                                             knob="reconnect_s", minimum=0.0,
-                                             inclusive=False))
+    nodes: Tuple[str, ...] = knob(
+        (), _nodes, 'Replica node addresses, each ``"host:port"``; empty '
+        "disables the tier.  Order fixes node ids (stats rows, hash seeds)")
+    routing: str = knob(
+        ROUTING_LEAST_LOADED, ROUTING_POLICIES, '``"least_loaded"``: fewest '
+        'in-flight requests, round-robin ties; ``"hash"``: a consistent hash '
+        "ring pins each zoo entry to one node (its plans and arenas stay hot)")
+    heartbeat_ms: float = knob(
+        100.0, float, "Interval between ping probes to a node", **_POSITIVE_MS)
+    heartbeat_misses: int = knob(
+        3, int, "Consecutive unanswered probes before a node is declared "
+        "dead (in-flight frames fail fast, new traffic reroutes)", min=1)
+    connect_timeout_s: float = knob(
+        30.0, float, "Bound on dialing + bootstrapping one node (startup and "
+        "redials)", **_POSITIVE_S)
+    request_timeout_s: float = knob(
+        60.0, float, "Round-trip bound before a wedged node is treated as "
+        "unreachable (dead connections are detected at once)", **_POSITIVE_S)
+    publish_timeout_s: float = knob(
+        60.0, float, "Wait per node for a snapshot-replication ack before "
+        "the node is treated as failed", **_POSITIVE_S)
+    # Not an alias of the supervisor, which books every failed redial as a
+    # death (Supervisor._scan): a *partitioned* node reaches
+    # quarantine_deaths after its death plus two failed redials (≈0.3 s at
+    # the default backoff) and is never dialed again, while this knob
+    # redials for as long as the partition lasts.  Merging the two is a
+    # recovery-policy change, not a cleanup (docs/serving.md, cluster tier).
+    reconnect_s: Optional[float] = knob(
+        None, float, "Redial period for dead nodes, for as long as they stay "
+        "dead (a healed node re-syncs its snapshot and rejoins); ``None`` "
+        "never redials — the supervisor alone quarantines a node that stays "
+        "unreachable", **_POSITIVE_S)
 
     @property
     def enabled(self) -> bool:
-        """True when serving should route frames to replica nodes."""
         return bool(self.nodes)
 
 
 @dataclass(frozen=True)
 class QosConfig(_Config):
-    """Admission control of the edge server (load shedding, deadlines).
+    """Admission control of the edge server (load shedding, deadlines)."""
 
-    The config twin of :class:`repro.system.scheduler.QosPolicy` — all
-    defaults preserve the historical behavior (no shedding, no implicit
-    deadlines).  See :meth:`policy` for the conversion.
-
-    Parameters
-    ----------
-    max_queue_depth:
-        Cap on admitted-but-unexecuted frames; beyond it new frames are
-        shed with a wire-level ``"rejected"`` reply carrying
-        ``retry_after_ms``.  ``None`` (default) = unbounded.
-    default_deadline_ms:
-        Freshness budget stamped on frames that do not carry their own
-        ``meta["deadline_ms"]``; expired frames are never executed.
-        ``None`` (default) = no implicit deadline.
-    retry_after_ms:
-        Back-off hint carried by every rejection reply.
-    priority_map:
-        Maps symbolic ``meta["priority"]`` class names to integer levels
-        (``0`` is highest; each level halves a client's share of the
-        queue cap).
-    default_priority:
-        Level for frames without a priority tag.
-    fairness:
-        Per-client fairness: with a bounded queue, one client may hold at
-        most ``max_queue_depth // active_clients`` slots, so a firehose
-        client cannot starve a trickle client.
-    fairness_window_s:
-        How long a client counts as active after its last frame.
-    """
-
-    max_queue_depth: Optional[int] = None
-    default_deadline_ms: Optional[float] = None
-    retry_after_ms: float = 50.0
-    priority_map: Dict[str, int] = field(default_factory=dict)
-    default_priority: int = 0
-    fairness: bool = True
-    fairness_window_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        # QosPolicy's own validation is the single source of truth; build
-        # one eagerly so a bad QosConfig fails at construction like every
-        # other config, then copy back the canonicalized fields.
-        policy = QosPolicy(
-            max_queue_depth=self.max_queue_depth,
-            default_deadline_ms=self.default_deadline_ms,
-            retry_after_ms=self.retry_after_ms,
-            priority_map=self.priority_map,
-            default_priority=self.default_priority,
-            fairness=self.fairness,
-            fairness_window_s=self.fairness_window_s)
-        object.__setattr__(self, "max_queue_depth", policy.max_queue_depth)
-        object.__setattr__(self, "default_deadline_ms",
-                           policy.default_deadline_ms)
-        object.__setattr__(self, "retry_after_ms", policy.retry_after_ms)
-        object.__setattr__(self, "priority_map", dict(policy.priority_map))
-        object.__setattr__(self, "default_priority", policy.default_priority)
-        object.__setattr__(self, "fairness", bool(self.fairness))
-        object.__setattr__(self, "fairness_window_s",
-                           policy.fairness_window_s)
+    max_queue_depth: Optional[int] = knob(
+        None, int, "Cap on admitted-but-unexecuted frames (batcher queues + "
+        'direct path); beyond it new frames are shed with a ``"rejected"`` '
+        "reply carrying ``retry_after_ms``; ``None`` = unbounded", min=1)
+    default_deadline_ms: Optional[float] = knob(
+        None, float, "Freshness budget stamped on frames without their own "
+        '``meta["deadline_ms"]`` (expired frames are never executed); '
+        "``None`` = no implicit deadline", **_POSITIVE_MS)
+    retry_after_ms: float = knob(
+        50.0, float, "Back-off hint carried by every rejection reply",
+        min=0.0, unit="ms")
+    priority_map: Dict[str, int] = knob(
+        dict, check_priority_map, 'Maps ``meta["priority"]`` names to levels '
+        "(0 = highest; each level halves the queue bound it is admitted under)")
+    default_priority: int = knob(
+        0, int, "Level for frames without a priority tag", min=0)
+    fairness: bool = knob(
+        True, bool, "With a bounded queue, cap each client at "
+        "``max_queue_depth // active_clients`` slots so a firehose client "
+        "cannot starve a trickle client")
+    fairness_window_s: float = knob(
+        1.0, float, "How long a client counts as active after its last frame",
+        **_POSITIVE_S)
 
     def policy(self) -> QosPolicy:
-        """The :class:`~repro.system.scheduler.QosPolicy` this config names."""
-        return QosPolicy(
-            max_queue_depth=self.max_queue_depth,
-            default_deadline_ms=self.default_deadline_ms,
-            retry_after_ms=self.retry_after_ms,
-            priority_map=self.priority_map,
-            default_priority=self.default_priority,
-            fairness=self.fairness,
-            fairness_window_s=self.fairness_window_s)
+        """The scheduler's ``QosPolicy`` — this config, field for field."""
+        return QosPolicy(**self.to_dict())
 
     @property
     def enabled(self) -> bool:
         """True when any knob departs from the permissive defaults."""
         return (self.max_queue_depth is not None
                 or self.default_deadline_ms is not None
-                or bool(self.priority_map)
-                or self.default_priority != 0)
+                or bool(self.priority_map) or self.default_priority != 0)
 
 
 @dataclass(frozen=True)
 class RetryPolicy(_Config):
     """Client-side resilience: bounded, jittered retry of failed frames.
 
-    ``max_retries=0`` (the default) preserves the historical behavior —
-    every rejection or connection failure surfaces immediately.  With
-    ``max_retries > 0`` the client re-submits a frame after a server
-    rejection (honoring the server's ``retry_after_ms`` hint) or, when
-    ``retry_connection_errors`` is on, after a server-side crash error
-    (``ShardCrashedError`` / ``NodeCrashedError`` — both
-    ``ConnectionError`` subclasses).  Re-submission is safe because frame
-    execution is pure: an edge callable maps input arrays to output
-    arrays with no server-side state mutation, so running a frame twice
-    can only cost time, never correctness (pinned by
-    ``tests/test_serving_retry.py``).
-
-    Parameters
-    ----------
-    max_retries:
-        Retry budget per frame (re-submissions beyond the first attempt).
-        ``0`` disables retries entirely.
-    backoff_ms:
-        Base delay before the first retry.  Each subsequent retry
-        multiplies it by ``backoff_multiplier`` (capped at
-        ``max_backoff_ms``); the server's ``retry_after_ms`` hint acts as
-        a floor on rejection retries.
-    backoff_multiplier:
-        Exponential growth factor of the delay between retries.
-    max_backoff_ms:
-        Upper bound on any single retry delay.
-    jitter:
-        Fraction of the delay randomized symmetrically (``0.1`` = ±10%)
-        so a fleet of rejected clients does not retry in lockstep.
-    retry_connection_errors:
-        Also retry frames that failed with a server-side
-        ``ConnectionError`` (crashed shard/node) rather than only
-        admission-control rejections.
-
-    Retries never outlive the client's ``deadline_ms``: a retry whose
-    delay would land past the frame's deadline is not attempted and the
-    original error surfaces instead.
+    Re-submission is safe because frame execution is pure: an edge callable
+    maps input arrays to output arrays with no server-side state mutation,
+    so running a frame twice can only cost time, never correctness (pinned
+    by ``tests/test_serving_retry.py``).  Retries never outlive the
+    client's ``deadline_ms``: a retry whose delay would land past it is not
+    attempted and the original error surfaces instead.
     """
 
-    max_retries: int = 0
-    backoff_ms: float = 25.0
-    backoff_multiplier: float = 2.0
-    max_backoff_ms: float = 2000.0
-    jitter: float = 0.1
-    retry_connection_errors: bool = True
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "max_retries",
-                           _check_int(self.max_retries, knob="max_retries",
-                                      minimum=0))
-        object.__setattr__(self, "backoff_ms",
-                           _check_number(self.backoff_ms, knob="backoff_ms",
-                                         minimum=0.0))
-        object.__setattr__(self, "backoff_multiplier",
-                           _check_number(self.backoff_multiplier,
-                                         knob="backoff_multiplier",
-                                         minimum=1.0))
-        object.__setattr__(self, "max_backoff_ms",
-                           _check_number(self.max_backoff_ms,
-                                         knob="max_backoff_ms", minimum=0.0))
-        jitter = _check_number(self.jitter, knob="jitter", minimum=0.0)
-        if jitter > 1.0:
-            raise ValueError(f"jitter must be at most 1.0, got {jitter}")
-        object.__setattr__(self, "jitter", jitter)
-        object.__setattr__(self, "retry_connection_errors",
-                           bool(self.retry_connection_errors))
+    max_retries: int = knob(
+        0, int, "Re-submissions per frame beyond the first attempt; 0 "
+        "disables retries (every failure surfaces immediately)", min=0)
+    backoff_ms: float = knob(
+        25.0, float, "Base delay before the first retry (the server's "
+        "``retry_after_ms`` hint is a floor)", min=0.0, unit="ms")
+    backoff_multiplier: float = knob(
+        2.0, float, "Exponential growth of the delay between retries", min=1.0)
+    max_backoff_ms: float = knob(
+        2000.0, float, "Upper bound on any single retry delay",
+        min=0.0, unit="ms")
+    jitter: float = knob(
+        0.1, float, "Fraction of the delay randomized symmetrically (0.1 = "
+        "±10%) against lockstep retries", min=0.0, max=1.0)
+    retry_connection_errors: bool = knob(
+        True, bool, "Also re-submit frames failed by a crashed shard/node "
+        "(``retryable`` errors), not just admission-control rejections")
 
     @property
     def enabled(self) -> bool:
@@ -606,11 +446,9 @@ class RetryPolicy(_Config):
 
     def delay_ms(self, attempt: int, *, floor_ms: float = 0.0,
                  rand=random.random) -> float:
-        """Jittered exponential delay before retry ``attempt`` (1-based).
-
-        ``floor_ms`` is the server's ``retry_after_ms`` hint — the delay
-        never undercuts it (jitter applies on top of whichever is larger).
-        """
+        """Jittered exponential delay before retry ``attempt`` (1-based),
+        never below ``floor_ms`` — the server's ``retry_after_ms`` hint
+        (jitter applies on top of whichever is larger)."""
         base = min(self.backoff_ms * self.backoff_multiplier ** (attempt - 1),
                    self.max_backoff_ms)
         base = max(base, floor_ms)
@@ -621,72 +459,32 @@ class RetryPolicy(_Config):
 
 @dataclass(frozen=True)
 class SupervisorConfig(_Config):
-    """Self-healing supervision of shard workers and cluster node replicas.
+    """Self-healing respawn of dead shard workers and owned node replicas."""
 
-    ``enabled=False`` (the default) preserves the historical behavior: a
-    dead worker is routed around but never respawned.  With the
-    supervisor on, a :class:`~repro.serving.ServingApp` runs a monitor
-    thread that respawns dead shard workers (and app-owned
-    :class:`~repro.runtime.node.NodeProcess` replicas) with jittered
-    exponential backoff, replaying the current repository snapshot into
-    each fresh worker before it re-enters rotation; a worker that dies
-    ``quarantine_deaths`` times within ``quarantine_window_s`` seconds is
-    quarantined — never respawned again — with the reason surfaced in
-    stats.  See :mod:`repro.serving.supervisor`.
-
-    Parameters
-    ----------
-    enabled:
-        Turn the supervisor thread on.
-    poll_interval_s:
-        How often the monitor scans worker health.
-    backoff_initial_s:
-        Delay before the first respawn of a freshly dead worker.
-    backoff_multiplier:
-        Exponential growth of the respawn delay on consecutive deaths.
-    backoff_max_s:
-        Upper bound on any single respawn delay.
-    backoff_jitter:
-        Fraction of the delay randomized symmetrically (``0.1`` = ±10%).
-    quarantine_deaths:
-        Deaths within the window that trigger quarantine (K).
-    quarantine_window_s:
-        Width of the crash-loop detection window in seconds (W).
-    respawn_timeout_s:
-        Bound on one respawn: process start + snapshot replay + ready ack.
-    """
-
-    enabled: bool = False
-    poll_interval_s: float = 0.05
-    backoff_initial_s: float = 0.1
-    backoff_multiplier: float = 2.0
-    backoff_max_s: float = 5.0
-    backoff_jitter: float = 0.1
-    quarantine_deaths: int = 3
-    quarantine_window_s: float = 30.0
-    respawn_timeout_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "enabled", bool(self.enabled))
-        for knob in ("poll_interval_s", "backoff_initial_s",
-                     "backoff_max_s", "quarantine_window_s",
-                     "respawn_timeout_s"):
-            object.__setattr__(self, knob,
-                               _check_number(getattr(self, knob), knob=knob,
-                                             minimum=0.0, inclusive=False))
-        object.__setattr__(self, "backoff_multiplier",
-                           _check_number(self.backoff_multiplier,
-                                         knob="backoff_multiplier",
-                                         minimum=1.0))
-        jitter = _check_number(self.backoff_jitter, knob="backoff_jitter",
-                               minimum=0.0)
-        if jitter > 1.0:
-            raise ValueError(f"backoff_jitter must be at most 1.0, "
-                             f"got {jitter}")
-        object.__setattr__(self, "backoff_jitter", jitter)
-        object.__setattr__(self, "quarantine_deaths",
-                           _check_int(self.quarantine_deaths,
-                                      knob="quarantine_deaths", minimum=1))
+    enabled: bool = knob(
+        False, bool, "Run the supervisor thread (``repro.serving.supervisor``)"
+        "; off, a dead worker is routed around but never respawned")
+    poll_interval_s: float = knob(
+        0.05, float, "How often the monitor scans the workers", **_POSITIVE_S)
+    backoff_initial_s: float = knob(
+        0.1, float, "Delay before the first respawn of a freshly dead worker",
+        **_POSITIVE_S)
+    backoff_multiplier: float = knob(
+        2.0, float, "Exponential growth of the respawn delay on consecutive "
+        "deaths of one slot", min=1.0)
+    backoff_max_s: float = knob(
+        5.0, float, "Upper bound on any single respawn delay", **_POSITIVE_S)
+    backoff_jitter: float = knob(
+        0.1, float, "Fraction of the delay randomized symmetrically (0.1 = "
+        "±10%) against lockstep respawns", min=0.0, max=1.0)
+    quarantine_deaths: int = knob(
+        3, int, "Deaths (failed respawns included) within the window that "
+        "quarantine a slot — never respawned again, reason in stats", min=1)
+    quarantine_window_s: float = knob(
+        30.0, float, "Width of the crash-loop window", **_POSITIVE_S)
+    respawn_timeout_s: float = knob(
+        60.0, float, "Bound on one respawn: process start + snapshot replay "
+        "+ ready ack", **_POSITIVE_S)
 
     def backoff_s(self, consecutive_deaths: int, *,
                   rand=random.random) -> float:
@@ -701,111 +499,65 @@ class SupervisorConfig(_Config):
 
 @dataclass(frozen=True)
 class ServerConfig(_Config):
-    """Socket and worker-pool knobs of the :class:`~repro.system.engine.EdgeServer`.
+    """Socket, worker-pool and frontend knobs of the edge server."""
 
-    ``frontend`` selects the transport serving the socket: ``"threaded"``
-    (default; one handler thread per connection, ``max_workers`` bounds
-    concurrent connections) or ``"async"`` (one asyncio event loop
-    multiplexing all connections; ``max_workers`` bounds concurrent engine
-    calls instead).  Serving semantics are identical under both.
-    """
+    host: str = knob("127.0.0.1", str, "Bind address")
+    port: int = knob(0, int, "Bind port (0 = ephemeral)", min=0, max=65535)
+    max_workers: int = knob(
+        8, int, "Threaded frontend: concurrent connections (excess waits in "
+        "the listen backlog); async frontend: concurrent engine calls (the "
+        "compute pool width)", min=1)
+    backlog: int = knob(32, int, "Kernel listen backlog", min=1)
+    # Both stay, measured (benchmarks/e2e, 3 alternating pairs, default
+    # flipped to async): paper_edge fps -14 %, p95 +31 %, peak RSS +35 % (8
+    # pool threads, an arena each); small_sharded fps -20 %.  Only "async"
+    # holds the 1000-idle-connection guarantee slot-before-accept cannot.
+    frontend: str = knob(
+        FRONTEND_THREADED, FRONTENDS, '``"threaded"`` (a handler thread per '
+        'connection; fastest on every benchmark workload) or ``"async"`` (one '
+        "asyncio loop for all connections; only for more mostly-idle "
+        "connections than ``max_workers``); same serving semantics")
+    session_log_limit: int = knob(
+        1024, int, "Closed sessions kept individually inspectable; older "
+        "ones fold into the aggregate statistics", min=1)
 
-    host: str = "127.0.0.1"
-    port: int = 0
-    max_workers: int = 8
-    backlog: int = 32
-    frontend: str = FRONTEND_THREADED
-    session_log_limit: int = 1024
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.host, str) or not self.host:
-            raise ValueError(f"host must be a non-empty string, got {self.host!r}")
-        port = _check_int(self.port, knob="port", minimum=0)
-        if port > 65535:
-            raise ValueError(f"port must be at most 65535, got {port}")
-        object.__setattr__(self, "port", port)
-        object.__setattr__(self, "max_workers",
-                           _check_int(self.max_workers, knob="max_workers",
-                                      minimum=1))
-        object.__setattr__(self, "backlog",
-                           _check_int(self.backlog, knob="backlog", minimum=1))
-        if self.frontend not in FRONTENDS:
-            raise ValueError(f"unknown frontend {self.frontend!r} "
-                             f"(expected one of {FRONTENDS})")
-        object.__setattr__(self, "session_log_limit",
-                           _check_int(self.session_log_limit,
-                                      knob="session_log_limit", minimum=1))
+def _priority_tag(name: str, value: Any) -> Any:
+    if isinstance(value, str):
+        return value
+    return Knob(int, "", min=0).check(name, value)
 
 
 @dataclass(frozen=True)
 class ClientConfig(_Config):
-    """Wire framing/dtype and timeouts of a :class:`repro.serving.Client`.
+    """Wire framing/dtype, timeouts and QoS tags of a serving client."""
 
-    ``wire_format`` picks the framing every outgoing message uses (the
-    server mirrors it per request); ``wire_dtype`` down-casts outgoing float
-    arrays (e.g. ``"float32"`` halves frame bytes).  The three timeouts
-    bound connection establishment, the hello handshake, and each
-    ``run()``'s wait for results, respectively.
-
-    The QoS knobs shape how a QoS-enabled server treats this client's
-    frames: ``deadline_ms`` stamps every frame with a freshness budget,
-    ``priority`` tags them with a priority class (an integer level or a
-    name from the server's ``priority_map``), and ``on_rejected`` picks
-    whether a shed frame raises :class:`~repro.serving.RequestRejectedError`
-    (``"raise"``, default) or is silently dropped and counted
-    (``"drop"``).
-
-    ``retry`` attaches a :class:`RetryPolicy`: with ``max_retries > 0``
-    the client transparently re-submits rejected frames (honoring the
-    server's ``retry_after_ms``) and, optionally, frames lost to a
-    server-side crash, within a deadline-aware budget.  Retries apply
-    only under ``on_rejected="raise"`` semantics — ``"drop"`` keeps its
-    historical shed-and-count behavior untouched.
-    """
-
-    wire_format: str = WIRE_FORMAT_ZLIB
-    wire_dtype: Optional[str] = None
-    connect_timeout_s: float = 30.0
-    handshake_timeout_s: float = 10.0
-    pipeline_timeout_s: float = 60.0
-    deadline_ms: Optional[float] = None
-    priority: Optional[Any] = None
-    on_rejected: str = "raise"
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    _nested = {"retry": RetryPolicy}
-
-    def __post_init__(self) -> None:
-        if isinstance(self.retry, Mapping):
-            object.__setattr__(self, "retry",
-                               RetryPolicy.from_dict(self.retry))
-        if not isinstance(self.retry, RetryPolicy):
-            raise ValueError(f"retry must be a RetryPolicy (or a mapping), "
-                             f"got {type(self.retry).__name__}")
-        if self.wire_format not in WIRE_FORMATS:
-            raise ValueError(f"unknown wire format {self.wire_format!r} "
-                             f"(expected one of {WIRE_FORMATS})")
-        if self.wire_dtype is not None:
-            object.__setattr__(self, "wire_dtype",
-                               _canonical_dtype(self.wire_dtype,
-                                                knob="wire_dtype"))
-        for knob in ("connect_timeout_s", "handshake_timeout_s",
-                     "pipeline_timeout_s"):
-            object.__setattr__(self, knob,
-                               _check_number(getattr(self, knob), knob=knob,
-                                             minimum=0.0, inclusive=False))
-        if self.deadline_ms is not None:
-            object.__setattr__(self, "deadline_ms",
-                               _check_number(self.deadline_ms,
-                                             knob="deadline_ms", minimum=0.0,
-                                             inclusive=False))
-        if self.priority is not None and not isinstance(self.priority, str):
-            object.__setattr__(self, "priority",
-                               _check_int(self.priority, knob="priority",
-                                          minimum=0))
-        if self.on_rejected not in ("raise", "drop"):
-            raise ValueError(f"on_rejected must be 'raise' or 'drop', "
-                             f"got {self.on_rejected!r}")
+    wire_format: str = knob(
+        WIRE_FORMAT_ZLIB, WIRE_FORMATS, "Framing of outgoing messages; "
+        '``"raw"`` is zero-copy (no compression CPU, larger frames); the '
+        "server mirrors it per request")
+    wire_dtype: Optional[str] = knob(
+        None, "dtype", 'Down-casts outgoing float arrays (``"float32"``: half '
+        "the frame bytes, ~1e-3 logit error); a no-op if already that dtype")
+    connect_timeout_s: float = knob(
+        30.0, float, "Bounds connection establishment only", **_POSITIVE_S)
+    handshake_timeout_s: float = knob(
+        10.0, float, "Bounds the wait for the hello ack", **_POSITIVE_S)
+    pipeline_timeout_s: float = knob(
+        60.0, float, "Bounds each ``run()``'s wait for results", **_POSITIVE_S)
+    deadline_ms: Optional[float] = knob(
+        None, float, "Freshness budget stamped on every frame; once it lapses "
+        "the server sheds the frame instead of executing it", **_POSITIVE_MS)
+    priority: Optional[Any] = knob(
+        None, _priority_tag, "Priority tag of every frame: an integer level "
+        "(0 = highest) or a name from the server's ``priority_map``")
+    on_rejected: str = knob(
+        "raise", ("raise", "drop"), '``"raise"`` surfaces a shed frame as a '
+        "typed ``RequestRejectedError`` (``reason``, ``retry_after_ms``); "
+        '``"drop"`` counts it in ``PipelineStats.frames_rejected``')
+    retry: RetryPolicy = knob(
+        RetryPolicy, RetryPolicy, "Bounded re-submission of rejected / "
+        'crash-failed frames; applies only under ``on_rejected="raise"``')
 
     @property
     def numpy_wire_dtype(self) -> Optional[np.dtype]:
@@ -814,40 +566,78 @@ class ClientConfig(_Config):
 
 @dataclass(frozen=True)
 class ServingConfig(_Config):
-    """Everything a server-side deployment needs, in one value.
+    """Everything a server-side deployment needs, in one value."""
 
-    Composes the runtime, batching, server, sharding, QoS, cluster and
-    supervisor configs; this is the single
-    ``config`` argument of :func:`repro.serving.serve` and
-    :class:`repro.serving.ServingApp`.  Plain dicts are accepted for any
-    sub-config (handy for file-borne configs).
-    """
+    runtime: RuntimeConfig = knob(RuntimeConfig, RuntimeConfig)
+    batching: BatchingConfig = knob(BatchingConfig, BatchingConfig)
+    server: ServerConfig = knob(ServerConfig, ServerConfig)
+    sharding: ShardingConfig = knob(ShardingConfig, ShardingConfig)
+    qos: QosConfig = knob(QosConfig, QosConfig)
+    cluster: ClusterConfig = knob(ClusterConfig, ClusterConfig)
+    supervisor: SupervisorConfig = knob(SupervisorConfig, SupervisorConfig)
 
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
-    batching: BatchingConfig = field(default_factory=BatchingConfig)
-    server: ServerConfig = field(default_factory=ServerConfig)
-    sharding: ShardingConfig = field(default_factory=ShardingConfig)
-    qos: QosConfig = field(default_factory=QosConfig)
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
-
-    _nested = {"runtime": RuntimeConfig, "batching": BatchingConfig,
-               "server": ServerConfig, "sharding": ShardingConfig,
-               "qos": QosConfig, "cluster": ClusterConfig,
-               "supervisor": SupervisorConfig}
-
-    def __post_init__(self) -> None:
-        for name, cls in self._nested.items():
-            value = getattr(self, name)
-            if isinstance(value, Mapping):
-                value = cls.from_dict(value)
-                object.__setattr__(self, name, value)
-            if not isinstance(value, cls):
-                raise ValueError(f"{name} must be a {cls.__name__} (or a "
-                                 f"mapping), got {type(value).__name__}")
+    def _validate(self) -> None:
         if self.sharding.enabled and self.cluster.enabled:
             raise ValueError(
                 "sharding and cluster tiers are mutually exclusive: pick "
                 "in-box worker processes (sharding.num_shards > 1) or a "
                 "node fleet (cluster.nodes), not both — a node can itself "
                 "be a machine's only tenant")
+
+
+# The reference tables of docs/serving.md, generated from the declarations.
+REFERENCE_BEGIN = "<!-- knobs:begin (generated block: do not edit) -->"
+REFERENCE_END = "<!-- knobs:end -->"
+
+
+def config_classes(roots=(ServingConfig, ClientConfig)
+                   ) -> Iterator[Type[_Config]]:
+    """``roots`` and every config class nested under them, parents first."""
+    for root in roots:
+        nested = [f.metadata["knob"].nested for f in dataclasses.fields(root)]
+        yield from (root, *config_classes(filter(None, nested)))
+
+
+def reference_tables() -> str:
+    """A markdown table per config class, one row per knob."""
+    blocks = []
+    for cls in config_classes():
+        rows = [f"**`{cls.__name__}`** — {cls.__doc__.splitlines()[0]}", "",
+                "| field | type | default | valid | effect |",
+                "| --- | --- | --- | --- | --- |"]
+        for f in dataclasses.fields(cls):
+            spec, made = f.metadata["knob"], callable(f.default_factory)
+            default = f.default_factory() if made else f.default
+            shown = f"{spec.kind.__name__}()" if spec.nested else repr(default)
+            rows.append(f"| `{f.name}` | `{f.type}` | `{shown}` | "
+                        f"{spec.valid()} | {spec.doc} |")
+        blocks.append("\n".join(rows).replace("``", "`"))
+    return "\n\n".join(blocks)
+
+
+def splice_reference(text: str) -> str:
+    """``text`` with the block between the two markers regenerated."""
+    head, begin, rest = text.partition(REFERENCE_BEGIN)
+    _, end, tail = rest.partition(REFERENCE_END)
+    if not (begin and end):
+        raise ValueError("knob reference markers not found")
+    return f"{head}{begin}\n\n{reference_tables()}\n\n{end}{tail}"
+
+
+def main(argv: Optional[list] = None) -> int:
+    """Print the tables, or with ``--write FILE`` regenerate them in FILE."""
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "--write":
+        path = Path(argv[1])
+        path.write_text(splice_reference(path.read_text("utf-8")), "utf-8")
+    elif argv:
+        print("usage: python -m repro.serving.config [--write FILE]",
+              file=sys.stderr)
+        return 2
+    else:
+        print(reference_tables())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

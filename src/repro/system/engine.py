@@ -110,7 +110,7 @@ from .messages import (_LENGTH_SIZE as PAYLOAD_PREFIX_BYTES,
                        KIND_STOP, Message, PRIORITY_META_KEY,
                        REJECT_REASON_META_KEY, RETRY_AFTER_MS_META_KEY,
                        WIRE_FORMAT_ZLIB, WIRE_FORMATS, recv_message,
-                       send_message, send_payload, serialize_message)
+                       send_message, serialize_message)
 from .scheduler import (REJECT_REASON_CAPACITY, REJECT_REASON_DEADLINE,
                         BackpressureError, FrameExpiredError, QosPolicy,
                         Rejection, Scheduler)
@@ -323,10 +323,10 @@ class EdgeServerStats:
     mean_batch_size: float = 0.0
     batch_size_histogram: Dict[int, int] = field(default_factory=dict)
     mean_queue_delay_s: float = 0.0
-    #: Frames of coalesced multi-frame batches that had to be re-executed
-    #: per frame because their batched engine call failed.  Non-zero means
-    #: the batched path is degrading; the histogram above still records the
-    #: *attempted* coalescing.
+    #: Frames of coalesced batches (1-frame batches included) that had to be
+    #: re-executed per frame because their batched engine call failed.
+    #: Non-zero means the batched path is degrading; the histogram above
+    #: still records the *attempted* coalescing.
     batch_fallback_frames: int = 0
     #: Queue health of the micro-batcher: frames currently sitting in entry
     #: queues awaiting dispatch, and the highest depth ever observed.  A
@@ -378,17 +378,12 @@ class _PendingRequest:
     back through the frontend: the connection (whose ``send_bytes`` is
     thread-safe), the session record for statistics, and the admission
     outcome (absolute expiry + priority) the scheduler stamped on it.
-
-    ``conn`` is normally a :class:`~repro.system.transport.Connection`;
-    a bare socket plus the legacy ``send_lock`` is still accepted so
-    pre-frontend callers keep working.
     """
 
-    conn: object
+    conn: Connection
     session: ServingSession
     message: Message
     enqueued_at: float
-    send_lock: Optional[threading.Lock] = None
     #: ``time.monotonic()`` moment after which the frame must not execute
     #: (``None`` = no deadline); stamped at admission.
     expires_at: Optional[float] = None
@@ -545,7 +540,7 @@ class EdgeServer:
         Batched edge callables for micro-batching, keyed like ``edge_fns``
         (the default entry's batched callable goes under its model name —
         ``"default"`` for an anonymous ``edge_fn``).  Typically produced by
-        :func:`repro.core.executor.zoo_serving_callables`.  Entries without a
+        :func:`repro.serving.build_zoo_callables`.  Entries without a
         batched callable are served per frame even when batching is on.
     max_batch_size:
         Upper bound on frames coalesced into one batched engine call.  The
@@ -861,85 +856,94 @@ class EdgeServer:
             return None
 
         def run_frame() -> None:
-            self._execute_direct(request, name, edge_fn)
+            if self._release([request]):
+                self._run_frame(request, name, edge_fn)
 
         return run_frame
 
-    def _execute_direct(self, request: _PendingRequest, name: str,
-                        edge_fn: EdgeFn) -> None:
-        """Run one un-batched frame on a compute slot and reply."""
+    def _release(self, requests: List[_PendingRequest]
+                 ) -> List[_PendingRequest]:
+        """Frames leaving the queue for a compute slot: the still-fresh ones.
+
+        The admission ticket is held for the queueing stage only (execution
+        is bounded by the frontend's / batcher's own concurrency), so every
+        frame is released here.  A frame whose deadline lapsed while it
+        waited is shed instead of returned: executing it would waste engine
+        time on an answer the device has already given up on.
+        """
         now = time.monotonic()
-        self._scheduler.release(request.session.session_id,
-                                queue_delay_s=now - request.enqueued_at)
-        if self._scheduler.expired(request.expires_at, now):
-            # The deadline lapsed while the frame waited for a compute slot;
-            # executing it would waste engine time on an answer the device
-            # has already given up on.
-            self._scheduler.record_shed(REJECT_REASON_DEADLINE)
-            self._reply_rejected(request, REJECT_REASON_DEADLINE,
-                                 self._scheduler.policy.retry_after_ms)
-            return
+        live: List[_PendingRequest] = []
+        for request in requests:
+            self._scheduler.release(request.session.session_id,
+                                    queue_delay_s=now - request.enqueued_at)
+            if self._scheduler.expired(request.expires_at, now):
+                self._shed(request, REJECT_REASON_DEADLINE)
+            else:
+                live.append(request)
+        return live
+
+    def _shed(self, request: _PendingRequest, reason: str,
+              batch_index: Optional[int] = None) -> None:
+        """Book and answer a shed decided after admission (dispatch time)."""
+        self._scheduler.record_shed(reason)
+        self._reply_rejected(request, reason,
+                             self._scheduler.policy.retry_after_ms,
+                             batch_index=batch_index)
+
+    def _run_frame(self, request: _PendingRequest, name: str, edge_fn: EdgeFn,
+                   batch_index: Optional[int] = None) -> None:
+        """Execute one frame through ``edge_fn`` and reply.
+
+        The one per-frame execution path: the direct path runs it with
+        ``batch_index=None``, the batcher's per-frame fallback with the
+        frame's position in its batch.  Three outcomes: a result, a shed
+        signalled by the execution tier, or an error — which propagates to
+        the client while the server keeps serving.
+        """
         try:
             started = time.perf_counter()
             arrays, meta = edge_fn(request.message.arrays,
                                    request.message.meta)
             elapsed = time.perf_counter() - started
         except FrameExpiredError:
-            self._scheduler.record_shed(REJECT_REASON_DEADLINE)
-            self._reply_rejected(request, REJECT_REASON_DEADLINE,
-                                 self._scheduler.policy.retry_after_ms)
-            return
+            self._shed(request, REJECT_REASON_DEADLINE, batch_index)
         except BackpressureError:
             # The execution tier (e.g. a saturated shard ring) pushed back
             # before accepting the frame; surface it as a clean rejection.
-            self._scheduler.record_shed(REJECT_REASON_CAPACITY)
-            self._reply_rejected(request, REJECT_REASON_CAPACITY,
-                                 self._scheduler.policy.retry_after_ms)
-            return
-        except Exception:  # propagate to the client, keep serving
-            self._reply_error(request)
-            return
-        self._reply_result(request, name, arrays, meta, elapsed)
+            self._shed(request, REJECT_REASON_CAPACITY, batch_index)
+        except Exception:
+            self._reply_error(request, batch_index=batch_index)
+        else:
+            self._reply_result(request, name, arrays, meta, elapsed,
+                               batch_index=batch_index)
 
     def _dispatch_batch(self, name: str, requests: List[_PendingRequest]) -> bool:
         """Execute one micro-batch for zoo entry ``name`` and reply per frame.
 
-        Called by the :class:`MicroBatcher` collector threads.  When the
-        entry has a batched callable and more than one frame coalesced, the
-        whole batch runs in a single engine call and each frame is charged an
-        equal share of the elapsed time; otherwise — including when the
-        batched call fails — frames run per frame, so an error isolates to
-        the one request that caused it instead of failing the whole batch.
+        Called by the :class:`MicroBatcher` collector threads.  An entry
+        with a batched callable *always* executes a coalesced batch through
+        it — a 1-frame tail batch included, so ``batches_dispatched`` and
+        the size histogram count exactly the batched engine calls — and
+        each frame is charged an equal share of the elapsed time.  When the
+        batched call fails (or the entry lost its batched callable to a hot
+        reload) frames run one by one through :meth:`_run_frame`, so an
+        error isolates to the one request that caused it instead of failing
+        the whole batch.
 
-        Returns ``False`` when a multi-frame batch had to fall back to
-        per-frame execution (its batched call failed), so the batcher can
-        expose the degradation in its statistics.
+        Returns ``False`` when the batched call failed and the batch fell
+        back to per-frame execution, so the batcher can expose the
+        degradation in its statistics.
 
         The serving table is read once for the whole batch, so every frame
         of the batch is served by exactly one table even when
         :meth:`install_table` swaps it concurrently.
         """
-        now = time.monotonic()
-        live: List[_PendingRequest] = []
-        for request in requests:
-            # The admission ticket is held for the queueing stage only; the
-            # dispatch itself is bounded by the batcher's own concurrency.
-            self._scheduler.release(request.session.session_id,
-                                    queue_delay_s=now - request.enqueued_at)
-            if self._scheduler.expired(request.expires_at, now):
-                # Deadline lapsed in the micro-batching queue: never execute
-                # expired work, answer with a rejection instead.
-                self._scheduler.record_shed(REJECT_REASON_DEADLINE)
-                self._reply_rejected(request, REJECT_REASON_DEADLINE,
-                                     self._scheduler.policy.retry_after_ms)
-            else:
-                live.append(request)
-        if not live:
+        requests = self._release(requests)
+        if not requests:
             return True
-        requests = live
         table = self._table
         batch_fn = table.batch_fns.get(name)
-        if batch_fn is not None and len(requests) > 1:
+        if batch_fn is not None:
             started = time.perf_counter()
             try:
                 results = list(batch_fn([(request.message.arrays,
@@ -978,47 +982,9 @@ class EdgeServer:
                     self._reply_error(request, batch_index=index)
             return True
         for index, request in enumerate(requests):
-            try:
-                started = time.perf_counter()
-                arrays, meta = edge_fn(request.message.arrays,
-                                       request.message.meta)
-                elapsed = time.perf_counter() - started
-            except FrameExpiredError:
-                self._scheduler.record_shed(REJECT_REASON_DEADLINE)
-                self._reply_rejected(request, REJECT_REASON_DEADLINE,
-                                     self._scheduler.policy.retry_after_ms,
-                                     batch_index=index)
-            except BackpressureError:
-                self._scheduler.record_shed(REJECT_REASON_CAPACITY)
-                self._reply_rejected(request, REJECT_REASON_CAPACITY,
-                                     self._scheduler.policy.retry_after_ms,
-                                     batch_index=index)
-            except Exception:
-                self._reply_error(request, batch_index=index)
-            else:
-                self._reply_result(request, name, arrays, meta, elapsed,
-                                   batch_index=index)
-        # Per-frame execution was the intended path only for single-frame
-        # batches and entries without a batched callable; a multi-frame
-        # batch landing here means its batched call failed.
-        return not (batch_fn is not None and len(requests) > 1)
-
-    def _send_frame(self, request: _PendingRequest, blob: bytes) -> int:
-        """Write one framed reply for ``request``; returns wire bytes.
-
-        Replies normally go through the transport :class:`Connection`
-        (whose ``send_bytes`` is thread-safe).  Requests built directly on
-        a raw socket — the pre-frontend construction some tests and
-        embedders use — keep the historical per-request ``send_lock`` +
-        :func:`send_payload` path.
-        """
-        conn = request.conn
-        if isinstance(conn, Connection):
-            return conn.send_bytes(blob)
-        lock = request.send_lock if request.send_lock is not None \
-            else threading.Lock()
-        with lock:
-            return send_payload(conn, blob)
+            self._run_frame(request, name, edge_fn, index)
+        # Landing here with a batched callable means its call failed.
+        return batch_fn is None
 
     def _reply_rejected(self, request: _PendingRequest, reason: str,
                         retry_after_ms: float,
@@ -1038,7 +1004,7 @@ class EdgeServer:
                       RETRY_AFTER_MS_META_KEY: float(retry_after_ms)},
                 batch_index=batch_index,
                 wire_format=request.message.wire_format))
-            sent = self._send_frame(request, blob)
+            sent = request.conn.send_bytes(blob)
         except OSError:
             return  # client already gone; nothing to roll back
         with self._lock:
@@ -1071,7 +1037,7 @@ class EdgeServer:
             session.frames += 1
             session.frames_by_model[name] += 1
         try:
-            self._send_frame(request, blob)
+            request.conn.send_bytes(blob)
         except OSError:
             # The client vanished between execution and reply; its handler
             # (or stop()) tears the connection down.  Un-book the frame that
@@ -1103,7 +1069,7 @@ class EdgeServer:
             # connection cannot make the error vanish from the stats.
             self._stats_target(request).errors += 1
         try:
-            sent = self._send_frame(request, serialize_message(Message(
+            sent = request.conn.send_bytes(serialize_message(Message(
                 kind=KIND_ERROR, frame_id=request.message.frame_id,
                 # Worker-crash errors (ShardCrashedError, NodeCrashedError —
                 # both ConnectionError subclasses) mean the frame was never

@@ -52,6 +52,7 @@ not after): both are translated into ``rejected`` replies by the engine.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import Counter, deque
@@ -87,6 +88,33 @@ class BackpressureError(RuntimeError):
     shedding before the ring instead of queueing blindly against it.
     The engine replies ``rejected`` with reason ``"capacity"``.
     """
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_priority_map(name: str, value: object) -> Dict[str, int]:
+    """Validate a ``priority_map`` (class name -> level >= 0); a plain dict.
+
+    Shaped ``(name, value)`` so :class:`repro.serving.QosConfig` can use it
+    as the ``kind`` of its ``priority_map`` knob — one rule, both layers.
+    """
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping of class name -> level, "
+                         f"got {type(value).__name__}")
+    for key, level in value.items():
+        if not isinstance(key, str):
+            raise ValueError(f"{name} keys must be strings, got {key!r}")
+        if not (_is_int(level) and level >= 0):
+            raise ValueError(f"{name}[{key!r}] must be a non-negative "
+                             f"integer, got {level!r}")
+    return dict(value)
 
 
 @dataclass(frozen=True)
@@ -127,28 +155,32 @@ class QosPolicy:
     fairness_window_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be at least 1 (or None "
-                             "for unbounded)")
-        if (self.default_deadline_ms is not None
-                and self.default_deadline_ms <= 0):
-            raise ValueError("default_deadline_ms must be positive (or None)")
-        if self.retry_after_ms < 0:
-            raise ValueError("retry_after_ms must be non-negative")
-        for name, level in dict(self.priority_map).items():
-            if not isinstance(name, str):
-                raise ValueError(f"priority_map keys must be strings, got "
-                                 f"{name!r}")
-            if isinstance(level, bool) or not isinstance(level, int) or level < 0:
-                raise ValueError(f"priority_map[{name!r}] must be a "
-                                 f"non-negative integer, got {level!r}")
-        if (isinstance(self.default_priority, bool)
-                or not isinstance(self.default_priority, int)
-                or self.default_priority < 0):
+        # Guards for callers that build a policy directly
+        # (``EdgeServer(qos=...)``); :class:`repro.serving.QosConfig` applies
+        # the same rules from its knob table before it gets here.  A
+        # fractional ``max_queue_depth`` would otherwise reach
+        # :meth:`Scheduler.admit` and kill every frame on ``bit_length``; a
+        # NaN deadline would stamp frames that never expire.
+        depth = self.max_queue_depth
+        if depth is not None and not (_is_int(depth) and depth >= 1):
+            raise ValueError("max_queue_depth must be an integer of at "
+                             f"least 1 (or None for unbounded), got {depth!r}")
+        deadline = self.default_deadline_ms
+        if deadline is not None and not (_is_finite(deadline)
+                                         and deadline > 0):
+            raise ValueError("default_deadline_ms must be positive and "
+                             f"finite (or None), got {deadline!r}")
+        if not (_is_finite(self.retry_after_ms) and self.retry_after_ms >= 0):
+            raise ValueError("retry_after_ms must be non-negative and "
+                             f"finite, got {self.retry_after_ms!r}")
+        check_priority_map("priority_map", self.priority_map)
+        if not (_is_int(self.default_priority) and self.default_priority >= 0):
             raise ValueError("default_priority must be a non-negative "
                              f"integer, got {self.default_priority!r}")
-        if self.fairness_window_s <= 0:
-            raise ValueError("fairness_window_s must be positive")
+        if not (_is_finite(self.fairness_window_s)
+                and self.fairness_window_s > 0):
+            raise ValueError("fairness_window_s must be positive and "
+                             f"finite, got {self.fairness_window_s!r}")
 
     @property
     def bounded(self) -> bool:

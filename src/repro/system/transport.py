@@ -4,8 +4,8 @@ This module owns everything between the kernel and the serving core —
 accepting connections, reading length-prefixed frames off the wire,
 decoding them into :class:`~repro.system.messages.Message` envelopes and
 writing replies back — and knows nothing about scheduling, batching or
-model execution.  ``tools/check_layering.py`` pins that boundary in CI:
-the transport may import :mod:`repro.system.messages` and the standard
+model execution.  ``python -m tools.reprolint --checker layering`` pins
+that boundary in CI: the transport may import :mod:`repro.system.messages` and the standard
 library, never the scheduler or the executor.
 
 The serving core (an :class:`~repro.system.engine.EdgeServer`) plugs in

@@ -207,11 +207,3 @@ def test_cli_json_contract():
     for finding in report["findings"]:
         assert finding["baselined"] is True
         assert finding["justification"]
-
-
-def test_check_layering_shim_delegates():
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "check_layering.py")],
-        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "layering" in result.stdout

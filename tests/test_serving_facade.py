@@ -18,8 +18,7 @@ import pytest
 
 import repro.serving as serving_pkg
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
-                        ZooEntry, zoo_callables, zoo_edge_fns,
-                        zoo_serving_callables)
+                        ZooEntry)
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
@@ -234,57 +233,6 @@ class TestBuilders:
         serving = build_callables(model, RuntimeConfig(runtime="compiled",
                                                        dtype="float32"))
         arrays, _ = serving.device_fn(_frames(1)[0])
-        assert arrays["x"].dtype == np.float32
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims
-# ----------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_zoo_serving_callables_warns_and_matches_facade(self):
-        zoo = _zoo()
-        with pytest.warns(DeprecationWarning, match="zoo_serving_callables"):
-            old = zoo_serving_callables(zoo, in_dim=3, num_classes=3, seed=0)
-        new = build_zoo_callables(zoo, in_dim=3, num_classes=3, seed=0)
-        assert set(old) == set(new)
-        frame = _frames(1)[0]
-        for name in zoo.names():
-            arrays_o, meta_o = old[name].device_fn(frame)
-            arrays_n, meta_n = new[name].device_fn(frame)
-            np.testing.assert_allclose(arrays_o["x"], arrays_n["x"])
-            np.testing.assert_allclose(
-                old[name].edge_fn(arrays_o, meta_o)[0]["logits"],
-                new[name].edge_fn(arrays_n, meta_n)[0]["logits"])
-
-    def test_zoo_callables_warns_and_matches_facade(self):
-        zoo = _zoo()
-        with pytest.warns(DeprecationWarning, match="zoo_callables"):
-            pairs = zoo_callables(zoo, in_dim=3, num_classes=3, seed=0)
-        new = build_zoo_callables(zoo, in_dim=3, num_classes=3, seed=0)
-        assert set(pairs) == set(new)
-        frame = _frames(1)[0]
-        arrays_o, meta_o = pairs["fast"][0](frame)
-        arrays_n, meta_n = new["fast"].device_fn(frame)
-        np.testing.assert_allclose(arrays_o["x"], arrays_n["x"])
-        np.testing.assert_allclose(pairs["fast"][1](arrays_o, meta_o)[0]["logits"],
-                                   new["fast"].edge_fn(arrays_n, meta_n)[0]["logits"])
-
-    def test_zoo_edge_fns_warns_and_matches_facade(self):
-        zoo = _zoo()
-        with pytest.warns(DeprecationWarning, match="zoo_edge_fns"):
-            edge_fns = zoo_edge_fns(zoo, in_dim=3, num_classes=3, seed=0)
-        new = build_zoo_callables(zoo, in_dim=3, num_classes=3, seed=0)
-        assert set(edge_fns) == set(new)
-        frame = _frames(1)[0]
-        arrays, meta = new["fast"].device_fn(frame)
-        np.testing.assert_allclose(edge_fns["fast"](arrays, meta)[0]["logits"],
-                                   new["fast"].edge_fn(arrays, meta)[0]["logits"])
-
-    def test_shims_honor_runtime_and_dtype(self):
-        with pytest.warns(DeprecationWarning):
-            old = zoo_serving_callables(_zoo(), 3, 3, 0, runtime="compiled",
-                                        dtype=np.float32)
-        arrays, _ = old["fast"].device_fn(_frames(1)[0])
         assert arrays["x"].dtype == np.float32
 
 

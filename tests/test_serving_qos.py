@@ -160,12 +160,6 @@ class TestQosConfig:
         with pytest.raises(ValueError, match="QosConfig"):
             QosConfig.from_dict({"max_queue_depth": 4, "shed": True})
 
-    def test_batching_max_queue_depth_validated(self):
-        assert BatchingConfig().max_queue_depth is None
-        assert BatchingConfig(max_queue_depth=4).max_queue_depth == 4
-        with pytest.raises(ValueError, match="max_queue_depth"):
-            BatchingConfig(max_queue_depth=0)
-
     def test_server_frontend_validated(self):
         assert ServerConfig().frontend == FRONTEND_THREADED
         assert ServerConfig(frontend=FRONTEND_ASYNC).frontend == FRONTEND_ASYNC
@@ -501,22 +495,9 @@ class TestQosEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# Facade wiring: BatchingConfig.max_queue_depth alias, stats surfacing
+# Facade wiring: client QoS knobs, stats surfacing
 # ----------------------------------------------------------------------
 class TestFacadeWiring:
-    def test_batching_max_queue_depth_feeds_the_scheduler(self):
-        config = ServingConfig(
-            batching=BatchingConfig(max_batch_size=2, max_queue_depth=3))
-        with serve(ZOO_V1, config, in_dim=3, num_classes=3) as app:
-            assert app.server.scheduler.policy.max_queue_depth == 3
-
-    def test_explicit_qos_config_wins_over_alias(self):
-        config = ServingConfig(
-            batching=BatchingConfig(max_batch_size=2, max_queue_depth=3),
-            qos=QosConfig(max_queue_depth=8))
-        with serve(ZOO_V1, config, in_dim=3, num_classes=3) as app:
-            assert app.server.scheduler.policy.max_queue_depth == 8
-
     def test_client_config_qos_knobs_reach_device_client(self):
         config = ServingConfig(qos=QosConfig(priority_map={"bulk": 1}))
         with serve(ZOO_V1, config, in_dim=3, num_classes=3) as app:

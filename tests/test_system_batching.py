@@ -248,8 +248,19 @@ class TestMicroBatchingServing:
         assert stats.batch_fallback_frames == 0  # every batched call succeeded
 
     def test_single_frame_flushed_by_deadline(self):
-        """A lone frame must be released after max_wait_ms, not held forever."""
-        server = EdgeServer(_edge_fn, batch_fns={"default": _batch_edge_fn},
+        """A lone frame is released after max_wait_ms — through batch_fn.
+
+        The contract: an entry with a batched callable *always* executes a
+        coalesced batch through it, a 1-frame batch included.
+        """
+        sizes = []
+
+        def counting_batch_fn(requests):
+            sizes.append(len(requests))
+            return _batch_edge_fn(requests)
+
+        server = EdgeServer(_edge_fn,
+                            batch_fns={"default": counting_batch_fn},
                             max_batch_size=8, max_wait_ms=40.0).start()
         client = DeviceClient(server.host, server.port)
         try:
@@ -259,14 +270,39 @@ class TestMicroBatchingServing:
             elapsed = time.perf_counter() - started
             np.testing.assert_array_equal(results[0].arrays["y"],
                                           np.ones((2, 2)) * 2.0)
+            assert results[0].batch_index == 0
             # Well under the pipeline timeout: the deadline flush fired.
             assert elapsed < 5.0
         finally:
             client.close()
             server.stop()
         stats = server.stats()
+        assert sizes == [1]
         assert stats.batch_size_histogram == {1: 1}
         assert stats.batches_dispatched == 1
+        assert stats.batch_fallback_frames == 0
+
+    def test_failing_single_frame_batch_falls_back_to_edge_fn(self):
+        def broken_batch_fn(requests):
+            raise RuntimeError("batched path is down")
+
+        server = EdgeServer(_edge_fn,
+                            batch_fns={"default": broken_batch_fn},
+                            max_batch_size=8, max_wait_ms=10.0).start()
+        client = DeviceClient(server.host, server.port)
+        try:
+            results, _ = client.run_pipeline([np.ones((2, 2))], _device_fn,
+                                             timeout_s=10.0)
+            np.testing.assert_array_equal(results[0].arrays["y"],
+                                          np.ones((2, 2)) * 2.0)
+            assert results[0].batch_index == 0
+        finally:
+            client.close()
+            server.stop()
+        stats = server.stats()
+        assert stats.batch_size_histogram == {1: 1}
+        assert stats.batch_fallback_frames == 1
+        assert stats.errors == 0
 
     def test_mixed_entry_queues_never_cross_batch(self):
         seen = {"a": [], "b": []}
@@ -375,10 +411,10 @@ class TestMicroBatchingServing:
         stats = server.stats()
         assert stats.errors == 1
         assert stats.frames_processed == 2
-        # The failed batched call is visible as per-frame fallback frames
-        # whenever the poisoned frame actually coalesced with company.
-        if any(size > 1 for size in stats.batch_size_histogram):
-            assert stats.batch_fallback_frames >= 1
+        # The failed batched call is visible as per-frame fallback frames —
+        # whatever the coalescing was: even a lone poisoned frame goes
+        # through the batched callable first.
+        assert stats.batch_fallback_frames >= 1
 
     def test_malformed_batch_results_fall_back_per_frame(self):
         """Right-length but malformed results must not strand the batch tail."""
@@ -419,8 +455,8 @@ class TestMicroBatchingServing:
                 np.testing.assert_array_equal(result.arrays["y"], frame * 2.0)
         stats = server.stats()
         assert stats.frames_processed == 4
-        if any(size > 1 for size in stats.batch_size_histogram):
-            assert stats.batch_fallback_frames >= 2
+        # Every batched call failed, so every frame fell back.
+        assert stats.batch_fallback_frames == 4
 
     def test_batched_serving_matches_local_forward(self):
         """Logits served through the micro-batcher equal a local forward."""
@@ -497,19 +533,21 @@ class TestMicroBatchingServing:
 
     def test_reply_after_session_eviction_books_into_aggregate(self):
         """Late batcher replies must not mutate an already-evicted session."""
-        import socket as _socket
-
         from repro.system.engine import ServingSession, _PendingRequest
         from repro.system.messages import Message as _Message
+        from repro.system.transport import Connection
+
+        class SinkConnection(Connection):
+            def send_bytes(self, blob):
+                return len(blob)
 
         server = EdgeServer(_edge_fn, batch_fns={"default": _batch_edge_fn},
                             max_batch_size=2)
-        left, right = _socket.socketpair()
         try:
             session = ServingSession(session_id=99, peer="test")
             session.evicted = True  # folded into the aggregate already
             request = _PendingRequest(
-                conn=left, send_lock=threading.Lock(), session=session,
+                conn=SinkConnection(), session=session,
                 message=_Message(kind="frame", frame_id=0,
                                  arrays={"x": np.ones((1, 1))}, meta={}),
                 enqueued_at=0.0)
@@ -521,8 +559,6 @@ class TestMicroBatchingServing:
             assert server._retired.frames == 1
             assert server.frames_processed == 1
         finally:
-            left.close()
-            right.close()
             server.stop()
 
     def test_batching_off_by_default_serves_without_batch_index(self):

@@ -1,6 +1,6 @@
 """Docs and examples health check (run by the CI docs job).
 
-Two independent checks, both purely static/import-level so the whole run
+Three independent checks, all purely static/import-level so the whole run
 takes seconds:
 
 1. **Example import smoke** — every ``examples/*.py`` must import cleanly
@@ -11,6 +11,11 @@ takes seconds:
    and ``docs/*.md`` must resolve to an existing file or directory.
    External links (``http``, ``https``, ``mailto``) and pure in-page anchors
    are skipped.
+3. **Generated knob tables** — the reference tables of ``docs/serving.md``
+   are regenerated from the knob declarations of
+   ``repro.serving.config``; any difference (a hand-edited row, a knob
+   changed without regenerating) fails.  Fix with
+   ``PYTHONPATH=src python -m repro.serving.config --write docs/serving.md``.
 
 Exit code is non-zero when anything fails, printing one line per problem.
 
@@ -85,8 +90,31 @@ def check_markdown_links() -> list:
     return errors
 
 
+def check_knob_tables() -> list:
+    """Regenerate the knob reference of docs/serving.md; list any drift."""
+    from repro.serving.config import splice_reference
+
+    path = REPO_ROOT / "docs" / "serving.md"
+    text = path.read_text(encoding="utf-8")
+    try:
+        fresh = splice_reference(text)
+    except ValueError as exc:
+        return [f"docs/serving.md: {exc}"]
+    if fresh != text:
+        stale = next((old for old, new in zip(text.splitlines(),
+                                              fresh.splitlines())
+                      if old != new), "<block truncated>")
+        return ["docs/serving.md: knob tables drifted from "
+                f"repro/serving/config.py (first stale line: {stale!r}); run "
+                "PYTHONPATH=src python -m repro.serving.config --write "
+                "docs/serving.md"]
+    print("ok  docs/serving.md: knob tables match the declarations")
+    return []
+
+
 def main() -> int:
-    errors = check_example_imports() + check_markdown_links()
+    errors = (check_example_imports() + check_markdown_links()
+              + check_knob_tables())
     if errors:
         print(f"\n{len(errors)} problem(s):", file=sys.stderr)
         for error in errors:
