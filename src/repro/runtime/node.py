@@ -46,21 +46,19 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..system.messages import (MAX_MESSAGE_BYTES, Message, SHARD_KIND_PUBLISH,
+                               SHARD_KIND_READY, recv_payload, send_payload)
 # bootstrap_meta is re-exported: a node's hello is the shard tier's spawn
 # payload, so there is one builder for both.
-from .shard import (PeerClosed, ReplicaCore, _parent_alive, bootstrap_meta,
-                    zoo_from_payload)
+from .shard import (ReplicaCore, _EnvelopeChannel, _parent_alive,
+                    bootstrap_meta, zoo_from_payload)
 
 #: How long a node's accept loop sleeps between liveness polls (seconds).
 _ACCEPT_POLL_S = 0.5
 
-#: Socket timeout for every blocking I/O once a frame has *started* —
-#: mid-frame reads inside ``recv_message`` and ``reply``'s sendall.  This
-#: is request-scale on purpose: the envelope loop's short poll quantum is
-#: implemented with ``select`` (idle-wait only), never as a recv timeout,
-#: because a recv timeout firing after the length prefix (or mid-payload)
-#: would silently discard the partial frame and permanently desync the
-#: stream.  A peer that stalls an in-progress frame this long is
+#: Socket timeout of a node's accepted connections — the one bound on
+#: every blocking op of their :class:`_SocketChannel`.  Request-scale on
+#: purpose: a peer that stalls an in-progress frame this long is
 #: unreachable, not slow.
 _IO_TIMEOUT_S = 60.0
 
@@ -123,66 +121,83 @@ class _CoreHolder:
             return self.core
 
 
+class _SocketChannel:
+    """The byte-channel surface of :class:`~repro.runtime.shard.ShardChannel`
+    over one connected TCP socket (length-prefixed blobs), at both ends of
+    the node hop.
+
+    One bound for every blocking socket op: the timeout set on the socket
+    (request-scale).  A send or a mid-frame read stalled longer than that
+    means the peer is unreachable by contract; ``send_bytes`` ignores its
+    per-call ``timeout`` because a ``settimeout`` from a sender would race
+    the reader thread's mid-frame reads on the same socket.
+    """
+
+    def __init__(self, sock: socket.socket,
+                 max_bytes: int = MAX_MESSAGE_BYTES) -> None:
+        self._sock = sock
+        #: What the peer's ``recv_payload`` accepts; larger envelopes are
+        #: refused before the first byte instead of killing the stream.
+        self.max_message_bytes = max_bytes
+
+    def send_bytes(self, blob: bytes, timeout: Optional[float] = None) -> int:
+        return send_payload(self._sock, blob)
+
+    def recv_bytes(self, timeout: float = 0.2) -> Optional[bytes]:
+        # The idle wait is a select() on readability, never a recv
+        # timeout: one firing after the length prefix would discard the
+        # partial frame and permanently desync the stream.
+        try:
+            readable, _, _ = select.select([self._sock], [], [], timeout)
+        except (OSError, ValueError) as exc:  # socket torn down mid-select
+            raise ConnectionError("connection closed") from exc
+        if not readable:
+            return None
+        try:
+            blob = recv_payload(self._sock, self.max_message_bytes)
+        except socket.timeout as exc:
+            raise ConnectionError("peer stalled mid-frame") from exc
+        if blob is None:
+            raise ConnectionError("connection closed by peer")
+        return blob
+
+    def close(self) -> None:
+        try:
+            # shutdown (not just close) reliably unblocks a reader thread
+            # parked in recv on the same socket.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+
+    def unlink(self) -> None:  # sockets have no backing object to unlink
+        pass
+
+
 def _serve_connection(conn: socket.socket, holder: _CoreHolder,
                       node_id: int) -> None:
     """Handshake then envelope loop for one router connection."""
-    from ..system.messages import (KIND_ERROR, Message,
-                                   SHARD_KIND_PUBLISH, SHARD_KIND_READY,
-                                   WIRE_FORMAT_RAW, recv_message,
-                                   send_payload, serialize_message)
-
     conn.settimeout(_IO_TIMEOUT_S)
-
-    def read_envelope(timeout: float) -> Optional[Message]:
-        # Timeout-before-any-bytes is the only "no message" case: the
-        # idle wait is a select() on readability (mirroring the router's
-        # _read_loop), and once bytes flow recv_message runs under the
-        # request-scale _IO_TIMEOUT_S — a transient network stall mid-frame
-        # blocks briefly instead of tearing the partially-read frame out of
-        # the stream.
-        try:
-            readable, _, _ = select.select([conn], [], [], timeout)
-        except (OSError, ValueError):  # socket torn down mid-select
-            raise PeerClosed()
-        if not readable:
-            return None
-        message = recv_message(conn)
-        if message is None:
-            raise PeerClosed()
-        return message
-
-    def reply(message: Message) -> None:
-        send_payload(conn, serialize_message(message,
-                                             wire_format=WIRE_FORMAT_RAW))
-
+    link = _EnvelopeChannel(_SocketChannel(conn))
     try:
-        try:
-            hello = read_envelope(30.0)
-        except PeerClosed:
-            return
+        hello = link.read_envelope(30.0)
         if hello is None or hello.kind != SHARD_KIND_PUBLISH:
             return  # not a router speaking our handshake: drop the link
         try:
             core = holder.apply_hello(hello.meta)
         except Exception as exc:
-            import traceback
-            try:
-                reply(Message(kind=KIND_ERROR, frame_id=hello.frame_id,
-                              meta={"error": f"{type(exc).__name__}: {exc}",
-                                    "traceback": traceback.format_exc()}))
-            except Exception:
-                pass
+            link.reply_error(hello.frame_id, exc)
             return
-        reply(Message(kind=SHARD_KIND_READY, frame_id=hello.frame_id,
-                      meta=core.ready_meta(node_id)))
-        core.serve(read_envelope, reply, peer_alive=_parent_alive)
+        link.reply(Message(kind=SHARD_KIND_READY, frame_id=hello.frame_id,
+                           meta=core.ready_meta(node_id)))
+        core.serve(link)
     except Exception:  # connection-scoped failure: the link is dead anyway
         pass
     finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+        link.channel.close()
 
 
 def _node_main(node_id: int, host: str, port: int, ready_conn=None) -> None:

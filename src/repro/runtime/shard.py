@@ -71,8 +71,16 @@ from __future__ import annotations
 import os
 import struct
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from ..system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT, KIND_STOP,
+                               Message, NODE_KIND_PING, NODE_KIND_PONG,
+                               SHARD_KIND_BATCH, SHARD_KIND_PUBLISH,
+                               SHARD_KIND_PUBLISHED, SHARD_KIND_READY,
+                               WIRE_FORMAT_RAW, deserialize_message,
+                               serialize_message)
 
 try:  # Not every platform ships POSIX shared memory (notably some BSDs
     # and restricted containers); the serving layer then falls back to
@@ -499,11 +507,41 @@ def _parent_alive() -> bool:
 
 
 class PeerClosed(Exception):
-    """Raised by a transport's ``read_envelope`` on a clean peer close.
+    """Raised by :meth:`_EnvelopeChannel.read_envelope` when the link is
+    gone: the loop just exits, whereas undecodable bytes on a live link
+    are answered with one error envelope first."""
 
-    Distinguishes an orderly shutdown (loop just exits) from undecodable
-    bytes or a mid-frame cut (loop sends one error envelope, then exits).
-    """
+
+class _EnvelopeChannel:
+    """The worker end of a byte channel (shm ring, pipe or TCP socket):
+    whole envelopes in, raw-framed envelopes out — the worker-side mirror
+    of the parent's :class:`~repro.serving.workers.WorkerLink`."""
+
+    def __init__(self, channel) -> None:
+        self.channel = channel
+
+    def read_envelope(self, timeout: float) -> Optional[Message]:
+        """One decoded envelope, or ``None`` when none arrived in time."""
+        try:
+            blob = self.channel.recv_bytes(timeout=timeout)
+        except ConnectionError as exc:
+            raise PeerClosed(str(exc)) from exc
+        return None if blob is None else deserialize_message(blob)
+
+    def reply(self, message: Message) -> None:
+        self.channel.send_bytes(serialize_message(message,
+                                                  wire_format=WIRE_FORMAT_RAW))
+
+    def reply_error(self, corr: int, exc: BaseException,
+                    batch_index: Optional[int] = None) -> None:
+        """Answer ``corr`` with ``exc`` and the traceback being handled."""
+        try:
+            self.reply(Message(kind=KIND_ERROR, frame_id=corr,
+                               meta={"error": f"{type(exc).__name__}: {exc}",
+                                     "traceback": traceback.format_exc()},
+                               batch_index=batch_index))
+        except Exception:  # peer gone: nothing left to tell
+            pass
 
 
 class ReplicaCore:
@@ -512,7 +550,7 @@ class ReplicaCore:
     Everything a shard worker does *between* transport reads and writes
     lives here — building the repository from a JSON bootstrap, executing
     frames/batches, installing replicated snapshots, answering heartbeats —
-    parameterized over ``read_envelope``/``reply`` callables.  The
+    parameterized over an :class:`_EnvelopeChannel`.  The
     shared-memory shard worker (:func:`_shard_main`) and the TCP cluster
     node (:mod:`repro.runtime.node`) are the same core behind different
     transports, so their guarantees (same seed → bit-identical weights,
@@ -541,33 +579,17 @@ class ReplicaCore:
         return {"pid": os.getpid(), "shard_id": ident,
                 "version": self.repository.version}
 
-    def serve(self, read_envelope, reply, peer_alive=_parent_alive) -> None:
+    def serve(self, link: _EnvelopeChannel) -> None:
         """Run the message loop until ``stop``, a dead peer, or bad bytes.
 
-        ``read_envelope(timeout)`` returns a decoded ``Message`` or ``None``
-        on timeout (raising on transport/protocol failure); ``reply(msg)``
-        ships one envelope back; ``peer_alive()`` is polled on idle so an
-        orphaned worker exits instead of spinning forever.
+        Envelopes are read from and answered over ``link``; the parent
+        process is polled on idle so an orphaned worker exits instead of
+        spinning forever.
         """
         from ..serving.repository import SNAPSHOT_META_KEY
-        from ..system.messages import (KIND_ERROR, KIND_FRAME,
-                                       KIND_RESULT, KIND_STOP, Message,
-                                       NODE_KIND_PING, NODE_KIND_PONG,
-                                       SHARD_KIND_BATCH,
-                                       SHARD_KIND_PUBLISH,
-                                       SHARD_KIND_PUBLISHED)
         repository = self.repository
-
-        def reply_error(corr: int, exc: BaseException,
-                        batch_index: Optional[int] = None) -> None:
-            import traceback
-            try:
-                reply(Message(kind=KIND_ERROR, frame_id=corr,
-                              meta={"error": f"{type(exc).__name__}: {exc}",
-                                    "traceback": traceback.format_exc()},
-                              batch_index=batch_index))
-            except Exception:  # peer gone: nothing left to tell
-                pass
+        read_envelope, reply = link.read_envelope, link.reply
+        reply_error = link.reply_error
 
         def check_pin(frame_meta) -> None:
             """Fail loudly on a pin this replica cannot honor yet.
@@ -638,7 +660,7 @@ class ReplicaCore:
                         return message
                     requests.append((dict(message.arrays),
                                      message.meta["frame"]))
-                elif time.monotonic() > deadline or not peer_alive():
+                elif time.monotonic() > deadline or not _parent_alive():
                     return None  # truncated batch from a dead peer: drop it
             try:
                 for _, frame_meta in requests:
@@ -707,7 +729,7 @@ class ReplicaCore:
                     reply_error(0, exc)
                     break
                 if message is None:
-                    if not peer_alive():
+                    if not _parent_alive():
                         break  # orphaned worker: exit instead of spinning
                     continue
             if message.kind == KIND_STOP:
@@ -732,36 +754,18 @@ def _shard_main(shard_id: int, spec: Tuple, bootstrap: Dict) -> None:
     parent's (same seed, same builder) and shard execution is numerically
     equivalent to in-process serving.
     """
-    from ..system.messages import (KIND_ERROR, Message, SHARD_KIND_READY,
-                                   WIRE_FORMAT_RAW, deserialize_message,
-                                   serialize_message)
-
-    channel = attach_channel(spec)
-
-    def reply(message: Message) -> None:
-        channel.send_bytes(serialize_message(message,
-                                             wire_format=WIRE_FORMAT_RAW))
-
-    def read_envelope(timeout: float) -> Optional[Message]:
-        blob = channel.recv_bytes(timeout=timeout)
-        return None if blob is None else deserialize_message(blob)
-
+    link = _EnvelopeChannel(attach_channel(spec))
     try:
-        core = ReplicaCore(bootstrap)
-    except Exception as exc:
-        import traceback
         try:
-            reply(Message(kind=KIND_ERROR, frame_id=0,
-                          meta={"error": f"{type(exc).__name__}: {exc}",
-                                "traceback": traceback.format_exc()}))
-        except Exception:  # parent gone: nothing left to tell
-            pass
-        channel.close()
-        return
-    try:
-        reply(Message(kind=SHARD_KIND_READY, meta=core.ready_meta(shard_id)))
-    except Exception:  # parent died during our bootstrap: nothing to serve
-        channel.close()
-        return
-    core.serve(read_envelope, reply, peer_alive=_parent_alive)
-    channel.close()
+            core = ReplicaCore(bootstrap)
+        except Exception as exc:
+            link.reply_error(0, exc)
+            return
+        try:
+            link.reply(Message(kind=SHARD_KIND_READY,
+                               meta=core.ready_meta(shard_id)))
+        except Exception:  # parent died during our bootstrap
+            return
+        core.serve(link)
+    finally:
+        link.channel.close()

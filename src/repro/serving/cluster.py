@@ -36,22 +36,22 @@ The parent-side mechanism — correlated requests, the reader thread, crash
 propagation, heartbeat probes, publish replication, slot bookkeeping — is
 the tier-agnostic :class:`~repro.serving.workers.WorkerLink`/
 :class:`~repro.serving.workers.WorkerPool`; this module adds only what is
-node-specific: a socket byte channel, dial + hello, the latest-replicated
-bootstrap, the routing policies and the heartbeat loop.
+node-specific: dial + hello over the node tier's socket byte channel
+(:mod:`repro.runtime.node`), the latest-replicated bootstrap, the routing
+policies and the heartbeat loop.
 """
 
 from __future__ import annotations
 
 import hashlib
-import select
 import socket
 import threading
 import time
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..runtime.node import NodeCrashedError, NodeStats, bootstrap_meta
-from ..system.messages import MAX_MESSAGE_BYTES, recv_payload, send_payload
+from ..runtime.node import (NodeCrashedError, NodeStats, _SocketChannel,
+                            bootstrap_meta)
 from .config import ClusterConfig, ROUTING_HASH
 from .repository import ModelRepository
 from .workers import WorkerLink, WorkerPool
@@ -67,61 +67,6 @@ _VNODES = 64
 def _ring_point(key: str) -> int:
     """Stable 64-bit ring position for ``key`` (never Python's salted hash)."""
     return int.from_bytes(hashlib.md5(key.encode()).digest()[:8], "big")
-
-
-class _SocketChannel:
-    """The byte-channel surface of :class:`~repro.runtime.shard.ShardChannel`
-    over one connected TCP socket (length-prefixed blobs).
-
-    One bound for every blocking socket op: the timeout set at dial
-    (request-scale).  A send or a mid-frame read stalled longer than that
-    means the node is unreachable by contract; ``send_bytes`` ignores its
-    per-call ``timeout`` because a ``settimeout`` from a sender would race
-    the reader thread's mid-frame reads on the same socket.
-    """
-
-    def __init__(self, sock: socket.socket,
-                 max_bytes: int = MAX_MESSAGE_BYTES) -> None:
-        self._sock = sock
-        #: What the peer's ``recv_payload`` accepts; larger envelopes are
-        #: refused before the first byte instead of killing the stream.
-        self.max_message_bytes = max_bytes
-
-    def send_bytes(self, blob: bytes, timeout: Optional[float] = None) -> int:
-        return send_payload(self._sock, blob)
-
-    def recv_bytes(self, timeout: float = 0.2) -> Optional[bytes]:
-        # The idle wait is a select() on readability, never a recv
-        # timeout: one firing after the length prefix would discard the
-        # partial frame and permanently desync the stream.
-        try:
-            readable, _, _ = select.select([self._sock], [], [], timeout)
-        except (OSError, ValueError) as exc:  # socket torn down mid-select
-            raise ConnectionError("connection closed") from exc
-        if not readable:
-            return None
-        try:
-            blob = recv_payload(self._sock, self.max_message_bytes)
-        except socket.timeout as exc:
-            raise ConnectionError("peer stalled mid-frame") from exc
-        if blob is None:
-            raise ConnectionError("connection closed by peer")
-        return blob
-
-    def close(self) -> None:
-        try:
-            # shutdown (not just close) reliably unblocks a reader thread
-            # parked in recv on the same socket.
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def unlink(self) -> None:  # sockets have no backing object to unlink
-        pass
 
 
 class ClusterPool(WorkerPool):

@@ -2,34 +2,29 @@
 
 Intermediate GNN states are exchanged between the device and the edge as
 length-prefixed messages containing named numpy arrays plus a small JSON
-metadata header.  Two framings share the wire:
+metadata header.  There is one frame layout and one codec for it:
 
-``"zlib"`` (default)
-    The paper-faithful format: the header and ``np.save``-encoded arrays are
-    zlib-compressed as one blob, mirroring the paper's engine, which is
-    built on Python sockets and compresses all transmitted data with zlib.
+    [magic 0xAB][version][u32 header length][JSON header][array bytes ...]
 
-``"raw"``
-    A zero-copy-receive framing for serving deployments where link
-    bandwidth is not the bottleneck: a 2-byte magic/version, the JSON
-    header (now carrying each array's dtype and shape) and the arrays' raw
-    C-contiguous bytes (``ndarray.tobytes``).  The send side does one plain
-    memory copy per array (``tobytes``) but no compression or ``np.save``
-    encoding pass; the receive side reconstructs every array with
-    ``np.frombuffer`` directly over the received payload — zero per-array
-    copies on receive.
+The header carries ``kind``/``frame_id``/``meta`` and ``[name, dtype,
+shape]`` per array; the arrays' C-contiguous bytes follow in header order.
+``wire_format="raw"`` sends that frame as is; ``"zlib"`` (the default)
+sends it deflated — ``zlib.compress(raw_frame, level)`` — mirroring the
+paper's engine, which is built on Python sockets and compresses all
+transmitted data with zlib.
 
-The two formats are distinguished by their first byte (zlib streams always
-begin with ``0x78``; raw frames begin with the reserved magic ``0xAB``
-followed by a version byte), so :func:`deserialize_message` — and therefore
-every receiver — handles both transparently.  The raw format is versioned
-for wire compatibility: bumping the layout bumps the version byte, and an
-unknown version raises instead of desyncing the stream.
+A receiver tells the two apart by the first byte (zlib streams begin with
+``0x78``), inflates when needed — capped at its message cap, because the
+length prefix bounds only the *deflated* size — and hands the frame to the
+one parser, so every check on the peer-controlled header guards both
+framings.  Either way the decoded arrays are read-only ``np.frombuffer``
+views over the received (or inflated) bytes: zero per-array copies.  The
+layout is versioned: an unknown version byte raises instead of desyncing
+the stream.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import socket
@@ -204,17 +199,6 @@ class Message:
     wire_bytes: int = 0
 
 
-def _header_dict(message: Message) -> Dict:
-    header = {
-        "kind": message.kind,
-        "frame_id": message.frame_id,
-        "meta": message.meta,
-    }
-    if message.batch_index is not None:
-        header["batch_index"] = int(message.batch_index)
-    return header
-
-
 def serialize_message(message: Message, compress_level: int = 6,
                       wire_format: Optional[str] = None) -> bytes:
     """Encode a message to wire bytes (without the length prefix).
@@ -222,93 +206,79 @@ def serialize_message(message: Message, compress_level: int = 6,
     ``wire_format`` selects the framing; when ``None`` the message's own
     ``wire_format`` attribute decides, so replies naturally mirror the
     framing their request arrived in.  ``compress_level`` only applies to
-    the zlib framing.
+    the zlib framing, which is the raw frame deflated.
     """
     wire_format = message.wire_format if wire_format is None else wire_format
-    if wire_format == WIRE_FORMAT_ZLIB:
-        return _serialize_zlib(message, compress_level)
-    if wire_format == WIRE_FORMAT_RAW:
-        return _serialize_raw(message)
-    raise ValueError(f"unknown wire format {wire_format!r} "
-                     f"(expected one of {WIRE_FORMATS})")
-
-
-def _serialize_zlib(message: Message, compress_level: int) -> bytes:
-    buffer = io.BytesIO()
-    header = _header_dict(message)
-    header["arrays"] = list(message.arrays.keys())
-    header_bytes = json.dumps(header).encode("utf-8")
-    buffer.write(struct.pack(_LENGTH_FORMAT, len(header_bytes)))
-    buffer.write(header_bytes)
-    for name in header["arrays"]:
-        array_buffer = io.BytesIO()
-        np.save(array_buffer, np.ascontiguousarray(message.arrays[name]),
-                allow_pickle=False)
-        payload = array_buffer.getvalue()
-        buffer.write(struct.pack(_LENGTH_FORMAT, len(payload)))
-        buffer.write(payload)
-    return zlib.compress(buffer.getvalue(), compress_level)
-
-
-def _serialize_raw(message: Message) -> bytes:
-    header = _header_dict(message)
+    if wire_format not in WIRE_FORMATS:
+        raise ValueError(f"unknown wire format {wire_format!r} "
+                         f"(expected one of {WIRE_FORMATS})")
+    header = {
+        "kind": message.kind,
+        "frame_id": message.frame_id,
+        "meta": message.meta,
+    }
+    if message.batch_index is not None:
+        header["batch_index"] = int(message.batch_index)
     chunks = []
     specs = []
     for name, array in message.arrays.items():
         array = np.ascontiguousarray(array)
+        if array.dtype.hasobject:
+            # An object array's buffer holds pointers, not values.
+            raise ValueError(f"array {name!r} has object dtype "
+                             f"{array.dtype}: only plain-data arrays "
+                             "can go on the wire")
         specs.append([name, array.dtype.str, list(array.shape)])
         # A memoryview, not tobytes(): join below then performs the single
         # unavoidable copy of each payload straight into the frame.
         chunks.append(memoryview(array))
     header["arrays"] = specs
     header_bytes = json.dumps(header).encode("utf-8")
-    return b"".join([bytes((_RAW_MAGIC, _RAW_VERSION)),
-                     struct.pack(_LENGTH_FORMAT, len(header_bytes)),
-                     header_bytes] + chunks)
+    frame = b"".join([bytes((_RAW_MAGIC, _RAW_VERSION)),
+                      struct.pack(_LENGTH_FORMAT, len(header_bytes)),
+                      header_bytes] + chunks)
+    if wire_format == WIRE_FORMAT_ZLIB:
+        return zlib.compress(frame, compress_level)
+    return frame
 
 
-def deserialize_message(blob: bytes) -> Message:
+def deserialize_message(blob: bytes,
+                        max_bytes: int = MAX_MESSAGE_BYTES) -> Message:
     """Decode bytes produced by :func:`serialize_message` (either framing).
 
     The framing is detected from the first byte, so one receive path serves
     zlib and raw peers alike; the decoded message records which framing it
-    arrived in (``wire_format``).
+    arrived in (``wire_format``).  A zlib blob inflates to at most
+    ``max_bytes``, the cap :func:`recv_payload` puts on its deflated size.
 
     Any malformed input — bad magic, a lying header, truncated payload,
-    undecodable compression — raises a clean :class:`ValueError`.  Decoding
-    runs on bytes a remote peer controls, so the failure mode must be a
-    single well-known exception the caller can map onto "drop this peer",
-    never a hang or an arbitrary library error escaping the transport.
+    undecodable or over-expanding compression — raises a clean
+    :class:`ValueError`.  Decoding runs on bytes a remote peer controls, so
+    the failure mode must be a single well-known exception the caller can
+    map onto "drop this peer", never a hang, a blind allocation or an
+    arbitrary library error escaping the transport.
     """
     try:
-        if blob[:1] == bytes((_RAW_MAGIC,)):
-            return _deserialize_raw(blob)
-        return _deserialize_zlib(blob)
-    except ValueError:
-        raise
-    except (zlib.error, struct.error, KeyError, IndexError, TypeError,
-            EOFError, OSError) as exc:
+        wire_format = WIRE_FORMAT_RAW
+        if blob[:1] != bytes((_RAW_MAGIC,)):
+            wire_format = WIRE_FORMAT_ZLIB
+            inflater = zlib.decompressobj()
+            blob = inflater.decompress(blob, max_bytes)
+            if not inflater.eof:
+                raise ValueError("zlib frame is truncated or inflates past "
+                                 f"the {max_bytes}-byte message cap")
+        return _parse_frame(blob, wire_format)
+    except (zlib.error, struct.error, KeyError, IndexError,
+            TypeError) as exc:
         raise ValueError(f"undecodable message: {type(exc).__name__}: "
                          f"{exc}") from exc
 
 
-def _deserialize_zlib(blob: bytes) -> Message:
-    raw = zlib.decompress(blob)
-    view = io.BytesIO(raw)
-    (header_len,) = struct.unpack(_LENGTH_FORMAT, view.read(_LENGTH_SIZE))
-    header = json.loads(view.read(header_len).decode("utf-8"))
-    arrays: Dict[str, np.ndarray] = {}
-    for name in header["arrays"]:
-        (size,) = struct.unpack(_LENGTH_FORMAT, view.read(_LENGTH_SIZE))
-        arrays[name] = np.load(io.BytesIO(view.read(size)), allow_pickle=False)
-    return Message(kind=header["kind"], frame_id=header["frame_id"],
-                   arrays=arrays, meta=header["meta"],
-                   batch_index=header.get("batch_index"),
-                   wire_format=WIRE_FORMAT_ZLIB)
-
-
-def _deserialize_raw(blob: bytes) -> Message:
-    version = blob[1]
+def _parse_frame(blob: bytes, wire_format: str) -> Message:
+    magic, version = blob[0], blob[1]
+    if magic != _RAW_MAGIC:
+        raise ValueError("undecodable message: no frame magic (not a frame "
+                         "of this protocol, or the pre-versioning layout)")
     if version != _RAW_VERSION:
         raise ValueError(f"unsupported raw wire-format version {version} "
                          f"(this build speaks version {_RAW_VERSION})")
@@ -349,7 +319,24 @@ def _deserialize_raw(blob: bytes) -> Message:
     return Message(kind=header["kind"], frame_id=header["frame_id"],
                    arrays=arrays, meta=header["meta"],
                    batch_index=header.get("batch_index"),
-                   wire_format=WIRE_FORMAT_RAW)
+                   wire_format=wire_format)
+
+
+def _prefixed(blob: bytes) -> bytes:
+    """``blob`` behind the wire's 4-byte length prefix."""
+    return struct.pack(_LENGTH_FORMAT, len(blob)) + blob
+
+
+def _parse_prefix(prefix: bytes, max_bytes: int = MAX_MESSAGE_BYTES) -> int:
+    """The length a received prefix announces, refused above the cap
+    *before* any allocation (the stream beyond it is unparseable anyway)."""
+    (length,) = struct.unpack(_LENGTH_FORMAT, prefix)
+    if length > max_bytes:
+        raise ConnectionError(
+            f"length prefix announced {length} bytes, above the "
+            f"{max_bytes}-byte message cap — corrupted stream or "
+            "misbehaving peer")
+    return length
 
 
 def send_payload(sock: socket.socket, blob: bytes) -> int:
@@ -359,8 +346,9 @@ def send_payload(sock: socket.socket, blob: bytes) -> int:
     failures must not be conflated with connection failures) and then ship
     the frame atomically.
     """
-    sock.sendall(struct.pack(_LENGTH_FORMAT, len(blob)) + blob)
-    return len(blob) + _LENGTH_SIZE
+    payload = _prefixed(blob)
+    sock.sendall(payload)
+    return len(payload)
 
 
 def send_message(sock: socket.socket, message: Message,
@@ -402,19 +390,12 @@ def recv_payload(sock: socket.socket,
     truncated mid-frame — a length prefix or payload cut short by a dying
     peer must surface as an error instead of silently dropping the frame.
     A length prefix above ``max_bytes`` also raises
-    :class:`ConnectionError` *before* any allocation: the prefix is
-    peer-controlled and the stream beyond a rejected prefix is
-    unparseable anyway.
+    :class:`ConnectionError` (see :func:`_parse_prefix`).
     """
     prefix = _recv_exact(sock, _LENGTH_SIZE)
     if prefix is None:
         return None
-    (length,) = struct.unpack(_LENGTH_FORMAT, prefix)
-    if length > max_bytes:
-        raise ConnectionError(
-            f"length prefix announced {length} bytes, above the "
-            f"{max_bytes}-byte message cap — corrupted stream or "
-            "misbehaving peer")
+    length = _parse_prefix(prefix, max_bytes)
     blob = _recv_exact(sock, length)
     if blob is None:
         raise ConnectionError(
@@ -428,12 +409,13 @@ def recv_message(sock: socket.socket,
     """Receive and decode one framed message (see :func:`recv_payload`).
 
     ``None`` is a clean peer close; a truncated or oversized frame raises
-    :class:`ConnectionError` and undecodable bytes :class:`ValueError`.
+    :class:`ConnectionError`; undecodable bytes, or a zlib frame that
+    inflates past ``max_bytes``, :class:`ValueError`.
     """
     blob = recv_payload(sock, max_bytes)
     if blob is None:
         return None
-    message = deserialize_message(blob)
+    message = deserialize_message(blob, max_bytes)
     message.wire_bytes = len(blob) + _LENGTH_SIZE
     return message
 

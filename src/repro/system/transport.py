@@ -47,15 +47,13 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Tuple
 
-from .messages import (_LENGTH_FORMAT, _LENGTH_SIZE, KIND_STOP,
-                       MAX_MESSAGE_BYTES, deserialize_message,
-                       recv_message, send_payload)
+from .messages import (_LENGTH_SIZE, KIND_STOP, _parse_prefix, _prefixed,
+                       deserialize_message, recv_message, send_payload)
 
 #: Frontend identifiers (``EdgeServer(frontend=...)`` / ``ServerConfig``).
 FRONTEND_THREADED = "threaded"
@@ -257,7 +255,7 @@ class _AsyncConnection(Connection):
     def send_bytes(self, blob: bytes) -> int:
         if self._closed:
             raise OSError("connection is closed")
-        payload = struct.pack(_LENGTH_FORMAT, len(blob)) + blob
+        payload = _prefixed(blob)
         try:
             self._loop.call_soon_threadsafe(self._write, payload)
         except RuntimeError as exc:  # loop already shut down
@@ -376,16 +374,10 @@ class AsyncFrontend:
         try:
             while True:
                 try:
-                    prefix = await reader.readexactly(_LENGTH_SIZE)
-                    (length,) = struct.unpack(_LENGTH_FORMAT, prefix)
-                    if length > MAX_MESSAGE_BYTES:
-                        # Same cap recv_message enforces: the prefix is
-                        # peer-controlled, so an absurd claim must be
-                        # rejected before buffering toward it.
-                        error = (f"length prefix announced {length} bytes, "
-                                 f"above the {MAX_MESSAGE_BYTES}-byte "
-                                 "message cap")
-                        break
+                    # An over-cap prefix raises ConnectionError here —
+                    # before any buffering toward the claimed size.
+                    length = _parse_prefix(
+                        await reader.readexactly(_LENGTH_SIZE))
                     blob = await reader.readexactly(length)
                 except asyncio.IncompleteReadError as exc:
                     if exc.partial:

@@ -28,7 +28,8 @@ from tools.reprolint import load_baseline, run_checkers, split_findings
 from tools.reprolint.baseline import DEFAULT_BASELINE
 from tools.reprolint.checkers import (arena_aliasing, dtype_discipline,
                                       layering, lock_discipline,
-                                      message_kinds, sleep_discipline)
+                                      message_kinds, results_hygiene,
+                                      sleep_discipline)
 
 
 def fixture_tree(name):
@@ -170,6 +171,25 @@ def test_sleep_clean_fixture_passes():
 
 
 # ----------------------------------------------------------------------
+# results-hygiene
+# ----------------------------------------------------------------------
+def test_results_flags_bad_fixture():
+    findings = results_hygiene.scan_module(fixture_tree("results_bad.py"),
+                                           "results_bad.py")
+    flagged = [f.ident for f in findings]
+    assert flagged == ["_record_artifact", "test_dumps_scaling_table",
+                       "test_appends_to_a_log", "test_mode_from_a_variable"]
+    assert all(f.checker == "results-hygiene" for f in findings)
+    assert "tmp_path" in findings[0].message  # points at the idiom
+
+
+def test_results_clean_fixture_passes():
+    findings = results_hygiene.scan_module(fixture_tree("results_clean.py"),
+                                           "results_clean.py")
+    assert findings == []  # reads, tmp dirs and benchmarks/e2e/results
+
+
+# ----------------------------------------------------------------------
 # live-tree meta-test
 # ----------------------------------------------------------------------
 def test_live_tree_clean_modulo_baseline():
@@ -202,7 +222,8 @@ def test_cli_json_contract():
     assert report["summary"]["new"] == 0
     names = {c["name"] for c in report["checkers"]}
     assert names == {"arena-aliasing", "dtype-discipline", "layering",
-                     "lock-discipline", "message-kinds", "sleep-discipline"}
+                     "lock-discipline", "message-kinds", "results-hygiene",
+                     "sleep-discipline"}
     # Baselined findings ride along with their justifications.
     for finding in report["findings"]:
         assert finding["baselined"] is True

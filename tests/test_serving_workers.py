@@ -19,16 +19,14 @@ import numpy as np
 import pytest
 
 from conftest import wait_until
-from repro.runtime.node import NodeCrashedError
-from repro.runtime.shard import (ShardCrashedError, attach_channel,
-                                 create_channel, shm_available)
-from repro.serving.cluster import _SocketChannel
+from repro.runtime.node import NodeCrashedError, _SocketChannel
+from repro.runtime.shard import (ShardCrashedError, _EnvelopeChannel,
+                                 attach_channel, create_channel,
+                                 shm_available)
 from repro.serving.workers import WorkerLink
 from repro.system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT,
                                    Message, NODE_KIND_PING, NODE_KIND_PONG,
-                                   SHARD_KIND_BATCH, SHARD_KIND_READY,
-                                   WIRE_FORMAT_RAW, deserialize_message,
-                                   serialize_message)
+                                   SHARD_KIND_BATCH, SHARD_KIND_READY)
 
 #: Per-message bound of the bounded test channels (ring capacity / cap).
 LIMIT = 1 << 16
@@ -47,20 +45,12 @@ def _channel_pair(kind: str):
     return parent, attach_channel(spec), ShardCrashedError
 
 
-class _Peer:
-    """The worker end of the channel, scripted from the test thread."""
-
-    def __init__(self, channel) -> None:
-        self.channel = channel
+class _Peer(_EnvelopeChannel):
+    """The worker end of the channel — the adapter real workers read and
+    answer through — scripted from the test thread."""
 
     def recv(self, timeout: float = 5.0):
-        blob = self.channel.recv_bytes(timeout=timeout)
-        return None if blob is None else deserialize_message(blob)
-
-    def reply(self, message: Message) -> None:
-        self.channel.send_bytes(
-            serialize_message(message, wire_format=WIRE_FORMAT_RAW),
-            timeout=5.0)
+        return self.read_envelope(timeout)
 
     def result(self, request: Message, value: float,
                batch_index=None) -> None:
@@ -187,6 +177,11 @@ def test_crash_fails_every_in_flight_request(wired):
              for i in range(2)]
     calls.append(_Call(link.request_batch, "m", [_frame(5.0), _frame(6.0)]))
     wait_until(lambda: link.in_flight() == 3, message="requests in flight")
+    # in_flight counts a request from registration; one crashed before
+    # its send reads "not connected" instead of the crash reason.  Drain
+    # the 5 envelopes (2 frames, batch header + 2) so all three shipped.
+    for _ in range(5):
+        assert peer.recv() is not None
     link.mark_crashed("scripted crash")
     for call in calls:
         error = call.done().error

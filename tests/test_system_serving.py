@@ -28,6 +28,16 @@ def _edge_fn(arrays, meta):
     return {"y": arrays["x"] * meta["scale"]}, {"done": True}
 
 
+#: What the one encoder refuses, as (extra arrays, extra meta, error text):
+#: metadata json cannot dump, and an object array (its buffer holds
+#: pointers, not values — refused by both framings).
+_UNENCODABLE = [
+    pytest.param({}, {"count": np.int64(3)}, "TypeError", id="meta"),
+    pytest.param({"o": np.array([object()])}, {}, "object dtype",
+                 id="object-array"),
+]
+
+
 class TestConcurrentServing:
     def test_three_clients_served_concurrently(self):
         num_clients, frames_per_client = 3, 8
@@ -346,15 +356,19 @@ class TestErrorPropagation:
             client.close()
             server.stop()
 
-    def test_unserializable_edge_reply_returns_error_not_dead_connection(self):
+    @pytest.mark.parametrize("wire_format", ["zlib", "raw"])
+    @pytest.mark.parametrize("extra_arrays, extra_meta, error", _UNENCODABLE)
+    def test_unserializable_edge_reply_returns_error_not_dead_connection(
+            self, extra_arrays, extra_meta, error, wire_format):
         """A reply the wire format cannot encode must come back as an error."""
-        def bad_meta_edge_fn(arrays, meta):
-            return {"y": arrays["x"]}, {"count": np.int64(3)}  # not JSON-serializable
+        def bad_edge_fn(arrays, meta):
+            return dict(extra_arrays, y=arrays["x"]), dict(extra_meta)
 
-        server = EdgeServer(bad_meta_edge_fn).start()
-        client = DeviceClient(server.host, server.port)
+        server = EdgeServer(bad_edge_fn).start()
+        client = DeviceClient(server.host, server.port,
+                              wire_format=wire_format)
         try:
-            with pytest.raises(RuntimeError, match="TypeError"):
+            with pytest.raises(RuntimeError, match=error):
                 client.run_pipeline([np.ones((2, 2))], _device_fn, timeout_s=10.0)
         finally:
             client.close()
@@ -380,21 +394,26 @@ class TestErrorPropagation:
             client.close()
             server.stop()
 
-    def test_unserializable_outgoing_meta_fails_fast(self):
-        """Device-side metadata the wire format cannot encode must not hang."""
+    @pytest.mark.parametrize("wire_format", ["zlib", "raw"])
+    @pytest.mark.parametrize("extra_arrays, extra_meta, error", _UNENCODABLE)
+    def test_unserializable_outgoing_meta_fails_fast(
+            self, extra_arrays, extra_meta, error, wire_format):
+        """A device-side frame the wire format cannot encode must not hang."""
         import time as _time
 
-        def bad_meta_device_fn(frame):
+        def bad_device_fn(frame):
             arrays, meta = _device_fn(frame)
-            meta["count"] = np.int64(3)  # not JSON-serializable
-            return arrays, meta
+            return dict(arrays, **extra_arrays), dict(meta, **extra_meta)
 
         server = EdgeServer(_edge_fn).start()
-        client = DeviceClient(server.host, server.port)
+        client = DeviceClient(server.host, server.port,
+                              wire_format=wire_format)
         started = _time.perf_counter()
         try:
-            with pytest.raises(ConnectionError, match="serialize"):
-                client.run_pipeline([np.ones((2, 2))], bad_meta_device_fn,
+            with pytest.raises(
+                    ConnectionError,
+                    match=f"failed to serialize an outgoing message.*{error}"):
+                client.run_pipeline([np.ones((2, 2))], bad_device_fn,
                                     timeout_s=30.0)
             assert _time.perf_counter() - started < 10.0
         finally:

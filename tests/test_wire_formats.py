@@ -1,16 +1,18 @@
-"""Wire framing: zero-copy raw format, auto-detection, size accounting.
+"""Wire framing: one versioned frame, raw or deflated, auto-detected.
 
-The engine speaks two self-describing framings — zlib (paper-faithful,
-compressed) and raw (zero-copy) — distinguished by their first byte.  These
-tests pin the round-trip fidelity of both, the versioning of the raw
-layout, the single-serializer size accounting (``compressed_size`` can
-never drift from the real wire), and the end-to-end behavior of mixed-
-framing clients against one server.
+The engine speaks two self-describing framings of one frame layout — raw,
+and zlib (paper-faithful: the raw frame, deflated) — distinguished by their
+first byte.  These tests pin the round-trip fidelity of both, that the zlib
+framing *is* the deflated raw frame, the versioning of the layout, the
+single-serializer size accounting (``compressed_size`` can never drift from
+the real wire), and the end-to-end behavior of mixed-framing clients
+against one server.
 
 The hostile-input half (``TestHostileFrames`` down) treats every byte of
-the frame as peer-controlled: garbage streams, lying headers (shapes,
-dtypes, lengths that don't match the payload), truncated frames and
-absurd length prefixes must all surface as a clean ``ValueError`` /
+the frame as peer-controlled, in either framing: garbage streams, lying
+headers (shapes, dtypes, lengths that don't match the payload), truncated
+frames, zlib bombs and absurd length prefixes must all surface as a clean
+``ValueError`` /
 ``ConnectionError`` — never a hang, a blind allocation, or an array the
 sender never sent — and a server fed such a frame must drop *that
 connection only* and keep serving everyone else.
@@ -18,9 +20,11 @@ connection only* and keep serving everyone else.
 
 from __future__ import annotations
 
+import io
 import json
 import socket
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -72,10 +76,11 @@ class TestRawFormat:
             assert received.shape == original.shape
             np.testing.assert_array_equal(received, original)
 
-    def test_raw_arrays_are_zero_copy_views(self):
-        """Decoded arrays view the received blob: no per-array copy."""
-        blob = serialize_message(_sample_message(),
-                                 wire_format=WIRE_FORMAT_RAW)
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_raw_arrays_are_zero_copy_views(self, wire_format):
+        """Decoded arrays view the received (or inflated) bytes: no
+        per-array copy, in either framing."""
+        blob = serialize_message(_sample_message(), wire_format=wire_format)
         decoded = deserialize_message(blob)
         for array in decoded.arrays.values():
             assert not array.flags.writeable  # view over immutable bytes
@@ -89,6 +94,15 @@ class TestRawFormat:
             assert decoded.wire_format == wire_format
             np.testing.assert_array_equal(decoded.arrays["x"],
                                           message.arrays["x"])
+
+    def test_zlib_framing_is_the_deflated_raw_frame(self):
+        """One codec: there is no second array encoding behind zlib."""
+        message = _sample_message()
+        for level in (1, 6, 9):
+            deflated = serialize_message(message, compress_level=level,
+                                         wire_format=WIRE_FORMAT_ZLIB)
+            assert zlib.decompress(deflated) == serialize_message(
+                message, wire_format=WIRE_FORMAT_RAW)
 
     def test_message_wire_format_attribute_drives_serialization(self):
         """With no explicit format, the message's own attribute decides —
@@ -108,6 +122,16 @@ class TestRawFormat:
     def test_unknown_wire_format_rejected(self):
         with pytest.raises(ValueError, match="unknown wire format"):
             serialize_message(_sample_message(), wire_format="gzip")
+
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_object_arrays_refused_at_the_sender(self, wire_format):
+        """An object array's buffer is pointers: neither framing may ship
+        it (the raw framing used to, leaking addresses onto the wire)."""
+        message = Message(kind="frame",
+                          arrays={"x": np.zeros(3),
+                                  "boxes": np.array([{"a": 1}, None])})
+        with pytest.raises(ValueError, match="'boxes'.*object dtype"):
+            serialize_message(message, wire_format=wire_format)
 
     def test_non_contiguous_arrays_serialize_correctly(self):
         strided = np.arange(24, dtype=np.float64).reshape(6, 4)[:, ::2]
@@ -239,40 +263,82 @@ def _raw_frame(header: dict, payload: bytes) -> bytes:
                      header_bytes, payload])
 
 
+def _legacy_zlib_blob(message: Message) -> bytes:
+    """``message`` in the pre-PR-17 zlib layout (``np.save`` blobs)."""
+    header = json.dumps({"kind": message.kind, "frame_id": message.frame_id,
+                         "meta": message.meta,
+                         "arrays": list(message.arrays)}).encode("utf-8")
+    parts = [struct.pack(_LENGTH_FORMAT, len(header)), header]
+    for array in message.arrays.values():
+        buffer = io.BytesIO()
+        np.save(buffer, array, allow_pickle=False)
+        parts += [struct.pack(_LENGTH_FORMAT, buffer.tell()),
+                  buffer.getvalue()]
+    return zlib.compress(b"".join(parts))
+
+
 class TestHostileFrames:
-    def test_garbage_bytes_are_a_clean_value_error(self):
+    @pytest.fixture(params=WIRE_FORMATS)
+    def deserialize(self, request):
+        """Decode a crafted raw frame as it would arrive in each framing:
+        the one parser's checks must guard the deflated frame too."""
+        if request.param == WIRE_FORMAT_ZLIB:
+            return lambda frame: deserialize_message(zlib.compress(frame))
+        return deserialize_message
+
+    def test_garbage_bytes_are_a_clean_value_error(self, deserialize):
         for blob in (b"\x00" * 64, b"not a frame at all", b"\xff\xfe\xfd",
                      bytes((_RAW_MAGIC,))):  # magic byte alone, no version
             with pytest.raises(ValueError, match="undecodable"):
-                deserialize_message(blob)
+                deserialize(blob)
 
-    def test_header_length_beyond_blob_rejected(self):
+    def test_truncated_zlib_stream_rejected(self):
+        blob = serialize_message(_sample_message(),
+                                 wire_format=WIRE_FORMAT_ZLIB)
+        with pytest.raises(ValueError, match="truncated"):
+            deserialize_message(blob[:-5])
+
+    def test_legacy_np_save_layout_rejected(self):
+        """A peer still speaking the old zlib layout fails cleanly."""
+        with pytest.raises(ValueError, match="undecodable"):
+            deserialize_message(_legacy_zlib_blob(_sample_message()))
+
+    def test_zlib_bomb_rejected_at_the_cap(self):
+        """The length prefix bounds only the deflated size: 8 MiB of
+        zeros is ~8 KB on the wire, and must not be inflated past the
+        receiver's cap."""
+        bomb = zlib.compress(bytes(8 << 20))
+        assert len(bomb) < 1 << 16
+        with pytest.raises(ValueError, match="cap"):
+            deserialize_message(bomb, max_bytes=1 << 20)
+
+    def test_header_length_beyond_blob_rejected(self, deserialize):
         header, payload = _raw_parts(_sample_message())
         frame = _raw_frame(header, payload)
         # Rewrite the header-length word to claim more bytes than exist.
         lying = frame[:2] + struct.pack(_LENGTH_FORMAT,
                                         len(frame) * 2) + frame[6:]
         with pytest.raises(ValueError, match="truncated"):
-            deserialize_message(lying)
+            deserialize(lying)
 
-    def test_header_overclaiming_shape_rejected(self):
+    def test_header_overclaiming_shape_rejected(self, deserialize):
         """A shape larger than the payload must fail, not read past it."""
         header, payload = _raw_parts(_sample_message())
         name, dtype, shape = header["arrays"][0]
         header["arrays"][0] = [name, dtype, [shape[0] * 1000] + shape[1:]]
         with pytest.raises(ValueError, match="truncated"):
-            deserialize_message(_raw_frame(header, payload))
+            deserialize(_raw_frame(header, payload))
 
-    def test_header_lying_dtype_rejected(self):
+    def test_header_lying_dtype_rejected(self, deserialize):
         """A wider dtype than was sent overruns the payload: clean error."""
         header, payload = _raw_parts(
             Message(kind="frame", arrays={"x": np.zeros(8, np.float32)}))
         name, _, shape = header["arrays"][0]
         header["arrays"][0] = [name, "<c16", shape]  # 16B items, 4B sent
         with pytest.raises(ValueError, match="truncated"):
-            deserialize_message(_raw_frame(header, payload))
+            deserialize(_raw_frame(header, payload))
 
-    def test_overflowing_shape_product_rejected(self):
+    def test_overflowing_shape_product_rejected(self, deserialize):
         """A shape whose element product overflows int64 must still fail
         the size check: a wrapped product of 0 (or negative, which
         np.frombuffer reads as 'the whole buffer') would slip past it."""
@@ -282,41 +348,41 @@ class TestHostileFrames:
             name, dtype, _ = header["arrays"][0]
             header["arrays"][0] = [name, dtype, shape]
             with pytest.raises(ValueError, match="truncated"):
-                deserialize_message(_raw_frame(header, payload))
+                deserialize(_raw_frame(header, payload))
 
-    def test_negative_shape_dimension_rejected(self):
+    def test_negative_shape_dimension_rejected(self, deserialize):
         """count=-1 means 'read everything' to np.frombuffer: must never
         reach it from a wire header."""
         header, payload = _raw_parts(_sample_message())
         name, dtype, shape = header["arrays"][0]
         header["arrays"][0] = [name, dtype, [-1] + shape[1:]]
         with pytest.raises(ValueError, match="invalid shape"):
-            deserialize_message(_raw_frame(header, payload))
+            deserialize(_raw_frame(header, payload))
 
-    def test_non_integer_shape_dimension_rejected(self):
+    def test_non_integer_shape_dimension_rejected(self, deserialize):
         header, payload = _raw_parts(_sample_message())
         name, dtype, shape = header["arrays"][0]
         header["arrays"][0] = [name, dtype, ["12"] + shape[1:]]
         with pytest.raises(ValueError, match="invalid shape"):
-            deserialize_message(_raw_frame(header, payload))
+            deserialize(_raw_frame(header, payload))
 
-    def test_invalid_json_header_rejected(self):
+    def test_invalid_json_header_rejected(self, deserialize):
         frame = _raw_frame({}, b"")
         broken = frame[:6] + b"{nope!" + frame[8:]
         with pytest.raises(ValueError):
-            deserialize_message(broken)
+            deserialize(broken)
 
-    def test_missing_header_keys_rejected(self):
+    def test_missing_header_keys_rejected(self, deserialize):
         frame = _raw_frame({"arrays": []}, b"")  # no kind/frame_id/meta
         with pytest.raises(ValueError, match="undecodable"):
-            deserialize_message(frame)
+            deserialize(frame)
 
-    def test_invalid_dtype_string_rejected(self):
+    def test_invalid_dtype_string_rejected(self, deserialize):
         header, payload = _raw_parts(_sample_message())
         name, _, shape = header["arrays"][0]
         header["arrays"][0] = [name, "not-a-dtype", shape]
         with pytest.raises(ValueError):
-            deserialize_message(_raw_frame(header, payload))
+            deserialize(_raw_frame(header, payload))
 
 
 class TestSocketFraming:
@@ -331,13 +397,14 @@ class TestSocketFraming:
         ours.close()
         theirs.close()
 
-    def test_roundtrip_records_wire_bytes(self, pair):
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_roundtrip_records_wire_bytes(self, pair, wire_format):
         ours, theirs = pair
-        blob = serialize_message(_sample_message(),
-                                 wire_format=WIRE_FORMAT_RAW)
+        blob = serialize_message(_sample_message(), wire_format=wire_format)
         send_payload(theirs, blob)
         message = recv_message(ours)
         assert message.frame_id == 7
+        assert message.wire_format == wire_format
         assert message.wire_bytes == len(blob) + _LENGTH_SIZE
 
     def test_clean_close_returns_none(self, pair):
@@ -376,6 +443,12 @@ class TestSocketFraming:
         with pytest.raises(ConnectionError, match="cap"):
             recv_message(ours, max_bytes=1024)
         assert 2048 <= MAX_MESSAGE_BYTES  # the default would have allowed it
+
+    def test_cap_also_bounds_what_a_frame_inflates_to(self, pair):
+        ours, theirs = pair
+        send_payload(theirs, zlib.compress(bytes(8 << 20)))  # ~8 KB sent
+        with pytest.raises(ValueError, match="cap"):
+            recv_message(ours, max_bytes=1 << 20)
 
 
 class TestServerSurvivesHostileClients:
@@ -435,6 +508,36 @@ class TestServerSurvivesHostileClients:
                                       timeout=10.0) as sock:
             send_payload(sock, _raw_frame(header, payload))
             self._assert_connection_dropped(sock)
+        self._assert_still_serving(server, device_fn, frames)
+
+    def test_zlib_bomb_drops_connection_only(self, serving, monkeypatch):
+        """A small frame that inflates past the cap is refused, not
+        expanded.  The cap is lowered to 1 MiB for the test — proving it
+        at the 256 MiB default would mean inflating that much here."""
+        from repro.system import transport
+
+        refusals = []
+
+        def capped(decode):
+            def call(*args):
+                try:
+                    return decode(*args, max_bytes=1 << 20)
+                except ValueError as exc:
+                    refusals.append(str(exc))
+                    raise
+            return call
+
+        # The threaded frontend decodes in recv_message, the async one
+        # calls deserialize_message itself.
+        for name in ("recv_message", "deserialize_message"):
+            monkeypatch.setattr(transport, name,
+                                capped(getattr(transport, name)))
+        server, device_fn, frames = serving
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            send_payload(sock, zlib.compress(bytes(8 << 20)))
+            self._assert_connection_dropped(sock)
+        assert len(refusals) == 1 and "message cap" in refusals[0]
         self._assert_still_serving(server, device_fn, frames)
 
     def test_oversize_prefix_drops_connection_only(self, serving):

@@ -1,4 +1,5 @@
 """Checker modules — importing this package registers all of them."""
 
 from . import (arena_aliasing, dtype_discipline, layering,  # noqa: F401
-               lock_discipline, message_kinds, sleep_discipline)
+               lock_discipline, message_kinds, results_hygiene,
+               sleep_discipline)

@@ -142,3 +142,12 @@ SLEEP_EXEMPT_FILES = frozenset({
 SLEEP_EXEMPT_DIRS = frozenset({
     "tests/reprolint_fixtures",
 })
+
+# ----------------------------------------------------------------------
+# results-hygiene: committed benchmark outputs are read-only for tests —
+# nothing under the scan dir may open a path inside the protected
+# directory (given as its trailing path components) for writing.
+# ----------------------------------------------------------------------
+RESULTS_SCAN_DIR = "tests"
+RESULTS_PROTECTED_DIR = ("benchmarks", "results")
+RESULTS_EXEMPT_DIRS = SLEEP_EXEMPT_DIRS  # the known-bad checker fixtures
