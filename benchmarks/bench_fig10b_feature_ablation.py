@@ -106,5 +106,5 @@ def test_fig10b_feature_ablation(benchmark, ablation_scores):
         # (paper: >88%).  Note that in this reproduction the "measured"
         # ground truth comes from the same analytical hardware model the LUT
         # is built from, so the LUT scores higher here than on a physical
-        # testbed — see EXPERIMENTS.md.
+        # testbed.
         assert scores["LUT"][1] >= 80.0, system

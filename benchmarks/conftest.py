@@ -4,7 +4,7 @@ Every benchmark regenerates one table or figure of the paper.  The expensive
 shared work — training the one-shot supernets that provide candidate accuracy
 for GCoDE and the NAS baselines — happens once per session here.
 
-Scaling note (also recorded in EXPERIMENTS.md): accuracy is measured on the
+Scaling note: accuracy is measured on the
 synthetic datasets at reduced point counts so the suite runs in minutes,
 while latency/energy are modelled at the paper's full data scale (1024-point
 clouds, 300-dimensional MR word graphs) through the hardware simulator.  The

@@ -1,8 +1,9 @@
 """GCoDE reproduction: automated GNN design and deployment for device-edge co-inference.
 
 Reproduction of "Graph Neural Networks Automated Design and Deployment on
-Device-Edge Co-Inference Systems" (DAC 2024).  See DESIGN.md for the system
-inventory and EXPERIMENTS.md for the paper-vs-measured comparison.
+Device-Edge Co-Inference Systems" (DAC 2024).  See docs/architecture.md for
+the system inventory; the paper-vs-measured comparison is not written yet
+(ROADMAP.md, open item 5).
 
 Subpackages
 -----------

@@ -481,9 +481,10 @@ class ServingCallables:
     they share the same (non-thread-safe) :class:`ArchitectureModel`; a
     field is ``None`` when its callable was not requested from the builder.
 
-    ``plans`` holds the compiled :class:`~repro.runtime.plan.InferencePlan`
-    objects behind the callables (empty for eager callables) so owners can
-    observe and release their buffer arenas — see :meth:`release_buffers`.
+    ``plans`` holds the one compiled :class:`~repro.runtime.plan.
+    InferencePlan` behind the callables (empty for eager callables) so
+    owners can observe and release its buffer arenas — see
+    :meth:`release_buffers`.
     """
 
     device_fn: Optional[Callable[[Batch], FrameState]] = None
@@ -519,12 +520,12 @@ def _build_callables(model: ArchitectureModel, config, *,
     place its ``runtime``/``dtype``/``segments``/``precision``/``backend``
     knobs are resolved into engine callables, so no public builder
     re-threads them.  ``split`` / ``batched`` select which callables to
-    build (each compiles its own plan with its own arena: the per-frame
-    arena keeps stable single-frame buffer shapes while the batched arena
-    tracks the realized micro-batch shapes).  When ``lock`` is given, every
-    built callable is serialized through it — :class:`ArchitectureModel` is
-    not thread-safe (its operations share one random generator), so nothing
-    may run the *same* model concurrently.
+    build; all of them run the entry's one compiled plan (the requested
+    split segments, plus ``"edge"`` when batched — arenas are per thread,
+    so the callables never contend for buffers).  When ``lock`` is given,
+    every built callable is serialized through it —
+    :class:`ArchitectureModel` is not thread-safe (its operations share one
+    random generator), so nothing may run the *same* model concurrently.
 
     ``entry_name`` selects the per-entry precision from the config's
     ``precision_policy``.  For int8 entries, activation scales come from one
@@ -537,42 +538,34 @@ def _build_callables(model: ArchitectureModel, config, *,
                  if hasattr(config, "precision_for")
                  else np.dtype(np.float64 if config.dtype is None
                                else config.dtype).name)
+    segments = set()
+    if split:
+        segments.update(config.segments or ("device", "edge"))
+    if batched:
+        segments.add("edge")
+    segments = tuple(sorted(segments))
     calibration = None
     if precision == "int8" and config.runtime != "eager":
         from ..runtime import calibrate, synthetic_calibration_frames
-        segments = set()
-        if split:
-            segments.update(config.segments or ("device", "edge"))
-        if batched:
-            segments.add("edge")
         frames = calibration_frames
         if not frames:
             frames = synthetic_calibration_frames(model.in_dim, seed=0)
-        calibration = calibrate(model, frames,
-                                segments=tuple(sorted(segments)))
+        calibration = calibrate(model, frames, segments=segments)
+    plan = _resolve_plan(model, config, segments=segments,
+                         precision=precision, calibration=calibration)
     device_fn = edge_fn = batch_fn = None
-    plans: List[InferencePlan] = []
     if split:
-        segments = config.segments or ("device", "edge")
-        plan = _resolve_plan(model, config, segments=segments,
-                             precision=precision, calibration=calibration)
-        if plan is not None:
-            plans.append(plan)
         device_fn, edge_fn = (_split_callables_eager(model) if plan is None
                               else _split_callables_plan(model, plan))
     if batched:
-        batch_plan = _resolve_plan(model, config, segments=("edge",),
-                                   precision=precision,
-                                   calibration=calibration)
-        if batch_plan is not None:
-            plans.append(batch_plan)
-        batch_fn = _batched_edge_fn_impl(model, batch_plan)
+        batch_fn = _batched_edge_fn_impl(model, plan)
     if lock is not None:
         device_fn = _serialized(device_fn, lock) if device_fn else None
         edge_fn = _serialized(edge_fn, lock) if edge_fn else None
         batch_fn = _serialized(batch_fn, lock) if batch_fn else None
     return ServingCallables(device_fn=device_fn, edge_fn=edge_fn,
-                            batch_fn=batch_fn, plans=tuple(plans))
+                            batch_fn=batch_fn,
+                            plans=() if plan is None else (plan,))
 
 
 def _serialized(fn: Callable, lock: threading.Lock) -> Callable:

@@ -3,7 +3,7 @@
 The paper trains its predictor on ~9K co-inference architectures whose
 latencies were measured on the physical testbed.  Here the "measurement" is
 the hardware simulator with runtime overheads and optional multiplicative
-measurement noise — see DESIGN.md for the substitution rationale — but the
+measurement noise (there is no physical testbed here), but the
 pipeline (sample valid architectures → label → 70/30 split → train with MAPE)
 is unchanged.
 """

@@ -12,8 +12,8 @@ analytical model reproduces the paper's measured anchors:
   i7 for MR, and the Pi is uniformly slow;
 * DGCNN Device-Only energy: ≈ 2.6 J on TX2 and ≈ 5.6 J on the Pi (Table 2).
 
-Absolute numbers are a model, not a measurement — EXPERIMENTS.md reports the
-paper-vs-measured comparison for every experiment.
+Absolute numbers are a model, not a measurement; the per-experiment
+paper-vs-measured comparison is not written yet (ROADMAP.md, open item 5).
 """
 
 from __future__ import annotations

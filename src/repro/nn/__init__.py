@@ -3,8 +3,7 @@
 The public surface mirrors a small subset of PyTorch: :class:`Tensor` with
 reverse-mode autograd, :class:`Module`-based layers, optimizers and loss
 functions.  It exists because the original paper builds on PyTorch /
-PyTorch Geometric, which are not available in this environment; see
-DESIGN.md for the substitution rationale.
+PyTorch Geometric, which are not available in this environment.
 """
 
 from .tensor import Tensor, as_tensor, concat, stack, where, maximum, no_grad, is_grad_enabled

@@ -5,8 +5,8 @@ loop the shared-memory shards run — reached over TCP instead of a ring
 buffer, so a fleet of machines can serve the same zoo the way one box's
 cores do.  Everything above the transport is shared code: the same JSON zoo
 payload bootstrap (same seed → bit-identical replica weights), the same
-``frame``/``batch``/``publish`` envelope kinds in the versioned raw wire
-framing, the same idempotent snapshot replication and pin checks.
+``frame``/``publish`` envelope kinds in the versioned raw wire framing, the
+same idempotent snapshot replication and pin checks.
 
 Handshake
 ---------

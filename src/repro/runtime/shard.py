@@ -73,14 +73,14 @@ import struct
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT, KIND_STOP,
                                Message, NODE_KIND_PING, NODE_KIND_PONG,
-                               SHARD_KIND_BATCH, SHARD_KIND_PUBLISH,
-                               SHARD_KIND_PUBLISHED, SHARD_KIND_READY,
-                               WIRE_FORMAT_RAW, deserialize_message,
-                               serialize_message)
+                               SHARD_KIND_PUBLISH, SHARD_KIND_PUBLISHED,
+                               SHARD_KIND_READY, WIRE_FORMAT_RAW,
+                               deserialize_message, pack_frames,
+                               serialize_message, unpack_frames)
 
 try:  # Not every platform ships POSIX shared memory (notably some BSDs
     # and restricted containers); the serving layer then falls back to
@@ -359,13 +359,7 @@ class ShardChannel:
 
     @property
     def max_message_bytes(self) -> Optional[int]:
-        """Largest message this channel can carry (``None`` = unbounded).
-
-        Callers shipping multi-envelope sequences (batches) must check
-        every envelope against this *before* sending the first one — a
-        mid-sequence size failure would leave the peer waiting for
-        envelopes that never come.
-        """
+        """Largest message this channel can carry (``None`` = unbounded)."""
         capacity = getattr(self._send, "capacity", None)
         return None if capacity is None else capacity - _FRAME_PREFIX_BYTES
 
@@ -532,14 +526,12 @@ class _EnvelopeChannel:
         self.channel.send_bytes(serialize_message(message,
                                                   wire_format=WIRE_FORMAT_RAW))
 
-    def reply_error(self, corr: int, exc: BaseException,
-                    batch_index: Optional[int] = None) -> None:
+    def reply_error(self, corr: int, exc: BaseException) -> None:
         """Answer ``corr`` with ``exc`` and the traceback being handled."""
         try:
             self.reply(Message(kind=KIND_ERROR, frame_id=corr,
                                meta={"error": f"{type(exc).__name__}: {exc}",
-                                     "traceback": traceback.format_exc()},
-                               batch_index=batch_index))
+                                     "traceback": traceback.format_exc()}))
         except Exception:  # peer gone: nothing left to tell
             pass
 
@@ -549,7 +541,7 @@ class ReplicaCore:
 
     Everything a shard worker does *between* transport reads and writes
     lives here — building the repository from a JSON bootstrap, executing
-    frames/batches, installing replicated snapshots, answering heartbeats —
+    requests, installing replicated snapshots, answering heartbeats —
     parameterized over an :class:`_EnvelopeChannel`.  The
     shared-memory shard worker (:func:`_shard_main`) and the TCP cluster
     node (:mod:`repro.runtime.node`) are the same core behind different
@@ -588,8 +580,7 @@ class ReplicaCore:
         """
         from ..serving.repository import SNAPSHOT_META_KEY
         repository = self.repository
-        read_envelope, reply = link.read_envelope, link.reply
-        reply_error = link.reply_error
+        reply, reply_error = link.reply, link.reply_error
 
         def check_pin(frame_meta) -> None:
             """Fail loudly on a pin this replica cannot honor yet.
@@ -609,86 +600,39 @@ class ReplicaCore:
                     f"only holds up to v{repository.version} — snapshot "
                     "replication lagged behind the parent swap")
 
-        def handle_frame(message: Message) -> None:
+        def handle_request(message: Message) -> None:
             corr = message.frame_id
             try:
                 entry = message.meta["entry"]
-                frame_meta = message.meta["frame"]
-                check_pin(frame_meta)
+                frames = unpack_frames(message.arrays, message.meta["frames"])
+                for _, frame_meta in frames:
+                    check_pin(frame_meta)
                 started = time.perf_counter()
-                arrays, out_meta = repository.edge_router(entry)(
-                    dict(message.arrays), frame_meta)
+                if message.meta["batched"]:
+                    results = repository.batch_router(entry)(frames)
+                else:
+                    edge_fn = repository.edge_router(entry)
+                    results = [edge_fn(*frame) for frame in frames]
                 elapsed = time.perf_counter() - started
+                arrays, metas = pack_frames(results)
             except Exception as exc:
+                # One error for the whole request.  For a batched one the
+                # parent's batched router raises, and the engine re-runs
+                # the frames per frame so the failure isolates to the
+                # offending one (the same fallback contract in-process
+                # batched serving has).
                 reply_error(corr, exc)
                 return
-            self.frames_served += 1
+            self.frames_served += len(results)
             try:
                 reply(Message(kind=KIND_RESULT, frame_id=corr, arrays=arrays,
-                              meta={"frame": out_meta,
+                              meta={"frames": metas,
                                     "service_time_s": elapsed}))
             except Exception as exc:
                 # A result that cannot be shipped (larger than the response
-                # ring, parent stalled) must degrade to one per-frame
-                # error, not kill the whole worker.
+                # ring, parent stalled) must degrade to one error for the
+                # request, not kill the whole worker.
                 reply_error(corr, exc)
-
-        def handle_batch(header: Message) -> Optional[Message]:
-            """Collect and execute one batch; returns a stray envelope.
-
-            The pool writes the header and its frames back-to-back under
-            one send lock, so they are contiguous on the transport.
-            Defensively, an envelope that is not one of this batch's frames
-            (a desynced parent after a mid-sequence transport failure)
-            aborts the batch — the parent already failed it on its side —
-            and is handed back to the main loop for normal processing
-            instead of being swallowed.
-            """
-            corr = header.frame_id
-            count = int(header.meta["count"])
-            entry = header.meta["entry"]
-            requests = []
-            deadline = time.monotonic() + 30.0
-            while len(requests) < count:
-                message = read_envelope(0.2)
-                if message is not None:
-                    if message.kind != KIND_FRAME or message.frame_id != corr:
-                        reply_error(corr, RuntimeError(
-                            f"batch {corr} truncated: expected frame "
-                            f"{len(requests)}/{count}, got a "
-                            f"{message.kind!r} envelope"))
-                        return message
-                    requests.append((dict(message.arrays),
-                                     message.meta["frame"]))
-                elif time.monotonic() > deadline or not _parent_alive():
-                    return None  # truncated batch from a dead peer: drop it
-            try:
-                for _, frame_meta in requests:
-                    check_pin(frame_meta)
-                started = time.perf_counter()
-                results = repository.batch_router(entry)(requests)
-                elapsed = time.perf_counter() - started
-            except Exception as exc:
-                # One error for the whole batch: the parent's batched
-                # router raises, and the engine re-runs the frames per
-                # frame so the failure isolates to the offending request
-                # (the same fallback contract in-process batched serving
-                # has).
-                reply_error(corr, exc)
-                return None
-            self.frames_served += len(results)
-            share = elapsed / max(len(results), 1)
-            for index, (arrays, out_meta) in enumerate(results):
-                try:
-                    reply(Message(kind=KIND_RESULT, frame_id=corr,
-                                  arrays=arrays,
-                                  meta={"frame": out_meta,
-                                        "service_time_s": share},
-                                  batch_index=index))
-                except Exception as exc:
-                    # Per-index degradation, same rationale as handle_frame.
-                    reply_error(corr, exc, batch_index=index)
-            return None
 
         def handle_publish(message: Message) -> None:
             corr = message.frame_id
@@ -716,28 +660,22 @@ class ReplicaCore:
             except Exception:  # peer gone mid-heartbeat: the probe's
                 pass           # timeout handles it
 
-        stray: Optional[Message] = None
         while True:
-            if stray is not None:
-                message, stray = stray, None
-            else:
-                try:
-                    message = read_envelope(0.5)
-                except PeerClosed:  # orderly shutdown: nothing to report
-                    break
-                except Exception as exc:  # bad bytes: broken protocol
-                    reply_error(0, exc)
-                    break
-                if message is None:
-                    if not _parent_alive():
-                        break  # orphaned worker: exit instead of spinning
-                    continue
+            try:
+                message = link.read_envelope(0.5)
+            except PeerClosed:  # orderly shutdown: nothing to report
+                break
+            except Exception as exc:  # bad bytes: broken protocol
+                reply_error(0, exc)
+                break
+            if message is None:
+                if not _parent_alive():
+                    break  # orphaned worker: exit instead of spinning
+                continue
             if message.kind == KIND_STOP:
                 break
             if message.kind == KIND_FRAME:
-                handle_frame(message)
-            elif message.kind == SHARD_KIND_BATCH:
-                stray = handle_batch(message)
+                handle_request(message)
             elif message.kind == SHARD_KIND_PUBLISH:
                 handle_publish(message)
             elif message.kind == NODE_KIND_PING:

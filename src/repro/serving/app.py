@@ -34,6 +34,7 @@ from .config import ClientConfig, RuntimeConfig, ServingConfig
 from .repository import ModelRepository
 from .sharding import ShardPool, sharding_supported
 from .supervisor import Supervisor
+from .workers import WorkerPool
 
 
 def _as_serving_config(config: Union[ServingConfig, Mapping, None]
@@ -84,8 +85,9 @@ class ServingApp:
                     f"node_processes serve addresses absent from "
                     f"config.cluster.nodes: {unknown}")
         self._server: Optional[EdgeServer] = None
-        self._pool: Optional[ShardPool] = None
-        self._cluster: Optional[ClusterPool] = None
+        #: The one worker pool behind this app — a ShardPool or a
+        #: ClusterPool (the configs are mutually exclusive), else None.
+        self._workers: Optional[WorkerPool] = None
         self._supervisor: Optional[Supervisor] = None
         self._closed = False
 
@@ -149,7 +151,7 @@ class ServingApp:
         sharding = self.config.sharding
         if sharding.enabled:
             if sharding_supported(sharding.transport):
-                self._pool = ShardPool(self.repository, sharding).start()
+                self._workers = ShardPool(self.repository, sharding).start()
             else:
                 warnings.warn(
                     f"sharding requested ({sharding.num_shards} shards, "
@@ -161,23 +163,17 @@ class ServingApp:
             # names concrete machines, and silently serving without them
             # would hide a deployment failure.  start() raises if any node
             # is unreachable; node deaths *after* startup are handled by
-            # heartbeat failover instead.
-            try:
-                # Owned replicas are handed over only to a supervised app:
-                # without a supervisor nothing ever restarted them.
-                self._cluster = ClusterPool(
-                    self.repository, self.config.cluster,
-                    node_processes=self._node_processes
-                    if self.config.supervisor.enabled else ()).start()
-            except Exception:
-                if self._pool is not None:  # pragma: no cover - configs
-                    self._pool.stop()       # are mutually exclusive
-                    self._pool = None
-                raise
+            # heartbeat failover instead.  Owned replicas are handed over
+            # only to a supervised app: without a supervisor nothing ever
+            # restarted them.
+            self._workers = ClusterPool(
+                self.repository, self.config.cluster,
+                node_processes=self._node_processes
+                if self.config.supervisor.enabled else ()).start()
         server_config, batching = self.config.server, self.config.batching
-        backend = self._pool if self._pool is not None else self._cluster
+        workers = self._workers
         try:
-            if backend is not None:
+            if workers is not None:
                 # Publishes must replicate to every shard/node *before* the
                 # local swap (pre-swap preparer), so no frame is ever
                 # stamped with a snapshot version a live replica does not
@@ -189,8 +185,8 @@ class ServingApp:
                 # the preparer list pre-registration and swap
                 # post-sync, invisible to both.
                 with self.repository.publish_barrier():
-                    self.repository.add_preparer(backend.prepare_publish)
-                    backend.sync(self.repository.snapshot())
+                    self.repository.add_preparer(workers.prepare_publish)
+                    workers.sync(self.repository.snapshot())
             self._server = EdgeServer(
                 edge_fns=self._edge_fns(),
                 batch_fns=self._batch_fns(),
@@ -203,16 +199,13 @@ class ServingApp:
                 session_log_limit=server_config.session_log_limit,
                 max_batch_size=batching.max_batch_size,
                 max_wait_ms=batching.max_wait_ms,
-                shard_stats=self._pool.stats if self._pool is not None
-                else None,
-                node_stats=self._cluster.stats if self._cluster is not None
-                else None).start()
+                shard_stats=workers.stats if self.sharded else None,
+                node_stats=workers.stats if self.clustered else None).start()
         except Exception:
-            if backend is not None:
-                self.repository.remove_preparer(backend.prepare_publish)
-                backend.stop()
-                self._pool = None
-                self._cluster = None
+            if workers is not None:
+                self.repository.remove_preparer(workers.prepare_publish)
+                workers.stop()
+                self._workers = None
             raise
         self.repository.subscribe(self._on_publish)
         # A publish may have landed between reading the routers above and
@@ -222,46 +215,36 @@ class ServingApp:
         # repository; shard replication is already covered by the preparer
         # registered above).
         self._on_publish(self.repository.snapshot())
-        pools = [pool for pool in (self._pool, self._cluster)
-                 if pool is not None]
-        if self.config.supervisor.enabled and pools:
+        if self.config.supervisor.enabled and workers is not None:
             self._supervisor = Supervisor(self.config.supervisor,
-                                          pools).start()
+                                          [workers]).start()
         return self
 
     def _edge_fns(self):
-        if self._pool is not None:
-            return self._pool.edge_fns()
-        if self._cluster is not None:
-            return self._cluster.edge_fns()
-        return self.repository.edge_fns()
+        return (self._workers or self.repository).edge_fns()
 
     def _batch_fns(self):
-        if self._pool is not None:
-            return self._pool.batch_fns()
-        if self._cluster is not None:
-            return self._cluster.batch_fns()
-        return self.repository.batch_fns()
+        return (self._workers or self.repository).batch_fns()
 
     @property
     def sharded(self) -> bool:
         """True when this app serves through a process-parallel shard pool."""
-        return self._pool is not None
+        return isinstance(self._workers, ShardPool)
 
     @property
     def shard_pool(self) -> Optional[ShardPool]:
         """The shard pool behind this app (``None`` for in-process serving)."""
-        return self._pool
+        return self._workers if self.sharded else None
 
     @property
     def clustered(self) -> bool:
         """True when this app routes frames to a fleet of replica nodes."""
-        return self._cluster is not None
+        return isinstance(self._workers, ClusterPool)
 
     @property
     def cluster_pool(self) -> Optional[ClusterPool]:
         """The cluster pool behind this app (``None`` when not clustered)."""
-        return self._cluster
+        return self._workers if self.clustered else None
 
     @property
     def supervisor(self) -> Optional[Supervisor]:
@@ -299,16 +282,12 @@ class ServingApp:
         if self._supervisor is not None:
             self._supervisor.stop()
         self.repository.unsubscribe(self._on_publish)
-        if self._pool is not None:
-            self.repository.remove_preparer(self._pool.prepare_publish)
-        if self._cluster is not None:
-            self.repository.remove_preparer(self._cluster.prepare_publish)
+        if self._workers is not None:
+            self.repository.remove_preparer(self._workers.prepare_publish)
         if self._server is not None:
             self._server.stop()
-        if self._pool is not None:
-            self._pool.stop()
-        if self._cluster is not None:
-            self._cluster.stop()
+        if self._workers is not None:
+            self._workers.stop()
 
     def __enter__(self) -> "ServingApp":
         if self._server is None and not self._closed:

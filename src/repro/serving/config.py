@@ -284,7 +284,8 @@ class ShardingConfig(_Config):
         "over ``multiprocessing.Pipe`` (kernel-ordered: for weak-memory ISAs)")
     ring_bytes: int = knob(
         4 * 1024 * 1024, int, "Capacity of each request/response ring (4 MiB);"
-        " a frame must fit: a few times the largest raw-framed frame",
+        " a request must fit: ``max_batch_size`` × the largest raw-framed "
+        "frame",
         min=64 * 1024, unit="B")
     request_timeout_s: float = knob(
         60.0, float, "Round-trip bound before a wedged shard is treated as "

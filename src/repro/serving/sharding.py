@@ -24,10 +24,10 @@ Guarantees preserved across the process boundary
   their weights (and therefore logits) are numerically identical to the
   parent's.
 * **Batch purity** — a coalesced micro-batch travels to one shard in one
-  envelope sequence and is executed by the shard's snapshot-grouping batch
-  router, exactly like the in-process path.
-* **Error isolation** — a failing frame comes back as a per-frame error
-  envelope; a failing batched call raises in the parent's ``batch_fn`` so
+  envelope and is executed by the shard's snapshot-grouping batch router,
+  exactly like the in-process path.
+* **Error isolation** — a failing request comes back as one error
+  envelope; for a batched one that raises in the parent's ``batch_fn`` so
   the engine's per-frame fallback isolates the offending frame; a *crashed*
   shard fails its in-flight requests with
   :class:`~repro.runtime.shard.ShardCrashedError` (a ``ConnectionError``)

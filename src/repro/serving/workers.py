@@ -10,9 +10,10 @@ parent-side mechanism, written once here:
   (``send_bytes(blob, timeout)``, ``recv_bytes(timeout) -> Optional[bytes]``,
   ``close()``, ``unlink()``, ``max_message_bytes`` — the surface
   :class:`~repro.runtime.shard.ShardChannel` defines): correlation ids,
-  atomic envelope sequences, a reader thread completing replies out of
-  order, crash propagation to every in-flight request, heartbeat probes
-  and the cumulative counters behind ``ShardStats``/``NodeStats``.
+  one self-contained envelope per request and per reply, a reader thread
+  completing replies out of order, crash propagation to every in-flight
+  request, heartbeat probes and the cumulative counters behind
+  ``ShardStats``/``NodeStats``.
 * :class:`WorkerPool` — the slots those links fill: start, routing
   callables, publish replication before the parent swap, respawn under the
   tier's publish exclusion, and the slot bookkeeping (restarts, quarantine,
@@ -35,10 +36,10 @@ from ..core.executor import ArrayDict, FrameState
 from ..runtime.shard import zoo_to_payload
 from ..system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT,
                                KIND_STOP, Message, NODE_KIND_PING,
-                               NODE_KIND_PONG, SHARD_KIND_BATCH,
-                               SHARD_KIND_PUBLISH, SHARD_KIND_PUBLISHED,
-                               SHARD_KIND_READY, WIRE_FORMAT_RAW,
-                               deserialize_message, serialize_message)
+                               NODE_KIND_PONG, SHARD_KIND_PUBLISH,
+                               SHARD_KIND_PUBLISHED, SHARD_KIND_READY,
+                               WIRE_FORMAT_RAW, deserialize_message,
+                               pack_frames, serialize_message, unpack_frames)
 from ..system.scheduler import BackpressureError
 from .repository import ModelRepository, ServingSnapshot
 
@@ -50,25 +51,18 @@ _READ_POLL_S = 0.2
 
 
 class _PendingReply:
-    """Parent-side slot for one in-flight worker request (frame or batch)."""
+    """Parent-side slot for one in-flight worker request."""
 
-    __slots__ = ("event", "count", "results", "error", "received")
+    __slots__ = ("event", "result", "error")
 
-    def __init__(self, count: int) -> None:
+    def __init__(self) -> None:
         self.event = threading.Event()
-        self.count = count
-        self.results: List[Optional[Tuple[ArrayDict, Dict, float]]] = \
-            [None] * count
+        self.result: Optional[Message] = None
         self.error: Optional[BaseException] = None
-        self.received = 0
 
-    def complete_index(self, index: int,
-                       result: Tuple[ArrayDict, Dict, float]) -> None:
-        if 0 <= index < self.count and self.results[index] is None:
-            self.results[index] = result
-            self.received += 1
-        if self.received >= self.count:
-            self.event.set()
+    def complete(self, result: Message) -> None:
+        self.result = result
+        self.event.set()
 
     def fail(self, exc: BaseException) -> None:
         self.error = exc
@@ -93,8 +87,8 @@ class WorkerLink:
     process (everything queued behind a wedged request would time out
     too), a node closes its socket (unblocking the reader and telling the
     peer) — and must be safe against concurrent senders.
-    ``shed_timeout_s`` bounds the wait for room before the *first* byte of
-    a request (see :meth:`_send`); ``None`` never sheds.
+    ``shed_timeout_s`` bounds a request's wait for room on the channel
+    (see :meth:`_send`); ``None`` never sheds.
     """
 
     def __init__(self, label: str, channel, *,
@@ -121,9 +115,8 @@ class WorkerLink:
         #: is never declared dead for answering pongs late.
         self.last_seen = time.monotonic()
         self._lock = threading.Lock()
-        #: One send lock per link: an envelope sequence (batch header +
-        #: frames) is never interleaved with another thread's envelope —
-        #: a ping landing mid-batch would desync the worker's protocol.
+        #: One send lock per link: the channels are single-producer (two
+        #: threads writing the ring at once would tear both envelopes).
         self._send_lock = threading.Lock()
         self._pending: Dict[int, _PendingReply] = {}
         self._corr = itertools.count(1)
@@ -183,7 +176,7 @@ class WorkerLink:
     def hello(self, meta: Dict) -> None:
         """Ship a bootstrap hello (a worker that starts *empty* — a node —
         builds its replica from it and answers ``ready``)."""
-        self._send([Message(kind=SHARD_KIND_PUBLISH, meta=dict(meta))])
+        self._send(Message(kind=SHARD_KIND_PUBLISH, meta=dict(meta)))
 
     def wait_ready(self, timeout: float) -> None:
         """Block until the worker announced ``ready``; raises the tier's
@@ -199,72 +192,57 @@ class WorkerLink:
                 f"{self.ready_error or 'worker exited'}")
 
     # -- request plumbing ----------------------------------------------
-    def _register(self, count: int) -> Tuple[int, _PendingReply]:
-        reply = _PendingReply(count)
-        with self._lock:
-            if self.crashed:
-                raise self.crash_error(f"{self.label} already crashed")
-            corr = next(self._corr)
-            self._pending[corr] = reply
-        return corr, reply
-
     def _forget(self, corr: int) -> None:
         with self._lock:
             self._pending.pop(corr, None)
 
-    def _send(self, messages: Sequence[Message],
-              timeout: Optional[float] = None,
+    def _send(self, message: Message, timeout: Optional[float] = None,
               shed_timeout: Optional[float] = None) -> None:
-        """Ship one or more envelopes back-to-back (atomic on the channel).
+        """Ship one envelope, size-checked against the transport first.
 
-        Every envelope is serialized and size-checked against the
-        transport *before* the first one is written: a mid-sequence
-        failure would desync the worker's protocol (it would swallow
-        unrelated envelopes as the missing frames of a half-sent batch).
-
-        ``shed_timeout`` bounds the wait for the *first* envelope only: a
-        channel with no room within it raises
-        :class:`~repro.system.scheduler.BackpressureError` — nothing has
-        been written yet, so shedding is safe and the worker stays healthy
-        (shed *before* the ring, never after).  Once the first envelope is
-        on the channel the full ``timeout`` applies: giving up
-        mid-sequence would desync the protocol, so from there on a timeout
-        keeps the crash semantics.
+        ``shed_timeout`` bounds the wait for room: a channel with none
+        within it raises :class:`~repro.system.scheduler.BackpressureError`
+        — an envelope is written whole or not at all, so shedding is safe
+        and the worker stays healthy (shed *before* the ring, never after).
+        Without it a full channel for ``timeout`` keeps the crash semantics.
         """
-        blobs = [serialize_message(message, wire_format=WIRE_FORMAT_RAW)
-                 for message in messages]
+        blob = serialize_message(message, wire_format=WIRE_FORMAT_RAW)
         limit = self.channel.max_message_bytes
-        if limit is not None:
-            for blob in blobs:
-                if len(blob) > limit:
-                    raise ValueError(
-                        f"envelope of {len(blob)} bytes exceeds the "
-                        f"{limit}-byte message limit of {self.label}'s "
-                        "channel — raise ShardingConfig.ring_bytes for "
-                        "frames this large")
+        if limit is not None and len(blob) > limit:
+            raise ValueError(
+                f"envelope of {len(blob)} bytes exceeds the {limit}-byte "
+                f"message limit of {self.label}'s channel — raise "
+                "ShardingConfig.ring_bytes for requests this large")
         timeout = self.request_timeout_s if timeout is None else timeout
         with self._send_lock:
             if self.crashed:
                 raise self.crash_error(f"{self.label} is not connected")
-            for index, blob in enumerate(blobs):
-                if index == 0 and shed_timeout is not None:
-                    try:
-                        sent = self.channel.send_bytes(
-                            blob, timeout=min(shed_timeout, timeout))
-                    except TimeoutError as exc:
-                        raise BackpressureError(
-                            f"{self.label} had no room within "
-                            f"{shed_timeout:.3f}s") from exc
-                else:
-                    sent = self.channel.send_bytes(blob, timeout=timeout)
-                with self._lock:
-                    self.bytes_sent += sent
+            if shed_timeout is None:
+                sent = self.channel.send_bytes(blob, timeout=timeout)
+            else:
+                try:
+                    sent = self.channel.send_bytes(
+                        blob, timeout=min(shed_timeout, timeout))
+                except TimeoutError as exc:
+                    raise BackpressureError(
+                        f"{self.label} had no room within "
+                        f"{shed_timeout:.3f}s") from exc
+            with self._lock:
+                self.bytes_sent += sent
 
-    def _ship(self, corr: int, messages: Sequence[Message], what: str,
-              shed_timeout: Optional[float] = None) -> None:
-        """Send a registered request; a failed send forgets it again."""
+    def _start(self, message: Message, what: str,
+               shed_timeout: Optional[float] = None
+               ) -> Tuple[int, _PendingReply]:
+        """Register a reply slot and ship ``message`` under its correlation
+        id; a failed send forgets the slot again."""
+        reply = _PendingReply()
+        with self._lock:
+            if self.crashed:
+                raise self.crash_error(f"{self.label} already crashed")
+            corr = message.frame_id = next(self._corr)
+            self._pending[corr] = reply
         try:
-            self._send(messages, shed_timeout=shed_timeout)
+            self._send(message, shed_timeout=shed_timeout)
         except (BackpressureError, self.crash_error):
             # Nothing written (shed upstream: the edge server answers
             # "rejected", the worker is healthy) or already dead.
@@ -278,9 +256,10 @@ class WorkerLink:
                 raise  # oversized envelope: a caller bug, not a dead worker
             self.mark_crashed(f"{what} transport failed: {exc}")
             raise self.crash_error(str(exc)) from exc
+        return corr, reply
 
     def _await(self, corr: int, reply: _PendingReply,
-               timeout: float) -> _PendingReply:
+               timeout: float) -> Message:
         if not reply.event.wait(timeout):
             self._forget(corr)
             with self._lock:
@@ -295,40 +274,37 @@ class WorkerLink:
         self._forget(corr)
         if reply.error is not None:
             raise reply.error
-        return reply
+        return reply.result
 
     # -- public request API ---------------------------------------------
+    def request(self, entry: str, frames: Sequence[FrameState],
+                batched: bool) -> List[FrameState]:
+        """Run ``frames`` on the worker: one envelope out, one back.
+
+        ``batched`` tells the worker which router runs them — the entry's
+        batch router over all of them at once, or its edge router frame by
+        frame.  No frames is no request: nothing is registered or sent.
+        """
+        if not frames:
+            return []
+        arrays, metas = pack_frames(frames)
+        corr, reply = self._start(
+            Message(kind=KIND_FRAME, arrays=arrays,
+                    meta={"entry": entry, "frames": metas,
+                          "batched": batched}),
+            "request", shed_timeout=self.shed_timeout_s)
+        result = self._await(corr, reply, self.request_timeout_s)
+        with self._lock:
+            self.batches += int(batched)
+            self.frames += len(frames)
+            self.service_time_s += float(result.meta.get("service_time_s",
+                                                         0.0))
+        return unpack_frames(result.arrays, result.meta["frames"])
+
     def request_frame(self, entry: str, arrays: ArrayDict,
                       meta: Dict) -> FrameState:
-        corr, reply = self._register(1)
-        self._ship(corr, [Message(kind=KIND_FRAME, frame_id=corr,
-                                  arrays=arrays,
-                                  meta={"entry": entry, "frame": meta})],
-                   "request", shed_timeout=self.shed_timeout_s)
-        self._await(corr, reply, self.request_timeout_s)
-        result_arrays, result_meta, service = reply.results[0]
-        with self._lock:
-            self.frames += 1
-            self.service_time_s += service
-        return result_arrays, result_meta
-
-    def request_batch(self, entry: str,
-                      requests: Sequence[FrameState]) -> List[FrameState]:
-        corr, reply = self._register(len(requests))
-        envelopes = [Message(kind=SHARD_KIND_BATCH, frame_id=corr,
-                             meta={"entry": entry, "count": len(requests)})]
-        envelopes.extend(
-            Message(kind=KIND_FRAME, frame_id=corr, arrays=arrays,
-                    meta={"frame": meta, "index": index})
-            for index, (arrays, meta) in enumerate(requests))
-        self._ship(corr, envelopes, "request",
-                   shed_timeout=self.shed_timeout_s)
-        self._await(corr, reply, self.request_timeout_s)
-        with self._lock:
-            self.batches += 1
-            self.frames += len(requests)
-            self.service_time_s += sum(result[2] for result in reply.results)
-        return [(arrays, meta) for arrays, meta, _ in reply.results]
+        """:meth:`request` spelled for one frame through the edge router."""
+        return self.request(entry, [(arrays, meta)], batched=False)[0]
 
     def start_publish(self, payload: Dict,
                       version: int) -> Tuple[int, _PendingReply]:
@@ -338,11 +314,9 @@ class WorkerLink:
         first and collect acknowledgements second, so the N workers rebuild
         the zoo's models/plans concurrently instead of one after another.
         """
-        corr, reply = self._register(1)
-        self._ship(corr, [Message(kind=SHARD_KIND_PUBLISH, frame_id=corr,
-                                  meta={"zoo": payload, "version": version})],
-                   "publish")
-        return corr, reply
+        return self._start(Message(kind=SHARD_KIND_PUBLISH,
+                                   meta={"zoo": payload, "version": version}),
+                           "publish")
 
     def finish_publish(self, corr: int, reply: _PendingReply, version: int,
                        timeout: float) -> None:
@@ -363,7 +337,7 @@ class WorkerLink:
                 return
             self._pings[corr] = time.perf_counter()
         try:
-            self._send([Message(kind=NODE_KIND_PING, frame_id=corr)])
+            self._send(Message(kind=NODE_KIND_PING, frame_id=corr))
         except self.crash_error:
             pass
         except OSError as exc:
@@ -426,14 +400,8 @@ class WorkerLink:
                     f"{message.meta.get('traceback', '')}")
                 self.mark_crashed(self.ready_error)
             return  # late reply for a timed-out/abandoned request: dropped
-        if message.kind == KIND_RESULT:
-            index = message.batch_index if message.batch_index is not None else 0
-            reply.complete_index(index, (dict(message.arrays),
-                                         message.meta.get("frame", {}),
-                                         float(message.meta.get(
-                                             "service_time_s", 0.0))))
-        elif message.kind == SHARD_KIND_PUBLISHED:
-            reply.complete_index(0, ({}, dict(message.meta), 0.0))
+        if message.kind in (KIND_RESULT, SHARD_KIND_PUBLISHED):
+            reply.complete(message)
         elif message.kind == KIND_ERROR:
             with self._lock:
                 self.errors += 1
@@ -464,7 +432,7 @@ class WorkerLink:
                     # Short timeout: a wedged worker with a full ring must
                     # not stall shutdown for request_timeout_s — it gets
                     # killed right below anyway.
-                    self._send([Message(kind=KIND_STOP)], timeout=1.0)
+                    self._send(Message(kind=KIND_STOP), timeout=1.0)
                 except Exception:
                     pass
             self.process.join(timeout=join_timeout_s)
@@ -705,7 +673,7 @@ class WorkerPool:
     def batch_fn(self, name: str
                  ) -> Callable[[Sequence[FrameState]], List[FrameState]]:
         def route_batch(requests: Sequence[FrameState]) -> List[FrameState]:
-            return self._pick(name).request_batch(name, list(requests))
+            return self._pick(name).request(name, requests, batched=True)
 
         return route_batch
 

@@ -31,7 +31,7 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,16 +113,15 @@ _RAW_VERSION = 1
 # envelopes across the process boundary in the *raw* framing above — the
 # same versioned layout the socket wire speaks, so a frame crosses into a
 # shard with zero serialization work beyond the JSON header (no pickling,
-# no re-encoding; array payloads are straight memcpys).  Beyond the socket
-# kinds (``"frame"``/``"result"``/``"error"``/``"stop"``), shards speak the
-# control kinds below; ``Message.frame_id`` carries the correlation id that
-# matches responses to requests, and ``Message.batch_index`` positions a
-# reply within a shard-executed micro-batch.
+# no re-encoding; array payloads are straight memcpys).  Every request and
+# every reply on that hop is *one* self-contained envelope: a ``"frame"``
+# request carries N >= 1 frames (see :func:`pack_frames`) plus
+# ``meta["entry"]`` and ``meta["batched"]`` (run them as one micro-batch or
+# one by one), and its ``"result"`` reply carries the N results the same
+# way; ``Message.frame_id`` is the correlation id that matches the two.
+# Beyond the socket kinds (``"frame"``/``"result"``/``"error"``/``"stop"``),
+# shards speak the control kinds below.
 
-#: Parent -> shard: header announcing ``meta["count"]`` coalesced frames for
-#: zoo entry ``meta["entry"]``, immediately followed by that many ``"frame"``
-#: envelopes sharing the header's correlation id.
-SHARD_KIND_BATCH = "batch"
 #: Parent -> shard: replicate a published snapshot (``meta["zoo"]`` holds
 #: the JSON zoo payload, ``meta["version"]`` the parent's snapshot version).
 SHARD_KIND_PUBLISH = "publish"
@@ -131,8 +130,8 @@ SHARD_KIND_PUBLISHED = "published"
 #: Shard -> parent: the worker built its initial snapshot and is serving.
 SHARD_KIND_READY = "ready"
 #: Every control kind the shard protocol adds on top of the socket kinds.
-SHARD_CONTROL_KINDS = (SHARD_KIND_BATCH, SHARD_KIND_PUBLISH,
-                       SHARD_KIND_PUBLISHED, SHARD_KIND_READY)
+SHARD_CONTROL_KINDS = (SHARD_KIND_PUBLISH, SHARD_KIND_PUBLISHED,
+                       SHARD_KIND_READY)
 
 # ----------------------------------------------------------------------
 # Cluster node control envelope (multi-node serving tier)
@@ -320,6 +319,34 @@ def _parse_frame(blob: bytes, wire_format: str) -> Message:
                    arrays=arrays, meta=header["meta"],
                    batch_index=header.get("batch_index"),
                    wire_format=wire_format)
+
+
+#: One frame's engine state on the worker hop: ``(arrays, meta)``.
+_Frame = Tuple[Dict[str, np.ndarray], Dict]
+
+
+def pack_frames(frames: Sequence[_Frame]
+                ) -> Tuple[Dict[str, np.ndarray], List[Dict]]:
+    """N ``(arrays, meta)`` frames as one envelope's worth of payload.
+
+    Frame ``i``'s array ``name`` travels as ``"<i>/<name>"``; the metas
+    travel as a list in frame order (the worker hop puts it under
+    ``meta["frames"]``).  Inverse: :func:`unpack_frames`.
+    """
+    arrays = {f"{index}/{name}": array
+              for index, (frame_arrays, _) in enumerate(frames)
+              for name, array in frame_arrays.items()}
+    return arrays, [meta for _, meta in frames]
+
+
+def unpack_frames(arrays: Dict[str, np.ndarray],
+                  metas: List[Dict]) -> List[_Frame]:
+    """The ``(arrays, meta)`` frames :func:`pack_frames` packed."""
+    frames = [({}, meta) for meta in metas]
+    for key, array in arrays.items():
+        index, _, name = key.partition("/")
+        frames[int(index)][0][name] = array
+    return frames
 
 
 def _prefixed(blob: bytes) -> bytes:

@@ -551,8 +551,8 @@ class TestNodeTransport:
         from repro.system.messages import (_LENGTH_FORMAT, Message,
                                            SHARD_KIND_PUBLISH,
                                            SHARD_KIND_READY, WIRE_FORMAT_RAW,
-                                           recv_message, send_payload,
-                                           serialize_message)
+                                           pack_frames, recv_message,
+                                           send_payload, serialize_message)
 
         repo = ModelRepository(in_dim=3, num_classes=3, zoo=ZOO_V1)
         with socket.create_connection(("127.0.0.1", one_node.port),
@@ -564,12 +564,13 @@ class TestNodeTransport:
             ready = recv_message(sock)
             assert ready is not None and ready.kind == SHARD_KIND_READY
 
-            arrays, meta = repo.device_fn("m")(_frames(1)[0])
+            arrays, metas = pack_frames([repo.device_fn("m")(_frames(1)[0])])
 
             def frame_wire(frame_id: int) -> bytes:
                 blob = serialize_message(
                     Message(kind="frame", frame_id=frame_id, arrays=arrays,
-                            meta={"entry": "m", "frame": meta}),
+                            meta={"entry": "m", "frames": metas,
+                                  "batched": False}),
                     wire_format=WIRE_FORMAT_RAW)
                 return struct.pack(_LENGTH_FORMAT, len(blob)) + blob
 

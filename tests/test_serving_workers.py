@@ -12,6 +12,7 @@ tier, and the socket channel of the cluster tier.  The tier suites
 from __future__ import annotations
 
 import multiprocessing
+import queue
 import socket
 import threading
 
@@ -19,14 +20,22 @@ import numpy as np
 import pytest
 
 from conftest import wait_until
+from repro.core import Architecture, ArchitectureZoo, ZooEntry
+from repro.gnn import OpSpec, OpType
+from repro.graph import SyntheticModelNet40
+from repro.graph.data import Batch
 from repro.runtime.node import NodeCrashedError, _SocketChannel
-from repro.runtime.shard import (ShardCrashedError, _EnvelopeChannel,
-                                 attach_channel, create_channel,
+from repro.runtime.shard import (ReplicaCore, ShardCrashedError,
+                                 _EnvelopeChannel, attach_channel,
+                                 bootstrap_meta, create_channel,
                                  shm_available)
-from repro.serving.workers import WorkerLink
+from repro.serving import ModelRepository
+from repro.serving.repository import SNAPSHOT_META_KEY
+from repro.serving.workers import WorkerLink, WorkerPool
 from repro.system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT,
-                                   Message, NODE_KIND_PING, NODE_KIND_PONG,
-                                   SHARD_KIND_BATCH, SHARD_KIND_READY)
+                                   KIND_STOP, Message, NODE_KIND_PING,
+                                   NODE_KIND_PONG, SHARD_KIND_READY,
+                                   pack_frames, unpack_frames)
 
 #: Per-message bound of the bounded test channels (ring capacity / cap).
 LIMIT = 1 << 16
@@ -52,13 +61,13 @@ class _Peer(_EnvelopeChannel):
     def recv(self, timeout: float = 5.0):
         return self.read_envelope(timeout)
 
-    def result(self, request: Message, value: float,
-               batch_index=None) -> None:
+    def result(self, request: Message, *values: float) -> None:
+        """Answer ``request`` with one result frame per value."""
+        arrays, metas = pack_frames([({"y": np.full(2, value)},
+                                      {"value": value}) for value in values])
         self.reply(Message(kind=KIND_RESULT, frame_id=request.frame_id,
-                           arrays={"y": np.full(2, value)},
-                           meta={"frame": {"value": value},
-                                 "service_time_s": 0.25},
-                           batch_index=batch_index))
+                           arrays=arrays,
+                           meta={"frames": metas, "service_time_s": 0.25}))
 
 
 @pytest.fixture(params=[
@@ -123,7 +132,8 @@ def test_replies_complete_out_of_order_by_correlation_id(wired):
     request_b = peer.recv()
     assert request_a.kind == request_b.kind == KIND_FRAME
     assert request_a.frame_id != request_b.frame_id
-    assert request_a.meta == {"entry": "m", "frame": {"tag": 1.0}}
+    assert request_a.meta == {"entry": "m", "frames": [{"tag": 1.0}],
+                              "batched": False}
     # Answer the later request first: only it may complete.
     peer.result(request_b, 20.0)
     arrays, meta = second.done().outcome
@@ -137,37 +147,62 @@ def test_replies_complete_out_of_order_by_correlation_id(wired):
     assert counters["bytes_sent"] > 0 and counters["bytes_received"] > 0
 
 
-def test_batch_completes_by_batch_index(wired):
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_request_is_one_envelope_each_way(wired, count):
     link, peer, _ = wired
-    call = _Call(link.request_batch, "m",
-                 [_frame(0.0), _frame(1.0), _frame(2.0)])
-    header = peer.recv()
-    assert header.kind == SHARD_KIND_BATCH
-    assert header.meta == {"entry": "m", "count": 3}
-    frames = [peer.recv() for _ in range(3)]
-    assert [f.meta["index"] for f in frames] == [0, 1, 2]
-    assert all(f.frame_id == header.frame_id for f in frames)
-    for index in (2, 0):
-        peer.result(header, float(index), batch_index=index)
-    assert call.is_alive(), "batch completed before every index arrived"
-    peer.result(header, 1.0, batch_index=1)
+    frames = [_frame(float(i)) for i in range(count)]
+    call = _Call(link.request, "m", frames, True)
+    request = peer.recv()
+    assert request.kind == KIND_FRAME
+    assert request.meta == {"entry": "m", "batched": True,
+                            "frames": [meta for _, meta in frames]}
+    assert set(request.arrays) == {f"{i}/x" for i in range(count)}
+    shipped = unpack_frames(request.arrays, request.meta["frames"])
+    assert [arrays["x"].tolist() for arrays, _ in shipped] == \
+        [arrays["x"].tolist() for arrays, _ in frames]
+    assert peer.recv(timeout=0.2) is None, "a second envelope was shipped"
+    assert call.is_alive() and link.in_flight() == 1
+    peer.result(request, *range(count))
     results = call.done().outcome
-    assert [meta["value"] for _, meta in results] == [0.0, 1.0, 2.0]
+    assert [meta["value"] for _, meta in results] == list(range(count))
+    assert [arrays["y"].tolist() for arrays, _ in results] == \
+        [[float(i)] * 2 for i in range(count)]
     counters = link.counters()
-    assert counters["batches"] == 1 and counters["frames"] == 3
+    assert counters["batches"] == 1 and counters["frames"] == count
+    assert counters["service_time_s"] == pytest.approx(0.25)
+
+
+def test_empty_request_never_reaches_the_channel(wired):
+    link, peer, _ = wired
+    # At the parent commit this registered a reply no envelope could ever
+    # complete: the call hung for request_timeout_s, then killed the worker.
+    link.request_timeout_s = 1.0
+    pool = WorkerPool(None, None, 1, 1.0)
+    pool._pick = lambda name: link
+    for call in (_Call(link.request, "m", [], True),
+                 _Call(pool.batch_fn("m"), [])):
+        assert call.done(timeout=0.5).outcome == [] and call.error is None
+    assert link.alive and link.in_flight() == 0
+    assert link.counters()["bytes_sent"] == 0
+    assert peer.recv(timeout=0.2) is None, "bytes reached the worker"
 
 
 def test_execution_error_fails_one_request_not_the_link(wired):
     link, peer, _ = wired
-    call = _Call(link.request_frame, "m", *_frame(1.0))
+    failing = _Call(link.request, "m", [_frame(1.0), _frame(2.0)], True)
     request = peer.recv()
+    bystander = _Call(link.request_frame, "m", *_frame(3.0))
+    other = peer.recv()
     peer.reply(Message(kind=KIND_ERROR, frame_id=request.frame_id,
                        meta={"error": "KeyError: 'm'",
                              "traceback": "scripted traceback"}))
-    error = call.done().error
+    error = failing.done().error
     assert isinstance(error, RuntimeError)
     assert not isinstance(error, ConnectionError)
     assert "KeyError: 'm'" in str(error) and "scripted traceback" in str(error)
+    assert bystander.is_alive() and link.in_flight() == 1
+    peer.result(other, 3.0)
+    assert bystander.done().outcome[1] == {"value": 3.0}
     assert link.alive and link.counters()["errors"] == 1
 
 
@@ -175,12 +210,12 @@ def test_crash_fails_every_in_flight_request(wired):
     link, peer, crashes = wired
     calls = [_Call(link.request_frame, "m", *_frame(float(i)))
              for i in range(2)]
-    calls.append(_Call(link.request_batch, "m", [_frame(5.0), _frame(6.0)]))
+    calls.append(_Call(link.request, "m", [_frame(5.0), _frame(6.0)], True))
     wait_until(lambda: link.in_flight() == 3, message="requests in flight")
     # in_flight counts a request from registration; one crashed before
     # its send reads "not connected" instead of the crash reason.  Drain
-    # the 5 envelopes (2 frames, batch header + 2) so all three shipped.
-    for _ in range(5):
+    # the 3 envelopes so all three shipped.
+    for _ in range(3):
         assert peer.recv() is not None
     link.mark_crashed("scripted crash")
     for call in calls:
@@ -229,10 +264,9 @@ def test_oversize_envelope_raises_before_any_byte_is_written(wired):
     big = ({"x": np.zeros(LIMIT)}, {})
     with pytest.raises(ValueError, match="message limit"):
         link.request_frame("m", *big)
-    # A batch whose *last* envelope is oversized writes nothing at all —
-    # a header and half the frames would desync the worker's protocol.
+    # A request whose *last* frame is oversized writes nothing at all.
     with pytest.raises(ValueError, match="message limit"):
-        link.request_batch("m", [_frame(1.0), _frame(2.0), big])
+        link.request("m", [_frame(1.0), _frame(2.0), big], True)
     assert peer.recv(timeout=0.2) is None, "bytes reached the worker"
     assert link.alive and link.in_flight() == 0
     call = _Call(link.request_frame, "m", *_frame(1.0))
@@ -297,3 +331,74 @@ def test_carry_counters_continues_the_stats_row(wired):
     finally:
         fresh.stop()
         worker.close()
+
+
+class _MemoryChannel:
+    """One end of an in-memory byte channel pair (unbounded, no transport)."""
+
+    max_message_bytes = None
+
+    def __init__(self, outbox: queue.Queue, inbox: queue.Queue) -> None:
+        self._outbox, self._inbox = outbox, inbox
+        self.sent = 0
+
+    def send_bytes(self, blob: bytes, timeout: float = 30.0) -> int:
+        self.sent += 1
+        self._outbox.put(blob)
+        return len(blob)
+
+    def recv_bytes(self, timeout: float = 0.2):
+        try:
+            return self._inbox.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+    def close(self) -> None:
+        pass
+
+    unlink = close
+
+
+def test_replica_core_answers_a_stale_batched_request_with_one_error():
+    """The real worker loop behind the real link, with no process between:
+    a batched request pinned past the replica's snapshot costs exactly one
+    error envelope, and the loop keeps serving."""
+    zoo = ArchitectureZoo([ZooEntry("m", Architecture(ops=(
+        OpSpec(OpType.SAMPLE, "knn", k=4), OpSpec(OpType.AGGREGATE, "max"),
+        OpSpec(OpType.COMMUNICATE, "uplink"), OpSpec(OpType.COMBINE, 16),
+        OpSpec(OpType.GLOBAL_POOL, "max||mean")), name="m"), 0.9, 40.0, 0.4)])
+    repository = ModelRepository(in_dim=3, num_classes=3, seed=0)
+    repository.publish(zoo)
+    graphs = SyntheticModelNet40(num_points=24, samples_per_class=1,
+                                 num_classes=3, seed=1).generate()
+    frames = [repository.device_fn("m")(Batch.from_graphs([graph]))
+              for graph in graphs]
+    stale = [(arrays, {**meta, SNAPSHOT_META_KEY: 99})
+             for arrays, meta in frames]
+    up, down = queue.Queue(), queue.Queue()
+    worker = _MemoryChannel(up, down)
+    core = ReplicaCore(bootstrap_meta(repository))
+    serving = threading.Thread(target=core.serve,
+                               args=(_EnvelopeChannel(worker),), daemon=True)
+    serving.start()
+    parent = _MemoryChannel(down, up)
+    link = WorkerLink("worker 0", parent, crash_error=ShardCrashedError,
+                      request_timeout_s=10.0)
+    try:
+        with pytest.raises(RuntimeError, match="pinned to snapshot v99") \
+                as caught:
+            link.request("m", stale, True)
+        assert not isinstance(caught.value, ConnectionError)
+        assert worker.sent == 1, "the stale batch cost more than one reply"
+        served = link.request("m", frames, True)
+        assert worker.sent == 2 and not link.crashed
+        for (got, _), (want, _) in zip(served,
+                                       repository.batch_router("m")(frames)):
+            np.testing.assert_allclose(got["logits"], want["logits"],
+                                       atol=1e-9)
+        assert link.counters()["frames"] == len(frames)
+    finally:
+        _EnvelopeChannel(parent).reply(Message(kind=KIND_STOP))
+        serving.join(timeout=5.0)
+        link.stop()
+    assert not serving.is_alive(), "the worker loop ignored stop"

@@ -217,14 +217,17 @@ class TestMicroBatchingServing:
         # least two further frames verifiably sit in the entry queue, so the
         # next dispatch deterministically sees a multi-frame batch (a fixed
         # sleep here was flaky when client startup was slow).
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
+        def backlog_behind_first_dispatch():
             with server._batcher._lock:
                 entry_queue = server._batcher._queues.get("default")
-            if sizes and entry_queue is not None and entry_queue.qsize() >= 2:
-                break
-            time.sleep(0.01)
-        release.set()
+            return (sizes and entry_queue is not None
+                    and entry_queue.qsize() >= 2)
+
+        try:
+            wait_until(backlog_behind_first_dispatch, timeout=15.0,
+                       message="two frames queued behind the held dispatch")
+        finally:
+            release.set()
         for thread in threads:
             thread.join(timeout=30.0)
         stats = server.stats()

@@ -1,6 +1,6 @@
 """Docs and examples health check (run by the CI docs job).
 
-Three independent checks, all purely static/import-level so the whole run
+Four independent checks, all purely static/import-level so the whole run
 takes seconds:
 
 1. **Example import smoke** — every ``examples/*.py`` must import cleanly
@@ -16,6 +16,10 @@ takes seconds:
    ``repro.serving.config``; any difference (a hand-edited row, a knob
    changed without regenerating) fails.  Fix with
    ``PYTHONPATH=src python -m repro.serving.config --write docs/serving.md``.
+4. **Root-document citations** — a bare upper-case name ending in ``.md``
+   (no directory in front of it) in a source file or a doc names a document
+   at the repository root, and that document must exist: a docstring that
+   sends its reader to a file nobody wrote is a broken link too.
 
 Exit code is non-zero when anything fails, printing one line per problem.
 
@@ -34,6 +38,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Markdown inline links: [text](target); images share the same syntax.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+#: A bare upper-case markdown file name; one behind a directory
+#: (``docs/x.md``, ``benchmarks/e2e/README.md``) is not a root citation.
+_ROOT_DOC_RE = re.compile(r"(?<![\w/.\-])[A-Z][A-Z0-9_]*\.md\b")
+#: Where root documents get cited from: sources, their tests and the docs.
+_CITING_DIRS = ("src", "benchmarks", "tools", "tests", "examples", "docs")
 
 
 def check_example_imports() -> list:
@@ -112,9 +121,31 @@ def check_knob_tables() -> list:
     return []
 
 
+def check_root_doc_citations() -> list:
+    """Every root document a source file or doc names must exist."""
+    errors = []
+    files = [REPO_ROOT / "README.md"]
+    for directory in _CITING_DIRS:
+        for pattern in ("*.py", "*.md"):
+            files.extend(sorted((REPO_ROOT / directory).rglob(pattern)))
+    cited = 0
+    for path in files:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            for name in _ROOT_DOC_RE.findall(line):
+                cited += 1
+                if not (REPO_ROOT / name).exists():
+                    errors.append(
+                        f"{path.relative_to(REPO_ROOT)}:{number}: cites "
+                        f"{name}, which does not exist at the repository "
+                        "root")
+    print(f"ok  {cited} root-document citation(s) checked")
+    return errors
+
+
 def main() -> int:
     errors = (check_example_imports() + check_markdown_links()
-              + check_knob_tables())
+              + check_knob_tables() + check_root_doc_citations())
     if errors:
         print(f"\n{len(errors)} problem(s):", file=sys.stderr)
         for error in errors:
