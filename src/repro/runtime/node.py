@@ -47,7 +47,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..system.messages import (MAX_MESSAGE_BYTES, Message, SHARD_KIND_PUBLISH,
-                               SHARD_KIND_READY, recv_payload, send_payload)
+                               SHARD_KIND_READY, disable_nagle, recv_payload,
+                               send_payload)
 # bootstrap_meta is re-exported: a node's hello is the shard tier's spawn
 # payload, so there is one builder for both.
 from .shard import (ReplicaCore, _EnvelopeChannel, _parent_alive,
@@ -236,7 +237,7 @@ def _node_main(node_id: int, host: str, port: int, ready_conn=None) -> None:
                 continue
             except OSError:
                 break
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            disable_nagle(conn)
             threading.Thread(target=_serve_connection,
                              args=(conn, holder, node_id),
                              name=f"node-{node_id}-conn",

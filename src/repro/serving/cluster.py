@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.node import (NodeCrashedError, NodeStats, _SocketChannel,
                             bootstrap_meta)
+from ..system.messages import disable_nagle
 from .config import ClusterConfig, ROUTING_HASH
 from .repository import ModelRepository
 from .workers import WorkerLink, WorkerPool
@@ -134,7 +135,7 @@ class ClusterPool(WorkerPool):
         except OSError as exc:
             raise RuntimeError(
                 f"node {index} ({address}) is unreachable: {exc}") from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        disable_nagle(sock)
         sock.settimeout(self.config.request_timeout_s)
         channel = _SocketChannel(sock)
         # on_crash=close: a poisoned node's reader unblocks at once and

@@ -109,8 +109,9 @@ from .messages import (_LENGTH_SIZE as PAYLOAD_PREFIX_BYTES,
                        KIND_HELLO, KIND_REJECTED, KIND_RESULT,
                        KIND_STOP, Message, PRIORITY_META_KEY,
                        REJECT_REASON_META_KEY, RETRY_AFTER_MS_META_KEY,
-                       WIRE_FORMAT_ZLIB, WIRE_FORMATS, recv_message,
-                       send_message, serialize_message)
+                       WIRE_FORMAT_ZLIB, WIRE_FORMATS, _prefixed,
+                       disable_nagle, recv_message, send_message,
+                       serialize_message)
 from .scheduler import (REJECT_REASON_CAPACITY, REJECT_REASON_DEADLINE,
                         BackpressureError, FrameExpiredError, QosPolicy,
                         Rejection, Scheduler)
@@ -219,6 +220,8 @@ class PipelineStats:
     num_frames: int
     wall_time_s: float
     mean_latency_s: float
+    #: Framed size (length prefix included) of this run's own frame
+    #: messages, re-submissions included; exact, and never the hello's.
     bytes_sent: int
     bytes_received: int
     #: Frames the server shed with a ``rejected`` reply instead of
@@ -1202,6 +1205,24 @@ class EdgeServer:
             self._batcher.stop()
 
 
+#: The sender flushes its write buffer at this size even when more messages
+#: are queued: a large frame goes out before its successors are compressed.
+_SEND_FLUSH_BYTES = 64 * 1024
+
+
+class _SendTally:
+    """Framed bytes the sender stamped for one ``run_pipeline`` call."""
+
+    __slots__ = ("bytes",)
+
+    def __init__(self) -> None:
+        self.bytes = 0
+
+
+#: What the send queue carries: a message and the tally it is stamped into.
+_Outgoing = Tuple[Message, _SendTally]
+
+
 class DeviceClient:
     """Device-side runtime: executes the device segment and pipelines frames.
 
@@ -1213,6 +1234,18 @@ class DeviceClient:
     and, when given, its :class:`~repro.core.dispatcher.RuntimeConditions`
     as a plain dict; a dispatching server answers with the zoo entry chosen
     for those conditions (see :meth:`handshake` / :attr:`assigned_model`).
+
+    Write policy
+    ------------
+    The socket runs with Nagle off (:func:`~repro.system.messages.
+    disable_nagle`), and the sender writes as few times as the queue allows:
+    it frames the message it dequeued, keeps framing while more are already
+    queued, and issues one ``sendall`` as soon as the queue is momentarily
+    empty or the buffer reaches 64 KiB.  A pipelined window of small frames
+    therefore leaves as one or two writes; a frame is never held back for
+    one that is not queued yet, and a large frame is on the wire before the
+    next one's compression pass starts.  The byte stream is the same
+    length-prefixed messages in the same order as one write per message.
 
     Wire knobs
     ----------
@@ -1299,10 +1332,11 @@ class DeviceClient:
         # block indefinitely or an idle-but-healthy connection would be
         # misreported as disconnected by the receiver loop.
         self._sock.settimeout(None)
+        disable_nagle(self._sock)
         self.client_name = client_name
         self._conditions = dict(conditions) if conditions else None
         self._model = model
-        self._send_queue: "queue.Queue[Optional[Message]]" = queue.Queue()
+        self._send_queue: "queue.Queue[Optional[_Outgoing]]" = queue.Queue()
         self._results: "queue.Queue[Message]" = queue.Queue()
         self._hello_meta: Optional[Dict] = None
         self._hello_event = threading.Event()
@@ -1311,6 +1345,8 @@ class DeviceClient:
         #: leftovers of a run aborted by an edge error are recognizably stale
         #: and cannot be mistaken for results of a later run_pipeline call.
         self._next_frame_id = 0
+        #: Connection totals (hello included); a run's own traffic is in
+        #: its :class:`PipelineStats`.
         self.bytes_sent = 0
         self.bytes_received = 0
         self._sender = threading.Thread(target=self._send_loop, daemon=True)
@@ -1320,33 +1356,65 @@ class DeviceClient:
         hello_meta: Dict = {"client": client_name}
         if self._conditions is not None:
             hello_meta["conditions"] = self._conditions
-        self._send_queue.put(Message(kind=KIND_HELLO, meta=hello_meta,
-                                     wire_format=self.wire_format))
+        self._send_queue.put((Message(kind=KIND_HELLO, meta=hello_meta,
+                                      wire_format=self.wire_format),
+                              _SendTally()))
 
     # ------------------------------------------------------------------
     def _send_loop(self) -> None:
-        while True:
-            message = self._send_queue.get()
-            if message is None:
-                break
-            try:
-                self.bytes_sent += send_message(self._sock, message)
-            except OSError:
-                # The receiver loop surfaces the lost connection to waiting
-                # callers; the sender just stops draining the queue.
-                break
-            except Exception as exc:
-                # Un-encodable outgoing metadata (e.g. non-JSON values in a
-                # frame's meta) would otherwise kill this thread silently and
-                # leave run_pipeline waiting out its entire timeout.
-                self._disconnect("failed to serialize an outgoing message: "
-                                 "%s: %s" % (type(exc).__name__, exc))
-                break
+        # One window per call: a written window's buffers are released
+        # before the sender blocks for the next message.
+        while self._send_window(self._send_queue.get()):
+            pass
         try:
             send_message(self._sock, Message(kind=KIND_STOP,
                                              wire_format=self.wire_format))
         except OSError:
             pass
+
+    def _send_window(self, item: Optional[_Outgoing]) -> bool:
+        """Frame ``item`` and what is already queued behind it — never
+        waiting for what is not — and write them as one buffer.  False once
+        the sender must stop: close marker, un-encodable message, dead
+        socket."""
+        window: List[bytes] = []
+        size = 0
+        draining = True
+        while True:
+            if item is None:
+                draining = False
+                break
+            message, tally = item
+            try:
+                framed = _prefixed(serialize_message(message))
+            except Exception as exc:
+                # Un-encodable outgoing metadata (e.g. non-JSON values in a
+                # frame's meta) would otherwise kill this thread silently
+                # and leave run_pipeline waiting out its entire timeout.
+                self._disconnect("failed to serialize an outgoing message: "
+                                 "%s: %s" % (type(exc).__name__, exc))
+                draining = False
+                break
+            # Stamped before the write: whoever sees this message's reply
+            # also sees its bytes counted.
+            tally.bytes += len(framed)
+            self.bytes_sent += len(framed)
+            window.append(framed)
+            size += len(framed)
+            if size >= _SEND_FLUSH_BYTES:
+                break
+            try:
+                item = self._send_queue.get_nowait()
+            except queue.Empty:
+                break
+        try:
+            if window:
+                self._sock.sendall(b"".join(window))
+        except OSError:
+            # The receiver loop surfaces the lost connection to waiting
+            # callers; the sender just stops draining the queue.
+            return False
+        return draining
 
     def _recv_loop(self) -> None:
         while True:
@@ -1458,8 +1526,12 @@ class DeviceClient:
         #: their backoff delay.  frame_ids are unique, so heap ties never
         #: compare beyond the second element.
         due: List[Tuple[float, int]] = []
-        # Byte counters are per-connection; report this run's traffic only.
-        sent_before, received_before = self.bytes_sent, self.bytes_received
+        # Byte counters are per-connection; report this run's traffic only:
+        # the sender stamps each of this run's frame messages, re-submissions
+        # included, into ``tally`` before writing it, so the sum is exact
+        # once the last reply is in.
+        tally = _SendTally()
+        received_before = self.bytes_received
         start = time.perf_counter()
         for offset, frame in enumerate(frames):
             # Latency is measured from the moment the frame enters the device
@@ -1484,7 +1556,7 @@ class DeviceClient:
                               wire_format=self.wire_format)
             if retrying:
                 payloads[base_id + offset] = message
-            self._send_queue.put(message)
+            self._send_queue.put((message, tally))
 
         def schedule_retry(frame_id: int, floor_ms: float) -> bool:
             """Queue a re-submission of ``frame_id``; False = budget spent.
@@ -1521,7 +1593,7 @@ class DeviceClient:
             now = time.monotonic()
             while due and due[0][0] <= now:
                 _, frame_id = heapq.heappop(due)
-                self._send_queue.put(payloads[frame_id])
+                self._send_queue.put((payloads[frame_id], tally))
             remaining = deadline - now
             if remaining <= 0:
                 raise TimeoutError("co-inference pipeline timed out waiting for results")
@@ -1582,7 +1654,7 @@ class DeviceClient:
         stats = PipelineStats(
             num_frames=len(frames), wall_time_s=wall,
             mean_latency_s=float(np.mean([r.latency_s for r in results])) if results else 0.0,
-            bytes_sent=self.bytes_sent - sent_before,
+            bytes_sent=tally.bytes,
             bytes_received=self.bytes_received - received_before,
             frames_rejected=rejected,
             frames_retried=len(attempts),

@@ -53,7 +53,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Tuple
 
 from .messages import (_LENGTH_SIZE, KIND_STOP, _parse_prefix, _prefixed,
-                       deserialize_message, recv_message, send_payload)
+                       deserialize_message, disable_nagle, recv_message,
+                       send_payload)
 
 #: Frontend identifiers (``EdgeServer(frontend=...)`` / ``ServerConfig``).
 FRONTEND_THREADED = "threaded"
@@ -158,6 +159,7 @@ class ThreadedFrontend:
                     return
                 sock, addr = accepted
                 sock.settimeout(None)
+                disable_nagle(sock)
                 connection = _SocketConnection(sock, peer="%s:%d" % addr[:2])
                 handler = threading.Thread(target=self._handle,
                                            args=(connection,), daemon=True)
@@ -366,6 +368,9 @@ class AsyncFrontend:
                                 writer: asyncio.StreamWriter) -> None:
         loop = self._loop
         assert loop is not None
+        # asyncio disables Nagle only on sockets created with an explicit
+        # proto=IPPROTO_TCP; ones accepted from our listener report proto 0.
+        disable_nagle(writer.get_extra_info("socket"))
         peername = writer.get_extra_info("peername") or ("?", 0)
         connection = _AsyncConnection(loop, writer,
                                       peer="%s:%d" % peername[:2])
