@@ -135,103 +135,53 @@ class ArchitectureModel(nn.Module):
 ArrayDict = Dict[str, np.ndarray]
 
 
-def _state_to_arrays(state: ExecState) -> Tuple[ArrayDict, Dict]:
-    arrays: ArrayDict = {"x": state.x.data, "batch": state.batch}
-    if state.edge_index is not None:
-        arrays["edge_index"] = state.edge_index
-    if state.pos is not None:
-        arrays["pos"] = state.pos
-    meta = {"num_graphs": state.num_graphs, "pooled": state.pooled}
-    return arrays, meta
-
-
-def _arrays_to_state(arrays: ArrayDict, meta: Dict) -> ExecState:
-    return ExecState(
-        x=nn.Tensor(arrays["x"]),
-        batch=np.asarray(arrays["batch"], dtype=np.int64),
-        num_graphs=int(meta["num_graphs"]),
-        edge_index=np.asarray(arrays["edge_index"], dtype=np.int64)
-        if "edge_index" in arrays else None,
-        pos=arrays.get("pos"),
-        pooled=bool(meta["pooled"]),
-    )
-
-
 #: How serving callables execute the model.  ``"compiled"`` requires the
 #: compiled runtime (raises :class:`~repro.runtime.plan.PlanCompileError` on
 #: unsupported models), ``"eager"`` forces the autograd path under
 #: ``no_grad``, and ``"auto"`` — the default — compiles when possible and
 #: silently falls back to eager otherwise.  The fallback only exists for the
-#: default ``float64`` dtype: eager execution cannot honor any other dtype,
+#: default ``float64`` precision: eager execution cannot honor any other,
 #: so ``"auto"`` with e.g. ``float32`` re-raises the compile error instead
 #: of silently changing the requested precision.
 RUNTIMES = ("auto", "compiled", "eager")
 
 
 def _as_runtime_config(runtime: str, dtype) -> "RuntimeConfig":
-    """Wrap the legacy ``runtime=``/``dtype=`` knob pair into a config.
+    """Wrap the legacy ``runtime=``/``dtype=`` argument pair into a config.
 
-    The import is deferred: :mod:`repro.serving.config` imports this module
-    for the :data:`RUNTIMES` vocabulary, so a module-level import here would
-    be circular.
+    ``dtype`` maps onto the config's ``precision``.  The import is deferred:
+    :mod:`repro.serving.config` imports this module for the :data:`RUNTIMES`
+    vocabulary, so a module-level import here would be circular.
     """
-    from ..serving.config import RuntimeConfig
-    return RuntimeConfig(runtime=runtime,
-                         dtype=None if dtype is None else np.dtype(dtype).name)
+    from ..serving.config import Knob, RuntimeConfig
+    name = Knob("dtype", "", optional=True).check("dtype", dtype)
+    return RuntimeConfig(runtime=runtime, precision=name)
 
 
-def _resolve_plan(model: ArchitectureModel, config,
-                  segments: Sequence[str],
-                  precision: Optional[str] = None,
+def _resolve_plan(model: ArchitectureModel, config: "RuntimeConfig",
+                  segments: Sequence[str], precision: str,
                   calibration=None) -> Optional[InferencePlan]:
     """Compile ``model`` according to ``config`` (None = run eagerly).
 
-    ``config`` is a :class:`repro.serving.RuntimeConfig`; ``segments``
-    limits compilation to the plan segments the caller will run, so e.g. a
-    batched edge callable never builds device/full step lists it cannot
-    execute.  ``precision`` is the entry's resolved precision (see
+    ``segments`` limits compilation to the plan segments the caller will
+    run, so e.g. a batched edge callable never builds device/full step lists
+    it cannot execute.  ``precision`` is the entry's resolved precision (see
     ``RuntimeConfig.precision_for``); for ``"int8"`` the caller passes the
     matching ``calibration`` and the plan compiles on the quantized path
-    with a float32 carrier.
+    with a float32 carrier.  (``RuntimeConfig`` has already rejected an
+    eager runtime with any precision but float64.)
     """
-    runtime = config.runtime
-    if runtime not in RUNTIMES:
-        raise ValueError(f"unknown runtime {runtime!r} (expected one of "
-                         f"{RUNTIMES})")
-    if precision is None:
-        precision = np.dtype(np.float64 if config.dtype is None
-                             else config.dtype).name
-    quantized = precision == "int8"
-    dtype = np.dtype(np.float32 if quantized else precision)
-    if runtime == "eager":
-        if dtype != np.float64 or quantized:
-            raise ValueError(
-                "the eager runtime computes in float64 only; use "
-                "runtime='compiled' for a different compute dtype or "
-                "precision")
+    if config.runtime == "eager":
         return None
-    backend = getattr(config, "backend", None)
+    quantized = precision == "int8"
     try:
-        return compile_plan(model, dtype=dtype, segments=segments,
-                            backend=backend,
+        return compile_plan(model, dtype=np.float32 if quantized else precision,
+                            segments=segments, backend=config.backend,
                             calibration=calibration if quantized else None)
     except PlanCompileError:
-        if runtime == "compiled":
-            raise
-        if dtype != np.float64 or quantized:
+        if config.runtime == "compiled" or precision != "float64":
             raise  # no eager fallback can honor a non-float64 precision
         return None
-
-
-def _run_to_arrays(run) -> Tuple[ArrayDict, Dict]:
-    """Wire-schema arrays/meta of a compiled run (twin of ``_state_to_arrays``)."""
-    arrays: ArrayDict = {"x": run.x, "batch": run.batch}
-    if run.edge_index is not None:
-        arrays["edge_index"] = run.edge_index
-    if run.pos is not None:
-        arrays["pos"] = run.pos
-    meta = {"num_graphs": run.num_graphs, "pooled": run.pooled}
-    return arrays, meta
 
 
 def split_callables(model: ArchitectureModel, runtime: str = "auto",
@@ -263,62 +213,95 @@ def split_callables(model: ArchitectureModel, runtime: str = "auto",
     return serving.device_fn, serving.edge_fn
 
 
-def _split_callables_plan(model: ArchitectureModel, plan: InferencePlan
-                          ) -> Tuple[Callable[[Batch], Tuple[ArrayDict, Dict]],
-                                     Callable[[ArrayDict, Dict], Tuple[ArrayDict, Dict]]]:
-    """Compiled-plan engine callables (twin of :func:`_split_callables_eager`)."""
-    split = plan.split
-    edge_segment = plan.edge  # aliases the full architecture when split=None
+def _plan_runners(plan: InferencePlan):
+    """Segment runners over a compiled plan (see :func:`_serving_fns`)."""
 
-    def device_fn(batch: Batch) -> Tuple[ArrayDict, Dict]:
+    def run_device(batch: Batch):
         run = plan.device.execute_out(batch.x, batch.batch, batch.num_graphs,
                                       edge_index=batch.edge_index,
                                       pos=batch.pos)
-        arrays, meta = _run_to_arrays(run)
-        meta["finished"] = split is None
-        return arrays, meta
+        return run.x, run
 
-    def edge_fn(arrays: ArrayDict, meta: Dict) -> Tuple[ArrayDict, Dict]:
-        if meta.get("finished"):
-            return {"logits": arrays["x"]}, {"num_graphs": meta["num_graphs"]}
-        run = edge_segment.execute_out(
+    def run_edge(arrays: ArrayDict, meta: Dict) -> Tuple[np.ndarray, int]:
+        # plan.edge aliases the full architecture when there is no split.
+        run = plan.edge.execute_out(
             arrays["x"], arrays["batch"], int(meta["num_graphs"]),
             edge_index=arrays.get("edge_index"), pos=arrays.get("pos"),
             pooled=bool(meta.get("pooled", False)))
-        return {"logits": run.x}, {"num_graphs": run.num_graphs}
+        return run.x, run.num_graphs
 
-    return device_fn, edge_fn
+    return run_device, run_edge
 
 
-def _split_callables_eager(model: ArchitectureModel
-                           ) -> Tuple[Callable[[Batch], Tuple[ArrayDict, Dict]],
-                                      Callable[[ArrayDict, Dict], Tuple[ArrayDict, Dict]]]:
-    """Eager (autograd under ``no_grad``) engine callables."""
-    split = model.first_communicate_index()
+def _eager_runners(model: ArchitectureModel, split: Optional[int]):
+    """Segment runners over the autograd model under ``no_grad``."""
 
-    def device_fn(batch: Batch) -> Tuple[ArrayDict, Dict]:
-        state = model.initial_state(batch)
+    def run_device(batch: Batch):
         with nn.no_grad():
-            if split is None:
-                state = model.run_segment(state, 0, None, include_classifier=True)
-                arrays, meta = _state_to_arrays(state)
-                meta["finished"] = True
-                return arrays, meta
-            state = model.run_segment(state, 0, split)
-        arrays, meta = _state_to_arrays(state)
-        meta["finished"] = False
-        return arrays, meta
+            state = model.run_segment(model.initial_state(batch), 0, split,
+                                      include_classifier=split is None)
+        return state.x.data, state
 
-    def edge_fn(arrays: ArrayDict, meta: Dict) -> Tuple[ArrayDict, Dict]:
+    def run_edge(arrays: ArrayDict, meta: Dict) -> Tuple[np.ndarray, int]:
+        state = ExecState(
+            x=nn.Tensor(arrays["x"]),
+            batch=np.asarray(arrays["batch"], dtype=np.int64),
+            num_graphs=int(meta["num_graphs"]),
+            edge_index=np.asarray(arrays["edge_index"], dtype=np.int64)
+            if "edge_index" in arrays else None,
+            pos=arrays.get("pos"),
+            pooled=bool(meta.get("pooled", False)))
+        with nn.no_grad():
+            state = model.run_segment(state, 0 if split is None else split + 1,
+                                      None, include_classifier=True)
+        return state.x.data, state.num_graphs
+
+    return run_device, run_edge
+
+
+def _serving_fns(run_device: Callable, run_edge: Callable,
+                 split: Optional[int], dtype: np.dtype
+                 ) -> Tuple[Callable[[Batch], FrameState],
+                            Callable[[ArrayDict, Dict], FrameState],
+                            BatchedEdgeFn]:
+    """The three engine callables over one pair of segment runners.
+
+    ``run_device(frame)`` returns ``(x, state)`` — the final features as an
+    ndarray and the state object carrying ``batch`` / ``edge_index`` /
+    ``pos`` / ``num_graphs`` / ``pooled``; ``run_edge(arrays, meta)``
+    resumes a (possibly collated) wire state and returns ``(logits,
+    num_graphs)``.  Everything else about serving a frame — the wire
+    schema, the ``finished`` echo of Device-Only architectures, collate →
+    run → split — is the same for the compiled and the eager runtime and
+    lives here.
+    """
+
+    def device_fn(batch: Batch) -> FrameState:
+        x, state = run_device(batch)
+        arrays: ArrayDict = {"x": x, "batch": state.batch}
+        if state.edge_index is not None:
+            arrays["edge_index"] = state.edge_index
+        if state.pos is not None:
+            arrays["pos"] = state.pos
+        return arrays, {"num_graphs": state.num_graphs,
+                        "pooled": state.pooled, "finished": split is None}
+
+    def echo(arrays: ArrayDict, meta: Dict) -> FrameState:
+        return {"logits": arrays["x"]}, {"num_graphs": meta["num_graphs"]}
+
+    def edge_fn(arrays: ArrayDict, meta: Dict) -> FrameState:
         if meta.get("finished"):
-            return {"logits": arrays["x"]}, {"num_graphs": meta["num_graphs"]}
-        state = _arrays_to_state(arrays, meta)
-        start = (split + 1) if split is not None else 0
-        with nn.no_grad():
-            state = model.run_segment(state, start, None, include_classifier=True)
-        return {"logits": state.x.data}, {"num_graphs": state.num_graphs}
+            return echo(arrays, meta)
+        logits, num_graphs = run_edge(arrays, meta)
+        return {"logits": logits}, {"num_graphs": num_graphs}
 
-    return device_fn, edge_fn
+    def batch_fn(requests: Sequence[FrameState]) -> List[FrameState]:
+        if split is None or all(meta.get("finished") for _, meta in requests):
+            return [echo(arrays, meta) for arrays, meta in requests]
+        arrays, meta, graph_counts = collate_arrays(requests, dtype=dtype)
+        return split_results(*edge_fn(arrays, meta), graph_counts)
+
+    return device_fn, edge_fn, batch_fn
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +325,9 @@ def collate_arrays(requests: Sequence[FrameState],
     graphs collated before it and its edge index by the number of node rows,
     exactly like :meth:`~repro.graph.data.Batch.from_graphs` builds a
     disjoint union — so one resumed engine call treats the coalesced frames
-    as independent graphs of a single batch.
+    as independent graphs of a single batch.  Frames must agree on
+    ``pooled`` and on the presence of ``edge_index`` and of ``pos``
+    (``ValueError`` otherwise; the engine then serves them frame by frame).
 
     Returns ``(arrays, meta, graph_counts)`` where ``graph_counts`` records
     how many graphs each frame contributed, in order — the bookkeeping
@@ -355,8 +340,8 @@ def collate_arrays(requests: Sequence[FrameState],
     if not requests:
         raise ValueError("cannot collate an empty batch of frames")
     pooled = bool(requests[0][1].get("pooled", False))
-    has_edges = all("edge_index" in arrays for arrays, _ in requests)
-    has_pos = all("pos" in arrays for arrays, _ in requests)
+    has_edges = "edge_index" in requests[0][0]
+    has_pos = "pos" in requests[0][0]
     xs: List[np.ndarray] = []
     batches: List[np.ndarray] = []
     edges: List[np.ndarray] = []
@@ -368,6 +353,11 @@ def collate_arrays(requests: Sequence[FrameState],
         if bool(meta.get("pooled", False)) != pooled:
             raise ValueError("cannot collate pooled and unpooled frames into "
                              "one batch")
+        if ("edge_index" in arrays) != has_edges or ("pos" in arrays) != has_pos:
+            # Dropping the array for everyone would sample the frames that
+            # sent ``pos`` on ``x`` instead: silently different logits.
+            raise ValueError("cannot collate frames with and without "
+                             "pos / edge_index into one batch")
         x = np.asarray(arrays["x"], dtype=dtype)
         num_graphs = int(meta["num_graphs"])
         xs.append(x)
@@ -439,37 +429,6 @@ def batched_edge_fn(model: ArchitectureModel, runtime: str = "auto",
     return serving.batch_fn
 
 
-def _batched_edge_fn_impl(model: ArchitectureModel,
-                          plan: Optional[InferencePlan]) -> BatchedEdgeFn:
-    """Batched edge callable over a resolved plan (``None`` = eager)."""
-    split = model.first_communicate_index()
-
-    def batch_fn(requests: Sequence[FrameState]) -> List[FrameState]:
-        if not requests:
-            return []
-        if split is None or all(meta.get("finished") for _, meta in requests):
-            return [({"logits": arrays["x"]}, {"num_graphs": meta["num_graphs"]})
-                    for arrays, meta in requests]
-        if plan is not None:
-            arrays, meta, graph_counts = collate_arrays(requests,
-                                                        dtype=plan.dtype)
-            run = plan.edge.execute_out(
-                arrays["x"], arrays["batch"], int(meta["num_graphs"]),
-                edge_index=arrays.get("edge_index"), pos=arrays.get("pos"),
-                pooled=bool(meta.get("pooled", False)))
-            return split_results({"logits": run.x},
-                                 {"num_graphs": run.num_graphs}, graph_counts)
-        arrays, meta, graph_counts = collate_arrays(requests)
-        state = _arrays_to_state(arrays, meta)
-        with nn.no_grad():
-            state = model.run_segment(state, split + 1, None,
-                                      include_classifier=True)
-        return split_results({"logits": state.x.data},
-                             {"num_graphs": state.num_graphs}, graph_counts)
-
-    return batch_fn
-
-
 @dataclass(frozen=True)
 class ServingCallables:
     """The three engine callables of one zoo entry, sharing one model.
@@ -508,7 +467,7 @@ class ServingCallables:
         return sum(plan.arena_nbytes() for plan in self.plans)
 
 
-def _build_callables(model: ArchitectureModel, config, *,
+def _build_callables(model: ArchitectureModel, config: "RuntimeConfig", *,
                      lock: Optional[threading.Lock] = None,
                      split: bool = True, batched: bool = True,
                      entry_name: Optional[str] = None,
@@ -517,9 +476,9 @@ def _build_callables(model: ArchitectureModel, config, *,
     """The one internal builder every serving constructor routes through.
 
     ``config`` is a :class:`repro.serving.RuntimeConfig`; this is the single
-    place its ``runtime``/``dtype``/``segments``/``precision``/``backend``
-    knobs are resolved into engine callables, so no public builder
-    re-threads them.  ``split`` / ``batched`` select which callables to
+    place its ``runtime``/``segments``/``precision``/``backend`` knobs are
+    resolved into engine callables, so no public builder re-threads them.
+    ``split`` / ``batched`` select which callables to
     build; all of them run the entry's one compiled plan (the requested
     split segments, plus ``"edge"`` when batched — arenas are per thread,
     so the callables never contend for buffers).  When ``lock`` is given,
@@ -534,10 +493,7 @@ def _build_callables(model: ArchitectureModel, config, *,
     and cluster replicas (rebuilt from config alone) bit-identical to the
     parent process.
     """
-    precision = (config.precision_for(entry_name)
-                 if hasattr(config, "precision_for")
-                 else np.dtype(np.float64 if config.dtype is None
-                               else config.dtype).name)
+    precision = config.precision_for(entry_name)
     segments = set()
     if split:
         segments.update(config.segments or ("device", "edge"))
@@ -545,26 +501,24 @@ def _build_callables(model: ArchitectureModel, config, *,
         segments.add("edge")
     segments = tuple(sorted(segments))
     calibration = None
-    if precision == "int8" and config.runtime != "eager":
+    if precision == "int8":
         from ..runtime import calibrate, synthetic_calibration_frames
         frames = calibration_frames
         if not frames:
             frames = synthetic_calibration_frames(model.in_dim, seed=0)
         calibration = calibrate(model, frames, segments=segments)
-    plan = _resolve_plan(model, config, segments=segments,
-                         precision=precision, calibration=calibration)
-    device_fn = edge_fn = batch_fn = None
-    if split:
-        device_fn, edge_fn = (_split_callables_eager(model) if plan is None
-                              else _split_callables_plan(model, plan))
-    if batched:
-        batch_fn = _batched_edge_fn_impl(model, plan)
+    plan = _resolve_plan(model, config, segments, precision, calibration)
+    cut = model.first_communicate_index()
+    if plan is None:
+        fns = _serving_fns(*_eager_runners(model, cut), cut, np.float64)
+    else:
+        fns = _serving_fns(*_plan_runners(plan), cut, plan.dtype)
     if lock is not None:
-        device_fn = _serialized(device_fn, lock) if device_fn else None
-        edge_fn = _serialized(edge_fn, lock) if edge_fn else None
-        batch_fn = _serialized(batch_fn, lock) if batch_fn else None
-    return ServingCallables(device_fn=device_fn, edge_fn=edge_fn,
-                            batch_fn=batch_fn,
+        fns = [_serialized(fn, lock) for fn in fns]
+    device_fn, edge_fn, batch_fn = fns
+    return ServingCallables(device_fn=device_fn if split else None,
+                            edge_fn=edge_fn if split else None,
+                            batch_fn=batch_fn if batched else None,
                             plans=() if plan is None else (plan,))
 
 

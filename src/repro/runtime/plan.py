@@ -119,6 +119,9 @@ def _ensure_edge_info(run: PlanRun) -> None:
 # ----------------------------------------------------------------------
 # Plan steps
 # ----------------------------------------------------------------------
+# A step that rewrites ``x`` names the arena slot of its output ``slot``; a
+# slot is a pure function of the step's position in the architecture, so it
+# doubles as the step's calibration key (see ``quantize.calibrate``).
 class _ParamRef:
     """Call-time view of one parameter, cast to the plan dtype.
 
@@ -168,10 +171,6 @@ class _LinearStep:
         self.slope = negative_slope
         self.slot = slot
 
-    @property
-    def calib_key(self) -> object:
-        return self.slot
-
     def __call__(self, run: PlanRun) -> None:
         out = run.arena.take(self.slot, (run.x.shape[0], self.out_features),
                              run.x.dtype)
@@ -189,10 +188,6 @@ class _ReluStep:
 
     def __init__(self, slot: object) -> None:
         self.slot = slot
-
-    @property
-    def calib_key(self) -> object:
-        return self.slot
 
     def __call__(self, run: PlanRun) -> None:
         if run.x_in_arena:
@@ -288,40 +283,42 @@ class _SampleStep:
 class _AggregateStep:
     """Edge convolution: gather → ``[x_i, x_j - x_i]`` → segment reduce."""
 
-    __slots__ = ("reduce", "msg_slot", "out_slot")
+    __slots__ = ("reduce", "msg_slot", "slot")
 
-    def __init__(self, reduce: str, msg_slot: object, out_slot: object) -> None:
+    def __init__(self, reduce: str, msg_slot: object, slot: object) -> None:
         if reduce not in ("add", "sum", "mean", "max"):
             raise PlanCompileError(f"unsupported aggregate reducer {reduce!r}")
         self.reduce = reduce
         self.msg_slot = msg_slot
-        self.out_slot = out_slot
-
-    @property
-    def calib_key(self) -> object:
-        return self.out_slot
+        self.slot = slot
 
     def __call__(self, run: PlanRun) -> None:
+        self._check(run)
+        self._edgeconv(run, run.x, self.msg_slot, self.slot)
+
+    @staticmethod
+    def _check(run: PlanRun) -> None:
         if run.edge_index is None or run.edge_index.size == 0:
             raise RuntimeError("aggregate requires an existing graph structure")
         if run.pooled:
             raise RuntimeError("cannot aggregate after global pooling")
         _ensure_edge_info(run)
+
+    def _edgeconv(self, run: PlanRun, x: np.ndarray, msg_slot: object,
+                  out_slot: object) -> None:
+        """Float EdgeConv of ``x`` over the run's edge list, into ``run.x``."""
         src, dst = run.edge_index[0], run.edge_index[1]
-        num_edges, features = src.shape[0], run.x.shape[1]
-        out = run.arena.take(self.out_slot, (run.num_nodes, 2 * features),
-                             run.x.dtype)
+        num_edges, features = src.shape[0], x.shape[1]
+        out = run.arena.take(out_slot, (run.num_nodes, 2 * features), x.dtype)
         k = run.edge_info.uniform_k
         if k is not None:
-            scratch = run.arena.take(self.msg_slot,
-                                     (run.num_nodes, k, features),
-                                     run.x.dtype)
-            run.backend.edgeconv_uniform(run.x, src, k, self.reduce, scratch,
-                                         out)
+            scratch = run.arena.take(msg_slot, (run.num_nodes, k, features),
+                                     x.dtype)
+            run.backend.edgeconv_uniform(x, src, k, self.reduce, scratch, out)
         else:
-            messages = run.arena.take(self.msg_slot,
-                                      (num_edges, 2 * features), run.x.dtype)
-            run.backend.edge_messages(run.x, src, dst, messages)
+            messages = run.arena.take(msg_slot, (num_edges, 2 * features),
+                                      x.dtype)
+            run.backend.edge_messages(x, src, dst, messages)
             run.backend.segment_reduce(messages, dst, run.edge_info,
                                        self.reduce, out)
         run.x = out
@@ -339,10 +336,6 @@ class _GlobalPoolStep:
         self.mode = mode
         self.slot = slot
         self.scratch_slot = scratch_slot
-
-    @property
-    def calib_key(self) -> object:
-        return self.slot
 
     def __call__(self, run: PlanRun) -> None:
         if run.pooled:
@@ -377,11 +370,30 @@ def _finish_pool(run: PlanRun, out: np.ndarray, num_graphs: int) -> None:
 
 def _pool_into(run: PlanRun, mode: str, slot: object,
                scratch_slot: object) -> None:
-    """Shared pooling kernel (GlobalPool step and classifier defensive pool)."""
+    """Shared pooling kernel (GlobalPool step and classifier defensive pool).
+
+    Pooling is where quantized features re-enter float: uniform batch grids
+    reduce in integer arithmetic (int64 scratch, so sums can never overflow)
+    and dequantize the tiny per-graph result; ragged batches dequantize
+    first and pool like float input.
+    """
     num_graphs, features = run.num_graphs, run.x.shape[1]
     backend = run.backend
     info = _batch_segment_info(run)
     per_graph = info.uniform_k
+    if run.x.dtype.kind in "iu":
+        if per_graph is not None:
+            cols = 2 * features if mode in ("max||mean", "maxmean") else features
+            out = run.arena.take(slot, (num_graphs, cols), np.float32)
+            scratch = run.arena.take(scratch_slot, (num_graphs, features),
+                                     np.int64)
+            backend.quant_pool_uniform(run.x, num_graphs, per_graph, mode,
+                                       run.x_scale, scratch, out)
+            _finish_pool(run, out, num_graphs)
+            return
+        deq = run.arena.take((slot, "deq"), run.x.shape, np.float32)
+        backend.dequantize(run.x, run.x_scale, deq)
+        run.x = deq
     grouped = (run.x.reshape(num_graphs, per_graph, features)
                if per_graph is not None else None)
     if mode in ("max||mean", "maxmean"):
@@ -415,10 +427,6 @@ class _EnsurePooledStep:
         self.slot = slot
         self.scratch_slot = scratch_slot
 
-    @property
-    def calib_key(self) -> object:
-        return self.slot
-
     def __call__(self, run: PlanRun) -> None:
         if not run.pooled:
             _pool_into(run, "mean", self.slot, self.scratch_slot)
@@ -427,11 +435,13 @@ class _EnsurePooledStep:
 # ----------------------------------------------------------------------
 # Quantized (int8) plan steps
 # ----------------------------------------------------------------------
-# The quantized compile path mirrors the float steps one for one, with two
-# extra pieces of threaded state: ``run.x_scale`` (the per-tensor scale of
-# the current integer ``x``) and ``run.x_qmax`` (the largest magnitude any
-# element can hold, tracked *exactly* through the integer kernels — it
-# decides when the BLAS widening trick needs float64 to stay exact).
+# An int8 segment replaces the entry, linear and aggregate steps; ReLU, the
+# pools and Sample are the float plan's own steps (pooling is where integers
+# re-enter float, see ``_pool_into``).  Two extra pieces of state thread
+# through the run: ``run.x_scale`` (the per-tensor scale of the current
+# integer ``x``) and ``run.x_qmax`` (the largest magnitude any element can
+# hold, tracked *exactly* through the integer kernels — it decides when the
+# BLAS widening trick needs float64 to stay exact).
 # Activation scales are static, fixed at compile time from a
 # ``SegmentCalibration``; weight scales are per output channel, derived
 # lazily per parameter version.  See ``docs/architecture.md`` for the
@@ -518,10 +528,6 @@ class _QuantLinearStep:
         self.requantize = True
         self.slot = slot
 
-    @property
-    def calib_key(self) -> object:
-        return self.slot
-
     def __call__(self, run: PlanRun) -> None:
         backend = run.backend
         x = run.x
@@ -566,7 +572,7 @@ class _QuantLinearStep:
             run.x_qmax = None
 
 
-class _QuantAggregateStep:
+class _QuantAggregateStep(_AggregateStep):
     """EdgeConv over quantized features, integer-exact on uniform topologies.
 
     The k-regular fast path reduces gathered int8 rows directly (see
@@ -578,27 +584,15 @@ class _QuantAggregateStep:
     ``out_amax``.
     """
 
-    __slots__ = ("reduce", "msg_slot", "out_slot", "out_amax")
+    __slots__ = ("out_amax",)
 
-    def __init__(self, reduce: str, msg_slot: object, out_slot: object,
+    def __init__(self, reduce: str, msg_slot: object, slot: object,
                  out_amax: float) -> None:
-        if reduce not in ("add", "sum", "mean", "max"):
-            raise PlanCompileError(f"unsupported aggregate reducer {reduce!r}")
-        self.reduce = reduce
-        self.msg_slot = msg_slot
-        self.out_slot = out_slot
+        super().__init__(reduce, msg_slot, slot)
         self.out_amax = out_amax
 
-    @property
-    def calib_key(self) -> object:
-        return self.out_slot
-
     def __call__(self, run: PlanRun) -> None:
-        if run.edge_index is None or run.edge_index.size == 0:
-            raise RuntimeError("aggregate requires an existing graph structure")
-        if run.pooled:
-            raise RuntimeError("cannot aggregate after global pooling")
-        _ensure_edge_info(run)
+        self._check(run)
         x = run.x
         k = run.edge_info.uniform_k
         if k is None or x.dtype.kind not in "iu":
@@ -618,7 +612,7 @@ class _QuantAggregateStep:
             return
         out_dtype = (np.int16 if bound <= np.iinfo(np.int16).max
                      else np.int32)
-        out = run.arena.take(self.out_slot, (run.num_nodes, 2 * features),
+        out = run.arena.take(self.slot, (run.num_nodes, 2 * features),
                              out_dtype)
         gather = run.arena.take(self.msg_slot, (run.num_nodes, k, features),
                                 x.dtype)
@@ -634,104 +628,18 @@ class _QuantAggregateStep:
         backend = run.backend
         x = run.x
         if x.dtype.kind in "iu":
-            deq = run.arena.take((self.out_slot, "deq"), x.shape, np.float32)
+            deq = run.arena.take((self.slot, "deq"), x.shape, np.float32)
             backend.dequantize(x, run.x_scale, deq)
             x = deq
-        src, dst = run.edge_index[0], run.edge_index[1]
-        num_edges, features = src.shape[0], x.shape[1]
-        out = run.arena.take((self.out_slot, "f"),
-                             (run.num_nodes, 2 * features), np.float32)
-        k = run.edge_info.uniform_k
-        if k is not None:
-            scratch = run.arena.take((self.msg_slot, "f"),
-                                     (run.num_nodes, k, features), np.float32)
-            backend.edgeconv_uniform(x, src, k, self.reduce, scratch, out)
-        else:
-            messages = run.arena.take((self.msg_slot, "f"),
-                                      (num_edges, 2 * features), np.float32)
-            backend.edge_messages(x, src, dst, messages)
-            backend.segment_reduce(messages, dst, run.edge_info, self.reduce,
-                                   out)
+        # Slots of their own: the float buffers must never retype the
+        # integer buffers of the fast path (frames may alternate).
+        self._edgeconv(run, x, (self.msg_slot, "f"), (self.slot, "f"))
         scale = amax_to_scale(self.out_amax)
-        outq = run.arena.take((self.out_slot, "q"), out.shape, np.int8)
-        backend.quantize(out, scale, out, outq)
+        outq = run.arena.take((self.slot, "q"), run.x.shape, np.int8)
+        backend.quantize(run.x, scale, run.x, outq)
         run.x = outq
-        run.x_in_arena = True
         run.x_scale = scale
         run.x_qmax = QMAX_INT8
-
-
-def _quant_pool_into(run: PlanRun, mode: str, slot: object,
-                     scratch_slot: object) -> None:
-    """Pool quantized features; this is where values re-enter float.
-
-    Uniform batch grids reduce in integer arithmetic (int64 scratch, so
-    sums can never overflow) and dequantize the tiny per-graph result;
-    ragged batches dequantize first and reuse the float pooling path.
-    Float inputs delegate straight to :func:`_pool_into`.
-    """
-    x = run.x
-    if x.dtype.kind not in "iu":
-        _pool_into(run, mode, slot, scratch_slot)
-        return
-    info = _batch_segment_info(run)
-    per_graph = info.uniform_k
-    if per_graph is None:
-        deq = run.arena.take((slot, "deq"), x.shape, np.float32)
-        run.backend.dequantize(x, run.x_scale, deq)
-        run.x = deq
-        run.x_in_arena = True
-        run.x_scale = None
-        run.x_qmax = None
-        _pool_into(run, mode, slot, scratch_slot)
-        return
-    num_graphs, features = run.num_graphs, x.shape[1]
-    cols = 2 * features if mode in ("max||mean", "maxmean") else features
-    out = run.arena.take(slot, (num_graphs, cols), np.float32)
-    scratch = run.arena.take(scratch_slot, (num_graphs, features), np.int64)
-    run.backend.quant_pool_uniform(x, num_graphs, per_graph, mode,
-                                   run.x_scale, scratch, out)
-    _finish_pool(run, out, num_graphs)
-
-
-class _QuantPoolStep:
-    """Quantized global pooling (same modes as :class:`_GlobalPoolStep`)."""
-
-    __slots__ = ("mode", "slot", "scratch_slot")
-
-    def __init__(self, mode: str, slot: object, scratch_slot: object) -> None:
-        if mode not in ("sum", "add", "mean", "max", "max||mean", "maxmean"):
-            raise PlanCompileError(f"unsupported global pooling mode {mode!r}")
-        self.mode = mode
-        self.slot = slot
-        self.scratch_slot = scratch_slot
-
-    @property
-    def calib_key(self) -> object:
-        return self.slot
-
-    def __call__(self, run: PlanRun) -> None:
-        if run.pooled:
-            raise RuntimeError("graph is already pooled")
-        _quant_pool_into(run, self.mode, self.slot, self.scratch_slot)
-
-
-class _QuantEnsurePooledStep:
-    """Defensive mean-pool before the classifier (quantized variant)."""
-
-    __slots__ = ("slot", "scratch_slot")
-
-    def __init__(self, slot: object, scratch_slot: object) -> None:
-        self.slot = slot
-        self.scratch_slot = scratch_slot
-
-    @property
-    def calib_key(self) -> object:
-        return self.slot
-
-    def __call__(self, run: PlanRun) -> None:
-        if not run.pooled:
-            _quant_pool_into(run, "mean", self.slot, self.scratch_slot)
 
 
 # ----------------------------------------------------------------------
@@ -863,7 +771,63 @@ class PlanSegment:
         return run
 
 
-def _compile_mlp(mlp: MLP, dtype: np.dtype, slot_prefix: str
+class _FloatSteps:
+    """Step factory of a float segment: every node is a float kernel step."""
+
+    def __init__(self, dtype: np.dtype) -> None:
+        self.dtype = dtype
+
+    def linear(self, linear: Linear, slot: object, activation: Optional[str],
+               slope: float = 0.2) -> _LinearStep:
+        return _LinearStep(linear, self.dtype, slot, activation, slope)
+
+    def aggregate(self, reduce: str, msg_slot: object,
+                  slot: object) -> _AggregateStep:
+        return _AggregateStep(reduce, msg_slot, slot)
+
+    def follow(self, step):
+        """A step both precisions run as is (ReLU, the pools)."""
+        return step
+
+
+class _Int8Steps:
+    """Step factory of an int8 segment.
+
+    Carries the segment's calibration and the running activation ``amax``:
+    each step's calibrated output range, looked up under the slot the walk
+    hands in, becomes the next step's input scale.  The float plan that
+    observed those ranges came out of the same walk, so the keys align by
+    construction.  A key the float plan never recorded inherits the running
+    amax — a safe upper-bound guess that keeps compilation total.
+    """
+
+    def __init__(self, calib: SegmentCalibration) -> None:
+        self.calib = calib
+        self.amax = calib.input_amax
+
+    def _advance(self, key: object, default: Optional[float] = None) -> float:
+        self.amax = self.calib.step_amax.get(
+            key, self.amax if default is None else default)
+        return self.amax
+
+    def linear(self, linear: Linear, slot: object, activation: Optional[str],
+               slope: float = 0.2) -> _QuantLinearStep:
+        in_amax = self.amax
+        return _QuantLinearStep(linear, slot, activation, slope, in_amax,
+                                self._advance(slot))
+
+    def aggregate(self, reduce: str, msg_slot: object,
+                  slot: object) -> _QuantAggregateStep:
+        # Un-calibrated guess: a message ``[x_i, x_j - x_i]`` is within 2·amax.
+        return _QuantAggregateStep(reduce, msg_slot, slot,
+                                   self._advance(slot, 2 * self.amax))
+
+    def follow(self, step):
+        self._advance(step.slot)
+        return step
+
+
+def _compile_mlp(mlp: MLP, make, slot_prefix: str
                  ) -> List[Callable[[PlanRun], None]]:
     """Compile an eval-mode MLP into fused linear steps.
 
@@ -881,13 +845,11 @@ def _compile_mlp(mlp: MLP, dtype: np.dtype, slot_prefix: str
     def flush(activation: Optional[str] = None, slope: float = 0.2) -> None:
         nonlocal pending, index
         if pending is not None:
-            steps.append(_LinearStep(pending, dtype,
-                                     (slot_prefix, index, "linear"),
-                                     activation=activation,
-                                     negative_slope=slope))
+            steps.append(make.linear(pending, (slot_prefix, index, "linear"),
+                                     activation, slope))
             pending = None
         elif activation == "relu":
-            steps.append(_ReluStep((slot_prefix, index, "relu")))
+            steps.append(make.follow(_ReluStep((slot_prefix, index, "relu"))))
         elif activation is not None:
             raise PlanCompileError(
                 "cannot compile a standalone non-ReLU activation")
@@ -922,129 +884,35 @@ def _compile_mlp(mlp: MLP, dtype: np.dtype, slot_prefix: str
 
 
 def _compile_operation(operation: Operation, index: int, x_version: int,
-                       dtype: np.dtype
-                       ) -> "tuple[List[Callable[[PlanRun], None]], int]":
-    """Compile one architecture operation; returns (steps, new x_version)."""
+                       make) -> "tuple[List[Callable[[PlanRun], None]], int]":
+    """Compile one architecture operation; returns (steps, new x_version).
+
+    ``make`` is the segment's step factory (:class:`_FloatSteps` or
+    :class:`_Int8Steps`): the walk fixes which steps exist, their slots and
+    their order; the factory only picks the class that realises each.
+    """
     if isinstance(operation, (IdentityOp, CommunicateOp)):
         return [], x_version  # canonicalized away: no runtime cost at all
     if isinstance(operation, SampleOp):
         return [_SampleStep(operation, x_version)], x_version
     if isinstance(operation, AggregateOp):
         reduce = str(operation.spec.function)
-        return [_AggregateStep(reduce, (index, "msgs"), (index, "out"))], \
+        return [make.aggregate(reduce, (index, "msgs"), (index, "out"))], \
             x_version + 1
     if isinstance(operation, CombineOp):
-        return [_LinearStep(operation.linear, dtype, (index, "linear"),
-                            activation="relu")], x_version + 1
+        return [make.linear(operation.linear, (index, "linear"), "relu")], \
+            x_version + 1
     if isinstance(operation, GlobalPoolOp):
         mode = str(operation.spec.function)
-        return [_GlobalPoolStep(mode, (index, "pool"), (index, "scratch"))], \
+        return [make.follow(_GlobalPoolStep(mode, (index, "pool"),
+                                            (index, "scratch")))], \
             x_version + 1
     if isinstance(operation, ClassifierOp):
         steps: List[Callable[[PlanRun], None]] = [
-            _EnsurePooledStep((index, "defensive-pool"),
-                              (index, "defensive-scratch"))]
-        steps.extend(_compile_mlp(operation.mlp, dtype, f"classifier{index}"))
+            make.follow(_EnsurePooledStep((index, "defensive-pool"),
+                                          (index, "defensive-scratch")))]
+        steps.extend(_compile_mlp(operation.mlp, make, f"classifier{index}"))
         return steps, x_version + 1
-    raise PlanCompileError(
-        f"cannot compile operation {type(operation).__name__}")
-
-
-def _compile_quant_mlp(mlp: MLP, slot_prefix: str, calib: SegmentCalibration,
-                       in_amax: float):
-    """Quantized twin of :func:`_compile_mlp`; returns (steps, final amax).
-
-    The running ``amax`` threads each step's calibrated output range into
-    the next step's input scale; slots are identical to the float compile,
-    which is what aligns calibration keys between the float plan that
-    observed and the quantized plan that consumes.
-    """
-    steps: List[Callable[[PlanRun], None]] = []
-    pending: Optional[Linear] = None
-    index = 0
-    amax = in_amax
-
-    def flush(activation: Optional[str] = None, slope: float = 0.2) -> None:
-        nonlocal pending, index, amax
-        if pending is not None:
-            key = (slot_prefix, index, "linear")
-            out_amax = calib.step_amax.get(key, amax)
-            steps.append(_QuantLinearStep(pending, key, activation, slope,
-                                          amax, out_amax))
-            amax = out_amax
-            pending = None
-        elif activation == "relu":
-            key = (slot_prefix, index, "relu")
-            steps.append(_ReluStep(key))
-            amax = calib.step_amax.get(key, amax)
-        elif activation is not None:
-            raise PlanCompileError(
-                "cannot compile a standalone non-ReLU activation")
-        index += 1
-
-    for layer in mlp.net:
-        if isinstance(layer, Linear):
-            flush()
-            pending = layer
-        elif isinstance(layer, ReLU):
-            flush(activation="relu")
-        elif isinstance(layer, LeakyReLU):
-            if pending is None:
-                raise PlanCompileError(
-                    "cannot compile a standalone LeakyReLU activation")
-            flush(activation="leaky_relu", slope=layer.negative_slope)
-        elif isinstance(layer, Dropout):
-            if layer.p > 0 and layer.training:
-                raise PlanCompileError(
-                    "cannot compile an active Dropout layer (p>0 in "
-                    "training mode) — call model.eval() first")
-            continue
-        elif isinstance(layer, Identity):
-            continue
-        else:
-            raise PlanCompileError(
-                f"cannot compile classifier layer {type(layer).__name__}")
-    flush()
-    return steps, amax
-
-
-def _compile_quant_operation(operation: Operation, index: int, x_version: int,
-                             calib: SegmentCalibration, amax: float):
-    """Quantized twin of :func:`_compile_operation`.
-
-    Returns ``(steps, new x_version, running activation amax)``.  Missing
-    calibration keys (a step the float plan never materialized) inherit the
-    running amax — a safe upper-bound guess that keeps compilation total.
-    """
-    if isinstance(operation, (IdentityOp, CommunicateOp)):
-        return [], x_version, amax
-    if isinstance(operation, SampleOp):
-        return [_SampleStep(operation, x_version)], x_version, amax
-    if isinstance(operation, AggregateOp):
-        reduce = str(operation.spec.function)
-        key = (index, "out")
-        out_amax = calib.step_amax.get(key, 2.0 * amax)
-        return [_QuantAggregateStep(reduce, (index, "msgs"), key,
-                                    out_amax)], x_version + 1, out_amax
-    if isinstance(operation, CombineOp):
-        key = (index, "linear")
-        out_amax = calib.step_amax.get(key, amax)
-        return [_QuantLinearStep(operation.linear, key, "relu", 0.2, amax,
-                                 out_amax)], x_version + 1, out_amax
-    if isinstance(operation, GlobalPoolOp):
-        mode = str(operation.spec.function)
-        key = (index, "pool")
-        steps = [_QuantPoolStep(mode, key, (index, "scratch"))]
-        return steps, x_version + 1, calib.step_amax.get(key, amax)
-    if isinstance(operation, ClassifierOp):
-        key = (index, "defensive-pool")
-        steps = [_QuantEnsurePooledStep(key, (index, "defensive-scratch"))]
-        amax = calib.step_amax.get(key, amax)
-        mlp_steps, amax = _compile_quant_mlp(operation.mlp,
-                                             f"classifier{index}", calib,
-                                             amax)
-        steps.extend(mlp_steps)
-        return steps, x_version + 1, amax
     raise PlanCompileError(
         f"cannot compile operation {type(operation).__name__}")
 
@@ -1054,32 +922,23 @@ def _compile_segment(model, start: int, end: Optional[int],
                      backend: KernelBackend,
                      calib: Optional[SegmentCalibration] = None
                      ) -> PlanSegment:
-    operations = model._operations
-    end = len(operations) if end is None else end
-    steps: List[Callable[[PlanRun], None]] = []
-    x_version = 0
-    if calib is None:
-        for index in range(start, end):
-            op_steps, x_version = _compile_operation(operations[index], index,
-                                                     x_version, dtype)
-            steps.extend(op_steps)
-        if include_classifier:
-            op_steps, x_version = _compile_operation(model.classifier,
-                                                     len(operations),
-                                                     x_version, dtype)
-            steps.extend(op_steps)
-        return PlanSegment(steps, dtype, backend)
-    amax = calib.input_amax
-    steps.append(_QuantizeStep(amax_to_scale(amax), ("entry", "quantize")))
-    for index in range(start, end):
-        op_steps, x_version, amax = _compile_quant_operation(
-            operations[index], index, x_version, calib, amax)
-        steps.extend(op_steps)
+    """Compile operations ``start:end`` (int8 when ``calib`` is given)."""
+    operations = list(model._operations[start:end])
     if include_classifier:
-        op_steps, x_version, amax = _compile_quant_operation(
-            model.classifier, len(operations), x_version, calib, amax)
+        operations.append(model.classifier)
+    steps: List[Callable[[PlanRun], None]] = []
+    if calib is None:
+        make = _FloatSteps(dtype)
+    else:
+        make = _Int8Steps(calib)
+        steps.append(_QuantizeStep(amax_to_scale(calib.input_amax),
+                                   ("entry", "quantize")))
+    x_version = 0
+    for index, operation in enumerate(operations, start):
+        op_steps, x_version = _compile_operation(operation, index, x_version,
+                                                 make)
         steps.extend(op_steps)
-    # The segment's final linear emits float32 (logits for classifier
+    # An int8 segment's final linear emits float32 (logits for classifier
     # segments, wire states for device segments) instead of requantizing —
     # exits are float either way, so skip the lossy extra round trip.
     if steps and isinstance(steps[-1], _QuantLinearStep):

@@ -36,8 +36,8 @@ from .kernels import QMAX_INT8
 
 #: Precision names accepted by ``RuntimeConfig.precision`` /
 #: ``precision_policy``.  The float entries select the compiled compute &
-#: wire dtype exactly like the legacy ``dtype`` knob; ``"int8"`` selects the
-#: calibrated quantized path (float32 carrier on the wire).
+#: wire dtype; ``"int8"`` selects the calibrated quantized path (float32
+#: carrier on the wire).
 PRECISION_FLOAT64 = "float64"
 PRECISION_FLOAT32 = "float32"
 PRECISION_INT8 = "int8"
@@ -183,7 +183,7 @@ def calibrate(model, frames: Sequence[Batch],
 
     def observer_for(recorder: SegmentCalibration):
         def observer(step, run) -> None:
-            key = getattr(step, "calib_key", None)
+            key = getattr(step, "slot", None)  # Sample rewrites no x
             if key is not None:
                 recorder.observe_step(key, run.x)
         return observer

@@ -61,10 +61,10 @@ def build_zoo_callables(zoo: ArchitectureZoo, *, in_dim: int,
                         ) -> Dict[str, ServingCallables]:
     """Build :class:`~repro.core.executor.ServingCallables` for every zoo entry.
 
-    Each entry gets a freshly initialized model (from ``seed``) and two
-    independently compiled plans — per-frame and batched — whose buffer
-    arenas live as long as the returned callables, which is how an edge
-    server keeps per-entry arenas across requests.  All callables of one
+    Each entry gets a freshly initialized model (from ``seed``) and one
+    compiled plan, run by its per-frame and its batched callables alike,
+    whose buffer arenas live as long as the returned callables, which is how
+    an edge server keeps per-entry arenas across requests.  All callables of one
     entry share a per-entry lock (shared model, not thread-safe); distinct
     entries still execute in parallel.
 

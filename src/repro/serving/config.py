@@ -212,17 +212,14 @@ class RuntimeConfig(_Config):
         "auto", RUNTIMES, '``"auto"`` compiles plans (eager only for what '
         'plans do not support), ``"compiled"`` requires plans, ``"eager"`` '
         "runs autograd under ``no_grad`` — float64 only")
-    dtype: Optional[str] = knob(
-        None, "dtype", "Compiled compute **and** wire dtype (name, np.dtype "
-        'or scalar type); ``None`` = float64, ``"float32"`` halves frame bytes')
     segments: Optional[Tuple[str, ...]] = knob(
         None, _segments, "Plan segments compiled for the per-frame callables; "
         '``None`` = ``("device", "edge")``; batched ones compile ``("edge",)``')
     precision: Optional[str] = knob(
-        None, PRECISIONS, 'Default precision of every entry: ``"float64"`` / '
-        '``"float32"`` (same as ``dtype``; a conflict is rejected) or '
+        None, PRECISIONS, "Default precision of every entry: the compiled "
+        'compute **and** wire dtype (``"float32"`` halves frame bytes) or '
         '``"int8"`` (calibrated quantization, wire states stay float32); '
-        "``None`` defers to ``dtype``, then float64")
+        "``None`` = float64")
     precision_policy: Dict[str, str] = knob(
         dict, _precision_policy, "Per-entry precision overrides by zoo entry "
         'name (``{"hot": "int8"}``), winning over ``precision``')
@@ -232,26 +229,17 @@ class RuntimeConfig(_Config):
         'installed) or ``"auto"`` (numba when importable, else numpy)')
 
     def _validate(self) -> None:
-        if self.precision and self.dtype and self.precision != self.dtype:
-            raise ValueError(f"precision={self.precision!r} conflicts with "
-                             f"dtype={self.dtype!r}; set one of the two "
-                             "(precision supersedes dtype)")
-        narrow = {self.dtype, self.precision,
+        narrow = {self.precision,
                   *self.precision_policy.values()} - {None, "float64"}
         if self.runtime == "eager" and narrow:
             raise ValueError("the eager runtime computes in float64 only; use "
                              "runtime='compiled' (or 'auto') for "
                              f"{sorted(narrow)}")
 
-    @property
-    def numpy_dtype(self) -> Optional[np.dtype]:
-        """The dtype as ``np.dtype`` (``None`` = builder default, float64)."""
-        return None if self.dtype is None else np.dtype(self.dtype)
-
     def precision_for(self, entry_name: Optional[str] = None) -> str:
-        """Effective precision of one entry: policy → precision → dtype."""
+        """Effective precision of one entry: policy → precision → float64."""
         return (self.precision_policy.get(entry_name) or self.precision
-                or self.dtype or "float64")
+                or "float64")
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ def test_live_tree_clean_modulo_baseline():
 
 def test_baseline_small_and_justified():
     entries = load_baseline()  # load_baseline raises on any missing reason
-    assert len(entries) <= 10
+    assert len(entries) <= 9
     for entry in entries:
         assert len(entry.justification) >= 30, (
             f"{entry.key}: justification too thin to count as reviewed")

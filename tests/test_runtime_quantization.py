@@ -182,6 +182,57 @@ class TestCalibration:
                          calibration=calibration)
 
 
+class _RecordingAmax(dict):
+    """A ``step_amax`` that notes every key looked up and every miss."""
+
+    def __init__(self, recorded):
+        super().__init__(recorded)
+        self.read, self.missed = set(), set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        if key not in self:
+            self.missed.add(key)
+        return super().get(key, default)
+
+
+def _e2blk(cut: int) -> Architecture:
+    """The benchmark entry (``benchmarks/e2e/workloads.py``), cut at ``cut``."""
+    ops = [OpSpec(OpType.SAMPLE, "knn", k=16),
+           OpSpec(OpType.AGGREGATE, "max"), OpSpec(OpType.COMBINE, 64),
+           OpSpec(OpType.AGGREGATE, "max"), OpSpec(OpType.COMBINE, 64),
+           OpSpec(OpType.GLOBAL_POOL, "max||mean")]
+    ops.insert(cut, OpSpec(OpType.COMMUNICATE, "uplink"))
+    return Architecture(ops=tuple(ops), name=f"e2blk-cut{cut}")
+
+
+KEY_COVERAGE_ARCHS = [_arch(aggregator, pool) for aggregator in AGGREGATORS
+                      for pool in POOLS] + [_e2blk(0), _e2blk(3)]
+
+
+class TestCalibrationKeys:
+    @pytest.mark.parametrize("arch", KEY_COVERAGE_ARCHS,
+                             ids=lambda arch: arch.name)
+    def test_keys_observed_are_exactly_the_keys_consumed(self, arch):
+        """The float plan that observes and the int8 compile that consumes
+        must agree on every slot key: a lookup that misses silently inherits
+        the running amax (a wrong scale, not an error), and a recorded key
+        nobody reads is a step int8 mis-scales the same way."""
+        model = ArchitectureModel(arch, in_dim=3, num_classes=5, seed=0)
+        calibration = calibrate(model, synthetic_calibration_frames(3, seed=0),
+                                segments=("device", "edge"))
+        for recorder in calibration.segments.values():
+            recorder.step_amax = _RecordingAmax(recorder.step_amax)
+        compile_plan(model, dtype=np.float32, segments=("device", "edge"),
+                     calibration=calibration)
+        for name in ("device", "edge"):
+            amax = calibration.segment(name).step_amax
+            assert not amax.missed, f"{name}: never recorded {amax.missed}"
+            assert amax.read == set(amax), \
+                f"{name}: recorded but unread {set(amax) - amax.read}"
+        assert calibration.segment("edge").step_amax.read
+
+
 # ----------------------------------------------------------------------
 # Accuracy gates: int8 vs float64 across the design-space matrix
 # ----------------------------------------------------------------------
@@ -271,13 +322,6 @@ class TestPrecisionConfig:
         with pytest.raises(ValueError, match="eager"):
             RuntimeConfig(runtime="eager", precision_policy={"m": "int8"})
 
-    def test_conflicting_dtype_and_precision_rejected(self):
-        with pytest.raises(ValueError, match="precision"):
-            RuntimeConfig(dtype="float64", precision="float32")
-        # Agreeing spellings are fine.
-        config = RuntimeConfig(dtype="float32", precision="float32")
-        assert config.precision_for() == "float32"
-
     def test_precision_for_resolution_order(self):
         config = RuntimeConfig(precision="float32",
                                precision_policy={"hot": "int8"})
@@ -285,7 +329,6 @@ class TestPrecisionConfig:
         assert config.precision_for("cold") == "float32"
         assert config.precision_for() == "float32"
         assert RuntimeConfig().precision_for("anything") == "float64"
-        assert RuntimeConfig(dtype="float32").precision_for() == "float32"
 
     def test_round_trip_with_policy(self):
         config = RuntimeConfig(runtime="compiled", precision="float32",

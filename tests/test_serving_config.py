@@ -115,7 +115,7 @@ def test_none_is_accepted_exactly_by_optional_knobs(cls, name, spec):
 
 #: A non-default, canonicalisation-exercising value for every knob.
 EXAMPLES = {
-    RuntimeConfig: dict(runtime="compiled", dtype=np.float32,
+    RuntimeConfig: dict(runtime="compiled",
                         segments=["edge"], precision="float32",
                         precision_policy={"hot": "int8"}, backend="numpy"),
     BatchingConfig: dict(max_batch_size=8, max_wait_ms=5),

@@ -63,23 +63,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown runtime"):
             RuntimeConfig(runtime="jit")
 
-    def test_unknown_dtype_rejected(self):
-        with pytest.raises(ValueError, match="dtype"):
-            RuntimeConfig(dtype="floaty64")
-
-    def test_non_float_dtype_rejected(self):
-        with pytest.raises(ValueError, match="floating"):
-            RuntimeConfig(dtype="int32")
-
-    def test_dtype_normalized_to_canonical_name(self):
-        assert RuntimeConfig(dtype=np.float32).dtype == "float32"
-        assert RuntimeConfig(dtype="float64").numpy_dtype == np.float64
-        assert RuntimeConfig().numpy_dtype is None
+    def test_unknown_precision_rejected(self):
+        with pytest.raises(ValueError, match="precision"):
+            RuntimeConfig(precision="floaty64")
+        with pytest.raises(ValueError, match="precision"):
+            RuntimeConfig(precision="int32")
 
     def test_eager_runtime_is_float64_only(self):
         with pytest.raises(ValueError, match="float64"):
-            RuntimeConfig(runtime="eager", dtype="float32")
-        RuntimeConfig(runtime="eager", dtype="float64")  # fine
+            RuntimeConfig(runtime="eager", precision="float32")
+        RuntimeConfig(runtime="eager", precision="float64")  # fine
 
     def test_unknown_plan_segments_rejected(self):
         with pytest.raises(ValueError, match="segment"):
@@ -158,7 +151,7 @@ class TestConfigValidation:
 class TestConfigRoundTrips:
     @pytest.mark.parametrize("config", [
         RuntimeConfig(),
-        RuntimeConfig(runtime="compiled", dtype="float32",
+        RuntimeConfig(runtime="compiled", precision="float32",
                       segments=("device", "edge")),
         BatchingConfig(max_batch_size=8, max_wait_ms=3.5),
         ServerConfig(host="0.0.0.0", port=9000, max_workers=4, backlog=8,
@@ -231,7 +224,7 @@ class TestBuilders:
     def test_runtime_config_is_honored(self):
         model = ArchitectureModel(_arch("m"), in_dim=3, num_classes=3, seed=0)
         serving = build_callables(model, RuntimeConfig(runtime="compiled",
-                                                       dtype="float32"))
+                                                       precision="float32"))
         arrays, _ = serving.device_fn(_frames(1)[0])
         assert arrays["x"].dtype == np.float32
 
@@ -347,7 +340,7 @@ class TestLifecycle:
         request must fail loudly instead of being silently ignored."""
         repository = ModelRepository(in_dim=3, num_classes=3, zoo=_zoo())
         with pytest.raises(ValueError, match="runtime"):
-            serve(_zoo(), ServingConfig(runtime=RuntimeConfig(dtype="float32")),
+            serve(_zoo(), ServingConfig(runtime=RuntimeConfig(precision="float32")),
                   in_dim=3, num_classes=3, repository=repository)
         with pytest.raises(ValueError, match="seed"):
             serve(_zoo(), in_dim=3, num_classes=3, seed=7,

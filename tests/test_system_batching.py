@@ -93,6 +93,19 @@ class TestCollateSplit:
         with pytest.raises(ValueError, match="pooled"):
             collate_arrays(requests)
 
+    @pytest.mark.parametrize("name", ["pos", "edge_index"])
+    def test_collate_rejects_mixed_presence(self, name):
+        """Dropping the array for the whole batch would run the frames that
+        sent it on different inputs than per-frame execution does."""
+        extra = {"pos": np.zeros((2, 2)),
+                 "edge_index": np.array([[0], [1]])}[name]
+        bare = ({"x": np.ones((2, 2)), "batch": np.array([0, 0])},
+                {"num_graphs": 1, "pooled": False})
+        full = ({**bare[0], name: extra}, bare[1])
+        for requests in ([full, bare], [bare, full]):
+            with pytest.raises(ValueError, match=name):
+                collate_arrays(requests)
+
     def test_collate_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             collate_arrays([])
@@ -510,6 +523,53 @@ class TestMicroBatchingServing:
             for result, local in zip(results, expected):
                 np.testing.assert_allclose(result.arrays["logits"], local,
                                            rtol=1e-12, atol=1e-12)
+
+    def test_mixed_pos_batch_is_served_per_frame(self):
+        """A micro-batch of one frame with ``pos`` and one without: the
+        batched callable refuses it (it used to drop ``pos`` for both and
+        answer the first frame ~0.1 off), the engine's per-frame fallback
+        serves both exactly."""
+        from repro.graph.data import GraphData
+        arch = Architecture(ops=(
+            OpSpec(OpType.COMMUNICATE, "uplink"),
+            OpSpec(OpType.SAMPLE, "knn", k=4),
+            OpSpec(OpType.AGGREGATE, "max"),
+            OpSpec(OpType.COMBINE, 16),
+            OpSpec(OpType.GLOBAL_POOL, "max||mean"),
+        ), name="served")
+        zoo = ArchitectureZoo([ZooEntry("served", arch, 0.9, 50.0, 0.5)])
+        entry = build_zoo_callables(zoo, in_dim=3, num_classes=5,
+                                    seed=0)["served"]
+        rng = np.random.default_rng(0)
+        frames = [Batch.from_graphs([GraphData(
+                      x=rng.standard_normal((32, 3)),
+                      pos=rng.standard_normal((32, 3)))]),
+                  Batch.from_graphs([GraphData(
+                      x=rng.standard_normal((32, 3)))])]
+        states = [entry.device_fn(frame) for frame in frames]
+        assert "pos" in states[0][0] and "pos" not in states[1][0]
+        expected = [entry.edge_fn(arrays, meta)[0]["logits"]
+                    for arrays, meta in states]
+        with pytest.raises(ValueError, match="pos"):
+            entry.batch_fn(states)
+
+        server = EdgeServer(edge_fns={"served": entry.edge_fn},
+                            batch_fns={"served": entry.batch_fn},
+                            max_batch_size=2, max_wait_ms=2000.0).start()
+        client = DeviceClient(server.host, server.port, model="served")
+        try:
+            results, _ = client.run_pipeline(frames, entry.device_fn,
+                                             timeout_s=30.0)
+        finally:
+            client.close()
+            server.stop()
+        for result, local in zip(results, expected):
+            np.testing.assert_allclose(result.arrays["logits"], local,
+                                       rtol=0, atol=1e-9)
+        stats = server.stats()
+        assert stats.errors == 0
+        assert stats.batch_size_histogram == {2: 1}
+        assert stats.batch_fallback_frames == 2
 
     def test_rejects_batch_fn_without_edge_fn(self):
         with pytest.raises(ValueError, match="batch_fns"):
