@@ -4,23 +4,37 @@ Intermediate GNN states are exchanged between the device and the edge as
 length-prefixed messages containing named numpy arrays plus a small JSON
 metadata header.  There is one frame layout and one codec for it:
 
-    [magic 0xAB][version][u32 header length][JSON header][array bytes ...]
+    [magic 0xAB][version 2][u32 header length][JSON header][array bytes ...]
 
-The header carries ``kind``/``frame_id``/``meta`` and ``[name, dtype,
-shape]`` per array; the arrays' C-contiguous bytes follow in header order.
-``wire_format="raw"`` sends that frame as is; ``"zlib"`` (the default)
-sends it deflated — ``zlib.compress(raw_frame, level)`` — mirroring the
-paper's engine, which is built on Python sockets and compresses all
-transmitted data with zlib.
+The header carries ``kind``/``frame_id``/``meta`` and one spec per array;
+the arrays' bytes follow in header order, each in one of two layouts:
 
-A receiver tells the two apart by the first byte (zlib streams begin with
-``0x78``), inflates when needed — capped at its message cap, because the
-length prefix bounds only the *deflated* size — and hands the frame to the
-one parser, so every check on the peer-controlled header guards both
-framings.  Either way the decoded arrays are read-only ``np.frombuffer``
-views over the received (or inflated) bytes: zero per-array copies.  The
-layout is versioned: an unknown version byte raises instead of desyncing
-the stream.
+* ``[name, dtype, shape]`` — *dense*: the C-contiguous bytes.
+* ``[name, dtype, shape, "zp"]`` — *zero-suppressed, byte-planed*:
+  ``packbits(bits != 0)`` (the mask of elements that are not bitwise
+  zero), then the non-zero elements byte-planed — byte *j* of every value
+  in plane *j*.  Only 2/4/8-byte floats where at least one element in
+  eight is bitwise zero use it (post-ReLU activations are 36–40 % zeros),
+  and only in the zlib framing: deflate finds the planes' long runs that
+  the interleaved float bytes hide.  Bitwise, so ``-0.0`` and NaN
+  payloads survive.
+
+``wire_format="raw"`` sends the all-dense frame as is; ``"zlib"`` (the
+default) sends the deflated frame, in which zero-heavy float arrays use
+the ``zp`` layout — mirroring the paper's engine, which is built on
+Python sockets and compresses all transmitted data with zlib.  A frame
+with no such array is exactly ``zlib.compress(raw_frame, level)``.
+
+A receiver tells the two framings apart by the first byte (zlib streams
+begin with ``0x78``), inflates when needed — capped at its message cap,
+because the length prefix bounds only the *deflated* size — and hands the
+frame to the one parser, which reads both layouts, so every check on the
+peer-controlled header guards both framings.  Dense arrays decode to
+read-only ``np.frombuffer`` views over the received (or inflated) bytes
+(zero per-array copies); a ``zp`` array decodes into a fresh read-only
+array with one scatter, and the total size such arrays decode to is held
+to the same cap.  The layout is versioned: an unknown version byte raises
+instead of desyncing the stream.
 """
 
 from __future__ import annotations
@@ -103,8 +117,10 @@ REJECT_REASON_META_KEY = "reason"
 #: always start with ``0x78`` (deflate, 32K window), so this magic makes the
 #: two framings self-describing on receive.
 _RAW_MAGIC = 0xAB
-#: Current raw-format layout version.
-_RAW_VERSION = 1
+#: Current frame layout version (2: array specs may carry the ``zp`` tag).
+_RAW_VERSION = 2
+#: Layout tag of a zero-suppressed, byte-planed array (see module docstring).
+_LAYOUT_ZP = "zp"
 
 # ----------------------------------------------------------------------
 # Shard control envelope (process-parallel serving)
@@ -205,12 +221,14 @@ def serialize_message(message: Message, compress_level: int = 6,
     ``wire_format`` selects the framing; when ``None`` the message's own
     ``wire_format`` attribute decides, so replies naturally mirror the
     framing their request arrived in.  ``compress_level`` only applies to
-    the zlib framing, which is the raw frame deflated.
+    the zlib framing: the frame deflated, zero-heavy float arrays in the
+    ``zp`` layout (see the module docstring).
     """
     wire_format = message.wire_format if wire_format is None else wire_format
     if wire_format not in WIRE_FORMATS:
         raise ValueError(f"unknown wire format {wire_format!r} "
                          f"(expected one of {WIRE_FORMATS})")
+    deflate = wire_format == WIRE_FORMAT_ZLIB
     header = {
         "kind": message.kind,
         "frame_id": message.frame_id,
@@ -221,24 +239,58 @@ def serialize_message(message: Message, compress_level: int = 6,
     chunks = []
     specs = []
     for name, array in message.arrays.items():
-        array = np.ascontiguousarray(array)
+        # Not np.ascontiguousarray: that turns a 0-d array into shape (1,).
+        array = np.asarray(array, order="C")
         if array.dtype.hasobject:
             # An object array's buffer holds pointers, not values.
             raise ValueError(f"array {name!r} has object dtype "
                              f"{array.dtype}: only plain-data arrays "
                              "can go on the wire")
-        specs.append([name, array.dtype.str, list(array.shape)])
-        # A memoryview, not tobytes(): join below then performs the single
-        # unavoidable copy of each payload straight into the frame.
-        chunks.append(memoryview(array))
+        spec = [name, array.dtype.str, list(array.shape)]
+        planed = _zero_planed(array) if deflate else None
+        if planed is None:
+            # A memoryview, not tobytes(): join below then performs the
+            # single unavoidable copy of each payload into the frame.
+            chunks.append(memoryview(array))
+        else:
+            spec.append(_LAYOUT_ZP)
+            chunks.extend(planed)
+        specs.append(spec)
     header["arrays"] = specs
     header_bytes = json.dumps(header).encode("utf-8")
     frame = b"".join([bytes((_RAW_MAGIC, _RAW_VERSION)),
                       struct.pack(_LENGTH_FORMAT, len(header_bytes)),
                       header_bytes] + chunks)
-    if wire_format == WIRE_FORMAT_ZLIB:
+    if deflate:
         return zlib.compress(frame, compress_level)
     return frame
+
+
+#: The unsigned integer each ``zp``-eligible float width is read as.
+_LANES = {size: np.dtype(f"u{size}") for size in (2, 4, 8)}
+
+
+def _lanes(dtype: np.dtype) -> Optional[np.dtype]:
+    """The unsigned integer a ``zp``-eligible float dtype is read as."""
+    return _LANES.get(dtype.itemsize) if dtype.kind == "f" else None
+
+
+def _zero_planed(array: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(mask, planes)`` of a contiguous float array in the ``zp`` layout,
+    or ``None`` when it stays dense (not a 2/4/8-byte float, empty, or
+    fewer than one element in eight bitwise zero)."""
+    lanes = _lanes(array.dtype)
+    if lanes is None or array.size == 0:
+        return None
+    bits = array.reshape(-1).view(lanes)
+    kept = np.count_nonzero(bits)
+    if (bits.size - kept) * 8 < bits.size:
+        return None
+    nonzero = bits != 0
+    # Integer indices, not the boolean mask: 5x faster gather here.
+    values = bits[np.flatnonzero(nonzero)].view(np.uint8).reshape(
+        kept, lanes.itemsize)
+    return np.packbits(nonzero), np.ascontiguousarray(values.T)
 
 
 def deserialize_message(blob: bytes,
@@ -266,14 +318,14 @@ def deserialize_message(blob: bytes,
             if not inflater.eof:
                 raise ValueError("zlib frame is truncated or inflates past "
                                  f"the {max_bytes}-byte message cap")
-        return _parse_frame(blob, wire_format)
+        return _parse_frame(blob, wire_format, max_bytes)
     except (zlib.error, struct.error, KeyError, IndexError,
             TypeError) as exc:
         raise ValueError(f"undecodable message: {type(exc).__name__}: "
                          f"{exc}") from exc
 
 
-def _parse_frame(blob: bytes, wire_format: str) -> Message:
+def _parse_frame(blob: bytes, wire_format: str, max_bytes: int) -> Message:
     magic, version = blob[0], blob[1]
     if magic != _RAW_MAGIC:
         raise ValueError("undecodable message: no frame magic (not a frame "
@@ -291,7 +343,18 @@ def _parse_frame(blob: bytes, wire_format: str) -> Message:
     header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
     offset += header_len
     arrays: Dict[str, np.ndarray] = {}
-    for name, dtype_str, shape in header["arrays"]:
+    # Bytes the ``zp`` arrays decode to so far: their mask bits expand
+    # ``8 * itemsize``-fold, past what the inflate cap bounded.
+    decoded = 0
+    for spec in header["arrays"]:
+        if len(spec) not in (3, 4):
+            raise ValueError(f"array spec {spec!r} has {len(spec)} fields "
+                             "(expected [name, dtype, shape] or "
+                             f"[name, dtype, shape, {_LAYOUT_ZP!r}])")
+        name, dtype_str, shape = spec[:3]
+        if len(spec) == 4 and spec[3] != _LAYOUT_ZP:
+            raise ValueError(f"array {name!r} declares unknown layout "
+                             f"{spec[3]!r}")
         dtype = np.dtype(dtype_str)
         # The header is peer-controlled: every shape/size claim is checked
         # against the bytes actually received before numpy touches them —
@@ -307,6 +370,18 @@ def _parse_frame(blob: bytes, wire_format: str) -> Message:
         # count means "read the whole buffer").
         count = math.prod(shape)
         nbytes = count * dtype.itemsize
+        if len(spec) == 4:
+            # Refused before any allocation: a 256 MiB all-zero mask of
+            # float64 would otherwise ask np.zeros for 16 GiB.
+            decoded += nbytes
+            if decoded > max_bytes:
+                raise ValueError(
+                    f"zp array {name!r} decodes past the {max_bytes}-byte "
+                    f"message cap ({decoded} bytes of zp arrays so far)")
+            flat, offset = _parse_zero_planed(blob, offset, name, dtype,
+                                              count)
+            arrays[name] = flat.reshape(shape)
+            continue
         if offset + nbytes > len(blob):
             raise ValueError(
                 f"raw frame payload truncated: array {name!r} declares "
@@ -319,6 +394,38 @@ def _parse_frame(blob: bytes, wire_format: str) -> Message:
                    arrays=arrays, meta=header["meta"],
                    batch_index=header.get("batch_index"),
                    wire_format=wire_format)
+
+
+def _parse_zero_planed(blob: bytes, offset: int, name: str, dtype: np.dtype,
+                       count: int) -> Tuple[np.ndarray, int]:
+    """Decode the ``zp`` array at ``offset``: ``(flat read-only array,
+    offset past it)``.  The caller has already capped ``count``."""
+    lanes = _lanes(dtype)
+    if lanes is None:
+        raise ValueError(f"zp array {name!r} has dtype {dtype}: the zp "
+                         "layout holds 2/4/8-byte floats only")
+    mask_bytes = (count + 7) // 8
+    if offset + mask_bytes > len(blob):
+        raise ValueError(
+            f"raw frame payload truncated: zp array {name!r} needs a "
+            f"{mask_bytes}-byte mask but only {len(blob) - offset} remain")
+    nonzero = np.unpackbits(np.frombuffer(blob, np.uint8, mask_bytes, offset),
+                            count=count).view(bool)
+    offset += mask_bytes
+    kept = int(np.count_nonzero(nonzero))
+    nbytes = kept * lanes.itemsize
+    if offset + nbytes > len(blob):
+        raise ValueError(
+            f"raw frame payload truncated: zp array {name!r} has {kept} "
+            f"non-zero values ({nbytes} bytes) but only "
+            f"{len(blob) - offset} remain")
+    planes = np.frombuffer(blob, np.uint8, nbytes, offset).reshape(
+        lanes.itemsize, kept)
+    flat = np.zeros(count, dtype=dtype)
+    flat.view(lanes)[np.flatnonzero(nonzero)] = np.ascontiguousarray(
+        planes.T).view(lanes)[:, 0]
+    flat.flags.writeable = False
+    return flat, offset + nbytes
 
 
 #: One frame's engine state on the worker hop: ``(arrays, meta)``.

@@ -1,17 +1,19 @@
 """Wire framing: one versioned frame, raw or deflated, auto-detected.
 
 The engine speaks two self-describing framings of one frame layout — raw,
-and zlib (paper-faithful: the raw frame, deflated) — distinguished by their
-first byte.  These tests pin the round-trip fidelity of both, that the zlib
-framing *is* the deflated raw frame, the versioning of the layout, the
-single-serializer size accounting (``compressed_size`` can never drift from
-the real wire), and the end-to-end behavior of mixed-framing clients
-against one server.
+and zlib (paper-faithful: the frame deflated, zero-heavy float arrays in
+the ``zp`` layout inside it) — distinguished by their first byte.  These
+tests pin the bit-exact round trip of both, that the zlib framing is the
+deflated frame (exactly the deflated raw frame when no array is
+zero-heavy), the versioning of the layout, the single-serializer size
+accounting (``compressed_size`` can never drift from the real wire), and
+the end-to-end behavior of mixed-framing clients against one server.
 
 The hostile-input half (``TestHostileFrames`` down) treats every byte of
 the frame as peer-controlled, in either framing: garbage streams, lying
 headers (shapes, dtypes, lengths that don't match the payload), truncated
-frames, zlib bombs and absurd length prefixes must all surface as a clean
+frames, zlib bombs, ``zp`` arrays that decode past the cap or lie about
+their layout, and absurd length prefixes must all surface as a clean
 ``ValueError`` /
 ``ConnectionError`` — never a hang, a blind allocation, or an array the
 sender never sent — and a server fed such a frame must drop *that
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import socket
 import struct
 import zlib
@@ -78,7 +81,7 @@ class TestRawFormat:
 
     @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
     def test_raw_arrays_are_zero_copy_views(self, wire_format):
-        """Decoded arrays view the received (or inflated) bytes: no
+        """Dense arrays view the received (or inflated) bytes: no
         per-array copy, in either framing."""
         blob = serialize_message(_sample_message(), wire_format=wire_format)
         decoded = deserialize_message(blob)
@@ -96,7 +99,8 @@ class TestRawFormat:
                                           message.arrays["x"])
 
     def test_zlib_framing_is_the_deflated_raw_frame(self):
-        """One codec: there is no second array encoding behind zlib."""
+        """A frame with no zero-heavy float array deflates as is: the zlib
+        framing is exactly the raw frame, deflated."""
         message = _sample_message()
         for level in (1, 6, 9):
             deflated = serialize_message(message, compress_level=level,
@@ -140,6 +144,127 @@ class TestRawFormat:
                                  wire_format=WIRE_FORMAT_RAW)
         np.testing.assert_array_equal(deserialize_message(blob).arrays["x"],
                                       strided)
+
+
+def _frame_specs(blob: bytes):
+    """The array specs of a serialized frame, in either framing."""
+    if blob[0] != _RAW_MAGIC:
+        blob = zlib.decompress(blob)
+    (header_len,) = struct.unpack_from(_LENGTH_FORMAT, blob, 2)
+    start = 2 + _LENGTH_SIZE
+    return json.loads(blob[start:start + header_len])["arrays"]
+
+
+def _nan_with_payload(dtype) -> np.ndarray:
+    bits = {np.float32: np.uint32(0x7FC01234),
+            np.float64: np.uint64(0x7FF8000000001234)}[dtype]
+    return np.array([bits]).view(dtype)
+
+
+def _bit_exact_cases(dtype):
+    """Float arrays whose bytes must survive the wire verbatim."""
+    info = np.finfo(dtype)
+    rng = np.random.default_rng(1)
+    relu = np.maximum(rng.standard_normal((16, 8)), 0).astype(dtype)
+    specials = np.concatenate([
+        np.array([-0.0, 0.0, np.inf, -np.inf, 0.0, info.smallest_subnormal,
+                  -info.smallest_subnormal, 0.0], dtype=dtype),
+        _nan_with_payload(dtype), np.zeros(3, dtype)])
+    return {
+        "specials": specials,
+        "negative_zeros": np.full(9, -0.0, dtype),
+        "relu": relu,
+        "all_zero": np.zeros((4, 5), dtype),
+        "zero_free": rng.standard_normal((6, 7)).astype(dtype),
+        "empty": np.zeros((0, 8), dtype),
+        "zero_d": np.array(0.0, dtype),
+        "zero_d_nonzero": np.array(2.5, dtype),
+        "strided": relu[:, ::3],
+        "big_endian": relu.astype(relu.dtype.newbyteorder(">")),
+    }
+
+
+class TestZeroPlanedLayout:
+    """The zlib framing's second array layout: lossless, bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_round_trip_is_bit_exact(self, dtype, wire_format):
+        cases = _bit_exact_cases(dtype)
+        blob = serialize_message(Message(kind="frame", arrays=cases),
+                                 wire_format=wire_format)
+        decoded = deserialize_message(blob).arrays
+        for name, original in cases.items():
+            received = decoded[name]
+            assert received.dtype == original.dtype, name
+            assert received.shape == original.shape, name
+            assert received.tobytes() == original.tobytes(), name
+            assert not received.flags.writeable, name
+
+    def test_only_zero_heavy_floats_use_zp_and_only_in_zlib(self):
+        cases = {**_bit_exact_cases(np.float64),
+                 "ints": np.zeros(16, np.int64),
+                 "half": np.zeros(16, np.float16)}
+        message = Message(kind="frame", arrays=cases)
+        planed = {spec[0] for spec in _frame_specs(
+            serialize_message(message, wire_format=WIRE_FORMAT_ZLIB))
+            if len(spec) == 4}
+        # -0.0 is not bitwise zero: "negative_zeros" stays dense.
+        assert planed == {"specials", "relu", "all_zero", "zero_d",
+                          "strided", "big_endian", "half"}
+        assert all(len(spec) == 3 for spec in _frame_specs(
+            serialize_message(message, wire_format=WIRE_FORMAT_RAW)))
+
+    @pytest.mark.parametrize("array, planed", [
+        (np.r_[0.0, np.ones(7)], True),    # 1 zero in 8
+        (np.r_[0.0, np.ones(8)], False),   # 1 zero in 9
+        (np.ones(8), False)])
+    def test_one_zero_in_eight_is_the_threshold(self, array, planed):
+        (spec,) = _frame_specs(serialize_message(
+            Message(kind="frame", arrays={"x": array})))
+        assert (len(spec) == 4) == planed
+
+    def test_zlib_is_the_deflated_frame_with_zp_arrays(self):
+        """Restated invariant: the zlib framing deflates the frame in which
+        zero-heavy float arrays use the zp layout — every other byte is the
+        raw frame's, and one parser reads both."""
+        relu = np.maximum(np.random.default_rng(2).standard_normal((32, 4)), 0)
+        message = _sample_message()
+        message.arrays["relu"] = relu
+        for level in (1, 6, 9):
+            deflated = serialize_message(message, compress_level=level,
+                                         wire_format=WIRE_FORMAT_ZLIB)
+            inflated = zlib.decompress(deflated)
+            assert zlib.compress(inflated, level) == deflated
+            assert [spec[0] for spec in _frame_specs(inflated)
+                    if len(spec) == 4] == ["relu"]
+            assert inflated != serialize_message(message,
+                                                 wire_format=WIRE_FORMAT_RAW)
+            decoded = deserialize_message(inflated)  # the raw-framed parse
+            np.testing.assert_array_equal(decoded.arrays["relu"], relu)
+
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_zero_free_frame_keeps_the_version_1_layout(self, wire_format):
+        """What pins ``paper_edge`` / ``small_*`` uplink: a frame with no
+        zero-heavy float array is the version-1 layout byte for byte, apart
+        from the version byte (deflated, that one literal can move the
+        size by a byte or two)."""
+        message = _sample_message()
+        header = json.dumps({
+            "kind": message.kind, "frame_id": message.frame_id,
+            "meta": message.meta, "batch_index": message.batch_index,
+            "arrays": [[name, array.dtype.str, list(array.shape)]
+                       for name, array in message.arrays.items()],
+        }).encode("utf-8")
+        version_1 = b"".join(
+            [bytes((_RAW_MAGIC, 1)), struct.pack(_LENGTH_FORMAT, len(header)),
+             header] + [array.tobytes() for array in message.arrays.values()])
+        frame = serialize_message(message, wire_format=wire_format)
+        if wire_format == WIRE_FORMAT_ZLIB:
+            frame = zlib.decompress(frame)
+        assert len(frame) == len(version_1)
+        assert frame[:2] == bytes((_RAW_MAGIC, _RAW_VERSION))
+        assert frame[2:] == version_1[2:]
 
 
 class TestSizeAccounting:
@@ -277,6 +402,47 @@ def _legacy_zlib_blob(message: Message) -> bytes:
     return zlib.compress(b"".join(parts))
 
 
+def _zp_payload(values: np.ndarray) -> bytes:
+    """A well-formed zp payload of a float64 vector (mask, then planes)."""
+    bits = values.view(np.uint64)
+    nonzero = bits != 0
+    planes = bits[nonzero].view(np.uint8).reshape(-1, 8).T
+    return np.packbits(nonzero).tobytes() + planes.tobytes()
+
+
+_VALUES = np.array([0.0, 1.5, 0.0, -2.0, 0.0, 0.0, 3.0, 0.0, 0.0])
+#: The receiver cap every zp attack is decoded under.
+_ZP_CAP = 1 << 20
+
+#: One hostile zp frame per check: ``(array specs, payload, error match)``.
+#: Each would decode (or fail with a foreign exception) without the check
+#: it targets.
+ZP_ATTACKS = {
+    # 128 KiB of mask expands to 8 MiB of float64: past the 1 MiB cap.
+    "decodes_past_the_cap": ([["x", "<f8", [1 << 20], "zp"]],
+                             bytes(1 << 17), "message cap"),
+    # Each fits; together they do not.
+    "together_past_the_cap": ([["a", "<f8", [96 << 10], "zp"],
+                               ["b", "<f8", [96 << 10], "zp"]],
+                              bytes(24 << 10), "message cap"),
+    "unknown_layout": ([["x", "<f8", [9], "zq"]], _zp_payload(_VALUES),
+                       "unknown layout"),
+    "non_float_dtype": ([["x", "<i8", [9], "zp"]], _zp_payload(_VALUES),
+                        "floats only"),
+    "wrong_arity": ([["x", "<f8", [9], "zp", "extra"]], _VALUES.tobytes(),
+                    "fields"),
+    "short_mask": ([["x", "<f8", [100], "zp"]], bytes(5), "mask"),
+    "values_overrun": ([["x", "<f8", [16], "zp"]], b"\xff\xff" + bytes(24),
+                       "non-zero values"),
+}
+
+
+def _zp_attack_frame(attack: str) -> bytes:
+    specs, payload, _ = ZP_ATTACKS[attack]
+    return _raw_frame({"kind": "frame", "frame_id": 0, "meta": {},
+                       "arrays": specs}, payload)
+
+
 class TestHostileFrames:
     @pytest.fixture(params=WIRE_FORMATS)
     def deserialize(self, request):
@@ -383,6 +549,23 @@ class TestHostileFrames:
         header["arrays"][0] = [name, "not-a-dtype", shape]
         with pytest.raises(ValueError):
             deserialize(_raw_frame(header, payload))
+
+    def test_well_formed_zp_frame_decodes(self, deserialize):
+        """The attacks below are one field away from this frame."""
+        frame = _raw_frame({"kind": "frame", "frame_id": 0, "meta": {},
+                            "arrays": [["x", "<f8", [9], "zp"]]},
+                           _zp_payload(_VALUES))
+        assert deserialize(frame).arrays["x"].tobytes() == _VALUES.tobytes()
+
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    @pytest.mark.parametrize("attack", sorted(ZP_ATTACKS))
+    def test_hostile_zp_array_refused(self, attack, wire_format):
+        frame = _zp_attack_frame(attack)
+        assert len(frame) < _ZP_CAP
+        if wire_format == WIRE_FORMAT_ZLIB:
+            frame = zlib.compress(frame)
+        with pytest.raises(ValueError, match=ZP_ATTACKS[attack][2]):
+            deserialize_message(frame, max_bytes=_ZP_CAP)
 
 
 class TestSocketFraming:
@@ -510,10 +693,11 @@ class TestServerSurvivesHostileClients:
             self._assert_connection_dropped(sock)
         self._assert_still_serving(server, device_fn, frames)
 
-    def test_zlib_bomb_drops_connection_only(self, serving, monkeypatch):
-        """A small frame that inflates past the cap is refused, not
-        expanded.  The cap is lowered to 1 MiB for the test — proving it
-        at the 256 MiB default would mean inflating that much here."""
+    @staticmethod
+    def _cap_decoders(monkeypatch, cap: int) -> list:
+        """Decode at ``cap`` on both frontends; returns the refusals seen.
+        Proving a refusal at the 256 MiB default would mean allocating
+        that much here."""
         from repro.system import transport
 
         refusals = []
@@ -521,7 +705,7 @@ class TestServerSurvivesHostileClients:
         def capped(decode):
             def call(*args):
                 try:
-                    return decode(*args, max_bytes=1 << 20)
+                    return decode(*args, max_bytes=cap)
                 except ValueError as exc:
                     refusals.append(str(exc))
                     raise
@@ -532,12 +716,31 @@ class TestServerSurvivesHostileClients:
         for name in ("recv_message", "deserialize_message"):
             monkeypatch.setattr(transport, name,
                                 capped(getattr(transport, name)))
+        return refusals
+
+    def test_zlib_bomb_drops_connection_only(self, serving, monkeypatch):
+        """A small frame that inflates past the cap is refused, not
+        expanded."""
+        refusals = self._cap_decoders(monkeypatch, 1 << 20)
         server, device_fn, frames = serving
         with socket.create_connection((server.host, server.port),
                                       timeout=10.0) as sock:
             send_payload(sock, zlib.compress(bytes(8 << 20)))
             self._assert_connection_dropped(sock)
         assert len(refusals) == 1 and "message cap" in refusals[0]
+        self._assert_still_serving(server, device_fn, frames)
+
+    @pytest.mark.parametrize("attack", sorted(ZP_ATTACKS))
+    def test_hostile_zp_array_drops_connection_only(self, serving,
+                                                    monkeypatch, attack):
+        refusals = self._cap_decoders(monkeypatch, _ZP_CAP)
+        server, device_fn, frames = serving
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            send_payload(sock, zlib.compress(_zp_attack_frame(attack)))
+            self._assert_connection_dropped(sock)
+        assert len(refusals) == 1
+        assert re.search(ZP_ATTACKS[attack][2], refusals[0])
         self._assert_still_serving(server, device_fn, frames)
 
     def test_oversize_prefix_drops_connection_only(self, serving):
