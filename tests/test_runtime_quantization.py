@@ -27,11 +27,12 @@ from repro import nn
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
                         ZooEntry)
 from repro.gnn import OpSpec, OpType
-from repro.graph import SyntheticModelNet40
+from repro.graph import SyntheticModelNet40, SyntheticMR
 from repro.graph.data import Batch
 from repro.runtime import (PlanCalibration, PlanCompileError, amax_to_scale,
                            calibrate, compile_plan, quantize_weight,
                            synthetic_calibration_frames)
+from repro.runtime.plan import _QuantAggregateStep
 from repro.serving import (BatchingConfig, RuntimeConfig, ServingConfig,
                            ShardingConfig, build_callables,
                            build_zoo_callables, serve)
@@ -258,6 +259,46 @@ class TestInt8AccuracyGates:
             hits += int(np.argmax(logits) == np.argmax(reference))
             total += 1
         assert hits / total >= INT8_AGREEMENT
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    def test_ragged_topology_takes_float_fallback(self, aggregator,
+                                                  monkeypatch):
+        """An Aggregate ahead of any Sample runs over the frame's own text
+        edges, which are not k-regular, so the integer EdgeConv cannot take
+        them: the step dequantizes, aggregates in float and requantizes to
+        its calibrated scale — and the logits stay inside the int8 gate."""
+        fallback = _QuantAggregateStep._float_fallback
+        requantized = []
+
+        def recording_fallback(step, run):
+            fallback(step, run)
+            requantized.append(run.x.dtype == np.int8
+                               and run.x_scale == amax_to_scale(step.out_amax))
+
+        monkeypatch.setattr(_QuantAggregateStep, "_float_fallback",
+                            recording_fallback)
+        arch = Architecture(ops=(
+            OpSpec(OpType.AGGREGATE, aggregator),
+            OpSpec(OpType.COMBINE, 16),
+            OpSpec(OpType.GLOBAL_POOL, "max||mean"),
+        ), name=f"text-{aggregator}")
+        graphs = SyntheticMR(num_documents=6, feature_dim=16, mean_nodes=10,
+                             seed=0).generate()
+        model = ArchitectureModel(arch, in_dim=16, num_classes=2, seed=0)
+        frames = [Batch.from_graphs([graph]) for graph in graphs]
+        callables = build_callables(
+            model, RuntimeConfig(runtime="compiled", precision="int8"),
+            calibration_frames=frames)
+        hits = 0
+        for frame in frames:
+            with nn.no_grad():
+                reference = model.forward(frame).data
+            arrays, meta = callables.device_fn(frame)
+            logits = callables.edge_fn(arrays, meta)[0]["logits"]
+            _assert_quant_close(logits, reference)
+            hits += int(np.argmax(logits) == np.argmax(reference))
+        assert requantized == [True] * len(graphs)
+        assert hits / len(graphs) >= INT8_AGREEMENT
 
     def test_zoo_matrix_agreement_via_serving_builders(self):
         """precision="int8" through the facade: wire stays float32 and the
