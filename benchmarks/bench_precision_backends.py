@@ -1,13 +1,12 @@
-"""Precision x kernel-backend sweep, measured in ms AND joules per frame.
+"""Precision sweep, measured in ms AND joules per frame.
 
 Sweeps the edge-side serving hot path (the same representative two-block /
 one-block entries as ``bench_inference_runtime.py``) over every execution
-precision (float64 / float32 / calibrated int8) and every kernel backend
-available in this process (numpy always; numba when installed).  For each
-cell it reports:
+precision (float64 / float32 / calibrated int8).  For each precision it
+reports:
 
 * single-frame and batched median ms per frame (edge segment only);
-* the accuracy cost vs the float64/numpy reference — max abs logit
+* the accuracy cost vs the float64 reference — max abs logit
   difference and argmax agreement over a gating set of frames (int8 must
   agree on >= 99% of frames, enforced here, not just reported);
 * **estimated joules per frame** for the paper's device/edge split: edge
@@ -39,7 +38,7 @@ from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
 from repro.hardware import (INTEL_I7, JETSON_TX2, LINK_40MBPS,
                             estimate_device_energy)
-from repro.runtime import PRECISIONS, available_backends
+from repro.runtime import PRECISIONS
 from repro.serving import RuntimeConfig, build_callables
 from repro.system import WIRE_FORMAT_RAW, compressed_size
 
@@ -60,14 +59,14 @@ GATING_FRAMES = 24
 #: quantization quality (the raw agreement is still recorded in the JSON).
 TIE_MARGIN = 0.01
 
-#: CI gate: batched int8 (numpy) must beat batched float32 (numpy) by at
-#: least this factor on the headline entry.  Loose on purpose — the point
+#: CI gate: batched int8 must beat batched float32 by at least this factor
+#: on the headline entry.  Loose on purpose — the point
 #: is catching the quantized path degrading to float-level cost.
 MIN_INT8_BATCHED_SPEEDUP = 1.3
 #: CI gate: int8 classification agreement with the float64 reference.
 MIN_INT8_AGREEMENT = 0.99
 
-REFERENCE = ("float64", "numpy")
+REFERENCE = "float64"
 
 ENTRIES = {
     "edge-2block": Architecture(ops=(
@@ -91,7 +90,7 @@ HEADLINE = "edge-2block"
 
 
 def _median_ms_per_frame(fn: Callable[[], None], frames_per_call: int) -> float:
-    fn()  # warm arenas, calibration caches and (for numba) jit compiles
+    fn()  # warm arenas and calibration caches
     samples = []
     for _ in range(ROUNDS):
         started = time.perf_counter()
@@ -118,7 +117,7 @@ def _joules_per_frame(edge_ms: float, wire_bytes: int) -> Dict[str, float]:
 
 
 def bench_entry(name: str, architecture: Architecture) -> Dict:
-    """One precision x backend sweep over one zoo entry's edge segment."""
+    """One precision sweep over one zoo entry's edge segment."""
     graphs = SyntheticModelNet40(num_points=NUM_POINTS, samples_per_class=4,
                                  num_classes=10, seed=0).generate()
     frames = [Batch.from_graphs([graph]) for graph in graphs[:GATING_FRAMES]]
@@ -129,15 +128,14 @@ def bench_entry(name: str, architecture: Architecture) -> Dict:
     calibration_frames = [Batch.from_graphs([graph])
                           for graph in graphs[GATING_FRAMES:]]
 
-    def build(precision: str, backend: str):
+    def build(precision: str):
         model = ArchitectureModel(architecture, in_dim=3, num_classes=10,
                                   seed=0)
-        config = RuntimeConfig(runtime="compiled", precision=precision,
-                               backend=backend)
+        config = RuntimeConfig(runtime="compiled", precision=precision)
         return build_callables(model, config,
                                calibration_frames=calibration_frames)
 
-    reference = build(*REFERENCE)
+    reference = build(REFERENCE)
     requests = [reference.device_fn(frame) for frame in frames]
     wire_bytes = compressed_size(requests[0][0], wire_format=WIRE_FORMAT_RAW)
     reference_logits = [reference.edge_fn(dict(arrays), dict(meta))[0]["logits"]
@@ -146,42 +144,39 @@ def bench_entry(name: str, architecture: Architecture) -> Dict:
 
     rows: List[Dict] = []
     for precision in PRECISIONS:
-        for backend in available_backends():
-            entry = build(precision, backend)
-            logits = [entry.edge_fn(dict(arrays), dict(meta))[0]["logits"]
-                      for arrays, meta in requests]
-            max_diff = max(float(np.max(np.abs(got - ref)))
-                           for got, ref in zip(logits, reference_logits))
-            raw_hits = decisive_hits = 0
-            for got, ref in zip(logits, reference_logits):
-                match = np.argmax(got) == np.argmax(ref)
-                raw_hits += int(match)
-                # A disagreement only counts against the precision when the
-                # reference itself was decisive: the margin between its
-                # choice and the quantized path's choice clears TIE_MARGIN.
-                margin = float(np.max(ref) - ref.ravel()[np.argmax(got)])
-                decisive_hits += int(match or margin <= TIE_MARGIN)
-            agreement = decisive_hits / len(logits)
-            raw_agreement = raw_hits / len(logits)
-            arrays, meta = requests[0]
-            single_ms = _median_ms_per_frame(
-                lambda: entry.edge_fn(arrays, meta), 1)
-            batch_requests = requests[:BATCH_FRAMES]
-            batched_ms = _median_ms_per_frame(
-                lambda: entry.batch_fn(batch_requests), BATCH_FRAMES)
-            rows.append({
-                "precision": precision,
-                "backend": backend,
-                "single_frame_ms": round(single_ms, 4),
-                "batched_ms_per_frame": round(batched_ms, 4),
-                "max_abs_logit_diff_vs_float64": max_diff,
-                "argmax_agreement_vs_float64": agreement,
-                "raw_argmax_agreement_vs_float64": raw_agreement,
-                "energy_single_frame": _joules_per_frame(single_ms,
-                                                         wire_bytes),
-                "energy_batched_per_frame": _joules_per_frame(batched_ms,
-                                                              wire_bytes),
-            })
+        entry = build(precision)
+        logits = [entry.edge_fn(dict(arrays), dict(meta))[0]["logits"]
+                  for arrays, meta in requests]
+        max_diff = max(float(np.max(np.abs(got - ref)))
+                       for got, ref in zip(logits, reference_logits))
+        raw_hits = decisive_hits = 0
+        for got, ref in zip(logits, reference_logits):
+            match = np.argmax(got) == np.argmax(ref)
+            raw_hits += int(match)
+            # A disagreement only counts against the precision when the
+            # reference itself was decisive: the margin between its choice
+            # and the quantized path's choice clears TIE_MARGIN.
+            margin = float(np.max(ref) - ref.ravel()[np.argmax(got)])
+            decisive_hits += int(match or margin <= TIE_MARGIN)
+        agreement = decisive_hits / len(logits)
+        raw_agreement = raw_hits / len(logits)
+        arrays, meta = requests[0]
+        single_ms = _median_ms_per_frame(
+            lambda: entry.edge_fn(arrays, meta), 1)
+        batch_requests = requests[:BATCH_FRAMES]
+        batched_ms = _median_ms_per_frame(
+            lambda: entry.batch_fn(batch_requests), BATCH_FRAMES)
+        rows.append({
+            "precision": precision,
+            "single_frame_ms": round(single_ms, 4),
+            "batched_ms_per_frame": round(batched_ms, 4),
+            "max_abs_logit_diff_vs_float64": max_diff,
+            "argmax_agreement_vs_float64": agreement,
+            "raw_argmax_agreement_vs_float64": raw_agreement,
+            "energy_single_frame": _joules_per_frame(single_ms, wire_bytes),
+            "energy_batched_per_frame": _joules_per_frame(batched_ms,
+                                                          wire_bytes),
+        })
     return {
         "wire_bytes_raw": wire_bytes,
         "gating_frames": len(frames),
@@ -190,11 +185,11 @@ def bench_entry(name: str, architecture: Architecture) -> Dict:
     }
 
 
-def _row(entry: Dict, precision: str, backend: str) -> Dict:
+def _row(entry: Dict, precision: str) -> Dict:
     for row in entry["rows"]:
-        if row["precision"] == precision and row["backend"] == backend:
+        if row["precision"] == precision:
             return row
-    raise KeyError((precision, backend))
+    raise KeyError(precision)
 
 
 def run_benchmark() -> Dict:
@@ -205,7 +200,6 @@ def run_benchmark() -> Dict:
             "frames_per_round": FRAMES_PER_ROUND,
             "batch_frames": BATCH_FRAMES,
             "headline_entry": HEADLINE,
-            "backends": list(available_backends()),
             "min_int8_batched_speedup": MIN_INT8_BATCHED_SPEEDUP,
             "min_int8_agreement": MIN_INT8_AGREEMENT,
             "tie_margin": TIE_MARGIN,
@@ -222,8 +216,8 @@ def run_benchmark() -> Dict:
 
 def check_gates(results: Dict) -> None:
     headline = results["entries"][HEADLINE]
-    int8 = _row(headline, "int8", "numpy")
-    float32 = _row(headline, "float32", "numpy")
+    int8 = _row(headline, "int8")
+    float32 = _row(headline, "float32")
     speedup = (float32["batched_ms_per_frame"]
                / int8["batched_ms_per_frame"])
     assert speedup >= MIN_INT8_BATCHED_SPEEDUP, (
@@ -235,27 +229,27 @@ def check_gates(results: Dict) -> None:
                 continue
             agreement = row["argmax_agreement_vs_float64"]
             assert agreement >= MIN_INT8_AGREEMENT, (
-                f"{entry_name} int8/{row['backend']}: argmax agreement "
+                f"{entry_name} int8: argmax agreement "
                 f"{agreement:.3f} < {MIN_INT8_AGREEMENT}")
 
 
 def format_summary(results: Dict) -> str:
-    lines = [f"precision x backend sweep ({NUM_POINTS}-point clouds, "
+    lines = [f"precision sweep ({NUM_POINTS}-point clouds, "
              f"k={KNN_K}, median of {ROUNDS}; energy: i7 edge + TX2 device "
              "over 40 Mbps)"]
     for name, entry in results["entries"].items():
         lines.append(f"  {name} (wire {entry['wire_bytes_raw']} B):")
         for row in entry["rows"]:
             lines.append(
-                f"    {row['precision']:8s}/{row['backend']:5s} "
+                f"    {row['precision']:8s} "
                 f"single {row['single_frame_ms']:7.3f} ms "
                 f"batched {row['batched_ms_per_frame']:7.3f} ms/frame "
                 f"{row['energy_batched_per_frame']['total_j'] * 1e3:8.3f} "
                 f"mJ/frame  agree {row['argmax_agreement_vs_float64']:.3f} "
                 f"maxdiff {row['max_abs_logit_diff_vs_float64']:.2e}")
     headline = results["entries"][HEADLINE]
-    int8 = _row(headline, "int8", "numpy")
-    float32 = _row(headline, "float32", "numpy")
+    int8 = _row(headline, "int8")
+    float32 = _row(headline, "float32")
     lines.append(
         f"  headline: batched int8 vs float32 "
         f"{float32['batched_ms_per_frame'] / int8['batched_ms_per_frame']:.2f}x, "
@@ -279,8 +273,8 @@ def main() -> None:
     check_gates(results)
     print(f"\nresults written to {path}")
     headline = results["entries"][HEADLINE]
-    speedup = (_row(headline, "float32", "numpy")["batched_ms_per_frame"]
-               / _row(headline, "int8", "numpy")["batched_ms_per_frame"])
+    speedup = (_row(headline, "float32")["batched_ms_per_frame"]
+               / _row(headline, "int8")["batched_ms_per_frame"])
     print(f"perf-smoke passed: {speedup:.2f}x batched int8 edge inference")
 
 

@@ -176,7 +176,7 @@ def _resolve_plan(model: ArchitectureModel, config: "RuntimeConfig",
     quantized = precision == "int8"
     try:
         return compile_plan(model, dtype=np.float32 if quantized else precision,
-                            segments=segments, backend=config.backend,
+                            segments=segments,
                             calibration=calibration if quantized else None)
     except PlanCompileError:
         if config.runtime == "compiled" or precision != "float64":
@@ -526,7 +526,7 @@ def _build_callables(model: ArchitectureModel, config: "RuntimeConfig", *,
     """The one internal builder every serving constructor routes through.
 
     ``config`` is a :class:`repro.serving.RuntimeConfig`; this is the single
-    place its ``runtime``/``segments``/``precision``/``backend`` knobs are
+    place its ``runtime``/``segments``/``precision`` knobs are
     resolved into engine callables, so no public builder re-threads them.
     ``split`` / ``batched`` select which callables to
     build; all of them run the entry's one compiled plan (the requested

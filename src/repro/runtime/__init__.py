@@ -9,20 +9,16 @@ raw-ndarray kernels (:func:`compile_plan`), reuses pre-allocated output
 buffers across frames (:class:`BufferArena`) and canonicalizes edge lists so
 scatters always hit the ``reduceat`` fast path.
 
-Two orthogonal knobs extend the compiled path (see ``docs/architecture.md``,
-"Precision & kernel backends"): plans can run **quantized** (int8 weights
-and activations from post-training calibration — :func:`calibrate`,
-:func:`compile_plan` with ``calibration=``) and every plan executes through
-a pluggable :class:`KernelBackend` (numpy reference always available, an
-optional numba JIT backend auto-detected via ``backend="auto"``).
+Plans can also run **quantized** (int8 weights and activations from
+post-training calibration — :func:`calibrate`, :func:`compile_plan` with
+``calibration=``; see ``docs/architecture.md``, "Precision").  Every step
+calls the numpy kernels of :mod:`repro.runtime.kernels` directly.
 
 See ``docs/architecture.md`` ("Runtime & plan compilation") for what fuses,
 when the arena engages, and the dtype caveats.
 """
 
 from .arena import BufferArena
-from .backends import (KERNEL_BACKENDS, KernelBackend, available_backends,
-                       numba_available, resolve_backend)
 from .kernels import SegmentInfo, canonical_edge_order
 from .plan import (InferencePlan, PlanCompileError, PlanRun, PlanSegment,
                    SEGMENTS, compile_plan)
@@ -33,8 +29,6 @@ from .quantize import (PRECISIONS, PlanCalibration, SegmentCalibration,
 __all__ = [
     "BufferArena",
     "SegmentInfo", "canonical_edge_order",
-    "KERNEL_BACKENDS", "KernelBackend", "available_backends",
-    "numba_available", "resolve_backend",
     "InferencePlan", "PlanCompileError", "PlanRun", "PlanSegment",
     "SEGMENTS", "compile_plan",
     "PRECISIONS", "PlanCalibration", "SegmentCalibration", "amax_to_scale",

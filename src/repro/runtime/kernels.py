@@ -324,8 +324,7 @@ def quantize_array(x: np.ndarray, scale: float, scratch: np.ndarray,
 
     ``q = clip(rint(x / scale), -127, 127)``; ``scratch`` is a float buffer
     of the same shape (it may alias ``x`` when the caller owns ``x``), so
-    the kernel allocates nothing.  Rounding is ties-to-even (``np.rint``),
-    matching the jitted backends bit for bit.
+    the kernel allocates nothing.  Rounding is ties-to-even (``np.rint``).
     """
     np.divide(x, x.dtype.type(scale), out=scratch)
     np.rint(scratch, out=scratch)

@@ -49,8 +49,8 @@ from ..gnn.operations import (AggregateOp, ClassifierOp, CombineOp,
 from ..graph.knn import knn_graph, random_graph
 from ..nn.modules import (Dropout, Identity, LeakyReLU, Linear, MLP, ReLU,
                           Sequential)
+from . import kernels
 from .arena import BufferArena
-from .backends import KernelBackend, resolve_backend
 from .kernels import (QMAX_INT8, SegmentInfo, _F32_EXACT,
                       canonical_edge_order)
 from .quantize import (PRECISION_INT8, PlanCalibration, SegmentCalibration,
@@ -73,19 +73,17 @@ class PlanRun:
 
     __slots__ = ("x", "batch", "num_graphs", "edge_index", "pos", "pooled",
                  "edge_info", "batch_sorted", "topo_cache", "arena",
-                 "x_in_arena", "backend", "x_scale", "x_qmax")
+                 "x_in_arena", "x_scale", "x_qmax")
 
     def __init__(self, x: np.ndarray, batch: np.ndarray, num_graphs: int,
                  edge_index: Optional[np.ndarray], pos: Optional[np.ndarray],
-                 pooled: bool, arena: BufferArena,
-                 backend: KernelBackend) -> None:
+                 pooled: bool, arena: BufferArena) -> None:
         self.x = x
         self.batch = batch
         self.num_graphs = num_graphs
         self.edge_index = edge_index
         self.pos = pos
         self.pooled = pooled
-        self.backend = backend
         #: When ``x`` holds quantized integers: its per-tensor scale and the
         #: largest magnitude any element can reach (tracked exactly through
         #: the integer kernels; drives the f32-vs-f64 matmul exactness
@@ -174,9 +172,9 @@ class _LinearStep:
     def __call__(self, run: PlanRun) -> None:
         out = run.arena.take(self.slot, (run.x.shape[0], self.out_features),
                              run.x.dtype)
-        run.backend.fused_linear(run.x, self.weight.get(), self.bias.get(),
-                                 out, activation=self.activation,
-                                 negative_slope=self.slope)
+        kernels.fused_linear(run.x, self.weight.get(), self.bias.get(), out,
+                             activation=self.activation,
+                             negative_slope=self.slope)
         run.x = out
         run.x_in_arena = True
 
@@ -191,7 +189,7 @@ class _ReluStep:
 
     def __call__(self, run: PlanRun) -> None:
         if run.x_in_arena:
-            run.backend.relu_(run.x)
+            kernels.relu_(run.x)
             return
         out = run.arena.take(self.slot, run.x.shape, run.x.dtype)
         np.maximum(run.x, run.x.dtype.type(0), out=out)
@@ -276,8 +274,8 @@ class _SampleStep:
             counts = np.bincount(run.batch, minlength=num_graphs)
             if counts.min() != per_graph or counts.max() != per_graph:
                 return None
-        return run.backend.knn_edges_uniform(reference, self.k, num_graphs,
-                                             per_graph)
+        return kernels.knn_edges_uniform(reference, self.k, num_graphs,
+                                         per_graph)
 
 
 class _AggregateStep:
@@ -314,13 +312,13 @@ class _AggregateStep:
         if k is not None:
             scratch = run.arena.take(msg_slot, (run.num_nodes, k, features),
                                      x.dtype)
-            run.backend.edgeconv_uniform(x, src, k, self.reduce, scratch, out)
+            kernels.edgeconv_uniform(x, src, k, self.reduce, scratch, out)
         else:
             messages = run.arena.take(msg_slot, (num_edges, 2 * features),
                                       x.dtype)
-            run.backend.edge_messages(x, src, dst, messages)
-            run.backend.segment_reduce(messages, dst, run.edge_info,
-                                       self.reduce, out)
+            kernels.edge_messages(x, src, dst, messages)
+            kernels.segment_reduce(messages, dst, run.edge_info, self.reduce,
+                                   out)
         run.x = out
         run.x_in_arena = True
 
@@ -378,7 +376,6 @@ def _pool_into(run: PlanRun, mode: str, slot: object,
     first and pool like float input.
     """
     num_graphs, features = run.num_graphs, run.x.shape[1]
-    backend = run.backend
     info = _batch_segment_info(run)
     per_graph = info.uniform_k
     if run.x.dtype.kind in "iu":
@@ -387,34 +384,34 @@ def _pool_into(run: PlanRun, mode: str, slot: object,
             out = run.arena.take(slot, (num_graphs, cols), np.float32)
             scratch = run.arena.take(scratch_slot, (num_graphs, features),
                                      np.int64)
-            backend.quant_pool_uniform(run.x, num_graphs, per_graph, mode,
+            kernels.quant_pool_uniform(run.x, num_graphs, per_graph, mode,
                                        run.x_scale, scratch, out)
             _finish_pool(run, out, num_graphs)
             return
         deq = run.arena.take((slot, "deq"), run.x.shape, np.float32)
-        backend.dequantize(run.x, run.x_scale, deq)
+        kernels.dequantize_array(run.x, run.x_scale, deq)
         run.x = deq
     grouped = (run.x.reshape(num_graphs, per_graph, features)
                if per_graph is not None else None)
     if mode in ("max||mean", "maxmean"):
         out = run.arena.take(slot, (num_graphs, 2 * features), run.x.dtype)
         if grouped is not None:
-            backend.uniform_segment_reduce(grouped, "max", out[:, :features])
-            backend.uniform_segment_reduce(grouped, "mean", out[:, features:])
+            kernels.uniform_segment_reduce(grouped, "max", out[:, :features])
+            kernels.uniform_segment_reduce(grouped, "mean", out[:, features:])
         else:
             scratch = run.arena.take(scratch_slot, (num_graphs, features),
                                      run.x.dtype)
-            backend.segment_reduce(run.x, run.batch, info, "max", scratch)
+            kernels.segment_reduce(run.x, run.batch, info, "max", scratch)
             out[:, :features] = scratch
-            backend.segment_reduce(run.x, run.batch, info, "mean", scratch)
+            kernels.segment_reduce(run.x, run.batch, info, "mean", scratch)
             out[:, features:] = scratch
     else:
         out = run.arena.take(slot, (num_graphs, features), run.x.dtype)
         if grouped is not None:
-            backend.uniform_segment_reduce(
+            kernels.uniform_segment_reduce(
                 grouped, "sum" if mode == "add" else mode, out)
         else:
-            backend.segment_reduce(run.x, run.batch, info, mode, out)
+            kernels.segment_reduce(run.x, run.batch, info, mode, out)
     _finish_pool(run, out, num_graphs)
 
 
@@ -453,9 +450,9 @@ class _QuantParamRef:
     Mirrors :class:`_ParamRef`: re-quantizes only when the parameter's array
     identity changes, so ``load_state_dict`` after compilation re-quantizes
     automatically and the steady state is one ``is`` check per call.
-    Returns ``(wq, w32, w64, scales)`` — the int8 weights, their float32 and
-    float64 widenings (whichever the backend's matmul wants), and the
-    float32 per-output-channel scales.
+    Returns ``(w32, w64, scales)`` — the float32 and float64 widenings of
+    the int8 weights (the matmul picks whichever keeps its accumulation
+    exact), and the float32 per-output-channel scales.
     """
 
     __slots__ = ("_param", "_src", "_packed")
@@ -469,8 +466,7 @@ class _QuantParamRef:
         data = self._param.data
         if data is not self._src:
             wq, scales = quantize_weight(data)
-            packed = (wq, wq.astype(np.float32), wq.astype(np.float64),
-                      scales)
+            packed = (wq.astype(np.float32), wq.astype(np.float64), scales)
             # Publish the pack before the source marker (same memory-order
             # reasoning as _ParamRef).
             self._packed = packed
@@ -494,7 +490,7 @@ class _QuantizeStep:
             return  # already quantized upstream
         outq = run.arena.take(self.slot, x.shape, np.int8)
         scratch = run.arena.take((self.slot, "scratch"), x.shape, np.float32)
-        run.backend.quantize(x, self.scale, scratch, outq)
+        kernels.quantize_array(x, self.scale, scratch, outq)
         run.x = outq
         run.x_in_arena = True
         run.x_scale = self.scale
@@ -529,7 +525,6 @@ class _QuantLinearStep:
         self.slot = slot
 
     def __call__(self, run: PlanRun) -> None:
-        backend = run.backend
         x = run.x
         if x.dtype.kind in "iu":
             xq, x_scale = x, run.x_scale
@@ -538,9 +533,9 @@ class _QuantLinearStep:
             xq = run.arena.take((self.slot, "inq"), x.shape, np.int8)
             scratch = run.arena.take((self.slot, "inq-scratch"), x.shape,
                                      np.float32)
-            backend.quantize(x, self.in_scale, scratch, xq)
+            kernels.quantize_array(x, self.in_scale, scratch, xq)
             x_scale, qmax = self.in_scale, QMAX_INT8
-        wq, w32, w64, w_scale = self.qweight.get()
+        w32, w64, w_scale = self.qweight.get()
         bias = self.bias.get()
         if bias is None:
             bias = self.zero_bias
@@ -559,9 +554,9 @@ class _QuantLinearStep:
         outq = (run.arena.take((self.slot, "outq"),
                                (rows, self.out_features), np.int8)
                 if self.requantize else None)
-        run.x = backend.quant_fused_linear(
-            xq, wq, w64 if use_f64 else w32, w_scale, x_scale, bias, xcast,
-            acc, self.activation, self.slope,
+        run.x = kernels.quant_fused_linear(
+            xq, w64 if use_f64 else w32, w_scale, x_scale, bias, xcast, acc,
+            self.activation, self.slope,
             self.out_scale if self.requantize else None, outq, out32)
         run.x_in_arena = True
         if self.requantize:
@@ -616,8 +611,8 @@ class _QuantAggregateStep(_AggregateStep):
                              out_dtype)
         gather = run.arena.take(self.msg_slot, (run.num_nodes, k, features),
                                 x.dtype)
-        run.backend.quant_edgeconv_uniform(x, run.edge_index[0], k,
-                                           self.reduce, gather, out)
+        kernels.quant_edgeconv_uniform(x, run.edge_index[0], k, self.reduce,
+                                       gather, out)
         run.x = out
         run.x_in_arena = True
         run.x_scale = new_scale
@@ -625,18 +620,17 @@ class _QuantAggregateStep(_AggregateStep):
 
     def _float_fallback(self, run: PlanRun) -> None:
         """Ragged topology / float input: float arithmetic, then requantize."""
-        backend = run.backend
         x = run.x
         if x.dtype.kind in "iu":
             deq = run.arena.take((self.slot, "deq"), x.shape, np.float32)
-            backend.dequantize(x, run.x_scale, deq)
+            kernels.dequantize_array(x, run.x_scale, deq)
             x = deq
         # Slots of their own: the float buffers must never retype the
         # integer buffers of the fast path (frames may alternate).
         self._edgeconv(run, x, (self.msg_slot, "f"), (self.slot, "f"))
         scale = amax_to_scale(self.out_amax)
         outq = run.arena.take((self.slot, "q"), run.x.shape, np.int8)
-        backend.quantize(run.x, scale, run.x, outq)
+        kernels.quantize_array(run.x, scale, run.x, outq)
         run.x = outq
         run.x_scale = scale
         run.x_qmax = QMAX_INT8
@@ -649,10 +643,9 @@ class PlanSegment:
     """A compiled, contiguous run of operations with per-thread buffer arenas."""
 
     def __init__(self, steps: List[Callable[[PlanRun], None]],
-                 dtype: np.dtype, backend: KernelBackend) -> None:
+                 dtype: np.dtype) -> None:
         self.steps = steps
         self.dtype = dtype
-        self.backend = backend
         self._arenas = threading.local()
         # Weak registry of every arena ever handed out, so the segment can
         # enumerate and release them without keeping dead threads' arenas
@@ -733,7 +726,7 @@ class PlanSegment:
         if edge_index is not None:
             edge_index = np.asarray(edge_index, dtype=np.int64)
         run = PlanRun(x, batch, int(num_graphs), edge_index, pos, bool(pooled),
-                      self.arena, self.backend)
+                      self.arena)
         if observer is None:
             for step in self.steps:
                 step(run)
@@ -760,7 +753,7 @@ class PlanSegment:
                            pos=pos, pooled=pooled)
         if run.x.dtype.kind in "iu" and run.x_scale is not None:
             out = np.empty(run.x.shape, dtype=np.float32)
-            self.backend.dequantize(run.x, run.x_scale, out)
+            kernels.dequantize_array(run.x, run.x_scale, out)
             run.x = out
             run.x_in_arena = False
             run.x_scale = None
@@ -919,7 +912,6 @@ def _compile_operation(operation: Operation, index: int, x_version: int,
 
 def _compile_segment(model, start: int, end: Optional[int],
                      include_classifier: bool, dtype: np.dtype,
-                     backend: KernelBackend,
                      calib: Optional[SegmentCalibration] = None
                      ) -> PlanSegment:
     """Compile operations ``start:end`` (int8 when ``calib`` is given)."""
@@ -943,7 +935,7 @@ def _compile_segment(model, start: int, end: Optional[int],
     # exits are float either way, so skip the lossy extra round trip.
     if steps and isinstance(steps[-1], _QuantLinearStep):
         steps[-1].requantize = False
-    return PlanSegment(steps, dtype, backend)
+    return PlanSegment(steps, dtype)
 
 
 #: All compilable plan segments (the default for :func:`compile_plan`).
@@ -973,7 +965,6 @@ class InferencePlan:
 
     def __init__(self, model, dtype=np.float64,
                  segments: Sequence[str] = SEGMENTS,
-                 backend=None,
                  calibration: Optional[PlanCalibration] = None) -> None:
         if not segments:
             raise ValueError(
@@ -986,7 +977,6 @@ class InferencePlan:
         self.dtype = np.dtype(dtype)
         if not np.issubdtype(self.dtype, np.floating):
             raise ValueError(f"plan dtype must be floating, got {self.dtype}")
-        self.backend = resolve_backend(backend)
         self.calibration = calibration
         #: ``"int8"`` for calibrated quantized plans, else the dtype name —
         #: the carrier ``dtype`` stays float either way (quantized segments
@@ -1003,20 +993,17 @@ class InferencePlan:
             # Everything aliases the full architecture: device runs it all,
             # and an (unfinished) frame on the edge re-runs it all too.
             self.full = self.device = self.edge = _compile_segment(
-                model, 0, None, True, self.dtype, self.backend,
-                calib_for("full"))
+                model, 0, None, True, self.dtype, calib_for("full"))
             return
         if "full" in segments:
             self.full = _compile_segment(model, 0, None, True, self.dtype,
-                                         self.backend, calib_for("full"))
+                                         calib_for("full"))
         if "device" in segments:
             self.device = _compile_segment(model, 0, self.split, False,
-                                           self.dtype, self.backend,
-                                           calib_for("device"))
+                                           self.dtype, calib_for("device"))
         if "edge" in segments:
             self.edge = _compile_segment(model, self.split + 1, None, True,
-                                         self.dtype, self.backend,
-                                         calib_for("edge"))
+                                         self.dtype, calib_for("edge"))
 
     # ------------------------------------------------------------------
     def segments(self) -> List[PlanSegment]:
@@ -1059,7 +1046,6 @@ class InferencePlan:
 
 def compile_plan(model, dtype=np.float64,
                  segments: Sequence[str] = SEGMENTS,
-                 backend=None,
                  calibration: Optional[PlanCalibration] = None
                  ) -> InferencePlan:
     """Compile ``model`` into an :class:`InferencePlan`.
@@ -1071,14 +1057,11 @@ def compile_plan(model, dtype=np.float64,
     support (callers requesting ``runtime="auto"`` then fall back to eager
     execution).
 
-    ``backend`` selects the kernel backend (a name from
-    :data:`~repro.runtime.backends.KERNEL_BACKENDS`, a live
-    :class:`~repro.runtime.backends.KernelBackend`, or ``None`` for
-    ``"auto"``).  Passing a :class:`~repro.runtime.quantize.PlanCalibration`
-    switches the requested segments to the int8 quantized path; ``dtype``
-    then only sets the float carrier (use float32) — quantized segments
-    still take and emit float32 states, so every serving contract above the
-    plan is unchanged.
+    Passing a :class:`~repro.runtime.quantize.PlanCalibration` switches the
+    requested segments to the int8 quantized path; ``dtype`` then only sets
+    the float carrier (use float32) — quantized segments still take and
+    emit float32 states, so every serving contract above the plan is
+    unchanged.
     """
     return InferencePlan(model, dtype=dtype, segments=segments,
-                         backend=backend, calibration=calibration)
+                         calibration=calibration)

@@ -59,7 +59,6 @@ contract guarded by ``tools/check_public_api.py`` in CI.
 """
 
 from ..core.executor import ServingCallables
-from ..runtime import available_backends
 from ..runtime.node import NodeCrashedError, NodeStats
 from ..runtime.shard import ShardCrashedError, ShardStats
 from ..system.engine import RequestRejectedError
@@ -98,7 +97,6 @@ __all__ = [
     "ShardingConfig",
     "Supervisor",
     "SupervisorConfig",
-    "available_backends",
     "build_callables",
     "build_zoo_callables",
     "serve",

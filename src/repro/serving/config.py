@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Type
 import numpy as np
 
 from ..core.executor import RUNTIMES
-from ..runtime import KERNEL_BACKENDS, PRECISIONS, SEGMENTS
+from ..runtime import PRECISIONS, SEGMENTS
 from ..runtime.shard import SHARD_TRANSPORT_SHM, SHARD_TRANSPORTS
 from ..system.messages import WIRE_FORMAT_ZLIB, WIRE_FORMATS
 from ..system.scheduler import QosPolicy, check_priority_map
@@ -223,10 +223,6 @@ class RuntimeConfig(_Config):
     precision_policy: Dict[str, str] = knob(
         dict, _precision_policy, "Per-entry precision overrides by zoo entry "
         'name (``{"hot": "int8"}``), winning over ``precision``')
-    backend: str = knob(
-        "auto", KERNEL_BACKENDS, 'Plan kernels: ``"numpy"`` (reference), '
-        '``"numba"`` (optional JIT; fails loudly at build time when not '
-        'installed) or ``"auto"`` (numba when importable, else numpy)')
 
     def _validate(self) -> None:
         narrow = {self.precision,

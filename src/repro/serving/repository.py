@@ -90,7 +90,7 @@ class ModelRepository:
     runtime:
         :class:`~repro.serving.config.RuntimeConfig` applied to every
         published snapshot (compiled vs eager, dtype, plan segments,
-        per-entry ``precision_policy`` and kernel ``backend``).  Entries
+        per-entry ``precision_policy``).  Entries
         resolved to ``"int8"`` calibrate on deterministic synthetic frames
         at publish time — repositories are rebuilt from config alone in
         shard workers and cluster nodes, and the seeded synthetic

@@ -148,13 +148,15 @@ class ServingTable:
     named edge/batched callables and the selector — lives in one frozen
     value that each request reads exactly once.  Hot reload
     (:meth:`EdgeServer.install_table`) swaps the whole table atomically, so
-    no frame can ever observe a half-updated routing state.
+    no frame can ever observe a half-updated routing state.  The two
+    mappings are read-only views: registering a model means installing a
+    new table, never editing a live one.
     """
 
     default_name: str
     default_fn: EdgeFn
-    edge_fns: Dict[str, EdgeFn]
-    batch_fns: Dict[str, BatchedEdgeFn]
+    edge_fns: Mapping[str, EdgeFn]
+    batch_fns: Mapping[str, BatchedEdgeFn]
     selector: Optional[SelectorFn]
 
     def model_names(self) -> List[str]:
@@ -191,7 +193,8 @@ def _make_serving_table(edge_fn: Optional[EdgeFn],
             f"{sorted(unknown)} — a typo here would silently fall back "
             "to per-frame serving")
     return ServingTable(default_name=default_name, default_fn=default_fn,
-                        edge_fns=edge_fns, batch_fns=batch_fns,
+                        edge_fns=MappingProxyType(edge_fns),
+                        batch_fns=MappingProxyType(batch_fns),
                         selector=selector)
 
 
@@ -656,34 +659,6 @@ class EdgeServer:
     def table(self) -> ServingTable:
         """The currently installed serving table (immutable snapshot)."""
         return self._table
-
-    @property
-    def edge_fn(self) -> EdgeFn:
-        """Default edge callable of the current table."""
-        return self._table.default_fn
-
-    @property
-    def edge_fns(self) -> Mapping[str, EdgeFn]:
-        """Named edge callables of the current table (read-only view).
-
-        A read-only mapping, not a mutable dict: writing to it (the
-        pre-facade way of registering a model at runtime) would silently
-        edit a throwaway copy — use :meth:`install_table` instead.
-        """
-        return MappingProxyType(self._table.edge_fns)
-
-    @property
-    def batch_fns(self) -> Mapping[str, BatchedEdgeFn]:
-        """Named batched callables of the current table (read-only view)."""
-        return MappingProxyType(self._table.batch_fns)
-
-    @property
-    def selector(self) -> Optional[SelectorFn]:
-        return self._table.selector
-
-    @property
-    def _default_name(self) -> str:
-        return self._table.default_name
 
     def install_table(self, edge_fn: Optional[EdgeFn] = None, *,
                       edge_fns: Optional[Dict[str, EdgeFn]] = None,

@@ -353,10 +353,6 @@ class TestPrecisionConfig:
         with pytest.raises(ValueError, match="precision"):
             RuntimeConfig(precision_policy={"m": "bfloat16"})
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            RuntimeConfig(backend="cuda")
-
     def test_eager_runtime_rejects_int8(self):
         with pytest.raises(ValueError, match="eager"):
             RuntimeConfig(runtime="eager", precision="int8")
@@ -373,8 +369,7 @@ class TestPrecisionConfig:
 
     def test_round_trip_with_policy(self):
         config = RuntimeConfig(runtime="compiled", precision="float32",
-                               precision_policy={"hot": "int8"},
-                               backend="numpy")
+                               precision_policy={"hot": "int8"})
         rebuilt = RuntimeConfig.from_dict(config.to_dict())
         assert rebuilt == config
         serving = ServingConfig(runtime=config)

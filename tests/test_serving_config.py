@@ -117,7 +117,7 @@ def test_none_is_accepted_exactly_by_optional_knobs(cls, name, spec):
 EXAMPLES = {
     RuntimeConfig: dict(runtime="compiled",
                         segments=["edge"], precision="float32",
-                        precision_policy={"hot": "int8"}, backend="numpy"),
+                        precision_policy={"hot": "int8"}),
     BatchingConfig: dict(max_batch_size=8, max_wait_ms=5),
     ServerConfig: dict(host="0.0.0.0", port=9000, max_workers=2, backlog=4,
                        frontend="async", session_log_limit=16),
@@ -233,9 +233,11 @@ class TestDefectsTheDuplicationHid:
         scheduler = Scheduler(QosConfig(max_queue_depth=np.int64(2)).policy())
         assert scheduler.admit("client", {}).priority == 0
 
-    def test_alias_knob_is_gone(self):
+    def test_removed_knobs_are_gone(self):
         with pytest.raises(ValueError, match="max_queue_depth"):
             BatchingConfig.from_dict({"max_queue_depth": 4})
+        with pytest.raises(ValueError, match="backend"):
+            RuntimeConfig.from_dict({"backend": "numpy"})
 
 
 class TestGeneratedReference:

@@ -256,19 +256,21 @@ class TestInstallTable:
             server.install_table(echo, batch_fns={"typo": lambda reqs: reqs})
         with pytest.raises(ValueError, match="edge_fn"):
             server.install_table()
-        assert server.edge_fn is echo  # old table untouched
+        assert server.table.default_fn is echo  # old table untouched
         server.stop()
 
     def test_table_mappings_are_read_only(self):
-        """Mutating server.edge_fns must fail loudly, not edit a copy."""
+        """Editing the live table must fail loudly: install a new one."""
         echo = lambda arrays, meta: (dict(arrays), {})
         server = EdgeServer(edge_fns={"a": echo})
         with pytest.raises(TypeError):
-            server.edge_fns["b"] = echo
+            server.table.edge_fns["b"] = echo
         with pytest.raises(TypeError):
-            server.batch_fns["b"] = lambda reqs: list(reqs)
+            server.table.batch_fns["b"] = lambda reqs: list(reqs)
         with pytest.raises(AttributeError):
-            server.edge_fn = echo
+            server.table.default_fn = echo
+        with pytest.raises(AttributeError):
+            server.table = server.table
         server.stop()
 
     def test_table_snapshot_visible(self):
@@ -277,7 +279,7 @@ class TestInstallTable:
         assert server.table.model_names() == ["a"]
         server.install_table(edge_fns={"b": echo, "c": echo})
         assert server.table.model_names() == ["b", "c"]
-        assert server._default_name == "b"
+        assert server.table.default_name == "b"
         server.stop()
 
 

@@ -39,7 +39,7 @@ def resolve_relative(rel_path: str, node: ast.ImportFrom) -> List[str]:
     """Absolute dotted names of a relative import's targets.
 
     ``rel_path`` is the repo-relative path under ``src/`` (e.g.
-    ``src/repro/runtime/backends.py``).  ``from . import kernels`` yields
+    ``src/repro/runtime/plan.py``).  ``from . import kernels`` yields
     ``repro.runtime.kernels`` (one name per alias); ``from .arena import
     BufferArena`` yields ``repro.runtime.arena``.
     """

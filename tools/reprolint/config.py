@@ -25,11 +25,11 @@ SERVING = "src/repro/serving"
 # The tiering this encodes (lowest first):
 #   messages (wire format)  ->  transport / scheduler (no engine, no
 #   compute)  ->  runtime kernels/arena (pure array code)  ->  plan /
-#   backends / quantize (compiled runtime)  ->  engine (system tier)  ->
-#   serving (top).  Nothing below the serving tier may import it — the
-#   known, justified exception (the shard worker bootstrap in
-#   runtime/shard.py rebuilds a serving repository by design) is
-#   grandfathered in baseline.json rather than allowed here.
+#   quantize (compiled runtime)  ->  engine (system tier)  ->  serving
+#   (top).  Nothing below the serving tier may import it — the known,
+#   justified exception (the shard worker bootstrap in runtime/shard.py
+#   rebuilds a serving repository by design) is grandfathered in
+#   baseline.json rather than allowed here.
 LAYERING_RULES = {
     f"{SYSTEM}/messages.py": {"numpy"},
     f"{SYSTEM}/transport.py": {"repro.system.messages"},
@@ -37,7 +37,6 @@ LAYERING_RULES = {
     f"{SYSTEM}/engine.py": {"numpy", "repro.core", "repro.system"},
     f"{RUNTIME}/arena.py": {"numpy"},
     f"{RUNTIME}/kernels.py": {"numpy", "repro.graph"},
-    f"{RUNTIME}/backends.py": {"numpy", "numba", "repro.runtime"},
     f"{RUNTIME}/quantize.py": {"numpy", "repro.graph", "repro.runtime"},
     f"{RUNTIME}/plan.py": {"numpy", "repro.gnn", "repro.graph", "repro.nn",
                            "repro.runtime"},
@@ -66,7 +65,6 @@ DTYPE_TARGETS = (
     f"{RUNTIME}/kernels.py",
     f"{RUNTIME}/plan.py",
     f"{RUNTIME}/quantize.py",
-    f"{RUNTIME}/backends.py",
 )
 
 #: numpy callables where a bare float argument silently sets the result
