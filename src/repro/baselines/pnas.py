@@ -18,7 +18,6 @@ from ..core.architecture import Architecture
 from ..hardware.workload import DataProfile
 from ..system.partition import best_partition
 from ..system.simulator import CoInferenceSimulator
-from .fixed import pnas_architecture
 from .hgnas import single_device_space
 
 AccuracyFn = Callable[[Architecture], Tuple[float, float]]
@@ -56,11 +55,6 @@ class PNAS:
                 best_arch = arch
         assert best_arch is not None
         return best_arch.with_name("pnas")
-
-    @staticmethod
-    def reference_architecture() -> Architecture:
-        """The fixed representative PNAS design (no search budget needed)."""
-        return pnas_architecture()
 
 
 def pnas_with_partition(architecture: Architecture,

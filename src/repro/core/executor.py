@@ -118,9 +118,6 @@ class ArchitectureModel(nn.Module):
         return state.x
 
     # ------------------------------------------------------------------
-    def num_operations(self) -> int:
-        return len(self._operations)
-
     def first_communicate_index(self) -> Optional[int]:
         """Index of the first Communicate operation, or ``None``."""
         for index, operation in enumerate(self._operations):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..architecture import Architecture
 from ..performance import EfficiencyEstimate
@@ -61,16 +61,6 @@ class ScoredArchitecture:
     device_energy_j: float
     score: float
     trial: int
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "balanced_accuracy": self.balanced_accuracy,
-            "latency_ms": self.latency_ms,
-            "device_energy_j": self.device_energy_j,
-            "score": self.score,
-            "trial": self.trial,
-        }
 
 
 @dataclass

@@ -83,10 +83,6 @@ class ArchitectureZoo:
         """``(name, entry)`` pairs, insertion-ordered (serving-table friendly)."""
         return list(self._entries.items())
 
-    def tagged(self, tag: str) -> List[ZooEntry]:
-        """Entries carrying ``tag`` (e.g. the ``best-latency`` champion)."""
-        return [entry for entry in self if tag in entry.tags]
-
     # ------------------------------------------------------------------
     def best(self, objective: str = "latency") -> ZooEntry:
         """Best entry under ``objective`` (latency/energy ascending, accuracy descending)."""

@@ -50,13 +50,3 @@ class MethodResult:
             "energy_reduction": energy_reduction(reference.device_energy_j,
                                                  self.device_energy_j),
         }
-
-    def as_dict(self) -> Dict:
-        return {
-            "method": self.method,
-            "mode": self.mode,
-            "accuracy": self.accuracy,
-            "balanced_accuracy": self.balanced_accuracy,
-            "latency_ms": self.latency_ms,
-            "device_energy_j": self.device_energy_j,
-        }

@@ -131,10 +131,6 @@ class DeviceSpec:
         """Energy consumed while idle (runtime resident, waiting) for ``idle_ms``."""
         return self.idle_power_w * idle_ms / 1000.0
 
-    def transmit_energy_j(self, transmit_ms: float) -> float:
-        """Energy consumed while transmitting for ``transmit_ms``."""
-        return self.transmit_power_w * transmit_ms / 1000.0
-
     def describe(self) -> Dict[str, float]:
         """Flat dict of the model parameters (used in reports)."""
         return {

@@ -14,7 +14,6 @@ paper cites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from .device import DeviceSpec
 from .network import WirelessLink
@@ -31,10 +30,6 @@ class EnergyBreakdown:
     @property
     def total_j(self) -> float:
         return self.idle_j + self.run_j + self.comm_j
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"idle_j": self.idle_j, "run_j": self.run_j,
-                "comm_j": self.comm_j, "total_j": self.total_j}
 
 
 def estimate_device_energy(device: DeviceSpec, link: WirelessLink,

@@ -11,7 +11,6 @@ paper cites for its on-device energy estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -59,19 +58,6 @@ class WirelessLink:
     def transmit_power_w(self) -> float:
         """Radio power draw while transmitting at the configured bandwidth."""
         return self.tx_power_base_w + self.tx_power_per_mbps_w * self.bandwidth_mbps
-
-    def transfer_energy_j(self, payload_bytes: int) -> float:
-        """Device-side radio energy to upload ``payload_bytes``."""
-        return self.transmit_power_w() * self.transfer_time_ms(payload_bytes) / 1e3
-
-    def describe(self) -> Dict[str, float]:
-        """Flat dict of the link parameters (used in reports)."""
-        return {
-            "bandwidth_mbps": self.bandwidth_mbps,
-            "rtt_ms": self.rtt_ms,
-            "compression_ratio": self.compression_ratio,
-            "transmit_power_w": self.transmit_power_w(),
-        }
 
 
 #: The two network conditions evaluated in the paper.

@@ -83,10 +83,6 @@ class OpWorkload:
     #: operation were handed to the other side (features + graph structure).
     output_bytes: int
 
-    @property
-    def op(self) -> str:
-        return self.spec.op
-
 
 def _structure_bytes(num_edges: int) -> int:
     return 2 * num_edges * BYTES_PER_INDEX

@@ -82,10 +82,6 @@ class BufferArena:
             entry["nbytes"] += int(buffer.nbytes)
         return stats
 
-    @property
-    def num_buffers(self) -> int:
-        return len(self._buffers)
-
     def nbytes(self) -> int:
         """Total bytes currently held by the arena."""
         return int(sum(buffer.nbytes for buffer in self._buffers.values()))

@@ -295,11 +295,6 @@ def fused_linear(x: np.ndarray, weight: np.ndarray,
     return out
 
 
-def relu_(x: np.ndarray) -> np.ndarray:
-    """In-place ReLU (used for activations that could not be fused)."""
-    return np.maximum(x, x.dtype.type(0), out=x)
-
-
 # ----------------------------------------------------------------------
 # Quantized (int8) kernels
 # ----------------------------------------------------------------------

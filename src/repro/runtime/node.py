@@ -299,10 +299,6 @@ class NodeProcess:
             raise RuntimeError("node not started")
         return f"{self.host}:{self.port}"
 
-    @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid if self._process is not None else None
-
     def alive(self) -> bool:
         return self._process is not None and self._process.is_alive()
 

@@ -47,8 +47,7 @@ from ..gnn.operations import (AggregateOp, ClassifierOp, CombineOp,
                               CommunicateOp, GlobalPoolOp, IdentityOp,
                               Operation, SampleOp)
 from ..graph.knn import knn_graph, random_graph
-from ..nn.modules import (Dropout, Identity, LeakyReLU, Linear, MLP, ReLU,
-                          Sequential)
+from ..nn.modules import Dropout, Identity, LeakyReLU, Linear, MLP, ReLU
 from . import kernels
 from .arena import BufferArena
 from .kernels import (QMAX_INT8, SegmentInfo, _F32_EXACT,
@@ -175,24 +174,6 @@ class _LinearStep:
         kernels.fused_linear(run.x, self.weight.get(), self.bias.get(), out,
                              activation=self.activation,
                              negative_slope=self.slope)
-        run.x = out
-        run.x_in_arena = True
-
-
-class _ReluStep:
-    """Standalone in-place ReLU (an activation that had no linear to fuse into)."""
-
-    __slots__ = ("slot",)
-
-    def __init__(self, slot: object) -> None:
-        self.slot = slot
-
-    def __call__(self, run: PlanRun) -> None:
-        if run.x_in_arena:
-            kernels.relu_(run.x)
-            return
-        out = run.arena.take(self.slot, run.x.shape, run.x.dtype)
-        np.maximum(run.x, run.x.dtype.type(0), out=out)
         run.x = out
         run.x_in_arena = True
 
@@ -432,8 +413,8 @@ class _EnsurePooledStep:
 # ----------------------------------------------------------------------
 # Quantized (int8) plan steps
 # ----------------------------------------------------------------------
-# An int8 segment replaces the entry, linear and aggregate steps; ReLU, the
-# pools and Sample are the float plan's own steps (pooling is where integers
+# An int8 segment replaces the entry, linear and aggregate steps; the pools
+# and Sample are the float plan's own steps (pooling is where integers
 # re-enter float, see ``_pool_into``).  Two extra pieces of state thread
 # through the run: ``run.x_scale`` (the per-tensor scale of the current
 # integer ``x``) and ``run.x_qmax`` (the largest magnitude any element can
@@ -779,7 +760,7 @@ class _FloatSteps:
         return _AggregateStep(reduce, msg_slot, slot)
 
     def follow(self, step):
-        """A step both precisions run as is (ReLU, the pools)."""
+        """A step both precisions run as is (the pools)."""
         return step
 
 
@@ -826,10 +807,13 @@ def _compile_mlp(mlp: MLP, make, slot_prefix: str
 
     Supports the layer vocabulary that appears in architecture models
     (Linear / ReLU / LeakyReLU / Identity / Dropout in eval mode or with
-    ``p=0``).  Anything that would make eager execution non-deterministic or
-    stateful — an *active* Dropout (``p>0`` and ``training=True``),
-    BatchNorm, LayerNorm — is not compiled; callers fall back to eager
-    execution, which keeps the two runtimes observably equivalent.
+    ``p=0``), with every activation fused into the Linear before it, as
+    :class:`~repro.nn.modules.MLP` builds them.  Anything that would make
+    eager execution non-deterministic or stateful — an *active* Dropout
+    (``p>0`` and ``training=True``), BatchNorm, LayerNorm — or an
+    activation with no Linear to fuse into is not compiled; callers fall
+    back to eager execution, which keeps the two runtimes observably
+    equivalent.
     """
     steps: List[Callable[[PlanRun], None]] = []
     pending: Optional[Linear] = None
@@ -841,11 +825,9 @@ def _compile_mlp(mlp: MLP, make, slot_prefix: str
             steps.append(make.linear(pending, (slot_prefix, index, "linear"),
                                      activation, slope))
             pending = None
-        elif activation == "relu":
-            steps.append(make.follow(_ReluStep((slot_prefix, index, "relu"))))
         elif activation is not None:
             raise PlanCompileError(
-                "cannot compile a standalone non-ReLU activation")
+                f"cannot compile a standalone {activation} activation")
         index += 1
 
     for layer in mlp.net:
@@ -855,9 +837,6 @@ def _compile_mlp(mlp: MLP, make, slot_prefix: str
         elif isinstance(layer, ReLU):
             flush(activation="relu")
         elif isinstance(layer, LeakyReLU):
-            if pending is None:
-                raise PlanCompileError(
-                    "cannot compile a standalone LeakyReLU activation")
             flush(activation="leaky_relu", slope=layer.negative_slope)
         elif isinstance(layer, Dropout):
             if layer.p > 0 and layer.training:

@@ -93,9 +93,6 @@ class SegmentCalibration:
             if amax > prev:
                 self.step_amax[key] = amax
 
-    def scale_for(self, key: object, default_amax: float) -> float:
-        return amax_to_scale(self.step_amax.get(key, default_amax))
-
 
 @dataclass
 class PlanCalibration:

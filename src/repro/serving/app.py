@@ -27,8 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.zoo import ArchitectureZoo
 from ..system.engine import (DeviceClient, DeviceFn, EdgeServer,
-                             EdgeServerStats, FrameResult, PipelineStats,
-                             ServingSession)
+                             EdgeServerStats, FrameResult, PipelineStats)
 from .cluster import ClusterPool
 from .config import ClientConfig, RuntimeConfig, ServingConfig
 from .repository import ModelRepository
@@ -301,9 +300,6 @@ class ServingApp:
     def stats(self) -> EdgeServerStats:
         """Aggregate serving statistics snapshot (see ``EdgeServer.stats``)."""
         return self._require_server().stats()
-
-    def sessions(self) -> List[ServingSession]:
-        return self._require_server().sessions()
 
     def client(self, *, name: str = "", conditions: Optional[Dict] = None,
                model: Optional[str] = None,

@@ -295,11 +295,6 @@ class ServingSession:
         return self.closed_at is None
 
     @property
-    def duration_s(self) -> float:
-        end = self.closed_at if self.closed_at is not None else time.perf_counter()
-        return end - self.connected_at
-
-    @property
     def mean_service_time_s(self) -> float:
         return self.service_time_s / self.frames if self.frames else 0.0
 
@@ -1003,7 +998,7 @@ class EdgeServer:
             self._reply_error(request, batch_index=batch_index)
             return
         # All session-counter mutations happen under the server lock so
-        # stats()/sessions() copies are consistent snapshots.  The frame is
+        # stats() copies are consistent snapshots.  The frame is
         # booked *before* the socket write (and rolled back should the write
         # fail): the moment a client holds the result, the server's counters
         # must already include it — counting after the write let a stats()
@@ -1096,15 +1091,6 @@ class EdgeServer:
             return (self._retired.frames
                     + sum(session.frames for session in self._sessions))
 
-    def sessions(self) -> List[ServingSession]:
-        """Copies of the retained sessions (most recent last).
-
-        At most ``session_log_limit`` closed sessions are retained; older
-        ones live on only in the aggregate counters of :meth:`stats`.
-        """
-        with self._lock:
-            return [self._copy_session(s) for s in self._sessions]
-
     def stats(self) -> EdgeServerStats:
         """Aggregate serving statistics across all sessions ever served.
 
@@ -1163,11 +1149,6 @@ class EdgeServer:
             shards=shards,
             num_nodes=len(nodes),
             nodes=nodes)
-
-    @property
-    def scheduler(self) -> Scheduler:
-        """The admission-control scheduler guarding this server's queues."""
-        return self._scheduler
 
     def stop(self) -> None:
         """Stop accepting, close live connections and release the listener."""

@@ -81,10 +81,6 @@ class Connection:
         """Frame and send one serialized message; returns bytes queued."""
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Tear the connection down (idempotent, thread-safe)."""
-        raise NotImplementedError
-
 
 class _SocketConnection(Connection):
     """Blocking-socket connection of the threaded frontend."""
@@ -271,17 +267,6 @@ class _AsyncConnection(Connection):
     def mark_closed(self) -> None:
         """Flag writes as dead (called on the loop when the reader exits)."""
         self._closed = True
-
-    def close(self) -> None:
-        self._closed = True
-        try:
-            self._loop.call_soon_threadsafe(self._close_on_loop)
-        except RuntimeError:
-            pass
-
-    def _close_on_loop(self) -> None:
-        if not self._writer.transport.is_closing():
-            self._writer.close()
 
 
 class AsyncFrontend:

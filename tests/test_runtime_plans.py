@@ -469,6 +469,18 @@ class TestPlanStructure:
             eager = model.forward(frame).data
         np.testing.assert_allclose(plan(frame), eager, atol=F64_TOL, rtol=0)
 
+    @pytest.mark.parametrize("activation", [nn.ReLU, nn.LeakyReLU],
+                             ids=lambda cls: cls.__name__)
+    def test_standalone_activation_refuses_to_compile(self, activation):
+        """Activations fuse into the Linear before them (as MLP builds
+        them); one with nothing to fuse into is left to eager execution."""
+        model = ArchitectureModel(_arch("max", "mean"), in_dim=3,
+                                  num_classes=5, seed=0)
+        model.classifier.mlp.net = nn.Sequential(activation(),
+                                                 nn.Linear(32, 5))
+        with pytest.raises(PlanCompileError, match="standalone"):
+            compile_plan(model)
+
     def test_segment_restricted_compilation(self):
         """Callers compile only the segments they run (no dead step lists)."""
         model = ArchitectureModel(_arch("max", "mean"), in_dim=3,
