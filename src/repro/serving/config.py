@@ -249,10 +249,6 @@ class BatchingConfig(_Config):
         2.0, float, "Longest the first frame of a batch waits for company; "
         "bounds the latency batching adds", min=0.0, unit="ms")
 
-    @property
-    def enabled(self) -> bool:
-        return self.max_batch_size > 1
-
 
 @dataclass(frozen=True)
 class ShardingConfig(_Config):
@@ -386,13 +382,6 @@ class QosConfig(_Config):
     def policy(self) -> QosPolicy:
         """The scheduler's ``QosPolicy`` — this config, field for field."""
         return QosPolicy(**self.to_dict())
-
-    @property
-    def enabled(self) -> bool:
-        """True when any knob departs from the permissive defaults."""
-        return (self.max_queue_depth is not None
-                or self.default_deadline_ms is not None
-                or bool(self.priority_map) or self.default_priority != 0)
 
 
 @dataclass(frozen=True)

@@ -182,11 +182,6 @@ class QosPolicy:
             raise ValueError("fairness_window_s must be positive and "
                              f"finite, got {self.fairness_window_s!r}")
 
-    @property
-    def bounded(self) -> bool:
-        """True when this policy can actually shed on queue depth."""
-        return self.max_queue_depth is not None
-
 
 @dataclass(frozen=True)
 class Admission:

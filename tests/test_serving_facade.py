@@ -96,10 +96,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_wait_ms"):
             BatchingConfig(max_wait_ms=-0.1)
 
-    def test_batching_enabled_property(self):
-        assert not BatchingConfig().enabled
-        assert BatchingConfig(max_batch_size=2).enabled
-
     def test_server_knobs_validated(self):
         with pytest.raises(ValueError, match="max_workers"):
             ServerConfig(max_workers=0)

@@ -107,15 +107,6 @@ class TestQosConfig:
         config = QosConfig()
         assert config.max_queue_depth is None
         assert config.default_deadline_ms is None
-        assert not config.enabled
-        assert not config.policy().bounded
-
-    def test_enabled_when_any_knob_departs(self):
-        assert QosConfig(max_queue_depth=8).enabled
-        assert QosConfig(default_deadline_ms=100.0).enabled
-        assert QosConfig(priority_map={"bulk": 1}).enabled
-        assert QosConfig(default_priority=1).enabled
-        assert not QosConfig(retry_after_ms=10.0).enabled
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_queue_depth"):
