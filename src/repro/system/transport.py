@@ -135,7 +135,7 @@ class ThreadedFrontend:
         self._stopped = threading.Event()
         self._slots = threading.BoundedSemaphore(max_workers)
         self._lock = threading.Lock()
-        self._connections: Dict[Connection, threading.Thread] = {}
+        self._connections: Dict[_SocketConnection, threading.Thread] = {}
 
     def start(self) -> None:
         self._accept_thread = threading.Thread(target=self._serve, daemon=True)

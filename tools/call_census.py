@@ -25,11 +25,12 @@ record behind.  The report then lists, by ``(file, qualname)`` against an
 
 Lambdas and comprehensions are not ``def`` s and are not listed; a property
 getter and its setter share one qualname and count as one function.  The
-census is a map, not a gate: expect the tier-1 run to take roughly ten times
-its unprofiled wall time.
+census is a map, not a gate.  It needs Python 3.11 or newer (the hook reads
+``co_qualname``), and it stops without a report when either run exits
+non-zero or leaves no records: a failed run would read as functions never
+entered.
 
-Run with:  python tools/call_census.py [--out DIR] [--runs traffic tests]
-(``--runs`` with no names re-reports the records already in ``DIR``.)
+Run with:  python tools/call_census.py [--out DIR]
 """
 
 from __future__ import annotations
@@ -94,10 +95,15 @@ threading.setprofile(_census)
 '''
 
 
-def run_census(name: str, out: Path) -> None:
-    """Run one census command with the hook in every process it starts."""
+def run_census(name: str, out: Path) -> Optional[str]:
+    """Run one census command with the hook in every process it starts.
+
+    Returns why the run cannot be reported on, or ``None`` if it can.
+    """
     records = out / name
     records.mkdir(parents=True, exist_ok=True)
+    for stale in records.glob("*.txt"):  # a reused --out
+        stale.unlink()
     site = out / f"{name}-site"
     site.mkdir(parents=True, exist_ok=True)
     (site / "sitecustomize.py").write_text(_SITECUSTOMIZE.format(
@@ -113,6 +119,11 @@ def run_census(name: str, out: Path) -> None:
     elapsed = time.perf_counter() - started
     print(f"[census] {name}: exit {code} after {elapsed:.0f} s",
           file=sys.stderr)
+    if code != 0:
+        return f"{name} run exited with status {code}"
+    if not any(records.glob("*.txt")):
+        return f"{name} run left no call records in {records}"
+    return None
 
 
 def entered(records: Path) -> Set[Tuple[str, str]]:
@@ -183,13 +194,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="directory for the per-process call records "
                              "(default: a fresh temporary directory)")
-    parser.add_argument("--runs", nargs="*", choices=sorted(RUNS),
-                        default=sorted(RUNS),
-                        help="census runs to (re)record before reporting")
     args = parser.parse_args(argv)
+    if sys.version_info < (3, 11):
+        parser.error("the census hook reads code.co_qualname, "
+                     "which needs Python 3.11 or newer")
     out = (args.out or Path(tempfile.mkdtemp(prefix="call-census-"))).resolve()
-    for name in args.runs:
-        run_census(name, out)
+    for name in RUNS:
+        failure = run_census(name, out)
+        if failure is not None:
+            print(f"[census] no report: {failure}", file=sys.stderr)
+            return 1
     print(report(out))
     return 0
 
