@@ -12,7 +12,7 @@ still being served at full rate straight through the idle crowd.
 
 **Overload with and without shedding.**  A saturating client burst against
 a deliberately slow entry, once with the historical unbounded queue and
-once with ``QosPolicy(max_queue_depth=...)``.  Unbounded, every admitted
+once with ``QosConfig(max_queue_depth=...)``.  Unbounded, every admitted
 frame waits for the whole backlog ahead of it (p99 queue delay grows with
 the burst); with shedding, queue delay stays bounded (p99 under 100 ms
 here) and the overflow gets wire-level ``"rejected"`` replies within a
@@ -36,7 +36,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.evaluation import format_table
-from repro.system import DeviceClient, EdgeServer, QosPolicy
+from repro.serving import (BatchingConfig, ClientConfig, QosConfig,
+                           ServerConfig)
+from repro.system import DeviceClient, EdgeServer
 from repro.system.messages import Message, send_message
 
 #: Idle-connection scenario.
@@ -84,9 +86,9 @@ def _fd_budget(wanted: int) -> int:
 def run_idle_scaling() -> Dict:
     """Active-client throughput with ~IDLE_TARGET idle connections parked."""
     idle_budget = _fd_budget(IDLE_TARGET)
-    server = EdgeServer(_echo_fn, frontend="async",
-                        max_workers=ASYNC_MAX_WORKERS,
-                        backlog=min(512, idle_budget)).start()
+    server = EdgeServer(_echo_fn, config=ServerConfig(
+        frontend="async", max_workers=ASYNC_MAX_WORKERS,
+        backlog=min(512, idle_budget))).start()
     idle: List[socket.socket] = []
     frames = [np.random.default_rng(i).normal(size=(64,)).astype(np.float64)
               for i in range(8)]
@@ -98,13 +100,14 @@ def run_idle_scaling() -> Dict:
         def run_client(index: int) -> None:
             try:
                 client = DeviceClient(server.host, server.port,
+                                      ClientConfig(pipeline_timeout_s=120.0),
                                       client_name=f"active-{index}")
                 try:
                     started = time.perf_counter()
                     results, _ = client.run_pipeline(
                         [frames[i % len(frames)]
                          for i in range(FRAMES_PER_ACTIVE)],
-                        lambda frame: ({"x": frame}, {}), timeout_s=120.0)
+                        lambda frame: ({"x": frame}, {}))
                     durations.append(time.perf_counter() - started)
                     assert len(results) == FRAMES_PER_ACTIVE
                 finally:
@@ -167,11 +170,13 @@ def _slow_batch(items):
 
 def run_overload(qos: bool) -> Dict:
     """Saturating burst against a slow batched entry, with/without QoS."""
-    policy = (QosPolicy(max_queue_depth=MAX_QUEUE_DEPTH, fairness=False)
-              if qos else None)
+    policy = (QosConfig(max_queue_depth=MAX_QUEUE_DEPTH, fairness=False)
+              if qos else QosConfig())
     server = EdgeServer(_echo_fn, batch_fns={"default": _slow_batch},
-                        max_batch_size=4, max_wait_ms=1.0,
-                        frontend="async", max_workers=OVERLOAD_CLIENTS,
+                        config=ServerConfig(frontend="async",
+                                            max_workers=OVERLOAD_CLIENTS),
+                        batching=BatchingConfig(max_batch_size=4,
+                                                max_wait_ms=1.0),
                         qos=policy).start()
     frame = np.ones((64,), dtype=np.float64)
     failures: List[BaseException] = []
@@ -183,12 +188,13 @@ def run_overload(qos: bool) -> Dict:
         nonlocal served, rejected
         try:
             client = DeviceClient(server.host, server.port,
-                                  client_name=f"burst-{index}",
-                                  on_rejected="drop")
+                                  ClientConfig(pipeline_timeout_s=120.0,
+                                               on_rejected="drop"),
+                                  client_name=f"burst-{index}")
             try:
                 results, stats = client.run_pipeline(
                     [frame] * FRAMES_PER_OVERLOAD_CLIENT,
-                    lambda f: ({"x": f}, {}), timeout_s=120.0)
+                    lambda f: ({"x": f}, {}))
                 with lock:
                     served += len(results)
                     rejected += stats.frames_rejected

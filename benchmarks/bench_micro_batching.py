@@ -28,7 +28,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core import (Architecture, ArchitectureZoo, ServingCallables,
                         ZooEntry)
-from repro.serving import build_zoo_callables
+from repro.serving import (BatchingConfig, ClientConfig, ServerConfig,
+                           build_zoo_callables)
 from repro.evaluation import format_table
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
@@ -83,21 +84,22 @@ def run_once(serving: ServingCallables, frames: List[Batch],
     the server-side serving rate between WINDOW fractions of the total
     frame count, timed by polling ``EdgeServer.frames_processed``.
     """
-    kwargs = dict(edge_fns={ENTRY: serving.edge_fn}, max_workers=NUM_CLIENTS)
-    if max_batch_size > 1:
-        kwargs.update(batch_fns={ENTRY: serving.batch_fn},
-                      max_batch_size=max_batch_size, max_wait_ms=MAX_WAIT_MS)
-    server = EdgeServer(**kwargs).start()
+    server = EdgeServer(
+        edge_fns={ENTRY: serving.edge_fn},
+        batch_fns={ENTRY: serving.batch_fn} if max_batch_size > 1 else None,
+        config=ServerConfig(max_workers=NUM_CLIENTS),
+        batching=BatchingConfig(max_batch_size=max_batch_size,
+                                max_wait_ms=MAX_WAIT_MS)).start()
     failures: List[BaseException] = []
 
     def run_client(index: int) -> None:
-        client = DeviceClient(server.host, server.port, model=ENTRY,
-                              client_name=f"bench-{index}")
+        client = DeviceClient(server.host, server.port,
+                              ClientConfig(pipeline_timeout_s=120.0),
+                              model=ENTRY, client_name=f"bench-{index}")
         try:
             sequence = [frames[i % len(frames)]
                         for i in range(FRAMES_PER_CLIENT)]
-            results, _ = client.run_pipeline(sequence, serving.device_fn,
-                                             timeout_s=120.0)
+            results, _ = client.run_pipeline(sequence, serving.device_fn)
             assert len(results) == FRAMES_PER_CLIENT
         except BaseException as exc:
             failures.append(exc)

@@ -20,12 +20,13 @@ from __future__ import annotations
 import time
 
 from repro.core import Architecture, ArchitectureModel
-from repro.serving import build_callables
+from repro.serving import (ClientConfig, QosConfig, ServerConfig,
+                           build_callables)
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40, stratified_split
 from repro.graph.data import Batch
 from repro.hardware import DataProfile, JETSON_TX2, INTEL_I7, LINK_40MBPS, trace_workloads
-from repro.system import (CoInferenceSimulator, QosPolicy, SystemConfig,
+from repro.system import (CoInferenceSimulator, SystemConfig,
                           compressed_size, run_co_inference, EdgeServer,
                           DeviceClient)
 
@@ -79,12 +80,13 @@ def main() -> None:
     # the QoS policy bounds the admission queue, and the client stamps each
     # frame with a deadline — expired or shed frames come back as clean
     # ``rejected`` replies (counted, not raised, under ``on_rejected="drop"``).
-    server = EdgeServer(serving.edge_fn, frontend="async",
-                        qos=QosPolicy(max_queue_depth=32)).start()
+    server = EdgeServer(serving.edge_fn, config=ServerConfig(frontend="async"),
+                        qos=QosConfig(max_queue_depth=32)).start()
     try:
         client = DeviceClient(server.host, server.port,
-                              client_name="pipeline-demo",
-                              deadline_ms=2_000.0, on_rejected="drop")
+                              ClientConfig(deadline_ms=2_000.0,
+                                           on_rejected="drop"),
+                              client_name="pipeline-demo")
         try:
             wire_results, wire_stats = client.run_pipeline(frames, device_fn)
         finally:

@@ -20,11 +20,15 @@ Quickstart::
 Layer map
 ---------
 * :mod:`repro.serving.config` — frozen, validated, ``to_dict``/``from_dict``
-  round-trippable configuration (:class:`RuntimeConfig`,
-  :class:`BatchingConfig`, :class:`ServerConfig`, :class:`QosConfig`,
-  :class:`ClientConfig`, composed by :class:`ServingConfig`); every knob
-  is declared once, and ``python -m repro.serving.config`` prints the
-  reference tables of ``docs/serving.md`` from those declarations.
+  round-trippable configuration, composed by :class:`ServingConfig`; every
+  knob is declared once, and ``python -m repro.serving.config`` prints the
+  reference tables of ``docs/serving.md`` from those declarations.  The
+  five configs the engine takes as-is — :class:`ServerConfig`,
+  :class:`BatchingConfig`, :class:`QosConfig`, :class:`ClientConfig`,
+  :class:`RetryPolicy` — are declared in :mod:`repro.system.knobs` and
+  re-exported here; :class:`RuntimeConfig`, :class:`ShardingConfig`,
+  :class:`ClusterConfig` and :class:`SupervisorConfig` in
+  :mod:`repro.serving.config` itself.
 * :mod:`repro.serving.builders` — :func:`build_callables` /
   :func:`build_zoo_callables`, the config-driven callable builders.
 * :mod:`repro.serving.repository` — :class:`ModelRepository` /

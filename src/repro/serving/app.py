@@ -169,7 +169,6 @@ class ServingApp:
                 self.repository, self.config.cluster,
                 node_processes=self._node_processes
                 if self.config.supervisor.enabled else ()).start()
-        server_config, batching = self.config.server, self.config.batching
         workers = self._workers
         try:
             if workers is not None:
@@ -190,14 +189,8 @@ class ServingApp:
                 edge_fns=self._edge_fns(),
                 batch_fns=self._batch_fns(),
                 selector=self.repository.select_for_meta,
-                host=server_config.host, port=server_config.port,
-                max_workers=server_config.max_workers,
-                backlog=server_config.backlog,
-                frontend=server_config.frontend,
-                qos=self.config.qos.policy(),
-                session_log_limit=server_config.session_log_limit,
-                max_batch_size=batching.max_batch_size,
-                max_wait_ms=batching.max_wait_ms,
+                config=self.config.server, batching=self.config.batching,
+                qos=self.config.qos,
                 shard_stats=workers.stats if self.sharded else None,
                 node_stats=workers.stats if self.clustered else None).start()
         except Exception:
@@ -369,14 +362,8 @@ class Client:
         if self._client is not None:
             raise RuntimeError("Client is already connected")
         self._client = DeviceClient(
-            self.host, self.port, timeout_s=self.config.connect_timeout_s,
-            client_name=self.name, conditions=self._conditions,
-            model=self._model, wire_format=self.config.wire_format,
-            wire_dtype=self.config.numpy_wire_dtype,
-            deadline_ms=self.config.deadline_ms,
-            priority=self.config.priority,
-            on_rejected=self.config.on_rejected,
-            retry_policy=self.config.retry)
+            self.host, self.port, self.config, client_name=self.name,
+            conditions=self._conditions, model=self._model)
         return self
 
     def stop(self) -> None:
@@ -398,8 +385,7 @@ class Client:
     # ------------------------------------------------------------------
     def handshake(self) -> Dict:
         """Server metadata from the hello acknowledgement."""
-        return self._require_client().handshake(
-            timeout_s=self.config.handshake_timeout_s)
+        return self._require_client().handshake()
 
     @property
     def assigned_model(self) -> Optional[str]:
@@ -430,8 +416,7 @@ class Client:
         """
         if device_fn is None:
             device_fn = self._resolve_device_fn()
-        return self._require_client().run_pipeline(
-            frames, device_fn, timeout_s=self.config.pipeline_timeout_s)
+        return self._require_client().run_pipeline(frames, device_fn)
 
 
 def serve(zoo: ArchitectureZoo,

@@ -9,8 +9,9 @@ from .messages import (Message, serialize_message, deserialize_message,
                        compressed_size, WIRE_FORMAT_RAW, WIRE_FORMAT_ZLIB,
                        WIRE_FORMATS)
 from .transport import FRONTEND_ASYNC, FRONTEND_THREADED, FRONTENDS
-from .scheduler import (BackpressureError, FrameExpiredError, QosPolicy,
-                        Scheduler, SchedulerSnapshot)
+from .knobs import QosConfig
+from .scheduler import (BackpressureError, FrameExpiredError, Scheduler,
+                        SchedulerSnapshot)
 from .engine import (EdgeServer, DeviceClient, FrameResult, MicroBatcher,
                      PipelineStats, RequestRejectedError, ServingSession,
                      ServingTable, EdgeServerStats, run_co_inference)
@@ -23,7 +24,7 @@ __all__ = [
     "Message", "serialize_message", "deserialize_message", "compressed_size",
     "WIRE_FORMAT_RAW", "WIRE_FORMAT_ZLIB", "WIRE_FORMATS",
     "FRONTEND_ASYNC", "FRONTEND_THREADED", "FRONTENDS",
-    "BackpressureError", "FrameExpiredError", "QosPolicy", "Scheduler",
+    "BackpressureError", "FrameExpiredError", "QosConfig", "Scheduler",
     "SchedulerSnapshot",
     "EdgeServer", "DeviceClient", "FrameResult", "MicroBatcher",
     "PipelineStats", "RequestRejectedError", "ServingSession", "ServingTable",

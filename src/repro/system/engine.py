@@ -16,21 +16,21 @@ this reproduction both ends run on localhost, which exercises the full code
 path (framing, compression, threading, pipelining) even though the physical
 link is loopback.
 
-Two wire-level knobs live on :class:`DeviceClient`: ``wire_format`` switches
-a connection from the default zlib-compressed framing to the zero-copy raw
-framing (the server always replies in the framing a request arrived in),
-and ``wire_dtype`` down-casts outgoing float arrays (e.g. to ``float32``,
-halving frame bytes).  See ``docs/serving.md`` for the trade-offs.
+Both ends take their knobs as the frozen configs of
+:mod:`repro.system.knobs` — ``EdgeServer(config=ServerConfig(...),
+batching=BatchingConfig(...), qos=QosConfig(...))`` and
+``DeviceClient(host, port, ClientConfig(...))`` — whose effects and valid
+ranges are tabulated once, in the knob reference of ``docs/serving.md``.
 
 Multi-client serving
 --------------------
 One :class:`EdgeServer` serves many :class:`DeviceClient` connections
 concurrently: an accept loop hands each connection to its own handler thread,
-bounded by a worker pool of ``max_workers`` slots.  Every connection is
-tracked as a :class:`ServingSession` (frames, bytes, edge service time,
-errors) and :meth:`EdgeServer.stats` aggregates the sessions into an
-:class:`EdgeServerStats` snapshot — the serving-side counterpart of the
-client's :class:`PipelineStats`.
+bounded by a worker pool of ``ServerConfig.max_workers`` slots.  Every
+connection is tracked as a :class:`ServingSession` (frames, bytes, edge
+service time, errors) and :meth:`EdgeServer.stats` aggregates the sessions
+into an :class:`EdgeServerStats` snapshot — the serving-side counterpart of
+the client's :class:`PipelineStats`.
 
 The server can also hold several edge callables at once (``edge_fns``, keyed
 by model name) and pick one per request: a frame's metadata may name the
@@ -45,11 +45,11 @@ of killing the connection.
 
 Cross-client micro-batching
 ---------------------------
-With ``max_batch_size > 1`` the server stops executing one engine call per
-frame: handler threads only *enqueue* incoming frames, and a
-:class:`MicroBatcher` coalesces whatever arrived within ``max_wait_ms`` (up
-to ``max_batch_size`` frames, strictly per zoo entry — batches never mix
-models) into a single call of the entry's batched edge callable
+With ``BatchingConfig.max_batch_size > 1`` the server stops executing one
+engine call per frame: handler threads only *enqueue* incoming frames, and
+a :class:`MicroBatcher` coalesces whatever arrived within ``max_wait_ms``
+(up to ``max_batch_size`` frames, strictly per zoo entry — batches never
+mix models) into a single call of the entry's batched edge callable
 (``batch_fns``, typically :func:`repro.core.executor.batched_edge_fn`).
 Results are scattered back to the waiting connections with the realized
 ``batch_index`` stamped on each reply.  A failing batched call falls back to
@@ -64,10 +64,10 @@ Layering: frontends and admission control
 Since the transport/scheduling split, this module is the serving *core*
 only.  Connection accept/read/write and message framing live in
 :mod:`repro.system.transport` behind a pluggable frontend
-(``EdgeServer(frontend="threaded"|"async")``): the threaded frontend keeps
-the historical thread-per-connection server, the asyncio frontend
-multiplexes thousands of mostly-idle connections on one event loop and
-hands compute to a bounded thread pool.  The core's behavior — routing,
+(``ServerConfig.frontend``): the threaded frontend keeps the historical
+thread-per-connection server, the asyncio frontend multiplexes thousands
+of mostly-idle connections on one event loop and hands compute to a
+bounded thread pool.  The core's behavior — routing,
 batching, statistics, hot reload — is identical under both.
 
 Between the frontends and execution sits the admission-control stage of
@@ -102,19 +102,18 @@ if TYPE_CHECKING:  # import-free at runtime: engine must not drag in the
     # shard runtime (repro.serving builds on this module, not vice versa).
     from ..runtime.node import NodeStats
     from ..runtime.shard import ShardStats
-    from ..serving.config import RetryPolicy
 
 from .messages import (_LENGTH_SIZE as PAYLOAD_PREFIX_BYTES,
                        DEADLINE_MS_META_KEY, KIND_ERROR, KIND_FRAME,
                        KIND_HELLO, KIND_REJECTED, KIND_RESULT,
                        KIND_STOP, Message, PRIORITY_META_KEY,
                        REJECT_REASON_META_KEY, RETRY_AFTER_MS_META_KEY,
-                       WIRE_FORMAT_ZLIB, WIRE_FORMATS, _prefixed,
-                       disable_nagle, recv_message, send_message,
+                       _prefixed, disable_nagle, recv_message, send_message,
                        serialize_message)
+from .knobs import BatchingConfig, ClientConfig, QosConfig, ServerConfig
 from .scheduler import (REJECT_REASON_CAPACITY, REJECT_REASON_DEADLINE,
-                        BackpressureError, FrameExpiredError, QosPolicy,
-                        Rejection, Scheduler)
+                        BackpressureError, FrameExpiredError, Rejection,
+                        Scheduler)
 from .transport import FRONTEND_THREADED, Connection, create_frontend
 
 ArrayDict = Dict[str, np.ndarray]
@@ -133,11 +132,6 @@ DEFAULT_MODEL = "default"
 #: connection drops; never serialized, so it lives here rather than with
 #: the wire kinds of :mod:`repro.system.messages`.
 _KIND_DISCONNECT = "disconnect"
-
-#: Closed sessions retained for per-session inspection; older closed sessions
-#: are folded into aggregate counters so a long-running server that accepts
-#: one connection per request stays memory-bounded.
-SESSION_LOG_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -395,9 +389,10 @@ class MicroBatcher:
     """Coalesces concurrent edge requests into batched engine calls.
 
     One collector thread per zoo entry (created lazily on first traffic for
-    that entry) drains a per-entry queue: it waits at most ``max_wait_ms``
-    from the arrival of the batch's first frame — or until ``max_batch_size``
-    frames are pending — then hands the batch to ``dispatch`` in one call.
+    that entry) drains a per-entry queue: it waits at most
+    ``batching.max_wait_ms`` from the arrival of the batch's first frame —
+    or until ``batching.max_batch_size`` frames are pending — then hands
+    the batch to ``dispatch`` in one call.
     Per-entry queues mean a batch never mixes zoo entries, so each batched
     engine call resumes exactly one architecture.
 
@@ -407,14 +402,10 @@ class MicroBatcher:
     """
 
     def __init__(self, dispatch: Callable[[str, List[_PendingRequest]], bool],
-                 max_batch_size: int, max_wait_ms: float) -> None:
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
+                 batching: BatchingConfig) -> None:
         self._dispatch = dispatch
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_ms / 1000.0
+        self.batching = batching
+        self._max_wait_s = batching.max_wait_ms / 1000.0
         self._queues: Dict[str, "queue.Queue[_PendingRequest]"] = {}
         self._threads: Dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
@@ -461,8 +452,8 @@ class MicroBatcher:
         case everything already pending is drained without further waiting.
         """
         batch = [first]
-        deadline = first.enqueued_at + self.max_wait_s
-        while len(batch) < self.max_batch_size:
+        deadline = first.enqueued_at + self._max_wait_s
+        while len(batch) < self.batching.max_batch_size:
             remaining = deadline - time.monotonic()
             try:
                 if remaining <= 0:
@@ -543,35 +534,12 @@ class EdgeServer:
         ``"default"`` for an anonymous ``edge_fn``).  Typically produced by
         :func:`repro.serving.build_zoo_callables`.  Entries without a
         batched callable are served per frame even when batching is on.
-    max_batch_size:
-        Upper bound on frames coalesced into one batched engine call.  The
-        default of 1 disables micro-batching entirely (per-frame serving,
-        no batcher threads).
-    max_wait_ms:
-        How long the batcher may hold the first frame of a batch while
-        waiting for more traffic to coalesce with.
-    max_workers:
-        Compute-concurrency bound.  Under the threaded frontend this is
-        the historical "concurrently served connections" limit (further
-        connections queue in the listen backlog until a handler slot
-        frees up); under the asyncio frontend it sizes the compute thread
-        pool — idle connections are no longer bounded by it.
-    frontend:
-        Transport frontend serving the socket (see
-        :mod:`repro.system.transport`): ``"threaded"`` (default, one
-        handler thread per connection) or ``"async"`` (one asyncio event
-        loop multiplexing all connections, compute on a bounded pool).
-        Core semantics — routing, batching, statistics, hot reload — are
-        identical under both.
-    qos:
-        Admission-control policy (:class:`~repro.system.scheduler.QosPolicy`)
-        guarding the queues: bounded depth with load shedding, per-frame
-        deadlines, priority classes, per-client fairness.  ``None`` keeps
-        the historical behavior (unbounded queues, no deadlines) — but
-        frames carrying ``meta["deadline_ms"]`` are honored even then.
-    session_log_limit:
-        How many closed sessions to keep individually inspectable; older
-        closed sessions are folded into the aggregate statistics.
+    config, batching, qos:
+        The socket / worker-pool / frontend, micro-batching and
+        admission-control knobs (:mod:`repro.system.knobs`; each knob's
+        effect is in the generated reference of ``docs/serving.md``).  The
+        defaults serve per frame from unbounded queues — frames carrying
+        ``meta["deadline_ms"]`` are honored even then.
     shard_stats:
         Optional provider of per-shard counters (typically
         ``ShardPool.stats`` of :mod:`repro.serving.sharding`) folded into
@@ -584,34 +552,25 @@ class EdgeServer:
         nodes instead of executing them in process.
     """
 
-    def __init__(self, edge_fn: Optional[EdgeFn] = None, host: str = "127.0.0.1",
-                 port: int = 0, *, edge_fns: Optional[Dict[str, EdgeFn]] = None,
+    def __init__(self, edge_fn: Optional[EdgeFn] = None, *,
+                 edge_fns: Optional[Dict[str, EdgeFn]] = None,
                  selector: Optional[SelectorFn] = None,
                  batch_fns: Optional[Dict[str, BatchedEdgeFn]] = None,
-                 max_batch_size: int = 1, max_wait_ms: float = 2.0,
-                 max_workers: int = 8, backlog: int = 32,
-                 frontend: str = FRONTEND_THREADED,
-                 qos: Optional[QosPolicy] = None,
-                 session_log_limit: int = SESSION_LOG_LIMIT,
+                 config: ServerConfig = ServerConfig(),
+                 batching: BatchingConfig = BatchingConfig(),
+                 qos: QosConfig = QosConfig(),
                  shard_stats: Optional[Callable[[], List["ShardStats"]]] = None,
                  node_stats: Optional[Callable[[], List["NodeStats"]]] = None
                  ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
         # All model routing lives in one immutable table; requests read it
         # exactly once, and install_table() swaps it atomically (hot reload).
         self._table = _make_serving_table(edge_fn, edge_fns, selector,
                                           batch_fns)
-        self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
+        self.config = config
+        self.batching = batching
         self._batcher: Optional[MicroBatcher] = None
-        if max_batch_size > 1:
-            self._batcher = MicroBatcher(self._dispatch_batch,
-                                         max_batch_size=max_batch_size,
-                                         max_wait_ms=max_wait_ms)
-        self.max_workers = max_workers
+        if batching.max_batch_size > 1:
+            self._batcher = MicroBatcher(self._dispatch_batch, batching)
         # Admission control sits between the transport and the execution
         # tiers: every frame passes Scheduler.admit() before it is queued or
         # executed, whatever frontend delivered it.
@@ -620,14 +579,13 @@ class EdgeServer:
         # repro.system.transport, this class only sees decoded Messages via
         # the callbacks below.  The listener binds in the frontend
         # constructor, so host/port are final before start().
-        self.frontend = frontend
-        self._frontend = create_frontend(frontend, self, host, port,
-                                         max_workers=max_workers,
-                                         backlog=backlog)
+        self._frontend = create_frontend(config.frontend, self, config.host,
+                                         config.port,
+                                         max_workers=config.max_workers,
+                                         backlog=config.backlog)
         self.host, self.port = self._frontend.host, self._frontend.port
         self._lock = threading.Lock()
         self._sessions: List[ServingSession] = []
-        self._session_log_limit = max(1, session_log_limit)
         self._next_session_id = 0
         # Aggregate remainder of sessions evicted from the bounded log.
         self._retired = ServingSession(session_id=-1, peer="<retired>")
@@ -1061,7 +1019,7 @@ class EdgeServer:
 
     def _evict_old_sessions(self) -> None:
         """Fold the oldest closed sessions into the aggregate (lock held)."""
-        while len(self._sessions) > self._session_log_limit:
+        while len(self._sessions) > self.config.session_log_limit:
             session = next((s for s in self._sessions if not s.active), None)
             if session is None:
                 break
@@ -1144,7 +1102,7 @@ class EdgeServer:
             shed_by_reason=dict(sched.shed_by_reason),
             queue_delay_p50_s=sched.queue_delay_p50_s,
             queue_delay_p99_s=sched.queue_delay_p99_s,
-            frontend=self.frontend,
+            frontend=self.config.frontend,
             num_shards=len(shards),
             shards=shards,
             num_nodes=len(nodes),
@@ -1203,36 +1161,17 @@ class DeviceClient:
     next one's compression pass starts.  The byte stream is the same
     length-prefixed messages in the same order as one write per message.
 
-    Wire knobs
-    ----------
-    ``wire_format`` selects the framing every outgoing message uses:
-    ``"zlib"`` (default, paper-faithful compressed frames) or ``"raw"``
-    (zero-copy framing — no compression pass, arrays reconstructed by the
-    peer directly over the received bytes).  The server replies in whatever
-    framing a request arrived in, so the knob is purely client-side.
-    ``wire_dtype`` (e.g. ``np.float32``) down-casts outgoing float arrays
-    before they are framed, halving frame sizes at reduced precision; when
-    the device callable already emits that dtype (a compiled plan with
-    ``dtype=np.float32``) the cast is a no-op.
-
-    QoS knobs
-    ---------
-    ``deadline_ms`` stamps every outgoing frame with a freshness budget: a
-    QoS-enabled server sheds the frame (with a ``"rejected"`` reply)
-    instead of executing it once the budget lapses.  ``priority`` tags
-    frames with a priority class (``0`` highest; or a name from the
-    server's ``priority_map``).  ``on_rejected`` picks how rejections
-    surface from :meth:`run_pipeline`: ``"raise"`` (default) raises
-    :class:`RequestRejectedError`, ``"drop"`` silently counts the frame in
-    :attr:`PipelineStats.frames_rejected` — the natural mode for live
-    streams where a stale frame is best replaced by the next one.
+    Knobs
+    -----
+    ``config`` (:class:`~repro.system.knobs.ClientConfig`) carries the wire
+    framing and dtype, the connect / handshake / pipeline timeouts, the
+    QoS tags stamped on every frame, ``on_rejected`` and the retry policy;
+    each knob's effect is in the generated reference of ``docs/serving.md``.
 
     Resilience
     ----------
-    ``retry_policy`` (a :class:`repro.serving.RetryPolicy`, duck-typed here
-    to keep this module import-free of the serving layer) turns transient
-    failures into bounded, jittered-backoff re-submissions inside
-    :meth:`run_pipeline`:
+    ``config.retry`` turns transient failures into bounded,
+    jittered-backoff re-submissions inside :meth:`run_pipeline`:
 
     * a ``"rejected"`` reply is retried after
       ``max(policy backoff, server retry_after_ms)`` — the server's hint
@@ -1252,38 +1191,13 @@ class DeviceClient:
     its shed-and-move-on semantics untouched.
     """
 
-    def __init__(self, host: str, port: int, timeout_s: float = 30.0,
+    def __init__(self, host: str, port: int,
+                 config: ClientConfig = ClientConfig(), *,
                  client_name: str = "", conditions: Optional[Dict] = None,
-                 model: Optional[str] = None,
-                 wire_format: str = WIRE_FORMAT_ZLIB,
-                 wire_dtype=None,
-                 deadline_ms: Optional[float] = None,
-                 priority: Optional[object] = None,
-                 on_rejected: str = "raise",
-                 retry_policy: Optional["RetryPolicy"] = None) -> None:
-        if wire_format not in WIRE_FORMATS:
-            raise ValueError(f"unknown wire format {wire_format!r} "
-                             f"(expected one of {WIRE_FORMATS})")
-        if on_rejected not in ("raise", "drop"):
-            raise ValueError(f"on_rejected must be 'raise' or 'drop', "
-                             f"got {on_rejected!r}")
-        if deadline_ms is not None and not deadline_ms > 0:
-            raise ValueError(f"deadline_ms must be positive, got {deadline_ms}")
-        if retry_policy is not None and not hasattr(retry_policy, "delay_ms"):
-            raise TypeError(
-                f"retry_policy must expose RetryPolicy's interface "
-                f"(max_retries/delay_ms/...), got {type(retry_policy).__name__}")
-        self.deadline_ms = deadline_ms
-        self.priority = priority
-        self.on_rejected = on_rejected
-        self.retry_policy = retry_policy
-        self.wire_format = wire_format
-        self._wire_dtype = None if wire_dtype is None else np.dtype(wire_dtype)
-        if (self._wire_dtype is not None
-                and not np.issubdtype(self._wire_dtype, np.floating)):
-            raise ValueError(
-                f"wire_dtype must be a floating dtype, got {self._wire_dtype}")
-        self._sock = socket.create_connection((host, port), timeout=timeout_s)
+                 model: Optional[str] = None) -> None:
+        self.config = config
+        self._sock = socket.create_connection(
+            (host, port), timeout=config.connect_timeout_s)
         # The timeout only guards connection establishment; receives must
         # block indefinitely or an idle-but-healthy connection would be
         # misreported as disconnected by the receiver loop.
@@ -1313,7 +1227,7 @@ class DeviceClient:
         if self._conditions is not None:
             hello_meta["conditions"] = self._conditions
         self._send_queue.put((Message(kind=KIND_HELLO, meta=hello_meta,
-                                      wire_format=self.wire_format),
+                                      wire_format=config.wire_format),
                               _SendTally()))
 
     # ------------------------------------------------------------------
@@ -1323,8 +1237,8 @@ class DeviceClient:
         while self._send_window(self._send_queue.get()):
             pass
         try:
-            send_message(self._sock, Message(kind=KIND_STOP,
-                                             wire_format=self.wire_format))
+            send_message(self._sock, Message(
+                kind=KIND_STOP, wire_format=self.config.wire_format))
         except OSError:
             pass
 
@@ -1406,12 +1320,16 @@ class DeviceClient:
         self._hello_event.set()
 
     # ------------------------------------------------------------------
-    def handshake(self, timeout_s: float = 10.0) -> Dict:
-        """Server metadata from the hello acknowledgement (blocks until it arrives).
+    def handshake(self, timeout_s: Optional[float] = None) -> Dict:
+        """Server metadata from the hello acknowledgement (blocks until it
+        arrives, at most ``timeout_s`` — ``config.handshake_timeout_s`` when
+        ``None``).
 
         Raises :class:`RuntimeError` when the server reports that dispatching
         for the announced conditions failed.
         """
+        if timeout_s is None:
+            timeout_s = self.config.handshake_timeout_s
         if not self._hello_event.wait(timeout=timeout_s):
             raise TimeoutError("edge server did not acknowledge the hello handshake")
         if self._hello_meta is None:
@@ -1432,29 +1350,35 @@ class DeviceClient:
         return self.handshake().get("model")
 
     def _cast_for_wire(self, arrays: ArrayDict) -> ArrayDict:
-        """Down-cast float arrays to ``wire_dtype`` before framing.
+        """Down-cast float arrays to ``config.wire_dtype`` before framing.
 
         Integer arrays (batch vectors, edge indices) keep their dtype; float
         arrays already in the target dtype pass through untouched.
         """
+        wire_dtype = self.config.wire_dtype
         cast: ArrayDict = {}
         for name, array in arrays.items():
             array = np.asarray(array)
             if (np.issubdtype(array.dtype, np.floating)
-                    and array.dtype != self._wire_dtype):
-                array = array.astype(self._wire_dtype)
+                    and array.dtype != wire_dtype):
+                array = array.astype(wire_dtype)
             cast[name] = array
         return cast
 
     # ------------------------------------------------------------------
     def run_pipeline(self, frames: Sequence[object], device_fn: DeviceFn,
-                     timeout_s: float = 60.0) -> Tuple[List[FrameResult], PipelineStats]:
+                     timeout_s: Optional[float] = None
+                     ) -> Tuple[List[FrameResult], PipelineStats]:
         """Process ``frames`` through the device segment, the link and the edge.
 
         Returns per-frame results plus aggregate pipeline statistics.  An
         edge-side failure surfaces as a :class:`RuntimeError` carrying the
-        remote traceback.
+        remote traceback.  ``timeout_s`` (``config.pipeline_timeout_s`` when
+        ``None``) bounds the wait for results.
         """
+        config = self.config
+        if timeout_s is None:
+            timeout_s = config.pipeline_timeout_s
         if self._disconnect_reason is not None:
             raise ConnectionError(
                 "connection to the edge server was already lost: "
@@ -1467,12 +1391,11 @@ class DeviceClient:
         submitted: Dict[int, float] = {}
         base_id = self._next_frame_id
         self._next_frame_id += len(frames)
-        policy = self.retry_policy
+        policy = config.retry
         # Retries only under on_rejected="raise": "drop" keeps its
         # shed-and-move-on semantics (a stale live-stream frame is best
         # replaced by the next one, not replayed).
-        retrying = (policy is not None and policy.enabled
-                    and self.on_rejected == "raise")
+        retrying = policy.enabled and config.on_rejected == "raise"
         #: frame_id -> ready-to-send Message, kept only while a retry may
         #: still need to re-submit it (re-serialization is pure).
         payloads: Dict[int, Message] = {}
@@ -1494,7 +1417,7 @@ class DeviceClient:
             # segment, so device compute counts toward the frame latency.
             submitted[base_id + offset] = time.perf_counter()
             arrays, meta = device_fn(frame)
-            if self._wire_dtype is not None:
+            if config.wire_dtype is not None:
                 arrays = self._cast_for_wire(arrays)
             meta = dict(meta)
             if model is not None:
@@ -1503,13 +1426,13 @@ class DeviceClient:
                 # Only un-dispatched frames need the conditions on the wire
                 # (per-frame dispatch); a resolved model short-circuits them.
                 meta.setdefault("conditions", self._conditions)
-            if self.deadline_ms is not None:
-                meta.setdefault(DEADLINE_MS_META_KEY, self.deadline_ms)
-            if self.priority is not None:
-                meta.setdefault(PRIORITY_META_KEY, self.priority)
+            if config.deadline_ms is not None:
+                meta.setdefault(DEADLINE_MS_META_KEY, config.deadline_ms)
+            if config.priority is not None:
+                meta.setdefault(PRIORITY_META_KEY, config.priority)
             message = Message(kind=KIND_FRAME, frame_id=base_id + offset,
                               arrays=arrays, meta=meta,
-                              wire_format=self.wire_format)
+                              wire_format=config.wire_format)
             if retrying:
                 payloads[base_id + offset] = message
             self._send_queue.put((message, tally))
@@ -1530,10 +1453,10 @@ class DeviceClient:
             now = time.monotonic()
             if now + delay_s >= deadline:
                 return False  # would outlive the pipeline timeout
-            if self.deadline_ms is not None:
+            if config.deadline_ms is not None:
                 elapsed_ms = (time.perf_counter()
                               - submitted[frame_id]) * 1e3
-                if elapsed_ms + delay_s * 1e3 > self.deadline_ms:
+                if elapsed_ms + delay_s * 1e3 > config.deadline_ms:
                     return False  # would outlive the frame's deadline
             attempts[frame_id] = attempt
             heapq.heappush(due, (now + delay_s, frame_id))
@@ -1587,7 +1510,7 @@ class DeviceClient:
                 reason = str(message.meta.get(REJECT_REASON_META_KEY,
                                               "capacity"))
                 retry = float(message.meta.get(RETRY_AFTER_MS_META_KEY, 0.0))
-                if self.on_rejected == "raise":
+                if config.on_rejected == "raise":
                     if retrying and schedule_retry(message.frame_id,
                                                    floor_ms=retry):
                         continue
@@ -1633,7 +1556,8 @@ class DeviceClient:
 
 
 def run_co_inference(frames: Sequence[object], device_fn: DeviceFn, edge_fn: EdgeFn,
-                     timeout_s: float = 60.0) -> Tuple[List[FrameResult], PipelineStats]:
+                     timeout_s: Optional[float] = None
+                     ) -> Tuple[List[FrameResult], PipelineStats]:
     """Convenience wrapper: spin up a loopback edge server, pipeline all frames.
 
     This is the one-call entry point used by the examples and tests; the edge

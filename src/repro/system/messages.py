@@ -105,7 +105,7 @@ BASE_KINDS = (KIND_HELLO, KIND_FRAME, KIND_RESULT, KIND_ERROR, KIND_STOP,
 #: :mod:`repro.system.scheduler`).
 DEADLINE_MS_META_KEY = "deadline_ms"
 #: Frame metadata key: priority class — an integer level (0 = highest) or
-#: a symbolic name resolved through ``QosPolicy.priority_map``.
+#: a symbolic name resolved through ``QosConfig.priority_map``.
 PRIORITY_META_KEY = "priority"
 #: ``rejected``-reply metadata key: suggested client backoff in ms.
 RETRY_AFTER_MS_META_KEY = "retry_after_ms"

@@ -11,8 +11,7 @@ load is *shed* with an explicit answer instead of absorbed as unbounded
 queueing.
 
 Four QoS mechanisms compose, all configured by one frozen
-:class:`QosPolicy` (surfaced to deployments as
-:class:`repro.serving.QosConfig`):
+:class:`~repro.system.knobs.QosConfig` (``ServingConfig.qos``):
 
 **Bounded queues** (``max_queue_depth``)
     Frames admitted but not yet executing count against a global bound;
@@ -52,13 +51,13 @@ not after): both are translated into ``rejected`` replies by the engine.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple, Union
 
+from .knobs import QosConfig
 from .messages import DEADLINE_MS_META_KEY, PRIORITY_META_KEY
 
 #: Wire-visible rejection reasons (``rejected`` reply ``meta["reason"]``).
@@ -88,99 +87,6 @@ class BackpressureError(RuntimeError):
     shedding before the ring instead of queueing blindly against it.
     The engine replies ``rejected`` with reason ``"capacity"``.
     """
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value: object) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def check_priority_map(name: str, value: object) -> Dict[str, int]:
-    """Validate a ``priority_map`` (class name -> level >= 0); a plain dict.
-
-    Shaped ``(name, value)`` so :class:`repro.serving.QosConfig` can use it
-    as the ``kind`` of its ``priority_map`` knob — one rule, both layers.
-    """
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{name} must be a mapping of class name -> level, "
-                         f"got {type(value).__name__}")
-    for key, level in value.items():
-        if not isinstance(key, str):
-            raise ValueError(f"{name} keys must be strings, got {key!r}")
-        if not (_is_int(level) and level >= 0):
-            raise ValueError(f"{name}[{key!r}] must be a non-negative "
-                             f"integer, got {level!r}")
-    return dict(value)
-
-
-@dataclass(frozen=True)
-class QosPolicy:
-    """Frozen admission-control policy of one :class:`Scheduler`.
-
-    Parameters
-    ----------
-    max_queue_depth:
-        Global bound on admitted-but-not-executing frames; ``None``
-        (default) keeps queues unbounded — the historical behavior.
-    default_deadline_ms:
-        Deadline applied to frames that do not carry their own
-        ``meta["deadline_ms"]``; ``None`` means no implicit deadline.
-    retry_after_ms:
-        Hint carried in every ``rejected`` reply: how long a well-behaved
-        client should wait before retrying.
-    priority_map:
-        Maps symbolic ``meta["priority"]`` strings (e.g. ``"batch"``) to
-        integer levels.  Level 0 is the highest class (full queue bound);
-        each level above 0 halves the bound it is admitted under.
-    default_priority:
-        Level assigned to frames without a ``priority`` tag.
-    fairness:
-        Enforce the per-client queue share (only meaningful with a
-        bounded queue).
-    fairness_window_s:
-        How long after its last frame a client still counts as active
-        when computing shares.
-    """
-
-    max_queue_depth: Optional[int] = None
-    default_deadline_ms: Optional[float] = None
-    retry_after_ms: float = 50.0
-    priority_map: Mapping[str, int] = field(default_factory=dict)
-    default_priority: int = 0
-    fairness: bool = True
-    fairness_window_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        # Guards for callers that build a policy directly
-        # (``EdgeServer(qos=...)``); :class:`repro.serving.QosConfig` applies
-        # the same rules from its knob table before it gets here.  A
-        # fractional ``max_queue_depth`` would otherwise reach
-        # :meth:`Scheduler.admit` and kill every frame on ``bit_length``; a
-        # NaN deadline would stamp frames that never expire.
-        depth = self.max_queue_depth
-        if depth is not None and not (_is_int(depth) and depth >= 1):
-            raise ValueError("max_queue_depth must be an integer of at "
-                             f"least 1 (or None for unbounded), got {depth!r}")
-        deadline = self.default_deadline_ms
-        if deadline is not None and not (_is_finite(deadline)
-                                         and deadline > 0):
-            raise ValueError("default_deadline_ms must be positive and "
-                             f"finite (or None), got {deadline!r}")
-        if not (_is_finite(self.retry_after_ms) and self.retry_after_ms >= 0):
-            raise ValueError("retry_after_ms must be non-negative and "
-                             f"finite, got {self.retry_after_ms!r}")
-        check_priority_map("priority_map", self.priority_map)
-        if not (_is_int(self.default_priority) and self.default_priority >= 0):
-            raise ValueError("default_priority must be a non-negative "
-                             f"integer, got {self.default_priority!r}")
-        if not (_is_finite(self.fairness_window_s)
-                and self.fairness_window_s > 0):
-            raise ValueError("fairness_window_s must be positive and "
-                             f"finite, got {self.fairness_window_s!r}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +138,8 @@ class Scheduler:
     methods are thread-safe; decisions take one short critical section.
     """
 
-    def __init__(self, policy: Optional[QosPolicy] = None) -> None:
-        self.policy = policy or QosPolicy()
+    def __init__(self, policy: Optional[QosConfig] = None) -> None:
+        self.policy = policy or QosConfig()
         self._lock = threading.Lock()
         self._queued_total = 0
         self._queued_by_client: "Counter[object]" = Counter()

@@ -26,8 +26,8 @@ execution.  Replies travel through the :class:`Connection` the frontend
 handed to the core — its ``send_bytes`` is thread-safe, so batcher and
 compute threads reply directly without going back through the frontend.
 
-Two frontends ship today, selectable via ``EdgeServer(frontend=...)`` /
-``ServerConfig(frontend=...)``:
+Two frontends ship today, selectable via ``ServerConfig(frontend=...)``
+(which also validates ``max_workers`` and ``backlog`` before they get here):
 
 ``"threaded"`` (default)
     The original thread-per-connection server.  Simple, and fine up to a
@@ -56,7 +56,7 @@ from .messages import (_LENGTH_SIZE, KIND_STOP, _parse_prefix, _prefixed,
                        deserialize_message, disable_nagle, recv_message,
                        send_payload)
 
-#: Frontend identifiers (``EdgeServer(frontend=...)`` / ``ServerConfig``).
+#: Frontend identifiers (``ServerConfig.frontend``).
 FRONTEND_THREADED = "threaded"
 FRONTEND_ASYNC = "async"
 FRONTENDS = (FRONTEND_THREADED, FRONTEND_ASYNC)
@@ -119,8 +119,6 @@ class ThreadedFrontend:
 
     def __init__(self, core, host: str, port: int, *, max_workers: int,
                  backlog: int) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         self._core = core
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -288,8 +286,6 @@ class AsyncFrontend:
 
     def __init__(self, core, host: str, port: int, *, max_workers: int,
                  backlog: int) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         self._core = core
         # Bind eagerly so host/port are known before start() — callers
         # (and tests) read server.port right after construction, exactly
@@ -442,12 +438,8 @@ class AsyncFrontend:
 
 def create_frontend(kind: str, core, host: str, port: int, *,
                     max_workers: int, backlog: int):
-    """Build the frontend named ``kind`` (see :data:`FRONTENDS`)."""
-    if kind == FRONTEND_THREADED:
-        return ThreadedFrontend(core, host, port, max_workers=max_workers,
-                                backlog=backlog)
-    if kind == FRONTEND_ASYNC:
-        return AsyncFrontend(core, host, port, max_workers=max_workers,
-                             backlog=backlog)
-    raise ValueError(f"unknown frontend {kind!r} "
-                     f"(expected one of {FRONTENDS})")
+    """Build the frontend named ``kind`` (one of :data:`FRONTENDS`)."""
+    frontend = {FRONTEND_THREADED: ThreadedFrontend,
+                FRONTEND_ASYNC: AsyncFrontend}[kind]
+    return frontend(core, host, port, max_workers=max_workers,
+                    backlog=backlog)

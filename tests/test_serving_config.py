@@ -1,10 +1,10 @@
-"""Coverage of ``repro.serving.config`` generated from its own knob table.
+"""Coverage of the knob table: ``repro.system.knobs`` + ``serving.config``.
 
 Every check below is parametrized over ``(config class, field)`` pairs read
 from the declarations, so a new knob is covered the moment it is declared:
-range edges, the finite / integral / real-bool rules, ``None`` handling,
-the JSON round trip, and agreement of each default with the ``system/``
-constructor the knob feeds.
+range edges, the finite / integral / real-bool rules, ``None`` handling and
+the JSON round trip.  A guard keeps the ``system/`` constructors the knobs
+feed from re-declaring any of them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from repro.serving import (BatchingConfig, ClientConfig, ClusterConfig,
                            ServingConfig, ShardingConfig, SupervisorConfig)
 from repro.serving.config import (REFERENCE_BEGIN, Knob, config_classes,
                                   reference_tables, splice_reference)
-from repro.system.engine import DeviceClient, EdgeServer
-from repro.system.scheduler import QosPolicy, Scheduler
+from repro.system import engine
+from repro.system.engine import (DeviceClient, EdgeServer, MicroBatcher,
+                                 run_co_inference)
+from repro.system.scheduler import Scheduler
 
 CLASSES = list(config_classes())
 KNOBS = [(cls, f.name, f.metadata["knob"])
@@ -168,41 +170,58 @@ def test_non_default_instance_round_trips_through_json(cls):
     assert cls.from_dict(payload).to_dict() == config.to_dict()
 
 
-def _parameter_defaults(fn):
-    return {name: parameter.default
-            for name, parameter in inspect.signature(fn).parameters.items()
-            if parameter.default is not inspect.Parameter.empty}
+#: The knob names the system layer receives through its config objects.
+SYSTEM_KNOBS = {f.name for cls in (ServerConfig, BatchingConfig, QosConfig,
+                                   ClientConfig, RetryPolicy)
+                for f in dataclasses.fields(cls)}
+#: Every callable a direct caller of the system layer configures.
+SYSTEM_CALLABLES = [EdgeServer.__init__, MicroBatcher.__init__,
+                    Scheduler.__init__, DeviceClient.__init__,
+                    DeviceClient.handshake, DeviceClient.run_pipeline,
+                    run_co_inference]
 
 
-#: (config class, knob) -> (system/ callable, parameter) the knob feeds.
-FEEDS = [(cls, name, EdgeServer.__init__, name)
-         for cls in (ServerConfig, BatchingConfig)
-         for name in (f.name for f in dataclasses.fields(cls))]
-FEEDS += [(ClientConfig, name, DeviceClient.__init__, name)
-          for name in ("wire_format", "wire_dtype", "deadline_ms", "priority",
-                       "on_rejected")]
-FEEDS += [(ClientConfig, "connect_timeout_s", DeviceClient.__init__,
-           "timeout_s"),
-          (ClientConfig, "handshake_timeout_s", DeviceClient.handshake,
-           "timeout_s"),
-          (ClientConfig, "pipeline_timeout_s", DeviceClient.run_pipeline,
-           "timeout_s")]
+@pytest.mark.parametrize("fn", SYSTEM_CALLABLES,
+                         ids=lambda fn: fn.__qualname__)
+def test_system_callables_take_configs_not_loose_knobs(fn):
+    """A knob declared twice drifts; so no ``system/`` parameter repeats
+    one, and a per-call ``timeout_s`` defers to the config it overrides."""
+    parameters = inspect.signature(fn).parameters
+    names = set(parameters)
+    if fn is DeviceClient.__init__:
+        names -= {"host", "port"}  # the server it dials, not a bind knob
+    assert not SYSTEM_KNOBS & names, (
+        f"{fn.__qualname__} re-declares knob(s) "
+        f"{sorted(SYSTEM_KNOBS & names)}; take the config instead")
+    if "timeout_s" in parameters:
+        assert parameters["timeout_s"].default is None
 
 
-@pytest.mark.parametrize("cls,name,fn,parameter", FEEDS, ids=_ids(FEEDS))
-def test_default_agrees_with_the_constructor_it_feeds(cls, name, fn,
-                                                      parameter):
-    assert getattr(cls(), name) == _parameter_defaults(fn)[parameter]
+#: (system/ callable, config parameter, the config class it takes).
+CONFIG_PARAMETERS = [(EdgeServer.__init__, "config", ServerConfig),
+                     (EdgeServer.__init__, "batching", BatchingConfig),
+                     (EdgeServer.__init__, "qos", QosConfig),
+                     (DeviceClient.__init__, "config", ClientConfig)]
 
 
-def test_qos_config_is_qos_policy_field_for_field():
-    assert ([f.name for f in dataclasses.fields(QosConfig)]
-            == [f.name for f in dataclasses.fields(QosPolicy)])
-    assert QosConfig().policy() == QosPolicy()
-    assert QosConfig(**EXAMPLES[QosConfig]).policy() == QosPolicy(
-        max_queue_depth=8, default_deadline_ms=100.0, retry_after_ms=20.0,
-        priority_map={"bulk": 2}, default_priority=1, fairness=False,
-        fairness_window_s=2.0)
+@pytest.mark.parametrize("fn,parameter,cls", CONFIG_PARAMETERS,
+                         ids=lambda value: getattr(value, "__qualname__",
+                                                   value))
+def test_config_parameters_default_to_the_declared_defaults(fn, parameter,
+                                                            cls):
+    default = inspect.signature(fn).parameters[parameter].default
+    assert type(default) is cls and default == cls()
+
+
+def test_scheduler_defaults_to_the_declared_qos():
+    assert Scheduler().policy == QosConfig()
+
+
+def test_engine_keeps_no_knob_constants():
+    """A module-level constant named after a knob (``SESSION_LOG_LIMIT``)
+    is a second declaration of its default."""
+    assert not [name for name in vars(engine)
+                if name.lower() in SYSTEM_KNOBS]
 
 
 class TestDefectsTheDuplicationHid:
@@ -210,27 +229,32 @@ class TestDefectsTheDuplicationHid:
 
     @pytest.mark.parametrize("depth", [2.5, True], ids=repr)
     def test_fractional_or_bool_queue_depth(self, depth):
+        # QosConfig is what Scheduler takes, so the value can never reach
+        # Scheduler.admit's ``bit_length``.
         with pytest.raises(ValueError, match="max_queue_depth"):
             QosConfig(max_queue_depth=depth)
-        # Direct callers of the system layer get the same guard, so the
-        # value can no longer reach Scheduler.admit's ``bit_length``.
-        with pytest.raises(ValueError, match="max_queue_depth"):
-            QosPolicy(max_queue_depth=depth)
 
     @pytest.mark.parametrize("name", ["default_deadline_ms", "retry_after_ms",
                                       "fairness_window_s"])
     def test_nan_qos_durations(self, name):
         with pytest.raises(ValueError, match=name):
             QosConfig(**{name: float("nan")})
-        with pytest.raises(ValueError, match=name):
-            QosPolicy(**{name: float("nan")})
+
+    @pytest.mark.parametrize("wait", [float("nan"), float("inf")], ids=repr)
+    def test_non_finite_batch_wait(self, wait):
+        """``EdgeServer(max_batch_size=4, max_wait_ms=nan)`` used to be
+        accepted: the collector thread then died in ``queue.get(timeout=
+        nan)`` and the entry never answered again.  The server now takes a
+        ``BatchingConfig``, which refuses the value up front."""
+        with pytest.raises(ValueError, match="max_wait_ms"):
+            BatchingConfig(max_batch_size=4, max_wait_ms=wait)
 
     def test_string_no_does_not_enable_the_supervisor(self):
         with pytest.raises(ValueError, match="enabled"):
             ServingConfig.from_dict({"supervisor": {"enabled": "no"}})
 
     def test_integral_queue_depth_still_admits(self):
-        scheduler = Scheduler(QosConfig(max_queue_depth=np.int64(2)).policy())
+        scheduler = Scheduler(QosConfig(max_queue_depth=np.int64(2)))
         assert scheduler.admit("client", {}).priority == 0
 
     def test_removed_knobs_are_gone(self):

@@ -23,8 +23,9 @@ from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
 from repro.serving import (BatchingConfig, Client, ClientConfig,
-                           ModelRepository, RuntimeConfig, ServerConfig,
-                           ServingApp, ServingConfig, build_callables,
+                           ModelRepository, QosConfig, RuntimeConfig,
+                           ServerConfig, ServingApp, ServingConfig,
+                           build_callables,
                            build_zoo_callables, serve)
 
 
@@ -256,7 +257,20 @@ class TestLifecycle:
             with app.client(model="fast") as client:
                 results, _ = client.run(_frames(4))
             assert len(results) == 4
-            assert app.server.max_batch_size == 4
+            assert app.server.batching.max_batch_size == 4
+
+    def test_engine_takes_the_configs_as_they_are(self):
+        """The facade hands its frozen configs down, not copies of their
+        fields: one declaration per knob on both sides of the layer."""
+        config = ServingConfig(server=ServerConfig(session_log_limit=4),
+                               qos=QosConfig(max_queue_depth=3))
+        client_config = ClientConfig(handshake_timeout_s=5.0)
+        with serve(_zoo(), config, in_dim=3, num_classes=3) as app:
+            assert app.server.config is config.server
+            assert app.server.batching is config.batching
+            assert app.server._scheduler.policy is config.qos
+            with app.client(model="fast", config=client_config) as client:
+                assert client._require_client().config is client_config
 
     def test_app_cannot_restart_after_close(self):
         app = serve(_zoo(), in_dim=3, num_classes=3)

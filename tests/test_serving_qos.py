@@ -43,7 +43,7 @@ from repro.system.scheduler import (REJECT_REASON_CAPACITY,
                                     REJECT_REASON_DEADLINE,
                                     REJECT_REASON_FAIRNESS, Admission,
                                     BackpressureError, FrameExpiredError,
-                                    QosPolicy, Rejection, Scheduler)
+                                    Rejection, Scheduler)
 from repro.system.transport import FRONTEND_ASYNC, FRONTEND_THREADED, FRONTENDS
 
 
@@ -128,8 +128,10 @@ class TestQosConfig:
         config = QosConfig(max_queue_depth=16, default_deadline_ms=250.0,
                            retry_after_ms=20.0, priority_map={"bulk": 2},
                            default_priority=1, fairness=False)
-        policy = config.policy()
-        assert isinstance(policy, QosPolicy)
+        # The scheduler reads the config itself: no second declaration of
+        # the seven fields to drift from it.
+        policy = Scheduler(config).policy
+        assert policy is config
         assert policy.max_queue_depth == 16
         assert policy.default_deadline_ms == 250.0
         assert policy.retry_after_ms == 20.0
@@ -183,7 +185,7 @@ class TestScheduler:
         assert snapshot.queued == 1000 and snapshot.frames_shed == 0
 
     def test_capacity_bound_sheds_and_release_refills(self):
-        scheduler = Scheduler(QosPolicy(max_queue_depth=2, fairness=False,
+        scheduler = Scheduler(QosConfig(max_queue_depth=2, fairness=False,
                                         retry_after_ms=25.0))
         assert isinstance(scheduler.admit("c", {}, now=0.0), Admission)
         assert isinstance(scheduler.admit("c", {}, now=0.0), Admission)
@@ -199,7 +201,7 @@ class TestScheduler:
         assert snapshot.queued == 2
 
     def test_fairness_caps_one_client_at_its_share(self):
-        scheduler = Scheduler(QosPolicy(max_queue_depth=4, fairness=True,
+        scheduler = Scheduler(QosConfig(max_queue_depth=4, fairness=True,
                                         fairness_window_s=10.0))
         # Trickle client announces itself first: both clients are active,
         # so each share is 4 // 2 = 2 slots.
@@ -217,7 +219,7 @@ class TestScheduler:
         assert isinstance(scheduler.admit("firehose", {}, now=0.3), Admission)
 
     def test_fairness_window_expires_idle_clients(self):
-        scheduler = Scheduler(QosPolicy(max_queue_depth=4, fairness=True,
+        scheduler = Scheduler(QosConfig(max_queue_depth=4, fairness=True,
                                         fairness_window_s=1.0))
         assert isinstance(scheduler.admit("a", {}, now=0.0), Admission)
         scheduler.release("a")
@@ -227,7 +229,7 @@ class TestScheduler:
             assert isinstance(scheduler.admit("b", {}, now=2.0), Admission)
 
     def test_priority_classes_shed_low_first(self):
-        scheduler = Scheduler(QosPolicy(max_queue_depth=4, fairness=False,
+        scheduler = Scheduler(QosConfig(max_queue_depth=4, fairness=False,
                                         priority_map={"bulk": 2}))
         # Two frames queued: level 2 sees an effective bound of 4 >> 2 = 1,
         # so bulk traffic is shed while the top class still has room.
@@ -239,7 +241,7 @@ class TestScheduler:
         assert isinstance(scheduler.admit("c", {}, now=0.0), Admission)
 
     def test_resolve_priority(self):
-        scheduler = Scheduler(QosPolicy(priority_map={"bulk": 2},
+        scheduler = Scheduler(QosConfig(priority_map={"bulk": 2},
                                         default_priority=1))
         assert scheduler.resolve_priority({}) == 1
         assert scheduler.resolve_priority({"priority": "bulk"}) == 2
@@ -271,7 +273,7 @@ class TestScheduler:
         assert not scheduler.expired(None, now=1e9)
 
     def test_default_deadline_applies_to_untagged_frames(self):
-        scheduler = Scheduler(QosPolicy(default_deadline_ms=10.0))
+        scheduler = Scheduler(QosConfig(default_deadline_ms=10.0))
         decision = scheduler.admit("c", {}, now=50.0)
         assert isinstance(decision, Admission)
         assert decision.expires_at == pytest.approx(50.010)
@@ -311,9 +313,10 @@ class TestQosEndToEnd:
             time.sleep(0.1)
             return {"y": arrays["x"]}, meta
 
-        server = EdgeServer(slow_fn, frontend=FRONTEND_ASYNC, max_workers=1,
-                            qos=QosPolicy(max_queue_depth=1, fairness=False,
-                                          retry_after_ms=15.0)).start()
+        server = EdgeServer(slow_fn, config=ServerConfig(
+            frontend=FRONTEND_ASYNC, max_workers=1), qos=QosConfig(
+                max_queue_depth=1, fairness=False,
+                retry_after_ms=15.0)).start()
         try:
             client = DeviceClient(server.host, server.port)
             try:
@@ -340,12 +343,12 @@ class TestQosEndToEnd:
             time.sleep(0.05)
             return {"y": arrays["x"]}, meta
 
-        server = EdgeServer(slow_fn, frontend=FRONTEND_ASYNC, max_workers=1,
-                            qos=QosPolicy(max_queue_depth=1,
-                                          fairness=False)).start()
+        server = EdgeServer(slow_fn, config=ServerConfig(
+            frontend=FRONTEND_ASYNC, max_workers=1), qos=QosConfig(
+                max_queue_depth=1, fairness=False)).start()
         try:
             client = DeviceClient(server.host, server.port,
-                                  on_rejected="drop")
+                                  ClientConfig(on_rejected="drop"))
             try:
                 results, stats = client.run_pipeline(
                     [np.ones((4,))] * 12, _device_fn, timeout_s=60.0)
@@ -368,12 +371,14 @@ class TestQosEndToEnd:
 
         server = EdgeServer(_echo_fn,
                             batch_fns={"default": counting_batch},
-                            max_batch_size=8, max_wait_ms=10.0).start()
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=10.0)).start()
         try:
             # 0.0005 ms expires long before the 10 ms coalescing window —
-            # deadlines are honored even with no QosPolicy installed.
+            # deadlines are honored even under the default QosConfig.
             client = DeviceClient(server.host, server.port,
-                                  deadline_ms=0.0005, on_rejected="drop")
+                                  ClientConfig(deadline_ms=0.0005,
+                                               on_rejected="drop"))
             try:
                 results, stats = client.run_pipeline(
                     [np.ones((4,))] * 4, _device_fn, timeout_s=30.0)
@@ -396,15 +401,16 @@ class TestQosEndToEnd:
                     for arrays, meta in items]
 
         server = EdgeServer(_echo_fn, batch_fns={"default": slow_batch},
-                            max_batch_size=4, max_wait_ms=1.0,
-                            qos=QosPolicy(max_queue_depth=8, fairness=True,
+                            batching=BatchingConfig(max_batch_size=4,
+                                                    max_wait_ms=1.0),
+                            qos=QosConfig(max_queue_depth=8, fairness=True,
                                           fairness_window_s=5.0)).start()
         try:
             trickle = DeviceClient(server.host, server.port,
                                    client_name="trickle")
             firehose = DeviceClient(server.host, server.port,
-                                    client_name="firehose",
-                                    on_rejected="drop")
+                                    ClientConfig(on_rejected="drop"),
+                                    client_name="firehose")
             firehose_stats = []
 
             def blast():
@@ -467,7 +473,7 @@ class TestQosEndToEnd:
         server = EdgeServer(expired_fn).start()
         try:
             client = DeviceClient(server.host, server.port,
-                                  on_rejected="drop")
+                                  ClientConfig(on_rejected="drop"))
             try:
                 results, stats = client.run_pipeline(
                     [np.ones((4,))] * 2, _device_fn, timeout_s=30.0)
@@ -479,10 +485,11 @@ class TestQosEndToEnd:
             server.stop()
 
     def test_device_client_validates_qos_knobs(self):
+        # A direct caller meets the knob table before any socket is dialled.
         with pytest.raises(ValueError, match="on_rejected"):
-            DeviceClient("127.0.0.1", 1, on_rejected="retry")
+            DeviceClient("127.0.0.1", 1, ClientConfig(on_rejected="retry"))
         with pytest.raises(ValueError, match="deadline_ms"):
-            DeviceClient("127.0.0.1", 1, deadline_ms=0.0)
+            DeviceClient("127.0.0.1", 1, ClientConfig(deadline_ms=0.0))
 
 
 # ----------------------------------------------------------------------
@@ -563,8 +570,8 @@ class TestFrontendEquivalence:
 class TestAsyncFrontendGuarantees:
     def test_idle_connections_beyond_max_workers(self):
         """max_workers bounds compute, not connections, under async."""
-        server = EdgeServer(_echo_fn, frontend=FRONTEND_ASYNC,
-                            max_workers=2).start()
+        server = EdgeServer(_echo_fn, config=ServerConfig(
+            frontend=FRONTEND_ASYNC, max_workers=2)).start()
         idle = []
         try:
             import socket as socket_mod
@@ -703,9 +710,11 @@ class TestQosShardingInteraction:
         # one executes direct frames inline, so only the batch queue can
         # actually fill there).
         server = EdgeServer(_echo_fn, batch_fns={"default": slow_batch},
-                            max_batch_size=2, max_wait_ms=1.0,
-                            frontend=frontend, max_workers=1,
-                            qos=QosPolicy(max_queue_depth=1, fairness=False,
+                            config=ServerConfig(frontend=frontend,
+                                                max_workers=1),
+                            batching=BatchingConfig(max_batch_size=2,
+                                                    max_wait_ms=1.0),
+                            qos=QosConfig(max_queue_depth=1, fairness=False,
                                           retry_after_ms=33.0)).start()
         try:
             client = DeviceClient(server.host, server.port)

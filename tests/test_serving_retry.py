@@ -28,7 +28,7 @@ from time import monotonic
 import numpy as np
 import pytest
 
-from repro.serving import RequestRejectedError, RetryPolicy
+from repro.serving import ClientConfig, RequestRejectedError, RetryPolicy
 from repro.system.engine import DeviceClient
 from repro.system.messages import (KIND_ERROR, KIND_FRAME, KIND_HELLO,
                                    KIND_REJECTED, KIND_RESULT, KIND_STOP,
@@ -121,9 +121,9 @@ class ScriptedServer:
         self._thread.join(timeout=10.0)
 
 
-def run_one(server, policy, **client_kwargs):
-    client = DeviceClient(server.host, server.port, retry_policy=policy,
-                          **client_kwargs)
+def run_one(server, policy=RetryPolicy(), **knobs):
+    client = DeviceClient(server.host, server.port,
+                          ClientConfig(retry=policy, **knobs))
     try:
         return client.run_pipeline([FRAME], device_fn, timeout_s=30.0)
     finally:
@@ -205,7 +205,7 @@ class TestRetrySemantics:
     def test_no_policy_keeps_seed_semantics(self):
         server = ScriptedServer({0: [("reject", "capacity", 7.0)]})
         with pytest.raises(RequestRejectedError) as excinfo:
-            run_one(server, None)
+            run_one(server)
         assert excinfo.value.retry_after_ms == 7.0
         assert len(server.submissions(0)) == 1
 

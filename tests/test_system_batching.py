@@ -19,7 +19,7 @@ import pytest
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
                         ZooEntry, batched_edge_fn, collate_arrays,
                         split_callables, split_results)
-from repro.serving import build_zoo_callables
+from repro.serving import BatchingConfig, ServerConfig, build_zoo_callables
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
@@ -204,8 +204,9 @@ class TestMicroBatchingServing:
 
         num_clients, frames_per_client = 4, 6
         server = EdgeServer(_edge_fn, batch_fns={"default": gated_batch_fn},
-                            max_batch_size=8, max_wait_ms=20.0,
-                            max_workers=num_clients).start()
+                            config=ServerConfig(max_workers=num_clients),
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=20.0)).start()
         outputs = {}
         errors = []
 
@@ -277,7 +278,8 @@ class TestMicroBatchingServing:
 
         server = EdgeServer(_edge_fn,
                             batch_fns={"default": counting_batch_fn},
-                            max_batch_size=8, max_wait_ms=40.0).start()
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=40.0)).start()
         client = DeviceClient(server.host, server.port)
         try:
             started = time.perf_counter()
@@ -304,7 +306,8 @@ class TestMicroBatchingServing:
 
         server = EdgeServer(_edge_fn,
                             batch_fns={"default": broken_batch_fn},
-                            max_batch_size=8, max_wait_ms=10.0).start()
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=10.0)).start()
         client = DeviceClient(server.host, server.port)
         try:
             results, _ = client.run_pipeline([np.ones((2, 2))], _device_fn,
@@ -338,7 +341,8 @@ class TestMicroBatchingServing:
         server = EdgeServer(edge_fns={"a": echo, "b": echo},
                             batch_fns={"a": make_batch_fn("a"),
                                        "b": make_batch_fn("b")},
-                            max_batch_size=8, max_wait_ms=50.0).start()
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=50.0)).start()
         errors = []
 
         def run_client(model):
@@ -380,7 +384,8 @@ class TestMicroBatchingServing:
 
         server = EdgeServer(flaky_edge_fn,
                             batch_fns={"default": flaky_batch_fn},
-                            max_batch_size=8, max_wait_ms=100.0).start()
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=100.0)).start()
         good_results = {}
         bad_failure = []
 
@@ -440,7 +445,8 @@ class TestMicroBatchingServing:
 
         server = EdgeServer(_edge_fn,
                             batch_fns={"default": malformed_batch_fn},
-                            max_batch_size=8, max_wait_ms=100.0).start()
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=100.0)).start()
         outputs = {}
         errors = []
 
@@ -491,7 +497,8 @@ class TestMicroBatchingServing:
         server = EdgeServer(
             edge_fns={"served": serving["served"].edge_fn},
             batch_fns={"served": serving["served"].batch_fn},
-            max_batch_size=4, max_wait_ms=30.0).start()
+            batching=BatchingConfig(max_batch_size=4,
+                                    max_wait_ms=30.0)).start()
         frames = _frames(4)
         reference = ArchitectureModel(arch("served"), in_dim=3, num_classes=5,
                                       seed=0)
@@ -555,7 +562,8 @@ class TestMicroBatchingServing:
 
         server = EdgeServer(edge_fns={"served": entry.edge_fn},
                             batch_fns={"served": entry.batch_fn},
-                            max_batch_size=2, max_wait_ms=2000.0).start()
+                            batching=BatchingConfig(max_batch_size=2,
+                                                    max_wait_ms=2000.0)).start()
         client = DeviceClient(server.host, server.port, model="served")
         try:
             results, _ = client.run_pipeline(frames, entry.device_fn,
@@ -574,13 +582,14 @@ class TestMicroBatchingServing:
     def test_rejects_batch_fn_without_edge_fn(self):
         with pytest.raises(ValueError, match="batch_fns"):
             EdgeServer(_edge_fn, batch_fns={"typo": _batch_edge_fn},
-                       max_batch_size=4)
+                       batching=BatchingConfig(max_batch_size=4))
         with pytest.raises(ValueError, match="max_batch_size"):
-            EdgeServer(_edge_fn, max_batch_size=0)
+            EdgeServer(_edge_fn, batching=BatchingConfig(max_batch_size=0))
 
     def test_entries_without_batch_fn_bypass_the_batcher(self):
         """No batched callable -> direct concurrent per-frame path, no queueing."""
-        server = EdgeServer(_edge_fn, max_batch_size=8, max_wait_ms=200.0).start()
+        server = EdgeServer(_edge_fn, batching=BatchingConfig(
+            max_batch_size=8, max_wait_ms=200.0)).start()
         client = DeviceClient(server.host, server.port)
         try:
             results, _ = client.run_pipeline([np.ones((2, 2))] * 3, _device_fn,
@@ -605,7 +614,7 @@ class TestMicroBatchingServing:
                 return len(blob)
 
         server = EdgeServer(_edge_fn, batch_fns={"default": _batch_edge_fn},
-                            max_batch_size=2)
+                            batching=BatchingConfig(max_batch_size=2))
         try:
             session = ServingSession(session_id=99, peer="test")
             session.evicted = True  # folded into the aggregate already
@@ -668,8 +677,9 @@ class TestQueueDepthStats:
             return _batch_edge_fn(requests)
 
         server = EdgeServer(_edge_fn, batch_fns={"default": gated_batch_fn},
-                            max_batch_size=1024, max_wait_ms=0.0,
-                            max_workers=4).start()
+                            config=ServerConfig(max_workers=4),
+                            batching=BatchingConfig(max_batch_size=1024,
+                                                    max_wait_ms=0.0)).start()
         clients = [DeviceClient(server.host, server.port) for _ in range(2)]
         errors = []
 

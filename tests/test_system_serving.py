@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import (Architecture, ArchitectureZoo, RuntimeDispatcher,
                         ZooEntry)
-from repro.serving import build_zoo_callables
+from repro.serving import ClientConfig, ServerConfig, build_zoo_callables
 from repro.gnn import OpSpec, OpType
 from repro.system import DeviceClient, EdgeServer
 
@@ -41,7 +41,7 @@ _UNENCODABLE = [
 class TestConcurrentServing:
     def test_three_clients_served_concurrently(self):
         num_clients, frames_per_client = 3, 8
-        server = EdgeServer(_edge_fn, max_workers=4).start()
+        server = EdgeServer(_edge_fn, config=ServerConfig(max_workers=4)).start()
         outputs = {}
         errors = []
 
@@ -95,7 +95,7 @@ class TestConcurrentServing:
 
     def test_sessions_can_exceed_worker_pool(self):
         """More sequential connections than worker slots are all served."""
-        server = EdgeServer(_edge_fn, max_workers=2).start()
+        server = EdgeServer(_edge_fn, config=ServerConfig(max_workers=2)).start()
         try:
             for index in range(5):
                 client = DeviceClient(server.host, server.port)
@@ -112,7 +112,7 @@ class TestConcurrentServing:
 
     def test_concurrent_clients_beyond_pool_all_complete(self):
         """Simultaneous connections above max_workers wait their turn and finish."""
-        server = EdgeServer(_edge_fn, max_workers=2).start()
+        server = EdgeServer(_edge_fn, config=ServerConfig(max_workers=2)).start()
         failures = []
 
         def run(index):
@@ -152,7 +152,8 @@ class TestConcurrentServing:
 
     def test_session_log_is_bounded_but_aggregates_are_not(self):
         """Old closed sessions fold into the totals instead of leaking."""
-        server = EdgeServer(_edge_fn, session_log_limit=2).start()
+        server = EdgeServer(_edge_fn,
+                            config=ServerConfig(session_log_limit=2)).start()
         try:
             for index in range(5):
                 client = DeviceClient(server.host, server.port,
@@ -198,7 +199,8 @@ class TestConcurrentServing:
             return _edge_fn(arrays, meta)
 
         server = EdgeServer(slow_edge_fn).start()
-        client = DeviceClient(server.host, server.port, timeout_s=0.5)
+        client = DeviceClient(server.host, server.port,
+                              ClientConfig(connect_timeout_s=0.5))
         try:
             results, _ = client.run_pipeline([np.ones((2, 2))], _device_fn,
                                              timeout_s=10.0)
@@ -222,7 +224,7 @@ class TestConcurrentServing:
         with pytest.raises(ValueError):
             EdgeServer()
         with pytest.raises(ValueError):
-            EdgeServer(_edge_fn, max_workers=0)
+            EdgeServer(_edge_fn, config=ServerConfig(max_workers=0))
         # A named entry the default would shadow is a misconfiguration.
         with pytest.raises(ValueError, match="reserved"):
             EdgeServer(_edge_fn, edge_fns={"default": _edge_fn})
@@ -366,7 +368,7 @@ class TestErrorPropagation:
 
         server = EdgeServer(bad_edge_fn).start()
         client = DeviceClient(server.host, server.port,
-                              wire_format=wire_format)
+                              ClientConfig(wire_format=wire_format))
         try:
             with pytest.raises(RuntimeError, match=error):
                 client.run_pipeline([np.ones((2, 2))], _device_fn, timeout_s=10.0)
@@ -394,6 +396,42 @@ class TestErrorPropagation:
             client.close()
             server.stop()
 
+    def test_pipeline_timeout_defaults_to_the_client_config(self):
+        """``run_pipeline`` without ``timeout_s`` waits
+        ``ClientConfig.pipeline_timeout_s``, not a default of its own."""
+        release = threading.Event()
+
+        def blocked_edge_fn(arrays, meta):
+            release.wait(10.0)
+            return _edge_fn(arrays, meta)
+
+        server = EdgeServer(blocked_edge_fn).start()
+        client = DeviceClient(server.host, server.port,
+                              ClientConfig(pipeline_timeout_s=0.3))
+        try:
+            with pytest.raises(TimeoutError, match="timed out"):
+                client.run_pipeline([np.ones((2, 2))], _device_fn)
+        finally:
+            release.set()
+            client.close()
+            server.stop()
+
+    def test_handshake_timeout_defaults_to_the_client_config(self):
+        """``handshake()`` without ``timeout_s`` waits
+        ``ClientConfig.handshake_timeout_s``."""
+        from conftest import fake_peer
+
+        release = threading.Event()
+        with fake_peer(lambda conn: release.wait(10.0)) as (host, port):
+            client = DeviceClient(host, port,
+                                  ClientConfig(handshake_timeout_s=0.2))
+            try:
+                with pytest.raises(TimeoutError, match="hello"):
+                    client.handshake()
+            finally:
+                release.set()
+                client.close()
+
     @pytest.mark.parametrize("wire_format", ["zlib", "raw"])
     @pytest.mark.parametrize("extra_arrays, extra_meta, error", _UNENCODABLE)
     def test_unserializable_outgoing_meta_fails_fast(
@@ -407,7 +445,7 @@ class TestErrorPropagation:
 
         server = EdgeServer(_edge_fn).start()
         client = DeviceClient(server.host, server.port,
-                              wire_format=wire_format)
+                              ClientConfig(wire_format=wire_format))
         started = _time.perf_counter()
         try:
             with pytest.raises(

@@ -25,7 +25,8 @@ import repro.runtime.node as node_module
 import repro.system.engine as engine_module
 from repro.core import (ArchitectureModel, ArchitectureZoo, ZooEntry,
                         batched_edge_fn, split_callables)
-from repro.serving import ClusterConfig, ModelRepository
+from repro.serving import (BatchingConfig, ClientConfig, ClusterConfig,
+                           ModelRepository, ServerConfig)
 from repro.serving.cluster import ClusterPool
 from repro.system import DeviceClient, EdgeServer
 from repro.system.messages import (KIND_FRAME, KIND_HELLO, KIND_STOP,
@@ -58,7 +59,8 @@ def _array_device_fn(frame):
 class TestNagleIsOff:
     @pytest.mark.parametrize("frontend", ["threaded", "async"])
     def test_client_and_server_side_of_one_connection(self, frontend):
-        server = EdgeServer(_identity_edge, frontend=frontend).start()
+        server = EdgeServer(_identity_edge,
+                            config=ServerConfig(frontend=frontend)).start()
         client = DeviceClient(server.host, server.port)
         try:
             client.handshake()
@@ -136,7 +138,7 @@ def _offline_client(sock, wire_format: str = WIRE_FORMAT_RAW) -> DeviceClient:
     ``_send_loop`` touches, so the loop can be run to completion inline."""
     client = DeviceClient.__new__(DeviceClient)
     client._sock = sock
-    client.wire_format = wire_format
+    client.config = ClientConfig(wire_format=wire_format)
     client._send_queue = queue.Queue()
     client._results = queue.Queue()
     client._hello_event = threading.Event()
@@ -270,7 +272,7 @@ class TestRunByteAccounting:
                 # No handshake() first: the hello may still be in the
                 # sender's hands when the run starts, and must not leak in.
                 client = DeviceClient(server.host, server.port,
-                                      wire_format=wire_format)
+                                      ClientConfig(wire_format=wire_format))
                 try:
                     _, stats = client.run_pipeline(frames, _array_device_fn,
                                                    timeout_s=10.0)
@@ -306,7 +308,8 @@ class TestCoalescedWindowsEndToEnd:
         frames = _frames(8)
         server = EdgeServer(eager_edge_fn,
                             batch_fns={"default": recording_batch_fn},
-                            max_batch_size=8, max_wait_ms=2.0).start()
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=2.0)).start()
         client = DeviceClient(server.host, server.port)
         try:
             for _ in range(3):  # three windows on one connection
@@ -338,7 +341,8 @@ class TestCoalescedWindowsEndToEnd:
         frames = [np.arange(12.0).reshape(4, 3) + i for i in range(8)]
         server = EdgeServer(_identity_edge,
                             batch_fns={"default": _identity_batch},
-                            max_batch_size=8, max_wait_ms=2.0).start()
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=2.0)).start()
         try:
             with socket.create_connection((server.host, server.port)) as sock:
                 send_message(sock, Message(kind=KIND_HELLO,
@@ -383,7 +387,8 @@ class TestCoalescedWindowsEndToEnd:
         frames = [np.zeros((16, 3)) + i for i in range(8)]
         server = EdgeServer(_identity_edge,
                             batch_fns={"default": _identity_batch},
-                            max_batch_size=8, max_wait_ms=2.0).start()
+                            batching=BatchingConfig(max_batch_size=8,
+                                                    max_wait_ms=2.0)).start()
         client = DeviceClient(server.host, server.port)
         try:
             client.handshake()

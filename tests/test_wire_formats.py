@@ -36,6 +36,7 @@ from repro.core import Architecture, ArchitectureModel, split_callables
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
+from repro.serving import ClientConfig, ServerConfig
 from repro.system import (DeviceClient, EdgeServer, Message,
                           WIRE_FORMAT_RAW, WIRE_FORMAT_ZLIB, WIRE_FORMATS,
                           compressed_size, deserialize_message,
@@ -315,7 +316,7 @@ class TestEngineWireFormats:
         server, device_fn, frames = serving
         zlib_client = DeviceClient(server.host, server.port)
         raw_client = DeviceClient(server.host, server.port,
-                                  wire_format=WIRE_FORMAT_RAW)
+                                  ClientConfig(wire_format=WIRE_FORMAT_RAW))
         try:
             zlib_results, _ = zlib_client.run_pipeline(frames, device_fn)
             raw_results, _ = raw_client.run_pipeline(frames, device_fn)
@@ -329,10 +330,10 @@ class TestEngineWireFormats:
     def test_wire_dtype_halves_traffic_within_tolerance(self, serving):
         server, device_fn, frames = serving
         full = DeviceClient(server.host, server.port,
-                            wire_format=WIRE_FORMAT_RAW)
+                            ClientConfig(wire_format=WIRE_FORMAT_RAW))
         half = DeviceClient(server.host, server.port,
-                            wire_format=WIRE_FORMAT_RAW,
-                            wire_dtype=np.float32)
+                            ClientConfig(wire_format=WIRE_FORMAT_RAW,
+                                         wire_dtype=np.float32))
         try:
             full_results, full_stats = full.run_pipeline(frames, device_fn)
             half_results, half_stats = half.run_pipeline(frames, device_fn)
@@ -347,7 +348,7 @@ class TestEngineWireFormats:
     def test_error_replies_arrive_on_raw_connections(self, serving):
         server, device_fn, frames = serving
         client = DeviceClient(server.host, server.port,
-                              wire_format=WIRE_FORMAT_RAW)
+                              ClientConfig(wire_format=WIRE_FORMAT_RAW))
         try:
             def broken_device_fn(frame):
                 arrays, meta = device_fn(frame)
@@ -363,9 +364,11 @@ class TestEngineWireFormats:
     def test_invalid_client_knobs_rejected(self, serving):
         server, _, _ = serving
         with pytest.raises(ValueError, match="wire format"):
-            DeviceClient(server.host, server.port, wire_format="gzip")
+            DeviceClient(server.host, server.port,
+                         ClientConfig(wire_format="gzip"))
         with pytest.raises(ValueError, match="floating"):
-            DeviceClient(server.host, server.port, wire_dtype=np.int32)
+            DeviceClient(server.host, server.port,
+                         ClientConfig(wire_dtype=np.int32))
 
 
 # ----------------------------------------------------------------------
@@ -649,7 +652,8 @@ class TestServerSurvivesHostileClients:
         graphs = SyntheticModelNet40(num_points=24, samples_per_class=1,
                                      num_classes=4, seed=0).generate()
         frames = [Batch.from_graphs([graph]) for graph in graphs[:2]]
-        server = EdgeServer(edge_fn, frontend=request.param).start()
+        server = EdgeServer(edge_fn, config=ServerConfig(
+            frontend=request.param)).start()
         yield server, device_fn, frames
         server.stop()
 

@@ -23,17 +23,20 @@ SERVING = "src/repro/serving"
 # (they never execute, so they cannot re-couple layers at runtime).
 #
 # The tiering this encodes (lowest first):
-#   messages (wire format)  ->  transport / scheduler (no engine, no
-#   compute)  ->  runtime kernels/arena (pure array code)  ->  plan /
-#   quantize (compiled runtime)  ->  engine (system tier)  ->  serving
-#   (top).  Nothing below the serving tier may import it — the known,
-#   justified exception (the shard worker bootstrap in runtime/shard.py
-#   rebuilds a serving repository by design) is grandfathered in
-#   baseline.json rather than allowed here.
+#   messages (wire format)  ->  transport  ->  knobs (the configs the
+#   system layer consumes)  ->  scheduler (no engine, no compute)  ->
+#   runtime kernels/arena (pure array code)  ->  plan / quantize
+#   (compiled runtime)  ->  engine (system tier)  ->  serving (top).
+#   Nothing below the serving tier may import it — the known, justified
+#   exception (the shard worker bootstrap in runtime/shard.py rebuilds a
+#   serving repository by design) is grandfathered in baseline.json
+#   rather than allowed here.
 LAYERING_RULES = {
     f"{SYSTEM}/messages.py": {"numpy"},
     f"{SYSTEM}/transport.py": {"repro.system.messages"},
-    f"{SYSTEM}/scheduler.py": {"repro.system.messages"},
+    f"{SYSTEM}/knobs.py": {"numpy", "repro.system.messages",
+                           "repro.system.transport"},
+    f"{SYSTEM}/scheduler.py": {"repro.system.knobs", "repro.system.messages"},
     f"{SYSTEM}/engine.py": {"numpy", "repro.core", "repro.system"},
     f"{RUNTIME}/arena.py": {"numpy"},
     f"{RUNTIME}/kernels.py": {"numpy", "repro.graph"},
