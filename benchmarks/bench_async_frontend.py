@@ -172,7 +172,7 @@ def run_overload(qos: bool) -> Dict:
     """Saturating burst against a slow batched entry, with/without QoS."""
     policy = (QosConfig(max_queue_depth=MAX_QUEUE_DEPTH, fairness=False)
               if qos else QosConfig())
-    server = EdgeServer(_echo_fn, batch_fns={"default": _slow_batch},
+    server = EdgeServer(batch_fns={"default": _slow_batch},
                         config=ServerConfig(frontend="async",
                                             max_workers=OVERLOAD_CLIENTS),
                         batching=BatchingConfig(max_batch_size=4,

@@ -85,8 +85,7 @@ def run_once(serving: ServingCallables, frames: List[Batch],
     frame count, timed by polling ``EdgeServer.frames_processed``.
     """
     server = EdgeServer(
-        edge_fns={ENTRY: serving.edge_fn},
-        batch_fns={ENTRY: serving.batch_fn} if max_batch_size > 1 else None,
+        batch_fns={ENTRY: serving.batch_fn},
         config=ServerConfig(max_workers=NUM_CLIENTS),
         batching=BatchingConfig(max_batch_size=max_batch_size,
                                 max_wait_ms=MAX_WAIT_MS)).start()

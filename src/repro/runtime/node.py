@@ -83,6 +83,8 @@ class NodeStats:
     address: str
     alive: bool
     frames: int
+    #: Requests shipped to the node, one envelope each (a lone frame is a
+    #: batch of one), so ``frames / batches`` is the mean request size.
     batches: int
     errors: int
     #: Engine time the node reported for its executed frames (excludes

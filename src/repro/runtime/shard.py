@@ -138,6 +138,8 @@ class ShardStats:
     pid: Optional[int]
     alive: bool
     frames: int
+    #: Requests shipped to the shard, one envelope each (a lone frame is a
+    #: batch of one), so ``frames / batches`` is the mean request size.
     batches: int
     errors: int
     #: Engine time the shard reported for its executed frames (excludes
@@ -608,19 +610,14 @@ class ReplicaCore:
                 for _, frame_meta in frames:
                     check_pin(frame_meta)
                 started = time.perf_counter()
-                if message.meta["batched"]:
-                    results = repository.batch_router(entry)(frames)
-                else:
-                    edge_fn = repository.edge_router(entry)
-                    results = [edge_fn(*frame) for frame in frames]
+                results = repository.batch_router(entry)(frames)
                 elapsed = time.perf_counter() - started
                 arrays, metas = pack_frames(results)
             except Exception as exc:
-                # One error for the whole request.  For a batched one the
-                # parent's batched router raises, and the engine re-runs
-                # the frames per frame so the failure isolates to the
-                # offending one (the same fallback contract in-process
-                # batched serving has).
+                # One error for the whole request: the parent's batched
+                # router raises, and the engine re-runs the frames one by
+                # one so the failure isolates to the offending one (the
+                # same fallback contract in-process serving has).
                 reply_error(corr, exc)
                 return
             self.frames_served += len(results)

@@ -53,8 +53,8 @@ class ServingApp:
 
     Wraps an :class:`~repro.system.engine.EdgeServer` built from a
     :class:`~repro.serving.config.ServingConfig` and wired to a
-    :class:`~repro.serving.repository.ModelRepository`: the server's edge
-    and batched callables are the repository's snapshot routers and its
+    :class:`~repro.serving.repository.ModelRepository`: the server's
+    batched callables are the repository's snapshot routers and its
     selector dispatches with the current snapshot's zoo metrics, so a
     ``repository.publish(new_zoo)`` hot-swaps what a *running* app serves.
 
@@ -186,7 +186,6 @@ class ServingApp:
                     self.repository.add_preparer(workers.prepare_publish)
                     workers.sync(self.repository.snapshot())
             self._server = EdgeServer(
-                edge_fns=self._edge_fns(),
                 batch_fns=self._batch_fns(),
                 selector=self.repository.select_for_meta,
                 config=self.config.server, batching=self.config.batching,
@@ -211,9 +210,6 @@ class ServingApp:
             self._supervisor = Supervisor(self.config.supervisor,
                                           [workers]).start()
         return self
-
-    def _edge_fns(self):
-        return (self._workers or self.repository).edge_fns()
 
     def _batch_fns(self):
         return (self._workers or self.repository).batch_fns()
@@ -256,8 +252,7 @@ class ServingApp:
         server = self._server
         if server is None or self._closed:
             return
-        server.install_table(edge_fns=self._edge_fns(),
-                             batch_fns=self._batch_fns(),
+        server.install_table(batch_fns=self._batch_fns(),
                              selector=self.repository.select_for_meta)
 
     def stop(self) -> None:

@@ -6,7 +6,7 @@ dials a fleet of replica nodes (:mod:`repro.runtime.node` — the same
 :class:`~repro.runtime.shard.ReplicaCore` worker loop behind a socket),
 bootstraps each with the current snapshot (same JSON zoo payload, same
 seed → bit-identical replica weights), and exposes per-entry
-``edge_fns``/``batch_fns`` that ship frames — in the same versioned raw
+``batch_fns`` that ship frames — in the same versioned raw
 ``Message`` framing the device/edge wire speaks — to the fleet.  The
 :class:`~repro.system.engine.EdgeServer` threads act as a thin router:
 sockets, coalescing and statistics stay local while every engine call runs
@@ -75,8 +75,8 @@ class ClusterPool(WorkerPool):
 
     Built (and started) by :class:`~repro.serving.app.ServingApp` when its
     :class:`~repro.serving.config.ClusterConfig` names node addresses.
-    The pool's :meth:`edge_fns`/:meth:`batch_fns` mirror the repository's
-    router mappings but execute on the fleet; the routing policy picks the
+    The pool's :meth:`batch_fns` mirror the repository's router mapping
+    but execute on the fleet; the routing policy picks the
     node per request (least-loaded) or per entry (consistent hash).
 
     ``node_processes`` are the :class:`~repro.runtime.node.NodeProcess`

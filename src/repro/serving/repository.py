@@ -18,14 +18,15 @@ swap.  The repository therefore
 * stamps every device result's metadata with the producing snapshot version
   (:data:`SNAPSHOT_META_KEY`),
 * keeps the last ``retain`` snapshots alive, and
-* resolves each edge/batched request to the *pinned* snapshot when it is
-  still retained and still holds the entry, falling back to the current one
+* resolves each edge request to the *pinned* snapshot when it is still
+  retained and still holds the entry, falling back to the current one
   otherwise.
 
-Batched requests coalesced across a publish may mix pins; the repository's
-batched router groups them per snapshot and executes each group through its
-own snapshot, so **every frame is answered wholly from exactly one
-snapshot** — pinned by ``tests/test_serving_hot_reload.py``.
+A frame is a batch of one on the edge.  Requests coalesced across a publish
+may mix pins; the repository's batched router groups them per snapshot and
+executes each group through its own snapshot, so **every frame is answered
+wholly from exactly one snapshot** — pinned by
+``tests/test_serving_hot_reload.py``.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.dispatcher import RuntimeDispatcher
-from ..core.executor import ArrayDict, FrameState, ServingCallables
+from ..core.executor import FrameState, ServingCallables
 from ..core.zoo import ArchitectureZoo
 from .builders import build_zoo_callables
 from .config import RuntimeConfig
 
 #: Metadata key carrying the snapshot version a frame's device segment ran
 #: against; stamped by :meth:`ModelRepository.device_fn` wrappers and read
-#: back by the repository's edge/batched routers.
+#: back by the repository's batched routers.
 SNAPSHOT_META_KEY = "snapshot"
 
 
@@ -340,13 +341,6 @@ class ModelRepository:
     # ------------------------------------------------------------------
     # Edge side: snapshot-routing callables for an EdgeServer table
     # ------------------------------------------------------------------
-    def edge_router(self, name: str) -> Callable[[ArrayDict, Dict], FrameState]:
-        def edge_fn(arrays: ArrayDict, meta: Dict) -> FrameState:
-            snapshot = self._snapshot_for(name, meta)
-            return self._entry(snapshot, name).edge_fn(arrays, meta)
-
-        return edge_fn
-
     def batch_router(self, name: str
                       ) -> Callable[[Sequence[FrameState]], List[FrameState]]:
         def batch_fn(requests: Sequence[FrameState]) -> List[FrameState]:
@@ -373,10 +367,6 @@ class ModelRepository:
             return results  # fully populated: every index was grouped once
 
         return batch_fn
-
-    def edge_fns(self) -> Dict[str, Callable[[ArrayDict, Dict], FrameState]]:
-        """Per-entry edge routers, covering every retained snapshot's names."""
-        return {name: self.edge_router(name) for name in self.serving_names()}
 
     def batch_fns(self) -> Dict[str, Callable[[Sequence[FrameState]],
                                               List[FrameState]]]:

@@ -7,8 +7,8 @@ roughly one core regardless of client count.  A :class:`ShardPool` lifts
 that cap: it spawns ``num_shards`` worker processes (each holding its *own*
 models, compiled plans and buffer arenas — see
 :func:`repro.runtime.shard._shard_main`), and exposes per-entry
-``edge_fns``/``batch_fns`` that hand frames (and whole micro-batches) to the
-workers over preallocated shared-memory rings.  The
+``batch_fns`` that hand whole micro-batches (a lone frame is a batch of one)
+to the workers over preallocated shared-memory rings.  The
 :class:`~repro.system.engine.EdgeServer` threads then act as a thin router:
 sockets, coalescing and statistics stay in the parent, while every engine
 call runs on another core.
@@ -27,8 +27,8 @@ Guarantees preserved across the process boundary
   envelope and is executed by the shard's snapshot-grouping batch router,
   exactly like the in-process path.
 * **Error isolation** — a failing request comes back as one error
-  envelope; for a batched one that raises in the parent's ``batch_fn`` so
-  the engine's per-frame fallback isolates the offending frame; a *crashed*
+  envelope that raises in the parent's ``batch_fn``, so the engine's
+  per-frame fallback isolates the offending frame; a *crashed*
   shard fails its in-flight requests with
   :class:`~repro.runtime.shard.ShardCrashedError` (a ``ConnectionError``)
   instead of hanging clients, and new traffic is routed to the surviving
@@ -78,9 +78,9 @@ class ShardPool(WorkerPool):
 
     Built (and started) by :class:`~repro.serving.app.ServingApp` when its
     :class:`~repro.serving.config.ShardingConfig` asks for more than one
-    shard.  The pool's :meth:`edge_fns`/:meth:`batch_fns` mirror the
-    repository's router mappings but execute on worker processes; frames
-    are spread round-robin over the live shards.
+    shard.  The pool's :meth:`batch_fns` mirror the repository's router
+    mapping but execute on worker processes; requests are spread
+    round-robin over the live shards.
     """
 
     tier = "shard"

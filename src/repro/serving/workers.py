@@ -277,34 +277,27 @@ class WorkerLink:
         return reply.result
 
     # -- public request API ---------------------------------------------
-    def request(self, entry: str, frames: Sequence[FrameState],
-                batched: bool) -> List[FrameState]:
-        """Run ``frames`` on the worker: one envelope out, one back.
+    def request(self, entry: str,
+                frames: Sequence[FrameState]) -> List[FrameState]:
+        """Run ``frames`` through the entry's batch router on the worker:
+        one envelope out, one back (a lone frame is a batch of one).
 
-        ``batched`` tells the worker which router runs them — the entry's
-        batch router over all of them at once, or its edge router frame by
-        frame.  No frames is no request: nothing is registered or sent.
+        No frames is no request: nothing is registered or sent.
         """
         if not frames:
             return []
         arrays, metas = pack_frames(frames)
         corr, reply = self._start(
             Message(kind=KIND_FRAME, arrays=arrays,
-                    meta={"entry": entry, "frames": metas,
-                          "batched": batched}),
+                    meta={"entry": entry, "frames": metas}),
             "request", shed_timeout=self.shed_timeout_s)
         result = self._await(corr, reply, self.request_timeout_s)
         with self._lock:
-            self.batches += int(batched)
+            self.batches += 1
             self.frames += len(frames)
             self.service_time_s += float(result.meta.get("service_time_s",
                                                          0.0))
         return unpack_frames(result.arrays, result.meta["frames"])
-
-    def request_frame(self, entry: str, arrays: ArrayDict,
-                      meta: Dict) -> FrameState:
-        """:meth:`request` spelled for one frame through the edge router."""
-        return self.request(entry, [(arrays, meta)], batched=False)[0]
 
     def start_publish(self, payload: Dict,
                       version: int) -> Tuple[int, _PendingReply]:
@@ -466,7 +459,11 @@ class WorkerLink:
             self.bytes_received += carried[5]
 
     def counters(self) -> Dict:
-        """One consistent snapshot of the counters (for the stats views)."""
+        """One consistent snapshot of the counters (for the stats views).
+
+        ``batches`` counts the requests shipped — one envelope each, a
+        lone frame included — and ``frames`` the frames they carried.
+        """
         with self._lock:
             return {"alive": self.alive, "frames": self.frames,
                     "batches": self.batches, "errors": self.errors,
@@ -664,23 +661,26 @@ class WorkerPool:
             if link.alive:
                 yield link
 
-    def edge_fn(self, name: str) -> Callable[[ArrayDict, Dict], FrameState]:
-        def route_frame(arrays: ArrayDict, meta: Dict) -> FrameState:
-            return self._pick(name).request_frame(name, arrays, meta)
-
-        return route_frame
-
     def batch_fn(self, name: str
                  ) -> Callable[[Sequence[FrameState]], List[FrameState]]:
         def route_batch(requests: Sequence[FrameState]) -> List[FrameState]:
-            return self._pick(name).request(name, requests, batched=True)
+            return self._pick(name).request(name, requests)
 
         return route_batch
 
     def edge_fns(self) -> Dict[str, Callable[[ArrayDict, Dict], FrameState]]:
-        """Worker-routing per-frame callables, one per retained entry name."""
-        return {name: self.edge_fn(name)
-                for name in self.repository.serving_names()}
+        """One-frame views of :meth:`batch_fns`, one per retained entry name.
+
+        The server never runs these (it installs :meth:`batch_fns`); they
+        exist for timing a lone frame's worker hop in isolation, as the
+        end-to-end harness's layer walk does.
+        """
+        def one_frame(route: Callable) -> Callable[[ArrayDict, Dict],
+                                                   FrameState]:
+            return lambda arrays, meta: route([(arrays, meta)])[0]
+
+        return {name: one_frame(route)
+                for name, route in self.batch_fns().items()}
 
     def batch_fns(self) -> Dict[str, Callable[[Sequence[FrameState]],
                                               List[FrameState]]]:

@@ -32,11 +32,11 @@ service time, errors) and :meth:`EdgeServer.stats` aggregates the sessions
 into an :class:`EdgeServerStats` snapshot — the serving-side counterpart of
 the client's :class:`PipelineStats`.
 
-The server can also hold several edge callables at once (``edge_fns``, keyed
-by model name) and pick one per request: a frame's metadata may name the
-model directly (``meta["model"]``) or carry runtime conditions
-(``meta["conditions"]``) that an injected ``selector`` — typically
-``RuntimeDispatcher.select_for_meta`` — maps to a zoo entry.  Clients
+The server holds one batched edge callable per zoo entry (``batch_fns``,
+keyed by model name; a frame is a batch of one) and picks one per request:
+a frame's metadata may name the model directly (``meta["model"]``) or carry
+runtime conditions (``meta["conditions"]``) that an injected ``selector`` —
+typically ``RuntimeDispatcher.select_for_meta`` — maps to a zoo entry.  Clients
 announce themselves with a ``"hello"`` handshake; when the hello carries
 conditions the server answers with the chosen model name so the device can
 run the matching device segment.  Edge-side failures travel back to the
@@ -53,9 +53,8 @@ mix models) into a single call of the entry's batched edge callable
 (``batch_fns``, typically :func:`repro.core.executor.batched_edge_fn`).
 Results are scattered back to the waiting connections with the realized
 ``batch_index`` stamped on each reply.  A failing batched call falls back to
-per-frame execution so an error isolates to the one offending frame; entries
-without a batched callable are likewise served per frame.  The batcher's
-realized batch-size distribution and queueing delay are part of
+per-frame execution so an error isolates to the one offending frame.  The
+batcher's realized batch-size distribution and queueing delay are part of
 :class:`EdgeServerStats`, whose ``mean_service_time_s`` then reports the
 *amortized* per-frame engine time.
 
@@ -138,58 +137,76 @@ _KIND_DISCONNECT = "disconnect"
 class ServingTable:
     """Immutable model-routing state of an :class:`EdgeServer`.
 
-    Everything a frame's resolution touches — the default callable, the
-    named edge/batched callables and the selector — lives in one frozen
-    value that each request reads exactly once.  Hot reload
+    Everything a frame's resolution touches — the default entry's name, the
+    named batched callables and the selector — lives in one frozen value
+    that each request reads exactly once.  Hot reload
     (:meth:`EdgeServer.install_table`) swaps the whole table atomically, so
-    no frame can ever observe a half-updated routing state.  The two
-    mappings are read-only views: registering a model means installing a
-    new table, never editing a live one.
+    no frame can ever observe a half-updated routing state.  ``entries`` is
+    a read-only view: registering a model means installing a new table,
+    never editing a live one.
     """
 
     default_name: str
-    default_fn: EdgeFn
-    edge_fns: Mapping[str, EdgeFn]
-    batch_fns: Mapping[str, BatchedEdgeFn]
+    entries: Mapping[str, BatchedEdgeFn]
     selector: Optional[SelectorFn]
 
     def model_names(self) -> List[str]:
         """Every name a frame's ``meta["model"]`` may resolve to."""
-        return sorted(set(self.edge_fns) | {self.default_name})
+        return sorted(self.entries)
 
 
 def _make_serving_table(edge_fn: Optional[EdgeFn],
-                        edge_fns: Optional[Dict[str, EdgeFn]],
                         selector: Optional[SelectorFn],
                         batch_fns: Optional[Dict[str, BatchedEdgeFn]]
                         ) -> ServingTable:
-    """Validate and freeze one serving table (construction and hot reload)."""
-    if edge_fn is None and not edge_fns:
-        raise ValueError("a serving table needs an edge_fn or a non-empty "
-                         "edge_fns")
-    if edge_fn is not None and edge_fns and DEFAULT_MODEL in edge_fns:
-        raise ValueError(
-            f"edge_fns may not use the reserved name {DEFAULT_MODEL!r} "
-            "when an explicit default edge_fn is also given — the entry "
-            "would be unreachable")
+    """Validate and freeze one serving table (construction and hot reload).
+
+    A per-frame ``edge_fn`` is lifted here, once, into the batch-of-one
+    ``"default"`` entry; without one the first named entry is the default,
+    and untagged frames are booked under its real name in the statistics.
+    """
+    entries = dict(batch_fns or {})
     if edge_fn is not None:
-        default_name, default_fn = DEFAULT_MODEL, edge_fn
-    else:
-        # No explicit default: fall back to the first named entry, and
-        # book untagged frames under its real name in the statistics.
-        default_name, default_fn = next(iter(edge_fns.items()))
-    edge_fns = dict(edge_fns or {})
-    batch_fns = dict(batch_fns or {})
-    unknown = set(batch_fns) - set(edge_fns) - {default_name}
-    if unknown:
-        raise ValueError(
-            f"batch_fns name entries with no per-frame edge callable: "
-            f"{sorted(unknown)} — a typo here would silently fall back "
-            "to per-frame serving")
-    return ServingTable(default_name=default_name, default_fn=default_fn,
-                        edge_fns=MappingProxyType(edge_fns),
-                        batch_fns=MappingProxyType(batch_fns),
-                        selector=selector)
+        if DEFAULT_MODEL in entries:
+            raise ValueError(
+                f"batch_fns may not use the reserved name {DEFAULT_MODEL!r} "
+                "when an explicit default edge_fn is also given — one of "
+                "the two would be unreachable")
+        entries = {DEFAULT_MODEL: lambda frames: [edge_fn(*frame)
+                                                  for frame in frames],
+                   **entries}
+    if not entries:
+        raise ValueError("a serving table needs an edge_fn or a non-empty "
+                         "batch_fns")
+    return ServingTable(default_name=next(iter(entries)),
+                        entries=MappingProxyType(entries), selector=selector)
+
+
+def _entry(table: ServingTable, name: str) -> BatchedEdgeFn:
+    """The one membership test hellos, frames and batches resolve through."""
+    try:
+        return table.entries[name]
+    except KeyError:
+        raise KeyError(f"no edge model named {name!r} "
+                       f"(available: {table.model_names()})") from None
+
+
+def _run_entry(entry: BatchedEdgeFn, name: str,
+               frames: List[Tuple[ArrayDict, Dict]]
+               ) -> List[Tuple[ArrayDict, Dict]]:
+    """Run ``frames`` through ``entry`` and check the result's shape.
+
+    Every element is unpacked *before* the caller's first reply goes out: a
+    malformed result discovered mid-loop would strand the rest of the batch
+    with no reply at all (their clients would sit out the full pipeline
+    timeout instead of getting a per-frame error).
+    """
+    results = list(entry(frames))
+    if len(results) != len(frames):
+        raise RuntimeError(
+            f"batched edge callable for {name!r} returned {len(results)} "
+            f"results for {len(frames)} requests")
+    return [(arrays, meta) for arrays, meta in results]
 
 
 @dataclass
@@ -518,22 +535,19 @@ class EdgeServer:
     Parameters
     ----------
     edge_fn:
-        Default edge callable, used for frames that do not name a model.
-        Optional when ``edge_fns`` is given (the first entry then serves as
-        the default).
-    edge_fns:
-        Named edge callables for multi-model serving; a frame selects one via
-        ``meta["model"]`` or through ``selector``.
+        Per-frame default edge callable, served as the ``"default"`` entry
+        (run as a batch of one).  Optional when ``batch_fns`` is given (the
+        first entry then serves as the default).
+    batch_fns:
+        Named batched edge callables, one per zoo entry — the only shape
+        the server runs: a frame is a batch of one on the direct path and
+        in the batcher's per-frame fallback.  A frame selects an entry via
+        ``meta["model"]`` or through ``selector``.  Typically the
+        ``batch_fn`` of :func:`repro.serving.build_zoo_callables`.
     selector:
         Maps frame/hello metadata to a model name (e.g.
         ``RuntimeDispatcher.select_for_meta``).  Consulted when the metadata
         does not name a model explicitly.
-    batch_fns:
-        Batched edge callables for micro-batching, keyed like ``edge_fns``
-        (the default entry's batched callable goes under its model name —
-        ``"default"`` for an anonymous ``edge_fn``).  Typically produced by
-        :func:`repro.serving.build_zoo_callables`.  Entries without a
-        batched callable are served per frame even when batching is on.
     config, batching, qos:
         The socket / worker-pool / frontend, micro-batching and
         admission-control knobs (:mod:`repro.system.knobs`; each knob's
@@ -553,9 +567,8 @@ class EdgeServer:
     """
 
     def __init__(self, edge_fn: Optional[EdgeFn] = None, *,
-                 edge_fns: Optional[Dict[str, EdgeFn]] = None,
-                 selector: Optional[SelectorFn] = None,
                  batch_fns: Optional[Dict[str, BatchedEdgeFn]] = None,
+                 selector: Optional[SelectorFn] = None,
                  config: ServerConfig = ServerConfig(),
                  batching: BatchingConfig = BatchingConfig(),
                  qos: QosConfig = QosConfig(),
@@ -564,8 +577,7 @@ class EdgeServer:
                  ) -> None:
         # All model routing lives in one immutable table; requests read it
         # exactly once, and install_table() swaps it atomically (hot reload).
-        self._table = _make_serving_table(edge_fn, edge_fns, selector,
-                                          batch_fns)
+        self._table = _make_serving_table(edge_fn, selector, batch_fns)
         self.config = config
         self.batching = batching
         self._batcher: Optional[MicroBatcher] = None
@@ -596,8 +608,8 @@ class EdgeServer:
         #: When serving through a process-parallel shard pool, the pool's
         #: per-shard counter snapshot — folded into :meth:`stats` so the
         #: socket-level and per-core views live in one place.  The server
-        #: itself stays shard-agnostic: its edge/batched callables already
-        #: route to the shards.
+        #: itself stays shard-agnostic: its batched callables already route
+        #: to the shards.
         self._shard_stats = shard_stats
         #: Same idea for the multi-node cluster tier: the router's
         #: per-node counter snapshot, provided by the cluster pool.
@@ -614,10 +626,8 @@ class EdgeServer:
         return self._table
 
     def install_table(self, edge_fn: Optional[EdgeFn] = None, *,
-                      edge_fns: Optional[Dict[str, EdgeFn]] = None,
-                      selector: Optional[SelectorFn] = None,
-                      batch_fns: Optional[Dict[str, BatchedEdgeFn]] = None
-                      ) -> None:
+                      batch_fns: Optional[Dict[str, BatchedEdgeFn]] = None,
+                      selector: Optional[SelectorFn] = None) -> None:
         """Atomically replace the serving table (hot reload).
 
         The new table is validated exactly like the constructor arguments;
@@ -629,8 +639,7 @@ class EdgeServer:
         queued in the micro-batcher resolve their callable at dispatch time,
         i.e. from the table installed when their batch executes.
         """
-        self._table = _make_serving_table(edge_fn, edge_fns, selector,
-                                          batch_fns)
+        self._table = _make_serving_table(edge_fn, selector, batch_fns)
 
     # ------------------------------------------------------------------
     def start(self) -> "EdgeServer":
@@ -692,8 +701,9 @@ class EdgeServer:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _resolve(meta: Dict, table: ServingTable) -> Tuple[str, EdgeFn]:
-        """Pick the edge callable for a frame from its metadata.
+    def _resolve(meta: Dict, table: ServingTable
+                 ) -> Tuple[str, BatchedEdgeFn]:
+        """Pick the entry for a frame from its metadata.
 
         ``table`` is the one serving-table snapshot the whole frame uses —
         callers read ``self._table`` once and pass it down, so a concurrent
@@ -701,16 +711,13 @@ class EdgeServer:
         """
         name = meta.get("model")
         if (name is None and "conditions" in meta
-                and table.selector is not None and table.edge_fns):
+                and table.selector is not None):
             # Per-frame dispatch only makes sense for frames that announce
             # conditions; anything else goes straight to the default.
             name = table.selector(meta)
-        if name is None or name == table.default_name:
-            return table.default_name, table.default_fn
-        if name not in table.edge_fns:
-            raise KeyError(f"no edge model named {name!r} "
-                           f"(available: {table.model_names()})")
-        return name, table.edge_fns[name]
+        if name is None:
+            name = table.default_name
+        return name, _entry(table, name)
 
     def _handle_hello(self, conn: Connection, session: ServingSession,
                       message: Message) -> None:
@@ -719,17 +726,15 @@ class EdgeServer:
                           "models": table.model_names(),
                           "session_id": session.session_id}
         dispatch_failed = False
-        if ("conditions" in message.meta and table.selector is not None
-                and table.edge_fns):
+        if "conditions" in message.meta and table.selector is not None:
             # The client announced its runtime conditions: dispatch once per
             # connection and tell the device which entry to run.  A failing
             # or misconfigured dispatch must surface in the acknowledgement,
             # not hang the client waiting for one.
             try:
                 name = table.selector(message.meta)
-                if name is not None and name not in table.edge_fns:
-                    raise KeyError(f"dispatcher selected unknown model {name!r} "
-                                   f"(available: {sorted(table.edge_fns)})")
+                if name is not None:
+                    _entry(table, name)  # the check its frames will meet
                 ack_meta["model"] = name
             except Exception as exc:
                 dispatch_failed = True
@@ -760,7 +765,7 @@ class EdgeServer:
                                   enqueued_at=time.monotonic())
         table = self._table
         try:
-            name, edge_fn = self._resolve(message.meta, table)
+            name, entry = self._resolve(message.meta, table)
         except Exception:  # unknown model / selector failure: per-frame error
             self._reply_error(request)
             return None
@@ -774,11 +779,7 @@ class EdgeServer:
             return None
         request.expires_at = decision.expires_at
         request.priority = decision.priority
-        if self._batcher is not None and name in table.batch_fns:
-            # Entries without a batched callable stay on the direct path
-            # below: funnelling them through a per-entry collector thread
-            # would serialize their (possibly thread-safe) edge callables
-            # and add up to max_wait_ms of queueing with nothing to batch.
+        if self._batcher is not None:
             if not self._batcher.submit(name, request):
                 # Batcher already stopped: the server is shutting down and
                 # this connection is about to be torn down; drop the frame
@@ -788,7 +789,7 @@ class EdgeServer:
 
         def run_frame() -> None:
             if self._release([request]):
-                self._run_frame(request, name, edge_fn)
+                self._run_frame(request, name, entry)
 
         return run_frame
 
@@ -821,9 +822,10 @@ class EdgeServer:
                              self._scheduler.policy.retry_after_ms,
                              batch_index=batch_index)
 
-    def _run_frame(self, request: _PendingRequest, name: str, edge_fn: EdgeFn,
+    def _run_frame(self, request: _PendingRequest, name: str,
+                   entry: BatchedEdgeFn,
                    batch_index: Optional[int] = None) -> None:
-        """Execute one frame through ``edge_fn`` and reply.
+        """Execute one frame through ``entry`` as a batch of one and reply.
 
         The one per-frame execution path: the direct path runs it with
         ``batch_index=None``, the batcher's per-frame fallback with the
@@ -833,8 +835,8 @@ class EdgeServer:
         """
         try:
             started = time.perf_counter()
-            arrays, meta = edge_fn(request.message.arrays,
-                                   request.message.meta)
+            [(arrays, meta)] = _run_entry(
+                entry, name, [(request.message.arrays, request.message.meta)])
             elapsed = time.perf_counter() - started
         except FrameExpiredError:
             self._shed(request, REJECT_REASON_DEADLINE, batch_index)
@@ -851,13 +853,12 @@ class EdgeServer:
     def _dispatch_batch(self, name: str, requests: List[_PendingRequest]) -> bool:
         """Execute one micro-batch for zoo entry ``name`` and reply per frame.
 
-        Called by the :class:`MicroBatcher` collector threads.  An entry
-        with a batched callable *always* executes a coalesced batch through
-        it — a 1-frame tail batch included, so ``batches_dispatched`` and
-        the size histogram count exactly the batched engine calls — and
-        each frame is charged an equal share of the elapsed time.  When the
-        batched call fails (or the entry lost its batched callable to a hot
-        reload) frames run one by one through :meth:`_run_frame`, so an
+        Called by the :class:`MicroBatcher` collector threads.  Every
+        coalesced batch executes through the entry in one call — a 1-frame
+        tail batch included, so ``batches_dispatched`` and the size
+        histogram count exactly the batched engine calls — and each frame
+        is charged an equal share of the elapsed time.  When that call
+        fails, frames run one by one through :meth:`_run_frame`, so an
         error isolates to the one request that caused it instead of failing
         the whole batch.
 
@@ -872,50 +873,31 @@ class EdgeServer:
         requests = self._release(requests)
         if not requests:
             return True
-        table = self._table
-        batch_fn = table.batch_fns.get(name)
-        if batch_fn is not None:
-            started = time.perf_counter()
-            try:
-                results = list(batch_fn([(request.message.arrays,
-                                          request.message.meta)
-                                         for request in requests]))
-                if len(results) != len(requests):
-                    raise RuntimeError(
-                        f"batched edge callable for {name!r} returned "
-                        f"{len(results)} results for {len(requests)} requests")
-                # Unpack every element *before* the first reply goes out: a
-                # malformed result discovered mid-loop would strand the rest
-                # of the batch with no reply at all (their clients would sit
-                # out the full pipeline timeout instead of getting the
-                # per-frame error the fallback below produces).
-                results = [(arrays, meta) for arrays, meta in results]
-            except Exception:
-                pass  # fall through to the per-frame fallback below
-            else:
-                share = (time.perf_counter() - started) / len(requests)
-                for index, (request, (arrays, meta)) in enumerate(
-                        zip(requests, results)):
-                    self._reply_result(request, name, arrays, meta, share,
-                                       batch_index=index)
-                return True
-        edge_fn = (table.default_fn if name == table.default_name
-                   else table.edge_fns.get(name))
-        if edge_fn is None:
+        try:
+            entry = _entry(self._table, name)
+        except KeyError:
             # The entry vanished between enqueue and dispatch (a hot reload
             # shrank the table); each frame gets a clean per-frame error
             # instead of the whole batch dying unanswered.
             for index, request in enumerate(requests):
-                try:
-                    raise KeyError(f"no edge model named {name!r} "
-                                   f"(available: {table.model_names()})")
-                except KeyError:
-                    self._reply_error(request, batch_index=index)
+                self._reply_error(request, batch_index=index)
             return True
-        for index, request in enumerate(requests):
-            self._run_frame(request, name, edge_fn, index)
-        # Landing here with a batched callable means its call failed.
-        return batch_fn is None
+        started = time.perf_counter()
+        try:
+            results = _run_entry(entry, name,
+                                 [(request.message.arrays,
+                                   request.message.meta)
+                                  for request in requests])
+        except Exception:
+            for index, request in enumerate(requests):
+                self._run_frame(request, name, entry, index)
+            return False
+        share = (time.perf_counter() - started) / len(requests)
+        for index, (request, (arrays, meta)) in enumerate(
+                zip(requests, results)):
+            self._reply_result(request, name, arrays, meta, share,
+                               batch_index=index)
+        return True
 
     def _reply_rejected(self, request: _PendingRequest, reason: str,
                         retry_after_ms: float,

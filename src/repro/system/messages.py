@@ -132,8 +132,8 @@ _LAYOUT_ZP = "zp"
 # no re-encoding; array payloads are straight memcpys).  Every request and
 # every reply on that hop is *one* self-contained envelope: a ``"frame"``
 # request carries N >= 1 frames (see :func:`pack_frames`) plus
-# ``meta["entry"]`` and ``meta["batched"]`` (run them as one micro-batch or
-# one by one), and its ``"result"`` reply carries the N results the same
+# ``meta["entry"]`` (the zoo entry whose batched router runs them as one
+# micro-batch), and its ``"result"`` reply carries the N results the same
 # way; ``Message.frame_id`` is the correlation id that matches the two.
 # Beyond the socket kinds (``"frame"``/``"result"``/``"error"``/``"stop"``),
 # shards speak the control kinds below.

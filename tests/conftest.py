@@ -95,6 +95,13 @@ def wait_until_fixture():
     return wait_until
 
 
+def per_frame(edge_fn):
+    """A per-frame ``edge_fn(arrays, meta)`` as the batched callable an
+    ``EdgeServer`` entry takes — the same lift the server applies to its
+    positional default ``edge_fn``."""
+    return lambda frames: [edge_fn(*frame) for frame in frames]
+
+
 @contextlib.contextmanager
 def fake_peer(handler):
     """A throwaway localhost listener whose job is to misbehave.

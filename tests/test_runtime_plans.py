@@ -621,7 +621,7 @@ class TestArenaRelease:
         first = repo.snapshot()
         frame = _point_cloud_frames(count=1)[0]
         arrays, meta = repo.device_fn("m")(frame)
-        repo.edge_fns()["m"](arrays, meta)
+        repo.batch_fns()["m"]([(arrays, meta)])
         pooled = sum(serving.arena_nbytes()
                      for serving in first.callables.values())
         assert pooled > 0

@@ -369,7 +369,7 @@ class TestClusterFailover:
 
             def request():
                 try:
-                    node.request_frame("m", arrays, meta)
+                    node.request("m", [(arrays, meta)])[0]
                 except Exception as exc:
                     failures.append(exc)
 
@@ -400,7 +400,7 @@ class TestClusterFailover:
 
                 def request():
                     try:
-                        node.request_frame("m", arrays, meta)
+                        node.request("m", [(arrays, meta)])[0]
                     except Exception as exc:
                         failures.append(exc)
 
@@ -448,7 +448,7 @@ class TestClusterFailover:
                 def request():
                     try:
                         outcome.append(("ok",
-                                        node.request_frame("m", arrays, meta)))
+                                        node.request("m", [(arrays, meta)])[0]))
                     except Exception as exc:
                         outcome.append(("error", exc))
 
@@ -569,8 +569,7 @@ class TestNodeTransport:
             def frame_wire(frame_id: int) -> bytes:
                 blob = serialize_message(
                     Message(kind="frame", frame_id=frame_id, arrays=arrays,
-                            meta={"entry": "m", "frames": metas,
-                                  "batched": False}),
+                            meta={"entry": "m", "frames": metas}),
                     wire_format=WIRE_FORMAT_RAW)
                 return struct.pack(_LENGTH_FORMAT, len(blob)) + blob
 

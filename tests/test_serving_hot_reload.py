@@ -28,6 +28,8 @@ from repro.serving import (SNAPSHOT_META_KEY, BatchingConfig, ModelRepository,
                            ServingConfig, serve)
 from repro.system import EdgeServer, DeviceClient
 
+from conftest import per_frame
+
 
 def _arch(name: str, k: int, width: int) -> Architecture:
     return Architecture(ops=(
@@ -148,22 +150,22 @@ class TestSnapshotPinning:
         in_flight = [device_fn(frame) for frame in frames]
         # ...then a publish lands while it is "on the wire".
         repo.publish(ZOO_V2)
-        edge_fn = repo.edge_fns()["m"]
-        for (arrays, meta), expected in zip(in_flight, ref_v1):
-            np.testing.assert_allclose(edge_fn(arrays, meta)[0]["logits"],
+        route = repo.batch_fns()["m"]
+        for state, expected in zip(in_flight, ref_v1):
+            np.testing.assert_allclose(route([state])[0][0]["logits"],
                                        expected, atol=1e-8)
         # New frames flow wholly through v2.
         for frame, expected in zip(frames, ref_v2):
-            arrays, meta = device_fn(frame)
-            np.testing.assert_allclose(edge_fn(arrays, meta)[0]["logits"],
-                                       expected, atol=1e-8)
+            np.testing.assert_allclose(
+                route([device_fn(frame)])[0][0]["logits"], expected,
+                atol=1e-8)
 
     def test_unpinned_frame_served_by_current_snapshot(self):
         frames = _frames(1)
         repo = ModelRepository(in_dim=3, num_classes=3, zoo=ZOO_V1)
         arrays, meta = repo.device_fn("m")(frames[0])
         meta.pop(SNAPSHOT_META_KEY)
-        logits = repo.edge_fns()["m"](arrays, meta)[0]["logits"]
+        logits = repo.batch_fns()["m"]([(arrays, meta)])[0][0]["logits"]
         np.testing.assert_allclose(logits,
                                    _reference_logits(ZOO_V1, frames)[0],
                                    atol=1e-8)
@@ -179,7 +181,7 @@ class TestSnapshotPinning:
         zoo_same_device = ArchitectureZoo([ZooEntry(
             "m", _arch("m", k=4, width=32), 0.9, 40.0, 0.4)])
         repo.publish(zoo_same_device)
-        logits = repo.edge_fns()["m"](arrays, meta)[0]["logits"]
+        logits = repo.batch_fns()["m"]([(arrays, meta)])[0][0]["logits"]
         np.testing.assert_allclose(
             logits, _reference_logits(zoo_same_device, frames)[0], atol=1e-8)
 
@@ -198,16 +200,16 @@ class TestSnapshotPinning:
         repo.publish(ZOO_V2)  # drops "extra"; v1 stays retained
         # The routing tables still cover every retained snapshot's names...
         assert repo.serving_names() == ["extra", "m"]
-        edge_fn = repo.edge_fns()["extra"]
-        for (arrays, meta), expected in zip(in_flight, ref_extra):
-            np.testing.assert_allclose(edge_fn(arrays, meta)[0]["logits"],
+        route = repo.batch_fns()["extra"]
+        for state, expected in zip(in_flight, ref_extra):
+            np.testing.assert_allclose(route([state])[0][0]["logits"],
                                        expected, atol=1e-8)
         # ...while a fresh (unpinned) frame for the dropped entry fails
         # cleanly against the current snapshot.
         arrays, meta = in_flight[0]
         with pytest.raises(KeyError, match="extra"):
-            edge_fn(arrays, {k: v for k, v in meta.items()
-                             if k != SNAPSHOT_META_KEY})
+            route([(arrays, {k: v for k, v in meta.items()
+                             if k != SNAPSHOT_META_KEY})])
 
     def test_batched_router_groups_mixed_snapshots(self):
         frames = _frames(4)
@@ -252,32 +254,32 @@ class TestInstallTable:
     def test_invalid_table_rejected_and_old_table_kept(self):
         echo = lambda arrays, meta: (dict(arrays), {})
         server = EdgeServer(echo)
-        with pytest.raises(ValueError, match="batch_fns"):
-            server.install_table(echo, batch_fns={"typo": lambda reqs: reqs})
+        old = server.table
+        with pytest.raises(ValueError, match="reserved"):
+            server.install_table(echo, batch_fns={"default": per_frame(echo)})
         with pytest.raises(ValueError, match="edge_fn"):
             server.install_table()
-        assert server.table.default_fn is echo  # old table untouched
+        assert server.table is old  # old table untouched
         server.stop()
 
     def test_table_mappings_are_read_only(self):
         """Editing the live table must fail loudly: install a new one."""
         echo = lambda arrays, meta: (dict(arrays), {})
-        server = EdgeServer(edge_fns={"a": echo})
+        server = EdgeServer(batch_fns={"a": per_frame(echo)})
         with pytest.raises(TypeError):
-            server.table.edge_fns["b"] = echo
-        with pytest.raises(TypeError):
-            server.table.batch_fns["b"] = lambda reqs: list(reqs)
+            server.table.entries["b"] = per_frame(echo)
         with pytest.raises(AttributeError):
-            server.table.default_fn = echo
+            server.table.default_name = "b"
         with pytest.raises(AttributeError):
             server.table = server.table
         server.stop()
 
     def test_table_snapshot_visible(self):
         echo = lambda arrays, meta: (dict(arrays), {})
-        server = EdgeServer(edge_fns={"a": echo})
+        server = EdgeServer(batch_fns={"a": per_frame(echo)})
         assert server.table.model_names() == ["a"]
-        server.install_table(edge_fns={"b": echo, "c": echo})
+        server.install_table(batch_fns={"b": per_frame(echo),
+                                        "c": per_frame(echo)})
         assert server.table.model_names() == ["b", "c"]
         assert server.table.default_name == "b"
         server.stop()

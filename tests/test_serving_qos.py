@@ -369,8 +369,7 @@ class TestQosEndToEnd:
             executed.extend(items)
             return [({"y": arrays["x"]}, meta) for arrays, meta in items]
 
-        server = EdgeServer(_echo_fn,
-                            batch_fns={"default": counting_batch},
+        server = EdgeServer(batch_fns={"default": counting_batch},
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=10.0)).start()
         try:
@@ -400,7 +399,7 @@ class TestQosEndToEnd:
             return [({"y": arrays["x"] * 2.0}, meta)
                     for arrays, meta in items]
 
-        server = EdgeServer(_echo_fn, batch_fns={"default": slow_batch},
+        server = EdgeServer(batch_fns={"default": slow_batch},
                             batching=BatchingConfig(max_batch_size=4,
                                                     max_wait_ms=1.0),
                             qos=QosConfig(max_queue_depth=8, fairness=True,
@@ -709,7 +708,7 @@ class TestQosShardingInteraction:
         # The batched path queues frames on either frontend (the threaded
         # one executes direct frames inline, so only the batch queue can
         # actually fill there).
-        server = EdgeServer(_echo_fn, batch_fns={"default": slow_batch},
+        server = EdgeServer(batch_fns={"default": slow_batch},
                             config=ServerConfig(frontend=frontend,
                                                 max_workers=1),
                             batching=BatchingConfig(max_batch_size=2,

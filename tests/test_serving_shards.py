@@ -316,7 +316,7 @@ class TestShardCrash:
 
             def request():
                 try:
-                    shard.request_frame("m", arrays, meta)
+                    shard.request("m", [(arrays, meta)])
                 except Exception as exc:
                     failures.append(exc)
 

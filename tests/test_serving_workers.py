@@ -15,6 +15,7 @@ import multiprocessing
 import queue
 import socket
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +119,11 @@ def _frame(value: float):
     return {"x": np.full(3, value)}, {"tag": value}
 
 
+def _request_one(link: WorkerLink, frame):
+    """A lone frame through the link: a request of one, its result back."""
+    return link.request("m", [frame])[0]
+
+
 def test_ready_handshake_reports_version_and_pid(wired):
     link, _, crashes = wired
     assert link.alive and link.snapshot_version == 3 and link.pid == 7
@@ -126,14 +132,13 @@ def test_ready_handshake_reports_version_and_pid(wired):
 
 def test_replies_complete_out_of_order_by_correlation_id(wired):
     link, peer, _ = wired
-    first = _Call(link.request_frame, "m", *_frame(1.0))
+    first = _Call(_request_one, link, _frame(1.0))
     request_a = peer.recv()
-    second = _Call(link.request_frame, "m", *_frame(2.0))
+    second = _Call(_request_one, link, _frame(2.0))
     request_b = peer.recv()
     assert request_a.kind == request_b.kind == KIND_FRAME
     assert request_a.frame_id != request_b.frame_id
-    assert request_a.meta == {"entry": "m", "frames": [{"tag": 1.0}],
-                              "batched": False}
+    assert request_a.meta == {"entry": "m", "frames": [{"tag": 1.0}]}
     # Answer the later request first: only it may complete.
     peer.result(request_b, 20.0)
     arrays, meta = second.done().outcome
@@ -143,6 +148,8 @@ def test_replies_complete_out_of_order_by_correlation_id(wired):
     assert first.done().outcome[1] == {"value": 10.0}
     counters = link.counters()
     assert counters["frames"] == 2 and counters["errors"] == 0
+    # Every request is a batch: one envelope each, however many frames.
+    assert counters["batches"] == 2
     assert counters["service_time_s"] == pytest.approx(0.5)
     assert counters["bytes_sent"] > 0 and counters["bytes_received"] > 0
 
@@ -151,10 +158,10 @@ def test_replies_complete_out_of_order_by_correlation_id(wired):
 def test_a_request_is_one_envelope_each_way(wired, count):
     link, peer, _ = wired
     frames = [_frame(float(i)) for i in range(count)]
-    call = _Call(link.request, "m", frames, True)
+    call = _Call(link.request, "m", frames)
     request = peer.recv()
     assert request.kind == KIND_FRAME
-    assert request.meta == {"entry": "m", "batched": True,
+    assert request.meta == {"entry": "m",
                             "frames": [meta for _, meta in frames]}
     assert set(request.arrays) == {f"{i}/x" for i in range(count)}
     shipped = unpack_frames(request.arrays, request.meta["frames"])
@@ -179,7 +186,7 @@ def test_empty_request_never_reaches_the_channel(wired):
     link.request_timeout_s = 1.0
     pool = WorkerPool(None, None, 1, 1.0)
     pool._pick = lambda name: link
-    for call in (_Call(link.request, "m", [], True),
+    for call in (_Call(link.request, "m", []),
                  _Call(pool.batch_fn("m"), [])):
         assert call.done(timeout=0.5).outcome == [] and call.error is None
     assert link.alive and link.in_flight() == 0
@@ -187,11 +194,27 @@ def test_empty_request_never_reaches_the_channel(wired):
     assert peer.recv(timeout=0.2) is None, "bytes reached the worker"
 
 
+def test_one_frame_view_ships_a_request_of_one(wired):
+    """``WorkerPool.edge_fns`` — the hop the e2e harness's layer walk
+    times — is the batched route spelled for one frame."""
+    link, peer, _ = wired
+    pool = WorkerPool(SimpleNamespace(serving_names=lambda: ["m"]), None,
+                      1, 1.0)
+    pool._pick = lambda name: link
+    call = _Call(pool.edge_fns()["m"], *_frame(1.0))
+    request = peer.recv()
+    assert request.meta == {"entry": "m", "frames": [{"tag": 1.0}]}
+    peer.result(request, 7.0)
+    arrays, meta = call.done().outcome
+    assert meta == {"value": 7.0} and arrays["y"].tolist() == [7.0, 7.0]
+    assert link.counters()["batches"] == link.counters()["frames"] == 1
+
+
 def test_execution_error_fails_one_request_not_the_link(wired):
     link, peer, _ = wired
-    failing = _Call(link.request, "m", [_frame(1.0), _frame(2.0)], True)
+    failing = _Call(link.request, "m", [_frame(1.0), _frame(2.0)])
     request = peer.recv()
-    bystander = _Call(link.request_frame, "m", *_frame(3.0))
+    bystander = _Call(_request_one, link, _frame(3.0))
     other = peer.recv()
     peer.reply(Message(kind=KIND_ERROR, frame_id=request.frame_id,
                        meta={"error": "KeyError: 'm'",
@@ -208,9 +231,9 @@ def test_execution_error_fails_one_request_not_the_link(wired):
 
 def test_crash_fails_every_in_flight_request(wired):
     link, peer, crashes = wired
-    calls = [_Call(link.request_frame, "m", *_frame(float(i)))
+    calls = [_Call(_request_one, link, _frame(float(i)))
              for i in range(2)]
-    calls.append(_Call(link.request, "m", [_frame(5.0), _frame(6.0)], True))
+    calls.append(_Call(link.request, "m", [_frame(5.0), _frame(6.0)]))
     wait_until(lambda: link.in_flight() == 3, message="requests in flight")
     # in_flight counts a request from registration; one crashed before
     # its send reads "not connected" instead of the crash reason.  Drain
@@ -228,13 +251,13 @@ def test_crash_fails_every_in_flight_request(wired):
     link.mark_crashed("second opinion")  # first reason wins, hook fires once
     assert link.death_reason == "scripted crash" and crashes == [1]
     with pytest.raises(link.crash_error):
-        link.request_frame("m", *_frame(9.0))
+        link.request("m", [_frame(9.0)])
 
 
 def test_timeout_poisons_the_link_and_late_reply_is_ignored(wired):
     link, peer, crashes = wired
     link.request_timeout_s = 0.2
-    call = _Call(link.request_frame, "m", *_frame(1.0))
+    call = _Call(_request_one, link, _frame(1.0))
     request = peer.recv()
     error = call.done().error
     assert isinstance(error, link.crash_error) and "0.2s" in str(error)
@@ -250,7 +273,7 @@ def test_reply_for_forgotten_correlation_id_is_dropped(wired):
     peer.reply(Message(kind=KIND_RESULT, frame_id=999, arrays={},
                        meta={"frame": {}, "service_time_s": 1.0}))
     peer.reply(Message(kind=KIND_ERROR, frame_id=998, meta={"error": "x"}))
-    call = _Call(link.request_frame, "m", *_frame(1.0))
+    call = _Call(_request_one, link, _frame(1.0))
     peer.result(peer.recv(), 4.0)
     assert call.done().outcome[1] == {"value": 4.0}
     counters = link.counters()
@@ -263,13 +286,13 @@ def test_oversize_envelope_raises_before_any_byte_is_written(wired):
         pytest.skip("the pipe transport carries messages of any size")
     big = ({"x": np.zeros(LIMIT)}, {})
     with pytest.raises(ValueError, match="message limit"):
-        link.request_frame("m", *big)
+        link.request("m", [big])
     # A request whose *last* frame is oversized writes nothing at all.
     with pytest.raises(ValueError, match="message limit"):
-        link.request("m", [_frame(1.0), _frame(2.0), big], True)
+        link.request("m", [_frame(1.0), _frame(2.0), big])
     assert peer.recv(timeout=0.2) is None, "bytes reached the worker"
     assert link.alive and link.in_flight() == 0
-    call = _Call(link.request_frame, "m", *_frame(1.0))
+    call = _Call(_request_one, link, _frame(1.0))
     peer.result(peer.recv(), 1.0)
     assert call.done().error is None
 
@@ -315,7 +338,7 @@ def test_bootstrap_error_surfaces_the_worker_traceback(kind):
 
 def test_carry_counters_continues_the_stats_row(wired):
     link, peer, _ = wired
-    call = _Call(link.request_frame, "m", *_frame(1.0))
+    call = _Call(_request_one, link, _frame(1.0))
     peer.result(peer.recv(), 1.0)
     call.done()
     link.mark_crashed("replaced")
@@ -387,16 +410,17 @@ def test_replica_core_answers_a_stale_batched_request_with_one_error():
     try:
         with pytest.raises(RuntimeError, match="pinned to snapshot v99") \
                 as caught:
-            link.request("m", stale, True)
+            link.request("m", stale)
         assert not isinstance(caught.value, ConnectionError)
         assert worker.sent == 1, "the stale batch cost more than one reply"
-        served = link.request("m", frames, True)
+        served = link.request("m", frames)
         assert worker.sent == 2 and not link.crashed
         for (got, _), (want, _) in zip(served,
                                        repository.batch_router("m")(frames)):
             np.testing.assert_allclose(got["logits"], want["logits"],
                                        atol=1e-9)
         assert link.counters()["frames"] == len(frames)
+        assert link.counters()["batches"] == 1  # the one request served
     finally:
         _EnvelopeChannel(parent).reply(Message(kind=KIND_STOP))
         serving.join(timeout=5.0)

@@ -203,7 +203,7 @@ class TestMicroBatchingServing:
             return _batch_edge_fn(requests)
 
         num_clients, frames_per_client = 4, 6
-        server = EdgeServer(_edge_fn, batch_fns={"default": gated_batch_fn},
+        server = EdgeServer(batch_fns={"default": gated_batch_fn},
                             config=ServerConfig(max_workers=num_clients),
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=20.0)).start()
@@ -276,8 +276,7 @@ class TestMicroBatchingServing:
             sizes.append(len(requests))
             return _batch_edge_fn(requests)
 
-        server = EdgeServer(_edge_fn,
-                            batch_fns={"default": counting_batch_fn},
+        server = EdgeServer(batch_fns={"default": counting_batch_fn},
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=40.0)).start()
         client = DeviceClient(server.host, server.port)
@@ -300,12 +299,18 @@ class TestMicroBatchingServing:
         assert stats.batches_dispatched == 1
         assert stats.batch_fallback_frames == 0
 
-    def test_failing_single_frame_batch_falls_back_to_edge_fn(self):
-        def broken_batch_fn(requests):
-            raise RuntimeError("batched path is down")
+    def test_failing_single_frame_batch_is_rerun_as_a_batch_of_one(self):
+        """A failed 1-frame batch is re-run per frame — through the same
+        entry, so a transient failure costs a retry, not an error."""
+        calls = []
 
-        server = EdgeServer(_edge_fn,
-                            batch_fns={"default": broken_batch_fn},
+        def flaky_batch_fn(requests):
+            calls.append(len(requests))
+            if len(calls) == 1:
+                raise RuntimeError("batched path hiccuped")
+            return _batch_edge_fn(requests)
+
+        server = EdgeServer(batch_fns={"default": flaky_batch_fn},
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=10.0)).start()
         client = DeviceClient(server.host, server.port)
@@ -319,6 +324,7 @@ class TestMicroBatchingServing:
             client.close()
             server.stop()
         stats = server.stats()
+        assert calls == [1, 1]
         assert stats.batch_size_histogram == {1: 1}
         assert stats.batch_fallback_frames == 1
         assert stats.errors == 0
@@ -337,9 +343,7 @@ class TestMicroBatchingServing:
                 return {"x": np.asarray(frame, dtype=np.float64)}, {"tag": tag}
             return device_fn
 
-        echo = lambda arrays, meta: ({"y": arrays["x"]}, {})
-        server = EdgeServer(edge_fns={"a": echo, "b": echo},
-                            batch_fns={"a": make_batch_fn("a"),
+        server = EdgeServer(batch_fns={"a": make_batch_fn("a"),
                                        "b": make_batch_fn("b")},
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=50.0)).start()
@@ -382,8 +386,7 @@ class TestMicroBatchingServing:
             # offending frame.
             return [flaky_edge_fn(arrays, meta) for arrays, meta in requests]
 
-        server = EdgeServer(flaky_edge_fn,
-                            batch_fns={"default": flaky_batch_fn},
+        server = EdgeServer(batch_fns={"default": flaky_batch_fn},
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=100.0)).start()
         good_results = {}
@@ -438,45 +441,48 @@ class TestMicroBatchingServing:
         assert stats.batch_fallback_frames >= 1
 
     def test_malformed_batch_results_fall_back_per_frame(self):
-        """Right-length but malformed results must not strand the batch tail."""
+        """Right-length but malformed results must not strand the batch tail.
+
+        The callable is malformed for every input, so the per-frame
+        fallback (each frame a batch of one through the same entry) answers
+        every frame with an error — promptly, not by pipeline timeout.
+        """
         def malformed_batch_fn(requests):
             # Correct length, but elements are not (arrays, meta) pairs.
             return [None for _ in requests]
 
-        server = EdgeServer(_edge_fn,
-                            batch_fns={"default": malformed_batch_fn},
+        server = EdgeServer(batch_fns={"default": malformed_batch_fn},
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=100.0)).start()
-        outputs = {}
-        errors = []
+        failures = {}
 
         def run_client(index):
             client = DeviceClient(server.host, server.port)
             try:
-                frames = [np.full((2, 2), index + 1, dtype=float)] * 2
-                results, _ = client.run_pipeline(frames, _device_fn,
-                                                 timeout_s=15.0)
-                outputs[index] = (frames, results)
+                client.run_pipeline([np.full((2, 2), index + 1.0)],
+                                    _device_fn, timeout_s=15.0)
             except Exception as exc:
-                errors.append((index, exc))
+                failures[index] = exc
             finally:
                 client.close()
 
         threads = [threading.Thread(target=run_client, args=(i,))
-                   for i in range(2)]
+                   for i in range(4)]
+        started = time.perf_counter()
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30.0)
+        elapsed = time.perf_counter() - started
         server.stop()
-        # Every frame was answered via the per-frame fallback — nobody
-        # timed out waiting for a reply that never came.
-        assert not errors, f"client failures: {errors}"
-        for frames, results in outputs.values():
-            for frame, result in zip(frames, results):
-                np.testing.assert_array_equal(result.arrays["y"], frame * 2.0)
+        assert sorted(failures) == [0, 1, 2, 3]
+        for exc in failures.values():
+            assert isinstance(exc, RuntimeError)
+            assert "NoneType" in str(exc)
+        assert elapsed < 10.0  # answered, not timed out
         stats = server.stats()
-        assert stats.frames_processed == 4
+        assert stats.frames_processed == 0
+        assert stats.errors == 4
         # Every batched call failed, so every frame fell back.
         assert stats.batch_fallback_frames == 4
 
@@ -495,7 +501,6 @@ class TestMicroBatchingServing:
                                         0.9, 50.0, 0.5)])
         serving = build_zoo_callables(zoo, in_dim=3, num_classes=5, seed=0)
         server = EdgeServer(
-            edge_fns={"served": serving["served"].edge_fn},
             batch_fns={"served": serving["served"].batch_fn},
             batching=BatchingConfig(max_batch_size=4,
                                     max_wait_ms=30.0)).start()
@@ -560,8 +565,7 @@ class TestMicroBatchingServing:
         with pytest.raises(ValueError, match="pos"):
             entry.batch_fn(states)
 
-        server = EdgeServer(edge_fns={"served": entry.edge_fn},
-                            batch_fns={"served": entry.batch_fn},
+        server = EdgeServer(batch_fns={"served": entry.batch_fn},
                             batching=BatchingConfig(max_batch_size=2,
                                                     max_wait_ms=2000.0)).start()
         client = DeviceClient(server.host, server.port, model="served")
@@ -579,30 +583,6 @@ class TestMicroBatchingServing:
         assert stats.batch_size_histogram == {2: 1}
         assert stats.batch_fallback_frames == 2
 
-    def test_rejects_batch_fn_without_edge_fn(self):
-        with pytest.raises(ValueError, match="batch_fns"):
-            EdgeServer(_edge_fn, batch_fns={"typo": _batch_edge_fn},
-                       batching=BatchingConfig(max_batch_size=4))
-        with pytest.raises(ValueError, match="max_batch_size"):
-            EdgeServer(_edge_fn, batching=BatchingConfig(max_batch_size=0))
-
-    def test_entries_without_batch_fn_bypass_the_batcher(self):
-        """No batched callable -> direct concurrent per-frame path, no queueing."""
-        server = EdgeServer(_edge_fn, batching=BatchingConfig(
-            max_batch_size=8, max_wait_ms=200.0)).start()
-        client = DeviceClient(server.host, server.port)
-        try:
-            results, _ = client.run_pipeline([np.ones((2, 2))] * 3, _device_fn,
-                                             timeout_s=10.0)
-            # Served directly by the handler thread, not via the batcher.
-            assert all(result.batch_index is None for result in results)
-        finally:
-            client.close()
-            server.stop()
-        stats = server.stats()
-        assert stats.frames_processed == 3
-        assert stats.batches_dispatched == 0
-
     def test_reply_after_session_eviction_books_into_aggregate(self):
         """Late batcher replies must not mutate an already-evicted session."""
         from repro.system.engine import ServingSession, _PendingRequest
@@ -613,7 +593,7 @@ class TestMicroBatchingServing:
             def send_bytes(self, blob):
                 return len(blob)
 
-        server = EdgeServer(_edge_fn, batch_fns={"default": _batch_edge_fn},
+        server = EdgeServer(batch_fns={"default": _batch_edge_fn},
                             batching=BatchingConfig(max_batch_size=2))
         try:
             session = ServingSession(session_id=99, peer="test")
@@ -676,7 +656,7 @@ class TestQueueDepthStats:
             release.wait(timeout=60.0)
             return _batch_edge_fn(requests)
 
-        server = EdgeServer(_edge_fn, batch_fns={"default": gated_batch_fn},
+        server = EdgeServer(batch_fns={"default": gated_batch_fn},
                             config=ServerConfig(max_workers=4),
                             batching=BatchingConfig(max_batch_size=1024,
                                                     max_wait_ms=0.0)).start()

@@ -19,6 +19,8 @@ from repro.serving import ClientConfig, ServerConfig, build_zoo_callables
 from repro.gnn import OpSpec, OpType
 from repro.system import DeviceClient, EdgeServer
 
+from conftest import per_frame
+
 
 def _device_fn(frame):
     return {"x": np.asarray(frame, dtype=np.float64)}, {"scale": 2.0}
@@ -138,7 +140,8 @@ class TestConcurrentServing:
         assert server.stats().frames_processed == 10
 
     def test_hello_handshake_reports_server_info(self):
-        server = EdgeServer(_edge_fn, edge_fns={"only": _edge_fn}).start()
+        server = EdgeServer(_edge_fn,
+                            batch_fns={"only": per_frame(_edge_fn)}).start()
         client = DeviceClient(server.host, server.port, client_name="probe")
         try:
             info = client.handshake()
@@ -210,8 +213,8 @@ class TestConcurrentServing:
             server.stop()
 
     def test_default_frames_attributed_to_real_entry_name(self):
-        """edge_fns-only servers book untagged frames under the entry that ran."""
-        server = EdgeServer(edge_fns={"only": _edge_fn}).start()
+        """batch_fns-only servers book untagged frames under the entry that ran."""
+        server = EdgeServer(batch_fns={"only": per_frame(_edge_fn)}).start()
         client = DeviceClient(server.host, server.port)
         try:
             client.run_pipeline([np.ones((2, 2))], _device_fn, timeout_s=10.0)
@@ -227,7 +230,7 @@ class TestConcurrentServing:
             EdgeServer(_edge_fn, config=ServerConfig(max_workers=0))
         # A named entry the default would shadow is a misconfiguration.
         with pytest.raises(ValueError, match="reserved"):
-            EdgeServer(_edge_fn, edge_fns={"default": _edge_fn})
+            EdgeServer(_edge_fn, batch_fns={"default": per_frame(_edge_fn)})
 
 
 class TestErrorPropagation:
@@ -326,7 +329,7 @@ class TestErrorPropagation:
         def broken_selector(meta):
             raise ValueError("bad conditions payload")
 
-        server = EdgeServer(edge_fns={"only": _edge_fn},
+        server = EdgeServer(batch_fns={"only": per_frame(_edge_fn)},
                             selector=broken_selector).start()
         client = DeviceClient(server.host, server.port,
                               conditions={"latency_budget_ms": "not-a-number"})
@@ -346,8 +349,8 @@ class TestErrorPropagation:
             server.stop()
         assert server.stats().errors == 1
 
-    def test_dispatched_model_missing_from_edge_fns_is_reported(self):
-        server = EdgeServer(edge_fns={"present": _edge_fn},
+    def test_dispatched_model_missing_from_batch_fns_is_reported(self):
+        server = EdgeServer(batch_fns={"present": per_frame(_edge_fn)},
                             selector=lambda meta: "absent").start()
         client = DeviceClient(server.host, server.port,
                               conditions={"latency_budget_ms": 10.0})
@@ -480,7 +483,8 @@ class TestErrorPropagation:
                 client.close()
 
     def test_unknown_model_is_reported_not_fatal(self):
-        server = EdgeServer(_edge_fn, edge_fns={"known": _edge_fn}).start()
+        server = EdgeServer(_edge_fn,
+                            batch_fns={"known": per_frame(_edge_fn)}).start()
         client = DeviceClient(server.host, server.port, model="missing")
         try:
             with pytest.raises(RuntimeError, match="missing"):
@@ -510,7 +514,8 @@ class TestDispatchedServing:
         dispatcher = RuntimeDispatcher(self._zoo())
         doubler = lambda arrays, meta: ({"y": arrays["x"] * 2.0}, {"model": "fast"})
         tripler = lambda arrays, meta: ({"y": arrays["x"] * 3.0}, {"model": "accurate"})
-        server = EdgeServer(edge_fns={"fast": doubler, "accurate": tripler},
+        server = EdgeServer(batch_fns={"fast": per_frame(doubler),
+                                       "accurate": per_frame(tripler)},
                             selector=dispatcher.select_for_meta).start()
         tight = DeviceClient(server.host, server.port, client_name="tight",
                              conditions={"latency_budget_ms": 30.0})
@@ -535,9 +540,8 @@ class TestDispatchedServing:
 
     def test_default_model_name_resolves_on_mixed_server(self):
         """The name stats report for default frames must itself be routable."""
-        server = EdgeServer(_edge_fn,
-                            edge_fns={"other": lambda a, m: ({"y": a["x"] * 3.0}, {})}
-                            ).start()
+        server = EdgeServer(_edge_fn, batch_fns={"other": per_frame(
+            lambda a, m: ({"y": a["x"] * 3.0}, {}))}).start()
         client = DeviceClient(server.host, server.port, model="default")
         try:
             results, _ = client.run_pipeline([np.ones((2, 2))], _device_fn,
@@ -551,8 +555,9 @@ class TestDispatchedServing:
     def test_explicit_model_overrides_selector(self):
         dispatcher = RuntimeDispatcher(self._zoo())
         server = EdgeServer(
-            edge_fns={"fast": lambda a, m: ({"y": a["x"] * 2.0}, {}),
-                      "accurate": lambda a, m: ({"y": a["x"] * 3.0}, {})},
+            batch_fns={
+                "fast": per_frame(lambda a, m: ({"y": a["x"] * 2.0}, {})),
+                "accurate": per_frame(lambda a, m: ({"y": a["x"] * 3.0}, {}))},
             selector=dispatcher.select_for_meta).start()
         client = DeviceClient(server.host, server.port, model="accurate")
         try:
@@ -568,14 +573,14 @@ class TestDispatchedServing:
         from repro.graph.data import Batch
 
         zoo = self._zoo()
-        pairs = {name: (serving.device_fn, serving.edge_fn)
+        pairs = {name: (serving.device_fn, serving.batch_fn)
                  for name, serving in build_zoo_callables(
                      zoo, in_dim=modelnet_profile.feature_dim,
                      num_classes=modelnet_profile.num_classes,
                      seed=0).items()}
         assert set(pairs) == {"accurate", "fast"}
         dispatcher = RuntimeDispatcher(zoo)
-        server = EdgeServer(edge_fns={name: pair[1] for name, pair in pairs.items()},
+        server = EdgeServer(batch_fns={name: pair[1] for name, pair in pairs.items()},
                             selector=dispatcher.select_for_meta).start()
         client = DeviceClient(server.host, server.port,
                               conditions={"latency_budget_ms": 30.0})

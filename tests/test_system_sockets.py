@@ -306,8 +306,7 @@ class TestCoalescedWindowsEndToEnd:
             return plan_batch_fn(requests)
 
         frames = _frames(8)
-        server = EdgeServer(eager_edge_fn,
-                            batch_fns={"default": recording_batch_fn},
+        server = EdgeServer(batch_fns={"default": recording_batch_fn},
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=2.0)).start()
         client = DeviceClient(server.host, server.port)
@@ -339,8 +338,7 @@ class TestCoalescedWindowsEndToEnd:
         one ``sendall`` per message (what the parent commit's client did)
         and the coalescing ``DeviceClient`` are served identically."""
         frames = [np.arange(12.0).reshape(4, 3) + i for i in range(8)]
-        server = EdgeServer(_identity_edge,
-                            batch_fns={"default": _identity_batch},
+        server = EdgeServer(batch_fns={"default": _identity_batch},
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=2.0)).start()
         try:
@@ -385,8 +383,7 @@ class TestCoalescedWindowsEndToEnd:
         leaves room for scheduling noise on a loaded machine.
         """
         frames = [np.zeros((16, 3)) + i for i in range(8)]
-        server = EdgeServer(_identity_edge,
-                            batch_fns={"default": _identity_batch},
+        server = EdgeServer(batch_fns={"default": _identity_batch},
                             batching=BatchingConfig(max_batch_size=8,
                                                     max_wait_ms=2.0)).start()
         client = DeviceClient(server.host, server.port)
