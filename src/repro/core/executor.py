@@ -50,7 +50,7 @@ import numpy as np
 from .. import nn
 from ..graph.data import Batch
 from ..gnn.operations import (ClassifierOp, ExecState, Operation, OpSpec, OpType,
-                              build_operation)
+                              SampleOp, build_operation)
 from ..runtime import InferencePlan, PlanCompileError, compile_plan
 from .architecture import Architecture
 
@@ -265,7 +265,7 @@ def _neighbour_table(edge_index: np.ndarray,
     Every sampled topology has that shape — k incoming edges per node,
     destination-sorted — so the row of centres never needs to travel and
     the sources fit 2 bytes each (N <= 65 536): 41 KB instead of 328 KB
-    for a 1024-point, k=20 frame.  :func:`_wire_edge_index` inverts it.
+    for a 1024-point, k=20 frame.  :func:`_wire_state` inverts it.
     """
     num_edges = edge_index.shape[1]
     if not 0 < num_nodes <= 1 << 16 or num_edges % num_nodes:
@@ -279,28 +279,58 @@ def _neighbour_table(edge_index: np.ndarray,
     return sources.astype(np.uint16).reshape(num_nodes, k)
 
 
-def _wire_edge_index(arrays: ArrayDict) -> Optional[np.ndarray]:
-    """The int64 edge list of one wire frame: its ``edge_index``, or the
-    one its ``nbr`` table stands for (see :func:`_neighbour_table`)."""
-    if "nbr" not in arrays:
-        edge_index = arrays.get("edge_index")
-        return None if edge_index is None else np.asarray(edge_index,
-                                                          dtype=np.int64)
-    nbr, num_nodes = arrays["nbr"], len(arrays["x"])
-    if nbr.ndim != 2 or nbr.shape[0] != num_nodes:
-        raise ValueError(f"neighbour table of shape {nbr.shape} does not "
-                         f"match the frame's {num_nodes} nodes")
-    return np.stack([nbr.reshape(-1).astype(np.int64),
-                     np.repeat(np.arange(num_nodes, dtype=np.int64),
-                               nbr.shape[1])])
+#: Frame metadata marker ``{"pos": "x"}``: the frame's ``pos`` is bitwise
+#: its ``x`` and travels once, as ``x`` (see :func:`_serving_fns`).
+_POS_META_KEY, _POS_IS_X = "pos", "x"
 
 
-def _has_edges(arrays: ArrayDict) -> bool:
-    return "edge_index" in arrays or "nbr" in arrays
+def _wire_state(arrays: ArrayDict, meta: Dict) -> ArrayDict:
+    """One wire frame's arrays as the segment runners read them.
+
+    ``edge_index`` is expanded from the ``nbr`` table (see
+    :func:`_neighbour_table`) and ``pos`` restored from the pos-is-x
+    marker, so plans, the eager runner and ``collate_arrays`` never see
+    either wire shorthand.  A marker with an unknown value, or beside a
+    ``pos`` array, raises ``ValueError``: the frame is refused rather than
+    served on a guess.
+    """
+    alias = meta.get(_POS_META_KEY)
+    if "nbr" not in arrays and alias is None:
+        return arrays
+    arrays = dict(arrays)
+    if "nbr" in arrays:
+        nbr, num_nodes = arrays.pop("nbr"), len(arrays["x"])
+        if nbr.ndim != 2 or nbr.shape[0] != num_nodes:
+            raise ValueError(f"neighbour table of shape {nbr.shape} does not "
+                             f"match the frame's {num_nodes} nodes")
+        arrays["edge_index"] = np.stack([
+            nbr.reshape(-1).astype(np.int64),
+            np.repeat(np.arange(num_nodes, dtype=np.int64), nbr.shape[1])])
+    if alias is not None:
+        if alias != _POS_IS_X:
+            raise ValueError(f"unknown pos marker {alias!r} in the frame "
+                             f"meta (the one marker is {_POS_IS_X!r})")
+        if "pos" in arrays:
+            raise ValueError("frame carries a pos array and the marker "
+                             "that pos is x: refusing to pick one")
+        arrays["pos"] = arrays["x"]
+    return arrays
+
+
+def _edge_reads_pos(model: ArchitectureModel, split: Optional[int]) -> bool:
+    """Whether the edge segment after ``split`` can read ``pos``.
+
+    Only a knn ``Sample`` reads it (a random one never does, and a
+    ``GlobalPool`` drops it), so this is one fact of the architecture,
+    the same for the compiled and the eager runtime.
+    """
+    return split is not None and any(
+        isinstance(operation, SampleOp) and operation.spec.function == "knn"
+        for operation in model._operations[split + 1:])
 
 
 def _serving_fns(run_device: Callable, run_edge: Callable,
-                 split: Optional[int], dtype: np.dtype
+                 split: Optional[int], dtype: np.dtype, reads_pos: bool
                  ) -> Tuple[Callable[[Batch], FrameState],
                             Callable[[ArrayDict, Dict], FrameState],
                             BatchedEdgeFn]:
@@ -310,26 +340,40 @@ def _serving_fns(run_device: Callable, run_edge: Callable,
     ndarray and the state object carrying ``batch`` / ``edge_index`` /
     ``pos`` / ``num_graphs`` / ``pooled``; ``run_edge(arrays, meta)``
     resumes a (possibly collated) wire state and returns ``(logits,
-    num_graphs)``.  Everything else about serving a frame — the wire
-    schema (a sampled topology travels as the ``nbr`` table, see
-    :func:`_neighbour_table`), the ``finished`` echo of Device-Only
-    architectures, collate → run → split — is the same for the compiled
-    and the eager runtime and lives here.
+    num_graphs)``.  Everything else about serving a frame is the same for
+    the compiled and the eager runtime and lives here: the ``finished``
+    echo of Device-Only architectures, collate → run → split, and the wire
+    schema, which ships what the edge segment reads, once:
+
+    * a sampled topology travels as the ``nbr`` table (see
+      :func:`_neighbour_table`);
+    * ``pos`` travels only when ``reads_pos`` (see :func:`_edge_reads_pos`)
+      — and when it is bitwise ``x``, as it is at a Communicate-first cut,
+      only ``x`` travels and the meta carries the marker ``{"pos": "x"}``.
+
+    :func:`_wire_state` undoes both at the top of ``edge_fn`` and per frame
+    in :func:`collate_arrays`.
     """
 
     def device_fn(batch: Batch) -> FrameState:
         x, state = run_device(batch)
         arrays: ArrayDict = {"x": x, "batch": state.batch}
+        meta = {"num_graphs": state.num_graphs, "pooled": state.pooled,
+                "finished": split is None}
         if state.edge_index is not None:
             nbr = _neighbour_table(state.edge_index, x.shape[0])
             if nbr is None:
                 arrays["edge_index"] = state.edge_index
             else:
                 arrays["nbr"] = nbr
-        if state.pos is not None:
-            arrays["pos"] = state.pos
-        return arrays, {"num_graphs": state.num_graphs,
-                        "pooled": state.pooled, "finished": split is None}
+        pos = state.pos if reads_pos else None
+        if pos is not None:
+            if (pos.dtype == x.dtype and pos.shape == x.shape
+                    and pos.tobytes() == x.tobytes()):
+                meta[_POS_META_KEY] = _POS_IS_X
+            else:
+                arrays["pos"] = pos
+        return arrays, meta
 
     def echo(arrays: ArrayDict, meta: Dict) -> FrameState:
         return {"logits": arrays["x"]}, {"num_graphs": meta["num_graphs"]}
@@ -337,9 +381,7 @@ def _serving_fns(run_device: Callable, run_edge: Callable,
     def edge_fn(arrays: ArrayDict, meta: Dict) -> FrameState:
         if meta.get("finished"):
             return echo(arrays, meta)
-        if "nbr" in arrays:
-            arrays = dict(arrays, edge_index=_wire_edge_index(arrays))
-        logits, num_graphs = run_edge(arrays, meta)
+        logits, num_graphs = run_edge(_wire_state(arrays, meta), meta)
         return {"logits": logits}, {"num_graphs": num_graphs}
 
     def batch_fn(requests: Sequence[FrameState]) -> List[FrameState]:
@@ -366,15 +408,15 @@ def collate_arrays(requests: Sequence[FrameState],
     """Merge the serialized states of several frames into one multi-graph state.
 
     Each request is an ``(arrays, meta)`` pair in the wire schema of
-    :func:`split_callables` (``x``/``batch`` plus optional ``pos`` and
-    topology — ``edge_index``, or the ``nbr`` table it is expanded from;
-    ``num_graphs`` / ``pooled`` metadata).  Node rows are
-    concatenated, each frame's batch vector is shifted by the number of
-    graphs collated before it and its edge index by the number of node rows,
-    exactly like :meth:`~repro.graph.data.Batch.from_graphs` builds a
-    disjoint union — so one resumed engine call treats the coalesced frames
-    as independent graphs of a single batch.  Frames must agree on
-    ``pooled`` and on the presence of a topology and of ``pos``
+    :func:`split_callables` (``x``/``batch`` plus optional ``pos`` — or the
+    marker that it is ``x`` — and topology — ``edge_index``, or the ``nbr``
+    table it is expanded from; ``num_graphs`` / ``pooled`` metadata).  Node
+    rows are concatenated, each frame's batch vector is shifted by the
+    number of graphs collated before it and its edge index by the number of
+    node rows, exactly like :meth:`~repro.graph.data.Batch.from_graphs`
+    builds a disjoint union — so one resumed engine call treats the
+    coalesced frames as independent graphs of a single batch.  Frames must
+    agree on ``pooled`` and on the presence of a topology and of ``pos``
     (``ValueError`` otherwise; the engine then serves them frame by frame).
 
     Returns ``(arrays, meta, graph_counts)`` where ``graph_counts`` records
@@ -387,8 +429,9 @@ def collate_arrays(requests: Sequence[FrameState],
     dtype = np.dtype(dtype)
     if not requests:
         raise ValueError("cannot collate an empty batch of frames")
+    requests = [(_wire_state(arrays, meta), meta) for arrays, meta in requests]
     pooled = bool(requests[0][1].get("pooled", False))
-    has_edges = _has_edges(requests[0][0])
+    has_edges = "edge_index" in requests[0][0]
     has_pos = "pos" in requests[0][0]
     xs: List[np.ndarray] = []
     batches: List[np.ndarray] = []
@@ -401,7 +444,8 @@ def collate_arrays(requests: Sequence[FrameState],
         if bool(meta.get("pooled", False)) != pooled:
             raise ValueError("cannot collate pooled and unpooled frames into "
                              "one batch")
-        if _has_edges(arrays) != has_edges or ("pos" in arrays) != has_pos:
+        if (("edge_index" in arrays) != has_edges
+                or ("pos" in arrays) != has_pos):
             # Dropping the array for everyone would sample the frames that
             # sent ``pos`` on ``x`` instead: silently different logits.
             raise ValueError("cannot collate frames with and without "
@@ -411,7 +455,8 @@ def collate_arrays(requests: Sequence[FrameState],
         xs.append(x)
         batches.append(np.asarray(arrays["batch"], dtype=np.int64) + graph_offset)
         if has_edges:
-            edges.append(_wire_edge_index(arrays) + row_offset)
+            edges.append(np.asarray(arrays["edge_index"], dtype=np.int64)
+                         + row_offset)
         if has_pos:
             poss.append(np.asarray(arrays["pos"], dtype=dtype))
         graph_counts.append(num_graphs)
@@ -556,10 +601,9 @@ def _build_callables(model: ArchitectureModel, config: "RuntimeConfig", *,
         calibration = calibrate(model, frames, segments=segments)
     plan = _resolve_plan(model, config, segments, precision, calibration)
     cut = model.first_communicate_index()
-    if plan is None:
-        fns = _serving_fns(*_eager_runners(model, cut), cut, np.float64)
-    else:
-        fns = _serving_fns(*_plan_runners(plan), cut, plan.dtype)
+    runners, dtype = ((_eager_runners(model, cut), np.float64) if plan is None
+                      else (_plan_runners(plan), plan.dtype))
+    fns = _serving_fns(*runners, cut, dtype, _edge_reads_pos(model, cut))
     if lock is not None:
         fns = [_serialized(fn, lock) for fn in fns]
     device_fn, edge_fn, batch_fn = fns

@@ -20,10 +20,18 @@ the arrays' bytes follow in header order, each in one of two layouts:
   payloads survive.
 
 ``wire_format="raw"`` sends the all-dense frame as is; ``"zlib"`` (the
-default) sends the deflated frame, in which zero-heavy float arrays use
-the ``zp`` layout — mirroring the paper's engine, which is built on
-Python sockets and compresses all transmitted data with zlib.  A frame
-with no such array is exactly ``zlib.compress(raw_frame, level)``.
+default) sends a zlib stream of the frame, in which zero-heavy float
+arrays use the ``zp`` layout — mirroring the paper's engine, which is
+built on Python sockets and compresses all transmitted data with zlib.
+The stream is ``zlib.compress(frame, level)`` unless some ``zp`` byte
+plane does not deflate: the low mantissa bytes of real-valued features
+are noise, and deflating them costs most of the compression time for
+< 1 % of their size.  A level-1 probe of each plane's first 4 KB picks
+those planes, and the stream is built from pieces — a raw deflate of the
+rest, the picked planes as *stored* blocks behind a full flush, our own
+zlib header and Adler-32 trailer.  Stock zlib inflates either to the same
+frame.  A frame with no ``zp`` plane of 4 KB or more — a logits reply, a
+64-point request — is exactly ``zlib.compress(frame, level)``.
 
 A receiver tells the two framings apart by the first byte (zlib streams
 begin with ``0x78``), inflates when needed — capped at its message cap,
@@ -221,8 +229,9 @@ def serialize_message(message: Message, compress_level: int = 6,
     ``wire_format`` selects the framing; when ``None`` the message's own
     ``wire_format`` attribute decides, so replies naturally mirror the
     framing their request arrived in.  ``compress_level`` only applies to
-    the zlib framing: the frame deflated, zero-heavy float arrays in the
-    ``zp`` layout (see the module docstring).
+    the zlib framing: a zlib stream of the frame, zero-heavy float arrays
+    in the ``zp`` layout and their incompressible planes stored (see the
+    module docstring).
     """
     wire_format = message.wire_format if wire_format is None else wire_format
     if wire_format not in WIRE_FORMATS:
@@ -237,6 +246,8 @@ def serialize_message(message: Message, compress_level: int = 6,
     if message.batch_index is not None:
         header["batch_index"] = int(message.batch_index)
     chunks = []
+    # Per chunk: ship it in stored blocks (an incompressible ``zp`` plane).
+    stored = []
     specs = []
     for name, array in message.arrays.items():
         # Not np.ascontiguousarray: that turns a 0-d array into shape (1,).
@@ -252,18 +263,84 @@ def serialize_message(message: Message, compress_level: int = 6,
             # A memoryview, not tobytes(): join below then performs the
             # single unavoidable copy of each payload into the frame.
             chunks.append(memoryview(array))
+            stored.append(False)
         else:
             spec.append(_LAYOUT_ZP)
-            chunks.extend(planed)
+            mask, planes = planed
+            chunks.append(mask)
+            stored.append(False)
+            for plane in planes:
+                chunks.append(plane)
+                stored.append(_incompressible(plane))
         specs.append(spec)
     header["arrays"] = specs
     header_bytes = json.dumps(header).encode("utf-8")
-    frame = b"".join([bytes((_RAW_MAGIC, _RAW_VERSION)),
-                      struct.pack(_LENGTH_FORMAT, len(header_bytes)),
-                      header_bytes] + chunks)
+    chunks.insert(0, bytes((_RAW_MAGIC, _RAW_VERSION))
+                  + struct.pack(_LENGTH_FORMAT, len(header_bytes))
+                  + header_bytes)
+    stored.insert(0, False)
+    if any(stored):
+        return _pieced_zlib(chunks, stored, compress_level)
+    frame = b"".join(chunks)
     if deflate:
         return zlib.compress(frame, compress_level)
     return frame
+
+
+#: A ``zp`` byte plane at least this long is probed before it is deflated.
+_PROBE_BYTES = 4096
+#: A plane whose probe deflates to more than this share of its size is
+#: shipped in stored blocks: deflating it would cost time and save nothing.
+_STORED_RATIO = 0.97
+#: Largest payload of one deflate stored block (RFC 1951, section 3.2.4).
+_STORED_BLOCK_BYTES = 0xFFFF
+
+
+def _incompressible(plane: np.ndarray) -> bool:
+    """True when a level-1 deflate of the plane's first 4 KB cannot shrink
+    it by 3 %.  The low mantissa bytes of real-valued features are noise;
+    an integer-valued feature's are zero and stay deflated."""
+    if plane.size < _PROBE_BYTES:
+        return False
+    probe = zlib.compressobj(1, zlib.DEFLATED, -15)
+    deflated = len(probe.compress(plane[:_PROBE_BYTES])) + len(probe.flush())
+    return deflated > _STORED_RATIO * _PROBE_BYTES
+
+
+def _pieced_zlib(chunks: Sequence, stored: Sequence[bool],
+                 level: int) -> bytes:
+    """A zlib stream of the frame ``chunks`` join to, with each chunk
+    flagged in ``stored`` shipped as stored blocks instead of deflated.
+
+    The pieces: our own zlib header, a raw deflate of every other chunk, a
+    full flush before each run of stored chunks (it also drops the
+    deflater's history, so no later match reaches across bytes it never
+    saw), the stored blocks, and the running Adler-32 of the frame.  Stock
+    ``zlib.decompressobj`` inflates it to the frame like any zlib stream.
+    """
+    pieces = [zlib.compress(b"", level)[:2]]  # the zlib header for ``level``
+    deflater = zlib.compressobj(level, zlib.DEFLATED, -15)
+    checksum = zlib.adler32(b"")
+    flushed = True
+    for chunk, store in zip(chunks, stored):
+        checksum = zlib.adler32(chunk, checksum)
+        if not store:
+            pieces.append(deflater.compress(chunk))
+            flushed = False
+            continue
+        if not flushed:
+            pieces.append(deflater.flush(zlib.Z_FULL_FLUSH))
+            flushed = True
+        view = memoryview(chunk)
+        for start in range(0, len(view), _STORED_BLOCK_BYTES):
+            block = view[start:start + _STORED_BLOCK_BYTES]
+            # BFINAL 0, BTYPE 00 (stored), then LEN and its complement.
+            pieces.append(struct.pack("<BHH", 0, len(block),
+                                      len(block) ^ 0xFFFF))
+            pieces.append(block)
+    pieces.append(deflater.flush())
+    pieces.append(struct.pack(">I", checksum))
+    return b"".join(pieces)
 
 
 #: The unsigned integer each ``zp``-eligible float width is read as.
@@ -341,6 +418,7 @@ def _parse_frame(blob: bytes, wire_format: str, max_bytes: int) -> Message:
             f"raw frame header truncated: header length {header_len} "
             f"exceeds the {len(blob) - offset} bytes received after it")
     header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
+    _check_header(header)
     offset += header_len
     arrays: Dict[str, np.ndarray] = {}
     # Bytes the ``zp`` arrays decode to so far: their mask bits expand
@@ -394,6 +472,25 @@ def _parse_frame(blob: bytes, wire_format: str, max_bytes: int) -> Message:
                    arrays=arrays, meta=header["meta"],
                    batch_index=header.get("batch_index"),
                    wire_format=wire_format)
+
+
+def _check_header(header) -> None:
+    """Refuse a header whose fields are not the JSON types the server
+    reads them as — before anything reads them.  A ``meta`` that is no
+    object would otherwise reach the server's ``meta.get`` as an
+    ``AttributeError``, which no frontend treats as a bad frame."""
+    if type(header) is not dict:
+        raise ValueError(f"frame header is a JSON {type(header).__name__}, "
+                         "not an object")
+    fields = {"kind": str, "frame_id": int, "meta": dict}
+    if "batch_index" in header:
+        fields["batch_index"] = int
+    for key, expected in fields.items():
+        # Exact types: JSON ``true`` is a Python int subclass, not an id.
+        if type(header[key]) is not expected:
+            raise ValueError(f"frame header field {key!r} is a "
+                             f"{type(header[key]).__name__}, expected "
+                             f"{expected.__name__}")
 
 
 def _parse_zero_planed(blob: bytes, offset: int, name: str, dtype: np.dtype,

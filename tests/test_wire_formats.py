@@ -1,17 +1,20 @@
 """Wire framing: one versioned frame, raw or deflated, auto-detected.
 
 The engine speaks two self-describing framings of one frame layout — raw,
-and zlib (paper-faithful: the frame deflated, zero-heavy float arrays in
-the ``zp`` layout inside it) — distinguished by their first byte.  These
-tests pin the bit-exact round trip of both, that the zlib framing is the
-deflated frame (exactly the deflated raw frame when no array is
-zero-heavy), the versioning of the layout, the single-serializer size
-accounting (``compressed_size`` can never drift from the real wire), and
-the end-to-end behavior of mixed-framing clients against one server.
+and zlib (paper-faithful: a zlib stream of the frame, zero-heavy float
+arrays in the ``zp`` layout inside it) — distinguished by their first
+byte.  These tests pin the bit-exact round trip of both, that the zlib
+framing inflates to the frame (and is exactly the deflated raw frame when
+no array is zero-heavy), that byte planes which do not deflate travel as
+stored blocks that stock zlib and the capped receiver both read, the
+versioning of the layout, the single-serializer size accounting
+(``compressed_size`` can never drift from the real wire), and the
+end-to-end behavior of mixed-framing clients against one server.
 
 The hostile-input half (``TestHostileFrames`` down) treats every byte of
 the frame as peer-controlled, in either framing: garbage streams, lying
-headers (shapes, dtypes, lengths that don't match the payload), truncated
+headers (shapes, dtypes, lengths that don't match the payload; fields of
+the wrong JSON type), truncated
 frames, zlib bombs, ``zp`` arrays that decode past the cap or lie about
 their layout, and absurd length prefixes must all surface as a clean
 ``ValueError`` /
@@ -27,6 +30,7 @@ import json
 import re
 import socket
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -225,10 +229,12 @@ class TestZeroPlanedLayout:
             Message(kind="frame", arrays={"x": array})))
         assert (len(spec) == 4) == planed
 
-    def test_zlib_is_the_deflated_frame_with_zp_arrays(self):
-        """Restated invariant: the zlib framing deflates the frame in which
-        zero-heavy float arrays use the zp layout — every other byte is the
-        raw frame's, and one parser reads both."""
+    def test_zlib_inflates_to_the_frame_with_zp_arrays(self):
+        """Restated invariant: the zlib framing is a zlib stream of the
+        frame in which zero-heavy float arrays use the zp layout — every
+        other byte is the raw frame's, and one parser reads both.  Planes
+        shorter than the probe deflate with the frame: the stream is then
+        exactly ``zlib.compress`` of it."""
         relu = np.maximum(np.random.default_rng(2).standard_normal((32, 4)), 0)
         message = _sample_message()
         message.arrays["relu"] = relu
@@ -266,6 +272,94 @@ class TestZeroPlanedLayout:
         assert len(frame) == len(version_1)
         assert frame[:2] == bytes((_RAW_MAGIC, _RAW_VERSION))
         assert frame[2:] == version_1[2:]
+
+
+def _noisy_planes_message(rows: int = 2048) -> Message:
+    """A post-ReLU float64 ``(rows, 80)`` feature: its low mantissa planes
+    are noise, so they travel in stored blocks (two per plane at 2048
+    rows, ~82 KB each)."""
+    relu = np.maximum(np.random.default_rng(4).standard_normal((rows, 80)), 0)
+    return Message(kind="frame", frame_id=3,
+                   arrays={"x": relu, "batch": np.zeros(rows, np.int64)},
+                   meta={"num_graphs": 1})
+
+
+def _stored_block_boundaries(blob: bytes, message: Message) -> list:
+    """Offsets in ``blob`` where a stored block of ``message``'s ``x``
+    planes starts, where its data starts and where it ends."""
+    kept = int(np.count_nonzero(message.arrays["x"]))
+    sizes = [0xFFFF] * (kept // 0xFFFF) + [kept % 0xFFFF]
+    boundaries = set()
+    for size in sizes:
+        header = struct.pack("<BHH", 0, size, size ^ 0xFFFF)
+        for found in re.finditer(re.escape(header), blob):
+            boundaries.update((found.start(), found.end(),
+                               found.end() + size))
+    return sorted(boundaries)
+
+
+class TestPiecedStream:
+    """Byte planes that do not deflate travel as stored blocks inside the
+    one zlib stream: stock zlib reads it, and so does the capped receiver."""
+
+    @pytest.mark.parametrize("level", [1, 6, 9])
+    def test_incompressible_planes_travel_stored(self, level):
+        message = _noisy_planes_message()
+        blob = serialize_message(message, compress_level=level)
+        frame = zlib.decompress(blob)
+        assert blob[:2] == zlib.compress(b"", level)[:2]
+        assert blob != zlib.compress(frame, level)  # the pieced stream
+        # Six noise planes of two blocks each, back to back: a header and
+        # a data start per block, and the end of the last.
+        assert len(_stored_block_boundaries(blob, message)) == 2 * 12 + 1
+        # Stored costs 5 bytes a block where deflate saved under 1 %.
+        assert len(blob) <= 1.01 * len(zlib.compress(frame, level))
+
+    def test_pieced_stream_inflates_bit_exact(self):
+        message = _noisy_planes_message()
+        blob = serialize_message(message)
+        frame = zlib.decompress(blob)
+        inflater = zlib.decompressobj()
+        assert inflater.decompress(blob) + inflater.flush() == frame
+        assert inflater.eof and not inflater.unused_data
+        # The cap bounds the inflated frame and what the zp arrays decode to.
+        cap = message.arrays["x"].nbytes
+        assert len(frame) < cap
+        decoded = deserialize_message(blob, max_bytes=cap)
+        assert decoded.wire_format == WIRE_FORMAT_ZLIB
+        assert decoded.meta == message.meta and decoded.frame_id == 3
+        for name, array in message.arrays.items():
+            assert decoded.arrays[name].tobytes() == array.tobytes()
+        with pytest.raises(ValueError, match="cap"):
+            deserialize_message(blob, max_bytes=len(frame) - 1)
+
+    def test_truncation_at_every_stored_block_boundary_raises(self):
+        message = _noisy_planes_message()
+        blob = serialize_message(message)
+        boundaries = _stored_block_boundaries(blob, message)
+        assert boundaries and boundaries[-1] < len(blob)
+        for cut in boundaries:
+            with pytest.raises(ValueError):
+                deserialize_message(blob[:cut])
+
+    def test_frame_without_zp_arrays_is_plain_zlib(self):
+        """What pins ``small_*`` uplink: no plane, no pieces."""
+        message = _sample_message()
+        raw = serialize_message(message, wire_format=WIRE_FORMAT_RAW)
+        assert serialize_message(message) == zlib.compress(raw, 6)
+
+    def test_integer_valued_feature_still_deflates(self):
+        """Integer-valued floats have all-zero low mantissa planes: the
+        probe must keep them deflated, never stored."""
+        rng = np.random.default_rng(5)
+        counts = np.maximum(rng.integers(-8, 24, (1024, 64)), 0)
+        message = Message(kind="frame",
+                          arrays={"x": counts.astype(np.float64)})
+        blob = serialize_message(message)
+        frame = zlib.decompress(blob)
+        assert [spec[3] for spec in _frame_specs(blob)] == ["zp"]
+        assert len(blob) <= len(zlib.compress(frame, 6))
+        assert len(blob) < counts.size  # < 1 byte a value: planes deflated
 
 
 class TestSizeAccounting:
@@ -546,6 +640,19 @@ class TestHostileFrames:
         with pytest.raises(ValueError, match="undecodable"):
             deserialize(frame)
 
+    @pytest.mark.parametrize("field, value", [
+        ("meta", [1]), ("meta", None), ("kind", 7), ("frame_id", "0"),
+        ("frame_id", True), ("batch_index", 1.5), ("batch_index", None)])
+    def test_mistyped_header_field_rejected(self, deserialize, field, value):
+        header = {"kind": "frame", "frame_id": 0, "meta": {}, "arrays": []}
+        header[field] = value
+        with pytest.raises(ValueError, match=field):
+            deserialize(_raw_frame(header, b""))
+
+    def test_header_that_is_no_object_rejected(self, deserialize):
+        with pytest.raises(ValueError, match="not an object"):
+            deserialize(_raw_frame([{"kind": "frame"}], b""))
+
     def test_invalid_dtype_string_rejected(self, deserialize):
         header, payload = _raw_parts(_sample_message())
         name, _, shape = header["arrays"][0]
@@ -746,6 +853,27 @@ class TestServerSurvivesHostileClients:
         assert len(refusals) == 1
         assert re.search(ZP_ATTACKS[attack][2], refusals[0])
         self._assert_still_serving(server, device_fn, frames)
+
+    @pytest.mark.parametrize("kind, meta", [("hello", [1]), ("frame", None)])
+    def test_mistyped_meta_drops_connection_only(self, serving, monkeypatch,
+                                                 kind, meta):
+        """A ``meta`` that is no object used to pass the parser: a hello
+        got its ack and then killed its handler with an uncaught
+        ``AttributeError`` (counted nowhere), a frame got an error reply.
+        Now the parser refuses it, like every other bad header."""
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        server, device_fn, frames = serving
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            send_payload(sock, zlib.compress(_raw_frame(
+                {"kind": kind, "frame_id": 0, "meta": meta, "arrays": []},
+                b"")))
+            self._assert_connection_dropped(sock)
+        assert server.stats().errors == 1
+        self._assert_still_serving(server, device_fn, frames)
+        assert server.stats().errors == 1
+        assert not uncaught
 
     def test_oversize_prefix_drops_connection_only(self, serving):
         server, device_fn, frames = serving

@@ -1,12 +1,17 @@
-"""The ``Communicate`` wire schema: a sampled topology travels as ``nbr``.
+"""The ``Communicate`` wire schema: ship what the edge reads, once.
 
 A sampled graph is k-regular and destination-sorted by construction, so
 ``device_fn`` ships the ``(N, k)`` uint16 table of source indices instead of
-the ``(2, N*k)`` int64 edge list, and the edge side expands it back — once
-at the top of ``edge_fn``, once per frame inside ``collate_arrays``.  These
-tests pin that the schema is lossless end to end (per frame, batched and
-across the shard hop, <= 1e-9 of the eager reference), that any other
-topology still ships ``edge_index``, and that a micro-batch may mix both.
+the ``(2, N*k)`` int64 edge list.  ``pos`` travels only when a knn
+``Sample`` follows the cut, and when it is bitwise ``x`` (a
+Communicate-first cut) only ``x`` travels, with the meta marker
+``{"pos": "x"}``.  The edge side undoes both — once at the top of
+``edge_fn``, once per frame inside ``collate_arrays``.  These tests pin
+that the schema is lossless end to end (per frame, batched and across the
+shard hop: bit-identical to shipping everything), that any other topology
+still ships ``edge_index``, that a micro-batch may mix both, that a marker
+the edge cannot trust is refused, and the request size of the benchmark's
+paper-scale frame.
 """
 
 from __future__ import annotations
@@ -16,13 +21,16 @@ import pytest
 
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
                         ZooEntry, collate_arrays, split_callables)
-from repro.core.executor import _neighbour_table, _wire_edge_index
+from repro.core.executor import _neighbour_table, _wire_state
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch, GraphData
 from repro.graph.knn import knn_graph, random_graph
 from repro.serving import (RuntimeConfig, ServingConfig, ShardingConfig,
                            build_zoo_callables, serve, sharding_supported)
+from repro.system import (DeviceClient, EdgeServer, Message,
+                          deserialize_message, serialize_message)
+from repro.system.messages import KIND_FRAME
 
 K = 8
 
@@ -133,7 +141,7 @@ class TestWhichTopologiesTravelAsNbr:
                  else random_graph(batch.shape[0], K, rng=rng, batch=batch))
         nbr = _neighbour_table(edges, batch.shape[0])
         assert nbr is not None and nbr.shape == (batch.shape[0], K)
-        expanded = _wire_edge_index({"x": points, "nbr": nbr})
+        expanded = _wire_state({"x": points, "nbr": nbr}, {})["edge_index"]
         assert expanded.dtype == np.int64
         np.testing.assert_array_equal(expanded, edges)
 
@@ -147,14 +155,14 @@ class TestWhichTopologiesTravelAsNbr:
         assert "nbr" in arrays
         edge_list = {name: array for name, array in arrays.items()
                      if name != "nbr"}
-        edge_list["edge_index"] = _wire_edge_index(arrays)
+        edge_list["edge_index"] = _wire_state(arrays, meta)["edge_index"]
         np.testing.assert_array_equal(edge_fn(arrays, meta)[0]["logits"],
                                       edge_fn(edge_list, meta)[0]["logits"])
 
     def test_table_that_does_not_match_x_is_refused(self):
         with pytest.raises(ValueError, match="neighbour table"):
-            _wire_edge_index({"x": np.zeros((3, 2)),
-                              "nbr": np.zeros((4, 2), np.uint16)})
+            _wire_state({"x": np.zeros((3, 2)),
+                         "nbr": np.zeros((4, 2), np.uint16)}, {})
 
 
 class TestCollateMixedSchemas:
@@ -167,14 +175,14 @@ class TestCollateMixedSchemas:
             arrays, meta = state
             plain = {name: array for name, array in arrays.items()
                      if name != "nbr"}
-            plain["edge_index"] = _wire_edge_index(arrays)
+            plain["edge_index"] = _wire_state(arrays, meta)["edge_index"]
             return plain, meta
 
         mixed = collate_arrays([states[0], as_edge_list(states[1])])
         plain = collate_arrays([as_edge_list(state) for state in states])
         assert mixed[1:] == plain[1:]
-        assert set(mixed[0]) == set(plain[0]) == {"x", "batch", "edge_index",
-                                                  "pos"}
+        # No knn Sample follows the cut: pos is dead and never travels.
+        assert set(mixed[0]) == set(plain[0]) == {"x", "batch", "edge_index"}
         for name in plain[0]:
             np.testing.assert_array_equal(mixed[0][name], plain[0][name])
 
@@ -186,3 +194,225 @@ class TestCollateMixedSchemas:
                 if name != "nbr"}
         with pytest.raises(ValueError, match="edge_index"):
             collate_arrays([(arrays, meta), (bare, meta)])
+
+    def test_aliased_and_pos_free_frames_still_refused(self):
+        """The pos/no-pos refusal holds when ``pos`` arrived as the marker:
+        the aliased frame counts as carrying ``pos``."""
+        callables = build_zoo_callables(POS_ZOO, in_dim=3, num_classes=3,
+                                        seed=0)["a_pos_is_x"]
+        aliased = callables.device_fn(_pos_frames("a_pos_is_x")[0])
+        bare = callables.device_fn(Batch.from_graphs([GraphData(
+            x=np.random.default_rng(0).standard_normal((24, 3)))]))
+        assert aliased[1]["pos"] == "x" and "pos" not in aliased[0]
+        assert "pos" not in bare[0] and "pos" not in bare[1]
+        with pytest.raises(ValueError, match="pos"):
+            callables.batch_fn([aliased, bare])
+
+
+# ----------------------------------------------------------------------
+# pos travels only when the edge reads it, and once when it is x
+# ----------------------------------------------------------------------
+KNN = OpSpec(OpType.SAMPLE, "knn", k=K)
+RANDOM = OpSpec(OpType.SAMPLE, "random", k=K)
+AGG = OpSpec(OpType.AGGREGATE, "max")
+C16 = OpSpec(OpType.COMBINE, 16)
+COMM = OpSpec(OpType.COMMUNICATE, "uplink")
+POOL = OpSpec(OpType.GLOBAL_POOL, "max||mean")
+
+#: ``{entry: (ops, frames have pos == x, what the device ships)}`` — the
+#: last is ``"marker"`` (``x`` once, meta ``{"pos": "x"}``), ``"pos"`` (the
+#: array) or ``None`` (pos is dead).
+POS_CASES = {
+    # (a) paper_edge's shape: Communicate first, a knn Sample after it.
+    "a_pos_is_x": ((COMM, KNN, AGG, C16, POOL), True, "marker"),
+    # (b) paper_split's shape: no Sample after the cut.
+    "b_dead_pos": (_e2blk().ops, True, None),
+    # (c) a knn Sample after a Combine after the cut reads pos, which the
+    # device's own Combine made differ from x.
+    "c_knn_after_combine": ((KNN, AGG, C16, COMM, C16, KNN, AGG, POOL),
+                            True, "pos"),
+    # (c') the same knn Sample after a Communicate-first cut: the edge must
+    # restore pos from the x that travelled, not from the Combine's x.
+    "c_marker_then_combine": ((COMM, C16, KNN, AGG, POOL), True, "marker"),
+    # (d) a random Sample never reads pos.
+    "d_random_sample": ((COMM, RANDOM, AGG, C16, POOL), True, None),
+    # (e) Communicate first, but the frames' pos is not their x.
+    "e_pos_is_not_x": ((COMM, KNN, AGG, C16, POOL), False, "pos"),
+}
+POS_ZOO = ArchitectureZoo([
+    ZooEntry(name, Architecture(ops=ops, name=name), 0.9, 50.0, 0.5)
+    for name, (ops, _, _) in POS_CASES.items()])
+
+
+def _pos_frames(case: str) -> list:
+    """Eight one-graph frames; pos is x unless ``case`` says otherwise."""
+    graphs = SyntheticModelNet40(num_points=24, samples_per_class=3,
+                                 num_classes=3, seed=5).generate()[:8]
+    if not POS_CASES[case][1]:
+        rng = np.random.default_rng(3)
+        graphs = [GraphData(x=rng.standard_normal(graph.x.shape),
+                            pos=graph.pos) for graph in graphs]
+    return [Batch.from_graphs([graph]) for graph in graphs]
+
+
+def _shipping_pos(state, frame):
+    """``state`` as the wire carried it before the pos rule: ``pos``
+    always travels as an array, and no marker."""
+    arrays, meta = state
+    return (dict(arrays, pos=frame.pos),
+            {key: value for key, value in meta.items() if key != "pos"})
+
+
+def _over_the_wire(state):
+    arrays, meta = state
+    message = deserialize_message(serialize_message(
+        Message(kind=KIND_FRAME, arrays=arrays, meta=meta)))
+    return message.arrays, message.meta
+
+
+def _reference_and_subject(case: str, **config):
+    """Two independent builds of one entry.  Random sampling draws from
+    its model's generator, so the reference must not share the subject's
+    model: both then see the same draws in the same call order."""
+    return [build_zoo_callables(POS_ZOO, in_dim=3, num_classes=3, seed=0,
+                                config=RuntimeConfig(**config))[case]
+            for _ in range(2)]
+
+
+def _logits(results) -> list:
+    return [arrays["logits"].tobytes() for arrays, _ in results]
+
+
+class TestPosTravelsOnce:
+    @pytest.mark.parametrize("case", sorted(POS_CASES))
+    def test_device_ships_what_the_edge_reads(self, case):
+        callables = build_zoo_callables(POS_ZOO, in_dim=3, num_classes=3,
+                                        seed=0)[case]
+        ships = POS_CASES[case][2]
+        for frame in _pos_frames(case):
+            arrays, meta = callables.device_fn(frame)
+            assert ("pos" in arrays) == (ships == "pos")
+            assert meta.get("pos") == ("x" if ships == "marker" else None)
+
+    @staticmethod
+    def _assert_matches_shipping_pos(case, **config):
+        reference, subject = _reference_and_subject(case, **config)
+        frames = _pos_frames(case)
+        states = [_over_the_wire(subject.device_fn(frame))
+                  for frame in frames]
+        shipped = [_over_the_wire(_shipping_pos(state, frame))
+                   for state, frame in zip(states, frames)]
+        assert _logits(subject.edge_fn(*state) for state in states) \
+            == _logits(reference.edge_fn(*state) for state in shipped)
+        assert _logits(subject.batch_fn(states)) \
+            == _logits(reference.batch_fn(shipped))
+
+    @pytest.mark.parametrize("runtime", ["compiled", "eager"])
+    @pytest.mark.parametrize("case", sorted(POS_CASES))
+    def test_edge_and_batch_fn_match_shipping_pos(self, case, runtime):
+        self._assert_matches_shipping_pos(case, runtime=runtime)
+
+    @pytest.mark.parametrize("case", ["a_pos_is_x", "c_marker_then_combine"])
+    def test_int8_plans_match_shipping_pos(self, case):
+        """An int8 device segment quantizes ``x`` on entry and dequantizes
+        it on exit, so ``x`` is no longer bitwise ``pos``: the rule is
+        bitwise, and ``pos`` travels as an array."""
+        subject = build_zoo_callables(
+            POS_ZOO, in_dim=3, num_classes=3, seed=0,
+            config=RuntimeConfig(precision="int8"))[case]
+        arrays, meta = subject.device_fn(_pos_frames(case)[0])
+        assert "pos" in arrays and "pos" not in meta
+        self._assert_matches_shipping_pos(case, precision="int8")
+
+    @pytest.mark.skipif(not sharding_supported("shm"),
+                        reason="platform lacks multiprocessing.shared_memory")
+    @pytest.mark.parametrize("runtime", ["compiled", "eager"])
+    def test_sharded_app_matches_shipping_pos(self, runtime):
+        """Every case across the shard hop, against a fresh app fed the
+        same frames in the same order with pos shipped."""
+        config = ServingConfig(runtime=RuntimeConfig(runtime=runtime),
+                               sharding=ShardingConfig(num_shards=2))
+        logits = {}
+        for shipping in (True, False):
+            with serve(POS_ZOO, config, in_dim=3, num_classes=3) as app:
+                for case in sorted(POS_CASES):
+                    device_fn = app.repository.device_fn(case)
+                    if shipping:
+                        device_fn = (lambda frame, run=device_fn:
+                                     _shipping_pos(run(frame), frame))
+                    with app.client(model=case) as client:
+                        results, _ = client.run(_pos_frames(case), device_fn)
+                    logits[shipping, case] = [
+                        result.arrays["logits"].tobytes()
+                        for result in results]
+        for case in POS_CASES:
+            assert logits[False, case] == logits[True, case], case
+
+
+class TestPosMarkerFailsClosed:
+    @staticmethod
+    def _tampered(tamper: str):
+        callables = build_zoo_callables(POS_ZOO, in_dim=3, num_classes=3,
+                                        seed=0)["a_pos_is_x"]
+
+        def device_fn(frame):
+            arrays, meta = callables.device_fn(frame)
+            if tamper == "marker_and_pos":
+                return dict(arrays, pos=np.asarray(arrays["x"]) + 1.0), meta
+            return arrays, dict(meta, pos="batch")
+
+        return callables, device_fn
+
+    @pytest.mark.parametrize("tamper", ["marker_and_pos", "unknown_marker"])
+    def test_edge_refuses_to_pick_one(self, tamper):
+        callables, device_fn = self._tampered(tamper)
+        state = device_fn(_pos_frames("a_pos_is_x")[0])
+        with pytest.raises(ValueError, match="pos"):
+            callables.edge_fn(*state)
+        with pytest.raises(ValueError, match="pos"):
+            callables.batch_fn([state])
+
+    @pytest.mark.parametrize("tamper", ["marker_and_pos", "unknown_marker"])
+    def test_refusal_is_a_per_frame_error_reply(self, tamper):
+        callables, device_fn = self._tampered(tamper)
+        frames = _pos_frames("a_pos_is_x")[:2]
+        server = EdgeServer(callables.edge_fn).start()
+        clients = [DeviceClient(server.host, server.port) for _ in range(2)]
+        try:
+            with pytest.raises(RuntimeError, match="pos"):
+                clients[0].run_pipeline(frames[:1], device_fn, timeout_s=20.0)
+            results, _ = clients[1].run_pipeline(frames, callables.device_fn)
+            assert len(results) == len(frames)
+            assert server.stats().errors == 1
+        finally:
+            for client in clients:
+                client.close()
+            server.stop()
+
+
+class TestPaperScaleRequestSize:
+    """The wire guard: the benchmark's entry at paper scale, one seeded
+    1024-point k=20 frame, in about a second instead of an end-to-end run.
+    Each bound sits ~4 % above today's request and well below the one
+    before the pos rule and the stored planes (47.2 / 325.5 KB)."""
+
+    @staticmethod
+    def _request_bytes(split: int) -> int:
+        ops = [OpSpec(OpType.SAMPLE, "knn", k=20), AGG,
+               OpSpec(OpType.COMBINE, 64), AGG, OpSpec(OpType.COMBINE, 64),
+               POOL]
+        ops.insert(split, COMM)
+        model = ArchitectureModel(Architecture(ops=tuple(ops), name="e2blk"),
+                                  in_dim=3, num_classes=10, seed=0)
+        device_fn, _ = split_callables(model)
+        graph = SyntheticModelNet40(num_points=1024, samples_per_class=1,
+                                    num_classes=2, seed=1).generate()[0]
+        arrays, meta = device_fn(Batch.from_graphs([graph]))
+        return len(serialize_message(Message(
+            kind=KIND_FRAME, arrays=arrays, meta=dict(meta, model="e2blk"))))
+
+    def test_communicate_first_request_fits_24_kib(self):
+        assert self._request_bytes(0) <= 24 * 1024
+
+    def test_paper_split_request_fits_305_kib(self):
+        assert self._request_bytes(3) <= 305 * 1024
