@@ -231,21 +231,39 @@ def edgeconv_uniform(x: np.ndarray, src: np.ndarray, k: int, reduce: str,
     ``k`` neighbours.  When every node has exactly ``k`` incoming edges in
     destination order, the centre half reduces in closed form — ``max``/
     ``mean`` of ``k`` copies of ``x_i`` is ``x_i`` and ``add`` is ``k·x_i``
-    — so only the neighbour-difference half needs a gather (into ``scratch``,
-    shape ``(N, k, F)``) and a grid reduction.  This removes the destination
-    gather and the ``(E, 2F)`` message materialization of the generic path
-    entirely; it is the steady-state serving kernel for every sampled
-    topology.
+    — so only the neighbour-difference half needs a gather and a grid
+    reduction.  This removes the destination gather and the ``(E, 2F)``
+    message materialization of the generic path entirely; it is the
+    steady-state serving kernel for every sampled topology.
+
+    Nodes are walked in chunks of ``scratch``'s ``(rows, k, F)`` shape, so
+    the gathered grid stays cache-sized whatever ``N`` is; each node's
+    arithmetic is the same in any chunking.  ``max`` reduces the gathered
+    rows and subtracts ``x_i`` once, as the int8 kernel does:
+    ``max_j round(x_j - x_i) == round(max_j x_j - x_i)`` because rounding
+    is monotone, with NaN propagating alike.  The one exception is
+    ``x_i = -inf`` with a ``-inf`` neighbour (``-inf - -inf`` is NaN, which
+    the difference form propagates), so any ``-inf`` in ``x`` selects the
+    difference form for the whole call.
     """
     num_nodes, features = x.shape
-    np.take(x, src, axis=0, out=scratch.reshape(num_nodes * k, features))
-    scratch -= x[:, None, :]
-    centres = out[:, :features]
+    centres, neighbours = out[:, :features], out[:, features:]
     if reduce in ("add", "sum"):
         np.multiply(x, x.dtype.type(k), out=centres)
     else:  # max / mean of k copies of x_i is x_i itself
         np.copyto(centres, x)
-    uniform_segment_reduce(scratch, reduce, out[:, features:])
+    reduce_first = reduce == "max" and not np.isneginf(x).any()
+    rows = scratch.shape[0]
+    for start in range(0, num_nodes, rows):
+        stop = min(start + rows, num_nodes)
+        grid = scratch[:stop - start]
+        np.take(x, src[start * k:stop * k], axis=0,
+                out=grid.reshape((stop - start) * k, features))
+        if not reduce_first:
+            grid -= x[start:stop, None, :]
+        uniform_segment_reduce(grid, reduce, neighbours[start:stop])
+    if reduce_first:
+        neighbours -= x
     return out
 
 
@@ -452,10 +470,11 @@ def knn_edges_uniform(points: np.ndarray, k: int, num_graphs: int,
     """kNN edge list for a batch of equally sized graphs, selection-only.
 
     The runtime twin of :func:`repro.graph.knn.knn_graph`'s vectorized path,
-    minus the work inference does not need: the squared distances are
-    computed with the *identical* formula (so the selected neighbour set is
-    bit-for-bit the same as eager's — ``argpartition`` is deterministic), but
-    the selected ``k`` neighbours are **not** re-sorted nearest-first.
+    minus the work inference does not need: it walks the *same* distance
+    tiles (:func:`~repro.graph.knn.grouped_knn_distances`, so the selected
+    neighbour set is bit-for-bit the same as eager's — ``argpartition`` is
+    deterministic per row), but the selected ``k`` neighbours are **not**
+    re-sorted nearest-first.
     Neighbour order within a destination segment only affects floating-point
     summation order of ``add``/``mean`` aggregation (~1e-15 relative), never
     the neighbour set, and dropping the per-row sort removes the two
@@ -477,10 +496,11 @@ def knn_edges_uniform(points: np.ndarray, k: int, num_graphs: int,
         # precision.
         points = points.astype(np.float64)
     grouped = points.reshape(num_graphs, per_graph, -1)
-    dists = grouped_knn_distances(grouped)
-    local = np.argpartition(dists, k - 1, axis=2)[:, :, :k]
     num_nodes = num_graphs * per_graph
-    offsets = (np.arange(num_graphs, dtype=np.int64) * per_graph)[:, None, None]
-    neighbours = (local + offsets).reshape(-1)
-    centres = np.repeat(np.arange(num_nodes, dtype=np.int64), k)
-    return np.stack([neighbours, centres], axis=0)
+    edges = np.empty((2, num_nodes * k), dtype=np.int64)
+    local = edges[0].reshape(num_graphs, per_graph, k)
+    for graphs, rows, dists in grouped_knn_distances(grouped):
+        local[graphs, rows] = np.argpartition(dists, k - 1, axis=2)[:, :, :k]
+    local += (np.arange(num_graphs, dtype=np.int64) * per_graph)[:, None, None]
+    edges[1].reshape(num_nodes, k)[...] = np.arange(num_nodes)[:, None]
+    return edges

@@ -46,7 +46,7 @@ import numpy as np
 from ..gnn.operations import (AggregateOp, ClassifierOp, CombineOp,
                               CommunicateOp, GlobalPoolOp, IdentityOp,
                               Operation, SampleOp)
-from ..graph.knn import knn_graph, random_graph
+from ..graph.knn import _TILE_BYTES, knn_graph, random_graph
 from ..nn.modules import Dropout, Identity, LeakyReLU, Linear, MLP, ReLU
 from . import kernels
 from .arena import BufferArena
@@ -291,8 +291,10 @@ class _AggregateStep:
         out = run.arena.take(out_slot, (run.num_nodes, 2 * features), x.dtype)
         k = run.edge_info.uniform_k
         if k is not None:
-            scratch = run.arena.take(msg_slot, (run.num_nodes, k, features),
-                                     x.dtype)
+            # The kernel walks nodes in chunks of the scratch's rows.
+            row_bytes = k * max(features, 1) * x.itemsize
+            rows = max(1, min(_TILE_BYTES // row_bytes, run.num_nodes))
+            scratch = run.arena.take(msg_slot, (rows, k, features), x.dtype)
             kernels.edgeconv_uniform(x, src, k, self.reduce, scratch, out)
         else:
             messages = run.arena.take(msg_slot, (num_edges, 2 * features),

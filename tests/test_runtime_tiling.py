@@ -1,0 +1,262 @@
+"""Cache-sized tiles in kNN and EdgeConv change nothing but speed and memory.
+
+``grouped_knn_distances`` walks a group's distances in row tiles of at most
+``_TILE_BYTES``, and the compiled EdgeConv walks nodes in chunks of its
+scratch grid.  Each rewrite keeps a per-row operation order, so its outputs
+must be ``tobytes()``-identical to the full-size kernels it replaced.  Those
+kernels are kept below as in-test references, written as they were before
+tiling:
+
+* kNN: one ``(G, n, n)`` matrix per group, its product taken as
+  ``a @ a.T`` (numpy's SYRK path, one call per graph);
+* EdgeConv: one ``(N, k, F)`` grid of neighbour differences, reduced along
+  ``k``.
+
+The kNN comparison also pins that the BLAS numpy ships computes a GEMM row
+tile and a SYRK product bit for bit alike on these shapes.  Eager and
+compiled kNN share one definition, so a BLAS where that fails would fail
+here without making the two disagree.
+
+The last class pins the memory the tiles save, by allocation count rather
+than wall time: the ``tracemalloc`` peak of one paper-scale kNN, and the
+arena of the paper-scale edge plan after one frame.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core import Architecture, ArchitectureZoo, ZooEntry
+from repro.gnn import OpSpec, OpType
+from repro.graph import SyntheticModelNet40
+from repro.graph.data import Batch
+from repro.graph.knn import knn_graph
+from repro.runtime import kernels
+from repro.serving import build_zoo_callables
+
+MiB = 2 ** 20
+
+
+# ----------------------------------------------------------------------
+# kNN
+# ----------------------------------------------------------------------
+def _full_matrix_distances(grouped):
+    """The self-excluded distances as one ``(G, n, n)`` matrix."""
+    sq_norms = (grouped ** 2).sum(axis=2)
+    dists = (sq_norms[:, :, None] + sq_norms[:, None, :]
+             - 2.0 * grouped @ grouped.transpose(0, 2, 1))
+    diagonal = np.arange(grouped.shape[1])
+    dists[:, diagonal, diagonal] = np.inf
+    return dists
+
+
+def _per_graph_distances(points, num_graphs, per_graph):
+    """:func:`_full_matrix_distances` one graph at a time.
+
+    The 3-D matmul ran one SYRK per graph, so this is the same arithmetic
+    with one graph's matrix in memory instead of the whole group's.
+    """
+    grouped = np.asarray(points, dtype=np.float64).reshape(
+        num_graphs, per_graph, -1)
+    for graph in range(num_graphs):
+        yield _full_matrix_distances(grouped[graph:graph + 1])
+
+
+def _reference_uniform(points, k, num_graphs, per_graph):
+    """The selection-only kNN of the compiled runtime, on full matrices."""
+    local = np.concatenate([
+        np.argpartition(dists, k - 1, axis=2)[:, :, :k]
+        for dists in _per_graph_distances(points, num_graphs, per_graph)])
+    num_nodes = num_graphs * per_graph
+    offsets = (np.arange(num_graphs, dtype=np.int64) * per_graph)[:, None,
+                                                                  None]
+    neighbours = (local + offsets).reshape(-1)
+    centres = np.repeat(np.arange(num_nodes, dtype=np.int64), k)
+    return np.stack([neighbours, centres], axis=0)
+
+
+def _reference_eager(points, k, num_graphs, per_graph):
+    """The eager batched builder (nearest-first), on full matrices."""
+    effective_k = min(k, max(per_graph - 1, 1))
+    blocks = []
+    for dists in _per_graph_distances(points, num_graphs, per_graph):
+        if effective_k >= per_graph:
+            local = np.argsort(dists, axis=2)[:, :, :effective_k]
+        else:
+            local = np.argpartition(dists, effective_k - 1,
+                                    axis=2)[:, :, :effective_k]
+            order = np.argsort(np.take_along_axis(dists, local, axis=2),
+                               axis=2)
+            local = np.take_along_axis(local, order, axis=2)
+        blocks.append(local)
+    local = np.concatenate(blocks)
+    if effective_k < k:
+        local = np.tile(local, (1, 1, int(np.ceil(k / effective_k))))[:, :, :k]
+    offsets = (np.arange(num_graphs, dtype=np.int64) * per_graph)[:, None,
+                                                                  None]
+    neighbours = (local + offsets).reshape(-1)
+    centres = np.repeat(np.arange(num_graphs * per_graph, dtype=np.int64), k)
+    return np.stack([neighbours, centres], axis=0)
+
+
+def _cloud(kind, num_nodes, dims, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "duplicated":
+        # Three values per axis: every point has many exact copies, so
+        # distances tie exactly, far beyond k.
+        return rng.integers(0, 3, size=(num_nodes, dims)).astype(np.float64)
+    points = rng.standard_normal((num_nodes, dims))
+    return points.astype(np.float32) if kind == "float32" else points
+
+
+def _assert_knn_identical(points, num_graphs, per_graph):
+    k = 20
+    batch = np.repeat(np.arange(num_graphs, dtype=np.int64), per_graph)
+    eager = knn_graph(points, k, batch=batch)
+    assert eager.tobytes() == _reference_eager(points, k, num_graphs,
+                                               per_graph).tobytes()
+    uniform_k = min(k, per_graph - 1)
+    uniform = kernels.knn_edges_uniform(points, uniform_k, num_graphs,
+                                        per_graph)
+    assert uniform.tobytes() == _reference_uniform(
+        points, uniform_k, num_graphs, per_graph).tobytes()
+
+
+#: ``(per_graph, num_graphs)``: group tiles (n <= 181; 128 x 3 splits the
+#: group over two tiles), row tiles with a ragged last tile (1000, 1500)
+#: and row tiles that divide n exactly (1024, also as a batch of 8 frames).
+#: A row-tiled graph is walked on its own, so more graphs add nothing there.
+SHAPES = [(n, g) for n in (17, 64, 128) for g in (1, 3, 8)] + [
+    (1000, 1), (1000, 3), (1024, 1), (1024, 3), (1024, 8), (1500, 1),
+    (1500, 3)]
+
+
+class TestKnnTiles:
+    @pytest.mark.parametrize("dims", [3, 64])
+    @pytest.mark.parametrize("per_graph, num_graphs", SHAPES)
+    def test_edges_match_full_matrix(self, per_graph, num_graphs, dims):
+        points = _cloud("gaussian", num_graphs * per_graph, dims, seed=dims)
+        _assert_knn_identical(points, num_graphs, per_graph)
+
+    @pytest.mark.parametrize("kind", ["float32", "duplicated"])
+    @pytest.mark.parametrize("dims", [3, 64])
+    @pytest.mark.parametrize("per_graph", [17, 64, 1024, 1500])
+    def test_float32_and_tied_clouds_match_full_matrix(self, per_graph,
+                                                       dims, kind):
+        points = _cloud(kind, 3 * per_graph, dims, seed=per_graph)
+        _assert_knn_identical(points, 3, per_graph)
+
+
+# ----------------------------------------------------------------------
+# EdgeConv
+# ----------------------------------------------------------------------
+def _full_grid_edgeconv(x, src, k, reduce):
+    """``reduce_j [x_i, x_j - x_i]`` through one ``(N, k, F)`` grid."""
+    num_nodes, features = x.shape
+    grid = np.take(x, src, axis=0).reshape(num_nodes, k, features)
+    grid -= x[:, None, :]
+    out = np.empty((num_nodes, 2 * features), x.dtype)
+    if reduce in ("add", "sum"):
+        np.multiply(x, x.dtype.type(k), out=out[:, :features])
+        grid.sum(axis=1, out=out[:, features:])
+    elif reduce == "mean":
+        out[:, :features] = x
+        grid.mean(axis=1, out=out[:, features:])
+    else:
+        out[:, :features] = x
+        grid.max(axis=1, out=out[:, features:])
+    return out
+
+
+NUM_NODES, K = 40, 6
+
+
+def _edgeconv_case(values, features, dtype):
+    """Features and a k-regular source list; ``values`` picks the specials.
+
+    Each special sits in a column of its own, so every NaN a column can
+    produce has the same bits whichever the reduction meets first.
+    ``neg_inf`` gives node 0 a ``-inf`` in column 0 and the neighbours
+    ``-inf`` and ``1.0`` there: ``max_j x_j - x_i`` is ``+inf`` but the
+    difference form gives NaN, the one case the kernel's guard exists for.
+    """
+    rng = np.random.default_rng(features)
+    x = rng.standard_normal((NUM_NODES, features))
+    src = rng.integers(0, NUM_NODES, size=NUM_NODES * K)
+    # Node i's neighbours are src[i * K:(i + 1) * K].
+    if values != "finite":
+        x[[3, 9], 1 % features] = np.nan
+        x[[5, 11, 12], 2 % features] = np.inf
+        src[:4] = [9, 5, 11, 12]
+        src[5 * K:5 * K + 2] = [12, 3]  # +inf centre, +inf neighbour
+    if values == "neg_inf":
+        x[[0, 1, 7], 0] = -np.inf
+        x[2, 0] = 1.0
+        src[4:6] = [1, 2]
+    return x.astype(dtype), src.astype(np.int64)
+
+
+class TestChunkedEdgeConv:
+    @pytest.mark.parametrize("values", ["finite", "inf_nan", "neg_inf"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 7, NUM_NODES])
+    @pytest.mark.parametrize("features", [3, 64])
+    @pytest.mark.parametrize("reduce", ["max", "add", "sum", "mean"])
+    def test_matches_full_grid(self, reduce, features, rows, dtype, values):
+        x, src = _edgeconv_case(values, features, dtype)
+        with np.errstate(invalid="ignore"):  # inf - inf is the point here
+            out = kernels.edgeconv_uniform(
+                x, src, K, reduce, np.empty((rows, K, features), dtype),
+                np.empty((NUM_NODES, 2 * features), dtype))
+            expected = _full_grid_edgeconv(x, src, K, reduce)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_neg_inf_case_needs_the_difference_form(self):
+        """The case above really separates the two forms of ``max``."""
+        x, src = _edgeconv_case("neg_inf", 3, np.float64)
+        grid = np.take(x, src, axis=0).reshape(NUM_NODES, K, 3)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_full_grid_edgeconv(x, src, K, "max")[0, 3])
+        assert grid.max(axis=1)[0, 0] - x[0, 0] == np.inf
+
+
+# ----------------------------------------------------------------------
+# What the tiles save
+# ----------------------------------------------------------------------
+def _paper_edge_frame():
+    graph = SyntheticModelNet40(num_points=1024, samples_per_class=1,
+                                num_classes=2, seed=0).generate()[0]
+    return Batch.from_graphs([graph])
+
+
+class TestTileMemory:
+    def test_knn_peak_allocation(self):
+        """One 1024-point k=20 frame: the full-matrix kernel peaked at
+        16.6 MiB of temporaries; the tiles stay under 2 MiB."""
+        points = _paper_edge_frame().pos
+        kernels.knn_edges_uniform(points, 20, 1, 1024)
+        tracemalloc.start()
+        try:
+            kernels.knn_edges_uniform(points, 20, 1, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * MiB, f"kNN peak {peak / MiB:.2f} MiB"
+
+    def test_paper_edge_plan_arena(self):
+        """The paper-scale edge plan (Communicate first, two 1024 x 20
+        EdgeConvs) held 12.5 MiB after one frame with full grids."""
+        ops = (OpSpec(OpType.COMMUNICATE, "uplink"),
+               OpSpec(OpType.SAMPLE, "knn", k=20),
+               OpSpec(OpType.AGGREGATE, "max"), OpSpec(OpType.COMBINE, 64),
+               OpSpec(OpType.AGGREGATE, "max"), OpSpec(OpType.COMBINE, 64),
+               OpSpec(OpType.GLOBAL_POOL, "max||mean"))
+        zoo = ArchitectureZoo([ZooEntry(
+            "paper", Architecture(ops=ops, name="paper"), 0.9, 50.0, 0.5)])
+        serving = build_zoo_callables(zoo, in_dim=3, num_classes=10)["paper"]
+        serving.edge_fn(*serving.device_fn(_paper_edge_frame()))
+        assert 0 < serving.arena_nbytes() <= 4 * MiB, (
+            f"edge arena {serving.arena_nbytes() / MiB:.2f} MiB")
