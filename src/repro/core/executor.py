@@ -284,6 +284,19 @@ def _neighbour_table(edge_index: np.ndarray,
 _POS_META_KEY, _POS_IS_X = "pos", "x"
 
 
+def _check_node_range(name: str, index: np.ndarray, num_nodes: int) -> None:
+    """Refuse a wire topology naming a node outside ``[0, num_nodes)``.
+
+    numpy would read a negative index as counting from the end, so such a
+    frame was served as if node ``N + i`` were meant; one past the end
+    surfaced only as an ``IndexError`` deep inside a kernel.
+    """
+    if index.size and (index.min() < 0 or index.max() >= num_nodes):
+        bad = index.min() if index.min() < 0 else index.max()
+        raise ValueError(f"{name} names node {bad}, outside the frame's "
+                         f"{num_nodes} nodes")
+
+
 def _wire_state(arrays: ArrayDict, meta: Dict) -> ArrayDict:
     """One wire frame's arrays as the segment runners read them.
 
@@ -292,9 +305,14 @@ def _wire_state(arrays: ArrayDict, meta: Dict) -> ArrayDict:
     marker, so plans, the eager runner and ``collate_arrays`` never see
     either wire shorthand.  A marker with an unknown value, or beside a
     ``pos`` array, raises ``ValueError``: the frame is refused rather than
-    served on a guess.
+    served on a guess.  So does a topology — ``nbr`` table or
+    ``edge_index`` — naming a node outside ``[0, N)``, before it is
+    expanded.
     """
     alias = meta.get(_POS_META_KEY)
+    if "edge_index" in arrays:
+        _check_node_range("edge_index", np.asarray(arrays["edge_index"]),
+                          len(arrays["x"]))
     if "nbr" not in arrays and alias is None:
         return arrays
     arrays = dict(arrays)
@@ -303,6 +321,7 @@ def _wire_state(arrays: ArrayDict, meta: Dict) -> ArrayDict:
         if nbr.ndim != 2 or nbr.shape[0] != num_nodes:
             raise ValueError(f"neighbour table of shape {nbr.shape} does not "
                              f"match the frame's {num_nodes} nodes")
+        _check_node_range("neighbour table", nbr, num_nodes)
         arrays["edge_index"] = np.stack([
             nbr.reshape(-1).astype(np.int64),
             np.repeat(np.arange(num_nodes, dtype=np.int64), nbr.shape[1])])
@@ -424,7 +443,9 @@ def collate_arrays(requests: Sequence[FrameState],
     :func:`split_results` needs to scatter results back per frame.
     ``dtype`` is the float dtype the collated ``x``/``pos`` arrays are cast
     to (the compiled runtime collates in its compute dtype so a float32
-    micro-batch is never round-tripped through float64).
+    micro-batch is never round-tripped through float64).  A batch of one
+    collates nothing: its arrays come back as they are, cast only where the
+    dtype differs, and may be read-only views of the request.
     """
     dtype = np.dtype(dtype)
     if not requests:
@@ -453,23 +474,33 @@ def collate_arrays(requests: Sequence[FrameState],
         x = np.asarray(arrays["x"], dtype=dtype)
         num_graphs = int(meta["num_graphs"])
         xs.append(x)
-        batches.append(np.asarray(arrays["batch"], dtype=np.int64) + graph_offset)
+        batches.append(_shifted(arrays["batch"], graph_offset))
         if has_edges:
-            edges.append(np.asarray(arrays["edge_index"], dtype=np.int64)
-                         + row_offset)
+            edges.append(_shifted(arrays["edge_index"], row_offset))
         if has_pos:
             poss.append(np.asarray(arrays["pos"], dtype=dtype))
         graph_counts.append(num_graphs)
         row_offset += int(x.shape[0])
         graph_offset += num_graphs
-    collated: ArrayDict = {"x": np.concatenate(xs, axis=0),
-                           "batch": np.concatenate(batches)}
+    collated: ArrayDict = {"x": _joined(xs, axis=0),
+                           "batch": _joined(batches, axis=0)}
     if has_edges:
-        collated["edge_index"] = np.concatenate(edges, axis=1)
+        collated["edge_index"] = _joined(edges, axis=1)
     if has_pos:
-        collated["pos"] = np.concatenate(poss, axis=0)
+        collated["pos"] = _joined(poss, axis=0)
     meta = {"num_graphs": graph_offset, "pooled": pooled}
     return collated, meta, graph_counts
+
+
+def _shifted(index: np.ndarray, offset: int) -> np.ndarray:
+    """``index`` as int64 plus ``offset``, copied only when either changes it."""
+    index = np.asarray(index, dtype=np.int64)
+    return index + offset if offset else index
+
+
+def _joined(parts: List[np.ndarray], axis: int) -> np.ndarray:
+    """``np.concatenate`` that hands a lone frame's array back as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 def split_results(arrays: ArrayDict, meta: Dict,

@@ -223,6 +223,35 @@ def uniform_segment_reduce(grouped: np.ndarray, reduce: str,
     return out
 
 
+def _slot_major_chunks(x: np.ndarray, src: np.ndarray, k: int,
+                      scratch: np.ndarray):
+    """Gather ``x`` slot-major, one chunk of nodes at a time.
+
+    Yields ``(start, stop, grid)`` where ``grid`` is a C-contiguous
+    ``(k, stop - start, F)`` view of ``scratch`` whose slab ``j`` holds the
+    j-th neighbour of every node in ``[start, stop)``.  ``src`` holds node
+    i's ``k`` sources at ``src.reshape(N, k)[i]``; the ``(k, N)`` slot table
+    is its transpose (a view when ``src`` is already one, as the plan
+    passes it).  ``scratch``'s ``(k, rows, F)`` shape sets the chunk size.
+
+    The gather uses ``mode="wrap"``: with the default ``"raise"``, numpy
+    gathers into a freshly allocated temporary and copies it into the
+    scratch, a whole scratch per chunk.  For every index in ``[-N, N)`` — the range
+    ``"raise"`` accepts — ``"wrap"`` picks the same row, so the caller
+    range-checks ``src`` instead; the plan does it once per topology.
+    """
+    num_nodes, features = x.shape
+    slots = src.reshape(num_nodes, k).T
+    rows = scratch.shape[1]
+    flat = scratch.reshape(-1)
+    for start in range(0, num_nodes, rows):
+        stop = min(start + rows, num_nodes)
+        grid = flat[:k * (stop - start) * features].reshape(
+            k, stop - start, features)
+        np.take(x, slots[:, start:stop], axis=0, out=grid, mode="wrap")
+        yield start, stop, grid
+
+
 def edgeconv_uniform(x: np.ndarray, src: np.ndarray, k: int, reduce: str,
                      scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fused EdgeConv over a k-regular destination-sorted topology.
@@ -236,34 +265,46 @@ def edgeconv_uniform(x: np.ndarray, src: np.ndarray, k: int, reduce: str,
     message materialization of the generic path entirely; it is the
     steady-state serving kernel for every sampled topology.
 
-    Nodes are walked in chunks of ``scratch``'s ``(rows, k, F)`` shape, so
-    the gathered grid stays cache-sized whatever ``N`` is; each node's
-    arithmetic is the same in any chunking.  ``max`` reduces the gathered
-    rows and subtracts ``x_i`` once, as the int8 kernel does:
-    ``max_j round(x_j - x_i) == round(max_j x_j - x_i)`` because rounding
-    is monotone, with NaN propagating alike.  The one exception is
-    ``x_i = -inf`` with a ``-inf`` neighbour (``-inf - -inf`` is NaN, which
-    the difference form propagates), so any ``-inf`` in ``x`` selects the
-    difference form for the whole call.
+    Nodes are gathered slot-major in chunks of ``scratch``'s ``(k, rows,
+    F)`` shape (see :func:`_slot_major_chunks`; every ``src`` entry must lie
+    in ``[-N, N)``), so the grid stays cache-sized whatever ``N`` is.
+    Reducing over the leading axis is ``k - 1`` vectorised passes over
+    ``rows·F`` contiguous numbers; a ``(rows, k, F)`` grid reduced over its
+    middle axis runs numpy's inner loop only ``F`` numbers wide, which at
+    ``F = 3`` is several times slower.  Both layouts accumulate in
+    neighbour order ``j = 0…k-1``, so ``add``/``mean`` round identically.
+    ``max`` reduces the gathered rows and subtracts ``x_i`` once, as the
+    int8 kernel does: ``max_j round(x_j - x_i) == round(max_j x_j - x_i)``
+    because rounding is monotone, with NaN propagating alike.  The one
+    exception is ``x_i = -inf`` with a ``-inf`` neighbour (``-inf - -inf``
+    is NaN, which the difference form propagates), so any ``-inf`` in ``x``
+    selects the difference form for the whole call.
     """
-    num_nodes, features = x.shape
+    features = x.shape[1]
     centres, neighbours = out[:, :features], out[:, features:]
     if reduce in ("add", "sum"):
         np.multiply(x, x.dtype.type(k), out=centres)
-    else:  # max / mean of k copies of x_i is x_i itself
+    elif reduce in ("mean", "max"):  # max / mean of k copies of x_i is x_i
         np.copyto(centres, x)
-    reduce_first = reduce == "max" and not np.isneginf(x).any()
-    rows = scratch.shape[0]
-    for start in range(0, num_nodes, rows):
-        stop = min(start + rows, num_nodes)
-        grid = scratch[:stop - start]
-        np.take(x, src[start * k:stop * k], axis=0,
-                out=grid.reshape((stop - start) * k, features))
-        if not reduce_first:
-            grid -= x[start:stop, None, :]
-        uniform_segment_reduce(grid, reduce, neighbours[start:stop])
-    if reduce_first:
-        neighbours -= x
+    else:
+        raise ValueError(f"unknown scatter reduction: {reduce!r}")
+    # One boolean temporary, where np.isneginf builds three.
+    reduce_first = reduce == "max" and not (x == -np.inf).any()
+    for start, stop, grid in _slot_major_chunks(x, src, k, scratch):
+        # Each chunk reduces into a fresh contiguous block, written into
+        # ``out``'s strided columns once: numpy reducing straight into
+        # them is several times slower at small F.
+        if reduce_first:
+            np.subtract(grid.max(axis=0), x[start:stop],
+                        out=neighbours[start:stop])
+            continue
+        grid -= x[start:stop]
+        if reduce in ("add", "sum"):
+            neighbours[start:stop] = grid.sum(axis=0)
+        elif reduce == "mean":
+            neighbours[start:stop] = grid.mean(axis=0)
+        else:
+            neighbours[start:stop] = grid.max(axis=0)
     return out
 
 
@@ -276,13 +317,16 @@ def edge_messages(x: np.ndarray, src: np.ndarray, dst: np.ndarray,
 
     ``out`` has shape ``(E, 2F)``; both halves are written in place — the
     gathers land directly in their target columns and the difference is
-    computed in the right half without any temporary.
+    computed in the right half.  This is the ragged-topology path, whose
+    ``src`` nothing range-checks beforehand, so the gathers keep
+    ``mode="raise"`` (and its temporary: the column halves are strided,
+    which costs numpy a copy in any mode).
     """
     features = x.shape[1]
     centres = out[:, :features]
     neighbours = out[:, features:]
-    np.take(x, dst, axis=0, out=centres)
-    np.take(x, src, axis=0, out=neighbours)
+    np.take(x, dst, axis=0, out=centres, mode="raise")
+    np.take(x, src, axis=0, out=neighbours, mode="raise")
     neighbours -= centres
     return out
 
@@ -392,37 +436,43 @@ def quant_fused_linear(xq: np.ndarray, w_float: np.ndarray,
 
 
 def quant_edgeconv_uniform(xq: np.ndarray, src: np.ndarray, k: int,
-                           reduce: str, gather: np.ndarray,
+                           reduce: str, scratch: np.ndarray,
                            out: np.ndarray) -> np.ndarray:
     """Fused EdgeConv over a k-regular topology, entirely in integers.
 
     Exploits the algebraic identity ``reduce_j (x_j - x_i) =
     (reduce_j x_j) - x_i`` (exact for ``max``; exact in integers for
     ``add``): the neighbour half reduces the *gathered int8 rows directly*
-    and subtracts the centre once, so the ``(N, k, F)`` scratch stays int8
-    (4-8x less gather traffic than the float kernel) and no difference
-    tensor is ever materialized.  Output columns are
-    ``[x_i, max_j x_j - x_i]`` for ``max`` (scale unchanged) and
-    ``[k·x_i, Σ_j x_j - k·x_i]`` for ``add``/``mean`` — for ``mean`` the
-    caller folds the 1/k into the output scale, keeping the arithmetic
-    integer-exact.  ``out`` must be wide enough for the caller-computed
-    bound (int16 for one int8 block at small k, int32 beyond).
+    and subtracts the centre once, so the scratch stays int8 (4-8x less
+    gather traffic than the float kernel) and no difference tensor is ever
+    materialized.  The gather walks the same slot-major ``(k, rows, F)``
+    chunks as :func:`edgeconv_uniform`, with the same ``[-N, N)`` contract
+    on ``src``.  Output columns are ``[x_i, max_j x_j - x_i]`` for ``max``
+    (scale unchanged) and ``[k·x_i, Σ_j x_j - k·x_i]`` for ``add``/``mean``
+    — for ``mean`` the caller folds the 1/k into the output scale, keeping
+    the arithmetic integer-exact.  ``out`` must be wide enough for the
+    caller-computed bound (int16 for one int8 block at small k, int32
+    beyond).
     """
-    num_nodes, features = xq.shape
-    np.take(xq, src, axis=0, out=gather.reshape(num_nodes * k, features))
-    grouped = gather
+    features = xq.shape[1]
     centres = out[:, :features]
     neighbours = out[:, features:]
     if reduce == "max":
-        np.maximum.reduce(grouped, axis=1, out=neighbours)
         centres[...] = xq
-        np.subtract(neighbours, centres, out=neighbours)
     elif reduce in ("add", "sum", "mean"):
-        np.add.reduce(grouped, axis=1, dtype=out.dtype, out=neighbours)
         np.multiply(xq, out.dtype.type(k), out=centres)
-        np.subtract(neighbours, centres, out=neighbours)
     else:
         raise ValueError(f"unknown scatter reduction: {reduce!r}")
+    for start, stop, grid in _slot_major_chunks(xq, src, k, scratch):
+        # Reduced into a fresh contiguous block, then copied: reducing
+        # straight into the strided, wider columns of ``out`` makes numpy
+        # cast through its own small buffers, several times slower.
+        if reduce == "max":
+            neighbours[start:stop] = np.maximum.reduce(grid, axis=0)
+        else:
+            neighbours[start:stop] = np.add.reduce(grid, axis=0,
+                                                   dtype=out.dtype)
+    np.subtract(neighbours, centres, out=neighbours)
     return out
 
 

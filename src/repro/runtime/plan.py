@@ -71,8 +71,8 @@ class PlanRun:
     """Mutable state of one plan execution (the raw twin of ``ExecState``)."""
 
     __slots__ = ("x", "batch", "num_graphs", "edge_index", "pos", "pooled",
-                 "edge_info", "batch_sorted", "topo_cache", "arena",
-                 "x_in_arena", "x_scale", "x_qmax")
+                 "edge_info", "edge_slots", "batch_sorted", "topo_cache",
+                 "arena", "x_in_arena", "x_scale", "x_qmax")
 
     def __init__(self, x: np.ndarray, batch: np.ndarray, num_graphs: int,
                  edge_index: Optional[np.ndarray], pos: Optional[np.ndarray],
@@ -92,6 +92,9 @@ class PlanRun:
         #: SegmentInfo of the current edge list's destinations, or None when
         #: not yet derived (wire edges are canonicalized lazily on first use).
         self.edge_info: Optional[SegmentInfo] = None
+        #: ``(edge_index, slots)``: the range-checked slot table of a
+        #: k-regular edge list (see _slot_table), keyed by the list itself.
+        self.edge_slots: Optional[tuple] = None
         self.batch_sorted = bool(batch.shape[0] == 0
                                  or not np.any(np.diff(batch) < 0))
         #: Per-frame kNN topology cache (plan-time keys; see _SampleStep).
@@ -111,6 +114,39 @@ def _ensure_edge_info(run: PlanRun) -> None:
     if run.edge_info is None:
         run.edge_index, run.edge_info = canonical_edge_order(
             run.edge_index, run.num_nodes)
+
+
+def _slot_table(run: PlanRun) -> np.ndarray:
+    """The k-regular edge list's sources as the uniform EdgeConv kernels
+    read them, derived and range-checked once per topology.
+
+    Returns the ``(N, k)`` transpose of a contiguous ``(k, N)`` slot table
+    (row j: every node's j-th source), so the kernels' slot-major view of
+    it is the table itself.  The kernels gather with ``mode="wrap"``, which
+    trusts every source to lie in ``[-N, N)``; this is the check that makes
+    that so, raising the ``IndexError`` numpy's default mode would.
+    """
+    cached = run.edge_slots
+    if cached is not None and cached[0] is run.edge_index:
+        return cached[1]
+    num_nodes, k = run.num_nodes, run.edge_info.uniform_k
+    slots = np.ascontiguousarray(
+        run.edge_index[0].reshape(num_nodes, k).T, dtype=np.intp)
+    low, high = int(slots.min()), int(slots.max())
+    if low < -num_nodes or high >= num_nodes:
+        bad = low if low < -num_nodes else high
+        raise IndexError(f"index {bad} is out of bounds for axis 0 with "
+                         f"size {num_nodes}")
+    run.edge_slots = (run.edge_index, slots.T)
+    return slots.T
+
+
+def _scratch_shape(run: PlanRun, k: int, features: int,
+                   dtype) -> "tuple[int, int, int]":
+    """The ``(k, rows, F)`` slot-major chunk scratch of the uniform EdgeConv
+    kernels: as many node rows as fit ``_TILE_BYTES``, at least one."""
+    row_bytes = k * max(features, 1) * np.dtype(dtype).itemsize
+    return k, max(1, min(_TILE_BYTES // row_bytes, run.num_nodes)), features
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +327,10 @@ class _AggregateStep:
         out = run.arena.take(out_slot, (run.num_nodes, 2 * features), x.dtype)
         k = run.edge_info.uniform_k
         if k is not None:
-            # The kernel walks nodes in chunks of the scratch's rows.
-            row_bytes = k * max(features, 1) * x.itemsize
-            rows = max(1, min(_TILE_BYTES // row_bytes, run.num_nodes))
-            scratch = run.arena.take(msg_slot, (rows, k, features), x.dtype)
-            kernels.edgeconv_uniform(x, src, k, self.reduce, scratch, out)
+            scratch = run.arena.take(
+                msg_slot, _scratch_shape(run, k, features, x.dtype), x.dtype)
+            kernels.edgeconv_uniform(x, _slot_table(run), k, self.reduce,
+                                     scratch, out)
         else:
             messages = run.arena.take(msg_slot, (num_edges, 2 * features),
                                       x.dtype)
@@ -592,10 +627,10 @@ class _QuantAggregateStep(_AggregateStep):
                      else np.int32)
         out = run.arena.take(self.slot, (run.num_nodes, 2 * features),
                              out_dtype)
-        gather = run.arena.take(self.msg_slot, (run.num_nodes, k, features),
-                                x.dtype)
-        kernels.quant_edgeconv_uniform(x, run.edge_index[0], k, self.reduce,
-                                       gather, out)
+        scratch = run.arena.take(
+            self.msg_slot, _scratch_shape(run, k, features, x.dtype), x.dtype)
+        kernels.quant_edgeconv_uniform(x, _slot_table(run), k, self.reduce,
+                                       scratch, out)
         run.x = out
         run.x_in_arena = True
         run.x_scale = new_scale

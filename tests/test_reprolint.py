@@ -29,7 +29,7 @@ from tools.reprolint.baseline import DEFAULT_BASELINE
 from tools.reprolint.checkers import (arena_aliasing, dtype_discipline,
                                       layering, lock_discipline,
                                       message_kinds, results_hygiene,
-                                      sleep_discipline)
+                                      sleep_discipline, take_mode)
 
 
 def fixture_tree(name):
@@ -190,6 +190,25 @@ def test_results_clean_fixture_passes():
 
 
 # ----------------------------------------------------------------------
+# take-mode
+# ----------------------------------------------------------------------
+def test_take_flags_bad_fixture():
+    findings = take_mode.scan_module(fixture_tree("take_bad.py"),
+                                     "take_bad.py")
+    assert [f.ident for f in findings] == [
+        "gather_rows:np.take", "gather_method:x.take",
+        "gather_positional:np.take", "gather_bare:take"]
+    assert all(f.checker == "take-mode" for f in findings)
+    assert "mode='wrap'" in findings[0].message  # points at the idiom
+
+
+def test_take_clean_fixture_passes():
+    findings = take_mode.scan_module(fixture_tree("take_clean.py"),
+                                     "take_clean.py")
+    assert findings == []  # explicit modes, no out, BufferArena.take
+
+
+# ----------------------------------------------------------------------
 # live-tree meta-test
 # ----------------------------------------------------------------------
 def test_live_tree_clean_modulo_baseline():
@@ -223,7 +242,7 @@ def test_cli_json_contract():
     names = {c["name"] for c in report["checkers"]}
     assert names == {"arena-aliasing", "dtype-discipline", "layering",
                      "lock-discipline", "message-kinds", "results-hygiene",
-                     "sleep-discipline"}
+                     "sleep-discipline", "take-mode"}
     # Baselined findings ride along with their justifications.
     for finding in report["findings"]:
         assert finding["baselined"] is True

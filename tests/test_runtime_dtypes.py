@@ -69,7 +69,7 @@ class TestDtypePreservation:
         src = rng.integers(0, 6, size=18).astype(np.int64)
         for reduce in ("max", "add", "mean"):
             out = kernels.edgeconv_uniform(
-                x, src, 3, reduce, np.empty((6, 3, 4), np.float32),
+                x, src, 3, reduce, np.empty((3, 6, 4), np.float32),
                 np.empty((6, 8), np.float32))
             assert out.dtype == np.float32
 

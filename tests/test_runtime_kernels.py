@@ -173,7 +173,7 @@ class TestEdgeConvKernels:
         x = rng.standard_normal((n, f)).astype(np.float32)
         src = self._src(rng)
         out = kernels.edgeconv_uniform(x, src, k, reduce,
-                                       np.empty((n, k, f), np.float32),
+                                       np.empty((k, n, f), np.float32),
                                        np.empty((n, 2 * f), np.float32))
         np.testing.assert_allclose(out, _edgeconv_ref(x, src, k, reduce),
                                    rtol=1e-6, atol=1e-6)
@@ -185,7 +185,7 @@ class TestEdgeConvKernels:
         xq = rng.integers(-127, 128, size=(n, f)).astype(np.int8)
         src = self._src(rng)
         out = kernels.quant_edgeconv_uniform(xq, src, k, reduce,
-                                             np.empty((n, k, f), np.int8),
+                                             np.empty((k, n, f), np.int8),
                                              np.empty((n, 2 * f), np.int16))
         np.testing.assert_array_equal(out, _edgeconv_ref(xq, src, k, reduce))
 
@@ -200,11 +200,11 @@ class TestEdgeConvKernels:
         src = self._src(rng)
         scale = 2.0 ** -6
         quant = kernels.quant_edgeconv_uniform(
-            xq, src, k, reduce, np.empty((n, k, f), np.int8),
+            xq, src, k, reduce, np.empty((k, n, f), np.int8),
             np.empty((n, 2 * f), np.int16))
         x = xq.astype(np.float64) * scale
         float_out = kernels.edgeconv_uniform(
-            x, src, k, reduce, np.empty((n, k, f)), np.empty((n, 2 * f)))
+            x, src, k, reduce, np.empty((k, n, f)), np.empty((n, 2 * f)))
         out_scale = scale / k if reduce == "mean" else scale
         np.testing.assert_allclose(quant * out_scale, float_out,
                                    rtol=0, atol=1e-12)

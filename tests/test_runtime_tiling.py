@@ -17,9 +17,14 @@ tile and a SYRK product bit for bit alike on these shapes.  Eager and
 compiled kNN share one definition, so a BLAS where that fails would fail
 here without making the two disagree.
 
+The EdgeConv grid is gathered slot-major — ``(k, rows, F)``, slab j the
+j-th neighbour of every node in the chunk — and reduced over its leading
+axis, in the same neighbour order as the reference's middle axis.
+
 The last class pins the memory the tiles save, by allocation count rather
-than wall time: the ``tracemalloc`` peak of one paper-scale kNN, and the
-arena of the paper-scale edge plan after one frame.
+than wall time: the ``tracemalloc`` peak of one paper-scale kNN and of one
+paper-scale EdgeConv, and the arenas of the paper-scale edge plan after one
+frame.
 """
 
 from __future__ import annotations
@@ -29,13 +34,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import Architecture, ArchitectureZoo, ZooEntry
+from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
+                        ZooEntry)
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
-from repro.graph.knn import knn_graph
-from repro.runtime import kernels
-from repro.serving import build_zoo_callables
+from repro.graph.knn import _TILE_BYTES, knn_graph
+from repro.runtime import compile_plan, kernels
+from repro.serving import RuntimeConfig, build_zoo_callables
 
 MiB = 2 ** 20
 
@@ -209,7 +215,7 @@ class TestChunkedEdgeConv:
         x, src = _edgeconv_case(values, features, dtype)
         with np.errstate(invalid="ignore"):  # inf - inf is the point here
             out = kernels.edgeconv_uniform(
-                x, src, K, reduce, np.empty((rows, K, features), dtype),
+                x, src, K, reduce, np.empty((K, rows, features), dtype),
                 np.empty((NUM_NODES, 2 * features), dtype))
             expected = _full_grid_edgeconv(x, src, K, reduce)
         assert out.tobytes() == expected.tobytes()
@@ -221,6 +227,28 @@ class TestChunkedEdgeConv:
         with np.errstate(invalid="ignore"):
             assert np.isnan(_full_grid_edgeconv(x, src, K, "max")[0, 3])
         assert grid.max(axis=1)[0, 0] - x[0, 0] == np.inf
+
+    @pytest.mark.parametrize("bad", [NUM_NODES, -NUM_NODES - 1])
+    def test_plan_refuses_a_source_outside_the_frame(self, bad):
+        """The kernels gather with ``mode="wrap"``; the plan range-checks
+        each k-regular topology first, so a source past either end still
+        raises ``IndexError`` — and ``-1`` still means the last node, as it
+        did under numpy's default mode."""
+        x, src = _edgeconv_case("finite", 3, np.float64)
+        plan = compile_plan(ArchitectureModel(Architecture(ops=(
+            OpSpec(OpType.AGGREGATE, "max"),
+            OpSpec(OpType.GLOBAL_POOL, "max"))), in_dim=3, num_classes=2,
+            seed=0))
+        batch = np.zeros(NUM_NODES, np.int64)
+        dst = np.repeat(np.arange(NUM_NODES), K)
+        last = src.copy()
+        last[src == NUM_NODES - 1] = -1
+        np.testing.assert_array_equal(
+            plan.full.execute_out(x, batch, 1, np.stack([last, dst])).x,
+            plan.full.execute_out(x, batch, 1, np.stack([src, dst])).x)
+        src[7] = bad
+        with pytest.raises(IndexError, match="out of bounds"):
+            plan.full.execute(x, batch, 1, np.stack([src, dst]))
 
 
 # ----------------------------------------------------------------------
@@ -246,9 +274,32 @@ class TestTileMemory:
             tracemalloc.stop()
         assert peak <= 2 * MiB, f"kNN peak {peak / MiB:.2f} MiB"
 
-    def test_paper_edge_plan_arena(self):
-        """The paper-scale edge plan (Communicate first, two 1024 x 20
-        EdgeConvs) held 12.5 MiB after one frame with full grids."""
+    @pytest.mark.parametrize("reduce", ["max", "mean"])
+    @pytest.mark.parametrize("features", [3, 64])
+    def test_edgeconv_peak_allocation(self, features, reduce):
+        """One 1024 x 20 EdgeConv with its scratch supplied allocates less
+        than that scratch: the gather writes into it in place.  numpy's
+        default ``take`` mode gathered into a scratch-sized temporary and
+        copied it over, a peak of 257 / 251 KiB at F = 3 / 64."""
+        rng = np.random.default_rng(features)
+        x = rng.standard_normal((1024, features))
+        src = rng.integers(0, 1024, size=1024 * 20)
+        rows = _TILE_BYTES // (20 * features * x.itemsize)
+        scratch = np.empty((20, rows, features))
+        out = np.empty((1024, 2 * features))
+        kernels.edgeconv_uniform(x, src, 20, reduce, scratch, out)
+        tracemalloc.start()
+        try:
+            kernels.edgeconv_uniform(x, src, 20, reduce, scratch, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < scratch.nbytes, (
+            f"EdgeConv peak {peak / 1024:.0f} KiB, scratch "
+            f"{scratch.nbytes / 1024:.0f} KiB")
+
+    @staticmethod
+    def _paper_edge_callables(**config):
         ops = (OpSpec(OpType.COMMUNICATE, "uplink"),
                OpSpec(OpType.SAMPLE, "knn", k=20),
                OpSpec(OpType.AGGREGATE, "max"), OpSpec(OpType.COMBINE, 64),
@@ -256,7 +307,28 @@ class TestTileMemory:
                OpSpec(OpType.GLOBAL_POOL, "max||mean"))
         zoo = ArchitectureZoo([ZooEntry(
             "paper", Architecture(ops=ops, name="paper"), 0.9, 50.0, 0.5)])
-        serving = build_zoo_callables(zoo, in_dim=3, num_classes=10)["paper"]
+        serving = build_zoo_callables(zoo, in_dim=3, num_classes=10,
+                                      config=RuntimeConfig(**config))["paper"]
         serving.edge_fn(*serving.device_fn(_paper_edge_frame()))
+        return serving
+
+    def test_paper_edge_plan_arena(self):
+        """The paper-scale edge plan (Communicate first, two 1024 x 20
+        EdgeConvs) held 12.5 MiB after one frame with full grids."""
+        serving = self._paper_edge_callables()
         assert 0 < serving.arena_nbytes() <= 4 * MiB, (
             f"edge arena {serving.arena_nbytes() / MiB:.2f} MiB")
+
+    def test_int8_paper_plan_edgeconv_scratch_fits_a_tile(self):
+        """The int8 EdgeConv walks the float kernel's slot-major chunks;
+        it used to gather the whole ``(N, k, F)`` grid, 1.25 MiB at
+        F = 64.  Its scratches are the arena's only 3-D buffers."""
+        serving = self._paper_edge_callables(precision="int8")
+        grids = [buffer for plan in serving.plans
+                 for segment in plan.segments()
+                 for arena in segment.arenas()
+                 for buffer in arena._buffers.values() if buffer.ndim == 3]
+        assert {grid.shape[2] for grid in grids} == {3, 64}
+        for grid in grids:
+            assert grid.dtype == np.int8 and grid.shape[0] == 20
+            assert grid.nbytes <= _TILE_BYTES, grid.shape

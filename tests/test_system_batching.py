@@ -19,7 +19,8 @@ import pytest
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
                         ZooEntry, batched_edge_fn, collate_arrays,
                         split_callables, split_results)
-from repro.serving import BatchingConfig, ServerConfig, build_zoo_callables
+from repro.serving import (BatchingConfig, RuntimeConfig, ServerConfig,
+                           build_zoo_callables)
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
@@ -105,6 +106,45 @@ class TestCollateSplit:
         for requests in ([full, bare], [bare, full]):
             with pytest.raises(ValueError, match=name):
                 collate_arrays(requests)
+
+    def test_batch_of_one_collates_nothing(self):
+        """A lone frame's arrays come back as they are: no one-element
+        concatenate, no ``+ 0`` offset copy; only a dtype change casts."""
+        arrays = {"x": np.ones((3, 2)), "batch": np.zeros(3, dtype=np.int64),
+                  "edge_index": np.array([[0, 1], [1, 2]], dtype=np.int64),
+                  "pos": np.zeros((3, 2))}
+        meta = {"num_graphs": 1, "pooled": False}
+        collated, _, graph_counts = collate_arrays([(arrays, meta)])
+        assert graph_counts == [1]
+        for name, array in arrays.items():
+            assert collated[name] is array, name
+        cast, _, _ = collate_arrays([(arrays, meta)], dtype=np.float32)
+        assert cast["x"].dtype == cast["pos"].dtype == np.float32
+        assert cast["batch"] is arrays["batch"]
+
+    @pytest.mark.parametrize("precision", ["float64", "float32", "int8"])
+    def test_batch_fn_of_one_serves_read_only_wire_views(self, precision):
+        """``batch_fn([state])`` hands the deserialized (read-only) arrays
+        straight to the edge plan: they stay byte-identical, and the logits
+        are ``edge_fn``'s."""
+        zoo = ArchitectureZoo([ZooEntry("e", _co_inference_arch(),
+                                        0.9, 50.0, 0.5)])
+        callables = build_zoo_callables(
+            zoo, in_dim=3, num_classes=5, seed=0,
+            config=RuntimeConfig(precision=precision))["e"]
+        for frame in _frames(3):
+            arrays, meta = callables.device_fn(frame)
+            wire = deserialize_message(serialize_message(
+                Message(kind="frame", arrays=arrays, meta=meta)))
+            assert not any(array.flags.writeable
+                           for array in wire.arrays.values())
+            before = {name: array.tobytes()
+                      for name, array in wire.arrays.items()}
+            (batched, _), = callables.batch_fn([(wire.arrays, wire.meta)])
+            single, _ = callables.edge_fn(wire.arrays, wire.meta)
+            assert batched["logits"].tobytes() == single["logits"].tobytes()
+            assert {name: array.tobytes()
+                    for name, array in wire.arrays.items()} == before
 
     def test_collate_rejects_empty_batch(self):
         with pytest.raises(ValueError):

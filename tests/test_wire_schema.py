@@ -390,6 +390,63 @@ class TestPosMarkerFailsClosed:
             server.stop()
 
 
+class TestTopologyRangeFailsClosed:
+    """A wire topology naming a node outside ``[0, N)`` is refused before
+    it is expanded: one past the end used to surface only as an
+    ``IndexError`` deep in a kernel, and a negative source was served
+    silently as node ``N + i``."""
+
+    @staticmethod
+    def _tampered(tamper: str):
+        callables = build_zoo_callables(ZOO, in_dim=3, num_classes=3,
+                                        seed=0)["e2blk"]
+
+        def device_fn(frame):
+            arrays, meta = callables.device_fn(frame)
+            arrays = dict(arrays)
+            num_nodes = len(arrays["x"])
+            if tamper == "nbr_past_end":
+                nbr = arrays["nbr"].copy()
+                nbr[2, 1] = num_nodes
+                arrays["nbr"] = nbr
+            else:
+                edges = _wire_state(arrays, meta)["edge_index"].copy()
+                edges[0 if tamper == "negative_source" else 1, 5] = (
+                    -1 if tamper == "negative_source" else num_nodes)
+                del arrays["nbr"]
+                arrays["edge_index"] = edges
+            return arrays, meta
+
+        return callables, device_fn
+
+    TAMPERS = ["nbr_past_end", "negative_source", "destination_past_end"]
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    def test_edge_refuses_the_frame(self, tamper):
+        callables, device_fn = self._tampered(tamper)
+        state = device_fn(_frames()[0])
+        with pytest.raises(ValueError, match="outside the frame"):
+            callables.edge_fn(*state)
+        with pytest.raises(ValueError, match="outside the frame"):
+            callables.batch_fn([state])
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    def test_refusal_is_a_per_frame_error_reply(self, tamper):
+        callables, device_fn = self._tampered(tamper)
+        frames = _frames()[:2]
+        server = EdgeServer(callables.edge_fn).start()
+        client = DeviceClient(server.host, server.port)
+        try:
+            with pytest.raises(RuntimeError, match="outside the frame"):
+                client.run_pipeline(frames[:1], device_fn, timeout_s=20.0)
+            results, _ = client.run_pipeline(frames, callables.device_fn)
+            assert len(results) == len(frames)
+            assert server.stats().errors == 1
+        finally:
+            client.close()
+            server.stop()
+
+
 class TestPaperScaleRequestSize:
     """The wire guard: the benchmark's entry at paper scale, one seeded
     1024-point k=20 frame, in about a second instead of an end-to-end run.

@@ -125,6 +125,12 @@ ARENA_TARGETS = (
 )
 
 # ----------------------------------------------------------------------
+# take-mode: modules where a ``take`` into ``out=`` must name its mode
+# (the default "raise" gathers through a temporary of out's size).
+# ----------------------------------------------------------------------
+TAKE_TARGET_DIR = RUNTIME
+
+# ----------------------------------------------------------------------
 # sleep-discipline: test files must synchronize on conditions
 # (``conftest.wait_until``), not on wall-clock naps.
 # ----------------------------------------------------------------------
