@@ -1,4 +1,4 @@
-"""Shard worker runtime: shared-memory frame transport + worker process main.
+"""Shard worker runtime: pipe / shared-memory frame transport + worker main.
 
 This module is the process-side half of the process-parallel serving tier
 (see :mod:`repro.serving.sharding` for the in-server pool that drives it).
@@ -14,15 +14,39 @@ Message` envelopes in the versioned **raw** wire framing (the same layout the
 socket wire speaks): a JSON header plus each array's C-contiguous bytes.
 Nothing is pickled and nothing is re-encoded — moving a frame into a shard
 costs the raw-framing header plus straight memcpys of the array payloads.
+Each envelope travels as ``[u32 length][raw frame]``.
 
 Two transports carry the framed bytes:
 
-``"shm"`` (default)
+``"pipe"`` (default)
+    One OS pipe per direction (the descriptors of a
+    ``multiprocessing.Pipe``, which only carries them across spawn), driven
+    with non-blocking ``os.writev``/``os.read`` and ``poll``.  A waiting side
+    sleeps in the kernel and wakes the moment bytes (or room) arrive — no
+    spinning, no sleep quantum between a reply and its reader — and the
+    kernel orders the bytes, so the transport needs no store-ordering
+    assumption from the CPU.  Write deadline, in two parts (see
+    :meth:`_PipeEndpoint.send_bytes`):
+
+    * **shed before the first byte** — when not one byte of an envelope
+      could be written within the shed bound, the send raises
+      :class:`TimeoutError` with nothing written: the stream stays in sync
+      and the caller may shed the request (``BackpressureError``);
+    * **complete or crash** — once its first byte is in, an envelope
+      completes within the send's ``timeout`` or the send raises
+      :class:`ConnectionError`: a half-written envelope has desynced the
+      stream, so the link is dead.
+
+    A closed peer (``EPIPE`` on a write, end-of-file on a read) raises
+    :class:`ConnectionError` at once on either end — a crash at the parent,
+    an orderly exit at the worker.
+
+``"shm"`` (opt-in)
     A pair of preallocated single-producer/single-consumer ring buffers in
     ``multiprocessing.shared_memory`` per shard (request ring + response
-    ring).  Each message is written as ``[u32 length][raw frame]``; the ring
-    head is published once per *complete* message, so the consumer always
-    observes whole envelopes.  Layout::
+    ring).  The ring head is published once per *complete* message, so the
+    consumer always observes whole envelopes, and a message is written
+    whole or not at all.  Layout::
 
         [ head u32 | pad | tail u32 | pad | ... data (capacity bytes) ... ]
            (head/tail are modulo-2^32 byte counters; the data region is
@@ -30,11 +54,12 @@ Two transports carry the framed bytes:
 
     The ring is deliberately lock-free: only the producer stores ``head``
     and only the consumer stores ``tail`` (each a single aligned 4-byte
-    write), and waiting sides poll with a short spin-then-sleep loop.  No
-    cross-process lock or condition means a worker killed at *any* point —
-    even mid-wait — can never deadlock the parent; ``multiprocessing``'s
-    ``Condition.notify`` by contrast blocks until woken waiters acknowledge
-    and wedges forever when a waiter was SIGKILLed.
+    write), and waiting sides poll with a short spin-then-sleep loop — so a
+    waiter wakes up to one sleep quantum late.  No cross-process lock or
+    condition means a worker killed at *any* point — even mid-wait — can
+    never deadlock the parent; ``multiprocessing``'s ``Condition.notify`` by
+    contrast blocks until woken waiters acknowledge and wedges forever when
+    a waiter was SIGKILLed.
 
     Counter-store rule: head and tail are stored through a cast
     ``memoryview`` (one 4-byte item assignment), never with
@@ -44,31 +69,28 @@ Two transports carry the framed bytes:
     length prefix (the "undecodable response" worker losses recorded as
     observation 4 of ``benchmarks/e2e/README.md``).
 
-    Ordering caveat: publishing the head after the payload memcpy relies on
-    store ordering the producer's CPU provides — guaranteed on x86/x86-64
-    (TSO) but not architecturally on weakly-ordered ISAs (pure Python has
-    no release fence to offer).  In CPython practice the interpreter's own
-    synchronization between the stores makes reordering unobserved, and a
-    torn read would surface loudly as an undecodable envelope (the shard is
-    then treated as crashed, never as silently wrong data).  Deployments on
-    weakly-ordered hardware that want an architectural guarantee should use
-    ``transport="pipe"``, which inherits the kernel's pipe semantics.
+    Ordering caveat (this transport only): publishing the head after the
+    payload memcpy relies on store ordering the producer's CPU provides —
+    guaranteed on x86/x86-64 (TSO) but not architecturally on
+    weakly-ordered ISAs such as ARM (pure Python has no release fence to
+    offer).  In CPython practice the interpreter's own synchronization
+    between the stores makes reordering unobserved, and a torn read would
+    surface loudly as an undecodable envelope (the shard is then treated as
+    crashed, never as silently wrong data).  The default pipe transport
+    inherits the kernel's pipe semantics and carries no such caveat.
 
-``"pipe"``
-    The same length-framed envelopes over ``multiprocessing.Pipe`` — the
-    portability fallback for platforms without POSIX shared memory, and a
-    useful A/B for the ring transport.
-
-Crash behavior: the parent-side pool detects a dead worker (reader timeout +
-liveness poll) and fails that shard's in-flight requests with
-:class:`ShardCrashedError` — a :class:`ConnectionError` — so a crashed shard
-produces clean per-frame errors instead of hung clients.  A worker likewise
-exits when its parent disappears.
+Crash behavior: the parent-side pool detects a dead worker (a closed pipe,
+or the reader timeout + liveness poll) and fails that shard's in-flight
+requests with :class:`ShardCrashedError` — a :class:`ConnectionError` — so
+a crashed shard produces clean per-frame errors instead of hung clients.  A
+worker likewise exits when its parent disappears.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import select
 import struct
 import time
 import traceback
@@ -92,6 +114,9 @@ except ImportError:  # pragma: no cover - platform-dependent
 #: 4-byte big-endian length prefix in front of every ring/pipe message.
 _FRAME_PREFIX = ">I"
 _FRAME_PREFIX_BYTES = struct.calcsize(_FRAME_PREFIX)
+#: Largest single pipe read: the default Linux pipe capacity, so one read
+#: drains whatever the writer managed to put in.
+_PIPE_READ_BYTES = 1 << 16
 #: Ring header: head (offset 0) and tail (offset 8) u32 byte counters,
 #: each padded to 8 bytes so the two writers never share a cache line word.
 _RING_HEADER = 16
@@ -107,6 +132,8 @@ _POLL_S = 500e-6
 SHARD_TRANSPORT_SHM = "shm"
 SHARD_TRANSPORT_PIPE = "pipe"
 SHARD_TRANSPORTS = (SHARD_TRANSPORT_SHM, SHARD_TRANSPORT_PIPE)
+#: The pipe transport drives POSIX descriptors (Windows pipes are handles).
+_PIPE_AVAILABLE = hasattr(select, "poll") and hasattr(os, "writev")
 
 
 def shm_available() -> bool:
@@ -118,7 +145,7 @@ def transport_available(transport: str) -> bool:
     """Whether ``transport`` can be used on this platform."""
     if transport == SHARD_TRANSPORT_SHM:
         return shm_available()
-    return transport == SHARD_TRANSPORT_PIPE
+    return transport == SHARD_TRANSPORT_PIPE and _PIPE_AVAILABLE
 
 
 class ShardCrashedError(ConnectionError):
@@ -272,14 +299,18 @@ class ShmRing:
             if now >= spin_until:
                 time.sleep(min(_POLL_S, max(deadline - now, 0.0)))
 
-    def send_bytes(self, blob: bytes, timeout: float = 30.0) -> int:
+    def send_bytes(self, blob: bytes, timeout: float = 30.0,
+                   shed_timeout: Optional[float] = None) -> int:
         """Append one length-prefixed message; returns bytes written.
 
         Raises :class:`ValueError` when the message can never fit (larger
         than the whole ring) and :class:`TimeoutError` when the consumer
-        did not free enough space within ``timeout`` — the caller maps
-        that onto shard-crash handling.
+        did not free enough space within ``timeout`` (or the shorter
+        ``shed_timeout``) — nothing is written then: a message lands whole
+        or not at all.
         """
+        if shed_timeout is not None:
+            timeout = min(shed_timeout, timeout)
         needed = _FRAME_PREFIX_BYTES + len(blob)
         if needed > self.capacity:
             raise ValueError(
@@ -365,8 +396,14 @@ class ShardChannel:
         capacity = getattr(self._send, "capacity", None)
         return None if capacity is None else capacity - _FRAME_PREFIX_BYTES
 
-    def send_bytes(self, blob: bytes, timeout: float = 30.0) -> int:
-        return self._send.send_bytes(blob, timeout=timeout)
+    def send_bytes(self, blob: bytes, timeout: float = 30.0,
+                   shed_timeout: Optional[float] = None) -> int:
+        """Ship one envelope.  :class:`TimeoutError` means nothing was
+        written (within ``shed_timeout``, when given, else ``timeout``), so
+        the caller may shed it; :class:`ConnectionError` means the peer is
+        gone or the stream broke."""
+        return self._send.send_bytes(blob, timeout=timeout,
+                                     shed_timeout=shed_timeout)
 
     def recv_bytes(self, timeout: float = 0.2) -> Optional[bytes]:
         return self._recv.recv_bytes(timeout=timeout)
@@ -381,35 +418,115 @@ class ShardChannel:
 
 
 class _PipeEndpoint:
-    """Length-delimited messages over one half of a ``multiprocessing.Pipe``.
+    """Length-prefixed envelopes over one end of an OS pipe.
 
-    Limitation vs the ring transport: ``Connection.send_bytes`` offers no
-    write timeout, so when the OS pipe buffer is full (a live worker that
-    stopped draining) a send blocks until the kernel frees space — the
-    ``timeout`` parameter only bounds failures the OS reports (a closed
-    peer raises immediately).  The shm ring transport honors the timeout
-    exactly; the pipe transport is the portability fallback.
+    The ``multiprocessing`` ``Connection`` only carries the descriptor
+    across spawn (and owns it); all I/O is non-blocking ``os.writev``/
+    ``os.read`` on the raw descriptor with ``poll`` as the wait, so a
+    waiting side sleeps in the kernel and wakes when the peer acts, and
+    every write honors a deadline.  One thread per endpoint at a time, as
+    with :class:`ShmRing` (the link's send lock, the lone reader thread).
     """
 
-    def __init__(self, conn) -> None:
+    def __init__(self, conn, events: int) -> None:
         self._conn = conn
+        self._fd = conn.fileno()
+        os.set_blocking(self._fd, False)
+        self._poller = select.poll()
+        self._poller.register(self._fd, events)
+        #: Read side: bytes received but not yet returned as a whole
+        #: envelope (a partial one survives a timed-out ``recv_bytes``).
+        self._inbox = bytearray()
 
-    def send_bytes(self, blob: bytes, timeout: float = 30.0) -> int:
-        try:
-            self._conn.send_bytes(blob)
-        except (BrokenPipeError, OSError) as exc:
-            raise TimeoutError(f"shard pipe closed: {exc}") from exc
-        return len(blob) + _FRAME_PREFIX_BYTES
+    def _wait(self, deadline: float) -> bool:
+        """Sleep in the kernel until the descriptor is ready (or hung up,
+        which the next read/write reports) or ``deadline`` passes."""
+        remaining = deadline - time.monotonic()
+        return (remaining > 0
+                and bool(self._poller.poll(math.ceil(remaining * 1e3))))
+
+    def send_bytes(self, blob: bytes, timeout: float = 30.0,
+                   shed_timeout: Optional[float] = None) -> int:
+        """Write one envelope; returns the bytes written.
+
+        Raises :class:`TimeoutError` when not one byte could be written
+        within ``shed_timeout`` (``timeout`` when not given) — the stream is
+        untouched, so the envelope may be shed.  Once the first byte is in,
+        the envelope completes within ``timeout`` of the call or this raises
+        :class:`ConnectionError`: a half-written envelope has desynced the
+        stream (a wedged-but-alive reader), so the link is dead.  A closed
+        reader raises :class:`ConnectionError` too.
+        """
+        prefix = struct.pack(_FRAME_PREFIX, len(blob))
+        payload = memoryview(blob)
+        total = _FRAME_PREFIX_BYTES + len(blob)
+        started = time.monotonic()
+        deadline = started + timeout
+        first_deadline = (deadline if shed_timeout is None
+                          else started + min(shed_timeout, timeout))
+        written = 0
+        while written < total:
+            try:
+                if written < _FRAME_PREFIX_BYTES:
+                    written += os.writev(self._fd,
+                                         (prefix[written:], payload))
+                else:
+                    written += os.write(
+                        self._fd, payload[written - _FRAME_PREFIX_BYTES:])
+                continue
+            except BlockingIOError:
+                pass
+            except OSError as exc:  # EPIPE: the reading end is closed
+                raise ConnectionError(f"shard pipe closed: {exc}") from exc
+            if self._wait(first_deadline if written == 0 else deadline):
+                continue
+            if written == 0:
+                raise TimeoutError(
+                    "shard pipe full for "
+                    f"{first_deadline - started:.3f}s (reader stalled)")
+            raise ConnectionError(
+                f"shard pipe stalled mid-envelope: {written} of {total} "
+                f"bytes written within {timeout:.3f}s")
+        return total
+
+    def _pop(self) -> Optional[bytes]:
+        """The next whole envelope out of the inbox, if one is complete."""
+        inbox = self._inbox
+        if len(inbox) < _FRAME_PREFIX_BYTES:
+            return None
+        (length,) = struct.unpack_from(_FRAME_PREFIX, inbox)
+        end = _FRAME_PREFIX_BYTES + length
+        if len(inbox) < end:
+            return None
+        with memoryview(inbox) as view:
+            blob = bytes(view[_FRAME_PREFIX_BYTES:end])
+        del inbox[:end]
+        return blob
 
     def recv_bytes(self, timeout: float = 0.2) -> Optional[bytes]:
-        try:
-            if not self._conn.poll(timeout):
-                return None
-            return self._conn.recv_bytes()
-        except (EOFError, BrokenPipeError, OSError):
-            # Treated exactly like a silent ring: the caller's liveness
-            # poll turns a dead peer into ShardCrashedError.
-            return None
+        """Pop one envelope, or ``None`` when none completed in ``timeout``.
+
+        Raises :class:`ConnectionError` at end-of-file: the writing end is
+        closed, so nothing more can ever arrive.
+        """
+        deadline = None
+        while True:
+            blob = self._pop()
+            if blob is not None:
+                return blob
+            try:
+                chunk = os.read(self._fd, _PIPE_READ_BYTES)
+            except BlockingIOError:
+                if deadline is None:
+                    deadline = time.monotonic() + timeout
+                if not self._wait(deadline):
+                    return None
+                continue
+            except OSError as exc:
+                raise ConnectionError(f"shard pipe failed: {exc}") from exc
+            if not chunk:
+                raise ConnectionError("shard pipe closed by peer")
+            self._inbox += chunk
 
     def close(self) -> None:
         try:
@@ -438,8 +555,9 @@ def create_channel(ctx, transport: str, capacity: int
     if transport == SHARD_TRANSPORT_PIPE:
         request_rx, request_tx = ctx.Pipe(duplex=False)
         response_rx, response_tx = ctx.Pipe(duplex=False)
-        parent = ShardChannel(_PipeEndpoint(request_tx),
-                              _PipeEndpoint(response_rx), owner=True)
+        parent = ShardChannel(_PipeEndpoint(request_tx, select.POLLOUT),
+                              _PipeEndpoint(response_rx, select.POLLIN),
+                              owner=True)
         spec = (SHARD_TRANSPORT_PIPE, request_rx, response_tx)
         return parent, spec
     raise ValueError(f"unknown shard transport {transport!r} "
@@ -455,8 +573,9 @@ def attach_channel(spec: Tuple) -> ShardChannel:
                             ShmRing.attach(request_handle), owner=False)
     if kind == SHARD_TRANSPORT_PIPE:
         _, request_rx, response_tx = spec
-        return ShardChannel(_PipeEndpoint(response_tx),
-                            _PipeEndpoint(request_rx), owner=False)
+        return ShardChannel(_PipeEndpoint(response_tx, select.POLLOUT),
+                            _PipeEndpoint(request_rx, select.POLLIN),
+                            owner=False)
     raise ValueError(f"unknown shard channel spec {kind!r}")
 
 
@@ -545,7 +664,7 @@ class ReplicaCore:
     lives here — building the repository from a JSON bootstrap, executing
     requests, installing replicated snapshots, answering heartbeats —
     parameterized over an :class:`_EnvelopeChannel`.  The
-    shared-memory shard worker (:func:`_shard_main`) and the TCP cluster
+    shard worker (:func:`_shard_main`) and the TCP cluster
     node (:mod:`repro.runtime.node`) are the same core behind different
     transports, so their guarantees (same seed → bit-identical weights,
     idempotent publish, pin checks) are one implementation, not two.
@@ -626,7 +745,7 @@ class ReplicaCore:
                               meta={"frames": metas,
                                     "service_time_s": elapsed}))
             except Exception as exc:
-                # A result that cannot be shipped (larger than the response
+                # A result that cannot be shipped (larger than an shm response
                 # ring, parent stalled) must degrade to one error for the
                 # request, not kill the whole worker.
                 reply_error(corr, exc)

@@ -43,7 +43,8 @@ Layer map
 * :mod:`repro.serving.sharding` — :class:`ShardPool`: process-parallel
   serving shards (multi-core scaling) behind a
   :class:`ShardingConfig`-enabled app; frames cross to worker processes
-  over shared-memory rings carrying the raw wire framing.
+  over OS pipes (or opt-in shared-memory rings) carrying the raw wire
+  framing.
 * :mod:`repro.serving.cluster` — :class:`ClusterPool`: the multi-node
   cluster tier (multi-machine scaling) behind a
   :class:`ClusterConfig`-enabled app; frames travel to TCP replica nodes

@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Type
 
 from ..core.executor import RUNTIMES
 from ..runtime import PRECISIONS, SEGMENTS
-from ..runtime.shard import SHARD_TRANSPORT_SHM, SHARD_TRANSPORTS
+from ..runtime.shard import SHARD_TRANSPORT_PIPE, SHARD_TRANSPORTS
 from ..system.knobs import (_POSITIVE_MS, _POSITIVE_S, BatchingConfig,
                             ClientConfig, Knob, QosConfig, RetryPolicy,
                             ServerConfig, _Config, knob)
@@ -91,13 +91,14 @@ class ShardingConfig(_Config):
         "each); 1 serves in process.  Size to cores minus one: the parent's "
         "socket/batcher threads need a core", min=1)
     transport: str = knob(
-        SHARD_TRANSPORT_SHM, SHARD_TRANSPORTS, '``"shm"``: shared-memory '
-        'rings carrying the raw wire framing; ``"pipe"``: the same framing '
-        "over ``multiprocessing.Pipe`` (kernel-ordered: for weak-memory ISAs)")
+        SHARD_TRANSPORT_PIPE, SHARD_TRANSPORTS, '``"pipe"``: the raw wire '
+        "framing over OS pipes, waits sleep in the kernel, a write deadline "
+        'sheds before the first byte; ``"shm"`` (opt-in): shared-memory '
+        "rings that spin-then-sleep-poll (store ordering assumes x86 TSO)")
     ring_bytes: int = knob(
-        4 * 1024 * 1024, int, "Capacity of each request/response ring (4 MiB);"
-        " a request must fit: ``max_batch_size`` × the largest raw-framed "
-        "frame",
+        4 * 1024 * 1024, int, 'Capacity of each request/response ring (4 MiB)'
+        ', ``transport="shm"`` only: a request must fit ``max_batch_size`` × '
+        "the largest raw-framed frame",
         min=64 * 1024, unit="B")
     request_timeout_s: float = knob(
         60.0, float, "Round-trip bound before a wedged shard is treated as "

@@ -8,7 +8,9 @@ that cap: it spawns ``num_shards`` worker processes (each holding its *own*
 models, compiled plans and buffer arenas — see
 :func:`repro.runtime.shard._shard_main`), and exposes per-entry
 ``batch_fns`` that hand whole micro-batches (a lone frame is a batch of one)
-to the workers over preallocated shared-memory rings.  The
+to the workers over a pair of OS pipes per shard (see
+:mod:`repro.runtime.shard`; the preallocated shared-memory rings of
+``transport="shm"`` are opt-in).  The
 :class:`~repro.system.engine.EdgeServer` threads then act as a thin router:
 sockets, coalescing and statistics stay in the parent, while every engine
 call runs on another core.
@@ -38,12 +40,27 @@ The parent-side mechanism — correlated requests, the reader thread, crash
 propagation, publish replication, slot bookkeeping — is the tier-agnostic
 :class:`~repro.serving.workers.WorkerLink`/:class:`~repro.serving.workers.
 WorkerPool`; this module adds only what is shard-specific: spawning a worker
-behind a ring/pipe channel, respawning it under the repository's publish
-barrier, round-robin routing, and shedding *before* the ring.
+behind a pipe (or shm ring) channel, respawning it under the repository's
+publish barrier, round-robin routing, and shedding *before* the first byte.
+
+Transports
+----------
+The default ``"pipe"`` channel sleeps in the kernel on both ends — an idle
+worker and a parent reader waiting on an engine call wake the moment the
+other side writes — and gives every write a deadline: a request that could
+not put one byte into the pipe within :data:`RING_SHED_TIMEOUT_S` is shed
+(``BackpressureError``, nothing written, the stream in sync); one that did
+start completes within ``request_timeout_s`` or crashes the link, so a
+wedged-but-alive worker never blocks a sender forever.  A closed pipe is a
+dead shard, never a full one.  The opt-in ``"shm"`` rings spin-then-sleep
+poll (a waiter wakes up to one 500 µs nap late) and rely on x86 store
+ordering (see :mod:`repro.runtime.shard` for the TSO caveat); the pipe
+needs neither.
 
 ``num_shards=1`` (the default) never builds a pool at all — the app serves
-in-process exactly as before — and platforms without
-``multiprocessing.shared_memory`` fall back the same way (with a warning).
+in-process exactly as before — and platforms without the chosen transport
+(no POSIX pipe descriptors, or no ``multiprocessing.shared_memory`` for
+``"shm"``) fall back the same way (with a warning).
 """
 
 from __future__ import annotations
@@ -60,11 +77,12 @@ from .workers import WorkerLink, WorkerPool
 
 __all__ = ["ShardPool", "ShardCrashedError", "sharding_supported"]
 
-#: How long a frame/batch waits for room on a shard's request ring before
+#: How long a frame/batch waits for room on a shard's request channel before
 #: it is shed with a :class:`~repro.system.scheduler.BackpressureError`.
-#: Shedding happens *before* the ring (nothing written, protocol intact),
-#: so a saturated shard answers "rejected" within this bound instead of
-#: stalling the caller for the full request timeout and then crashing.
+#: Shedding happens *before* the first byte (nothing written, protocol
+#: intact), so a saturated shard answers "rejected" within this bound
+#: instead of stalling the caller for the full request timeout and then
+#: crashing.  It bounds the wait on either transport, pipe or ring.
 RING_SHED_TIMEOUT_S = 0.05
 
 

@@ -1,6 +1,6 @@
 """One worker link, one worker pool: the parent side of both scaling tiers.
 
-A shard (a worker process behind a shared-memory ring or a pipe, see
+A shard (a worker process behind a pipe or a shared-memory ring, see
 :mod:`repro.serving.sharding`) and a cluster node (a replica behind a TCP
 socket, see :mod:`repro.serving.cluster`) run the *same* worker loop —
 :class:`~repro.runtime.shard.ReplicaCore` — and are driven by the same
@@ -9,7 +9,8 @@ parent-side mechanism, written once here:
 * :class:`WorkerLink` — correlated RPC to one worker over a byte channel
   (``send_bytes(blob, timeout)``, ``recv_bytes(timeout) -> Optional[bytes]``,
   ``close()``, ``unlink()``, ``max_message_bytes`` — the surface
-  :class:`~repro.runtime.shard.ShardChannel` defines): correlation ids,
+  :class:`~repro.runtime.shard.ShardChannel` defines, whose ``send_bytes``
+  also takes the ``shed_timeout`` of a shedding link): correlation ids,
   one self-contained envelope per request and per reply, a reader thread
   completing replies out of order, crash propagation to every in-flight
   request, heartbeat probes and the cumulative counters behind
@@ -21,7 +22,7 @@ parent-side mechanism, written once here:
   consumes through ``slot_alive``/``respawn``/``set_quarantined``/
   ``death_reason``.
 
-The tiers add only what differs: how a worker is reached (spawn + ring,
+The tiers add only what differs: how a worker is reached (spawn + pipe,
 dial + hello), which live link takes the next request, and the stats view.
 """
 
@@ -116,7 +117,7 @@ class WorkerLink:
         self.last_seen = time.monotonic()
         self._lock = threading.Lock()
         #: One send lock per link: the channels are single-producer (two
-        #: threads writing the ring at once would tear both envelopes).
+        #: threads writing one channel at once would tear both envelopes).
         self._send_lock = threading.Lock()
         self._pending: Dict[int, _PendingReply] = {}
         self._corr = itertools.count(1)
@@ -200,10 +201,12 @@ class WorkerLink:
               shed_timeout: Optional[float] = None) -> None:
         """Ship one envelope, size-checked against the transport first.
 
-        ``shed_timeout`` bounds the wait for room: a channel with none
-        within it raises :class:`~repro.system.scheduler.BackpressureError`
-        — an envelope is written whole or not at all, so shedding is safe
-        and the worker stays healthy (shed *before* the ring, never after).
+        ``shed_timeout`` bounds the wait for room: a channel that could not
+        take the envelope's first byte within it raises
+        :class:`~repro.system.scheduler.BackpressureError` — nothing was
+        written, so shedding is safe and the worker stays healthy (shed
+        *before* the channel, never after).  An envelope the channel did
+        start still completes within ``timeout`` or crashes the link.
         Without it a full channel for ``timeout`` keeps the crash semantics.
         """
         blob = serialize_message(message, wire_format=WIRE_FORMAT_RAW)
@@ -222,7 +225,7 @@ class WorkerLink:
             else:
                 try:
                     sent = self.channel.send_bytes(
-                        blob, timeout=min(shed_timeout, timeout))
+                        blob, timeout=timeout, shed_timeout=shed_timeout)
                 except TimeoutError as exc:
                     raise BackpressureError(
                         f"{self.label} had no room within "
@@ -422,7 +425,7 @@ class WorkerLink:
         if self.process is not None:
             if self.process.is_alive() and not self.crashed:
                 try:
-                    # Short timeout: a wedged worker with a full ring must
+                    # Short timeout: a wedged worker with a full channel must
                     # not stall shutdown for request_timeout_s — it gets
                     # killed right below anyway.
                     self._send(Message(kind=KIND_STOP), timeout=1.0)

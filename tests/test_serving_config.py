@@ -123,7 +123,7 @@ EXAMPLES = {
     BatchingConfig: dict(max_batch_size=8, max_wait_ms=5),
     ServerConfig: dict(host="0.0.0.0", port=9000, max_workers=2, backlog=4,
                        frontend="async", session_log_limit=16),
-    ShardingConfig: dict(num_shards=2, transport="pipe", ring_bytes=1 << 20,
+    ShardingConfig: dict(num_shards=2, transport="shm", ring_bytes=1 << 20,
                          request_timeout_s=5, start_timeout_s=6,
                          publish_timeout_s=7),
     QosConfig: dict(max_queue_depth=np.int64(8), default_deadline_ms=100,
@@ -150,7 +150,7 @@ EXAMPLES = {
     ServingConfig: dict(runtime={"runtime": "eager"},
                         batching={"max_batch_size": 4},
                         server={"frontend": "async"},
-                        sharding={"transport": "pipe"},
+                        sharding={"transport": "shm"},
                         qos={"max_queue_depth": 4},
                         cluster={"nodes": ["a:9000"]},
                         supervisor={"enabled": True}),

@@ -295,7 +295,9 @@ class TestShardRespawnHygiene:
     def test_respawn_unlinks_dead_rings_across_cycles(self):
         """No shm leak over restart cycles; replacements re-pin the snapshot."""
         repo = ModelRepository(in_dim=3, num_classes=3, zoo=ZOO_V1)
-        pool = ShardPool(repo, ShardingConfig(num_shards=2)).start()
+        # The segment names under test exist on the shm transport only.
+        pool = ShardPool(repo, ShardingConfig(num_shards=2,
+                                              transport="shm")).start()
         try:
             for cycle in range(3):
                 victim = pool._links[0]
@@ -334,7 +336,9 @@ class TestShardRespawnHygiene:
     def test_stop_during_inflight_respawn_is_clean(self):
         """stop() racing respawn(): both orders settle with nothing leaked."""
         repo = ModelRepository(in_dim=3, num_classes=3, zoo=ZOO_V1)
-        pool = ShardPool(repo, ShardingConfig(num_shards=2)).start()
+        # The segment names under test exist on the shm transport only.
+        pool = ShardPool(repo, ShardingConfig(num_shards=2,
+                                              transport="shm")).start()
         initial_names = [name for shard in pool._links
                          for name in _ring_names(shard)]
         victim = pool._links[0]

@@ -12,13 +12,16 @@ serving guarantee must be re-pinned across that boundary:
 * ``num_shards=1`` is the identity: no pool, no worker processes, byte-for-
   byte the in-process serving path.
 
-The transport primitives (shared-memory ring, envelope framing) are covered
-directly at the bottom — they must stay correct without a running server.
+The transport primitives (the pipe endpoint with its write deadline, the
+shared-memory ring) are covered directly at the bottom — they must stay
+correct without a running server.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -30,7 +33,8 @@ from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
-from repro.runtime.shard import ShmRing, shm_available
+from repro.runtime.shard import (ShmRing, attach_channel, create_channel,
+                                 shm_available)
 from conftest import wait_until
 from repro.serving import (BatchingConfig, ModelRepository, ServingConfig,
                            ShardCrashedError, ShardingConfig, serve,
@@ -168,11 +172,14 @@ class TestShardEquivalence:
         assert stats.batches_dispatched > 0
         assert stats.batch_fallback_frames == 0
 
-    def test_pipe_transport_equivalent(self):
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_transport_equivalent(self, transport):
+        """The default pipe and the opt-in shm ring serve the same logits."""
         frames = _frames(2)
         expected = _reference_logits(ZOO_V1, "m", frames)
-        with serve(ZOO_V1, _sharded_config(transport="pipe"), in_dim=3,
+        with serve(ZOO_V1, _sharded_config(transport=transport), in_dim=3,
                    num_classes=3) as app:
+            assert app.shard_pool.config.transport == transport
             with app.client(model="m") as client:
                 results, _ = client.run(frames)
         for result, reference in zip(results, expected):
@@ -304,11 +311,17 @@ class TestShardCrash:
                                            reference, atol=1e-9)
             assert app.shard_pool.live_count() == 1
 
-    def test_in_flight_request_fails_with_connection_error(self):
-        """A request stuck on a dying shard errors out instead of hanging."""
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_in_flight_request_fails_with_connection_error(self, transport):
+        """A request stuck on a dying shard errors out instead of hanging.
+
+        On the pipe the dead worker's closed ends crash the link (a broken
+        pipe is a dead shard, never a full one: no ``BackpressureError``).
+        """
         repo = ModelRepository(in_dim=3, num_classes=3, zoo=ZOO_V1)
         from repro.serving.sharding import ShardPool
-        pool = ShardPool(repo, ShardingConfig(num_shards=2)).start()
+        pool = ShardPool(repo, ShardingConfig(num_shards=2,
+                                              transport=transport)).start()
         try:
             shard = pool._links[0]
             arrays, meta = repo.device_fn("m")(_frames(1)[0])
@@ -329,8 +342,46 @@ class TestShardCrash:
             thread.join(timeout=15.0)
             assert not thread.is_alive(), "in-flight request hung"
             assert len(failures) == 1
-            assert isinstance(failures[0], ConnectionError)
+            assert isinstance(failures[0], ShardCrashedError), failures
         finally:
+            pool.stop()
+
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_wedged_worker_crashes_within_request_timeout(self, transport):
+        """A SIGSTOPped (alive, never reading) worker and a request larger
+        than a pipe's buffer: the sender must not block forever — the link
+        crashes within ``request_timeout_s`` and the request raises."""
+        repo = ModelRepository(in_dim=3, num_classes=3, zoo=ZOO_V1)
+        from repro.serving.sharding import ShardPool
+        timeout_s = 1.0
+        pool = ShardPool(repo, ShardingConfig(
+            num_shards=2, transport=transport,
+            request_timeout_s=timeout_s)).start()
+        shard = pool._links[0]
+        try:
+            os.kill(shard.process.pid, signal.SIGSTOP)
+            frame = ({"x": np.zeros(1 << 14)}, {})  # 128 KiB > 64 KiB
+            outcome = []
+
+            def request():
+                started = time.monotonic()
+                try:
+                    shard.request("m", [frame])
+                except Exception as exc:
+                    outcome.append(exc)
+                outcome.append(time.monotonic() - started)
+
+            thread = threading.Thread(target=request, daemon=True)
+            thread.start()
+            thread.join(timeout=timeout_s + 30.0)
+            assert not thread.is_alive(), "sender hung on a wedged worker"
+            error, elapsed = outcome
+            assert isinstance(error, ShardCrashedError), error
+            assert elapsed < timeout_s + 5.0
+            assert not shard.alive and pool.live_count() == 1
+        finally:
+            if shard.process.is_alive():
+                os.kill(shard.process.pid, signal.SIGCONT)
             pool.stop()
 
 
@@ -455,3 +506,76 @@ class TestShmRing:
         assert not writer.is_alive(), "writer process ignored the stop flag"
         assert seen <= {_HEAD_A, _HEAD_B}, (
             f"torn head store: reader saw {sorted(seen - {_HEAD_A, _HEAD_B})}")
+
+
+class TestPipeEndpoint:
+    """The default transport's write deadline and closed-peer rule."""
+
+    @pytest.fixture
+    def pipe(self):
+        parent, spec = create_channel(multiprocessing.get_context("spawn"),
+                                      "pipe", 1 << 16)
+        worker = attach_channel(spec)
+        try:
+            yield parent, worker
+        finally:
+            parent.close()
+            worker.close()
+
+    @staticmethod
+    def _fill(channel) -> int:
+        """Envelopes of exactly ``PIPE_BUF`` framed bytes — each written
+        whole or not at all — until one times out; returns how many fit."""
+        for count in range(4096):
+            try:
+                channel.send_bytes(b"f" * 4092, timeout=0.05)
+            except TimeoutError:
+                return count
+        raise AssertionError("the pipe never filled")
+
+    def test_full_pipe_sheds_with_zero_bytes_written(self, pipe):
+        parent, worker = pipe
+        count = self._fill(parent)
+        assert count > 0
+        with pytest.raises(TimeoutError, match="full"):
+            parent.send_bytes(b"shed me", timeout=0.05)
+        # Draining finds exactly the envelopes that fit: the shed one left
+        # no byte behind, so the stream is still in sync.
+        for _ in range(count):
+            assert worker.recv_bytes(timeout=5.0) == b"f" * 4092
+        assert worker.recv_bytes(timeout=0.05) is None
+        parent.send_bytes(b"next", timeout=0.05)
+        assert worker.recv_bytes(timeout=5.0) == b"next"
+
+    def test_stall_after_the_first_byte_crashes_never_sheds(self, pipe):
+        parent, worker = pipe
+        started = time.monotonic()
+        with pytest.raises(ConnectionError, match="mid-envelope") as caught:
+            parent.send_bytes(b"b" * (1 << 18), timeout=0.2,
+                              shed_timeout=0.05)
+        assert not isinstance(caught.value, TimeoutError)
+        assert time.monotonic() - started < 5.0
+
+    def test_large_envelope_round_trips_through_a_draining_reader(self,
+                                                                   pipe):
+        parent, worker = pipe
+        blob = bytes(range(256)) * 4096  # 1 MiB: sixteen pipe buffers
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(worker.recv_bytes(timeout=30.0)),
+            daemon=True)
+        reader.start()
+        parent.send_bytes(blob, timeout=30.0, shed_timeout=0.05)
+        reader.join(timeout=30.0)
+        assert received == [blob]
+
+    def test_closed_peer_raises_connection_error_on_both_ends(self, pipe):
+        parent, worker = pipe
+        worker.send_bytes(b"last words")
+        worker.close()
+        # Bytes written before the close still arrive; then end-of-file.
+        assert parent.recv_bytes(timeout=5.0) == b"last words"
+        with pytest.raises(ConnectionError, match="closed"):
+            parent.recv_bytes(timeout=5.0)
+        with pytest.raises(ConnectionError, match="closed"):
+            parent.send_bytes(b"anyone?", timeout=0.05, shed_timeout=0.05)

@@ -33,6 +33,7 @@ from repro.runtime.shard import (ReplicaCore, ShardCrashedError,
 from repro.serving import ModelRepository
 from repro.serving.repository import SNAPSHOT_META_KEY
 from repro.serving.workers import WorkerLink, WorkerPool
+from repro.system.scheduler import BackpressureError
 from repro.system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT,
                                    KIND_STOP, Message, NODE_KIND_PING,
                                    NODE_KIND_PONG, SHARD_KIND_READY,
@@ -317,6 +318,64 @@ def test_ping_pong_measures_rtt_and_retires_earlier_probes(wired):
     wait_until(lambda: link.outstanding_pings() == 0,
                message="last probe answered")
     assert link.snapshot_version == 5, "a stale pong regressed the version"
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param("shm", marks=pytest.mark.skipif(
+        not shm_available(), reason="no shared memory")),
+    "pipe"])
+def test_full_channel_sheds_before_the_first_byte(kind):
+    """A shard channel with no room sheds the request — nothing written,
+    the link healthy — and serves again once the worker drains."""
+    parent, worker, crash_error = _channel_pair(kind)
+    link = WorkerLink("worker 0", parent, crash_error=crash_error,
+                      request_timeout_s=10.0, shed_timeout_s=0.05)
+    peer = _Peer(worker)
+    try:
+        peer.reply(Message(kind=SHARD_KIND_READY, meta={"version": 1}))
+        link.wait_ready(5.0)
+        filler = 0
+        while True:  # PIPE_BUF-sized envelopes: each lands whole or not
+            try:
+                parent.send_bytes(b"f" * 4092, timeout=0.05)
+            except TimeoutError:
+                break
+            filler += 1
+            assert filler < 4096, "the channel never filled"
+        with pytest.raises(BackpressureError, match="no room"):
+            _request_one(link, _frame(1.0))
+        assert link.alive and link.in_flight() == 0
+        for _ in range(filler):
+            assert worker.recv_bytes(timeout=5.0) == b"f" * 4092
+        call = _Call(_request_one, link, _frame(2.0))
+        request = peer.recv()
+        assert request.meta == {"entry": "m", "frames": [{"tag": 2.0}]}
+        peer.result(request, 2.0)
+        assert call.done().outcome[1] == {"value": 2.0}
+    finally:
+        link.stop()
+        worker.close()
+
+
+def test_pipe_stalled_mid_envelope_crashes_the_link_not_sheds():
+    """A request the pipe took a first byte of, then stalled on for the
+    request timeout, has desynced the stream: a crash, never a shed."""
+    parent, worker, crash_error = _channel_pair("pipe")
+    crashes = []
+    link = WorkerLink("worker 0", parent, crash_error=crash_error,
+                      request_timeout_s=0.3, shed_timeout_s=0.05,
+                      on_crash=lambda: crashes.append(1))
+    try:
+        _Peer(worker).reply(Message(kind=SHARD_KIND_READY, meta={}))
+        link.wait_ready(5.0)
+        big = ({"x": np.zeros(1 << 14)}, {})  # 128 KiB > the pipe buffer
+        with pytest.raises(crash_error, match="mid-envelope"):
+            link.request("m", [big])
+        assert not link.alive and crashes == [1]
+        assert "mid-envelope" in link.death_reason
+    finally:
+        link.stop()
+        worker.close()
 
 
 @pytest.mark.parametrize("kind", ["pipe", "socket"])
