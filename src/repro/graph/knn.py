@@ -67,16 +67,27 @@ def knn_graph(points: np.ndarray, k: int,
     k:
         Number of neighbours per node.
     batch:
-        Optional node-to-graph assignment; edges never cross graphs.
+        Optional node-to-graph assignment, one entry per row of
+        ``points``; edges never cross graphs.
 
     Returns
     -------
     np.ndarray
         Edge index of shape ``(2, N * k)`` where row 0 holds neighbour
         (source) indices and row 1 holds centre (destination) indices.
+
+    Raises
+    ------
+    ValueError
+        If ``batch`` is not of shape ``(N,)``.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
+    if batch is not None:
+        batch = np.asarray(batch, dtype=np.int64)
+        if batch.shape != (n,):
+            raise ValueError(f"batch has shape {batch.shape}, expected "
+                             f"({n},): one graph id per point")
     if n == 0:
         return np.zeros((2, 0), dtype=np.int64)
     if batch is None:
@@ -84,7 +95,6 @@ def knn_graph(points: np.ndarray, k: int,
         centres = np.repeat(np.arange(n, dtype=np.int64), neighbours.shape[1])
         return np.stack([neighbours.reshape(-1), centres], axis=0)
 
-    batch = np.asarray(batch, dtype=np.int64)
     vectorized = _knn_graph_equal_sizes(points, k, batch)
     if vectorized is not None:
         return vectorized
@@ -100,69 +110,74 @@ def knn_graph(points: np.ndarray, k: int,
     return np.stack([np.concatenate(sources), np.concatenate(targets)], axis=0)
 
 
-#: Bytes of float64 distances in one kNN tile, and of gathered rows in one
-#: chunk of the compiled EdgeConv: a tile, its GEMM product and its
-#: ``argpartition`` indices then stay in a core's L2 cache instead of
-#: streaming a whole ``(n, n)`` matrix through memory.  Every tiling selects
-#: the same neighbours bit for bit, so this is a constant, not a setting.
+#: Bytes of float64 keys in one kNN tile, and of gathered rows in one
+#: chunk of the compiled EdgeConv: a tile and its ``argpartition`` indices
+#: then stay in a core's L2 cache instead of streaming a whole ``(n, n)``
+#: matrix through memory.  Every tiling selects the same neighbours bit for
+#: bit, so this is a constant, not a setting.
 _TILE_BYTES = 256 * 1024
 
 
 def grouped_knn_distances(grouped: np.ndarray
                           ) -> Iterator[Tuple[slice, slice, np.ndarray]]:
-    """Self-excluded squared distances of a ``(G, n, D)`` group, in tiles.
+    """Self-excluded kNN ranking keys of a ``(G, n, D)`` group, in tiles.
 
-    Yields ``(graphs, rows, dists)``: entry ``[g, r, j]`` of ``dists`` is
-    ``(|x_i|² + |x_j|²) − 2.0·(x_i·x_j)`` between node
-    ``i = rows.start + r`` and node ``j`` of graph ``graphs.start + g``,
-    and ``inf`` where ``j`` is ``i``.  A tile covers at most
-    ``_TILE_BYTES`` of distances: whole
+    Yields ``(graphs, rows, keys)``: entry ``[g, r, j]`` of ``keys`` is
+    ``e_ij = |x_j|² − 2·(x_i·x_j)`` between node ``i = rows.start + r``
+    and node ``j`` of graph ``graphs.start + g``, and ``inf`` where ``j``
+    is ``i``.  That is the squared distance ``d_ij`` minus ``|x_i|²``, a
+    constant along the row, and ``argpartition`` ranks each row on its
+    own, so the key selects the neighbours the squared distance does, in
+    the same order.  A tile covers at most ``_TILE_BYTES`` of keys: whole
     graphs when one graph's ``(n, n)`` matrix fits, so a batch of small
     clouds is a few batched GEMMs with no per-graph Python loop; row tiles
     of one graph when it does not.  Every tile is written into the same
-    two buffers, so ``dists`` is valid only until the next tile.
+    buffer, so ``keys`` is valid only until the next tile.
+
+    Each tile is one batched GEMM of augmented operands,
+    ``[x_i, 1] · [−2·x_jᵀ ; |x_j|²]``, written straight into the buffer:
+    no product buffer, broadcast add, ``×2`` or subtract.  Scaling by
+    ``−2`` is exact, so the key's rounding error is that of one dot
+    product and one add, about ``u·(|x_i|² + |x_j|²)`` (``u`` the unit
+    roundoff) — the same scale as ``(|x_i|² + |x_j|²) − 2·(x_i·x_j)``.
+    Two squared distances closer than that may rank either way under
+    either formula, just as they may across BLAS builds.  Splitting the
+    tile into two GEMMs, ``[|x_i|², 1]·[1; |x_j|²]`` and ``x_i·(2x_j)ᵀ``,
+    and a subtract would keep the full formula's rounding bit for bit, at
+    twice the buffers and more than twice this tile's time.
 
     This is the single definition of the ranking that both the eager
     batched builder below and the compiled runtime's selection-only kNN
     (:func:`repro.runtime.kernels.knn_edges_uniform`) walk: the compiled
-    runtime's guarantee is that it selects the same neighbour sets as eager
-    execution, and any drift in the formula or its operation order would
-    silently flip near-tied selections.  Each entry depends only on its
-    own two rows and ``argpartition`` ranks each row on its own, so the
+    runtime's guarantee is that it selects the same neighbour sets as
+    eager execution, and two formulas would disagree on near-tied
+    neighbours.  Each entry depends only on its own two rows, so the
     tiling never changes a selected neighbour.
-
-    The product is a GEMM against a contiguous transpose on purpose:
-    ``a @ a.T`` on one buffer takes numpy's SYRK path, 5.4 ms against
-    0.7 ms as GEMM at 1024 × 3, with bitwise-equal products for
-    D ∈ {3, 6, 64, 128}.
     """
-    num_graphs, per_graph, _ = grouped.shape
-    sq_norms = (grouped ** 2).sum(axis=2)
-    transposed = np.ascontiguousarray(grouped.transpose(0, 2, 1))
+    num_graphs, per_graph, dims = grouped.shape
+    left = np.ones((num_graphs, per_graph, dims + 1))
+    left[:, :, :dims] = grouped
+    right = np.empty((num_graphs, dims + 1, per_graph))
+    np.multiply(grouped.transpose(0, 2, 1), -2.0, out=right[:, :dims])
+    (grouped ** 2).sum(axis=2, out=right[:, dims])
     row_bytes = per_graph * np.dtype(np.float64).itemsize
     if per_graph * row_bytes <= _TILE_BYTES:
         graphs_per_tile = _TILE_BYTES // (per_graph * row_bytes)
         rows_per_tile = per_graph
     else:
         graphs_per_tile, rows_per_tile = 1, max(1, _TILE_BYTES // row_bytes)
-    size = min(graphs_per_tile, num_graphs) * rows_per_tile * per_graph
-    dists_buffer, product_buffer = np.empty(size), np.empty(size)
+    keys_buffer = np.empty(
+        min(graphs_per_tile, num_graphs) * rows_per_tile * per_graph)
     for first in range(0, num_graphs, graphs_per_tile):
         graphs = slice(first, min(first + graphs_per_tile, num_graphs))
         for start in range(0, per_graph, rows_per_tile):
             rows = slice(start, min(start + rows_per_tile, per_graph))
             shape = (graphs.stop - first, rows.stop - start, per_graph)
-            used = shape[0] * shape[1] * per_graph
-            dists = dists_buffer[:used].reshape(shape)
-            product = product_buffer[:used].reshape(shape)
-            np.add(sq_norms[graphs, rows, None], sq_norms[graphs, None, :],
-                   out=dists)
-            np.matmul(grouped[graphs, rows], transposed[graphs], out=product)
-            product *= 2.0
-            dists -= product
+            keys = keys_buffer[:shape[0] * shape[1] * per_graph].reshape(shape)
+            np.matmul(left[graphs, rows], right[graphs], out=keys)
             local = np.arange(shape[1])
-            dists[:, local, local + start] = np.inf  # exclude self-edges
-            yield graphs, rows, dists
+            keys[:, local, local + start] = np.inf  # exclude self-edges
+            yield graphs, rows, keys
 
 
 def _knn_graph_equal_sizes(points: np.ndarray, k: int,
@@ -188,13 +203,13 @@ def _knn_graph_equal_sizes(points: np.ndarray, k: int,
     grouped = points.reshape(num_graphs, per_graph, -1)
     effective_k = min(k, max(per_graph - 1, 1))
     local = np.empty((num_graphs, per_graph, effective_k), dtype=np.int64)
-    for graphs, rows, dists in grouped_knn_distances(grouped):
+    for graphs, rows, keys in grouped_knn_distances(grouped):
         if effective_k >= per_graph:
-            nearest = np.argsort(dists, axis=2)[:, :, :effective_k]
+            nearest = np.argsort(keys, axis=2)[:, :, :effective_k]
         else:
-            nearest = np.argpartition(dists, effective_k - 1,
+            nearest = np.argpartition(keys, effective_k - 1,
                                       axis=2)[:, :, :effective_k]
-            order = np.argsort(np.take_along_axis(dists, nearest, axis=2),
+            order = np.argsort(np.take_along_axis(keys, nearest, axis=2),
                                axis=2)
             nearest = np.take_along_axis(nearest, order, axis=2)
         local[graphs, rows] = nearest

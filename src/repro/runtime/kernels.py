@@ -520,11 +520,20 @@ def knn_edges_uniform(points: np.ndarray, k: int, num_graphs: int,
     """kNN edge list for a batch of equally sized graphs, selection-only.
 
     The runtime twin of :func:`repro.graph.knn.knn_graph`'s vectorized path,
-    minus the work inference does not need: it walks the *same* distance
-    tiles (:func:`~repro.graph.knn.grouped_knn_distances`, so the selected
-    neighbour set is bit-for-bit the same as eager's — ``argpartition`` is
-    deterministic per row), but the selected ``k`` neighbours are **not**
-    re-sorted nearest-first.
+    minus the work inference does not need: it walks the *same* tiles of
+    ranking keys (:func:`~repro.graph.knn.grouped_knn_distances`, so the
+    selected neighbour set is bit-for-bit the same as eager's —
+    ``argpartition`` is deterministic per row), but the selected ``k``
+    neighbours are **not** re-sorted nearest-first.
+    A key is ``|x_j|² − 2·x_i·x_j``, the squared distance shifted by the
+    row's own ``|x_i|²``; a row shift leaves the row's order alone, so it
+    selects what the squared distance would.  Each tile is one GEMM of
+    augmented operands rather than a GEMM plus a broadcast add, ``×2`` and
+    subtract, or two GEMMs that would keep the full formula's rounding:
+    half the buffers and under half the time of either.  The key rounds on
+    the same scale as the full formula, about ``u·(|x_i|² + |x_j|²)``, so
+    only neighbours tied within that bound may rank differently, as they
+    may across BLAS builds.
     Neighbour order within a destination segment only affects floating-point
     summation order of ``add``/``mean`` aggregation (~1e-15 relative), never
     the neighbour set, and dropping the per-row sort removes the two

@@ -124,6 +124,20 @@ class TestKNN:
         for src, dst in edges.T:
             assert (src < 5) == (dst < 5)
 
+    @pytest.mark.parametrize("batch", [
+        np.zeros(64, dtype=np.int64),
+        np.repeat(np.arange(3), [20, 20, 10]),
+        np.zeros((128, 1), dtype=np.int64),
+    ], ids=["equal-sizes", "ragged", "column"])
+    def test_knn_graph_rejects_a_batch_of_the_wrong_shape(self, batch):
+        """A batch of the wrong length used to be read as far as it went:
+        128 points under a 64-long batch of one graph came back as a
+        64-node graph over 6-D rows (the equal-size path reshaped them),
+        and a 50-long ragged batch ranked only the first 50 points."""
+        pts = np.random.default_rng(3).standard_normal((128, 3))
+        with pytest.raises(ValueError, match=r"expected \(128,\)"):
+            knn_graph(pts, 4, batch=batch)
+
     def test_knn_indices_match_full_sort(self):
         """The argpartition fast path selects the same neighbours as argsort."""
         rng = np.random.default_rng(7)

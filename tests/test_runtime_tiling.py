@@ -1,25 +1,29 @@
 """Cache-sized tiles in kNN and EdgeConv change nothing but speed and memory.
 
-``grouped_knn_distances`` walks a group's distances in row tiles of at most
-``_TILE_BYTES``, and the compiled EdgeConv walks nodes in chunks of its
-scratch grid.  Each rewrite keeps a per-row operation order, so its outputs
-must be ``tobytes()``-identical to the full-size kernels it replaced.  Those
-kernels are kept below as in-test references, written as they were before
-tiling:
+``grouped_knn_distances`` walks a group's kNN ranking keys in row tiles of
+at most ``_TILE_BYTES``.  Each key is ``|x_j|² − 2·x_i·x_j``, one batched
+GEMM of augmented operands: the squared distance minus ``|x_i|²``, a
+constant along the row.  The in-test references below rank the squared
+distance itself as the kernel did before tiling: one ``(G, n, n)`` matrix
+of ``(|x_i|² + |x_j|²) − 2·a@aᵀ`` per group, its product taken as
+``a @ a.T`` (numpy's SYRK path, one call per graph).
 
-* kNN: one ``(G, n, n)`` matrix per group, its product taken as
-  ``a @ a.T`` (numpy's SYRK path, one call per graph);
-* EdgeConv: one ``(N, k, F)`` grid of neighbour differences, reduced along
-  ``k``.
+The kernel no longer keeps the references' operation order, so the
+comparisons pin that the key selects the same neighbours as the squared
+distance, in the same order, on every test cloud: the Gaussian, float32
+and tied clouds, and the clouds the benchmark serves.  Eager and compiled
+kNN share one definition, so a BLAS whose rounding flipped a near-tie
+would fail here without making the two disagree.  The key's algebra is
+checked exactly on small-integer clouds, where every product and sum is
+exact in float64.
 
-The kNN comparison also pins that the BLAS numpy ships computes a GEMM row
-tile and a SYRK product bit for bit alike on these shapes.  Eager and
-compiled kNN share one definition, so a BLAS where that fails would fail
-here without making the two disagree.
-
-The EdgeConv grid is gathered slot-major — ``(k, rows, F)``, slab j the
-j-th neighbour of every node in the chunk — and reduced over its leading
-axis, in the same neighbour order as the reference's middle axis.
+The compiled EdgeConv walks nodes in chunks of its scratch grid and keeps
+a per-row operation order, so its output must be ``tobytes()``-identical
+to the full-size kernel it replaced, kept below as a reference: one
+``(N, k, F)`` grid of neighbour differences, reduced along ``k``.  The
+grid is gathered slot-major — ``(k, rows, F)``, slab j the j-th neighbour
+of every node in the chunk — and reduced over its leading axis, in the
+same neighbour order as the reference's middle axis.
 
 The last class pins the memory the tiles save, by allocation count rather
 than wall time: the ``tracemalloc`` peak of one paper-scale kNN and of one
@@ -39,7 +43,7 @@ from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
-from repro.graph.knn import _TILE_BYTES, knn_graph
+from repro.graph.knn import _TILE_BYTES, grouped_knn_distances, knn_graph
 from repro.runtime import compile_plan, kernels
 from repro.serving import RuntimeConfig, build_zoo_callables
 
@@ -155,6 +159,69 @@ class TestKnnTiles:
         points = _cloud(kind, 3 * per_graph, dims, seed=per_graph)
         _assert_knn_identical(points, 3, per_graph)
 
+    @pytest.mark.parametrize("dims", [3, 64])
+    @pytest.mark.parametrize("per_graph, num_graphs", [
+        (17, 3), (64, 8), (128, 3), (1000, 1), (1024, 1), (1500, 3)])
+    def test_keys_are_distances_minus_the_row_norm(self, per_graph,
+                                                   num_graphs, dims):
+        """Every tile plus ``|x_i|²`` is the squared-distance matrix bit
+        for bit, with ``inf`` on the self entries, and the tiles cover
+        each row of each graph once."""
+        rng = np.random.default_rng(per_graph + dims)
+        ints = rng.integers(-8, 9, size=(num_graphs, per_graph, dims))
+        sq_norms = (ints ** 2).sum(axis=2)
+        expected = (sq_norms[:, :, None] + sq_norms[:, None, :]
+                    - 2 * ints @ ints.transpose(0, 2, 1)).astype(np.float64)
+        diagonal = np.arange(per_graph)
+        expected[:, diagonal, diagonal] = np.inf
+        assembled = np.full(expected.shape, np.nan)
+        for graphs, rows, keys in grouped_knn_distances(
+                ints.astype(np.float64)):
+            assert np.isnan(assembled[graphs, rows]).all()
+            assembled[graphs, rows] = keys + sq_norms[graphs, rows, None]
+        assert assembled.tobytes() == expected.tobytes()
+
+
+def _benchmark_pool(num_points, seed):
+    """The 40 clouds one benchmark run serves at ``--seed seed``."""
+    graphs = SyntheticModelNet40(num_points=num_points, samples_per_class=4,
+                                 num_classes=10, seed=seed).generate()
+    return np.stack([np.asarray(graph.pos, dtype=np.float64)
+                     for graph in graphs])
+
+
+class TestBenchmarkClouds:
+    """The key against the references on the frames the benchmark serves:
+    1024 points at k = 20 (``paper_edge``, ``paper_split``) and 64 at
+    k = 16 (``small_batched``, ``small_sharded``), one frame at a time and
+    in batches of 8 (``small_batched``'s micro-batch)."""
+
+    @staticmethod
+    def _assert_pool_identical(num_points, k, seed):
+        pool = _benchmark_pool(num_points, seed)
+        frames = [(cloud, 1) for cloud in pool] + [
+            (pool[first:first + 8].reshape(-1, 3), 8)
+            for first in range(0, len(pool), 8)]
+        for points, num_graphs in frames:
+            batch = np.repeat(np.arange(num_graphs, dtype=np.int64),
+                              num_points)
+            assert knn_graph(points, k, batch=batch).tobytes() == \
+                _reference_eager(points, k, num_graphs, num_points).tobytes()
+            assert kernels.knn_edges_uniform(
+                points, k, num_graphs, num_points).tobytes() == \
+                _reference_uniform(points, k, num_graphs,
+                                   num_points).tobytes()
+
+    @pytest.mark.parametrize("num_points, k", [(1024, 20), (64, 16)])
+    def test_seed_0_pool(self, num_points, k):
+        self._assert_pool_identical(num_points, k, seed=0)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("num_points, k", [(1024, 20), (64, 16)])
+    def test_other_seeds_pools(self, num_points, k, seed):
+        self._assert_pool_identical(num_points, k, seed)
+
 
 # ----------------------------------------------------------------------
 # EdgeConv
@@ -263,7 +330,8 @@ def _paper_edge_frame():
 class TestTileMemory:
     def test_knn_peak_allocation(self):
         """One 1024-point k=20 frame: the full-matrix kernel peaked at
-        16.6 MiB of temporaries; the tiles stay under 2 MiB."""
+        16.6 MiB of temporaries, the first tiles with a product buffer
+        beside each tile at 1.1 MiB; one GEMM per tile stays under 1 MiB."""
         points = _paper_edge_frame().pos
         kernels.knn_edges_uniform(points, 20, 1, 1024)
         tracemalloc.start()
@@ -272,7 +340,7 @@ class TestTileMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * MiB, f"kNN peak {peak / MiB:.2f} MiB"
+        assert peak <= 1 * MiB, f"kNN peak {peak / MiB:.2f} MiB"
 
     @pytest.mark.parametrize("reduce", ["max", "mean"])
     @pytest.mark.parametrize("features", [3, 64])
