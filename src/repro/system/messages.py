@@ -7,42 +7,55 @@ metadata header.  There is one frame layout and one codec for it:
     [magic 0xAB][version 2][u32 header length][JSON header][array bytes ...]
 
 The header carries ``kind``/``frame_id``/``meta`` and one spec per array;
-the arrays' bytes follow in header order, each in one of two layouts:
+the arrays' bytes follow in header order, each in one of three layouts:
 
 * ``[name, dtype, shape]`` — *dense*: the C-contiguous bytes.
 * ``[name, dtype, shape, "zp"]`` — *zero-suppressed, byte-planed*:
   ``packbits(bits != 0)`` (the mask of elements that are not bitwise
   zero), then the non-zero elements byte-planed — byte *j* of every value
   in plane *j*.  Only 2/4/8-byte floats where at least one element in
-  eight is bitwise zero use it (post-ReLU activations are 36–40 % zeros),
-  and only in the zlib framing: deflate finds the planes' long runs that
-  the interleaved float bytes hide.  Bitwise, so ``-0.0`` and NaN
-  payloads survive.
+  eight is bitwise zero use it (post-ReLU activations are 36–40 % zeros).
+* ``[name, dtype, shape, "bp"]`` — *byte-planed*: every element
+  byte-planed, in the array's own byte order.  Only 2/4/8-byte integer
+  arrays of at least 4096 elements use it (a ``nbr`` table, an
+  ``edge_index``): an index's low byte is close to noise, its high bytes
+  a few distinct values.
+
+Both planed layouts appear only in the zlib framing, where each byte
+plane is coded for what it holds, and are bitwise, so ``-0.0`` and NaN
+payloads survive.
 
 ``wire_format="raw"`` sends the all-dense frame as is; ``"zlib"`` (the
-default) sends a zlib stream of the frame, in which zero-heavy float
-arrays use the ``zp`` layout — mirroring the paper's engine, which is
-built on Python sockets and compresses all transmitted data with zlib.
-The stream is ``zlib.compress(frame, level)`` unless some ``zp`` byte
-plane does not deflate: the low mantissa bytes of real-valued features
-are noise, and deflating them costs most of the compression time for
-< 1 % of their size.  A level-1 probe of each plane's first 4 KB picks
-those planes, and the stream is built from pieces — a raw deflate of the
-rest, the picked planes as *stored* blocks behind a full flush, our own
-zlib header and Adler-32 trailer.  Stock zlib inflates either to the same
-frame.  A frame with no ``zp`` plane of 4 KB or more — a logits reply, a
-64-point request — is exactly ``zlib.compress(frame, level)``.
+default) sends a zlib stream of the frame with the planed layouts inside
+it — mirroring the paper's engine, which is built on Python sockets and
+compresses all transmitted data with zlib.  The stream is
+``zlib.compress(frame, level)`` unless the frame has a byte plane of 4 KB
+or more.  Each such plane is probed — a ``Z_RLE`` deflate of four 1 KB
+windows spread across it — and travels as *stored* blocks when the probe
+cannot shrink it by 3 % (the low mantissa bytes of real-valued features,
+the low byte of a neighbour table: deflating them cost most of the
+compression time for < 1 % of their size), else through a second raw
+deflater with the ``Z_RLE`` strategy (Huffman codes plus runs, at a
+fraction of a full match search).  The header, ``zp`` masks, dense
+arrays and shorter planes stay in the default deflater.  The stream is
+built from pieces — the coders' output, switched behind full flushes, our
+own zlib header and Adler-32 trailer — and stock zlib inflates it to the
+same frame.  A frame with no plane of 4 KB or more — a logits reply, a
+64-point request, a Communicate-first request — is exactly
+``zlib.compress(frame, level)``.
 
 A receiver tells the two framings apart by the first byte (zlib streams
 begin with ``0x78``), inflates when needed — capped at its message cap,
 because the length prefix bounds only the *deflated* size — and hands the
-frame to the one parser, which reads both layouts, so every check on the
+frame to the one parser, which reads every layout, so every check on the
 peer-controlled header guards both framings.  Dense arrays decode to
 read-only ``np.frombuffer`` views over the received (or inflated) bytes
 (zero per-array copies); a ``zp`` array decodes into a fresh read-only
 array with one scatter, and the total size such arrays decode to is held
-to the same cap.  The layout is versioned: an unknown version byte raises
-instead of desyncing the stream.
+to the same cap; a ``bp`` array into one, plane by plane.  A
+frame must end where its last declared array ends, and a zlib stream
+where its frame does.  The layout is versioned: an unknown version byte
+raises instead of desyncing the stream.
 """
 
 from __future__ import annotations
@@ -125,10 +138,14 @@ REJECT_REASON_META_KEY = "reason"
 #: always start with ``0x78`` (deflate, 32K window), so this magic makes the
 #: two framings self-describing on receive.
 _RAW_MAGIC = 0xAB
-#: Current frame layout version (2: array specs may carry the ``zp`` tag).
+#: Current frame layout version (2: array specs may carry a layout tag —
+#: ``zp``, or ``bp``, which an older version-2 parser refuses as unknown).
 _RAW_VERSION = 2
-#: Layout tag of a zero-suppressed, byte-planed array (see module docstring).
+#: Layout tag of a zero-suppressed, byte-planed float array (see module
+#: docstring).
 _LAYOUT_ZP = "zp"
+#: Layout tag of a byte-planed integer array (see module docstring).
+_LAYOUT_BP = "bp"
 
 # ----------------------------------------------------------------------
 # Shard control envelope (process-parallel serving)
@@ -230,8 +247,9 @@ def serialize_message(message: Message, compress_level: int = 6,
     ``wire_format`` attribute decides, so replies naturally mirror the
     framing their request arrived in.  ``compress_level`` only applies to
     the zlib framing: a zlib stream of the frame, zero-heavy float arrays
-    in the ``zp`` layout and their incompressible planes stored (see the
-    module docstring).
+    in the ``zp`` layout, large integer arrays in the ``bp`` layout, and
+    each large plane run-length deflated or stored (see the module
+    docstring).
     """
     wire_format = message.wire_format if wire_format is None else wire_format
     if wire_format not in WIRE_FORMATS:
@@ -246,8 +264,8 @@ def serialize_message(message: Message, compress_level: int = 6,
     if message.batch_index is not None:
         header["batch_index"] = int(message.batch_index)
     chunks = []
-    # Per chunk: ship it in stored blocks (an incompressible ``zp`` plane).
-    stored = []
+    # Per chunk: how it travels in the zlib stream (see _pieced_zlib).
+    codings = []
     specs = []
     for name, array in message.arrays.items():
         # Not np.ascontiguousarray: that turns a 0-d array into shape (1,).
@@ -258,37 +276,47 @@ def serialize_message(message: Message, compress_level: int = 6,
                              f"{array.dtype}: only plain-data arrays "
                              "can go on the wire")
         spec = [name, array.dtype.str, list(array.shape)]
-        planed = _zero_planed(array) if deflate else None
+        planed = _planed(array) if deflate else None
         if planed is None:
             # A memoryview, not tobytes(): join below then performs the
             # single unavoidable copy of each payload into the frame.
             chunks.append(memoryview(array))
-            stored.append(False)
+            codings.append(_DEFAULT)
         else:
-            spec.append(_LAYOUT_ZP)
-            mask, planes = planed
-            chunks.append(mask)
-            stored.append(False)
+            layout, mask, planes = planed
+            spec.append(layout)
+            if mask is not None:
+                chunks.append(mask)
+                codings.append(_DEFAULT)
             for plane in planes:
                 chunks.append(plane)
-                stored.append(_incompressible(plane))
+                codings.append(_plane_coding(plane))
         specs.append(spec)
     header["arrays"] = specs
     header_bytes = json.dumps(header).encode("utf-8")
     chunks.insert(0, bytes((_RAW_MAGIC, _RAW_VERSION))
                   + struct.pack(_LENGTH_FORMAT, len(header_bytes))
                   + header_bytes)
-    stored.insert(0, False)
-    if any(stored):
-        return _pieced_zlib(chunks, stored, compress_level)
+    codings.insert(0, _DEFAULT)
+    if any(coding != _DEFAULT for coding in codings):
+        return _pieced_zlib(chunks, codings, compress_level)
     frame = b"".join(chunks)
     if deflate:
         return zlib.compress(frame, compress_level)
     return frame
 
 
-#: A ``zp`` byte plane at least this long is probed before it is deflated.
+#: How a chunk of the frame travels in the zlib stream: through the
+#: default deflater, through the run-length (``Z_RLE``) one, or stored.
+_DEFAULT, _RLE, _STORED = range(3)
+#: A byte plane at least this long is probed, then run-length deflated or
+#: stored; a shorter one deflates with the rest of the frame.
 _PROBE_BYTES = 4096
+#: The probe deflates this many windows of the plane, spread from its
+#: first byte to its last: a plane can be noise at its head and runs at
+#: its tail (plane 0 of an edge list: random sources, sorted targets).
+_PROBE_WINDOWS = 4
+_WINDOW_BYTES = _PROBE_BYTES // _PROBE_WINDOWS
 #: A plane whose probe deflates to more than this share of its size is
 #: shipped in stored blocks: deflating it would cost time and save nothing.
 _STORED_RATIO = 0.97
@@ -296,41 +324,53 @@ _STORED_RATIO = 0.97
 _STORED_BLOCK_BYTES = 0xFFFF
 
 
-def _incompressible(plane: np.ndarray) -> bool:
-    """True when a level-1 deflate of the plane's first 4 KB cannot shrink
-    it by 3 %.  The low mantissa bytes of real-valued features are noise;
-    an integer-valued feature's are zero and stay deflated."""
+def _plane_coding(plane: np.ndarray) -> int:
+    """How one byte plane travels: ``_DEFAULT`` below the probe size,
+    else ``_STORED`` when a ``Z_RLE`` deflate of four 1 KB windows cannot
+    shrink them by 3 % (the low mantissa bytes of real-valued features,
+    the low bytes of scattered indices), else ``_RLE``.  Run-length
+    deflate is Huffman coding plus runs: all that a plane of one byte
+    position holds, at a fraction of a full deflate's match search."""
     if plane.size < _PROBE_BYTES:
-        return False
-    probe = zlib.compressobj(1, zlib.DEFLATED, -15)
-    deflated = len(probe.compress(plane[:_PROBE_BYTES])) + len(probe.flush())
-    return deflated > _STORED_RATIO * _PROBE_BYTES
+        return _DEFAULT
+    probe = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
+    step = (plane.size - _WINDOW_BYTES) // (_PROBE_WINDOWS - 1)
+    deflated = sum(len(probe.compress(plane[start:start + _WINDOW_BYTES]))
+                   for start in range(0, _PROBE_WINDOWS * step, step))
+    deflated += len(probe.flush())
+    return _STORED if deflated > _STORED_RATIO * _PROBE_BYTES else _RLE
 
 
-def _pieced_zlib(chunks: Sequence, stored: Sequence[bool],
+def _pieced_zlib(chunks: Sequence, codings: Sequence[int],
                  level: int) -> bytes:
-    """A zlib stream of the frame ``chunks`` join to, with each chunk
-    flagged in ``stored`` shipped as stored blocks instead of deflated.
+    """A zlib stream of the frame ``chunks`` join to, each chunk coded as
+    its entry of ``codings`` says.
 
-    The pieces: our own zlib header, a raw deflate of every other chunk, a
-    full flush before each run of stored chunks (it also drops the
-    deflater's history, so no later match reaches across bytes it never
-    saw), the stored blocks, and the running Adler-32 of the frame.  Stock
-    ``zlib.decompressobj`` inflates it to the frame like any zlib stream.
+    The pieces: our own zlib header, the output of two raw deflaters at
+    ``level`` — the default one and a ``Z_RLE`` one — and of stored
+    blocks, and the running Adler-32 of the frame.  The stream switches
+    coders behind a full flush of the deflater it leaves: that ends its
+    output on a byte boundary and drops its history, so no later match
+    reaches across bytes it never saw.  Stock ``zlib.decompressobj``
+    inflates it to the frame like any zlib stream.
     """
     pieces = [zlib.compress(b"", level)[:2]]  # the zlib header for ``level``
-    deflater = zlib.compressobj(level, zlib.DEFLATED, -15)
+    deflaters = {
+        _DEFAULT: zlib.compressobj(level, zlib.DEFLATED, -15),
+        _RLE: zlib.compressobj(level, zlib.DEFLATED, -15, 8, zlib.Z_RLE),
+    }
     checksum = zlib.adler32(b"")
-    flushed = True
-    for chunk, store in zip(chunks, stored):
+    # The deflater holding input it has not flushed, if any.
+    active = None
+    for chunk, coding in zip(chunks, codings):
         checksum = zlib.adler32(chunk, checksum)
-        if not store:
-            pieces.append(deflater.compress(chunk))
-            flushed = False
+        if active is not None and active != coding:
+            pieces.append(deflaters[active].flush(zlib.Z_FULL_FLUSH))
+            active = None
+        if coding != _STORED:
+            pieces.append(deflaters[coding].compress(chunk))
+            active = coding
             continue
-        if not flushed:
-            pieces.append(deflater.flush(zlib.Z_FULL_FLUSH))
-            flushed = True
         view = memoryview(chunk)
         for start in range(0, len(view), _STORED_BLOCK_BYTES):
             block = view[start:start + _STORED_BLOCK_BYTES]
@@ -338,18 +378,39 @@ def _pieced_zlib(chunks: Sequence, stored: Sequence[bool],
             pieces.append(struct.pack("<BHH", 0, len(block),
                                       len(block) ^ 0xFFFF))
             pieces.append(block)
-    pieces.append(deflater.flush())
+    # The final block: the open deflater's, or an empty one after stored.
+    pieces.append(deflaters[_DEFAULT if active is None else active].flush())
     pieces.append(struct.pack(">I", checksum))
     return b"".join(pieces)
 
 
-#: The unsigned integer each ``zp``-eligible float width is read as.
+#: The unsigned integer each 2/4/8-byte item width is read as.
 _LANES = {size: np.dtype(f"u{size}") for size in (2, 4, 8)}
+#: An integer array with at least this many elements ships in the ``bp``
+#: layout: its planes then reach the probe size.
+_BP_MIN_ELEMENTS = _PROBE_BYTES
 
 
-def _lanes(dtype: np.dtype) -> Optional[np.dtype]:
-    """The unsigned integer a ``zp``-eligible float dtype is read as."""
-    return _LANES.get(dtype.itemsize) if dtype.kind == "f" else None
+def _lanes(dtype: np.dtype, kinds: str = "f") -> Optional[np.dtype]:
+    """The unsigned integer a 2/4/8-byte dtype of one of ``kinds`` (numpy
+    kind codes: ``"f"`` for ``zp``, ``"iu"`` for ``bp``) is read as."""
+    return _LANES.get(dtype.itemsize) if dtype.kind in kinds else None
+
+
+def _planed(array: np.ndarray
+            ) -> Optional[Tuple[str, Optional[np.ndarray], np.ndarray]]:
+    """``(layout, zp mask or None, byte planes)`` of a contiguous array
+    that ships planed in the zlib framing, or ``None`` when it stays
+    dense."""
+    if _lanes(array.dtype, "iu") is not None:
+        if array.size < _BP_MIN_ELEMENTS:
+            return None
+        # Byte j of every element, in the array's own byte order.
+        return _LAYOUT_BP, None, np.ascontiguousarray(
+            array.reshape(-1).view(np.uint8).reshape(
+                array.size, array.dtype.itemsize).T)
+    planed = _zero_planed(array)
+    return None if planed is None else (_LAYOUT_ZP, *planed)
 
 
 def _zero_planed(array: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -380,7 +441,8 @@ def deserialize_message(blob: bytes,
     ``max_bytes``, the cap :func:`recv_payload` puts on its deflated size.
 
     Any malformed input — bad magic, a lying header, truncated payload,
-    undecodable or over-expanding compression — raises a clean
+    bytes past the frame's end, undecodable or over-expanding
+    compression — raises a clean
     :class:`ValueError`.  Decoding runs on bytes a remote peer controls, so
     the failure mode must be a single well-known exception the caller can
     map onto "drop this peer", never a hang, a blind allocation or an
@@ -395,6 +457,9 @@ def deserialize_message(blob: bytes,
             if not inflater.eof:
                 raise ValueError("zlib frame is truncated or inflates past "
                                  f"the {max_bytes}-byte message cap")
+            if inflater.unused_data:
+                raise ValueError(f"{len(inflater.unused_data)} trailing "
+                                 "bytes after the end of the zlib stream")
         return _parse_frame(blob, wire_format, max_bytes)
     except (zlib.error, struct.error, KeyError, IndexError,
             TypeError) as exc:
@@ -428,11 +493,12 @@ def _parse_frame(blob: bytes, wire_format: str, max_bytes: int) -> Message:
         if len(spec) not in (3, 4):
             raise ValueError(f"array spec {spec!r} has {len(spec)} fields "
                              "(expected [name, dtype, shape] or "
-                             f"[name, dtype, shape, {_LAYOUT_ZP!r}])")
+                             "[name, dtype, shape, layout])")
         name, dtype_str, shape = spec[:3]
-        if len(spec) == 4 and spec[3] != _LAYOUT_ZP:
+        layout = spec[3] if len(spec) == 4 else None
+        if layout not in (None, _LAYOUT_ZP, _LAYOUT_BP):
             raise ValueError(f"array {name!r} declares unknown layout "
-                             f"{spec[3]!r}")
+                             f"{layout!r}")
         dtype = np.dtype(dtype_str)
         # The header is peer-controlled: every shape/size claim is checked
         # against the bytes actually received before numpy touches them —
@@ -448,7 +514,7 @@ def _parse_frame(blob: bytes, wire_format: str, max_bytes: int) -> Message:
         # count means "read the whole buffer").
         count = math.prod(shape)
         nbytes = count * dtype.itemsize
-        if len(spec) == 4:
+        if layout == _LAYOUT_ZP:
             # Refused before any allocation: a 256 MiB all-zero mask of
             # float64 would otherwise ask np.zeros for 16 GiB.
             decoded += nbytes
@@ -460,14 +526,35 @@ def _parse_frame(blob: bytes, wire_format: str, max_bytes: int) -> Message:
                                               count)
             arrays[name] = flat.reshape(shape)
             continue
+        if layout == _LAYOUT_BP and _lanes(dtype, "iu") is None:
+            raise ValueError(f"bp array {name!r} has dtype {dtype}: the bp "
+                             "layout holds 2/4/8-byte integers only")
         if offset + nbytes > len(blob):
             raise ValueError(
                 f"raw frame payload truncated: array {name!r} declares "
                 f"{nbytes} bytes but only {len(blob) - offset} remain")
-        # Zero-copy: the array is a read-only view over the received bytes.
-        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count,
-                                     offset=offset).reshape(shape)
+        if layout == _LAYOUT_BP:
+            # Its planes are exactly as long as the dense bytes: the copy
+            # is bounded by what the inflate cap bounded.
+            planes = np.frombuffer(blob, np.uint8, nbytes, offset).reshape(
+                dtype.itemsize, count)
+            flat = np.empty(count, dtype)
+            lanes = flat.view(np.uint8).reshape(count, dtype.itemsize)
+            # Plane by plane, not one transposing copy: 2-5x faster.
+            for byte, plane in enumerate(planes):
+                lanes[:, byte] = plane
+            flat.flags.writeable = False
+            arrays[name] = flat.reshape(shape)
+        else:
+            # Zero-copy: the array is a read-only view over the received
+            # bytes.
+            arrays[name] = np.frombuffer(blob, dtype=dtype, count=count,
+                                         offset=offset).reshape(shape)
         offset += nbytes
+    if offset != len(blob):
+        # A header that under-declares its payload is a lying header too.
+        raise ValueError(f"frame has {len(blob) - offset} trailing bytes "
+                         "after its last declared array")
     return Message(kind=header["kind"], frame_id=header["frame_id"],
                    arrays=arrays, meta=header["meta"],
                    batch_index=header.get("batch_index"),

@@ -23,9 +23,12 @@ Serving tests get three anti-flake helpers (see ``docs/testing.md``):
 from __future__ import annotations
 
 import contextlib
+import json
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from repro.hardware import (DataProfile, JETSON_TX2, RASPBERRY_PI_4B, INTEL_I7,
                             NVIDIA_1060, LINK_40MBPS, LINK_10MBPS)
 from repro.core import DesignSpace
 from repro.system import CoInferenceSimulator, SystemConfig
+from repro.system.messages import _LENGTH_FORMAT, _LENGTH_SIZE, _RAW_MAGIC
 
 #: Per-test wall-clock cap (seconds) applied when pytest-timeout is
 #: installed: a deadlocked socket test must fail, not hang the whole job.
@@ -100,6 +104,15 @@ def per_frame(edge_fn):
     ``EdgeServer`` entry takes — the same lift the server applies to its
     positional default ``edge_fn``."""
     return lambda frames: [edge_fn(*frame) for frame in frames]
+
+
+def frame_specs(blob: bytes) -> list:
+    """The array specs of a serialized frame, in either framing."""
+    if blob[0] != _RAW_MAGIC:
+        blob = zlib.decompress(blob)
+    (header_len,) = struct.unpack_from(_LENGTH_FORMAT, blob, 2)
+    start = 2 + _LENGTH_SIZE
+    return json.loads(blob[start:start + header_len])["arrays"]
 
 
 @contextlib.contextmanager

@@ -357,6 +357,29 @@ def test_full_channel_sheds_before_the_first_byte(kind):
         worker.close()
 
 
+@pytest.mark.parametrize("kind", [
+    pytest.param("shm", marks=pytest.mark.skipif(
+        not shm_available(), reason="no shared memory")),
+    "pipe", "socket"])
+def test_channels_hand_over_the_exact_blob(kind):
+    """The wire parser refuses bytes past a frame's end, so every channel
+    must deliver exactly the blob that was sent — no padding, no
+    alignment — both ways, back to back, and across the ring's wrap."""
+    parent, worker, _ = _channel_pair(kind)
+    blobs = [b"", b"a", bytes(range(7)), b"\xab" * 4099, b"z" * 3]
+    try:
+        for _ in range(20):  # ~80 KiB a way: past a 64 KiB ring's end
+            for sender, receiver in ((parent, worker), (worker, parent)):
+                for blob in blobs:
+                    sender.send_bytes(blob, timeout=5.0)
+                for blob in blobs:
+                    assert receiver.recv_bytes(timeout=5.0) == blob
+    finally:
+        worker.close()
+        parent.close()
+        parent.unlink()
+
+
 def test_pipe_stalled_mid_envelope_crashes_the_link_not_sheds():
     """A request the pipe took a first byte of, then stalled on for the
     request timeout, has desynced the stream: a crash, never a shed."""

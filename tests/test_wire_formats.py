@@ -2,22 +2,24 @@
 
 The engine speaks two self-describing framings of one frame layout — raw,
 and zlib (paper-faithful: a zlib stream of the frame, zero-heavy float
-arrays in the ``zp`` layout inside it) — distinguished by their first
-byte.  These tests pin the bit-exact round trip of both, that the zlib
-framing inflates to the frame (and is exactly the deflated raw frame when
-no array is zero-heavy), that byte planes which do not deflate travel as
-stored blocks that stock zlib and the capped receiver both read, the
-versioning of the layout, the single-serializer size accounting
-(``compressed_size`` can never drift from the real wire), and the
-end-to-end behavior of mixed-framing clients against one server.
+arrays in the ``zp`` layout and large integer arrays in the ``bp`` layout
+inside it) — distinguished by their first byte.  These tests pin the
+bit-exact round trip of both, that the zlib framing inflates to the frame
+(and is exactly the deflated raw frame when no array is planed), that
+each large byte plane travels run-length deflated or, when it does not
+deflate, as stored blocks — in one stream that stock zlib and the capped
+receiver both read — the versioning of the layout, the single-serializer
+size accounting (``compressed_size`` can never drift from the real
+wire), and the end-to-end behavior of mixed-framing clients against one
+server.
 
 The hostile-input half (``TestHostileFrames`` down) treats every byte of
 the frame as peer-controlled, in either framing: garbage streams, lying
-headers (shapes, dtypes, lengths that don't match the payload; fields of
-the wrong JSON type), truncated
-frames, zlib bombs, ``zp`` arrays that decode past the cap or lie about
-their layout, and absurd length prefixes must all surface as a clean
-``ValueError`` /
+headers (shapes, dtypes, lengths that don't match the payload — more
+bytes than declared too; fields of the wrong JSON type), truncated
+frames, zlib bombs, bytes after the zlib stream, ``zp`` and ``bp``
+arrays that decode past the cap or lie about their layout, and absurd
+length prefixes must all surface as a clean ``ValueError`` /
 ``ConnectionError`` — never a hang, a blind allocation, or an array the
 sender never sent — and a server fed such a frame must drop *that
 connection only* and keep serving everyone else.
@@ -36,6 +38,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import frame_specs
 from repro.core import Architecture, ArchitectureModel, split_callables
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
@@ -45,9 +48,10 @@ from repro.system import (DeviceClient, EdgeServer, Message,
                           WIRE_FORMAT_RAW, WIRE_FORMAT_ZLIB, WIRE_FORMATS,
                           compressed_size, deserialize_message,
                           serialize_message)
-from repro.system.messages import (_LENGTH_FORMAT, _LENGTH_SIZE, _RAW_MAGIC,
-                                   _RAW_VERSION, MAX_MESSAGE_BYTES,
-                                   recv_message, send_payload)
+from repro.system.messages import (_DEFAULT, _LENGTH_FORMAT, _LENGTH_SIZE,
+                                   _RAW_MAGIC, _RAW_VERSION, _RLE, _STORED,
+                                   MAX_MESSAGE_BYTES, _pieced_zlib,
+                                   _plane_coding, recv_message, send_payload)
 
 
 def _sample_message(**overrides) -> Message:
@@ -151,15 +155,6 @@ class TestRawFormat:
                                       strided)
 
 
-def _frame_specs(blob: bytes):
-    """The array specs of a serialized frame, in either framing."""
-    if blob[0] != _RAW_MAGIC:
-        blob = zlib.decompress(blob)
-    (header_len,) = struct.unpack_from(_LENGTH_FORMAT, blob, 2)
-    start = 2 + _LENGTH_SIZE
-    return json.loads(blob[start:start + header_len])["arrays"]
-
-
 def _nan_with_payload(dtype) -> np.ndarray:
     bits = {np.float32: np.uint32(0x7FC01234),
             np.float64: np.uint64(0x7FF8000000001234)}[dtype]
@@ -211,13 +206,13 @@ class TestZeroPlanedLayout:
                  "ints": np.zeros(16, np.int64),
                  "half": np.zeros(16, np.float16)}
         message = Message(kind="frame", arrays=cases)
-        planed = {spec[0] for spec in _frame_specs(
+        planed = {spec[0] for spec in frame_specs(
             serialize_message(message, wire_format=WIRE_FORMAT_ZLIB))
             if len(spec) == 4}
         # -0.0 is not bitwise zero: "negative_zeros" stays dense.
         assert planed == {"specials", "relu", "all_zero", "zero_d",
                           "strided", "big_endian", "half"}
-        assert all(len(spec) == 3 for spec in _frame_specs(
+        assert all(len(spec) == 3 for spec in frame_specs(
             serialize_message(message, wire_format=WIRE_FORMAT_RAW)))
 
     @pytest.mark.parametrize("array, planed", [
@@ -225,7 +220,7 @@ class TestZeroPlanedLayout:
         (np.r_[0.0, np.ones(8)], False),   # 1 zero in 9
         (np.ones(8), False)])
     def test_one_zero_in_eight_is_the_threshold(self, array, planed):
-        (spec,) = _frame_specs(serialize_message(
+        (spec,) = frame_specs(serialize_message(
             Message(kind="frame", arrays={"x": array})))
         assert (len(spec) == 4) == planed
 
@@ -243,7 +238,7 @@ class TestZeroPlanedLayout:
                                          wire_format=WIRE_FORMAT_ZLIB)
             inflated = zlib.decompress(deflated)
             assert zlib.compress(inflated, level) == deflated
-            assert [spec[0] for spec in _frame_specs(inflated)
+            assert [spec[0] for spec in frame_specs(inflated)
                     if len(spec) == 4] == ["relu"]
             assert inflated != serialize_message(message,
                                                  wire_format=WIRE_FORMAT_RAW)
@@ -272,6 +267,55 @@ class TestZeroPlanedLayout:
         assert len(frame) == len(version_1)
         assert frame[:2] == bytes((_RAW_MAGIC, _RAW_VERSION))
         assert frame[2:] == version_1[2:]
+
+
+def _bp_cases(dtype) -> dict:
+    """Integer arrays whose bytes must survive the wire verbatim: the
+    ``bp`` layout starts at 4096 elements."""
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(6)
+    values = rng.integers(info.min, info.max, size=(64, 128), dtype=dtype,
+                          endpoint=True)
+    values[0, :4] = [info.min, info.max, 0, 1]
+    return {
+        "extremes": values,  # negative values too, for the signed dtypes
+        "big_endian": values.astype(values.dtype.newbyteorder(">")),
+        "strided": np.repeat(values, 2, axis=1)[:, ::2],  # a view
+        "n4095": values.reshape(-1)[:4095],
+        "n4096": values.reshape(-1)[:4096],
+        "small_sorted": np.sort(values.reshape(-1)[:100]),
+    }
+
+
+class TestBytePlanedLayout:
+    """The zlib framing's third array layout: large 2/4/8-byte integer
+    arrays (the ``nbr`` table, an irregular ``edge_index``) byte-planed,
+    so the low-byte noise and the high-byte runs of an index table are
+    coded apart."""
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.int64])
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_round_trip_is_bit_exact(self, dtype, wire_format):
+        cases = _bp_cases(dtype)
+        blob = serialize_message(Message(kind="frame", arrays=cases),
+                                 wire_format=wire_format)
+        planed = {spec[0] for spec in frame_specs(blob)
+                  if spec[3:] == ["bp"]}
+        assert planed == ({"extremes", "big_endian", "strided", "n4096"}
+                          if wire_format == WIRE_FORMAT_ZLIB else set())
+        decoded = deserialize_message(blob).arrays
+        for name, original in cases.items():
+            received = decoded[name]
+            assert received.dtype == original.dtype, name
+            assert received.shape == original.shape, name
+            assert received.tobytes() == original.tobytes(), name
+            assert not received.flags.writeable, name
+
+    def test_floats_and_bytes_never_use_bp(self):
+        arrays = {"f8": np.arange(4096.0), "u1": np.zeros(8192, np.uint8),
+                  "bool": np.zeros(8192, bool)}
+        assert [spec[3:] for spec in frame_specs(serialize_message(
+            Message(kind="frame", arrays=arrays)))] == [[], [], []]
 
 
 def _noisy_planes_message(rows: int = 2048) -> Message:
@@ -357,9 +401,84 @@ class TestPiecedStream:
                           arrays={"x": counts.astype(np.float64)})
         blob = serialize_message(message)
         frame = zlib.decompress(blob)
-        assert [spec[3] for spec in _frame_specs(blob)] == ["zp"]
+        assert [spec[3] for spec in frame_specs(blob)] == ["zp"]
         assert len(blob) <= len(zlib.compress(frame, 6))
         assert len(blob) < counts.size  # < 1 byte a value: planes deflated
+
+
+def _mixed_chunks():
+    """A raw frame cut into chunks, each with the coding it travels in:
+    every switch between the default deflater, the ``Z_RLE`` one and
+    stored blocks occurs, and the default chunks repeat each other, so a
+    deflater whose history survived a switch would emit matches into
+    bytes it never saw."""
+    rng = np.random.default_rng(7)
+    text = np.frombuffer(b"the default deflater's text " * 40, np.uint8)
+    runs = np.repeat(rng.integers(0, 4, 512), 16).astype(np.uint8)
+    noise = rng.integers(0, 256, 70000, dtype=np.uint8)  # two blocks
+    arrays = {"a": text, "b": runs, "c": noise, "d": text, "e": noise[:5000],
+              "f": runs, "g": text, "h": runs, "i": noise[:4096]}
+    codings = [_DEFAULT, _RLE, _STORED, _DEFAULT, _STORED, _RLE, _DEFAULT,
+               _RLE, _STORED]
+    frame = serialize_message(Message(kind="frame", arrays=arrays),
+                              wire_format=WIRE_FORMAT_RAW)
+    header = len(frame) - sum(array.nbytes for array in arrays.values())
+    return (frame, arrays, [frame[:header]] + list(arrays.values()),
+            [_DEFAULT] + codings)
+
+
+class TestCodingPerPlane:
+    """Each byte plane of 4 KB or more gets the coding it pays for: runs
+    and skewed bytes the run-length deflater, noise stored blocks."""
+
+    @pytest.mark.parametrize("last", [_DEFAULT, _RLE, _STORED])
+    @pytest.mark.parametrize("level", [1, 6, 9])
+    def test_mixed_stream_inflates_identically(self, level, last):
+        frame, arrays, chunks, codings = _mixed_chunks()
+        codings[-1] = last  # the stream ends in each coding
+        blob = _pieced_zlib(chunks, codings, level)
+        assert blob[:2] == zlib.compress(b"", level)[:2]
+        assert zlib.decompress(blob) == frame
+        inflater = zlib.decompressobj()
+        assert inflater.decompress(blob) + inflater.flush() == frame
+        assert inflater.eof and not inflater.unused_data
+        decoded = deserialize_message(blob, max_bytes=len(frame))
+        for name, array in arrays.items():
+            assert decoded.arrays[name].tobytes() == array.tobytes()
+        with pytest.raises(ValueError, match="cap"):
+            deserialize_message(blob, max_bytes=len(frame) - 1)
+
+    def test_probe_picks_each_coding(self):
+        rng = np.random.default_rng(8)
+        noise = rng.integers(0, 256, 8192, dtype=np.uint8)
+        skewed = rng.integers(0, 4, 8192).astype(np.uint8)  # ~2 bits/byte
+        assert _plane_coding(noise[:4095]) == _DEFAULT
+        assert _plane_coding(noise) == _STORED
+        assert _plane_coding(skewed) == _RLE
+        assert _plane_coding(np.zeros(4096, np.uint8)) == _RLE
+
+    def test_edge_list_with_a_noisy_head_is_run_length_coded(self):
+        """Plane 0 of an irregular int64 ``edge_index``: the sources' low
+        bytes are noise, the sorted targets' are runs.  A probe of the
+        plane's head alone would store it."""
+        rng = np.random.default_rng(9)
+        edges = 20 * 1024
+        edge_index = np.stack([rng.integers(0, 1024, edges),
+                               np.repeat(np.arange(1024), 20)])
+        message = Message(kind="frame", arrays={"edge_index": edge_index})
+        plane = edge_index.reshape(-1).view(np.uint8)[::8].copy()
+        assert _plane_coding(plane[:4096]) == _STORED  # its head is noise
+        assert _plane_coding(plane) == _RLE
+        blob = serialize_message(message)
+        assert [spec[3:] for spec in frame_specs(blob)] == [["bp"]]
+        assert struct.pack("<BHH", 0, plane.size,
+                           plane.size ^ 0xFFFF) not in blob
+        assert deserialize_message(blob).arrays["edge_index"].tobytes() == (
+            edge_index.tobytes())
+        # Never larger than the deflated dense frame, which every integer
+        # array was before it was byte-planed.
+        raw = serialize_message(message, wire_format=WIRE_FORMAT_RAW)
+        assert len(blob) <= len(zlib.compress(raw, 6))
 
 
 class TestSizeAccounting:
@@ -511,10 +630,10 @@ _VALUES = np.array([0.0, 1.5, 0.0, -2.0, 0.0, 0.0, 3.0, 0.0, 0.0])
 #: The receiver cap every zp attack is decoded under.
 _ZP_CAP = 1 << 20
 
-#: One hostile zp frame per check: ``(array specs, payload, error match)``.
+#: One hostile frame per check: ``(array specs, payload, error match)``.
 #: Each would decode (or fail with a foreign exception) without the check
 #: it targets.
-ZP_ATTACKS = {
+FRAME_ATTACKS = {
     # 128 KiB of mask expands to 8 MiB of float64: past the 1 MiB cap.
     "decodes_past_the_cap": ([["x", "<f8", [1 << 20], "zp"]],
                              bytes(1 << 17), "message cap"),
@@ -531,13 +650,35 @@ ZP_ATTACKS = {
     "short_mask": ([["x", "<f8", [100], "zp"]], bytes(5), "mask"),
     "values_overrun": ([["x", "<f8", [16], "zp"]], b"\xff\xff" + bytes(24),
                        "non-zero values"),
+    "bp_float_dtype": ([["x", "<f8", [4096], "bp"]], bytes(8 * 4096),
+                       "integers only"),
+    "bp_one_byte_dtype": ([["x", "|u1", [4096], "bp"]], bytes(4096),
+                          "integers only"),
+    "bp_truncated_planes": ([["x", "<u2", [4096], "bp"]], bytes(8191),
+                            "truncated"),
+    "bp_wrong_arity": ([["x", "<u2", [4096], "bp", "extra"]], bytes(8192),
+                       "fields"),
+    # A header that under-declares its payload: the bytes past its last
+    # array are inside the frame (and the zlib stream).
+    "bytes_after_the_last_array": ([["x", "<f8", [9], "zp"]],
+                                   _zp_payload(_VALUES) + b"tail",
+                                   "trailing bytes"),
+    # A well-formed frame, then bytes after it: past the raw frame's last
+    # array, or after the end of the zlib stream (its ``unused_data``).
+    "bytes_after_the_end": ([["x", "<f8", [9], "zp"]], _zp_payload(_VALUES),
+                            "trailing bytes"),
 }
+#: What follows the frame, in either framing, for the attacks that need it.
+_AFTER_THE_END = {"bytes_after_the_end": b"tail"}
 
 
-def _zp_attack_frame(attack: str) -> bytes:
-    specs, payload, _ = ZP_ATTACKS[attack]
-    return _raw_frame({"kind": "frame", "frame_id": 0, "meta": {},
-                       "arrays": specs}, payload)
+def _attack_blob(attack: str, wire_format: str) -> bytes:
+    specs, payload, _ = FRAME_ATTACKS[attack]
+    frame = _raw_frame({"kind": "frame", "frame_id": 0, "meta": {},
+                        "arrays": specs}, payload)
+    if wire_format == WIRE_FORMAT_ZLIB:
+        frame = zlib.compress(frame)
+    return frame + _AFTER_THE_END.get(attack, b"")
 
 
 class TestHostileFrames:
@@ -668,14 +809,12 @@ class TestHostileFrames:
         assert deserialize(frame).arrays["x"].tobytes() == _VALUES.tobytes()
 
     @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
-    @pytest.mark.parametrize("attack", sorted(ZP_ATTACKS))
-    def test_hostile_zp_array_refused(self, attack, wire_format):
-        frame = _zp_attack_frame(attack)
-        assert len(frame) < _ZP_CAP
-        if wire_format == WIRE_FORMAT_ZLIB:
-            frame = zlib.compress(frame)
-        with pytest.raises(ValueError, match=ZP_ATTACKS[attack][2]):
-            deserialize_message(frame, max_bytes=_ZP_CAP)
+    @pytest.mark.parametrize("attack", sorted(FRAME_ATTACKS))
+    def test_hostile_frame_refused(self, attack, wire_format):
+        blob = _attack_blob(attack, wire_format)
+        assert len(blob) < _ZP_CAP
+        with pytest.raises(ValueError, match=FRAME_ATTACKS[attack][2]):
+            deserialize_message(blob, max_bytes=_ZP_CAP)
 
 
 class TestSocketFraming:
@@ -841,17 +980,18 @@ class TestServerSurvivesHostileClients:
         assert len(refusals) == 1 and "message cap" in refusals[0]
         self._assert_still_serving(server, device_fn, frames)
 
-    @pytest.mark.parametrize("attack", sorted(ZP_ATTACKS))
-    def test_hostile_zp_array_drops_connection_only(self, serving,
-                                                    monkeypatch, attack):
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    @pytest.mark.parametrize("attack", sorted(FRAME_ATTACKS))
+    def test_hostile_frame_drops_connection_only(self, serving, monkeypatch,
+                                                 attack, wire_format):
         refusals = self._cap_decoders(monkeypatch, _ZP_CAP)
         server, device_fn, frames = serving
         with socket.create_connection((server.host, server.port),
                                       timeout=10.0) as sock:
-            send_payload(sock, zlib.compress(_zp_attack_frame(attack)))
+            send_payload(sock, _attack_blob(attack, wire_format))
             self._assert_connection_dropped(sock)
         assert len(refusals) == 1
-        assert re.search(ZP_ATTACKS[attack][2], refusals[0])
+        assert re.search(FRAME_ATTACKS[attack][2], refusals[0])
         self._assert_still_serving(server, device_fn, frames)
 
     @pytest.mark.parametrize("kind, meta", [("hello", [1]), ("frame", None)])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import frame_specs
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
                         ZooEntry, collate_arrays, split_callables)
 from repro.core.executor import _neighbour_table, _wire_state
@@ -450,11 +451,12 @@ class TestTopologyRangeFailsClosed:
 class TestPaperScaleRequestSize:
     """The wire guard: the benchmark's entry at paper scale, one seeded
     1024-point k=20 frame, in about a second instead of an end-to-end run.
-    Each bound sits ~4 % above today's request and well below the one
-    before the pos rule and the stored planes (47.2 / 325.5 KB)."""
+    Each bound sits 1–4 % above today's request and below the request
+    before the last change to it: 47.2 KB before the pos rule, 300.1 KB
+    before the byte-planed ``nbr`` table and the run-length planes."""
 
     @staticmethod
-    def _request_bytes(split: int) -> int:
+    def _request(split: int) -> bytes:
         ops = [OpSpec(OpType.SAMPLE, "knn", k=20), AGG,
                OpSpec(OpType.COMBINE, 64), AGG, OpSpec(OpType.COMBINE, 64),
                POOL]
@@ -465,11 +467,15 @@ class TestPaperScaleRequestSize:
         graph = SyntheticModelNet40(num_points=1024, samples_per_class=1,
                                     num_classes=2, seed=1).generate()[0]
         arrays, meta = device_fn(Batch.from_graphs([graph]))
-        return len(serialize_message(Message(
-            kind=KIND_FRAME, arrays=arrays, meta=dict(meta, model="e2blk"))))
+        return serialize_message(Message(
+            kind=KIND_FRAME, arrays=arrays, meta=dict(meta, model="e2blk")))
 
     def test_communicate_first_request_fits_24_kib(self):
-        assert self._request_bytes(0) <= 24 * 1024
+        assert len(self._request(0)) <= 24 * 1024
 
-    def test_paper_split_request_fits_305_kib(self):
-        assert self._request_bytes(3) <= 305 * 1024
+    def test_paper_split_request_fits_293_kib(self):
+        blob = self._request(3)
+        assert len(blob) <= 293 * 1024
+        # x zero-suppressed, the nbr table byte-planed, batch dense.
+        layouts = {name: layout for name, _, _, *layout in frame_specs(blob)}
+        assert layouts == {"x": ["zp"], "nbr": ["bp"], "batch": []}
