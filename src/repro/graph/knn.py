@@ -2,7 +2,11 @@
 
 DGCNN and the GCoDE design space rebuild the graph dynamically from node
 features at every ``Sample`` operation; this module provides the batched KNN
-used for that (``knn_graph``) together with a plain pairwise variant.
+used for that (``knn_graph``).  It is the one place that selects kNN
+neighbours: every batch shape, and the compiled runtime's selection-only
+kNN (:func:`repro.runtime.kernels.knn_edges_uniform`), goes through one
+selection loop over :func:`grouped_knn_distances`, so eager and compiled
+execution select the same neighbours.
 """
 
 from __future__ import annotations
@@ -12,48 +16,39 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 
-def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
-    """Dense matrix of squared Euclidean distances between rows of ``points``."""
-    points = np.asarray(points, dtype=np.float64)
-    sq_norms = (points ** 2).sum(axis=1)
-    dists = sq_norms[:, None] + sq_norms[None, :] - 2.0 * points @ points.T
-    return np.maximum(dists, 0.0)
+def _checked_batch(num_nodes: int, k: int,
+                   batch: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """``batch`` as int64, after the checks both graph builders make.
 
-
-def knn_indices(points: np.ndarray, k: int, exclude_self: bool = True) -> np.ndarray:
-    """Return the indices of the ``k`` nearest neighbours of each row.
-
-    Output shape is ``(num_points, k)``.  When fewer than ``k`` neighbours
-    exist the available ones are repeated to keep a rectangular result, which
-    mirrors how fixed-k GNN operators behave on tiny graphs.
+    Refuses ``k < 1`` and a batch that is not one graph id per node.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if n == 0:
-        return np.zeros((0, k), dtype=np.int64)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    dists = pairwise_sq_distances(points)
-    if exclude_self:
-        np.fill_diagonal(dists, np.inf)
-    available = n - 1 if exclude_self else n
-    effective_k = min(k, max(available, 1))
-    if effective_k >= n:
-        neighbour_order = np.argsort(dists, axis=1)[:, :effective_k]
-    else:
-        # Selecting the k nearest is O(n) per row via argpartition; only the
-        # selected slice is then sorted by distance (O(k log k)) so the edge
-        # list keeps the nearest-first ordering a full argsort would give.
-        # This is the device-side hot path: Sample ops rebuild the graph
-        # every frame, and a full O(n log n) row sort dominated them.
-        nearest = np.argpartition(dists, effective_k - 1, axis=1)[:, :effective_k]
-        rows = np.arange(n)[:, None]
-        order_within = np.argsort(dists[rows, nearest], axis=1)
-        neighbour_order = nearest[rows, order_within]
-    if effective_k < k:
-        repeats = np.tile(neighbour_order, (1, int(np.ceil(k / effective_k))))
-        neighbour_order = repeats[:, :k]
-    return neighbour_order.astype(np.int64)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if batch is None:
+        return None
+    batch = np.asarray(batch, dtype=np.int64)
+    if batch.shape != (num_nodes,):
+        raise ValueError(f"batch has shape {batch.shape}, expected "
+                         f"({num_nodes},): one graph id per node")
+    return batch
+
+
+def _equal_graph_size(batch: np.ndarray, num_graphs: int) -> Optional[int]:
+    """Nodes per graph when ``batch`` is ``num_graphs`` equal, non-empty
+    runs of the ids ``0, 1, …`` in order; ``None`` otherwise.
+
+    Point-cloud batches — mini-batches in training and micro-batches
+    coalesced by the serving engine — have this shape.  Their points then
+    reshape to ``(G, n, D)`` and one tiled pass covers the whole batch,
+    which is what makes a batched call cheaper than per-frame calls.
+    """
+    if num_graphs < 1 or batch.shape[0] % num_graphs:
+        return None
+    per_graph = batch.shape[0] // num_graphs
+    runs = batch.reshape(num_graphs, per_graph)
+    if per_graph and (runs == np.arange(num_graphs)[:, None]).all():
+        return per_graph
+    return None
 
 
 def knn_graph(points: np.ndarray, k: int,
@@ -75,39 +70,36 @@ def knn_graph(points: np.ndarray, k: int,
     np.ndarray
         Edge index of shape ``(2, N * k)`` where row 0 holds neighbour
         (source) indices and row 1 holds centre (destination) indices.
+        Each centre lists its neighbours nearest first.  A graph of at
+        most ``k`` nodes lists all its other nodes, repeated up to ``k``
+        (a one-node graph, its self-loop), which mirrors how fixed-k GNN
+        operators behave on tiny graphs.
 
     Raises
     ------
     ValueError
-        If ``batch`` is not of shape ``(N,)``.
+        If ``k < 1``, or ``batch`` is not of shape ``(N,)``.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if batch is not None:
-        batch = np.asarray(batch, dtype=np.int64)
-        if batch.shape != (n,):
-            raise ValueError(f"batch has shape {batch.shape}, expected "
-                             f"({n},): one graph id per point")
+    batch = _checked_batch(n, k, batch)
     if n == 0:
         return np.zeros((2, 0), dtype=np.int64)
     if batch is None:
-        neighbours = knn_indices(points, k)
-        centres = np.repeat(np.arange(n, dtype=np.int64), neighbours.shape[1])
-        return np.stack([neighbours.reshape(-1), centres], axis=0)
-
-    vectorized = _knn_graph_equal_sizes(points, k, batch)
-    if vectorized is not None:
-        return vectorized
-    sources = []
-    targets = []
+        return _knn_edges(points, k, 1, n, nearest_first=True)
+    num_graphs = int(batch[-1]) + 1
+    per_graph = _equal_graph_size(batch, num_graphs)
+    if per_graph is not None:
+        return _knn_edges(points, k, num_graphs, per_graph,
+                          nearest_first=True)
+    # Ragged or unsorted: one group per graph, listed in graph-id order.
+    edges = []
     for graph_id in np.unique(batch):
         node_ids = np.nonzero(batch == graph_id)[0]
-        local = knn_indices(points[node_ids], k)
-        neighbours = node_ids[local]
-        centres = np.repeat(node_ids, local.shape[1])
-        sources.append(neighbours.reshape(-1))
-        targets.append(centres)
-    return np.stack([np.concatenate(sources), np.concatenate(targets)], axis=0)
+        edges.append(node_ids[_knn_edges(points[node_ids], k, 1,
+                                         node_ids.shape[0],
+                                         nearest_first=True)])
+    return np.concatenate(edges, axis=1)
 
 
 #: Bytes of float64 keys in one kNN tile, and of gathered rows in one
@@ -146,13 +138,13 @@ def grouped_knn_distances(grouped: np.ndarray
     and a subtract would keep the full formula's rounding bit for bit, at
     twice the buffers and more than twice this tile's time.
 
-    This is the single definition of the ranking that both the eager
-    batched builder below and the compiled runtime's selection-only kNN
-    (:func:`repro.runtime.kernels.knn_edges_uniform`) walk: the compiled
-    runtime's guarantee is that it selects the same neighbour sets as
-    eager execution, and two formulas would disagree on near-tied
-    neighbours.  Each entry depends only on its own two rows, so the
-    tiling never changes a selected neighbour.
+    This is the single definition of the ranking, walked only by
+    :func:`_knn_edges`, which serves both eager ``knn_graph`` and the
+    compiled runtime's selection-only kNN: the compiled runtime's
+    guarantee is that it selects the same neighbour sets as eager
+    execution, and two formulas would disagree on near-tied neighbours.
+    Each entry depends only on its own two rows, so the tiling never
+    changes a selected neighbour.
     """
     num_graphs, per_graph, dims = grouped.shape
     left = np.ones((num_graphs, per_graph, dims + 1))
@@ -180,45 +172,48 @@ def grouped_knn_distances(grouped: np.ndarray
             yield graphs, rows, keys
 
 
-def _knn_graph_equal_sizes(points: np.ndarray, k: int,
-                           batch: np.ndarray) -> Optional[np.ndarray]:
-    """Vectorized batched KNN when every graph has the same node count.
+def _knn_edges(points: np.ndarray, k: int, num_graphs: int, per_graph: int,
+               nearest_first: bool) -> np.ndarray:
+    """The kNN edge list of ``num_graphs`` consecutive graphs of
+    ``per_graph`` rows of ``points`` each: the one selection loop.
 
-    Point-cloud batches — mini-batches in training and micro-batches
-    coalesced by the serving engine — are disjoint unions of equally sized
-    clouds with a sorted batch vector.  Instead of looping graphs in Python,
-    the points then reshape to ``(G, n, D)`` and one 3-D distance/top-k pass
-    covers the whole batch, which is what makes a batched engine call
-    genuinely cheaper than per-frame calls.  Returns ``None`` when the batch
-    is not sorted-contiguous with equal sizes (the caller falls back to the
-    per-graph loop).
+    Each tile of :func:`grouped_knn_distances` gets one ``argpartition``,
+    written straight into row 0 of the result, so no index array beside
+    it is allocated.  ``nearest_first`` re-sorts each row's picks by key,
+    the order ``knn_graph`` lists; inference skips it, because neighbour
+    order moves only the floating-point summation order of ``add`` /
+    ``mean`` aggregation, never the neighbour set.  A graph of at most
+    ``k`` nodes has fewer than ``k`` other nodes: its rows list all of
+    them (a one-node graph, its self-loop) and repeat them up to ``k``.
+    The order then decides which neighbours repeat once more, so such rows
+    are always re-sorted: every caller gets ``knn_graph``'s multiset.
+    Destinations are ``repeat(arange(N), k)``: destination-sorted and
+    k-regular by construction.
     """
-    if batch.size == 0 or batch[0] != 0 or np.any(np.diff(batch) < 0):
-        return None
-    counts = np.bincount(batch)
-    per_graph = int(counts[0])
-    if per_graph == 0 or np.any(counts != per_graph):
-        return None
-    num_graphs = counts.shape[0]
-    grouped = points.reshape(num_graphs, per_graph, -1)
-    effective_k = min(k, max(per_graph - 1, 1))
-    local = np.empty((num_graphs, per_graph, effective_k), dtype=np.int64)
+    # Keys are always ranked in float64: a float32 plan must select the
+    # same neighbour sets as eager execution, or near-tied distances would
+    # flip the topology and the divergence would no longer be bounded by
+    # arithmetic precision.
+    grouped = np.asarray(points, dtype=np.float64).reshape(
+        num_graphs, per_graph, -1)
+    num_nodes = num_graphs * per_graph
+    edges = np.empty((2, num_nodes * k), dtype=np.int64)
+    local = edges[0].reshape(num_graphs, per_graph, k)
+    width = min(k, max(per_graph - 1, 1))
     for graphs, rows, keys in grouped_knn_distances(grouped):
-        if effective_k >= per_graph:
-            nearest = np.argsort(keys, axis=2)[:, :, :effective_k]
-        else:
-            nearest = np.argpartition(keys, effective_k - 1,
-                                      axis=2)[:, :, :effective_k]
+        nearest = np.argpartition(keys, width - 1, axis=2)[:, :, :width]
+        if nearest_first or width < k:
             order = np.argsort(np.take_along_axis(keys, nearest, axis=2),
                                axis=2)
             nearest = np.take_along_axis(nearest, order, axis=2)
-        local[graphs, rows] = nearest
-    if effective_k < k:
-        local = np.tile(local, (1, 1, int(np.ceil(k / effective_k))))[:, :, :k]
-    offsets = (np.arange(num_graphs, dtype=np.int64) * per_graph)[:, None, None]
-    neighbours = (local + offsets).reshape(-1)
-    centres = np.repeat(np.arange(batch.shape[0], dtype=np.int64), k)
-    return np.stack([neighbours, centres], axis=0)
+        for start in range(0, k, width):
+            local[graphs, rows, start:start + width] = nearest[:, :,
+                                                               :k - start]
+        del nearest  # free this tile's indices before the next tile's
+    local += (np.arange(num_graphs, dtype=np.int64) * per_graph)[:, None,
+                                                                  None]
+    edges[1].reshape(num_nodes, k)[...] = np.arange(num_nodes)[:, None]
+    return edges
 
 
 def random_graph(num_nodes: int, k: int,
@@ -227,14 +222,15 @@ def random_graph(num_nodes: int, k: int,
     """Random k-regular-ish directed graph used by the ``Sample(random)`` function.
 
     Each node receives ``k`` incoming edges from uniformly sampled other nodes
-    of the same graph (self edges excluded when possible).
+    of the same graph (self edges excluded when possible).  Raises
+    ``ValueError`` on the arguments :func:`knn_graph` refuses.
     """
     rng = rng or np.random.default_rng()
+    batch = _checked_batch(num_nodes, k, batch)
     if num_nodes == 0:
         return np.zeros((2, 0), dtype=np.int64)
     if batch is None:
         batch = np.zeros(num_nodes, dtype=np.int64)
-    batch = np.asarray(batch, dtype=np.int64)
     sources = []
     targets = []
     for graph_id in np.unique(batch):

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.knn import grouped_knn_distances
+from ..graph.knn import _knn_edges
 
 
 # ----------------------------------------------------------------------
@@ -516,50 +516,24 @@ def quant_pool_uniform(xq: np.ndarray, num_graphs: int, per_graph: int,
 # Lean kNN for the serving fast path
 # ----------------------------------------------------------------------
 def knn_edges_uniform(points: np.ndarray, k: int, num_graphs: int,
-                      per_graph: int) -> Optional[np.ndarray]:
+                      per_graph: int) -> np.ndarray:
     """kNN edge list for a batch of equally sized graphs, selection-only.
 
-    The runtime twin of :func:`repro.graph.knn.knn_graph`'s vectorized path,
-    minus the work inference does not need: it walks the *same* tiles of
-    ranking keys (:func:`~repro.graph.knn.grouped_knn_distances`, so the
-    selected neighbour set is bit-for-bit the same as eager's —
-    ``argpartition`` is deterministic per row), but the selected ``k``
-    neighbours are **not** re-sorted nearest-first.
-    A key is ``|x_j|² − 2·x_i·x_j``, the squared distance shifted by the
-    row's own ``|x_i|²``; a row shift leaves the row's order alone, so it
-    selects what the squared distance would.  Each tile is one GEMM of
-    augmented operands rather than a GEMM plus a broadcast add, ``×2`` and
-    subtract, or two GEMMs that would keep the full formula's rounding:
-    half the buffers and under half the time of either.  The key rounds on
-    the same scale as the full formula, about ``u·(|x_i|² + |x_j|²)``, so
-    only neighbours tied within that bound may rank differently, as they
-    may across BLAS builds.
-    Neighbour order within a destination segment only affects floating-point
-    summation order of ``add``/``mean`` aggregation (~1e-15 relative), never
-    the neighbour set, and dropping the per-row sort removes the two
-    ``take_along_axis`` passes that dominated graph construction on small
-    clouds.
+    :func:`repro.graph.knn.knn_graph`'s own selection loop over the same
+    tiles of ranking keys (:func:`~repro.graph.knn.grouped_knn_distances`),
+    so the selected neighbour set is bit-for-bit eager's —
+    ``argpartition`` is deterministic per row — minus the work inference
+    does not need: the selected ``k`` neighbours are **not** re-sorted
+    nearest-first.  Neighbour order within a destination segment only
+    affects floating-point summation order of ``add``/``mean`` aggregation
+    (~1e-15 relative), never the neighbour set, and dropping the per-row
+    sort removes the two ``take_along_axis`` passes that dominated graph
+    construction on small clouds.
 
-    Requires ``per_graph > k`` (the fixed-``k`` tiling of tiny graphs stays
-    on the eager builder); returns ``None`` to signal the caller to fall
-    back.  Destinations are ``repeat(arange(N), k)`` — destination-sorted and
-    k-regular by construction.
+    A graph of at most ``k`` nodes gets ``knn_graph``'s own rows: all its
+    other nodes nearest first, repeated up to ``k`` — there the order
+    decides which neighbours repeat once more.  Destinations are
+    ``repeat(arange(N), k)`` — destination-sorted and k-regular by
+    construction.
     """
-    if per_graph <= k:
-        return None
-    if points.dtype != np.float64:
-        # Distances are always ranked in float64, exactly like the eager
-        # builder: a float32 plan must select the same neighbour sets as
-        # eager execution, or near-tied distances would flip the topology
-        # and the divergence would no longer be bounded by arithmetic
-        # precision.
-        points = points.astype(np.float64)
-    grouped = points.reshape(num_graphs, per_graph, -1)
-    num_nodes = num_graphs * per_graph
-    edges = np.empty((2, num_nodes * k), dtype=np.int64)
-    local = edges[0].reshape(num_graphs, per_graph, k)
-    for graphs, rows, dists in grouped_knn_distances(grouped):
-        local[graphs, rows] = np.argpartition(dists, k - 1, axis=2)[:, :, :k]
-    local += (np.arange(num_graphs, dtype=np.int64) * per_graph)[:, None, None]
-    edges[1].reshape(num_nodes, k)[...] = np.arange(num_nodes)[:, None]
-    return edges
+    return _knn_edges(points, k, num_graphs, per_graph, nearest_first=False)

@@ -10,10 +10,12 @@ steps that bypass the :class:`~repro.nn.tensor.Tensor` machinery entirely:
   specialized per reducer, with the scatter bookkeeping
   (:class:`~repro.runtime.kernels.SegmentInfo`) derived once per topology
   instead of once per scatter;
-* ``Sample`` keeps calling the exact same :func:`~repro.graph.knn.knn_graph`
-  / ``random_graph`` builders as eager execution, but kNN topologies are
-  cached *within a frame*: consecutive kNN samples over unchanged positions
-  (or unchanged features) reuse the edge list instead of recomputing it;
+* ``Sample`` selects the same kNN neighbours as eager execution through
+  :mod:`repro.graph.knn`'s one selection loop — without the nearest-first
+  re-sort on a sorted batch of equal-size graphs — and calls the same
+  ``random_graph``; kNN topologies are cached *within a frame*:
+  consecutive kNN samples over unchanged positions (or unchanged features)
+  reuse the edge list instead of recomputing it;
 * ``Identity`` and ``Communicate`` are dropped at plan time;
 * edge lists arriving off the wire are canonicalized — destination-sorted
   once — so every scatter hits the ``reduceat`` fast path.
@@ -46,7 +48,8 @@ import numpy as np
 from ..gnn.operations import (AggregateOp, ClassifierOp, CombineOp,
                               CommunicateOp, GlobalPoolOp, IdentityOp,
                               Operation, SampleOp)
-from ..graph.knn import _TILE_BYTES, knn_graph, random_graph
+from ..graph.knn import (_TILE_BYTES, _equal_graph_size, knn_graph,
+                         random_graph)
 from ..nn.modules import Dropout, Identity, LeakyReLU, Linear, MLP, ReLU
 from . import kernels
 from .arena import BufferArena
@@ -247,14 +250,12 @@ class _SampleStep:
                 run.edge_index, run.edge_info = cached
                 return
             reference = run.pos if run.pos is not None else run.x
-            edge_index = self._build_knn(reference, run)
-            if edge_index is not None:
-                # Fast path: k-regular, destination-sorted by construction.
-                run.edge_index = edge_index
-                run.edge_info = SegmentInfo.uniform(run.num_nodes, self.k)
-                run.topo_cache[key] = (run.edge_index, run.edge_info)
-                return
-            edge_index = knn_graph(reference, self.k, batch=run.batch)
+            per_graph = _equal_graph_size(run.batch, run.num_graphs)
+            if per_graph is not None:
+                edge_index = kernels.knn_edges_uniform(
+                    reference, self.k, run.num_graphs, per_graph)
+            else:
+                edge_index = knn_graph(reference, self.k, batch=run.batch)
         elif self.function == "random":
             edge_index = random_graph(run.num_nodes, self.k, rng=self._rng,
                                       batch=run.batch)
@@ -271,28 +272,6 @@ class _SampleStep:
             _ensure_edge_info(run)
         if self.function == "knn":
             run.topo_cache[key] = (run.edge_index, run.edge_info)
-
-    def _build_knn(self, reference: np.ndarray,
-                   run: PlanRun) -> Optional[np.ndarray]:
-        """Selection-only kNN when the batch is sorted with equal graph sizes.
-
-        Returns ``None`` when the precondition does not hold (unsorted batch,
-        ragged graph sizes, or graphs too small for a strict top-``k``); the
-        caller then delegates to the eager :func:`~repro.graph.knn.knn_graph`
-        builder, which covers every case.
-        """
-        if not run.batch_sorted:
-            return None
-        num_nodes, num_graphs = run.num_nodes, run.num_graphs
-        if num_graphs <= 0 or num_nodes % num_graphs:
-            return None
-        per_graph = num_nodes // num_graphs
-        if num_graphs > 1:
-            counts = np.bincount(run.batch, minlength=num_graphs)
-            if counts.min() != per_graph or counts.max() != per_graph:
-                return None
-        return kernels.knn_edges_uniform(reference, self.k, num_graphs,
-                                         per_graph)
 
 
 class _AggregateStep:

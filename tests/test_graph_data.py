@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (Batch, DataLoader, GraphData, farthest_point_sample,
-                         knn_graph, knn_indices, pairwise_sq_distances,
-                         random_graph, random_sample, subsample_graph_nodes)
+                         knn_graph, random_graph, random_sample,
+                         subsample_graph_nodes)
 
 
 class TestGraphData:
@@ -95,18 +95,43 @@ class TestDataLoader:
             DataLoader(self._graphs(), batch_size=0)
 
 
-class TestKNN:
-    def test_pairwise_distances_match_numpy(self):
-        rng = np.random.default_rng(0)
-        pts = rng.standard_normal((6, 3))
-        dists = pairwise_sq_distances(pts)
-        expected = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        np.testing.assert_allclose(dists, expected, atol=1e-9)
+def _sq_distances(pts):
+    """Squared distances between rows of ``pts`` as one full matrix."""
+    sq_norms = (pts ** 2).sum(axis=1)
+    return np.maximum(sq_norms[:, None] + sq_norms[None, :]
+                      - 2.0 * pts @ pts.T, 0.0)
 
-    def test_knn_indices_find_true_neighbours(self):
+
+BATCH_SHAPES = ["none", "equal-size", "ragged"]
+
+
+def _batch_of(pts, shape):
+    """``pts`` as graph 0 of a batch of ``shape``: its points and batch."""
+    if shape == "none":
+        return pts, None
+    # A far copy as graph 1: the whole cloud, or all of it but one point.
+    extra = pts if shape == "equal-size" else pts[1:]
+    return (np.concatenate([pts, extra + 100.0]),
+            np.repeat([0, 1], [pts.shape[0], extra.shape[0]]))
+
+
+def _neighbour_rows(pts, k, shape):
+    """Each node's neighbours as ``knn_graph`` lists them with ``pts`` as
+    graph 0 of a batch of ``shape``, one ``(N, k)`` row per node."""
+    n = pts.shape[0]
+    points, batch = _batch_of(pts, shape)
+    edges = knn_graph(points, k, batch=batch)
+    np.testing.assert_array_equal(edges[1, :n * k],
+                                  np.repeat(np.arange(n), k))
+    return edges[0, :n * k].reshape(n, k)
+
+
+class TestKNN:
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_knn_finds_true_neighbours(self, shape):
         pts = np.array([[0.0], [0.1], [5.0], [5.1]])
-        idx = knn_indices(pts, 1)
-        np.testing.assert_array_equal(idx.reshape(-1), [1, 0, 3, 2])
+        np.testing.assert_array_equal(
+            _neighbour_rows(pts, 1, shape).reshape(-1), [1, 0, 3, 2])
 
     def test_knn_graph_shape_and_no_self_loops(self):
         rng = np.random.default_rng(1)
@@ -138,29 +163,55 @@ class TestKNN:
         with pytest.raises(ValueError, match=r"expected \(128,\)"):
             knn_graph(pts, 4, batch=batch)
 
-    def test_knn_indices_match_full_sort(self):
-        """The argpartition fast path selects the same neighbours as argsort."""
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_knn_matches_full_sort(self, shape):
+        """The argpartition selection picks what a full argsort does."""
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((40, 3))
+        dists = _sq_distances(pts)
+        np.fill_diagonal(dists, np.inf)
         for k in (1, 5, 9):
-            idx = knn_indices(pts, k)
-            dists = pairwise_sq_distances(pts)
-            np.fill_diagonal(dists, np.inf)
             expected = np.argsort(dists, axis=1)[:, :k]
-            np.testing.assert_array_equal(idx, expected)
+            np.testing.assert_array_equal(_neighbour_rows(pts, k, shape),
+                                          expected)
 
-    def test_knn_indices_ordered_nearest_first(self):
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_knn_ordered_nearest_first(self, shape):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((25, 2))
-        idx = knn_indices(pts, 6)
-        dists = pairwise_sq_distances(pts)
-        picked = np.take_along_axis(dists, idx, axis=1)
+        idx = _neighbour_rows(pts, 6, shape)
+        picked = np.take_along_axis(_sq_distances(pts), idx, axis=1)
         assert (np.diff(picked, axis=1) >= 0).all()
 
-    def test_knn_indices_include_self_when_not_excluded(self):
-        pts = np.array([[0.0], [1.0], [2.0]])
-        idx = knn_indices(pts, 1, exclude_self=False)
-        np.testing.assert_array_equal(idx.reshape(-1), [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["gaussian", "tied"])
+    @pytest.mark.parametrize("n, k", [(1, 3), (2, 1), (4, 3), (5, 16),
+                                      (30, 4), (64, 16), (200, 20)])
+    def test_a_cloud_ranks_alike_in_every_batch_shape(self, n, k, kind):
+        """One ranking definition: a cloud's edges are byte-identical
+        whether it comes without a batch, as a one-graph batch, or as one
+        graph of a ragged batch."""
+        rng = np.random.default_rng(n + k)
+        pts = rng.standard_normal((n, 3))
+        if kind == "tied":
+            pts = np.round(pts)
+        alone = knn_graph(pts, k)
+        one_graph = knn_graph(pts, k, batch=np.zeros(n, np.int64))
+        ragged = knn_graph(np.concatenate([rng.standard_normal((n + 1, 3)),
+                                           pts]), k,
+                           batch=np.repeat([0, 1], [n + 1, n]))
+        assert one_graph.tobytes() == alone.tobytes()
+        assert (ragged[:, (n + 1) * k:] - (n + 1)).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_knn_graph_refuses_k_below_one(self, shape, k):
+        """``k = 0`` used to return an empty graph on an equal-size batch
+        and raise on the others; ``k = -1`` raised numpy's "negative
+        dimensions" there."""
+        points, batch = _batch_of(
+            np.random.default_rng(4).standard_normal((8, 3)), shape)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            knn_graph(points, k, batch=batch)
 
     def test_k_larger_than_graph_repeats_neighbours(self):
         pts = np.array([[0.0], [1.0]])
@@ -174,6 +225,20 @@ class TestKNN:
         edges = random_graph(10, 3, rng=np.random.default_rng(0))
         in_degree = np.bincount(edges[1], minlength=10)
         np.testing.assert_array_equal(in_degree, np.full(10, 3))
+
+    @pytest.mark.parametrize("num_nodes, batch_length", [(6, 4), (4, 6)])
+    def test_random_graph_rejects_a_batch_of_the_wrong_length(
+            self, num_nodes, batch_length):
+        """A 4-long batch for 6 nodes used to leave nodes 4 and 5 without
+        edges, and a 6-long one for 4 nodes drew sources 4 and 5."""
+        with pytest.raises(ValueError, match=rf"expected \({num_nodes},\)"):
+            random_graph(num_nodes, 2, rng=np.random.default_rng(0),
+                         batch=np.zeros(batch_length, np.int64))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_random_graph_refuses_k_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            random_graph(5, k, rng=np.random.default_rng(0))
 
 
 class TestSampling:

@@ -77,6 +77,25 @@ class TestCompiledEagerEquivalence:
             eager = model.forward(batch).data
         np.testing.assert_allclose(plan(batch), eager, atol=F64_TOL, rtol=0)
 
+    @pytest.mark.parametrize("num_points, k", [(8, 12), (300, 320)])
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    def test_graphs_of_at_most_k_nodes_match_eager(self, aggregator,
+                                                   num_points, k):
+        """The plan serves graphs of at most ``k`` nodes selection-only
+        too, with the neighbours eager execution repeats."""
+        model = ArchitectureModel(Architecture(ops=(
+            OpSpec(OpType.SAMPLE, "knn", k=k),
+            OpSpec(OpType.AGGREGATE, aggregator),
+            OpSpec(OpType.GLOBAL_POOL, "mean"))), in_dim=3, num_classes=5,
+            seed=0)
+        batch = Batch.from_graphs(
+            SyntheticModelNet40(num_points=num_points, samples_per_class=1,
+                                num_classes=3, seed=1).generate()[:3])
+        with nn.no_grad():
+            eager = model.forward(batch).data
+        np.testing.assert_allclose(compile_plan(model)(batch), eager,
+                                   atol=F64_TOL, rtol=0)
+
     def test_every_zoo_entry_single_frame(self):
         """Compiled device+edge callables match eager ones for all entries."""
         zoo = _zoo()

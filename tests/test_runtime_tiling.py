@@ -223,6 +223,30 @@ class TestBenchmarkClouds:
         self._assert_pool_identical(num_points, k, seed)
 
 
+class TestTinyGraphs:
+    @pytest.mark.parametrize("num_graphs", [1, 3])
+    @pytest.mark.parametrize("per_graph, k", [(1, 4), (4, 16), (5, 16),
+                                              (16, 16), (17, 20),
+                                              (300, 320)])
+    def test_uniform_serves_graphs_of_at_most_k_nodes(self, per_graph, k,
+                                                      num_graphs):
+        """Graphs of at most ``k`` nodes take the selection-only path too,
+        and each row holds the neighbours ``knn_graph`` lists, as often as
+        it lists them: the repeats decide ``add`` / ``mean`` aggregation.
+        ``argpartition`` may return short rows already sorted (numpy 2.4
+        does up to 256 entries), so the 300-node case is the one where
+        only the loop's re-sort keeps eager's repeats."""
+        points = _cloud("gaussian", num_graphs * per_graph, 3, seed=k)
+        batch = np.repeat(np.arange(num_graphs, dtype=np.int64), per_graph)
+        uniform = kernels.knn_edges_uniform(points, k, num_graphs, per_graph)
+        eager = knn_graph(points, k, batch=batch)
+        assert uniform.shape == eager.shape
+        np.testing.assert_array_equal(uniform[1], eager[1])
+        rows = num_graphs * per_graph, k
+        np.testing.assert_array_equal(np.sort(uniform[0].reshape(rows)),
+                                      np.sort(eager[0].reshape(rows)))
+
+
 # ----------------------------------------------------------------------
 # EdgeConv
 # ----------------------------------------------------------------------
