@@ -5,13 +5,15 @@ features at every ``Sample`` operation; this module provides the batched KNN
 used for that (``knn_graph``).  It is the one place that selects kNN
 neighbours: every batch shape, and the compiled runtime's selection-only
 kNN (:func:`repro.runtime.kernels.knn_edges_uniform`), goes through one
-selection loop over :func:`grouped_knn_distances`, so eager and compiled
-execution select the same neighbours.
+selection loop over the ranking-key tiles of :class:`_KeyTiles`, so eager
+and compiled execution select the same neighbours.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+import itertools
+import threading
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -110,21 +112,30 @@ def knn_graph(points: np.ndarray, k: int,
 _TILE_BYTES = 256 * 1024
 
 
-def grouped_knn_distances(grouped: np.ndarray
-                          ) -> Iterator[Tuple[slice, slice, np.ndarray]]:
-    """Self-excluded kNN ranking keys of a ``(G, n, D)`` group, in tiles.
+#: A second participant in :func:`_knn_edges`' tile loop: ``helper(task)``
+#: runs ``task`` on another thread once that thread gets to it.  The task
+#: returns the number of tiles it wrote.
+_Helper = Callable[[Callable[[], int]], None]
 
-    Yields ``(graphs, rows, keys)``: entry ``[g, r, j]`` of ``keys`` is
-    ``e_ij = |x_j|² − 2·(x_i·x_j)`` between node ``i = rows.start + r``
-    and node ``j`` of graph ``graphs.start + g``, and ``inf`` where ``j``
-    is ``i``.  That is the squared distance ``d_ij`` minus ``|x_i|²``, a
-    constant along the row, and ``argpartition`` ranks each row on its
-    own, so the key selects the neighbours the squared distance does, in
-    the same order.  A tile covers at most ``_TILE_BYTES`` of keys: whole
-    graphs when one graph's ``(n, n)`` matrix fits, so a batch of small
-    clouds is a few batched GEMMs with no per-graph Python loop; row tiles
-    of one graph when it does not.  Every tile is written into the same
-    buffer, so ``keys`` is valid only until the next tile.
+
+class _KeyTiles:
+    """The self-excluded kNN ranking keys of a ``(G, n, D)`` group, as
+    tiles computed on demand by index.
+
+    ``keys(index, buffer)`` returns ``(graphs, rows, keys)``: entry
+    ``[g, r, j]`` of ``keys`` is ``e_ij = |x_j|² − 2·(x_i·x_j)`` between
+    node ``i = rows.start + r`` and node ``j`` of graph
+    ``graphs.start + g``, and ``inf`` where ``j`` is ``i``.  That is the
+    squared distance ``d_ij`` minus ``|x_i|²``, a constant along the row,
+    and ``argpartition`` ranks each row on its own, so the key selects the
+    neighbours the squared distance does, in the same order.  A tile covers
+    at most ``tile_bytes`` of keys: whole graphs when one graph's
+    ``(n, n)`` matrix fits, so a batch of small clouds is a few batched
+    GEMMs with no per-graph Python loop; row tiles of one graph when it
+    does not.  The ``count`` tiles cover every row of every graph once.
+    ``keys`` is written into ``buffer`` (``buffer_size`` float64 entries),
+    so it is valid until that buffer's next tile; tiles written into
+    different buffers may be computed at once, from different threads.
 
     Each tile is one batched GEMM of augmented operands,
     ``[x_i, 1] · [−2·x_jᵀ ; |x_j|²]``, written straight into the buffer:
@@ -143,52 +154,79 @@ def grouped_knn_distances(grouped: np.ndarray
     compiled runtime's selection-only kNN: the compiled runtime's
     guarantee is that it selects the same neighbour sets as eager
     execution, and two formulas would disagree on near-tied neighbours.
-    Each entry depends only on its own two rows, so the tiling never
-    changes a selected neighbour.
+    Each entry depends only on its own two rows, so neither the tile size
+    nor the order the tiles are computed in changes a selected neighbour.
     """
-    num_graphs, per_graph, dims = grouped.shape
-    left = np.ones((num_graphs, per_graph, dims + 1))
-    left[:, :, :dims] = grouped
-    right = np.empty((num_graphs, dims + 1, per_graph))
-    np.multiply(grouped.transpose(0, 2, 1), -2.0, out=right[:, :dims])
-    (grouped ** 2).sum(axis=2, out=right[:, dims])
-    row_bytes = per_graph * np.dtype(np.float64).itemsize
-    if per_graph * row_bytes <= _TILE_BYTES:
-        graphs_per_tile = _TILE_BYTES // (per_graph * row_bytes)
-        rows_per_tile = per_graph
-    else:
-        graphs_per_tile, rows_per_tile = 1, max(1, _TILE_BYTES // row_bytes)
-    keys_buffer = np.empty(
-        min(graphs_per_tile, num_graphs) * rows_per_tile * per_graph)
-    for first in range(0, num_graphs, graphs_per_tile):
-        graphs = slice(first, min(first + graphs_per_tile, num_graphs))
-        for start in range(0, per_graph, rows_per_tile):
-            rows = slice(start, min(start + rows_per_tile, per_graph))
-            shape = (graphs.stop - first, rows.stop - start, per_graph)
-            keys = keys_buffer[:shape[0] * shape[1] * per_graph].reshape(shape)
-            np.matmul(left[graphs, rows], right[graphs], out=keys)
-            local = np.arange(shape[1])
-            keys[:, local, local + start] = np.inf  # exclude self-edges
-            yield graphs, rows, keys
+
+    def __init__(self, grouped: np.ndarray, tile_bytes: int) -> None:
+        num_graphs, per_graph, dims = grouped.shape
+        self._left = np.ones((num_graphs, per_graph, dims + 1))
+        self._left[:, :, :dims] = grouped
+        self._right = np.empty((num_graphs, dims + 1, per_graph))
+        np.multiply(grouped.transpose(0, 2, 1), -2.0,
+                    out=self._right[:, :dims])
+        (grouped ** 2).sum(axis=2, out=self._right[:, dims])
+        row_bytes = per_graph * np.dtype(np.float64).itemsize
+        if per_graph * row_bytes <= tile_bytes:
+            self._graphs_per_tile = tile_bytes // (per_graph * row_bytes)
+            self._rows_per_tile = per_graph
+        else:
+            self._graphs_per_tile = 1
+            self._rows_per_tile = max(1, tile_bytes // row_bytes)
+        self._num_graphs, self._per_graph = num_graphs, per_graph
+        self._row_tiles = -(-per_graph // self._rows_per_tile)
+        self.count = -(-num_graphs // self._graphs_per_tile) * self._row_tiles
+        self.buffer_size = (min(self._graphs_per_tile, num_graphs)
+                            * self._rows_per_tile * per_graph)
+
+    def keys(self, index: int, buffer: np.ndarray
+             ) -> Tuple[slice, slice, np.ndarray]:
+        graph_tile, row_tile = divmod(index, self._row_tiles)
+        first = graph_tile * self._graphs_per_tile
+        start = row_tile * self._rows_per_tile
+        graphs = slice(first, min(first + self._graphs_per_tile,
+                                  self._num_graphs))
+        rows = slice(start, min(start + self._rows_per_tile, self._per_graph))
+        shape = (graphs.stop - first, rows.stop - start, self._per_graph)
+        keys = buffer[:shape[0] * shape[1] * shape[2]].reshape(shape)
+        np.matmul(self._left[graphs, rows], self._right[graphs], out=keys)
+        # Exclude self-edges: entry [g, r, start + r] sits at flat offset
+        # start + r·(n + 1) of graph g's rows.
+        keys.reshape(shape[0], -1)[
+            :, start:start + shape[1] * (shape[2] + 1):shape[2] + 1] = np.inf
+        return graphs, rows, keys
 
 
 def _knn_edges(points: np.ndarray, k: int, num_graphs: int, per_graph: int,
-               nearest_first: bool) -> np.ndarray:
+               nearest_first: bool,
+               helper: Optional[_Helper] = None) -> np.ndarray:
     """The kNN edge list of ``num_graphs`` consecutive graphs of
     ``per_graph`` rows of ``points`` each: the one selection loop.
 
-    Each tile of :func:`grouped_knn_distances` gets one ``argpartition``,
-    written straight into row 0 of the result, so no index array beside
-    it is allocated.  ``nearest_first`` re-sorts each row's picks by key,
-    the order ``knn_graph`` lists; inference skips it, because neighbour
-    order moves only the floating-point summation order of ``add`` /
-    ``mean`` aggregation, never the neighbour set.  A graph of at most
-    ``k`` nodes has fewer than ``k`` other nodes: its rows list all of
-    them (a one-node graph, its self-loop) and repeat them up to ``k``.
-    The order then decides which neighbours repeat once more, so such rows
-    are always re-sorted: every caller gets ``knn_graph``'s multiset.
+    Each tile of :class:`_KeyTiles` gets one ``argpartition``, written
+    straight into row 0 of the result, so no index array beside it is
+    allocated.  ``nearest_first`` re-sorts each row's picks by key, the
+    order ``knn_graph`` lists; inference skips it, because neighbour order
+    moves only the floating-point summation order of ``add`` / ``mean``
+    aggregation, never the neighbour set.  A graph of at most ``k`` nodes
+    has fewer than ``k`` other nodes: its rows list all of them (a
+    one-node graph, its self-loop) and repeat them up to ``k``.  The order
+    then decides which neighbours repeat once more, so such rows are
+    always re-sorted: every caller gets ``knn_graph``'s multiset.
     Destinations are ``repeat(arange(N), k)``: destination-sorted and
     k-regular by construction.
+
+    ``helper``, when given, lends the loop a second participant: the
+    caller hands it a task, and both claim tile numbers from one shared
+    counter, each ranking into its own key buffer of half the tile size,
+    so the two buffers together take one tile's memory.  They write
+    disjoint rows of the edge list, and a tile's keys do not depend on who
+    computes them, so the edges are bit-for-bit the single participant's.
+    The caller never waits for the helper: a helper that starts late finds
+    fewer tiles, or none, left to claim; once the counter runs out, the
+    caller closes the edge list to the helper's writes, ranks any tile the
+    helper claimed but had not written, and re-raises an error the helper
+    met before that.
     """
     # Keys are always ranked in float64: a float32 plan must select the
     # same neighbour sets as eager execution, or near-tied distances would
@@ -200,16 +238,65 @@ def _knn_edges(points: np.ndarray, k: int, num_graphs: int, per_graph: int,
     edges = np.empty((2, num_nodes * k), dtype=np.int64)
     local = edges[0].reshape(num_graphs, per_graph, k)
     width = min(k, max(per_graph - 1, 1))
-    for graphs, rows, keys in grouped_knn_distances(grouped):
+    tiles = _KeyTiles(grouped, _TILE_BYTES if helper is None
+                      else _TILE_BYTES // 2)
+    claims = itertools.count()  # ``next`` is atomic under the GIL
+    written = np.zeros(tiles.count, dtype=bool)
+    closing = threading.Lock()  # the helper writes only before ``closed``
+    closed = False
+    errors: List[Exception] = []
+
+    def rank(index: int, keys_buffer: np.ndarray
+             ) -> Tuple[slice, slice, np.ndarray]:
+        graphs, rows, keys = tiles.keys(index, keys_buffer)
         nearest = np.argpartition(keys, width - 1, axis=2)[:, :, :width]
         if nearest_first or width < k:
             order = np.argsort(np.take_along_axis(keys, nearest, axis=2),
                                axis=2)
             nearest = np.take_along_axis(nearest, order, axis=2)
+        return graphs, rows, nearest
+
+    def write(index: int, graphs: slice, rows: slice,
+              nearest: np.ndarray) -> None:
         for start in range(0, k, width):
             local[graphs, rows, start:start + width] = nearest[:, :,
                                                                :k - start]
-        del nearest  # free this tile's indices before the next tile's
+        written[index] = True
+
+    def helper_part() -> int:
+        """Rank claimed tiles until none is left or the caller has
+        finished; the number written."""
+        keys_buffer = np.empty(tiles.buffer_size)
+        count = 0
+        try:
+            while (index := next(claims)) < tiles.count:
+                tile = rank(index, keys_buffer)
+                with closing:
+                    if closed:
+                        break
+                    write(index, *tile)
+                del tile  # free this tile's indices before the next's
+                count += 1
+        except Exception as error:  # re-raised by the caller
+            errors.append(error)
+        return count
+
+    if helper is not None:
+        helper(helper_part)
+    keys_buffer = np.empty(tiles.buffer_size)
+    try:
+        while (index := next(claims)) < tiles.count:
+            write(index, *rank(index, keys_buffer))
+    finally:
+        with closing:
+            closed = True
+    if errors:
+        raise errors[0]
+    # A tile the helper claimed but had not written: ranking it here costs
+    # one tile, where waiting would cost however long its thread is kept
+    # off a core.
+    for index in np.flatnonzero(~written):
+        write(index, *rank(int(index), keys_buffer))
     local += (np.arange(num_graphs, dtype=np.int64) * per_graph)[:, None,
                                                                   None]
     edges[1].reshape(num_nodes, k)[...] = np.arange(num_nodes)[:, None]

@@ -18,12 +18,16 @@ destination order, which the eager fallback (`np.add.at`) does not.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import queue
+import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from ..graph.knn import _knn_edges
+from ..graph.knn import _TILE_BYTES, _knn_edges
 
 
 # ----------------------------------------------------------------------
@@ -515,12 +519,137 @@ def quant_pool_uniform(xq: np.ndarray, num_graphs: int, per_graph: int,
 # ----------------------------------------------------------------------
 # Lean kNN for the serving fast path
 # ----------------------------------------------------------------------
+#: A group whose kNN keys span more than this many tiles gets the
+#: process's tile helper.  A 1024-point frame spans 32; a 64-point frame,
+#: and an 8-frame micro-batch of them, fit in one, where handing a tile to
+#: another thread would cost more than ranking it.
+_HELPED_ABOVE_TILES = 2
+
+#: The names OpenBLAS builds export their thread-count calls under: plain,
+#: with the ``64_`` suffix of 64-bit-integer builds, and with the
+#: ``scipy_`` prefix of the build numpy's wheels bundle.
+_OPENBLAS_PREFIXES = ("", "scipy_")
+_OPENBLAS_SUFFIXES = ("", "64_")
+
+
+def _find_openblas() -> Optional[Tuple[str, Any, Any]]:
+    """The OpenBLAS this process has loaded, as ``(path,
+    set_num_threads, get_num_threads)``; ``None`` when no mapped library
+    is an OpenBLAS that exports both calls.
+
+    numpy's wheels bundle OpenBLAS under a mangled file name, so it is
+    found among the process's mappings (``/proc/self/maps``) rather than
+    by name.  Opening an already-mapped library returns the loaded copy.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({fields[5] for fields in map(str.split, maps)
+                            if len(fields) > 5
+                            and "openblas" in fields[5].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in _OPENBLAS_PREFIXES:
+            for suffix in _OPENBLAS_SUFFIXES:
+                setter, getter = (
+                    getattr(library, f"{prefix}openblas_{call}_num_threads"
+                            f"{suffix}", None) for call in ("set", "get"))
+                if setter is not None and getter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return path, setter, getter
+    return None
+
+
+def _pin_blas() -> Optional[Tuple[str, int]]:
+    """Set the process's OpenBLAS to one thread: its path and the thread
+    count it reports afterwards, or ``None`` when there is none.
+
+    At the GEMM sizes served here (``1024 × 65 × 1024`` and smaller), a
+    threaded GEMM is no faster than one thread, and OpenBLAS's pool then
+    spin-waits a whole core after every call, the core the tile helper
+    needs.  In some fresh processes that pool also stalled each threaded
+    GEMM by milliseconds.
+    """
+    found = _find_openblas()
+    if found is None:
+        return None
+    path, set_num_threads, get_num_threads = found
+    set_num_threads(1)
+    return path, get_num_threads()
+
+
+class _TileHelper:
+    """The process's second participant in kNN tile loops: one daemon
+    thread running the tasks callers submit, in order.
+
+    ``submit`` is the ``helper`` of :func:`repro.graph.knn._knn_edges`,
+    whose callers never wait for a task: a caller whose task is queued
+    behind another handler's kNN walks its tiles itself, and the task,
+    when it runs, finds none left.  A task submitted after the thread has
+    ended is dropped rather than left queued.
+    """
+
+    def __init__(self) -> None:
+        self._tasks: "queue.SimpleQueue[Callable[[], Any]]" = \
+            queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, daemon=True,
+                                       name="knn-tile-helper")
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self._tasks.get()()
+
+    def submit(self, task: Callable[[], Any]) -> None:
+        if self.thread.is_alive():
+            self._tasks.put(task)
+
+
+_helper_lock = threading.Lock()
+#: The process's tile helper: ``None`` until a kNN that could use one
+#: decides, then a :class:`_TileHelper`, or ``False`` when the process
+#: gets none.
+_helper: Any = None
+
+
+def _process_helper() -> Optional[_TileHelper]:
+    """The process's tile helper, started by the first call, or ``None``.
+
+    A process gets one only when it may run on two or more CPUs and its
+    OpenBLAS now runs one thread: otherwise the helper would compete with
+    the BLAS pool, or with the caller, for the same core.
+    """
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            spare_core = (hasattr(os, "sched_getaffinity")
+                          and len(os.sched_getaffinity(0)) >= 2)
+            pinned = spare_core and _pin_blas()
+            _helper = (_TileHelper() if pinned and pinned[1] == 1
+                       else False)
+    return _helper or None
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread, whatever the parent had."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
 def knn_edges_uniform(points: np.ndarray, k: int, num_graphs: int,
                       per_graph: int) -> np.ndarray:
     """kNN edge list for a batch of equally sized graphs, selection-only.
 
     :func:`repro.graph.knn.knn_graph`'s own selection loop over the same
-    tiles of ranking keys (:func:`~repro.graph.knn.grouped_knn_distances`),
+    tiles of ranking keys (:class:`~repro.graph.knn._KeyTiles`),
     so the selected neighbour set is bit-for-bit eager's —
     ``argpartition`` is deterministic per row — minus the work inference
     does not need: the selected ``k`` neighbours are **not** re-sorted
@@ -535,5 +664,16 @@ def knn_edges_uniform(points: np.ndarray, k: int, num_graphs: int,
     decides which neighbours repeat once more.  Destinations are
     ``repeat(arange(N), k)`` — destination-sorted and k-regular by
     construction.
+
+    A group whose keys span more than ``_HELPED_ABOVE_TILES`` tiles hands
+    the process's helper thread (:func:`_process_helper`) a share of its
+    tiles: ``argpartition`` and the GEMM release the GIL, so the two rank
+    on two cores, into the same edges bit for bit.  Smaller groups, and
+    processes without a helper, rank alone.
     """
-    return _knn_edges(points, k, num_graphs, per_graph, nearest_first=False)
+    key_bytes = (num_graphs * per_graph * per_graph
+                 * np.dtype(np.float64).itemsize)
+    helper = (_process_helper()
+              if key_bytes > _HELPED_ABOVE_TILES * _TILE_BYTES else None)
+    return _knn_edges(points, k, num_graphs, per_graph, nearest_first=False,
+                      helper=None if helper is None else helper.submit)

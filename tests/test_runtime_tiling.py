@@ -1,7 +1,8 @@
 """Cache-sized tiles in kNN and EdgeConv change nothing but speed and memory.
 
-``grouped_knn_distances`` walks a group's kNN ranking keys in row tiles of
-at most ``_TILE_BYTES``.  Each key is ``|x_j|² − 2·x_i·x_j``, one batched
+``_KeyTiles`` cuts a group's kNN ranking keys into row tiles of at most
+``_TILE_BYTES``, or half that when the process's helper thread ranks beside
+the caller.  Each key is ``|x_j|² − 2·x_i·x_j``, one batched
 GEMM of augmented operands: the squared distance minus ``|x_i|²``, a
 constant along the row.  The in-test references below rank the squared
 distance itself as the kernel did before tiling: one ``(G, n, n)`` matrix
@@ -25,6 +26,14 @@ grid is gathered slot-major — ``(k, rows, F)``, slab j the j-th neighbour
 of every node in the chunk — and reduced over its leading axis, in the
 same neighbour order as the reference's middle axis.
 
+A second participant, the process's tile helper thread, may claim tiles
+beside the caller, which never waits for it.  ``TestKnnTiles`` and
+``TestBenchmarkClouds`` run with a helper of the module's own, so they pin
+its edges whatever CPUs the test process may use.  ``TestTileHelper`` pins
+the rest of its contract: callers at once, a busy helper, the groups that
+never ask for it, a process without OpenBLAS or with one CPU, an error on
+the helper, and a forked child.
+
 The last class pins the memory the tiles save, by allocation count rather
 than wall time: the ``tracemalloc`` peak of one paper-scale kNN and of one
 paper-scale EdgeConv, and the arenas of the paper-scale edge plan after one
@@ -33,7 +42,12 @@ frame.
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,11 +57,44 @@ from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
-from repro.graph.knn import _TILE_BYTES, grouped_knn_distances, knn_graph
+from repro.graph.knn import _TILE_BYTES, _KeyTiles, knn_graph
 from repro.runtime import compile_plan, kernels
 from repro.serving import RuntimeConfig, build_zoo_callables
 
 MiB = 2 ** 20
+
+
+class _CountingHelper:
+    """A real tile helper whose tasks record how many tiles they wrote."""
+
+    def __init__(self):
+        self.helper = kernels._TileHelper()
+        self.ranked = []
+
+    def submit(self, task):
+        self.helper.submit(lambda: self.ranked.append(task()))
+
+    def settle(self, timeout=30.0):
+        """Wait until every task submitted so far has returned: the
+        callers do not wait for theirs."""
+        done = threading.Event()
+        self.helper.submit(done.set)
+        if not done.wait(timeout):
+            raise AssertionError("the helper's tasks never returned")
+
+
+@pytest.fixture(scope="module")
+def module_helper():
+    return _CountingHelper()
+
+
+@pytest.fixture
+def helper(module_helper, monkeypatch):
+    """The module's own helper, installed as the process's, so a test runs
+    two participants whatever CPUs this process may use."""
+    monkeypatch.setattr(kernels, "_helper", module_helper)
+    module_helper.ranked.clear()
+    return module_helper
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +191,7 @@ SHAPES = [(n, g) for n in (17, 64, 128) for g in (1, 3, 8)] + [
     (1500, 3)]
 
 
+@pytest.mark.usefixtures("helper")
 class TestKnnTiles:
     @pytest.mark.parametrize("dims", [3, 64])
     @pytest.mark.parametrize("per_graph, num_graphs", SHAPES)
@@ -159,14 +207,17 @@ class TestKnnTiles:
         points = _cloud(kind, 3 * per_graph, dims, seed=per_graph)
         _assert_knn_identical(points, 3, per_graph)
 
+    @pytest.mark.parametrize("tile_bytes", [_TILE_BYTES, _TILE_BYTES // 2])
     @pytest.mark.parametrize("dims", [3, 64])
     @pytest.mark.parametrize("per_graph, num_graphs", [
         (17, 3), (64, 8), (128, 3), (1000, 1), (1024, 1), (1500, 3)])
     def test_keys_are_distances_minus_the_row_norm(self, per_graph,
-                                                   num_graphs, dims):
+                                                   num_graphs, dims,
+                                                   tile_bytes):
         """Every tile plus ``|x_i|²`` is the squared-distance matrix bit
         for bit, with ``inf`` on the self entries, and the tiles cover
-        each row of each graph once."""
+        each row of each graph once, at the caller's tile size and at the
+        half tiles two participants rank."""
         rng = np.random.default_rng(per_graph + dims)
         ints = rng.integers(-8, 9, size=(num_graphs, per_graph, dims))
         sq_norms = (ints ** 2).sum(axis=2)
@@ -175,8 +226,11 @@ class TestKnnTiles:
         diagonal = np.arange(per_graph)
         expected[:, diagonal, diagonal] = np.inf
         assembled = np.full(expected.shape, np.nan)
-        for graphs, rows, keys in grouped_knn_distances(
-                ints.astype(np.float64)):
+        tiles = _KeyTiles(ints.astype(np.float64), tile_bytes)
+        buffer = np.empty(tiles.buffer_size)
+        assert buffer.nbytes <= max(tile_bytes, per_graph * 8)
+        for index in range(tiles.count):
+            graphs, rows, keys = tiles.keys(index, buffer)
             assert np.isnan(assembled[graphs, rows]).all()
             assembled[graphs, rows] = keys + sq_norms[graphs, rows, None]
         assert assembled.tobytes() == expected.tobytes()
@@ -190,6 +244,7 @@ def _benchmark_pool(num_points, seed):
                      for graph in graphs])
 
 
+@pytest.mark.usefixtures("helper")
 class TestBenchmarkClouds:
     """The key against the references on the frames the benchmark serves:
     1024 points at k = 20 (``paper_edge``, ``paper_split``) and 64 at
@@ -245,6 +300,221 @@ class TestTinyGraphs:
         rows = num_graphs * per_graph, k
         np.testing.assert_array_equal(np.sort(uniform[0].reshape(rows)),
                                       np.sort(eager[0].reshape(rows)))
+
+
+def _in_thread(call, timeout=30.0):
+    """``call()``'s result, run on a thread of its own: a loop left waiting
+    on a helper that never answers fails the test instead of hanging it."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = call()
+        except BaseException as error:  # re-raised below
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the kNN call is waiting for its helper"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestTileHelper:
+    """The process's helper thread ranks tiles beside the caller, never
+    makes it wait, and never changes an edge."""
+
+    @pytest.mark.parametrize("callers", [2, 3])
+    def test_callers_at_once_match_serial_calls(self, helper, callers):
+        """Handlers' kNNs at once, on different clouds: the helper takes
+        their tasks in turn, and a caller whose task waits ranks alone;
+        every list is the reference's.  A tile two participants both
+        claimed, or neither, would show as a wrong or uninitialised row."""
+        clouds = [_cloud("gaussian", 1024, 3, seed) for seed in range(4)]
+        expected = [_reference_uniform(cloud, 20, 1, 1024).tobytes()
+                    for cloud in clouds]
+        rounds = 6
+        start = threading.Barrier(callers)
+        results = {side: [] for side in range(callers)}
+
+        def caller(side):
+            for round_ in range(rounds):
+                helper.settle()
+                start.wait(timeout=30)
+                cloud = clouds[(callers * round_ + side) % len(clouds)]
+                results[side].append(
+                    kernels.knn_edges_uniform(cloud, 20, 1, 1024).tobytes())
+
+        threads = [threading.Thread(target=caller, args=(side,))
+                   for side in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        helper.settle()
+        for side in range(callers):
+            assert results[side] == [
+                expected[(callers * round_ + side) % len(clouds)]
+                for round_ in range(rounds)]
+        assert len(helper.ranked) == callers * rounds
+        assert sum(helper.ranked) > 0
+
+    def test_a_busy_helper_never_makes_the_caller_wait(self, helper):
+        """While the helper runs another handler's task, a caller ranks
+        every tile itself and returns; its task, run later, finds no tile
+        left."""
+        cloud = _cloud("gaussian", 1024, 3, seed=6)
+        release = threading.Event()
+        helper.helper.submit(lambda: release.wait(30))
+        try:
+            edges = _in_thread(
+                lambda: kernels.knn_edges_uniform(cloud, 20, 1, 1024))
+        finally:
+            release.set()
+        assert edges.tobytes() == \
+            _reference_uniform(cloud, 20, 1, 1024).tobytes()
+        helper.settle()
+        assert helper.ranked == [0]
+
+    @pytest.mark.parametrize("num_points, num_graphs, k", [
+        (64, 1, 16), (64, 8, 16), (256, 1, 20)])
+    def test_groups_of_two_tiles_or_less_never_ask(self, monkeypatch,
+                                                   num_points, num_graphs,
+                                                   k):
+        """The small workloads' 64-point frame and 8-frame micro-batch,
+        and a group of exactly two tiles, rank alone without asking for
+        the helper; so does eager ``knn_graph`` at any size, so a process
+        that only trains never pins BLAS."""
+        def no_helper():
+            raise AssertionError("asked for the tile helper")
+
+        monkeypatch.setattr(kernels, "_process_helper", no_helper)
+        points = _cloud("gaussian", num_graphs * num_points, 3, seed=k)
+        assert kernels.knn_edges_uniform(
+            points, k, num_graphs, num_points).tobytes() == \
+            _reference_uniform(points, k, num_graphs, num_points).tobytes()
+        cloud = _cloud("gaussian", 1024, 3, seed=1)
+        assert knn_graph(cloud, 20).tobytes() == \
+            _reference_eager(cloud, 20, 1, 1024).tobytes()
+
+    def test_without_openblas_the_loop_ranks_alone(self, monkeypatch):
+        """When no OpenBLAS is found, the process gets no helper: nothing
+        is pinned, no thread starts, and the edges are the reference's."""
+        def no_thread():
+            raise AssertionError("started a tile helper")
+
+        finder_calls = []
+        monkeypatch.setattr(kernels, "_helper", None)
+        monkeypatch.setattr(kernels, "_TileHelper", no_thread)
+        monkeypatch.setattr(kernels, "_find_openblas",
+                            lambda: finder_calls.append(1))
+        monkeypatch.setattr(kernels.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        cloud = _cloud("gaussian", 1024, 3, seed=2)
+        assert kernels.knn_edges_uniform(cloud, 20, 1, 1024).tobytes() == \
+            _reference_uniform(cloud, 20, 1, 1024).tobytes()
+        assert finder_calls == [1]
+        assert kernels._helper is False
+        assert kernels._process_helper() is None
+
+    def test_one_cpu_gets_no_helper_and_leaves_blas_alone(self,
+                                                          monkeypatch):
+        def untouched():
+            raise AssertionError("looked for OpenBLAS")
+
+        monkeypatch.setattr(kernels, "_helper", None)
+        monkeypatch.setattr(kernels, "_find_openblas", untouched)
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0})
+        cloud = _cloud("gaussian", 1024, 3, seed=4)
+        assert kernels.knn_edges_uniform(cloud, 20, 1, 1024).tobytes() == \
+            _reference_uniform(cloud, 20, 1, 1024).tobytes()
+        assert kernels._process_helper() is None
+
+    def test_pinned_openblas_reports_one_thread(self):
+        found = kernels._pin_blas()
+        if found is None:
+            pytest.skip("numpy's BLAS here is not OpenBLAS")
+        path, threads = found
+        assert "openblas" in path.lower() and threads == 1
+
+    def test_an_error_in_the_helpers_tiles_reaches_the_caller(
+            self, helper, monkeypatch):
+        """The caller re-raises it once its own tiles are done, and the
+        same thread takes part in the next call."""
+        cloud = _cloud("gaussian", 1024, 3, seed=3)
+        expected = _reference_uniform(cloud, 20, 1, 1024).tobytes()
+        argpartition = np.argpartition
+        helper_failed = threading.Event()
+
+        def failing_on_the_helper(*args, **kwargs):
+            if threading.current_thread() is helper.helper.thread:
+                helper_failed.set()
+                raise RuntimeError("a tile failed on the helper")
+            # Leave the helper a tile, and let it fail before going on.
+            helper_failed.wait(timeout=10)
+            helper.settle()
+            return argpartition(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argpartition", failing_on_the_helper)
+        with pytest.raises(RuntimeError, match="failed on the helper"):
+            _in_thread(lambda: kernels.knn_edges_uniform(cloud, 20, 1, 1024))
+        assert helper_failed.is_set()
+        monkeypatch.setattr(np, "argpartition", argpartition)
+        for _ in range(20):
+            assert _in_thread(lambda: kernels.knn_edges_uniform(
+                cloud, 20, 1, 1024)).tobytes() == expected
+            helper.settle()
+            if sum(helper.ranked):
+                break
+        assert sum(helper.ranked) > 0, "the helper never ranked again"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helper(self, helper,
+                                                  wait_until):
+        """The child has no copy of the parent's thread: it must not hand
+        tiles to it (they would all fall back to the caller), but start
+        its own."""
+        cloud = _cloud("gaussian", 1024, 3, seed=5)
+        expected = _reference_uniform(cloud, 20, 1, 1024).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # threads
+            pid = os.fork()
+        if pid == 0:  # the child reports through its exit status only
+            status = 1
+            try:
+                inherited = kernels._helper is helper
+                os.sched_getaffinity = lambda pid: {0, 1}
+                own = kernels._process_helper()
+                edges = kernels.knn_edges_uniform(cloud, 20, 1, 1024)
+                status = 0 if (
+                    not inherited and own is not helper
+                    and (own is None or own.thread.is_alive())
+                    and edges.tobytes() == expected) else 2
+            finally:
+                os._exit(status)
+        reaped = {}
+
+        def child_exited():
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                reaped["status"] = status
+            return done
+
+        try:
+            wait_until(child_exited, timeout=30, message="the child's kNN")
+        except TimeoutError:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        assert os.waitstatus_to_exitcode(reaped["status"]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -352,19 +622,27 @@ def _paper_edge_frame():
 
 
 class TestTileMemory:
-    def test_knn_peak_allocation(self):
+    def test_knn_peak_allocation(self, helper):
         """One 1024-point k=20 frame: the full-matrix kernel peaked at
         16.6 MiB of temporaries, the first tiles with a product buffer
-        beside each tile at 1.1 MiB; one GEMM per tile stays under 1 MiB."""
+        beside each tile at 1.1 MiB; one GEMM per tile stays under 1 MiB,
+        also when the helper ranks beside the caller, because each of the
+        two then ranks into a buffer of half a tile."""
         points = _paper_edge_frame().pos
         kernels.knn_edges_uniform(points, 20, 1, 1024)
-        tracemalloc.start()
-        try:
-            kernels.knn_edges_uniform(points, 20, 1, 1024)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 * MiB, f"kNN peak {peak / MiB:.2f} MiB"
+        for _ in range(20):
+            helper.ranked.clear()
+            tracemalloc.start()
+            try:
+                kernels.knn_edges_uniform(points, 20, 1, 1024)
+                helper.settle()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1 * MiB, f"kNN peak {peak / MiB:.2f} MiB"
+            if sum(helper.ranked):
+                break
+        assert sum(helper.ranked) > 0, "the helper never took a tile"
 
     @pytest.mark.parametrize("reduce", ["max", "mean"])
     @pytest.mark.parametrize("features", [3, 64])
