@@ -569,11 +569,12 @@ def _pin_blas() -> Optional[Tuple[str, int]]:
     """Set the process's OpenBLAS to one thread: its path and the thread
     count it reports afterwards, or ``None`` when there is none.
 
-    At the GEMM sizes served here (``1024 × 65 × 1024`` and smaller), a
-    threaded GEMM is no faster than one thread, and OpenBLAS's pool then
-    spin-waits a whole core after every call, the core the tile helper
-    needs.  In some fresh processes that pool also stalled each threaded
-    GEMM by milliseconds.
+    After every threaded GEMM, OpenBLAS's pool spin-waits a whole core
+    for about 0.1 s: the core the tile helper needs.  One thread makes the
+    served ``1024 × 128 × 64`` GEMM about 0.25 ms slower, which the helper
+    more than repays; and in some fresh processes with the pool, every
+    paper-scale frame ran about three times slower, which none did with
+    one thread.
     """
     found = _find_openblas()
     if found is None:
