@@ -13,8 +13,12 @@ the arrays' bytes follow in header order, each in one of three layouts:
 * ``[name, dtype, shape, "zp"]`` — *zero-suppressed, byte-planed*:
   ``packbits(bits != 0)`` (the mask of elements that are not bitwise
   zero), then the non-zero elements byte-planed — byte *j* of every value
-  in plane *j*.  Only 2/4/8-byte floats where at least one element in
-  eight is bitwise zero use it (post-ReLU activations are 36–40 % zeros).
+  in plane *j*.  Only 2/4/8-byte floats use it: those where at least one
+  element in eight is bitwise zero (post-ReLU activations are 36–40 %
+  zeros), and those of 2048 or more elements with fewer zeros when the
+  probe below stores one of their planes and at most one sampled value
+  in twelve repeats another (a raw point cloud: its low mantissa bytes
+  are noise, and its all-ones mask deflates to a few bytes).
 * ``[name, dtype, shape, "bp"]`` — *byte-planed*: every element
   byte-planed, in the array's own byte order.  Only 2/4/8-byte integer
   arrays of at least 4096 elements use it (a ``nbr`` table, an
@@ -29,19 +33,21 @@ payloads survive.
 default) sends a zlib stream of the frame with the planed layouts inside
 it — mirroring the paper's engine, which is built on Python sockets and
 compresses all transmitted data with zlib.  The stream is
-``zlib.compress(frame, level)`` unless the frame has a byte plane of 4 KB
-or more.  Each such plane is probed — a ``Z_RLE`` deflate of four 1 KB
-windows spread across it — and travels as *stored* blocks when the probe
-cannot shrink it by 3 % (the low mantissa bytes of real-valued features,
-the low byte of a neighbour table: deflating them cost most of the
-compression time for < 1 % of their size), else through a second raw
-deflater with the ``Z_RLE`` strategy (Huffman codes plus runs, at a
-fraction of a full match search).  The header, ``zp`` masks, dense
-arrays and shorter planes stay in the default deflater.  The stream is
-built from pieces — the coders' output, switched behind full flushes, our
-own zlib header and Adler-32 trailer — and stock zlib inflates it to the
-same frame.  A frame with no plane of 4 KB or more — a logits reply, a
-64-point request, a Communicate-first request — is exactly
+``zlib.compress(frame, level)`` unless the frame has a byte plane of 2 KB
+or more.  Each such plane is probed — in numpy, the size a ``Z_RLE``
+deflate of its sample would take: the byte histogram's entropy, runs of
+repeats priced as matches, and the Huffman tree, over the whole plane
+up to 4 KB, else over four 1 KB windows spread across it — and travels
+as *stored* blocks when that cannot shrink it by 3 % (the low mantissa
+bytes of real-valued features, the low byte of a neighbour table:
+deflating them cost most of the compression time for < 1 % of their
+size), else through a second raw deflater with the ``Z_RLE`` strategy
+(Huffman codes plus runs, at a fraction of a full match search).  The
+header, ``zp`` masks, dense arrays and shorter planes stay in the
+default deflater.  The stream is built from pieces — the coders' output,
+switched behind full flushes, our own zlib header and Adler-32 trailer —
+and stock zlib inflates it to the same frame.  A frame with no plane of
+2 KB or more — a logits reply, a 64-point request — is exactly
 ``zlib.compress(frame, level)``.
 
 A receiver tells the two framings apart by the first byte (zlib streams
@@ -51,8 +57,9 @@ frame to the one parser, which reads every layout, so every check on the
 peer-controlled header guards both framings.  Dense arrays decode to
 read-only ``np.frombuffer`` views over the received (or inflated) bytes
 (zero per-array copies); a ``zp`` array decodes into a fresh read-only
-array with one scatter, and the total size such arrays decode to is held
-to the same cap; a ``bp`` array into one, plane by plane.  A
+array, plane by plane (into its non-zero values and then one scatter,
+when it has zeros), and the total size such arrays decode to is held to
+the same cap; a ``bp`` array into one, plane by plane.  A
 frame must end where its last declared array ends, and a zlib stream
 where its frame does.  The layout is versioned: an unknown version byte
 raises instead of desyncing the stream.
@@ -246,10 +253,10 @@ def serialize_message(message: Message, compress_level: int = 6,
     ``wire_format`` selects the framing; when ``None`` the message's own
     ``wire_format`` attribute decides, so replies naturally mirror the
     framing their request arrived in.  ``compress_level`` only applies to
-    the zlib framing: a zlib stream of the frame, zero-heavy float arrays
-    in the ``zp`` layout, large integer arrays in the ``bp`` layout, and
-    each large plane run-length deflated or stored (see the module
-    docstring).
+    the zlib framing: a zlib stream of the frame, zero-heavy and large
+    noisy float arrays in the ``zp`` layout, large integer arrays in the
+    ``bp`` layout, and each large plane run-length deflated or stored
+    (see the module docstring).
     """
     wire_format = message.wire_format if wire_format is None else wire_format
     if wire_format not in WIRE_FORMATS:
@@ -283,14 +290,13 @@ def serialize_message(message: Message, compress_level: int = 6,
             chunks.append(memoryview(array))
             codings.append(_DEFAULT)
         else:
-            layout, mask, planes = planed
+            layout, mask, planes, plane_codings = planed
             spec.append(layout)
             if mask is not None:
                 chunks.append(mask)
                 codings.append(_DEFAULT)
-            for plane in planes:
-                chunks.append(plane)
-                codings.append(_plane_coding(plane))
+            chunks.extend(planes)
+            codings.extend(plane_codings)
         specs.append(spec)
     header["arrays"] = specs
     header_bytes = json.dumps(header).encode("utf-8")
@@ -311,34 +317,141 @@ def serialize_message(message: Message, compress_level: int = 6,
 _DEFAULT, _RLE, _STORED = range(3)
 #: A byte plane at least this long is probed, then run-length deflated or
 #: stored; a shorter one deflates with the rest of the frame.
-_PROBE_BYTES = 4096
-#: The probe deflates this many windows of the plane, spread from its
+_PROBE_BYTES = 2048
+#: The probe samples this many windows of a longer plane, spread from its
 #: first byte to its last: a plane can be noise at its head and runs at
-#: its tail (plane 0 of an edge list: random sources, sorted targets).
+#: its tail (plane 0 of an edge list: random sources, sorted targets).  A
+#: plane no longer than the windows together is sampled whole.
 _PROBE_WINDOWS = 4
-_WINDOW_BYTES = _PROBE_BYTES // _PROBE_WINDOWS
-#: A plane whose probe deflates to more than this share of its size is
-#: shipped in stored blocks: deflating it would cost time and save nothing.
+_WINDOW_BYTES = 1024
+#: A plane whose sample would deflate to more than this share of its size
+#: is shipped in stored blocks: deflating it would cost time and save
+#: nothing.
 _STORED_RATIO = 0.97
 #: Largest payload of one deflate stored block (RFC 1951, section 3.2.4).
 _STORED_BLOCK_BYTES = 0xFFFF
+#: The two-byte zlib header ``zlib.compress`` writes at each level.
+_ZLIB_HEADERS = {level: zlib.compress(b"", level)[:2]
+                 for level in range(-1, 10)}
+#: Longest match deflate codes (RFC 1951, section 3.2.5); ``Z_RLE`` codes
+#: every match at distance 1, so a run of equal bytes costs one literal
+#: then one match per 258 repeats, and a tail of fewer than 3 repeats
+#: stays literals.
+_MAX_MATCH, _MIN_MATCH = 258, 3
 
 
-def _plane_coding(plane: np.ndarray) -> int:
-    """How one byte plane travels: ``_DEFAULT`` below the probe size,
-    else ``_STORED`` when a ``Z_RLE`` deflate of four 1 KB windows cannot
-    shrink them by 3 % (the low mantissa bytes of real-valued features,
-    the low bytes of scattered indices), else ``_RLE``.  Run-length
-    deflate is Huffman coding plus runs: all that a plane of one byte
-    position holds, at a fraction of a full deflate's match search."""
-    if plane.size < _PROBE_BYTES:
-        return _DEFAULT
-    probe = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
-    step = (plane.size - _WINDOW_BYTES) // (_PROBE_WINDOWS - 1)
-    deflated = sum(len(probe.compress(plane[start:start + _WINDOW_BYTES]))
-                   for start in range(0, _PROBE_WINDOWS * step, step))
-    deflated += len(probe.flush())
-    return _STORED if deflated > _STORED_RATIO * _PROBE_BYTES else _RLE
+#: Symbols of deflate's literal/length alphabet — 256 literals, the end
+#: of block, 29 length codes — and, past them, a column for the bits each
+#: match adds: its length's extra bits and its 1-bit distance code.
+_LITLEN_SYMBOLS = 256 + 1 + 29
+_MATCH_BITS = _LITLEN_SYMBOLS
+_COLUMNS = _LITLEN_SYMBOLS + 1
+_END_OF_BLOCK = 256
+
+
+def _tail_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indexed by the repeats a run has left after its 258-byte matches
+    (0..257): the bytes a last match covers, its length symbol, and the
+    bits it adds (RFC 1951, section 3.2.5).  Fewer than 3 repeats are
+    literals: no bytes, no bits, and the end-of-block symbol, whose count
+    is set afterwards."""
+    matched = np.arange(_MAX_MATCH)
+    matched[:_MIN_MATCH] = 0
+    symbols = np.full(_MAX_MATCH, _END_OF_BLOCK)
+    bits = np.zeros(_MAX_MATCH)
+    length = _MIN_MATCH
+    extra = [0] * 8 + [n for n in range(1, 6) for _ in range(4)]
+    for code, extra_bits in enumerate(extra):
+        stop = min(length + (1 << extra_bits), _MAX_MATCH)
+        symbols[length:stop] = 257 + code
+        bits[length:stop] = extra_bits + 1
+        length = stop
+    return matched, symbols, bits
+
+
+_TAIL_MATCHED, _TAIL_SYMBOL, _TAIL_BITS = _tail_tables()
+#: Each plane's first key (``_rle_deflate_bits``); an array has at most
+#: eight planes.
+_ROW_KEYS = np.arange(0, 8 * _COLUMNS, _COLUMNS, dtype=np.uint16)[:, None]
+#: A dynamic Huffman block's cost beyond its symbols' entropy, in bits:
+#: a fixed part (block and tree headers, Huffman's rounding of code
+#: lengths) and a part per literal/length symbol it uses (its code
+#: length in the tree header).  Fitted to ``Z_RLE`` deflates of noise,
+#: skewed, Gaussian and run-length samples of 2–4 KB: the estimate then
+#: lands on the same side of the stored line except within 0.4 % of it.
+_BLOCK_BITS, _BITS_PER_SYMBOL = 200, 2
+
+
+def _plane_codings(planes: np.ndarray) -> List[int]:
+    """How each row of a ``(planes, bytes)`` array of byte planes travels:
+    ``_DEFAULT`` below the probe size, else ``_STORED`` when a ``Z_RLE``
+    deflate of its sample could not shrink it by 3 % (the low mantissa
+    bytes of real-valued features, the low bytes of scattered indices),
+    else ``_RLE``.  Run-length deflate is Huffman coding plus runs: all
+    that a plane of one byte position holds, at a fraction of a full
+    deflate's match search.  The deflate is estimated, not run: see
+    :func:`_rle_deflate_bits`."""
+    if planes.shape[1] < _PROBE_BYTES:
+        return [_DEFAULT] * len(planes)
+    sample = _probe_sample(planes)
+    limit = _STORED_RATIO * 8 * sample.shape[1]
+    return [_STORED if bits > limit else _RLE
+            for bits in _rle_deflate_bits(sample)]
+
+
+def _probe_sample(rows: np.ndarray) -> np.ndarray:
+    """The probe's sample of each row of a 2-D array: the row when it has
+    at most ``_PROBE_WINDOWS * _WINDOW_BYTES`` items, else that many
+    windows spread from its first item to its last, back to back."""
+    size = rows.shape[1]
+    if size <= _PROBE_WINDOWS * _WINDOW_BYTES:
+        return rows
+    step = (size - _WINDOW_BYTES) // (_PROBE_WINDOWS - 1)
+    return np.concatenate([rows[:, start:start + _WINDOW_BYTES]
+                           for start in range(0, _PROBE_WINDOWS * step, step)],
+                          axis=1)
+
+
+def _rle_deflate_bits(sample: np.ndarray) -> np.ndarray:
+    """Estimated bits of a ``Z_RLE`` dynamic Huffman block of each row of
+    a ``(rows, bytes)`` uint8 array (at most eight rows), all in one pass.
+
+    It parses the row as ``Z_RLE`` does — a literal per byte, except that
+    three or more repeats of the byte before are one match at distance 1
+    per 258 — and prices the symbols at their order-0 entropy, plus each
+    match's length extra bits and one bit for its distance, plus the
+    block's tree and Huffman rounding (``_BLOCK_BITS``,
+    ``_BITS_PER_SYMBOL``).  Counting runs matters: plane 0 of an edge
+    list has near-uniform bytes but runs of 20.
+    """
+    rows = len(sample)
+    # Row r's column c counts at r * _COLUMNS + c; a byte is its own
+    # literal's key, so bytes of two rows never compare equal.
+    keys = (sample + _ROW_KEYS[:rows]).reshape(-1)
+    # Stretches of repeats (byte i + 1 equal to byte i) come as pairs of
+    # edges: the run's first byte, then its last.
+    repeats = np.zeros(keys.size + 1, bool)
+    np.equal(keys[1:], keys[:-1], out=repeats[1:-1])
+    edges = np.flatnonzero(repeats[1:] ^ repeats[:-1])
+    first = keys[edges[::2]]
+    full, tail = np.divmod(edges[1::2] - edges[::2], _MAX_MATCH)
+    row = first - first % _COLUMNS
+    # Bytes a match covers are no literals; each match is a length symbol
+    # (a 258-byte one the alphabet's last, code 285) and adds its bits.
+    counts = (np.bincount(keys, minlength=rows * _COLUMNS) + np.bincount(
+        np.concatenate([first, row + _TAIL_SYMBOL[tail],
+                        row + (_LITLEN_SYMBOLS - 1), row + _MATCH_BITS]),
+        np.concatenate([-(full * _MAX_MATCH + _TAIL_MATCHED[tail]),
+                        np.ones_like(full), full,
+                        _TAIL_BITS[tail] + full]),
+        rows * _COLUMNS)).reshape(rows, _COLUMNS)
+    counts[:, _END_OF_BLOCK] = 1
+    symbols = counts[:, :_LITLEN_SYMBOLS]
+    total = symbols.sum(axis=1)
+    entropy = total * np.log2(total) - (
+        symbols * np.log2(np.maximum(symbols, 1))).sum(axis=1)
+    return (entropy + counts[:, _MATCH_BITS] + _BLOCK_BITS
+            + _BITS_PER_SYMBOL * np.count_nonzero(symbols, axis=1))
 
 
 def _pieced_zlib(chunks: Sequence, codings: Sequence[int],
@@ -354,11 +467,13 @@ def _pieced_zlib(chunks: Sequence, codings: Sequence[int],
     reaches across bytes it never saw.  Stock ``zlib.decompressobj``
     inflates it to the frame like any zlib stream.
     """
-    pieces = [zlib.compress(b"", level)[:2]]  # the zlib header for ``level``
     deflaters = {
         _DEFAULT: zlib.compressobj(level, zlib.DEFLATED, -15),
         _RLE: zlib.compressobj(level, zlib.DEFLATED, -15, 8, zlib.Z_RLE),
     }
+    # Looked up once the deflaters accepted ``level``: a bad one raises
+    # there, as ``zlib.compress`` does.
+    pieces = [_ZLIB_HEADERS[level]]
     checksum = zlib.adler32(b"")
     # The deflater holding input it has not flushed, if any.
     active = None
@@ -383,12 +498,22 @@ def _pieced_zlib(chunks: Sequence, codings: Sequence[int],
     pieces.append(struct.pack(">I", checksum))
     return b"".join(pieces)
 
-
 #: The unsigned integer each 2/4/8-byte item width is read as.
 _LANES = {size: np.dtype(f"u{size}") for size in (2, 4, 8)}
 #: An integer array with at least this many elements ships in the ``bp``
-#: layout: its planes then reach the probe size.
-_BP_MIN_ELEMENTS = _PROBE_BYTES
+#: layout.
+_BP_MIN_ELEMENTS = 4096
+#: A float array with fewer than one element in eight bitwise zero ships
+#: in the ``zp`` layout only from this many elements (its planes then
+#: reach the probe size), and only when the probe stores a plane of it.
+_ZP_ZERO_LIGHT_MIN_ELEMENTS = _PROBE_BYTES
+#: ... and only when at most this share of the probe's sample of its
+#: elements repeats another one bitwise.  Deflating the dense bytes codes
+#: a repeated value as a match of a few bytes, which its planes hide,
+#: where planing saves well under a byte on a value that does not
+#: repeat: on 1024 x 3 float64 clouds, dense is smaller from about one
+#: repeat in eleven.
+_ZP_ZERO_LIGHT_MAX_REPEATS = 1 / 12
 
 
 def _lanes(dtype: np.dtype, kinds: str = "f") -> Optional[np.dtype]:
@@ -397,38 +522,50 @@ def _lanes(dtype: np.dtype, kinds: str = "f") -> Optional[np.dtype]:
     return _LANES.get(dtype.itemsize) if dtype.kind in kinds else None
 
 
-def _planed(array: np.ndarray
-            ) -> Optional[Tuple[str, Optional[np.ndarray], np.ndarray]]:
-    """``(layout, zp mask or None, byte planes)`` of a contiguous array
-    that ships planed in the zlib framing, or ``None`` when it stays
-    dense."""
+def _byte_planes(lanes: np.ndarray) -> np.ndarray:
+    """``(itemsize, n)``: byte j of every element of ``lanes`` in row j."""
+    return np.ascontiguousarray(lanes.view(np.uint8).reshape(
+        lanes.size, lanes.itemsize).T)
+
+
+def _planed(array: np.ndarray) -> Optional[
+        Tuple[str, Optional[np.ndarray], np.ndarray, List[int]]]:
+    """``(layout, zp mask or None, byte planes, their codings)`` of a
+    contiguous array that ships planed in the zlib framing, or ``None``
+    when it stays dense."""
     if _lanes(array.dtype, "iu") is not None:
         if array.size < _BP_MIN_ELEMENTS:
             return None
-        # Byte j of every element, in the array's own byte order.
-        return _LAYOUT_BP, None, np.ascontiguousarray(
-            array.reshape(-1).view(np.uint8).reshape(
-                array.size, array.dtype.itemsize).T)
-    planed = _zero_planed(array)
-    return None if planed is None else (_LAYOUT_ZP, *planed)
-
-
-def _zero_planed(array: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """``(mask, planes)`` of a contiguous float array in the ``zp`` layout,
-    or ``None`` when it stays dense (not a 2/4/8-byte float, empty, or
-    fewer than one element in eight bitwise zero)."""
+        planes = _byte_planes(array.reshape(-1))
+        return _LAYOUT_BP, None, planes, _plane_codings(planes)
     lanes = _lanes(array.dtype)
     if lanes is None or array.size == 0:
         return None
     bits = array.reshape(-1).view(lanes)
     kept = np.count_nonzero(bits)
-    if (bits.size - kept) * 8 < bits.size:
+    zero_heavy = (bits.size - kept) * 8 >= bits.size
+    if not zero_heavy and bits.size < _ZP_ZERO_LIGHT_MIN_ELEMENTS:
         return None
     nonzero = bits != 0
     # Integer indices, not the boolean mask: 5x faster gather here.
-    values = bits[np.flatnonzero(nonzero)].view(np.uint8).reshape(
-        kept, lanes.itemsize)
-    return np.packbits(nonzero), np.ascontiguousarray(values.T)
+    values = bits if kept == bits.size else bits[np.flatnonzero(nonzero)]
+    planes = _byte_planes(values)
+    codings = _plane_codings(planes)
+    # A zero-light array pays for its mask only where a plane would
+    # otherwise be deflated for nothing and its values rarely repeat:
+    # integer-valued, periodic and constant data stay dense.
+    if not zero_heavy and (
+            _STORED not in codings
+            or _repeat_share(values) > _ZP_ZERO_LIGHT_MAX_REPEATS):
+        return None
+    return _LAYOUT_ZP, np.packbits(nonzero), planes, codings
+
+
+def _repeat_share(lanes: np.ndarray) -> float:
+    """The share of the probe's sample of ``lanes`` (an array's elements
+    read as unsigned integers) equal to another element of the sample."""
+    sample = np.sort(_probe_sample(lanes[None])[0])
+    return np.count_nonzero(sample[1:] == sample[:-1]) / sample.size
 
 
 def deserialize_message(blob: bytes,
@@ -605,9 +742,16 @@ def _parse_zero_planed(blob: bytes, offset: int, name: str, dtype: np.dtype,
             f"{len(blob) - offset} remain")
     planes = np.frombuffer(blob, np.uint8, nbytes, offset).reshape(
         lanes.itemsize, kept)
-    flat = np.zeros(count, dtype=dtype)
-    flat.view(lanes)[np.flatnonzero(nonzero)] = np.ascontiguousarray(
-        planes.T).view(lanes)[:, 0]
+    # A zero-free array's planes go straight into it, else into the
+    # non-zero values that one scatter then places.
+    flat = (np.empty if kept == count else np.zeros)(count, dtype=dtype)
+    values = flat if kept == count else np.empty(kept, lanes)
+    bytes_of = values.view(np.uint8).reshape(kept, lanes.itemsize)
+    # Plane by plane, not one transposing copy, as for ``bp``.
+    for byte, plane in enumerate(planes):
+        bytes_of[:, byte] = plane
+    if kept != count:
+        flat.view(lanes)[np.flatnonzero(nonzero)] = values
     flat.flags.writeable = False
     return flat, offset + nbytes
 

@@ -1,17 +1,18 @@
 """Wire framing: one versioned frame, raw or deflated, auto-detected.
 
 The engine speaks two self-describing framings of one frame layout — raw,
-and zlib (paper-faithful: a zlib stream of the frame, zero-heavy float
-arrays in the ``zp`` layout and large integer arrays in the ``bp`` layout
-inside it) — distinguished by their first byte.  These tests pin the
-bit-exact round trip of both, that the zlib framing inflates to the frame
-(and is exactly the deflated raw frame when no array is planed), that
-each large byte plane travels run-length deflated or, when it does not
-deflate, as stored blocks — in one stream that stock zlib and the capped
-receiver both read — the versioning of the layout, the single-serializer
-size accounting (``compressed_size`` can never drift from the real
-wire), and the end-to-end behavior of mixed-framing clients against one
-server.
+and zlib (paper-faithful: a zlib stream of the frame, zero-heavy and
+large noisy float arrays in the ``zp`` layout and large integer arrays in
+the ``bp`` layout inside it) — distinguished by their first byte.  These
+tests pin the bit-exact round trip of both, that the zlib framing
+inflates to the frame (and is exactly the deflated raw frame when no
+array is planed), that each large byte plane travels run-length deflated
+or, when it does not deflate, as stored blocks — in one stream that stock
+zlib and the capped receiver both read — that the numpy probe picks the
+coding a ``Z_RLE`` deflate of the same sample would, the versioning of
+the layout, the single-serializer size accounting (``compressed_size``
+can never drift from the real wire), and the end-to-end behavior of
+mixed-framing clients against one server.
 
 The hostile-input half (``TestHostileFrames`` down) treats every byte of
 the frame as peer-controlled, in either framing: garbage streams, lying
@@ -50,8 +51,8 @@ from repro.system import (DeviceClient, EdgeServer, Message,
                           serialize_message)
 from repro.system.messages import (_DEFAULT, _LENGTH_FORMAT, _LENGTH_SIZE,
                                    _RAW_MAGIC, _RAW_VERSION, _RLE, _STORED,
-                                   MAX_MESSAGE_BYTES, _pieced_zlib,
-                                   _plane_coding, recv_message, send_payload)
+                                   MAX_MESSAGE_BYTES, _pieced_zlib, _planed,
+                                   _plane_codings, recv_message, send_payload)
 
 
 def _sample_message(**overrides) -> Message:
@@ -108,8 +109,8 @@ class TestRawFormat:
                                           message.arrays["x"])
 
     def test_zlib_framing_is_the_deflated_raw_frame(self):
-        """A frame with no zero-heavy float array deflates as is: the zlib
-        framing is exactly the raw frame, deflated."""
+        """A frame with no planed array deflates as is: the zlib framing
+        is exactly the raw frame, deflated."""
         message = _sample_message()
         for level in (1, 6, 9):
             deflated = serialize_message(message, compress_level=level,
@@ -246,12 +247,20 @@ class TestZeroPlanedLayout:
             np.testing.assert_array_equal(decoded.arrays["relu"], relu)
 
     @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
-    def test_zero_free_frame_keeps_the_version_1_layout(self, wire_format):
-        """What pins ``paper_edge`` / ``small_*`` uplink: a frame with no
-        zero-heavy float array is the version-1 layout byte for byte, apart
-        from the version byte (deflated, that one literal can move the
-        size by a byte or two)."""
+    @pytest.mark.parametrize("extra", [None, "integer_valued_cloud"])
+    def test_zero_free_frame_keeps_the_version_1_layout(self, wire_format,
+                                                        extra):
+        """What pins ``small_*`` uplink: a frame with no zero-heavy float
+        array, and no zero-light one of 2048+ elements with a plane the
+        probe stores, is the version-1 layout byte for byte, apart from
+        the version byte (deflated, that one literal can move the size by
+        a byte or two).  A zero-free cloud of integer-valued floats is
+        2048+ elements whose planes all deflate: it stays dense too."""
         message = _sample_message()
+        if extra is not None:
+            rng = np.random.default_rng(10)
+            message.arrays[extra] = rng.integers(1, 100, (1024, 3)).astype(
+                np.float64)
         header = json.dumps({
             "kind": message.kind, "frame_id": message.frame_id,
             "meta": message.meta, "batch_index": message.batch_index,
@@ -406,6 +415,12 @@ class TestPiecedStream:
         assert len(blob) < counts.size  # < 1 byte a value: planes deflated
 
 
+def _coding(plane: np.ndarray) -> int:
+    """The coding the probe picks for one byte plane."""
+    (coding,) = _plane_codings(plane[None])
+    return coding
+
+
 def _mixed_chunks():
     """A raw frame cut into chunks, each with the coding it travels in:
     every switch between the default deflater, the ``Z_RLE`` one and
@@ -428,7 +443,7 @@ def _mixed_chunks():
 
 
 class TestCodingPerPlane:
-    """Each byte plane of 4 KB or more gets the coding it pays for: runs
+    """Each byte plane of 2 KB or more gets the coding it pays for: runs
     and skewed bytes the run-length deflater, noise stored blocks."""
 
     @pytest.mark.parametrize("last", [_DEFAULT, _RLE, _STORED])
@@ -452,10 +467,14 @@ class TestCodingPerPlane:
         rng = np.random.default_rng(8)
         noise = rng.integers(0, 256, 8192, dtype=np.uint8)
         skewed = rng.integers(0, 4, 8192).astype(np.uint8)  # ~2 bits/byte
-        assert _plane_coding(noise[:4095]) == _DEFAULT
-        assert _plane_coding(noise) == _STORED
-        assert _plane_coding(skewed) == _RLE
-        assert _plane_coding(np.zeros(4096, np.uint8)) == _RLE
+        assert _coding(noise[:2047]) == _DEFAULT
+        assert _coding(noise[:2048]) == _STORED  # sampled whole
+        assert _coding(noise) == _STORED
+        assert _coding(skewed) == _RLE
+        assert _coding(np.zeros(4096, np.uint8)) == _RLE
+        # One pass over the planes of an array: each gets its own coding.
+        assert _plane_codings(np.stack([noise, skewed, noise])) == [
+            _STORED, _RLE, _STORED]
 
     def test_edge_list_with_a_noisy_head_is_run_length_coded(self):
         """Plane 0 of an irregular int64 ``edge_index``: the sources' low
@@ -467,8 +486,8 @@ class TestCodingPerPlane:
                                np.repeat(np.arange(1024), 20)])
         message = Message(kind="frame", arrays={"edge_index": edge_index})
         plane = edge_index.reshape(-1).view(np.uint8)[::8].copy()
-        assert _plane_coding(plane[:4096]) == _STORED  # its head is noise
-        assert _plane_coding(plane) == _RLE
+        assert _coding(plane[:4096]) == _STORED  # its head is noise
+        assert _coding(plane) == _RLE
         blob = serialize_message(message)
         assert [spec[3:] for spec in frame_specs(blob)] == [["bp"]]
         assert struct.pack("<BHH", 0, plane.size,
@@ -479,6 +498,132 @@ class TestCodingPerPlane:
         # array was before it was byte-planed.
         raw = serialize_message(message, wire_format=WIRE_FORMAT_RAW)
         assert len(blob) <= len(zlib.compress(raw, 6))
+
+
+def _deflate_probe(plane: np.ndarray) -> int:
+    """The coding a ``Z_RLE`` deflate of the probe's sample picks: what
+    the wire ran before the numpy estimate, kept here as its reference."""
+    if plane.size < 2048:
+        return _DEFAULT
+    windows = [plane]
+    if plane.size > 4096:
+        step = (plane.size - 1024) // 3
+        windows = [plane[start:start + 1024]
+                   for start in range(0, 4 * step, step)]
+    probe = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
+    deflated = sum(len(probe.compress(window)) for window in windows)
+    deflated += len(probe.flush())
+    sampled = sum(window.size for window in windows)
+    return _STORED if deflated > 0.97 * sampled else _RLE
+
+
+def _paper_pool_frames(split: int, seed: int) -> list:
+    """The device's arrays for the benchmark's 1024-point, k = 20 pool of
+    ``seed`` (40 one-graph frames), cut before op ``split``."""
+    ops = [OpSpec(OpType.SAMPLE, "knn", k=20), OpSpec(OpType.AGGREGATE, "max"),
+           OpSpec(OpType.COMBINE, 64), OpSpec(OpType.AGGREGATE, "max"),
+           OpSpec(OpType.COMBINE, 64), OpSpec(OpType.GLOBAL_POOL, "max||mean")]
+    ops.insert(split, OpSpec(OpType.COMMUNICATE, "uplink"))
+    model = ArchitectureModel(Architecture(ops=tuple(ops), name="e2blk"),
+                              in_dim=3, num_classes=10, seed=0)
+    device_fn, _ = split_callables(model)
+    graphs = SyntheticModelNet40(num_points=1024, samples_per_class=4,
+                                 num_classes=10, seed=seed).generate()
+    return [device_fn(Batch.from_graphs([graph]))[0] for graph in graphs]
+
+
+class TestProbeEstimate:
+    """The probe estimates a ``Z_RLE`` deflate of each plane's sample in
+    numpy — histogram, runs, tree — instead of running it, and picks the
+    coding the deflate would."""
+
+    @pytest.mark.parametrize("split, planed", [
+        (0, {"x"}),            # paper_edge: the zero-free cloud
+        (3, {"x", "nbr"})])    # paper_split: post-ReLU x, the nbr table
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_agrees_with_deflate_on_the_paper_pools(self, split, planed,
+                                                    seed):
+        decisions = 0
+        for arrays in _paper_pool_frames(split, seed):
+            found = set()
+            for name, array in arrays.items():
+                result = _planed(np.asarray(array, order="C"))
+                if result is None:
+                    continue
+                found.add(name)
+                _, _, planes, codings = result
+                assert codings == [_deflate_probe(plane)
+                                   for plane in planes], name
+                decisions += len(planes)
+            assert found == planed
+        assert decisions == 40 * (8 if split == 0 else 10)
+
+    def test_agrees_with_deflate_on_the_edge_list(self):
+        rng = np.random.default_rng(9)
+        edge_index = np.stack([rng.integers(0, 1024, 20 * 1024),
+                               np.repeat(np.arange(1024), 20)])
+        _, _, planes, codings = _planed(edge_index)
+        assert codings == [_deflate_probe(plane) for plane in planes]
+        assert codings[0] == _RLE  # near-uniform bytes, runs of 20
+
+    def test_agrees_with_deflate_on_an_integer_valued_feature(self):
+        counts = np.maximum(np.random.default_rng(5).integers(
+            -8, 24, (1024, 64)), 0).astype(np.float64)
+        _, _, planes, codings = _planed(counts)
+        assert codings == [_deflate_probe(plane) for plane in planes]
+        assert _STORED not in codings
+
+    @pytest.mark.parametrize("size", [2048, 3072, 4096, 8192, 50000])
+    def test_agrees_with_deflate_on_noise_skewed_and_zero_planes(self, size):
+        rng = np.random.default_rng(size)
+        planes = np.stack([
+            rng.integers(0, 256, size, dtype=np.uint8),
+            rng.integers(0, 4, size).astype(np.uint8),
+            rng.integers(0, 64, size).astype(np.uint8),
+            np.clip(rng.normal(128, 20, size), 0, 255).astype(np.uint8),
+            np.repeat(rng.integers(0, 256, size, dtype=np.uint8), 5)[:size],
+            np.zeros(size, np.uint8)])
+        assert _plane_codings(planes) == [
+            _deflate_probe(plane) for plane in planes]
+        assert _plane_codings(planes)[0] == _STORED
+
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_zero_free_cloud_rides_zp(self, wire_format):
+        """``paper_edge``'s request: a 1024 x 3 float64 cloud with no zero.
+        Its low mantissa planes are noise, so it is planed and they go
+        stored; bit-exact and read-only either way."""
+        cloud = np.random.default_rng(11).standard_normal((1024, 3))
+        message = Message(kind="frame", arrays={"x": cloud})
+        blob = serialize_message(message, wire_format=wire_format)
+        (spec,) = frame_specs(blob)
+        assert spec[3:] == (["zp"] if wire_format == WIRE_FORMAT_ZLIB
+                            else [])
+        received = deserialize_message(blob).arrays["x"]
+        assert received.dtype == cloud.dtype and received.shape == cloud.shape
+        assert received.tobytes() == cloud.tobytes()
+        assert not received.flags.writeable
+        if wire_format == WIRE_FORMAT_ZLIB:
+            raw = serialize_message(message, wire_format=WIRE_FORMAT_RAW)
+            assert len(blob) < len(zlib.compress(raw, 6))
+
+    @pytest.mark.parametrize("array", [
+        np.tile(np.random.default_rng(12).standard_normal(16), 256),
+        # Not bitwise periodic: its planes read as noise, but a third of
+        # its values repeat, which the dense deflate codes as matches.
+        np.sin(np.arange(4096) * (2 * np.pi / 64)),
+        np.tile(np.random.default_rng(13).standard_normal(1000), 4),
+        np.full(4096, 0.1),
+        np.arange(1, 4097, dtype=np.float64)],
+        ids=["periodic", "sine", "long_period", "constant", "integer_valued"])
+    def test_zero_light_arrays_deflate_dense(self, array):
+        """A zero-light array whose planes all deflate, or whose values
+        repeat, stays dense: the stream is plain ``zlib.compress``."""
+        message = Message(kind="frame", arrays={"x": array})
+        blob = serialize_message(message)
+        (spec,) = frame_specs(blob)
+        assert len(spec) == 3
+        raw = serialize_message(message, wire_format=WIRE_FORMAT_RAW)
+        assert blob == zlib.compress(raw, 6)
 
 
 class TestSizeAccounting:

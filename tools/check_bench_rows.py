@@ -11,9 +11,14 @@ a row file that
 * names a metric that is not one of its ``end_to_end`` metrics, or gives
   it another unit,
 * gives a side (``parent`` / ``change``) without a numeric ``median``,
-  ``q1`` and ``q3``, or
+  ``q1`` and ``q3``,
 * carries no envelope with the core count, CPU model, Python, numpy and
-  zlib versions.
+  zlib versions, or
+* gives a ``host_steal_share`` that is not a number in [0, 1].  The field
+  is optional; where given — on a row's side or on an entry of the
+  optional ``runs`` list, one per benchmark run — it is the share of the
+  host's CPU ticks ``/proc/stat`` counted as *steal* across the run, so
+  a reader can tell a series measured on a busy host from a regression.
 
 Exit code is non-zero when anything fails, printing one line per problem.
 
@@ -40,6 +45,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _steal_errors(where: str, holder: dict) -> list:
+    """The problem of ``holder``'s optional ``host_steal_share``, if any."""
+    if "host_steal_share" not in holder:
+        return []
+    share = holder["host_steal_share"]
+    if _is_number(share) and 0 <= share <= 1:
+        return []
+    return [f"{where}: host_steal_share {share!r} is not a number in "
+            "[0, 1]"]
+
+
 def check_row_file(path: Path, benchmark: dict) -> list:
     """The problems of one ``BENCH_*.json`` against ``benchmark`` (the
     parsed ``BENCHMARK.json``), one string each."""
@@ -58,6 +74,15 @@ def check_row_file(path: Path, benchmark: dict) -> list:
     else:
         errors += [f"{path.name}: envelope lacks {key!r}"
                    for key in ENVELOPE_KEYS if key not in envelope]
+    runs = document.get("runs", [])
+    if not isinstance(runs, list):
+        errors.append(f"{path.name}: runs is not a list")
+        runs = []
+    for index, run in enumerate(runs):
+        if not isinstance(run, dict):
+            errors.append(f"{path.name}: run {index}: not a JSON object")
+            continue
+        errors += _steal_errors(f"{path.name}: run {index}", run)
     rows = document.get("rows")
     if not isinstance(rows, list) or not rows:
         return errors + [f"{path.name}: no rows"]
@@ -83,6 +108,8 @@ def check_row_file(path: Path, benchmark: dict) -> list:
                             for key in STATISTICS)):
                 errors.append(f"{where}: {side} needs numeric "
                               f"{', '.join(STATISTICS)}")
+            else:
+                errors += _steal_errors(f"{where}: {side}", stats)
     return errors
 
 
