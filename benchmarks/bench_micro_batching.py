@@ -6,7 +6,7 @@ server's ``max_batch_size``.  With ``max_batch_size=1`` every frame costs
 its own engine call, serialized on the entry's model lock; with batching on,
 the :class:`~repro.system.engine.MicroBatcher` coalesces the concurrent
 frames into multi-graph engine calls (see
-:func:`repro.core.executor.batched_edge_fn`), amortizing per-call overhead —
+``ServingCallables.batch_fn``), amortizing per-call overhead —
 graph construction, scatter dispatch, matmul launches — across the batch.
 
 The batched path is numerically equivalent to per-frame serving (covered by

@@ -20,6 +20,7 @@ from repro.core import GCoDE, GCoDEConfig, SearchConstraints, TrainingConfig
 from repro.graph import SyntheticModelNet40, stratified_split
 from repro.graph.data import Batch
 from repro.hardware import DataProfile, INTEL_I7, JETSON_TX2, LINK_40MBPS
+from repro.serving import build_callables
 from repro.system import run_co_inference
 
 
@@ -79,9 +80,10 @@ def main() -> None:
           f"(balanced {training.val_balanced_accuracy:.3f})")
 
     print("\nserving 8 frames through the pipelined co-inference engine ...")
-    device_fn, edge_fn = gcode.engine_callables(model)
+    serving = build_callables(model)
     frames = [Batch.from_graphs([graph]) for graph in split.test[:8]]
-    results, stats = run_co_inference(frames, device_fn, edge_fn)
+    results, stats = run_co_inference(frames, serving.device_fn,
+                                      serving.edge_fn)
     predictions = [int(r.arrays["logits"].argmax()) for r in results]
     print(f"engine throughput: {stats.throughput_fps:.1f} fps "
           f"({stats.bytes_sent / 1024:.1f} KiB uplink)")

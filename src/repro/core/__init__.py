@@ -3,8 +3,8 @@
 from .architecture import (Architecture, ValidityReport, check_validity, is_valid,
                            DEVICE, EDGE)
 from .design_space import DesignSpace
-from .executor import (ArchitectureModel, ServingCallables, batched_edge_fn,
-                       collate_arrays, split_callables, split_results)
+from .executor import (ArchitectureModel, ServingCallables, collate_arrays,
+                       split_results)
 from .supernet import SuperNet, AccuracyCache
 from .performance import (EfficiencyEstimate, SimulatorEvaluator,
                           CostEstimatorEvaluator, PredictorEvaluator)
@@ -25,8 +25,7 @@ from .gcode import GCoDE, GCoDEConfig
 __all__ = [
     "Architecture", "ValidityReport", "check_validity", "is_valid", "DEVICE", "EDGE",
     "DesignSpace",
-    "ArchitectureModel", "ServingCallables", "batched_edge_fn", "collate_arrays",
-    "split_callables", "split_results",
+    "ArchitectureModel", "ServingCallables", "collate_arrays", "split_results",
     "SuperNet", "AccuracyCache",
     "EfficiencyEstimate", "SimulatorEvaluator", "CostEstimatorEvaluator",
     "PredictorEvaluator",

@@ -4,21 +4,19 @@
 into a trainable model built from the executable operation modules of
 :mod:`repro.gnn.operations`, so that sampled architectures can be trained and
 their validation accuracy measured (the ``acc_val`` term of the paper's
-objective).  :func:`split_callables` additionally slices a trained model at
-its ``Communicate`` point into the device-side and edge-side callables
-consumed by the socket co-inference engine.
+objective).  :func:`_build_callables` — behind
+:func:`repro.serving.build_callables` — additionally slices a trained model
+at its ``Communicate`` point into the callables the co-inference engine runs.
 
 Compiled serving runtime
 ------------------------
 The engine callables built here default to the compiled inference runtime
-(:mod:`repro.runtime`): :func:`split_callables`, :func:`batched_edge_fn` and
-the :mod:`repro.serving` facade builders (every public constructor routes
-through the internal :func:`_build_callables`) compile the model once into
-an autograd-free
-:class:`~repro.runtime.plan.InferencePlan` — fused linear+bias+activation
-kernels, EdgeConv specialized per reducer, destination-sorted edge lists,
-and a per-entry buffer arena reusing output buffers across frames — and run
-plans instead of eager segments (``runtime="eager"`` restores the old path;
+(:mod:`repro.runtime`): the builder compiles the model once into an
+autograd-free :class:`~repro.runtime.plan.InferencePlan` — fused
+linear+bias+activation kernels, EdgeConv specialized per reducer,
+destination-sorted edge lists, and a per-entry buffer arena reusing output
+buffers across frames — and runs plans instead of eager segments
+(``RuntimeConfig(runtime="eager")`` restores the old path;
 ``runtime="auto"`` falls back to eager only when the model contains a
 construct plans do not support).  Training, search and the simulator keep
 eager autograd execution; compiled results match eager within float64
@@ -29,10 +27,10 @@ Batched serving
 The edge side of a split model can also execute many frames in one call:
 :func:`collate_arrays` merges the serialized states of several frames into a
 single multi-graph state (concatenated features, batch vector shifted by the
-graph offset, edge index shifted by the node offset), :func:`batched_edge_fn`
-resumes the architecture once over the merged state, and
-:func:`split_results` scatters the pooled per-graph outputs back to the
-originating frames.  This is what the engine's
+graph offset, edge index shifted by the node offset), the ``batch_fn`` of
+:class:`ServingCallables` resumes the architecture once over the merged
+state, and :func:`split_results` scatters the pooled per-graph outputs back
+to the originating frames.  This is what the engine's
 :class:`~repro.system.engine.MicroBatcher` calls to amortize one engine
 invocation across concurrent clients; the result is numerically equivalent
 to running the frames one by one (every operation reduces strictly within
@@ -143,71 +141,10 @@ ArrayDict = Dict[str, np.ndarray]
 RUNTIMES = ("auto", "compiled", "eager")
 
 
-def _as_runtime_config(runtime: str, dtype) -> "RuntimeConfig":
-    """Wrap the legacy ``runtime=``/``dtype=`` argument pair into a config.
-
-    ``dtype`` maps onto the config's ``precision``.  The import is deferred:
-    :mod:`repro.serving.config` imports this module for the :data:`RUNTIMES`
-    vocabulary, so a module-level import here would be circular.
-    """
-    from ..serving.config import Knob, RuntimeConfig
-    name = Knob("dtype", "", optional=True).check("dtype", dtype)
-    return RuntimeConfig(runtime=runtime, precision=name)
-
-
-def _resolve_plan(model: ArchitectureModel, config: "RuntimeConfig",
-                  segments: Sequence[str], precision: str,
-                  calibration=None) -> Optional[InferencePlan]:
-    """Compile ``model`` according to ``config`` (None = run eagerly).
-
-    ``segments`` limits compilation to the plan segments the caller will
-    run, so e.g. a batched edge callable never builds device/full step lists
-    it cannot execute.  ``precision`` is the entry's resolved precision (see
-    ``RuntimeConfig.precision_for``); for ``"int8"`` the caller passes the
-    matching ``calibration`` and the plan compiles on the quantized path
-    with a float32 carrier.  (``RuntimeConfig`` has already rejected an
-    eager runtime with any precision but float64.)
-    """
-    if config.runtime == "eager":
-        return None
-    quantized = precision == "int8"
-    try:
-        return compile_plan(model, dtype=np.float32 if quantized else precision,
-                            segments=segments,
-                            calibration=calibration if quantized else None)
-    except PlanCompileError:
-        if config.runtime == "compiled" or precision != "float64":
-            raise  # no eager fallback can honor a non-float64 precision
-        return None
-
-
-def split_callables(model: ArchitectureModel, runtime: str = "auto",
-                    dtype=None
-                    ) -> Tuple[Callable[[Batch], Tuple[ArrayDict, Dict]],
-                               Callable[[ArrayDict, Dict], Tuple[ArrayDict, Dict]]]:
-    """Split a trained model into engine callables at its Communicate point.
-
-    Returns ``(device_fn, edge_fn)``: the device function executes every
-    operation before the first ``Communicate`` and serializes the state; the
-    edge function executes the remaining operations and the classifier and
-    returns the logits.  Architectures without a Communicate run everything
-    on the device and the edge function merely echoes the logits back, so the
-    same engine code path covers Device-Only deployments.
-
-    By default both callables execute a compiled
-    :class:`~repro.runtime.plan.InferencePlan` instead of the eager autograd
-    segments (see ``runtime``), resolving weights at call time so later
-    ``load_state_dict`` calls are honored.  ``dtype`` selects the compiled
-    compute/wire dtype (default ``float64``); with ``float32`` the device
-    callable emits float32 arrays, halving the bytes every frame puts on the
-    wire at ~1e-4 relative logit error (pinned by the equivalence tests).
-    A non-``float64`` dtype requires the compiled runtime: ``runtime="auto"``
-    then propagates a :class:`~repro.runtime.plan.PlanCompileError` rather
-    than silently falling back to float64 eager execution.
-    """
-    serving = _build_callables(model, _as_runtime_config(runtime, dtype),
-                               batched=False)
-    return serving.device_fn, serving.edge_fn
+#: The plan segments every entry compiles: ``device_fn`` runs the first,
+#: ``edge_fn`` and ``batch_fn`` the second (with no ``Communicate`` the
+#: edge segment aliases the whole architecture).
+_SEGMENTS = ("device", "edge")
 
 
 def _plan_runners(plan: InferencePlan):
@@ -297,6 +234,28 @@ def _check_node_range(name: str, index: np.ndarray, num_nodes: int) -> None:
                          f"{num_nodes} nodes")
 
 
+def _check_num_graphs(meta: Dict, num_nodes: int) -> None:
+    """Refuse a ``num_graphs`` the frame's ``num_nodes`` rows cannot hold.
+
+    The count sizes the pooling and logits buffers, so a 16-point frame
+    claiming a million graphs used to be served with a million-row reply.
+    Every graph of an unpooled frame has at least one node row, so it holds
+    ``1..N`` graphs; a pooled frame holds exactly one row per graph.
+    """
+    num_graphs = meta.get("num_graphs")
+    if (isinstance(num_graphs, bool)
+            or not isinstance(num_graphs, (int, np.integer))):
+        raise ValueError(f"frame meta num_graphs must be an int, got "
+                         f"{num_graphs!r}")
+    if meta.get("pooled", False):
+        if num_graphs != num_nodes:
+            raise ValueError(f"pooled frame claims {num_graphs} graphs over "
+                             f"{num_nodes} rows (one row per graph)")
+    elif not 1 <= num_graphs <= num_nodes:
+        raise ValueError(f"frame claims {num_graphs} graphs over {num_nodes} "
+                         f"nodes (expected 1..{num_nodes})")
+
+
 def _wire_state(arrays: ArrayDict, meta: Dict) -> ArrayDict:
     """One wire frame's arrays as the segment runners read them.
 
@@ -305,11 +264,13 @@ def _wire_state(arrays: ArrayDict, meta: Dict) -> ArrayDict:
     marker, so plans, the eager runner and ``collate_arrays`` never see
     either wire shorthand.  A marker with an unknown value, or beside a
     ``pos`` array, raises ``ValueError``: the frame is refused rather than
-    served on a guess.  So does a topology — ``nbr`` table or
-    ``edge_index`` — naming a node outside ``[0, N)``, before it is
+    served on a guess.  So does a ``num_graphs`` the frame's rows cannot
+    hold (see :func:`_check_num_graphs`), and a topology — ``nbr`` table
+    or ``edge_index`` — naming a node outside ``[0, N)``, before it is
     expanded.
     """
     alias = meta.get(_POS_META_KEY)
+    _check_num_graphs(meta, len(arrays["x"]))
     if "edge_index" in arrays:
         _check_node_range("edge_index", np.asarray(arrays["edge_index"]),
                           len(arrays["x"]))
@@ -427,14 +388,15 @@ def collate_arrays(requests: Sequence[FrameState],
     """Merge the serialized states of several frames into one multi-graph state.
 
     Each request is an ``(arrays, meta)`` pair in the wire schema of
-    :func:`split_callables` (``x``/``batch`` plus optional ``pos`` — or the
-    marker that it is ``x`` — and topology — ``edge_index``, or the ``nbr``
-    table it is expanded from; ``num_graphs`` / ``pooled`` metadata).  Node
-    rows are concatenated, each frame's batch vector is shifted by the
-    number of graphs collated before it and its edge index by the number of
-    node rows, exactly like :meth:`~repro.graph.data.Batch.from_graphs`
-    builds a disjoint union — so one resumed engine call treats the
-    coalesced frames as independent graphs of a single batch.  Frames must
+    ``ServingCallables.device_fn`` (``x``/``batch`` plus optional ``pos`` —
+    or the marker that it is ``x`` — and topology — ``edge_index``, or the
+    ``nbr`` table it is expanded from; ``num_graphs`` / ``pooled``
+    metadata).  Node rows are concatenated, each frame's batch vector is
+    shifted by the number of graphs collated before it and its edge index
+    by the number of node rows, exactly like
+    :meth:`~repro.graph.data.Batch.from_graphs` builds a disjoint union —
+    so one resumed engine call treats the coalesced frames as independent
+    graphs of a single batch.  Frames must
     agree on ``pooled`` and on the presence of a topology and of ``pos``
     (``ValueError`` otherwise; the engine then serves them frame by frame).
 
@@ -528,40 +490,18 @@ def split_results(arrays: ArrayDict, meta: Dict,
     return results
 
 
-def batched_edge_fn(model: ArchitectureModel, runtime: str = "auto",
-                    dtype=None) -> BatchedEdgeFn:
-    """Edge-side callable executing a whole micro-batch in one engine call.
-
-    The batched counterpart of the ``edge_fn`` returned by
-    :func:`split_callables`: the per-frame states are collated into one
-    multi-graph state, the post-``Communicate`` segment and the classifier
-    run once over it, and the pooled logits are split back per frame.
-    Because every operation reduces strictly within graph boundaries (the
-    batch vector), the returned logits are numerically equivalent to calling
-    the per-frame edge function once per request.
-
-    ``runtime``/``dtype`` mirror :func:`split_callables`: by default the
-    micro-batch resumes through the compiled plan (whose buffer arena then
-    holds batch-shaped buffers, reused across steady-state batches).
-
-    Frames of an architecture without a ``Communicate`` (``finished`` on the
-    device) are echoed back per frame, mirroring the per-frame edge function.
-    """
-    serving = _build_callables(model, _as_runtime_config(runtime, dtype),
-                               split=False)
-    return serving.batch_fn
-
-
 @dataclass(frozen=True)
 class ServingCallables:
     """The three engine callables of one zoo entry, sharing one model.
 
     ``device_fn`` runs the pre-``Communicate`` segment on the device,
     ``edge_fn`` resumes one frame on the edge, and ``batch_fn`` resumes a
-    whole micro-batch in one call (see :func:`batched_edge_fn`).  When built
-    for a zoo, all three are serialized through one per-entry lock because
-    they share the same (non-thread-safe) :class:`ArchitectureModel`; a
-    field is ``None`` when its callable was not requested from the builder.
+    whole micro-batch in one call (collate → run → split, numerically
+    equivalent to calling ``edge_fn`` per frame).  Frames of an
+    architecture without a ``Communicate`` are finished on the device, and
+    both edge callables echo their logits back.  When built for a zoo, all
+    three are serialized through one per-entry lock because they share the
+    same (non-thread-safe) :class:`ArchitectureModel`.
 
     ``plans`` holds the one compiled :class:`~repro.runtime.plan.
     InferencePlan` behind the callables (empty for eager callables) so
@@ -569,9 +509,9 @@ class ServingCallables:
     :meth:`release_buffers`.
     """
 
-    device_fn: Optional[Callable[[Batch], FrameState]] = None
-    edge_fn: Optional[Callable[[ArrayDict, Dict], FrameState]] = None
-    batch_fn: Optional[BatchedEdgeFn] = None
+    device_fn: Callable[[Batch], FrameState]
+    edge_fn: Callable[[ArrayDict, Dict], FrameState]
+    batch_fn: BatchedEdgeFn
     plans: Tuple[InferencePlan, ...] = ()
 
     def release_buffers(self) -> int:
@@ -592,56 +532,52 @@ class ServingCallables:
 
 def _build_callables(model: ArchitectureModel, config: "RuntimeConfig", *,
                      lock: Optional[threading.Lock] = None,
-                     split: bool = True, batched: bool = True,
                      entry_name: Optional[str] = None,
                      calibration_frames: Optional[Sequence] = None
                      ) -> ServingCallables:
     """The one internal builder every serving constructor routes through.
 
     ``config`` is a :class:`repro.serving.RuntimeConfig`; this is the single
-    place its ``runtime``/``segments``/``precision`` knobs are
-    resolved into engine callables, so no public builder re-threads them.
-    ``split`` / ``batched`` select which callables to
-    build; all of them run the entry's one compiled plan (the requested
-    split segments, plus ``"edge"`` when batched — arenas are per thread,
-    so the callables never contend for buffers).  When ``lock`` is given,
-    every built callable is serialized through it —
-    :class:`ArchitectureModel` is not thread-safe (its operations share one
-    random generator), so nothing may run the *same* model concurrently.
+    place its ``runtime``/``precision`` knobs are resolved into engine
+    callables, so no public builder re-threads them.  All three callables
+    run the entry's one compiled plan (arenas are per thread, so they never
+    contend for buffers).  When ``lock`` is given, every callable is
+    serialized through it — :class:`ArchitectureModel` is not thread-safe
+    (its operations share one random generator), so nothing may run the
+    *same* model concurrently.
 
     ``entry_name`` selects the per-entry precision from the config's
-    ``precision_policy``.  For int8 entries, activation scales come from one
+    ``precision_policy``; int8 compiles on the quantized path with a float32
+    carrier.  For int8 entries, activation scales come from one
     calibration pass over ``calibration_frames`` — or, when none are given,
     over deterministic seeded synthetic frames, which is what keeps shard
     and cluster replicas (rebuilt from config alone) bit-identical to the
     parent process.
     """
     precision = config.precision_for(entry_name)
-    segments = set()
-    if split:
-        segments.update(config.segments or ("device", "edge"))
-    if batched:
-        segments.add("edge")
-    segments = tuple(sorted(segments))
-    calibration = None
-    if precision == "int8":
+    quantized = precision == "int8"
+    plan = calibration = None
+    if quantized:
         from ..runtime import calibrate, synthetic_calibration_frames
         frames = calibration_frames
         if not frames:
             frames = synthetic_calibration_frames(model.in_dim, seed=0)
-        calibration = calibrate(model, frames, segments=segments)
-    plan = _resolve_plan(model, config, segments, precision, calibration)
+        calibration = calibrate(model, frames, segments=_SEGMENTS)
+    if config.runtime != "eager":  # RuntimeConfig refuses eager + non-float64
+        try:
+            plan = compile_plan(model, segments=_SEGMENTS,
+                                dtype=np.float32 if quantized else precision,
+                                calibration=calibration)
+        except PlanCompileError:
+            if config.runtime == "compiled" or precision != "float64":
+                raise  # no eager fallback can honor a non-float64 precision
     cut = model.first_communicate_index()
     runners, dtype = ((_eager_runners(model, cut), np.float64) if plan is None
                       else (_plan_runners(plan), plan.dtype))
     fns = _serving_fns(*runners, cut, dtype, _edge_reads_pos(model, cut))
     if lock is not None:
         fns = [_serialized(fn, lock) for fn in fns]
-    device_fn, edge_fn, batch_fn = fns
-    return ServingCallables(device_fn=device_fn if split else None,
-                            edge_fn=edge_fn if split else None,
-                            batch_fn=batch_fn if batched else None,
-                            plans=() if plan is None else (plan,))
+    return ServingCallables(*fns, plans=() if plan is None else (plan,))
 
 
 def _serialized(fn: Callable, lock: threading.Lock) -> Callable:

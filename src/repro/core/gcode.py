@@ -17,6 +17,7 @@ A typical session::
                           max_trials=300)
     entry = gcode.zoo.best("latency")
     model, training = gcode.deploy(entry, train_graphs, val_graphs)
+    serving = repro.serving.build_callables(model)  # device/edge/batch fns
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..system.simulator import CoInferenceSimulator, SystemConfig
 from .architecture import Architecture
 from .design_space import DesignSpace
 from .dispatcher import RuntimeDispatcher
-from .executor import ArchitectureModel, split_callables
+from .executor import ArchitectureModel
 from .performance import (CostEstimatorEvaluator, EfficiencyEvaluator,
                           PredictorEvaluator, SimulatorEvaluator)
 from .predictor.cost_estimation import CostEstimator
@@ -182,10 +183,6 @@ class GCoDE:
                                   self._in_dim, self._num_classes,
                                   config=training or TrainingConfig(
                                       seed=self.config.seed))
-
-    def engine_callables(self, model: ArchitectureModel):
-        """Device/edge callables for the socket co-inference engine."""
-        return split_callables(model)
 
     def dispatcher(self) -> RuntimeDispatcher:
         """Runtime dispatcher over the current architecture zoo."""

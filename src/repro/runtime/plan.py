@@ -941,15 +941,15 @@ class InferencePlan:
     """Compiled form of one :class:`~repro.core.executor.ArchitectureModel`.
 
     Up to three independently-compiled segments (each with per-thread buffer
-    arenas); ``segments`` selects which are built, so serving callables that
-    only ever resume the edge side don't carry dead device/full step lists:
+    arenas); ``segments`` selects which are built, so serving callables,
+    which run only device and edge, don't carry a dead full step list:
 
     ``full``
         Every operation plus the classifier — direct inference.
     ``device``
         Operations before the first ``Communicate`` (``None`` split: the
-        whole architecture including the classifier, matching eager
-        ``split_callables`` semantics for Device-Only deployments).
+        whole architecture including the classifier, matching the eager
+        ``device_fn`` of a Device-Only deployment).
     ``edge``
         Operations after the first ``Communicate`` plus the classifier — the
         serving hot path the edge server executes per frame or per

@@ -1,8 +1,7 @@
 """Config-driven builders turning models and zoos into engine callables.
 
-Instead of re-threading loose ``runtime=``/``dtype=`` keywords through
-every constructor, callers hand a single
-:class:`~repro.serving.config.RuntimeConfig` to
+The only ways from a model to its engine callables; both take one
+:class:`~repro.serving.config.RuntimeConfig`:
 
 * :func:`build_callables` — one trained/initialized model into a
   :class:`~repro.core.executor.ServingCallables`, and

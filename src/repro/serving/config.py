@@ -21,20 +21,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Type
 
 from ..core.executor import RUNTIMES
-from ..runtime import PRECISIONS, SEGMENTS
+from ..runtime import PRECISIONS
 from ..runtime.shard import SHARD_TRANSPORT_PIPE, SHARD_TRANSPORTS
 from ..system.knobs import (_POSITIVE_MS, _POSITIVE_S, BatchingConfig,
                             ClientConfig, Knob, QosConfig, RetryPolicy,
                             ServerConfig, _Config, knob)
-
-
-def _segments(name: str, value: Any) -> Tuple[str, ...]:
-    segments = tuple(value)
-    if not segments:
-        raise ValueError(f"{name} may not be empty (use None for the default)")
-    for segment in segments:
-        Knob(SEGMENTS, "").check("plan segment", segment)
-    return segments
 
 
 def _precision_policy(name: str, value: Any) -> Dict[str, str]:
@@ -56,9 +47,6 @@ class RuntimeConfig(_Config):
         "auto", RUNTIMES, '``"auto"`` compiles plans (eager only for what '
         'plans do not support), ``"compiled"`` requires plans, ``"eager"`` '
         "runs autograd under ``no_grad`` — float64 only")
-    segments: Optional[Tuple[str, ...]] = knob(
-        None, _segments, "Plan segments compiled for the per-frame callables; "
-        '``None`` = ``("device", "edge")``; batched ones compile ``("edge",)``')
     precision: Optional[str] = knob(
         None, PRECISIONS, "Default precision of every entry: the compiled "
         'compute **and** wire dtype (``"float32"`` halves frame bytes) or '

@@ -8,8 +8,9 @@ queues, matching the paper's description.
 
 The engine is agnostic to *what* is executed: the device and edge sides are
 plain callables (``device_fn(frame) -> (arrays, meta)`` and
-``edge_fn(arrays, meta) -> (arrays, meta)``), normally produced by
-:func:`repro.core.executor.split_callables` — which by default hands back
+``edge_fn(arrays, meta) -> (arrays, meta)``), normally the fields of the
+:class:`~repro.core.executor.ServingCallables` that
+:func:`repro.serving.build_callables` returns — which by default run
 compiled inference plans (:mod:`repro.runtime`) whose per-entry buffer
 arenas persist across requests for the lifetime of the serving table.  In
 this reproduction both ends run on localhost, which exercises the full code
@@ -50,7 +51,7 @@ engine call per frame: handler threads only *enqueue* incoming frames, and
 a :class:`MicroBatcher` coalesces whatever arrived within ``max_wait_ms``
 (up to ``max_batch_size`` frames, strictly per zoo entry — batches never
 mix models) into a single call of the entry's batched edge callable
-(``batch_fns``, typically :func:`repro.core.executor.batched_edge_fn`).
+(``batch_fns``, typically each entry's ``ServingCallables.batch_fn``).
 Results are scattered back to the waiting connections with the realized
 ``batch_index`` stamped on each reply.  A failing batched call falls back to
 per-frame execution so an error isolates to the one offending frame.  The

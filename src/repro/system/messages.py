@@ -33,7 +33,7 @@ payloads survive.
 default) sends a zlib stream of the frame with the planed layouts inside
 it — mirroring the paper's engine, which is built on Python sockets and
 compresses all transmitted data with zlib.  The stream is
-``zlib.compress(frame, level)`` unless the frame has a byte plane of 2 KB
+``zlib.compress(frame, 6)`` unless the frame has a byte plane of 2 KB
 or more.  Each such plane is probed — in numpy, the size a ``Z_RLE``
 deflate of its sample would take: the byte histogram's entropy, runs of
 repeats priced as matches, and the Huffman tree, over the whole plane
@@ -48,7 +48,7 @@ default deflater.  The stream is built from pieces — the coders' output,
 switched behind full flushes, our own zlib header and Adler-32 trailer —
 and stock zlib inflates it to the same frame.  A frame with no plane of
 2 KB or more — a logits reply, a 64-point request — is exactly
-``zlib.compress(frame, level)``.
+``zlib.compress(frame, 6)``.
 
 A receiver tells the two framings apart by the first byte (zlib streams
 begin with ``0x78``), inflates when needed — capped at its message cap,
@@ -246,14 +246,14 @@ class Message:
     wire_bytes: int = 0
 
 
-def serialize_message(message: Message, compress_level: int = 6,
+def serialize_message(message: Message,
                       wire_format: Optional[str] = None) -> bytes:
     """Encode a message to wire bytes (without the length prefix).
 
     ``wire_format`` selects the framing; when ``None`` the message's own
     ``wire_format`` attribute decides, so replies naturally mirror the
-    framing their request arrived in.  ``compress_level`` only applies to
-    the zlib framing: a zlib stream of the frame, zero-heavy and large
+    framing their request arrived in.  The zlib framing is a zlib stream
+    of the frame at :data:`_ZLIB_LEVEL`, zero-heavy and large
     noisy float arrays in the ``zp`` layout, large integer arrays in the
     ``bp`` layout, and each large plane run-length deflated or stored
     (see the module docstring).
@@ -305,10 +305,10 @@ def serialize_message(message: Message, compress_level: int = 6,
                   + header_bytes)
     codings.insert(0, _DEFAULT)
     if any(coding != _DEFAULT for coding in codings):
-        return _pieced_zlib(chunks, codings, compress_level)
+        return _pieced_zlib(chunks, codings)
     frame = b"".join(chunks)
     if deflate:
-        return zlib.compress(frame, compress_level)
+        return zlib.compress(frame, _ZLIB_LEVEL)
     return frame
 
 
@@ -330,9 +330,11 @@ _WINDOW_BYTES = 1024
 _STORED_RATIO = 0.97
 #: Largest payload of one deflate stored block (RFC 1951, section 3.2.4).
 _STORED_BLOCK_BYTES = 0xFFFF
-#: The two-byte zlib header ``zlib.compress`` writes at each level.
-_ZLIB_HEADERS = {level: zlib.compress(b"", level)[:2]
-                 for level in range(-1, 10)}
+#: The zlib compression level of every deflater: level 1 was measured
+#: and rejected (a ``paper_split`` request of 406 KB against 387 KB).
+_ZLIB_LEVEL = 6
+#: The two-byte zlib header ``zlib.compress`` writes at that level.
+_ZLIB_HEADER = zlib.compress(b"", _ZLIB_LEVEL)[:2]
 #: Longest match deflate codes (RFC 1951, section 3.2.5); ``Z_RLE`` codes
 #: every match at distance 1, so a run of equal bytes costs one literal
 #: then one match per 258 repeats, and a tail of fewer than 3 repeats
@@ -454,26 +456,24 @@ def _rle_deflate_bits(sample: np.ndarray) -> np.ndarray:
             + _BITS_PER_SYMBOL * np.count_nonzero(symbols, axis=1))
 
 
-def _pieced_zlib(chunks: Sequence, codings: Sequence[int],
-                 level: int) -> bytes:
+def _pieced_zlib(chunks: Sequence, codings: Sequence[int]) -> bytes:
     """A zlib stream of the frame ``chunks`` join to, each chunk coded as
     its entry of ``codings`` says.
 
     The pieces: our own zlib header, the output of two raw deflaters at
-    ``level`` — the default one and a ``Z_RLE`` one — and of stored
-    blocks, and the running Adler-32 of the frame.  The stream switches
+    :data:`_ZLIB_LEVEL` — the default one and a ``Z_RLE`` one — and of
+    stored blocks, and the running Adler-32 of the frame.  The stream switches
     coders behind a full flush of the deflater it leaves: that ends its
     output on a byte boundary and drops its history, so no later match
     reaches across bytes it never saw.  Stock ``zlib.decompressobj``
     inflates it to the frame like any zlib stream.
     """
     deflaters = {
-        _DEFAULT: zlib.compressobj(level, zlib.DEFLATED, -15),
-        _RLE: zlib.compressobj(level, zlib.DEFLATED, -15, 8, zlib.Z_RLE),
+        _DEFAULT: zlib.compressobj(_ZLIB_LEVEL, zlib.DEFLATED, -15),
+        _RLE: zlib.compressobj(_ZLIB_LEVEL, zlib.DEFLATED, -15, 8,
+                               zlib.Z_RLE),
     }
-    # Looked up once the deflaters accepted ``level``: a bad one raises
-    # there, as ``zlib.compress`` does.
-    pieces = [_ZLIB_HEADERS[level]]
+    pieces = [_ZLIB_HEADER]
     checksum = zlib.adler32(b"")
     # The deflater holding input it has not flushed, if any.
     active = None
@@ -893,7 +893,7 @@ def recv_message(sock: socket.socket,
     return message
 
 
-def compressed_size(arrays: Dict[str, np.ndarray], compress_level: int = 6,
+def compressed_size(arrays: Dict[str, np.ndarray],
                     wire_format: str = WIRE_FORMAT_ZLIB) -> int:
     """Size in bytes of a frame holding ``arrays`` in the given framing.
 
@@ -904,4 +904,4 @@ def compressed_size(arrays: Dict[str, np.ndarray], compress_level: int = 6,
     against the real wire format and for sizing raw-framing deployments.
     """
     return len(serialize_message(Message(kind=KIND_FRAME, arrays=dict(arrays)),
-                                 compress_level, wire_format=wire_format))
+                                 wire_format=wire_format))

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core import (Architecture, ArchitectureModel, AccuracyCache, SuperNet,
-                        TrainingConfig, evaluate_model, split_callables,
-                        train_architecture)
+                        TrainingConfig, evaluate_model, train_architecture)
 from repro.core.design_space import DesignSpace
 from repro.gnn import OpSpec, OpType
 from repro.graph.data import Batch
+from repro.serving import build_callables
 
 
 SAMPLE = OpSpec(OpType.SAMPLE, "knn", k=4)
@@ -46,24 +46,25 @@ class TestArchitectureModel:
         assert model.first_communicate_index() == 1
         assert ArchitectureModel(simple_arch(), 3, 5).first_communicate_index() is None
 
-    def test_split_callables_match_full_forward(self, tiny_modelnet, modelnet_profile):
+    def test_engine_callables_match_full_forward(self, tiny_modelnet,
+                                                 modelnet_profile):
         arch = Architecture(ops=(SAMPLE, AGG, COMM, OpSpec(OpType.COMBINE, 16), POOL))
         model = ArchitectureModel(arch, 3, modelnet_profile.num_classes, seed=1)
-        device_fn, edge_fn = split_callables(model)
+        serving = build_callables(model)
         batch = Batch.from_graphs(tiny_modelnet.test[:2])
-        arrays, meta = device_fn(batch)
-        logits, _ = edge_fn(arrays, meta)
+        arrays, meta = serving.device_fn(batch)
+        logits, _ = serving.edge_fn(arrays, meta)
         np.testing.assert_allclose(logits["logits"], model(batch).data, atol=1e-9)
 
-    def test_split_callables_device_only_architecture(self, tiny_modelnet,
-                                                      modelnet_profile):
+    def test_engine_callables_device_only_architecture(self, tiny_modelnet,
+                                                       modelnet_profile):
         model = ArchitectureModel(simple_arch(), 3, modelnet_profile.num_classes,
                                   seed=2)
-        device_fn, edge_fn = split_callables(model)
+        serving = build_callables(model)
         batch = Batch.from_graphs(tiny_modelnet.test[:1])
-        arrays, meta = device_fn(batch)
+        arrays, meta = serving.device_fn(batch)
         assert meta["finished"] is True
-        logits, _ = edge_fn(arrays, meta)
+        logits, _ = serving.edge_fn(arrays, meta)
         np.testing.assert_allclose(logits["logits"], model(batch).data)
 
     def test_gradients_flow_through_whole_model(self, tiny_modelnet, modelnet_profile):

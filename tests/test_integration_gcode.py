@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (GCoDE, GCoDEConfig, SearchConstraints, TrainingConfig)
 from repro.graph.data import Batch
+from repro.serving import build_callables
 from repro.hardware import (DataProfile, JETSON_TX2, RASPBERRY_PI_4B, INTEL_I7,
                             NVIDIA_1060, LINK_40MBPS, LINK_10MBPS)
 from repro.system import run_co_inference
@@ -90,9 +91,10 @@ class TestGCoDEPipeline:
                                         tiny_modelnet_module.val,
                                         training=TrainingConfig(epochs=1,
                                                                 batch_size=8))
-        device_fn, edge_fn = gcode_session.engine_callables(model)
+        serving = build_callables(model)
         frames = [Batch.from_graphs([g]) for g in tiny_modelnet_module.test[:3]]
-        results, stats = run_co_inference(frames, device_fn, edge_fn)
+        results, stats = run_co_inference(frames, serving.device_fn,
+                                          serving.edge_fn)
         assert len(results) == 3 and stats.throughput_fps > 0
 
     def test_search_requires_prepare(self, modelnet_profile_module):

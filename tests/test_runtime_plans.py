@@ -15,8 +15,8 @@ import pytest
 
 from repro import nn
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
-                        ZooEntry, batched_edge_fn, split_callables)
-from repro.serving import RuntimeConfig, build_zoo_callables
+                        ZooEntry)
+from repro.serving import RuntimeConfig, build_callables, build_zoo_callables
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40, SyntheticMR
 from repro.graph.data import Batch
@@ -38,6 +38,12 @@ def _point_cloud_frames(num_points=32, count=3):
     graphs = SyntheticModelNet40(num_points=num_points, samples_per_class=1,
                                  num_classes=max(count, 2), seed=0).generate()
     return [Batch.from_graphs([graph]) for graph in graphs[:count]]
+
+
+def _callables(model, runtime, precision=None):
+    """The model's engine callables under one runtime and precision."""
+    return build_callables(model, RuntimeConfig(runtime=runtime,
+                                                precision=precision))
 
 
 def _arch(aggregator: str, pool: str) -> Architecture:
@@ -121,10 +127,10 @@ class TestCompiledEagerEquivalence:
         for name, entry in zoo.items():
             model = ArchitectureModel(entry.architecture, in_dim=3,
                                       num_classes=5, seed=0)
-            device_fn, _ = split_callables(model, runtime="eager")
-            requests = [device_fn(frame) for frame in frames]
-            compiled = batched_edge_fn(model, runtime="compiled")(requests)
-            eager = batched_edge_fn(model, runtime="eager")(requests)
+            eager_fns = _callables(model, "eager")
+            requests = [eager_fns.device_fn(frame) for frame in frames]
+            compiled = _callables(model, "compiled").batch_fn(requests)
+            eager = eager_fns.batch_fn(requests)
             assert len(compiled) == len(eager) == len(frames)
             for (arrays_c, meta_c), (arrays_e, meta_e) in zip(compiled, eager):
                 assert meta_c["num_graphs"] == meta_e["num_graphs"]
@@ -137,11 +143,11 @@ class TestCompiledEagerEquivalence:
         model = ArchitectureModel(_arch("max", "max||mean"), in_dim=3,
                                   num_classes=5, seed=0)
         frames = _point_cloud_frames(count=4)
-        device_fn, edge_fn = split_callables(model, runtime="compiled")
-        requests = [device_fn(frame) for frame in frames]
-        batched = batched_edge_fn(model, runtime="compiled")(requests)
+        serving = _callables(model, "compiled")
+        requests = [serving.device_fn(frame) for frame in frames]
+        batched = serving.batch_fn(requests)
         for request, (arrays_b, _) in zip(requests, batched):
-            arrays_s, _ = edge_fn(*request)
+            arrays_s, _ = serving.edge_fn(*request)
             np.testing.assert_allclose(arrays_b["logits"], arrays_s["logits"],
                                        atol=F64_TOL, rtol=0)
 
@@ -154,14 +160,16 @@ class TestCompiledEagerEquivalence:
         ), name="device-only")
         model = ArchitectureModel(arch, in_dim=3, num_classes=5, seed=0)
         frame = _point_cloud_frames(count=1)[0]
-        arrays_c, meta_c = split_callables(model, runtime="compiled")[0](frame)
-        arrays_e, meta_e = split_callables(model, runtime="eager")[0](frame)
+        compiled = _callables(model, "compiled")
+        arrays_c, meta_c = compiled.device_fn(frame)
+        arrays_e, meta_e = _callables(model, "eager").device_fn(frame)
         assert meta_c["finished"] and meta_e["finished"]
         np.testing.assert_allclose(arrays_c["x"], arrays_e["x"],
                                    atol=F64_TOL, rtol=0)
-        _, edge_fn = split_callables(model, runtime="compiled")
-        echoed, _ = edge_fn(arrays_c, meta_c)
+        echoed, _ = compiled.edge_fn(arrays_c, meta_c)
         np.testing.assert_array_equal(echoed["logits"], arrays_c["x"])
+        ((batched, _),) = compiled.batch_fn([(arrays_c, meta_c)])
+        np.testing.assert_array_equal(batched["logits"], arrays_c["x"])
 
     def test_random_sampling_matches_eager_frame_for_frame(self):
         """Compiled random sampling draws the same stream as eager.
@@ -188,7 +196,7 @@ class TestCompiledEagerEquivalence:
                                            atol=F64_TOL, rtol=0)
 
     def test_random_sampling_plans_share_the_eager_generator(self):
-        """Per-frame and batched plans of one model share one draw stream
+        """Per-frame and batched calls of one model share one draw stream
         (mirroring eager serving), instead of replaying identical
         'random' topologies in lockstep from independent snapshots."""
         arch = Architecture(ops=(
@@ -198,12 +206,11 @@ class TestCompiledEagerEquivalence:
             OpSpec(OpType.GLOBAL_POOL, "mean"),
         ), name="random-edge")
         model = ArchitectureModel(arch, in_dim=3, num_classes=5, seed=0)
-        device_fn, edge_fn = split_callables(model, runtime="compiled")
-        batch_fn = batched_edge_fn(model, runtime="compiled")
+        serving = _callables(model, "compiled")
         frame = _point_cloud_frames(count=1)[0]
-        state = device_fn(frame)
-        per_frame = edge_fn(*state)[0]["logits"]
-        batched = batch_fn([state])  # single-frame batch: real execution
+        state = serving.device_fn(frame)
+        per_frame = serving.edge_fn(*state)[0]["logits"]
+        batched = serving.batch_fn([state])  # a batch of one: real execution
         # Different draws (one shared stream), so topologies — and almost
         # surely logits — differ between the two consecutive calls.
         assert not np.array_equal(per_frame, batched[0][0]["logits"])
@@ -220,14 +227,14 @@ class TestCompiledEagerEquivalence:
         graphs = SyntheticMR(num_documents=6, feature_dim=16, mean_nodes=10,
                              seed=0).generate()
         model = ArchitectureModel(arch, in_dim=16, num_classes=2, seed=0)
+        compiled = _callables(model, "compiled")
+        eager = _callables(model, "eager")
         for graph in graphs[:3]:
             frame = Batch.from_graphs([graph])
-            d_c, e_c = split_callables(model, runtime="compiled")
-            d_e, e_e = split_callables(model, runtime="eager")
-            state_c = d_c(frame)
-            state_e = d_e(frame)
-            np.testing.assert_allclose(e_c(*state_c)[0]["logits"],
-                                       e_e(*state_e)[0]["logits"],
+            state_c = compiled.device_fn(frame)
+            state_e = eager.device_fn(frame)
+            np.testing.assert_allclose(compiled.edge_fn(*state_c)[0]["logits"],
+                                       eager.edge_fn(*state_e)[0]["logits"],
                                        atol=F64_TOL, rtol=0)
 
     def test_unsorted_wire_edges_are_canonicalized(self):
@@ -245,8 +252,8 @@ class TestCompiledEagerEquivalence:
         arrays = {"x": x, "batch": np.zeros(10, dtype=np.int64),
                   "edge_index": edges}
         meta = {"num_graphs": 1, "pooled": False, "finished": False}
-        _, edge_c = split_callables(model, runtime="compiled")
-        _, edge_e = split_callables(model, runtime="eager")
+        edge_c = _callables(model, "compiled").edge_fn
+        edge_e = _callables(model, "eager").edge_fn
         np.testing.assert_allclose(edge_c(dict(arrays), dict(meta))[0]["logits"],
                                    edge_e(dict(arrays), dict(meta))[0]["logits"],
                                    atol=F64_TOL, rtol=0)
@@ -272,27 +279,25 @@ class TestFloat32Plans:
         model = ArchitectureModel(_arch("max", "max||mean"), in_dim=3,
                                   num_classes=5, seed=0)
         frame = _point_cloud_frames(count=1)[0]
-        d32, e32 = split_callables(model, runtime="compiled",
-                                   dtype=np.float32)
-        d64, e64 = split_callables(model, runtime="eager")
-        arrays32, meta32 = d32(frame)
+        f32 = _callables(model, "compiled", "float32")
+        f64 = _callables(model, "eager")
+        arrays32, meta32 = f32.device_fn(frame)
         assert arrays32["x"].dtype == np.float32  # float32 hits the wire
-        logits32 = e32(arrays32, meta32)[0]["logits"]
+        logits32 = f32.edge_fn(arrays32, meta32)[0]["logits"]
         assert logits32.dtype == np.float32
-        logits64 = e64(*d64(frame))[0]["logits"]
+        logits64 = f64.edge_fn(*f64.device_fn(frame))[0]["logits"]
         np.testing.assert_allclose(logits32, logits64, atol=F32_TOL, rtol=0)
 
     def test_float32_batched(self):
         model = ArchitectureModel(_arch("mean", "mean"), in_dim=3,
                                   num_classes=5, seed=0)
         frames = _point_cloud_frames(count=3)
-        d32, _ = split_callables(model, runtime="compiled", dtype=np.float32)
-        requests = [d32(frame) for frame in frames]
-        batched = batched_edge_fn(model, runtime="compiled",
-                                  dtype=np.float32)(requests)
-        d64, e64 = split_callables(model, runtime="eager")
+        f32 = _callables(model, "compiled", "float32")
+        requests = [f32.device_fn(frame) for frame in frames]
+        batched = f32.batch_fn(requests)
+        f64 = _callables(model, "eager")
         for frame, (arrays_b, _) in zip(frames, batched):
-            logits64 = e64(*d64(frame))[0]["logits"]
+            logits64 = f64.edge_fn(*f64.device_fn(frame))[0]["logits"]
             np.testing.assert_allclose(arrays_b["logits"], logits64,
                                        atol=F32_TOL, rtol=0)
 
@@ -300,13 +305,15 @@ class TestFloat32Plans:
         model = ArchitectureModel(_arch("max", "mean"), in_dim=3,
                                   num_classes=5, seed=0)
         with pytest.raises(ValueError, match="float64"):
-            split_callables(model, runtime="eager", dtype=np.float32)
+            _callables(model, "eager", "float32")
 
     def test_non_float_dtype_rejected(self):
         model = ArchitectureModel(_arch("max", "mean"), in_dim=3,
                                   num_classes=5, seed=0)
+        with pytest.raises(ValueError, match="precision"):
+            _callables(model, "compiled", "int64")
         with pytest.raises(ValueError, match="floating"):
-            split_callables(model, runtime="compiled", dtype=np.int64)
+            compile_plan(model, dtype=np.int64)
 
 
 class TestBufferArena:
@@ -343,7 +350,8 @@ class TestBufferArena:
         be serializing A while B executes."""
         model = ArchitectureModel(_arch("max", "max||mean"), in_dim=3,
                                   num_classes=5, seed=0)
-        device_fn, edge_fn = split_callables(model, runtime="compiled")
+        serving = _callables(model, "compiled")
+        device_fn, edge_fn = serving.device_fn, serving.edge_fn
         frame_a, frame_b = _point_cloud_frames(count=2)
         state_a = device_fn(frame_a)
         logits_a, _ = edge_fn(*state_a)
@@ -356,7 +364,7 @@ class TestBufferArena:
         """Device-side wire arrays survive the next device call too."""
         model = ArchitectureModel(_arch("mean", "mean"), in_dim=3,
                                   num_classes=5, seed=0)
-        device_fn, _ = split_callables(model, runtime="compiled")
+        device_fn = _callables(model, "compiled").device_fn
         frame_a, frame_b = _point_cloud_frames(count=2)
         arrays_a, _ = device_fn(frame_a)
         snapshots = {name: array.copy() for name, array in arrays_a.items()}
@@ -371,7 +379,8 @@ class TestBufferArena:
         import threading
         model = ArchitectureModel(_arch("max", "max||mean"), in_dim=3,
                                   num_classes=5, seed=0)
-        device_fn, edge_fn = split_callables(model, runtime="compiled")
+        serving = _callables(model, "compiled")  # no lock
+        device_fn, edge_fn = serving.device_fn, serving.edge_fn
         frames = _point_cloud_frames(count=4)
         states = [device_fn(frame) for frame in frames]
         expected = [edge_fn(*state)[0]["logits"].copy() for state in states]
@@ -466,11 +475,12 @@ class TestPlanStructure:
         # Replace the classifier MLP with one the compiler cannot fuse.
         model.classifier.mlp = nn.MLP([32, 8, 5], batch_norm=True)
         with pytest.raises(PlanCompileError):
-            split_callables(model, runtime="compiled")
-        device_fn, edge_fn = split_callables(model, runtime="auto")  # eager
+            _callables(model, "compiled")
+        serving = _callables(model, "auto")
+        assert serving.plans == ()  # eager
         frame = _point_cloud_frames(count=1)[0]
-        arrays, meta = device_fn(frame)
-        logits, _ = edge_fn(arrays, meta)
+        arrays, meta = serving.device_fn(frame)
+        logits, _ = serving.edge_fn(arrays, meta)
         assert logits["logits"].shape == (1, 5)
 
     def test_active_dropout_refuses_to_compile(self):
@@ -526,7 +536,7 @@ class TestPlanStructure:
         model = ArchitectureModel(_arch("max", "mean"), in_dim=3,
                                   num_classes=5, seed=0)
         with pytest.raises(ValueError, match="unknown runtime"):
-            split_callables(model, runtime="jit")
+            _callables(model, "jit")
 
 
 class TestSegmentInfo:

@@ -117,8 +117,7 @@ def test_none_is_accepted_exactly_by_optional_knobs(cls, name, spec):
 
 #: A non-default, canonicalisation-exercising value for every knob.
 EXAMPLES = {
-    RuntimeConfig: dict(runtime="compiled",
-                        segments=["edge"], precision="float32",
+    RuntimeConfig: dict(runtime="compiled", precision="float32",
                         precision_policy={"hot": "int8"}),
     BatchingConfig: dict(max_batch_size=8, max_wait_ms=5),
     ServerConfig: dict(host="0.0.0.0", port=9000, max_workers=2, backlog=4,

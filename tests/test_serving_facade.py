@@ -75,12 +75,6 @@ class TestConfigValidation:
             RuntimeConfig(runtime="eager", precision="float32")
         RuntimeConfig(runtime="eager", precision="float64")  # fine
 
-    def test_unknown_plan_segments_rejected(self):
-        with pytest.raises(ValueError, match="segment"):
-            RuntimeConfig(segments=("device", "cloud"))
-        with pytest.raises(ValueError, match="empty"):
-            RuntimeConfig(segments=())
-
     def test_negative_batch_size_rejected(self):
         with pytest.raises(ValueError, match="max_batch_size"):
             BatchingConfig(max_batch_size=-1)
@@ -148,8 +142,7 @@ class TestConfigValidation:
 class TestConfigRoundTrips:
     @pytest.mark.parametrize("config", [
         RuntimeConfig(),
-        RuntimeConfig(runtime="compiled", precision="float32",
-                      segments=("device", "edge")),
+        RuntimeConfig(runtime="compiled", precision="float32"),
         BatchingConfig(max_batch_size=8, max_wait_ms=3.5),
         ServerConfig(host="0.0.0.0", port=9000, max_workers=4, backlog=8,
                      session_log_limit=64),
@@ -199,19 +192,6 @@ class TestConfigRoundTrips:
 # Builders
 # ----------------------------------------------------------------------
 class TestBuilders:
-    def test_build_callables_matches_split_callables(self):
-        from repro.core import split_callables
-        model = ArchitectureModel(_arch("m"), in_dim=3, num_classes=3, seed=0)
-        serving = build_callables(model)
-        device_fn, edge_fn = split_callables(model)
-        frame = _frames(1)[0]
-        arrays_a, meta_a = serving.device_fn(frame)
-        arrays_b, meta_b = device_fn(frame)
-        np.testing.assert_allclose(arrays_a["x"], arrays_b["x"])
-        np.testing.assert_allclose(
-            serving.edge_fn(arrays_a, meta_a)[0]["logits"],
-            edge_fn(arrays_b, meta_b)[0]["logits"])
-
     def test_build_zoo_callables_builds_every_entry(self):
         serving = build_zoo_callables(_zoo(), in_dim=3, num_classes=3)
         assert set(serving) == {"fast", "accurate"}

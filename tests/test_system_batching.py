@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
-                        ZooEntry, batched_edge_fn, collate_arrays,
-                        split_callables, split_results)
+                        ZooEntry, collate_arrays, split_results)
 from repro.serving import (BatchingConfig, RuntimeConfig, ServerConfig,
-                           build_zoo_callables)
+                           build_callables, build_zoo_callables)
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
@@ -185,10 +184,9 @@ class TestBatchedEquivalence:
             OpSpec(OpType.GLOBAL_POOL, "mean"),
         ))
         model = ArchitectureModel(arch, in_dim=3, num_classes=5, seed=0)
-        device_fn, _ = split_callables(model)
-        batch_fn = batched_edge_fn(model)
-        states = [device_fn(frame) for frame in _frames(3)]
-        results = batch_fn(states)
+        serving = build_callables(model)
+        states = [serving.device_fn(frame) for frame in _frames(3)]
+        results = serving.batch_fn(states)
         for (arrays, meta), (out_arrays, out_meta) in zip(states, results):
             assert meta["finished"]
             np.testing.assert_array_equal(out_arrays["logits"], arrays["x"])
@@ -198,14 +196,13 @@ class TestBatchedEquivalence:
     def _assert_equivalent(arch: Architecture, graphs_per_frame: int = 1,
                            num_frames: int = 5) -> None:
         model = ArchitectureModel(arch, in_dim=3, num_classes=5, seed=0)
-        device_fn, edge_fn = split_callables(model)
-        batch_fn = batched_edge_fn(model)
-        states = [device_fn(frame)
+        serving = build_callables(model)
+        states = [serving.device_fn(frame)
                   for frame in _frames(num_frames,
                                        graphs_per_frame=graphs_per_frame)]
-        sequential = [edge_fn(dict(arrays), dict(meta))
+        sequential = [serving.edge_fn(dict(arrays), dict(meta))
                       for arrays, meta in states]
-        batched = batch_fn(states)
+        batched = serving.batch_fn(states)
         assert len(batched) == len(sequential)
         for (seq_arrays, seq_meta), (bat_arrays, bat_meta) in zip(sequential,
                                                                   batched):

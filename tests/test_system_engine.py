@@ -158,9 +158,10 @@ class TestEngine:
 
     def test_engine_with_architecture_model(self, tiny_modelnet, modelnet_profile):
         """End-to-end: a split ArchitectureModel served through the engine."""
-        from repro.core import Architecture, ArchitectureModel, split_callables
+        from repro.core import Architecture, ArchitectureModel
         from repro.gnn import OpSpec, OpType
         from repro.graph.data import Batch
+        from repro.serving import build_callables
 
         arch = Architecture(ops=(
             OpSpec(OpType.SAMPLE, "knn", k=4),
@@ -171,9 +172,10 @@ class TestEngine:
         ))
         model = ArchitectureModel(arch, in_dim=modelnet_profile.feature_dim,
                                   num_classes=modelnet_profile.num_classes, seed=0)
-        device_fn, edge_fn = split_callables(model)
+        serving = build_callables(model)
         frames = [Batch.from_graphs([g]) for g in tiny_modelnet.test[:3]]
-        results, stats = run_co_inference(frames, device_fn, edge_fn)
+        results, stats = run_co_inference(frames, serving.device_fn,
+                                          serving.edge_fn)
         assert len(results) == 3
         for result in results:
             assert result.arrays["logits"].shape == (1, modelnet_profile.num_classes)

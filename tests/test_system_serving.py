@@ -569,7 +569,7 @@ class TestDispatchedServing:
 
     def test_zoo_callables_serve_real_models(self, tiny_modelnet, modelnet_profile):
         """End-to-end: dispatcher-selected ArchitectureModel entries over sockets."""
-        from repro.core import ArchitectureModel, split_callables
+        from repro.core import ArchitectureModel
         from repro.graph.data import Batch
 
         zoo = self._zoo()

@@ -23,10 +23,10 @@ import pytest
 
 import repro.runtime.node as node_module
 import repro.system.engine as engine_module
-from repro.core import (ArchitectureModel, ArchitectureZoo, ZooEntry,
-                        batched_edge_fn, split_callables)
+from repro.core import ArchitectureModel, ArchitectureZoo, ZooEntry
 from repro.serving import (BatchingConfig, ClientConfig, ClusterConfig,
-                           ModelRepository, ServerConfig)
+                           ModelRepository, RuntimeConfig, ServerConfig,
+                           build_callables)
 from repro.serving.cluster import ClusterPool
 from repro.system import DeviceClient, EdgeServer
 from repro.system.messages import (KIND_FRAME, KIND_HELLO, KIND_STOP,
@@ -291,9 +291,10 @@ class TestCoalescedWindowsEndToEnd:
     def test_every_reply_matches_its_frame_and_the_eager_result(self):
         model = ArchitectureModel(_co_inference_arch(), in_dim=3,
                                   num_classes=5, seed=0)
-        device_fn, _ = split_callables(model)
-        _, eager_edge_fn = split_callables(model, runtime="eager")
-        plan_batch_fn = batched_edge_fn(model)
+        serving = build_callables(model)
+        device_fn, plan_batch_fn = serving.device_fn, serving.batch_fn
+        eager_edge_fn = build_callables(
+            model, RuntimeConfig(runtime="eager")).edge_fn
         batches = []
 
         def tagging_device_fn(indexed_frame):

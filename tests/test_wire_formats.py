@@ -40,11 +40,11 @@ import numpy as np
 import pytest
 
 from conftest import frame_specs
-from repro.core import Architecture, ArchitectureModel, split_callables
+from repro.core import Architecture, ArchitectureModel
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
-from repro.serving import ClientConfig, ServerConfig
+from repro.serving import ClientConfig, ServerConfig, build_callables
 from repro.system import (DeviceClient, EdgeServer, Message,
                           WIRE_FORMAT_RAW, WIRE_FORMAT_ZLIB, WIRE_FORMATS,
                           compressed_size, deserialize_message,
@@ -112,11 +112,9 @@ class TestRawFormat:
         """A frame with no planed array deflates as is: the zlib framing
         is exactly the raw frame, deflated."""
         message = _sample_message()
-        for level in (1, 6, 9):
-            deflated = serialize_message(message, compress_level=level,
-                                         wire_format=WIRE_FORMAT_ZLIB)
-            assert zlib.decompress(deflated) == serialize_message(
-                message, wire_format=WIRE_FORMAT_RAW)
+        deflated = serialize_message(message, wire_format=WIRE_FORMAT_ZLIB)
+        raw = serialize_message(message, wire_format=WIRE_FORMAT_RAW)
+        assert deflated == zlib.compress(raw, 6)
 
     def test_message_wire_format_attribute_drives_serialization(self):
         """With no explicit format, the message's own attribute decides —
@@ -234,17 +232,15 @@ class TestZeroPlanedLayout:
         relu = np.maximum(np.random.default_rng(2).standard_normal((32, 4)), 0)
         message = _sample_message()
         message.arrays["relu"] = relu
-        for level in (1, 6, 9):
-            deflated = serialize_message(message, compress_level=level,
-                                         wire_format=WIRE_FORMAT_ZLIB)
-            inflated = zlib.decompress(deflated)
-            assert zlib.compress(inflated, level) == deflated
-            assert [spec[0] for spec in frame_specs(inflated)
-                    if len(spec) == 4] == ["relu"]
-            assert inflated != serialize_message(message,
-                                                 wire_format=WIRE_FORMAT_RAW)
-            decoded = deserialize_message(inflated)  # the raw-framed parse
-            np.testing.assert_array_equal(decoded.arrays["relu"], relu)
+        deflated = serialize_message(message, wire_format=WIRE_FORMAT_ZLIB)
+        inflated = zlib.decompress(deflated)
+        assert zlib.compress(inflated, 6) == deflated
+        assert [spec[0] for spec in frame_specs(inflated)
+                if len(spec) == 4] == ["relu"]
+        assert inflated != serialize_message(message,
+                                             wire_format=WIRE_FORMAT_RAW)
+        decoded = deserialize_message(inflated)  # the raw-framed parse
+        np.testing.assert_array_equal(decoded.arrays["relu"], relu)
 
     @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
     @pytest.mark.parametrize("extra", [None, "integer_valued_cloud"])
@@ -355,18 +351,17 @@ class TestPiecedStream:
     """Byte planes that do not deflate travel as stored blocks inside the
     one zlib stream: stock zlib reads it, and so does the capped receiver."""
 
-    @pytest.mark.parametrize("level", [1, 6, 9])
-    def test_incompressible_planes_travel_stored(self, level):
+    def test_incompressible_planes_travel_stored(self):
         message = _noisy_planes_message()
-        blob = serialize_message(message, compress_level=level)
+        blob = serialize_message(message)
         frame = zlib.decompress(blob)
-        assert blob[:2] == zlib.compress(b"", level)[:2]
-        assert blob != zlib.compress(frame, level)  # the pieced stream
+        assert blob[:2] == zlib.compress(b"", 6)[:2]
+        assert blob != zlib.compress(frame, 6)  # the pieced stream
         # Six noise planes of two blocks each, back to back: a header and
         # a data start per block, and the end of the last.
         assert len(_stored_block_boundaries(blob, message)) == 2 * 12 + 1
         # Stored costs 5 bytes a block where deflate saved under 1 %.
-        assert len(blob) <= 1.01 * len(zlib.compress(frame, level))
+        assert len(blob) <= 1.01 * len(zlib.compress(frame, 6))
 
     def test_pieced_stream_inflates_bit_exact(self):
         message = _noisy_planes_message()
@@ -447,12 +442,11 @@ class TestCodingPerPlane:
     and skewed bytes the run-length deflater, noise stored blocks."""
 
     @pytest.mark.parametrize("last", [_DEFAULT, _RLE, _STORED])
-    @pytest.mark.parametrize("level", [1, 6, 9])
-    def test_mixed_stream_inflates_identically(self, level, last):
+    def test_mixed_stream_inflates_identically(self, last):
         frame, arrays, chunks, codings = _mixed_chunks()
         codings[-1] = last  # the stream ends in each coding
-        blob = _pieced_zlib(chunks, codings, level)
-        assert blob[:2] == zlib.compress(b"", level)[:2]
+        blob = _pieced_zlib(chunks, codings)
+        assert blob[:2] == zlib.compress(b"", 6)[:2]
         assert zlib.decompress(blob) == frame
         inflater = zlib.decompressobj()
         assert inflater.decompress(blob) + inflater.flush() == frame
@@ -526,7 +520,7 @@ def _paper_pool_frames(split: int, seed: int) -> list:
     ops.insert(split, OpSpec(OpType.COMMUNICATE, "uplink"))
     model = ArchitectureModel(Architecture(ops=tuple(ops), name="e2blk"),
                               in_dim=3, num_classes=10, seed=0)
-    device_fn, _ = split_callables(model)
+    device_fn = build_callables(model).device_fn
     graphs = SyntheticModelNet40(num_points=1024, samples_per_class=4,
                                  num_classes=10, seed=seed).generate()
     return [device_fn(Batch.from_graphs([graph]))[0] for graph in graphs]
@@ -637,12 +631,6 @@ class TestSizeAccounting:
             assert compressed_size(arrays,
                                    wire_format=wire_format) == expected
 
-    def test_compressed_size_tracks_compression_level(self):
-        arrays = {"x": np.zeros((64, 64))}
-        fast = compressed_size(arrays, compress_level=1)
-        best = compressed_size(arrays, compress_level=9)
-        assert best <= fast
-
     def test_raw_size_is_payload_plus_header(self):
         array = np.zeros((16, 8))
         size = compressed_size({"x": array}, wire_format=WIRE_FORMAT_RAW)
@@ -662,7 +650,8 @@ class TestEngineWireFormats:
             OpSpec(OpType.GLOBAL_POOL, "max||mean"),
         ), name="wire-test")
         model = ArchitectureModel(arch, in_dim=3, num_classes=5, seed=0)
-        device_fn, edge_fn = split_callables(model)
+        serving = build_callables(model)
+        device_fn, edge_fn = serving.device_fn, serving.edge_fn
         graphs = SyntheticModelNet40(num_points=24, samples_per_class=1,
                                      num_classes=4, seed=0).generate()
         frames = [Batch.from_graphs([graph]) for graph in graphs[:4]]
@@ -1039,7 +1028,8 @@ class TestServerSurvivesHostileClients:
             OpSpec(OpType.GLOBAL_POOL, "max||mean"),
         ), name="hostile-test")
         model = ArchitectureModel(arch, in_dim=3, num_classes=4, seed=0)
-        device_fn, edge_fn = split_callables(model)
+        serving = build_callables(model)
+        device_fn, edge_fn = serving.device_fn, serving.edge_fn
         graphs = SyntheticModelNet40(num_points=24, samples_per_class=1,
                                      num_classes=4, seed=0).generate()
         frames = [Batch.from_graphs([graph]) for graph in graphs[:2]]

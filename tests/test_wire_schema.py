@@ -16,19 +16,22 @@ paper-scale frame.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import frame_specs
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
-                        ZooEntry, collate_arrays, split_callables)
+                        ZooEntry, collate_arrays)
 from repro.core.executor import _neighbour_table, _wire_state
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch, GraphData
 from repro.graph.knn import knn_graph, random_graph
 from repro.serving import (RuntimeConfig, ServingConfig, ShardingConfig,
-                           build_zoo_callables, serve, sharding_supported)
+                           build_callables, build_zoo_callables, serve,
+                           sharding_supported)
 from repro.system import (DeviceClient, EdgeServer, Message,
                           deserialize_message, serialize_message)
 from repro.system.messages import KIND_FRAME
@@ -111,8 +114,8 @@ class TestWhichTopologiesTravelAsNbr:
             OpSpec(OpType.AGGREGATE, "max"), OpSpec(OpType.COMMUNICATE,
                                                     "uplink"),
             OpSpec(OpType.GLOBAL_POOL, "max")))
-        device_fn, edge_fn = split_callables(
-            ArchitectureModel(arch, in_dim=3, num_classes=3, seed=0))
+        device_fn = build_callables(
+            ArchitectureModel(arch, in_dim=3, num_classes=3, seed=0)).device_fn
         edges = np.array([[1, 2, 3, 0, 0], [0, 0, 0, 1, 2]])
         graph = GraphData(x=np.arange(12.0).reshape(4, 3), edge_index=edges)
         arrays, _ = device_fn(Batch.from_graphs([graph]))
@@ -142,7 +145,8 @@ class TestWhichTopologiesTravelAsNbr:
                  else random_graph(batch.shape[0], K, rng=rng, batch=batch))
         nbr = _neighbour_table(edges, batch.shape[0])
         assert nbr is not None and nbr.shape == (batch.shape[0], K)
-        expanded = _wire_state({"x": points, "nbr": nbr}, {})["edge_index"]
+        expanded = _wire_state({"x": points, "nbr": nbr},
+                               {"num_graphs": len(sizes)})["edge_index"]
         assert expanded.dtype == np.int64
         np.testing.assert_array_equal(expanded, edges)
 
@@ -151,8 +155,9 @@ class TestWhichTopologiesTravelAsNbr:
         stands for must give bit-identical logits."""
         model = ArchitectureModel(_e2blk("random"), in_dim=3, num_classes=3,
                                   seed=0)
-        device_fn, edge_fn = split_callables(model)
-        arrays, meta = device_fn(_frames()[0])
+        serving = build_callables(model)
+        edge_fn = serving.edge_fn
+        arrays, meta = serving.device_fn(_frames()[0])
         assert "nbr" in arrays
         edge_list = {name: array for name, array in arrays.items()
                      if name != "nbr"}
@@ -163,7 +168,8 @@ class TestWhichTopologiesTravelAsNbr:
     def test_table_that_does_not_match_x_is_refused(self):
         with pytest.raises(ValueError, match="neighbour table"):
             _wire_state({"x": np.zeros((3, 2)),
-                         "nbr": np.zeros((4, 2), np.uint16)}, {})
+                         "nbr": np.zeros((4, 2), np.uint16)},
+                        {"num_graphs": 1})
 
 
 class TestCollateMixedSchemas:
@@ -448,6 +454,96 @@ class TestTopologyRangeFailsClosed:
             server.stop()
 
 
+class TestGraphCountFailsClosed:
+    """``num_graphs`` sizes the pooling and logits buffers, so the edge
+    bounds it by the frame's rows before anything runs: a 16-point frame
+    that claimed a million graphs used to be served a million-row reply."""
+
+    ENTRY = "a_pos_is_x"  # paper_edge's shape: Communicate first
+    BAD = [True, 2.5, "3", 0, -1, 17, 1_000_000, None]
+
+    @classmethod
+    def _state(cls, **meta):
+        callables = build_zoo_callables(POS_ZOO, in_dim=3, num_classes=3,
+                                        seed=0)[cls.ENTRY]
+        frame = Batch.from_graphs([SyntheticModelNet40(
+            num_points=16, samples_per_class=1, num_classes=2,
+            seed=5).generate()[0]])
+        arrays, honest = _over_the_wire(callables.device_fn(frame))
+        assert honest["num_graphs"] == 1 and len(arrays["x"]) == 16
+        return callables, arrays, dict(honest, **meta)
+
+    @pytest.mark.parametrize("call", ["edge_fn", "batch_fn"])
+    def test_a_million_graphs_is_refused_before_allocating(self, call):
+        callables, arrays, meta = self._state(num_graphs=1_000_000)
+        run = (callables.edge_fn if call == "edge_fn"
+               else lambda *state: callables.batch_fn([state]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1000000 graphs"):
+                run(arrays, meta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_bad_counts_are_refused(self, bad):
+        callables, arrays, meta = self._state(num_graphs=bad)
+        with pytest.raises(ValueError, match="num_graphs|graphs over"):
+            callables.edge_fn(arrays, meta)
+        with pytest.raises(ValueError, match="num_graphs|graphs over"):
+            callables.batch_fn([(arrays, meta)])
+
+    def test_a_missing_count_is_refused(self):
+        callables, arrays, meta = self._state()
+        del meta["num_graphs"]
+        with pytest.raises(ValueError, match="num_graphs"):
+            callables.edge_fn(arrays, meta)
+
+    def test_a_numpy_integer_count_is_served(self):
+        """An in-process caller's count may be a numpy integer."""
+        callables, arrays, meta = self._state(num_graphs=np.int64(1))
+        assert callables.edge_fn(arrays, meta)[0]["logits"].shape == (1, 3)
+
+    def test_pooled_frame_needs_one_row_per_graph(self):
+        """A cut after GlobalPool ships one row per graph."""
+        zoo = ArchitectureZoo([ZooEntry("pooled", Architecture(
+            ops=(KNN, AGG, C16, POOL, COMM), name="pooled"), 0.9, 50.0, 0.5)])
+        callables = build_zoo_callables(zoo, in_dim=3, num_classes=3,
+                                        seed=0)["pooled"]
+        frame = Batch.from_graphs(_graphs()[:2])
+        arrays, meta = _over_the_wire(callables.device_fn(frame))
+        assert meta["pooled"] and len(arrays["x"]) == meta["num_graphs"] == 2
+        assert callables.edge_fn(arrays, meta)[0]["logits"].shape == (2, 3)
+        for claimed in (1, 3):
+            bad = dict(meta, num_graphs=claimed)
+            with pytest.raises(ValueError, match="pooled frame"):
+                callables.edge_fn(arrays, bad)
+            with pytest.raises(ValueError, match="pooled frame"):
+                callables.batch_fn([(arrays, bad)])
+
+    def test_refusal_is_a_per_frame_error_reply(self):
+        callables, _, _ = self._state()
+
+        def device_fn(frame):
+            arrays, meta = callables.device_fn(frame)
+            return arrays, dict(meta, num_graphs=1_000_000)
+
+        frames = _pos_frames(self.ENTRY)[:2]
+        server = EdgeServer(batch_fns={"default": callables.batch_fn}).start()
+        client = DeviceClient(server.host, server.port)
+        try:
+            with pytest.raises(RuntimeError, match="1000000 graphs"):
+                client.run_pipeline(frames[:1], device_fn, timeout_s=20.0)
+            results, _ = client.run_pipeline(frames, callables.device_fn)
+            assert [r.arrays["logits"].shape for r in results] == [(1, 3)] * 2
+            assert server.stats().errors == 1
+        finally:
+            client.close()
+            server.stop()
+
+
 class TestPaperScaleRequestSize:
     """The wire guard: the benchmark's entry at paper scale, one seeded
     1024-point k=20 frame, in about a second instead of an end-to-end run.
@@ -463,7 +559,7 @@ class TestPaperScaleRequestSize:
         ops.insert(split, COMM)
         model = ArchitectureModel(Architecture(ops=tuple(ops), name="e2blk"),
                                   in_dim=3, num_classes=10, seed=0)
-        device_fn, _ = split_callables(model)
+        device_fn = build_callables(model).device_fn
         graph = SyntheticModelNet40(num_points=1024, samples_per_class=1,
                                     num_classes=2, seed=1).generate()[0]
         arrays, meta = device_fn(Batch.from_graphs([graph]))

@@ -15,6 +15,7 @@ GRAPH = "src/repro/graph"
 SYSTEM = "src/repro/system"
 RUNTIME = "src/repro/runtime"
 SERVING = "src/repro/serving"
+CORE = "src/repro/core"
 
 # ----------------------------------------------------------------------
 # layering: module -> in-repo import allowlist.
@@ -34,8 +35,13 @@ SERVING = "src/repro/serving"
 #   rather than allowed here.  The kNN ranking (graph/knn.py) sits below
 #   the runtime kernels: eager and compiled kNN share its one selection
 #   loop, so the runtime imports it and it never imports the runtime.
+#   The executor (core/executor.py) builds the engine callables that the
+#   serving builders hand out, so it sits below the serving tier too: it
+#   takes a ``RuntimeConfig`` as an argument and never imports it.
 LAYERING_RULES = {
     f"{GRAPH}/knn.py": {"numpy"},
+    f"{CORE}/executor.py": {"numpy", "repro.core", "repro.gnn", "repro.graph",
+                            "repro.nn", "repro.runtime"},
     f"{SYSTEM}/messages.py": {"numpy"},
     f"{SYSTEM}/transport.py": {"repro.system.messages"},
     f"{SYSTEM}/knobs.py": {"numpy", "repro.system.messages",
