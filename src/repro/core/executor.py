@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -143,7 +143,7 @@ RUNTIMES = ("auto", "compiled", "eager")
 
 #: The plan segments every entry compiles: ``device_fn`` runs the first,
 #: ``edge_fn`` and ``batch_fn`` the second (with no ``Communicate`` the
-#: edge segment aliases the whole architecture).
+#: device runs it all and the edge callables echo its logits).
 _SEGMENTS = ("device", "edge")
 
 
@@ -157,7 +157,6 @@ def _plan_runners(plan: InferencePlan):
         return run.x, run
 
     def run_edge(arrays: ArrayDict, meta: Dict) -> Tuple[np.ndarray, int]:
-        # plan.edge aliases the full architecture when there is no split.
         run = plan.edge.execute_out(
             arrays["x"], arrays["batch"], int(meta["num_graphs"]),
             edge_index=arrays.get("edge_index"), pos=arrays.get("pos"),
@@ -186,8 +185,8 @@ def _eager_runners(model: ArchitectureModel, split: Optional[int]):
             pos=arrays.get("pos"),
             pooled=bool(meta.get("pooled", False)))
         with nn.no_grad():
-            state = model.run_segment(state, 0 if split is None else split + 1,
-                                      None, include_classifier=True)
+            state = model.run_segment(state, split + 1, None,
+                                      include_classifier=True)
         return state.x.data, state.num_graphs
 
     return run_device, run_edge
@@ -219,80 +218,164 @@ def _neighbour_table(edge_index: np.ndarray,
 #: Frame metadata marker ``{"pos": "x"}``: the frame's ``pos`` is bitwise
 #: its ``x`` and travels once, as ``x`` (see :func:`_serving_fns`).
 _POS_META_KEY, _POS_IS_X = "pos", "x"
+#: The default of a meta field every frame must carry.
+_REQUIRED = object()
 
 
-def _check_node_range(name: str, index: np.ndarray, num_nodes: int) -> None:
-    """Refuse a wire topology naming a node outside ``[0, num_nodes)``.
-
-    numpy would read a negative index as counting from the end, so such a
-    frame was served as if node ``N + i`` were meant; one past the end
-    surfaced only as an ``IndexError`` deep inside a kernel.
-    """
-    if index.size and (index.min() < 0 or index.max() >= num_nodes):
-        bad = index.min() if index.min() < 0 else index.max()
-        raise ValueError(f"{name} names node {bad}, outside the frame's "
-                         f"{num_nodes} nodes")
-
-
-def _check_num_graphs(meta: Dict, num_nodes: int) -> None:
-    """Refuse a ``num_graphs`` the frame's ``num_nodes`` rows cannot hold.
-
-    The count sizes the pooling and logits buffers, so a 16-point frame
-    claiming a million graphs used to be served with a million-row reply.
-    Every graph of an unpooled frame has at least one node row, so it holds
-    ``1..N`` graphs; a pooled frame holds exactly one row per graph.
-    """
-    num_graphs = meta.get("num_graphs")
-    if (isinstance(num_graphs, bool)
-            or not isinstance(num_graphs, (int, np.integer))):
-        raise ValueError(f"frame meta num_graphs must be an int, got "
-                         f"{num_graphs!r}")
-    if meta.get("pooled", False):
-        if num_graphs != num_nodes:
-            raise ValueError(f"pooled frame claims {num_graphs} graphs over "
-                             f"{num_nodes} rows (one row per graph)")
-    elif not 1 <= num_graphs <= num_nodes:
-        raise ValueError(f"frame claims {num_graphs} graphs over {num_nodes} "
-                         f"nodes (expected 1..{num_nodes})")
+# The wire schema every frame the edge resumes is walked against (see
+# :func:`_wire_state`; ``docs/architecture.md`` renders it).  An array
+# declares its numpy dtype class, its axes — an exact length, ``"N"`` (the
+# rows of ``x``, which binds it) or a free axis of :data:`_FREE_AXES` —
+# and, with ``high`` (``"N"``, or ``"G"``: the meta's ``num_graphs``),
+# values naming a ``unit`` in ``[0, high)``, each one present when
+# ``every``.  A meta field declares its types (a ``bool`` is no int), what
+# it reads as when absent (:data:`_REQUIRED`: refused) and the values it
+# may take: one of ``choices``, or the entry's own fact (no
+# ``Communicate``) with ``entry``; with ``high``, ``[low, N]`` in an
+# unpooled frame and exactly ``N`` in a pooled one.
+@dataclass(frozen=True)
+class _WireArray:
+    doc: str
+    dtype: type
+    shape: Tuple[Union[int, str], ...]
+    required: bool = False
+    unit: str = ""
+    high: Optional[str] = None
+    every: bool = False
 
 
-def _wire_state(arrays: ArrayDict, meta: Dict) -> ArrayDict:
+@dataclass(frozen=True)
+class _MetaField:
+    doc: str
+    types: Tuple[type, ...]
+    default: object = None
+    choices: Tuple[object, ...] = ()
+    entry: bool = False
+    low: Optional[int] = None
+    high: Optional[str] = None
+
+
+_FREE_AXES = {"F": 0, "D": 0, "k": 1, "E": 0}
+_WIRE_ARRAYS = {  # in walk order: x binds N
+    "x": _WireArray("node features", np.floating, ("N", "F"), True),
+    "batch": _WireArray("graph of each node", np.integer, ("N",), True,
+                        unit="graph", high="G", every=True),
+    "pos": _WireArray("node coordinates", np.floating, ("N", "D")),
+    "nbr": _WireArray("neighbour table: k sources per node", np.integer,
+                      ("N", "k"), unit="node", high="N"),
+    "edge_index": _WireArray("edge list: sources, destinations", np.integer,
+                             (2, "E"), unit="node", high="N"),
+}
+_WIRE_META = {  # in walk order: pooled bounds num_graphs
+    "pooled": _MetaField("cut after GlobalPool", (bool, np.bool_), False),
+    "num_graphs": _MetaField("graphs", (int, np.integer), _REQUIRED, low=1,
+                             high="N"),
+    _POS_META_KEY: _MetaField("marker that pos is x", (str,),
+                              choices=(_POS_IS_X,)),
+    "finished": _MetaField("finished on the device", (bool, np.bool_),
+                           entry=True),
+}
+#: Pairs a frame may not carry together: either stands for the other.
+_EXCLUSIVE = (("nbr", "edge_index"), ("pos", f"meta.{_POS_META_KEY}"))
+
+
+def _axis_fits(axis: Union[int, str], length: int,
+               sizes: Dict[str, int]) -> bool:
+    """Whether one axis of a wire array has its declared length."""
+    if axis in _FREE_AXES:
+        return length >= _FREE_AXES[axis]
+    if axis == "N":  # the first array walked, x, binds N
+        return sizes.setdefault(axis, length) == length
+    return length == axis
+
+
+def _wire_state(arrays: ArrayDict, meta: Dict,
+                finished: bool = False) -> ArrayDict:
     """One wire frame's arrays as the segment runners read them.
 
-    ``edge_index`` is expanded from the ``nbr`` table (see
-    :func:`_neighbour_table`) and ``pos`` restored from the pos-is-x
-    marker, so plans, the eager runner and ``collate_arrays`` never see
-    either wire shorthand.  A marker with an unknown value, or beside a
-    ``pos`` array, raises ``ValueError``: the frame is refused rather than
-    served on a guess.  So does a ``num_graphs`` the frame's rows cannot
-    hold (see :func:`_check_num_graphs`), and a topology — ``nbr`` table
-    or ``edge_index`` — naming a node outside ``[0, N)``, before it is
-    expanded.
+    The frame is first walked against the wire schema (``finished`` is the
+    entry's fact); the first breach raises a ``ValueError`` naming the
+    array or field and its bound.  Then ``nbr`` is expanded to
+    ``edge_index`` (see :func:`_neighbour_table`) and the pos-is-x marker
+    to ``pos``, so no runner sees either wire shorthand.
     """
-    alias = meta.get(_POS_META_KEY)
-    _check_num_graphs(meta, len(arrays["x"]))
-    if "edge_index" in arrays:
-        _check_node_range("edge_index", np.asarray(arrays["edge_index"]),
-                          len(arrays["x"]))
-    if "nbr" not in arrays and alias is None:
+    carried = set(arrays).union(f"meta.{key}" for key, value in meta.items()
+                                if value is not None)
+    for pair in _EXCLUSIVE:
+        if carried.issuperset(pair):
+            raise ValueError(f"frame carries both {pair[0]} and {pair[1]}: "
+                             "refusing to pick one")
+    sizes: Dict[str, int] = {}
+    for name, spec in _WIRE_ARRAYS.items():
+        if name not in arrays:
+            if spec.required:
+                raise ValueError(f"{name} ({spec.doc}) is missing")
+            continue
+        array = np.asarray(arrays[name])
+        if not issubclass(array.dtype.type, spec.dtype):
+            raise ValueError(f"{name} ({spec.doc}) must be "
+                             f"{spec.dtype.__name__}, got {array.dtype}")
+        if array.ndim != len(spec.shape) or not all(
+                _axis_fits(axis, length, sizes)
+                for axis, length in zip(spec.shape, array.shape)):
+            raise ValueError(f"{name} ({spec.doc}) has shape {array.shape}, "
+                             f"not ({', '.join(map(str, spec.shape))}) with "
+                             f"N = {sizes.get('N')}")
+    rows, got = sizes["N"], {}
+    for name, field in _WIRE_META.items():
+        value = got[name] = meta.get(name, field.default)
+        if value is _REQUIRED:
+            raise ValueError(f"frame meta {name} ({field.doc}) is missing")
+        if value is field.default:
+            continue
+        if (not isinstance(value, field.types)
+                or isinstance(value, bool) and bool not in field.types):
+            raise ValueError(f"frame meta {name} must be "
+                             f"{field.types[0].__name__}, got {value!r}")
+        allowed = (finished,) if field.entry else field.choices
+        if allowed and value not in allowed:
+            raise ValueError(f"frame meta {name}={value!r} is not one of "
+                             f"{allowed} for this entry ({field.doc})")
+        if field.high is None:
+            continue
+        low, kind = (rows, "a pooled") if got["pooled"] else (field.low,
+                                                               "an unpooled")
+        if not low <= value <= rows:
+            raise ValueError(f"frame claims {value} {field.doc} over {rows} "
+                             f"rows: {name} must lie in [{low}, {rows}] for "
+                             f"{kind} frame")
+    sizes["G"] = int(got["num_graphs"])
+    for name, spec in _WIRE_ARRAYS.items():
+        if spec.high is None or name not in arrays:
+            continue
+        index = np.asarray(arrays[name])
+        if not index.size:
+            continue
+        high, top = sizes[spec.high], index.max()
+        low = index.min() if index.dtype.kind == "i" else 0
+        if low < 0 or top >= high:
+            raise ValueError(f"{name} ({spec.doc}) names {spec.unit} "
+                             f"{low if low < 0 else top}, outside "
+                             f"the frame's {high} {spec.unit}s: values lie in "
+                             f"[0, {spec.high})")
+        if not spec.every or high == 1:  # a lone id in range is present
+            continue
+        counts = np.bincount(index.astype(np.intp, copy=False),
+                             minlength=high)
+        if not counts.all():
+            raise ValueError(f"{name} ({spec.doc}) leaves {spec.unit} "
+                             f"{int(np.argmin(counts))} of the frame's {high} "
+                             f"empty: every value in [0, {spec.high}) must "
+                             "appear")
+    if "nbr" not in arrays and got[_POS_META_KEY] is None:
         return arrays
     arrays = dict(arrays)
     if "nbr" in arrays:
-        nbr, num_nodes = arrays.pop("nbr"), len(arrays["x"])
-        if nbr.ndim != 2 or nbr.shape[0] != num_nodes:
-            raise ValueError(f"neighbour table of shape {nbr.shape} does not "
-                             f"match the frame's {num_nodes} nodes")
-        _check_node_range("neighbour table", nbr, num_nodes)
+        nbr = arrays.pop("nbr")
         arrays["edge_index"] = np.stack([
             nbr.reshape(-1).astype(np.int64),
-            np.repeat(np.arange(num_nodes, dtype=np.int64), nbr.shape[1])])
-    if alias is not None:
-        if alias != _POS_IS_X:
-            raise ValueError(f"unknown pos marker {alias!r} in the frame "
-                             f"meta (the one marker is {_POS_IS_X!r})")
-        if "pos" in arrays:
-            raise ValueError("frame carries a pos array and the marker "
-                             "that pos is x: refusing to pick one")
+            np.repeat(np.arange(rows, dtype=np.int64), nbr.shape[1])])
+    if got[_POS_META_KEY] is not None:
         arrays["pos"] = arrays["x"]
     return arrays
 
@@ -321,18 +404,14 @@ def _serving_fns(run_device: Callable, run_edge: Callable,
     ``pos`` / ``num_graphs`` / ``pooled``; ``run_edge(arrays, meta)``
     resumes a (possibly collated) wire state and returns ``(logits,
     num_graphs)``.  Everything else about serving a frame is the same for
-    the compiled and the eager runtime and lives here: the ``finished``
-    echo of Device-Only architectures, collate → run → split, and the wire
-    schema, which ships what the edge segment reads, once:
-
-    * a sampled topology travels as the ``nbr`` table (see
-      :func:`_neighbour_table`);
-    * ``pos`` travels only when ``reads_pos`` (see :func:`_edge_reads_pos`)
-      — and when it is bitwise ``x``, as it is at a Communicate-first cut,
-      only ``x`` travels and the meta carries the marker ``{"pos": "x"}``.
-
-    :func:`_wire_state` undoes both at the top of ``edge_fn`` and per frame
-    in :func:`collate_arrays`.
+    the compiled and the eager runtime and lives here: the echo of
+    Device-Only architectures (``split is None``), collate → run → split,
+    and the wire shorthands ``device_fn`` ships — a sampled topology as the
+    ``nbr`` table (see :func:`_neighbour_table`), and ``pos`` only when
+    ``reads_pos`` (see :func:`_edge_reads_pos`), as the marker
+    ``{"pos": "x"}`` when it is bitwise ``x``.  Every frame either edge
+    callable takes is walked against the wire schema by
+    :func:`_wire_state` first.
     """
 
     def device_fn(batch: Batch) -> FrameState:
@@ -355,20 +434,21 @@ def _serving_fns(run_device: Callable, run_edge: Callable,
                 arrays["pos"] = pos
         return arrays, meta
 
-    def echo(arrays: ArrayDict, meta: Dict) -> FrameState:
-        return {"logits": arrays["x"]}, {"num_graphs": meta["num_graphs"]}
-
-    def edge_fn(arrays: ArrayDict, meta: Dict) -> FrameState:
-        if meta.get("finished"):
-            return echo(arrays, meta)
-        logits, num_graphs = run_edge(_wire_state(arrays, meta), meta)
+    def resume(arrays: ArrayDict, meta: Dict) -> FrameState:
+        logits, num_graphs = run_edge(arrays, meta)
         return {"logits": logits}, {"num_graphs": num_graphs}
 
+    def edge_fn(arrays: ArrayDict, meta: Dict) -> FrameState:
+        arrays = _wire_state(arrays, meta, finished=split is None)
+        if split is None:  # finished on the device: x holds the logits
+            return {"logits": arrays["x"]}, {"num_graphs": meta["num_graphs"]}
+        return resume(arrays, meta)
+
     def batch_fn(requests: Sequence[FrameState]) -> List[FrameState]:
-        if split is None or all(meta.get("finished") for _, meta in requests):
-            return [echo(arrays, meta) for arrays, meta in requests]
+        if split is None:
+            return [edge_fn(arrays, meta) for arrays, meta in requests]
         arrays, meta, graph_counts = collate_arrays(requests, dtype=dtype)
-        return split_results(*edge_fn(arrays, meta), graph_counts)
+        return split_results(*resume(arrays, meta), graph_counts)
 
     return device_fn, edge_fn, batch_fn
 
@@ -387,17 +467,15 @@ def collate_arrays(requests: Sequence[FrameState],
                    dtype=np.float64) -> Tuple[ArrayDict, Dict, List[int]]:
     """Merge the serialized states of several frames into one multi-graph state.
 
-    Each request is an ``(arrays, meta)`` pair in the wire schema of
-    ``ServingCallables.device_fn`` (``x``/``batch`` plus optional ``pos`` —
-    or the marker that it is ``x`` — and topology — ``edge_index``, or the
-    ``nbr`` table it is expanded from; ``num_graphs`` / ``pooled``
-    metadata).  Node rows are concatenated, each frame's batch vector is
-    shifted by the number of graphs collated before it and its edge index
-    by the number of node rows, exactly like
-    :meth:`~repro.graph.data.Batch.from_graphs` builds a disjoint union —
-    so one resumed engine call treats the coalesced frames as independent
-    graphs of a single batch.  Frames must
-    agree on ``pooled`` and on the presence of a topology and of ``pos``
+    Each request is an ``(arrays, meta)`` pair that
+    ``ServingCallables.device_fn`` produced, walked against the wire schema
+    (see :func:`_wire_state`) before anything is merged.  Node rows are
+    concatenated, each frame's batch vector is shifted by the number of
+    graphs collated before it and its edge index by the number of node
+    rows, exactly like :meth:`~repro.graph.data.Batch.from_graphs` builds a
+    disjoint union — so one resumed engine call treats the coalesced frames
+    as independent graphs of a single batch.  Frames must agree on
+    ``pooled`` and on the presence of a topology and of ``pos``
     (``ValueError`` otherwise; the engine then serves them frame by frame).
 
     Returns ``(arrays, meta, graph_counts)`` where ``graph_counts`` records

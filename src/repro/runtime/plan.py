@@ -953,9 +953,9 @@ class InferencePlan:
     ``edge``
         Operations after the first ``Communicate`` plus the classifier — the
         serving hot path the edge server executes per frame or per
-        micro-batch.  (``None`` split: aliases ``full``, mirroring the eager
-        edge callable which re-runs the whole architecture for unfinished
-        frames.)
+        micro-batch.  (``None`` split: aliases ``full``; the serving edge
+        callables of such an entry echo the device's logits and never run
+        it.)
     """
 
     def __init__(self, model, dtype=np.float64,
@@ -985,8 +985,7 @@ class InferencePlan:
             return None if calibration is None else calibration.segment(name)
 
         if self.split is None:
-            # Everything aliases the full architecture: device runs it all,
-            # and an (unfinished) frame on the edge re-runs it all too.
+            # Everything aliases the full architecture: device runs it all.
             self.full = self.device = self.edge = _compile_segment(
                 model, 0, None, True, self.dtype, calib_for("full"))
             return

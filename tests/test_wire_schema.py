@@ -9,13 +9,22 @@ Communicate-first cut) only ``x`` travels, with the meta marker
 ``edge_fn``, once per frame inside ``collate_arrays``.  These tests pin
 that the schema is lossless end to end (per frame, batched and across the
 shard hop: bit-identical to shipping everything), that any other topology
-still ships ``edge_index``, that a micro-batch may mix both, that a marker
-the edge cannot trust is refused, and the request size of the benchmark's
-paper-scale frame.
+still ships ``edge_index``, that a micro-batch may mix both, and the
+request size of the benchmark's paper-scale frame.
+
+What the edge accepts is declared once, in ``repro.core.executor``'s
+frozen schema (``_WIRE_ARRAYS``, ``_WIRE_META``, ``_EXCLUSIVE``), and
+``TestSchemaFailsClosed`` generates its hostile frames from it: one per
+declared bound, each breaking only that bound, refused per frame, in a
+batch, on both live frontends and across the shard hop before any plan
+step runs.  The hand-written marker, topology-range and graph-count cases
+stay beside them.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,14 +33,17 @@ import pytest
 from conftest import frame_specs
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
                         ZooEntry, collate_arrays)
-from repro.core.executor import _neighbour_table, _wire_state
+from repro.core.executor import (_EXCLUSIVE, _FREE_AXES, _POS_META_KEY,
+                                 _REQUIRED, _WIRE_ARRAYS, _WIRE_META,
+                                 _neighbour_table, _wire_state)
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch, GraphData
 from repro.graph.knn import knn_graph, random_graph
-from repro.serving import (RuntimeConfig, ServingConfig, ShardingConfig,
-                           build_callables, build_zoo_callables, serve,
-                           sharding_supported)
+from repro.runtime.plan import PlanSegment
+from repro.serving import (RuntimeConfig, ServerConfig, ServingConfig,
+                           ShardingConfig, build_callables,
+                           build_zoo_callables, serve, sharding_supported)
 from repro.system import (DeviceClient, EdgeServer, Message,
                           deserialize_message, serialize_message)
 from repro.system.messages import KIND_FRAME
@@ -145,7 +157,7 @@ class TestWhichTopologiesTravelAsNbr:
                  else random_graph(batch.shape[0], K, rng=rng, batch=batch))
         nbr = _neighbour_table(edges, batch.shape[0])
         assert nbr is not None and nbr.shape == (batch.shape[0], K)
-        expanded = _wire_state({"x": points, "nbr": nbr},
+        expanded = _wire_state({"x": points, "batch": batch, "nbr": nbr},
                                {"num_graphs": len(sizes)})["edge_index"]
         assert expanded.dtype == np.int64
         np.testing.assert_array_equal(expanded, edges)
@@ -167,7 +179,7 @@ class TestWhichTopologiesTravelAsNbr:
 
     def test_table_that_does_not_match_x_is_refused(self):
         with pytest.raises(ValueError, match="neighbour table"):
-            _wire_state({"x": np.zeros((3, 2)),
+            _wire_state({"x": np.zeros((3, 2)), "batch": np.zeros(3, int),
                          "nbr": np.zeros((4, 2), np.uint16)},
                         {"num_graphs": 1})
 
@@ -575,3 +587,310 @@ class TestPaperScaleRequestSize:
         # x zero-suppressed, the nbr table byte-planed, batch dense.
         layouts = {name: layout for name, _, _, *layout in frame_specs(blob)}
         assert layouts == {"x": ["zp"], "nbr": ["bp"], "batch": []}
+
+
+# ----------------------------------------------------------------------
+# Every bound of the wire schema, broken one at a time
+# ----------------------------------------------------------------------
+#: The edge frames the generated cases start from, each from the device
+#: segment of its entry: ``topology`` ships ``nbr`` and ``pos`` (and, as
+#: ``edge_list``, the edge list ``nbr`` stands for), ``marker`` the pos-is-x
+#: marker, ``pooled`` one row per graph, ``device_only`` its logits.
+SCHEMA_ENTRIES = {
+    "topology": (KNN, AGG, C16, COMM, C16, KNN, AGG, POOL),
+    "marker": (COMM, KNN, AGG, C16, POOL),
+    "pooled": (KNN, AGG, C16, POOL, COMM),
+    "device_only": (KNN, AGG, C16, POOL),
+}
+SCHEMA_ZOO = ArchitectureZoo([
+    ZooEntry(name, Architecture(ops=ops, name=name), 0.9, 50.0, 0.5)
+    for name, ops in SCHEMA_ENTRIES.items()])
+#: The entry that serves each base frame.
+BASE_ENTRY = dict({name: name for name in SCHEMA_ENTRIES},
+                  edge_list="topology")
+#: Meta fields whose cases start from a frame other than ``topology``.
+META_BASE = {_POS_META_KEY: "marker"}
+#: A value of each foreign dtype kind / Python type a case may try.
+FOREIGN_DTYPES = (np.float64, np.int64, np.complex128)
+FOREIGN_VALUES = (True, 1, "1")
+
+
+def _two_graph_frame() -> Batch:
+    """Two 16-point graphs in one 32-row frame."""
+    return Batch.from_graphs(SyntheticModelNet40(
+        num_points=16, samples_per_class=1, num_classes=2,
+        seed=5).generate()[:2])
+
+
+@functools.lru_cache(maxsize=None)
+def _honest_states() -> dict:
+    callables = build_zoo_callables(SCHEMA_ZOO, in_dim=3, num_classes=3,
+                                    seed=0)
+    frame = _two_graph_frame()
+    states = {name: _over_the_wire(callables[name].device_fn(frame))
+              for name in SCHEMA_ENTRIES}
+    arrays, meta = states["topology"]
+    edge_list = {name: array for name, array in arrays.items()
+                 if name != "nbr"}
+    edge_list["edge_index"] = _wire_state(arrays, meta)["edge_index"]
+    states["edge_list"] = (edge_list, meta)
+    return states
+
+
+def _first_int(array: np.ndarray, value: int) -> np.ndarray:
+    array = array.astype(np.int64)
+    array.reshape(-1)[0] = value
+    return array
+
+
+def _of_type(value, types) -> bool:
+    return isinstance(value, types) and not (
+        isinstance(value, bool) and bool not in types)
+
+
+def _array_cases(name, spec):
+    """``(bound, refusal words, base, tamper)`` per bound of one array
+    row; ``tamper`` maps the base's array (and the frame's N and G) to the
+    hostile one, or is ``None`` to drop it."""
+    base = "edge_list" if name == "edge_index" else "topology"
+    for dtype in map(np.dtype, FOREIGN_DTYPES):
+        if not np.issubdtype(dtype, spec.dtype):
+            yield (f"kind-{dtype.name}", f"must be {spec.dtype.__name__}",
+                   base, lambda a, sizes, dtype=dtype: a.astype(dtype))
+    yield "ndim", "has shape", base, lambda a, sizes: a[..., None]
+    for axis, length in enumerate(spec.shape):
+        if length == "N" and name != "x":  # x's rows are N
+            yield (f"axis{axis}-short", "has shape", base,
+                   lambda a, sizes, axis=axis: np.delete(a, -1, axis=axis))
+        elif isinstance(length, int):
+            yield (f"axis{axis}-long", "has shape", base,
+                   lambda a, sizes, axis=axis: np.concatenate(
+                       [a, a.take([0], axis=axis)], axis=axis))
+        elif _FREE_AXES.get(length, 0) > 0:
+            yield (f"axis{axis}-below-{_FREE_AXES[length]}", "has shape",
+                   base, lambda a, sizes, axis=axis, least=_FREE_AXES[length]:
+                   a.take(range(least - 1), axis=axis))
+    if spec.high is not None:
+        yield ("below-0", "outside the frame", base,
+               lambda a, sizes: _first_int(a, -1))
+        yield (f"at-{spec.high}", "outside the frame", base,
+               lambda a, sizes, high=spec.high: _first_int(a, sizes[high]))
+    if spec.every:
+        yield "every", "empty", base, lambda a, sizes: np.zeros_like(a)
+    if spec.required:
+        yield "required", "is missing", base, None
+
+
+def _meta_cases(name, field):
+    """``(bound, refusal words, base, value)`` per bound of one meta
+    field; ``_REQUIRED`` as the value drops the field, and a callable
+    value maps N to it."""
+    base = META_BASE.get(name, "topology")
+    yield ("type", f"must be {field.types[0].__name__}", base,
+           next(value for value in FOREIGN_VALUES
+                if not _of_type(value, field.types)))
+    if field.default is _REQUIRED:
+        yield "required", "is missing", base, _REQUIRED
+    if field.choices:
+        yield "choice", "is not one of", base, field.choices[0] * 2
+    if field.high is not None:
+        unpooled = "must lie in .* for an unpooled frame"
+        yield f"below-{field.low}", unpooled, base, field.low - 1
+        yield (f"above-{field.high}", unpooled, base, lambda rows: rows + 1)
+        yield (f"pooled-not-{field.high}", "for a pooled frame", "pooled",
+               lambda rows: rows + 1)
+    if field.entry:
+        for base, finished in (("topology", True), ("device_only", False)):
+            yield f"entry-{base}", "is not one of", base, finished
+
+
+def _schema_cases() -> dict:
+    """``{case id: (entry, make, refusal)}``: one case per bound the wire
+    schema declares, breaking only that bound.  ``make()`` builds the
+    frame from an honest one; ``refusal`` matches a message naming the
+    array or field and the bound."""
+    cases = {}
+
+    def frame(base):
+        arrays, meta = _honest_states()[base]
+        return dict(arrays), dict(meta)
+
+    for name, spec in _WIRE_ARRAYS.items():
+        for bound, words, base, tamper in _array_cases(name, spec):
+            def make(name=name, base=base, tamper=tamper):
+                arrays, meta = frame(base)
+                if tamper is None:
+                    del arrays[name]
+                else:
+                    sizes = {"N": len(arrays["x"]), "G": meta["num_graphs"]}
+                    arrays[name] = tamper(np.array(arrays[name]), sizes)
+                return arrays, meta
+            cases[f"{name}:{bound}"] = (BASE_ENTRY[base], make,
+                                        rf"\b{name}\b.*{words}")
+    for name, field in _WIRE_META.items():
+        for bound, words, base, value in _meta_cases(name, field):
+            def make(name=name, base=base, value=value):
+                arrays, meta = frame(base)
+                if value is _REQUIRED:
+                    del meta[name]
+                else:
+                    meta[name] = (value(len(arrays["x"])) if callable(value)
+                                  else value)
+                return arrays, meta
+            cases[f"meta.{name}:{bound}"] = (BASE_ENTRY[base], make,
+                                             rf"\b{name}\b.*{words}")
+    for pair in _EXCLUSIVE:
+        def make(pair=pair):
+            arrays, meta = frame("topology")
+            for item in pair:
+                if item.startswith("meta."):
+                    field = item[len("meta."):]
+                    meta[field] = _WIRE_META[field].choices[0]
+                elif item not in arrays:
+                    arrays[item] = _honest_states()["edge_list"][0][item]
+            return arrays, meta
+        cases["exclusive:" + "+".join(pair)] = (
+            "topology", make,
+            re.escape(f"both {pair[0]} and {pair[1]}: refusing to pick one"))
+    return cases
+
+
+SCHEMA_CASES = _schema_cases()
+
+
+@pytest.fixture
+def execute_calls(monkeypatch):
+    """Every plan segment execution while the test runs."""
+    calls = []
+    execute = PlanSegment.execute
+
+    def counted(segment, *args, **kwargs):
+        calls.append(segment)
+        return execute(segment, *args, **kwargs)
+
+    monkeypatch.setattr(PlanSegment, "execute", counted)
+    return calls
+
+
+@pytest.fixture(scope="class", params=["threaded", "async"])
+def schema_server(request):
+    """One live server per frontend, serving every schema entry."""
+    callables = build_zoo_callables(SCHEMA_ZOO, in_dim=3, num_classes=3,
+                                    seed=0)
+    server = EdgeServer(
+        batch_fns={name: entry.batch_fn for name, entry in callables.items()},
+        config=ServerConfig(frontend=request.param)).start()
+    yield server, callables
+    server.stop()
+
+
+@pytest.mark.filterwarnings("error")
+class TestSchemaFailsClosed:
+    """Each declared bound, broken alone, is refused with a ``ValueError``
+    naming the array or field and its bound — before any plan step runs,
+    with no numpy warning, per frame, in a batch and on a live server."""
+
+    def test_the_base_frames_are_served(self):
+        callables = build_zoo_callables(SCHEMA_ZOO, in_dim=3, num_classes=3,
+                                        seed=0)
+        for base, state in _honest_states().items():
+            serving = callables[BASE_ENTRY[base]]
+            with np.errstate(all="raise"):
+                logits = serving.edge_fn(*state)[0]["logits"]
+                batched = serving.batch_fn([state, state])
+            assert logits.shape == (2, 3)
+            for arrays, _ in batched:
+                np.testing.assert_allclose(arrays["logits"], logits,
+                                           atol=1e-9, rtol=0)
+
+    def test_the_probed_frames_are_among_the_cases(self):
+        """The malformed frames a probe found served before the table."""
+        assert {"batch:every", "batch:axis0-short", "batch:kind-float64",
+                "nbr:kind-float64", "edge_index:kind-float64",
+                "edge_index:axis0-long", "exclusive:nbr+edge_index",
+                "x:kind-complex128", "batch:at-G"} <= set(SCHEMA_CASES)
+
+    @pytest.mark.parametrize("call", ["edge_fn", "batch_fn"])
+    @pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+    def test_refused_before_any_step(self, case, call, execute_calls):
+        entry, make, refusal = SCHEMA_CASES[case]
+        serving = build_zoo_callables(SCHEMA_ZOO, in_dim=3, num_classes=3,
+                                      seed=0)[entry]
+        arrays, meta = make()
+        execute_calls.clear()  # the first make() runs the device segments
+        with np.errstate(all="raise"), pytest.raises(ValueError,
+                                                     match=refusal):
+            if call == "edge_fn":
+                serving.edge_fn(arrays, meta)
+            else:
+                serving.batch_fn([(arrays, meta)])
+        assert execute_calls == []
+
+    @pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+    def test_live_refusal_is_a_per_frame_error_reply(self, schema_server,
+                                                     case, execute_calls):
+        server, callables = schema_server
+        entry, make, refusal = SCHEMA_CASES[case]
+        state = make()
+        execute_calls.clear()  # the first make() runs the device segments
+        errors = server.stats().errors
+        client = DeviceClient(server.host, server.port, model=entry)
+        try:
+            with pytest.raises(RuntimeError, match=refusal):
+                client.run_pipeline([None], lambda _: state, timeout_s=20.0)
+            assert execute_calls == []
+            assert server.stats().errors == errors + 1
+            results, _ = client.run_pipeline([_two_graph_frame()],
+                                             callables[entry].device_fn)
+            assert results[0].arrays["logits"].shape == (2, 3)
+        finally:
+            client.close()
+
+    @pytest.mark.skipif(not sharding_supported("shm"),
+                        reason="platform lacks multiprocessing.shared_memory")
+    def test_refused_across_the_shard_hop(self):
+        entry, make, refusal = SCHEMA_CASES["batch:every"]
+        state = make()
+        config = ServingConfig(sharding=ShardingConfig(num_shards=2))
+        with serve(SCHEMA_ZOO, config, in_dim=3, num_classes=3) as app:
+            with app.client(model=entry) as client:
+                with pytest.raises(RuntimeError, match=refusal):
+                    client.run([None], lambda _: state)
+                results, _ = client.run([_two_graph_frame()])
+        assert results[0].arrays["logits"].shape == (2, 3)
+
+
+class TestFinishedIsTheEntrys:
+    """Whether a frame is finished is a fact of its entry (no
+    ``Communicate``), not of the frame: a split entry's frame claiming
+    ``finished`` used to get its own features echoed back as logits."""
+
+    @staticmethod
+    def _states(entry):
+        serving = build_zoo_callables(SCHEMA_ZOO, in_dim=3, num_classes=3,
+                                      seed=0)[entry]
+        arrays, meta = _honest_states()[entry]
+        silent = {key: value for key, value in meta.items()
+                  if key != "finished"}
+        liar = dict(meta, finished=not meta["finished"])
+        return serving, (arrays, meta), (arrays, silent), (arrays, liar)
+
+    @pytest.mark.parametrize("entry", ["topology", "device_only"])
+    def test_a_contradicting_claim_is_refused(self, entry):
+        serving, honest, _, liar = self._states(entry)
+        for run in (lambda: serving.edge_fn(*liar),
+                    lambda: serving.batch_fn([liar]),
+                    lambda: serving.batch_fn([honest, liar])):
+            with pytest.raises(ValueError, match="finished.*not one of"):
+                run()
+
+    @pytest.mark.parametrize("entry", ["topology", "device_only"])
+    def test_no_claim_is_served_like_the_honest_one(self, entry):
+        serving, honest, silent, _ = self._states(entry)
+        expected = serving.edge_fn(*honest)[0]["logits"]
+        assert expected.shape == (2, 3)
+        for served in (serving.edge_fn(*silent)[0],
+                       serving.batch_fn([silent])[0][0],
+                       serving.batch_fn([honest, silent])[1][0]):
+            np.testing.assert_allclose(served["logits"], expected,
+                                       atol=1e-9, rtol=0)

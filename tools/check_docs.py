@@ -20,10 +20,15 @@ takes seconds:
    (no directory in front of it) in a source file or a doc names a document
    at the repository root, and that document must exist: a docstring that
    sends its reader to a file nobody wrote is a broken link too.
+5. **Generated wire schema** — the schema block of ``docs/architecture.md``
+   is re-rendered from the declarations every edge frame is walked against
+   (``_WIRE_ARRAYS``, ``_WIRE_META``, ``_EXCLUSIVE`` in
+   ``repro.core.executor``); any difference fails.  Fix with
+   ``PYTHONPATH=src python tools/check_docs.py --write``.
 
 Exit code is non-zero when anything fails, printing one line per problem.
 
-Run with:  PYTHONPATH=src python tools/check_docs.py
+Run with:  PYTHONPATH=src python tools/check_docs.py [--write]
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import importlib
 import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,6 +127,86 @@ def check_knob_tables() -> list:
     return []
 
 
+WIRE_SCHEMA_DOC = REPO_ROOT / "docs" / "architecture.md"
+WIRE_SCHEMA_BEGIN = "<!-- wire-schema:begin (generated block: do not edit) -->"
+WIRE_SCHEMA_END = "<!-- wire-schema:end -->"
+
+
+def wire_schema_tables() -> str:
+    """The wire schema of ``repro.core.executor`` as markdown tables."""
+    from repro.core import executor as ex
+
+    def shape(axes):
+        return f"`({', '.join(map(str, axes))}{',' * (len(axes) == 1)})`"
+
+    rows = ["| array | holds | dtype | shape | values |",
+            "| --- | --- | --- | --- | --- |"]
+    for name, spec in ex._WIRE_ARRAYS.items():
+        values = "any"
+        if spec.high is not None:
+            values = f"{spec.unit} ids in `[0, {spec.high})`"
+            if spec.every:
+                values += f", every {spec.unit} present"
+        required = " (required)" if spec.required else ""
+        rows.append(f"| `{name}`{required} | {spec.doc} | "
+                    f"{spec.dtype.__name__} | {shape(spec.shape)} | "
+                    f"{values} |")
+    free = ", ".join(f"{axis} ≥ {least}"
+                     for axis, least in ex._FREE_AXES.items())
+    rows += ["", f"N is the rows of `x` and G the meta's `num_graphs`; the "
+             f"free axes are {free}.  A meta type admits numpy's scalars of "
+             "its kind.", "",
+             "| meta field | holds | type | when absent | values |",
+             "| --- | --- | --- | --- | --- |"]
+    for name, field in ex._WIRE_META.items():
+        types = f"`{field.types[0].__name__}`"
+        if bool not in field.types and issubclass(bool, field.types):
+            types += " (not `bool`)"
+        absent = ("refused" if field.default is ex._REQUIRED
+                  else f"`{field.default!r}`")
+        values = []
+        if field.choices:
+            values.append("one of " + ", ".join(f"`{choice!r}`"
+                                                for choice in field.choices))
+        if field.high is not None:
+            values.append(f"`[{field.low}, {field.high}]` unpooled, "
+                          f"`{field.high}` pooled")
+        if field.entry:
+            values.append("the entry's own: `True` exactly when it has no "
+                          "`Communicate`")
+        rows.append(f"| `{name}` | {field.doc} | {types} | {absent} | "
+                    f"{'; '.join(values) or 'any'} |")
+    pairs = "; ".join(f"`{first}` with `{second}`"
+                      for first, second in ex._EXCLUSIVE)
+    rows += ["", f"Never together: {pairs}."]
+    return "\n".join(rows)
+
+
+def splice_wire_schema(text: str) -> str:
+    """``text`` with the wire schema block regenerated."""
+    head, begin, rest = text.partition(WIRE_SCHEMA_BEGIN)
+    _, end, tail = rest.partition(WIRE_SCHEMA_END)
+    if not (begin and end):
+        raise ValueError("wire schema markers not found")
+    return f"{head}{begin}\n\n{wire_schema_tables()}\n\n{end}{tail}"
+
+
+def check_wire_schema() -> list:
+    """Re-render the wire schema block of docs/architecture.md."""
+    path = WIRE_SCHEMA_DOC.relative_to(REPO_ROOT)
+    text = WIRE_SCHEMA_DOC.read_text(encoding="utf-8")
+    try:
+        fresh = splice_wire_schema(text)
+    except ValueError as exc:
+        return [f"{path}: {exc}"]
+    if fresh != text:
+        return [f"{path}: the wire schema block drifted from "
+                "repro/core/executor.py; run PYTHONPATH=src python "
+                "tools/check_docs.py --write"]
+    print(f"ok  {path}: wire schema matches the declarations")
+    return []
+
+
 def check_root_doc_citations() -> list:
     """Every root document a source file or doc names must exist."""
     errors = []
@@ -143,9 +229,18 @@ def check_root_doc_citations() -> list:
     return errors
 
 
-def main() -> int:
+def main(argv: Optional[list] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--write"]:
+        WIRE_SCHEMA_DOC.write_text(splice_wire_schema(
+            WIRE_SCHEMA_DOC.read_text(encoding="utf-8")), encoding="utf-8")
+        return 0
+    if argv:
+        print("usage: python tools/check_docs.py [--write]", file=sys.stderr)
+        return 2
     errors = (check_example_imports() + check_markdown_links()
-              + check_knob_tables() + check_root_doc_citations())
+              + check_knob_tables() + check_wire_schema()
+              + check_root_doc_citations())
     if errors:
         print(f"\n{len(errors)} problem(s):", file=sys.stderr)
         for error in errors:
