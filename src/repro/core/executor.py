@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -380,20 +381,89 @@ def _wire_state(arrays: ArrayDict, meta: Dict,
     return arrays
 
 
-def _edge_reads_pos(model: ArchitectureModel, split: Optional[int]) -> bool:
-    """Whether the edge segment after ``split`` can read ``pos``.
+def _edge_samples(model: ArchitectureModel,
+                  split: Optional[int]) -> FrozenSet[str]:
+    """The functions of the ``Sample`` operations the edge segment after
+    ``split`` runs (none without a ``Communicate``).
 
-    Only a knn ``Sample`` reads it (a random one never does, and a
-    ``GlobalPool`` drops it), so this is one fact of the architecture,
+    Only a knn ``Sample`` reads ``pos`` (a random one never does, and a
+    ``GlobalPool`` drops it), and with no ``Sample`` the edge aggregates
+    over exactly the shipped topology; both are facts of the architecture,
     the same for the compiled and the eager runtime.
     """
-    return split is not None and any(
-        isinstance(operation, SampleOp) and operation.spec.function == "knn"
-        for operation in model._operations[split + 1:])
+    return frozenset(() if split is None else (
+        operation.spec.function for operation in model._operations[split + 1:]
+        if isinstance(operation, SampleOp)))
+
+
+#: Bits of each axis in a Z-order key.  Under a graph id and above a node
+#: index, each of at most 16 bits (``nbr`` ships only for N <= 2**16),
+#: three axes fit an int64.
+_Z_BITS = 10
+#: Each ``_Z_BITS``-bit cell index with two zero bits after each of its
+#: bits: three axes, shifted by 0, 1 and 2, interleave into a Morton code.
+_SPREAD = sum(((np.arange(1 << _Z_BITS) >> bit) & 1) << 3 * bit
+              for bit in range(_Z_BITS))
+
+
+def _z_order(coords: np.ndarray, graph: np.ndarray) -> Optional[np.ndarray]:
+    """The node order that keeps each graph contiguous, graphs in id order,
+    and within a graph sorts its nodes by the Z-order (Morton order) of
+    their first three ``coords`` columns, each quantized to ``_Z_BITS``
+    bits over the frame's bounding box; ties keep the frame's order.
+    ``None`` when a coordinate, or the box's extent, is not finite."""
+    # Axis-major: numpy reduces a long contiguous row 10x faster than
+    # down a column of (N, 3).
+    axes = np.ascontiguousarray(coords[:, :3].T, dtype=np.float64)
+    low = axes.min(axis=1, keepdims=True)
+    # Not finite when any coordinate is NaN or infinite, or the extent
+    # overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = axes.max(axis=1, keepdims=True) - low
+    if not np.isfinite(span).all():
+        return None
+    top = (1 << _Z_BITS) - 1
+    axes -= low
+    axes *= top / np.where(span > 0, span, np.inf)
+    cells = np.minimum(axes, top, out=axes).astype(np.intp)
+    # (graph, code, node) in one int64, so a plain sort is a stable one
+    # and the node index falls out of the low bits.
+    key = np.asarray(graph, dtype=np.int64) << 3 * _Z_BITS
+    for axis, cell in enumerate(cells):
+        key |= _SPREAD[cell] << axis
+    key <<= 16
+    key |= np.arange(len(key))
+    key.sort()
+    return key & 0xFFFF
+
+
+def _z_ordered(arrays: ArrayDict, coords: np.ndarray) -> ArrayDict:
+    """A frame that ships ``nbr`` with its nodes renamed in
+    :func:`_z_order` of ``coords``, and each ``nbr`` row sorted.
+
+    Every array of the frame holds one row per node, so all are permuted;
+    ``nbr`` is also renamed through the inverse permutation.  The
+    neighbour sets stay exactly those the device sampled: only their ids
+    and order change, and the row order is one nobody reads.  Renamed and
+    sorted, a row is a run of small gaps, which the wire's ``dp`` layout
+    ships in a third of the bytes.  Non-finite coordinates leave the
+    frame as it is.
+    """
+    order = _z_order(coords, arrays["batch"])
+    if order is None:
+        return arrays
+    rank = np.empty(order.size, np.uint16)  # nbr ships only for N <= 2**16
+    rank[order] = np.arange(order.size, dtype=np.uint16)
+    renamed = {name: np.take(array, order, axis=0)
+               for name, array in arrays.items()}
+    renamed["nbr"] = np.take(rank, renamed["nbr"])
+    renamed["nbr"].sort(axis=1)
+    return renamed
 
 
 def _serving_fns(run_device: Callable, run_edge: Callable,
-                 split: Optional[int], dtype: np.dtype, reads_pos: bool
+                 split: Optional[int], dtype: np.dtype,
+                 edge_samples: FrozenSet[str]
                  ) -> Tuple[Callable[[Batch], FrameState],
                             Callable[[ArrayDict, Dict], FrameState],
                             BatchedEdgeFn]:
@@ -407,12 +477,15 @@ def _serving_fns(run_device: Callable, run_edge: Callable,
     the compiled and the eager runtime and lives here: the echo of
     Device-Only architectures (``split is None``), collate → run → split,
     and the wire shorthands ``device_fn`` ships — a sampled topology as the
-    ``nbr`` table (see :func:`_neighbour_table`), and ``pos`` only when
-    ``reads_pos`` (see :func:`_edge_reads_pos`), as the marker
-    ``{"pos": "x"}`` when it is bitwise ``x``.  Every frame either edge
-    callable takes is walked against the wire schema by
-    :func:`_wire_state` first.
+    ``nbr`` table (see :func:`_neighbour_table`), its nodes renamed in
+    Z-order when the edge segment samples nothing (``edge_samples``, see
+    :func:`_edge_samples` and :func:`_z_ordered`), and ``pos`` only when
+    the edge segment samples by knn, as the marker ``{"pos": "x"}`` when
+    it is bitwise ``x``.  Every frame either edge callable takes is walked
+    against the wire schema by :func:`_wire_state` first.
     """
+    reads_pos = "knn" in edge_samples
+    relabel = split is not None and not edge_samples
 
     def device_fn(batch: Batch) -> FrameState:
         x, state = run_device(batch)
@@ -432,6 +505,11 @@ def _serving_fns(run_device: Callable, run_edge: Callable,
                 meta[_POS_META_KEY] = _POS_IS_X
             else:
                 arrays["pos"] = pos
+        if relabel and "nbr" in arrays:
+            # An edge segment that samples would draw its own graph over
+            # the renamed nodes: a random one, or knn ties, differently.
+            arrays = _z_ordered(arrays, batch.x if batch.pos is None
+                                else batch.pos)
         return arrays, meta
 
     def resume(arrays: ArrayDict, meta: Dict) -> FrameState:
@@ -652,7 +730,7 @@ def _build_callables(model: ArchitectureModel, config: "RuntimeConfig", *,
     cut = model.first_communicate_index()
     runners, dtype = ((_eager_runners(model, cut), np.float64) if plan is None
                       else (_plan_runners(plan), plan.dtype))
-    fns = _serving_fns(*runners, cut, dtype, _edge_reads_pos(model, cut))
+    fns = _serving_fns(*runners, cut, dtype, _edge_samples(model, cut))
     if lock is not None:
         fns = [_serialized(fn, lock) for fn in fns]
     return ServingCallables(*fns, plans=() if plan is None else (plan,))

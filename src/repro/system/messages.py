@@ -7,7 +7,8 @@ metadata header.  There is one frame layout and one codec for it:
     [magic 0xAB][version 2][u32 header length][JSON header][array bytes ...]
 
 The header carries ``kind``/``frame_id``/``meta`` and one spec per array;
-the arrays' bytes follow in header order, each in one of three layouts:
+the arrays' bytes follow in header order, each in one of four layouts
+(declared once, in ``_LAYOUTS``):
 
 * ``[name, dtype, shape]`` — *dense*: the C-contiguous bytes.
 * ``[name, dtype, shape, "zp"]`` — *zero-suppressed, byte-planed*:
@@ -24,8 +25,16 @@ the arrays' bytes follow in header order, each in one of three layouts:
   arrays of at least 4096 elements use it (a ``nbr`` table, an
   ``edge_index``): an index's low byte is close to noise, its high bytes
   a few distinct values.
+* ``[name, dtype, shape, "dp"]`` — *byte-planed row gaps*: what ``bp``
+  would ship for a 2/4/8-byte integer array of as many elements whose
+  every row along the last axis is non-decreasing, except that each row
+  holds its first value and then its gaps, computed in the array's own
+  dtype.  The arithmetic is modular, so ``np.cumsum`` in that dtype
+  restores any array exactly.  A sorted neighbour list under a locality
+  order is small gaps (the WebGraph coding): ``paper_split``'s ``nbr``
+  table, whose rows the device sorts, ships in 9.7 KB instead of 26 KB.
 
-Both planed layouts appear only in the zlib framing, where each byte
+The planed layouts appear only in the zlib framing, where each byte
 plane is coded for what it holds, and are bitwise, so ``-0.0`` and NaN
 payloads survive.
 
@@ -39,7 +48,7 @@ deflate of its sample would take: the byte histogram's entropy, runs of
 repeats priced as matches, and the Huffman tree, over the whole plane
 up to 4 KB, else over four 1 KB windows spread across it — and travels
 as *stored* blocks when that cannot shrink it by 3 % (the low mantissa
-bytes of real-valued features, the low byte of a neighbour table:
+bytes of real-valued features, the low byte of an unsorted index table:
 deflating them cost most of the compression time for < 1 % of their
 size), else through a second raw deflater with the ``Z_RLE`` strategy
 (Huffman codes plus runs, at a fraction of a full match search).  The
@@ -59,10 +68,11 @@ read-only ``np.frombuffer`` views over the received (or inflated) bytes
 (zero per-array copies); a ``zp`` array decodes into a fresh read-only
 array, plane by plane (into its non-zero values and then one scatter,
 when it has zeros), and the total size such arrays decode to is held to
-the same cap; a ``bp`` array into one, plane by plane.  A
-frame must end where its last declared array ends, and a zlib stream
-where its frame does.  The layout is versioned: an unknown version byte
-raises instead of desyncing the stream.
+the same cap; a ``bp`` array into one, plane by plane, and a ``dp``
+array into one and then its row sums.  A frame must end where its last
+declared array ends, and a zlib stream where its frame does.  The layout
+is versioned: an unknown version byte raises instead of desyncing the
+stream.
 """
 
 from __future__ import annotations
@@ -146,13 +156,12 @@ REJECT_REASON_META_KEY = "reason"
 #: two framings self-describing on receive.
 _RAW_MAGIC = 0xAB
 #: Current frame layout version (2: array specs may carry a layout tag —
-#: ``zp``, or ``bp``, which an older version-2 parser refuses as unknown).
+#: ``zp``, or ``bp`` or ``dp``, which an older version-2 parser refuses as
+#: unknown).
 _RAW_VERSION = 2
-#: Layout tag of a zero-suppressed, byte-planed float array (see module
-#: docstring).
-_LAYOUT_ZP = "zp"
-#: Layout tag of a byte-planed integer array (see module docstring).
-_LAYOUT_BP = "bp"
+#: Layout tags of a zero-suppressed, byte-planed float array, of a
+#: byte-planed integer array and of its row gaps (see module docstring).
+_LAYOUT_ZP, _LAYOUT_BP, _LAYOUT_DP = "zp", "bp", "dp"
 
 # ----------------------------------------------------------------------
 # Shard control envelope (process-parallel serving)
@@ -255,8 +264,9 @@ def serialize_message(message: Message,
     framing their request arrived in.  The zlib framing is a zlib stream
     of the frame at :data:`_ZLIB_LEVEL`, zero-heavy and large
     noisy float arrays in the ``zp`` layout, large integer arrays in the
-    ``bp`` layout, and each large plane run-length deflated or stored
-    (see the module docstring).
+    ``dp`` layout when their rows are sorted and the ``bp`` one otherwise,
+    and each large plane run-length deflated or stored (see the module
+    docstring).
     """
     wire_format = message.wire_format if wire_format is None else wire_format
     if wire_format not in WIRE_FORMATS:
@@ -501,7 +511,7 @@ def _pieced_zlib(chunks: Sequence, codings: Sequence[int]) -> bytes:
 #: The unsigned integer each 2/4/8-byte item width is read as.
 _LANES = {size: np.dtype(f"u{size}") for size in (2, 4, 8)}
 #: An integer array with at least this many elements ships in the ``bp``
-#: layout.
+#: or the ``dp`` layout.
 _BP_MIN_ELEMENTS = 4096
 #: A float array with fewer than one element in eight bitwise zero ships
 #: in the ``zp`` layout only from this many elements (its planes then
@@ -516,10 +526,54 @@ _ZP_ZERO_LIGHT_MIN_ELEMENTS = _PROBE_BYTES
 _ZP_ZERO_LIGHT_MAX_REPEATS = 1 / 12
 
 
-def _lanes(dtype: np.dtype, kinds: str = "f") -> Optional[np.dtype]:
-    """The unsigned integer a 2/4/8-byte dtype of one of ``kinds`` (numpy
-    kind codes: ``"f"`` for ``zp``, ``"iu"`` for ``bp``) is read as."""
-    return _LANES.get(dtype.itemsize) if dtype.kind in kinds else None
+@dataclass(frozen=True)
+class _Layout:
+    """One array layout of the frame: the tag its spec carries (``None``:
+    no tag), the numpy kind codes and item sizes of the dtypes it holds
+    (no kinds: any dtype), the fewest elements an array ships in it from,
+    and what its bytes are (``docs/serving.md`` renders the table)."""
+
+    tag: Optional[str]
+    name: str
+    kinds: str
+    sizes: Tuple[int, ...]
+    min_elements: int
+    doc: str
+
+    def holds(self, dtype: np.dtype) -> bool:
+        return not self.kinds or (dtype.kind in self.kinds
+                                  and dtype.itemsize in self.sizes)
+
+    @property
+    def dtypes(self) -> str:
+        if not self.kinds:
+            return "any"
+        kind = "floats" if self.kinds == "f" else "integers"
+        return f"{'/'.join(map(str, self.sizes))}-byte {kind}"
+
+
+_LAYOUTS = {layout.tag: layout for layout in (
+    _Layout(None, "dense", "", (), 0,
+            "the C-order bytes (one plain memory copy on send)"),
+    _Layout(_LAYOUT_ZP, "zero-suppressed, byte-planed", "f", (2, 4, 8), 1,
+            "`packbits(bits != 0)` — the mask of elements that are not "
+            "bitwise zero — then the non-zero values byte-planed: byte *j* "
+            "of every value in plane *j*"),
+    _Layout(_LAYOUT_BP, "byte-planed", "iu", (2, 4, 8), _BP_MIN_ELEMENTS,
+            "every element byte-planed, in the array's own byte order: "
+            "byte *j* of every element in plane *j*"),
+    _Layout(_LAYOUT_DP, "byte-planed row gaps", "iu", (2, 4, 8),
+            _BP_MIN_ELEMENTS,
+            "an array whose every row along the last axis is "
+            "non-decreasing: each row's first value, then its gaps, in the "
+            "array's own dtype (modular), byte-planed as `bp`; decoded by "
+            "`np.cumsum(axis=-1)` in that dtype"),
+)}
+
+
+def _lanes(dtype: np.dtype, tag: str = _LAYOUT_ZP) -> Optional[np.dtype]:
+    """The unsigned integer a dtype the layout ``tag`` holds is read as."""
+    return _LANES[dtype.itemsize] if _LAYOUTS[tag].holds(dtype) else None
 
 
 def _byte_planes(lanes: np.ndarray) -> np.ndarray:
@@ -533,11 +587,14 @@ def _planed(array: np.ndarray) -> Optional[
     """``(layout, zp mask or None, byte planes, their codings)`` of a
     contiguous array that ships planed in the zlib framing, or ``None``
     when it stays dense."""
-    if _lanes(array.dtype, "iu") is not None:
+    if _lanes(array.dtype, _LAYOUT_BP) is not None:
         if array.size < _BP_MIN_ELEMENTS:
             return None
-        planes = _byte_planes(array.reshape(-1))
-        return _LAYOUT_BP, None, planes, _plane_codings(planes)
+        layout, values = _LAYOUT_BP, array
+        if np.all(array[..., 1:] >= array[..., :-1]):
+            layout, values = _LAYOUT_DP, _row_gaps(array)
+        planes = _byte_planes(values.reshape(-1))
+        return layout, None, planes, _plane_codings(planes)
     lanes = _lanes(array.dtype)
     if lanes is None or array.size == 0:
         return None
@@ -559,6 +616,32 @@ def _planed(array: np.ndarray) -> Optional[
             or _repeat_share(values) > _ZP_ZERO_LIGHT_MAX_REPEATS):
         return None
     return _LAYOUT_ZP, np.packbits(nonzero), planes, codings
+
+
+def _native_lanes(array: np.ndarray) -> np.ndarray:
+    """An integer array's values as the native unsigned integer of its
+    width, where arithmetic is modular."""
+    native = array.astype(array.dtype.newbyteorder("="), copy=False)
+    return native.view(_LANES[array.dtype.itemsize])
+
+
+def _row_gaps(array: np.ndarray) -> np.ndarray:
+    """The ``dp`` values of an integer array: along the last axis, each
+    row's first value and then each value minus the one before, in the
+    array's own dtype and byte order (modular: exact for any array)."""
+    lanes = _native_lanes(array)
+    gaps = lanes.copy()
+    np.subtract(lanes[..., 1:], lanes[..., :-1], out=gaps[..., 1:])
+    return gaps.astype(gaps.dtype.newbyteorder(array.dtype.byteorder),
+                       copy=False)
+
+
+def _row_sums(gaps: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_row_gaps`, as a fresh array."""
+    lanes = _native_lanes(gaps)
+    values = np.cumsum(lanes, axis=-1, dtype=lanes.dtype)
+    return values.view(gaps.dtype.newbyteorder("=")).astype(gaps.dtype,
+                                                             copy=False)
 
 
 def _repeat_share(lanes: np.ndarray) -> float:
@@ -633,10 +716,14 @@ def _parse_frame(blob: bytes, wire_format: str, max_bytes: int) -> Message:
                              "[name, dtype, shape, layout])")
         name, dtype_str, shape = spec[:3]
         layout = spec[3] if len(spec) == 4 else None
-        if layout not in (None, _LAYOUT_ZP, _LAYOUT_BP):
+        if layout not in _LAYOUTS:
             raise ValueError(f"array {name!r} declares unknown layout "
                              f"{layout!r}")
         dtype = np.dtype(dtype_str)
+        if not _LAYOUTS[layout].holds(dtype):
+            raise ValueError(f"{layout} array {name!r} has dtype {dtype}: "
+                             f"the {layout} layout holds "
+                             f"{_LAYOUTS[layout].dtypes} only")
         # The header is peer-controlled: every shape/size claim is checked
         # against the bytes actually received before numpy touches them —
         # a lying header must fail as a clean ValueError, and a negative
@@ -663,14 +750,14 @@ def _parse_frame(blob: bytes, wire_format: str, max_bytes: int) -> Message:
                                               count)
             arrays[name] = flat.reshape(shape)
             continue
-        if layout == _LAYOUT_BP and _lanes(dtype, "iu") is None:
-            raise ValueError(f"bp array {name!r} has dtype {dtype}: the bp "
-                             "layout holds 2/4/8-byte integers only")
+        if layout == _LAYOUT_DP and not shape:
+            raise ValueError(f"dp array {name!r} has shape (): the dp "
+                             "layout codes rows along a last axis")
         if offset + nbytes > len(blob):
             raise ValueError(
                 f"raw frame payload truncated: array {name!r} declares "
                 f"{nbytes} bytes but only {len(blob) - offset} remain")
-        if layout == _LAYOUT_BP:
+        if layout is not None:
             # Its planes are exactly as long as the dense bytes: the copy
             # is bounded by what the inflate cap bounded.
             planes = np.frombuffer(blob, np.uint8, nbytes, offset).reshape(
@@ -680,8 +767,11 @@ def _parse_frame(blob: bytes, wire_format: str, max_bytes: int) -> Message:
             # Plane by plane, not one transposing copy: 2-5x faster.
             for byte, plane in enumerate(planes):
                 lanes[:, byte] = plane
+            flat = flat.reshape(shape)
+            if layout == _LAYOUT_DP:
+                flat = _row_sums(flat)
             flat.flags.writeable = False
-            arrays[name] = flat.reshape(shape)
+            arrays[name] = flat
         else:
             # Zero-copy: the array is a read-only view over the received
             # bytes.
@@ -722,9 +812,6 @@ def _parse_zero_planed(blob: bytes, offset: int, name: str, dtype: np.dtype,
     """Decode the ``zp`` array at ``offset``: ``(flat read-only array,
     offset past it)``.  The caller has already capped ``count``."""
     lanes = _lanes(dtype)
-    if lanes is None:
-        raise ValueError(f"zp array {name!r} has dtype {dtype}: the zp "
-                         "layout holds 2/4/8-byte floats only")
     mask_bytes = (count + 7) // 8
     if offset + mask_bytes > len(blob):
         raise ValueError(

@@ -1,6 +1,8 @@
 """``tools/check_docs.py``: a cited root document that does not exist
-fails, and so does a wire schema block that drifted from its declaration."""
+fails, and so does a wire schema block or a wire layout table that drifted
+from its declaration."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ if str(REPO_ROOT) not in sys.path:  # tools lives off the repo root
 
 from tools import check_docs
 from repro.core import executor
+from repro.system import messages
 
 #: Assembled at run time: spelled out, the live-tree check below would
 #: find this very file citing it.
@@ -34,20 +37,30 @@ def test_live_tree_cites_no_missing_root_document():
     assert check_docs.check_root_doc_citations() == []
 
 
-def _schema_doc(tmp_path, monkeypatch, body: str):
-    doc = tmp_path / "architecture.md"
-    doc.write_text(f"Intro.\n\n{check_docs.WIRE_SCHEMA_BEGIN}\n{body}\n"
-                   f"{check_docs.WIRE_SCHEMA_END}\n\nOutro.\n",
-                   encoding="utf-8")
+def _generated_doc(tmp_path, monkeypatch, block: str, body: str):
+    """A scratch copy of the doc holding the ``block`` ("WIRE_SCHEMA" or
+    "WIRE_LAYOUTS") generated block, with ``body`` between its markers;
+    both docs ``--write`` touches point into ``tmp_path``."""
     monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
-    monkeypatch.setattr(check_docs, "WIRE_SCHEMA_DOC", doc)
-    return doc
+    for name in ("WIRE_SCHEMA", "WIRE_LAYOUTS"):
+        doc = tmp_path / f"{name.lower()}.md"
+        doc.write_text(
+            f"Intro.\n\n{getattr(check_docs, name + '_BEGIN')}\n"
+            f"{body if name == block else ''}\n"
+            f"{getattr(check_docs, name + '_END')}\n\nOutro.\n",
+            encoding="utf-8")
+        monkeypatch.setattr(check_docs, name + "_DOC", doc)
+    return tmp_path / f"{block.lower()}.md"
+
+
+def _schema_doc(tmp_path, monkeypatch, body: str):
+    return _generated_doc(tmp_path, monkeypatch, "WIRE_SCHEMA", body)
 
 
 def test_wire_schema_block_drift_is_reported(tmp_path, monkeypatch):
     doc = _schema_doc(tmp_path, monkeypatch, "| `x` | hand-edited |")
     [error] = check_docs.check_wire_schema()
-    assert "architecture.md: the wire schema block drifted" in error
+    assert "wire_schema.md: the wire schema block drifted" in error
     assert check_docs.main(["--write"]) == 0
     assert check_docs.check_wire_schema() == []
     assert doc.read_text(encoding="utf-8").startswith("Intro.")
@@ -60,8 +73,37 @@ def test_wire_schema_markers_are_required(tmp_path, monkeypatch):
     doc = _schema_doc(tmp_path, monkeypatch, "")
     doc.write_text("No block here.\n", encoding="utf-8")
     assert check_docs.check_wire_schema() == [
-        "architecture.md: wire schema markers not found"]
+        "wire_schema.md: wire schema markers not found"]
 
 
 def test_live_tree_wire_schema_is_current():
     assert check_docs.check_wire_schema() == []
+
+
+def test_wire_layout_table_drift_is_reported(tmp_path, monkeypatch):
+    doc = _generated_doc(tmp_path, monkeypatch, "WIRE_LAYOUTS",
+                         '| `[name, dtype, shape, "bp"]` | hand-edited |')
+    [error] = check_docs.check_wire_layouts()
+    assert error.startswith("wire_layouts.md: the wire layout block drifted "
+                            "from repro/system/messages.py")
+    assert check_docs.main(["--write"]) == 0
+    assert check_docs.check_wire_layouts() == []
+    text = doc.read_text(encoding="utf-8")
+    assert text.startswith("Intro.") and text.endswith("Outro.\n")
+    for tag in ("zp", "bp", "dp"):
+        assert f'`[name, dtype, shape, "{tag}"]`' in text
+    # A layout declared without regenerating fails too.
+    monkeypatch.setitem(messages._LAYOUTS, "dp", dataclasses.replace(
+        messages._LAYOUTS["dp"], min_elements=8192))
+    assert len(check_docs.check_wire_layouts()) == 1
+
+
+def test_wire_layout_markers_are_required(tmp_path, monkeypatch):
+    doc = _generated_doc(tmp_path, monkeypatch, "WIRE_LAYOUTS", "")
+    doc.write_text("No table here.\n", encoding="utf-8")
+    assert check_docs.check_wire_layouts() == [
+        "wire_layouts.md: wire layout markers not found"]
+
+
+def test_live_tree_wire_layouts_are_current():
+    assert check_docs.check_wire_layouts() == []

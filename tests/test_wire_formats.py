@@ -3,7 +3,8 @@
 The engine speaks two self-describing framings of one frame layout — raw,
 and zlib (paper-faithful: a zlib stream of the frame, zero-heavy and
 large noisy float arrays in the ``zp`` layout and large integer arrays in
-the ``bp`` layout inside it) — distinguished by their first byte.  These
+the ``bp`` layout, or the ``dp`` one when their rows are sorted, inside
+it) — distinguished by their first byte.  These
 tests pin the bit-exact round trip of both, that the zlib framing
 inflates to the frame (and is exactly the deflated raw frame when no
 array is planed), that each large byte plane travels run-length deflated
@@ -18,8 +19,8 @@ The hostile-input half (``TestHostileFrames`` down) treats every byte of
 the frame as peer-controlled, in either framing: garbage streams, lying
 headers (shapes, dtypes, lengths that don't match the payload — more
 bytes than declared too; fields of the wrong JSON type), truncated
-frames, zlib bombs, bytes after the zlib stream, ``zp`` and ``bp``
-arrays that decode past the cap or lie about their layout, and absurd
+frames, zlib bombs, bytes after the zlib stream, ``zp``, ``bp`` and
+``dp`` arrays that decode past the cap or lie about their layout, and absurd
 length prefixes must all surface as a clean ``ValueError`` /
 ``ConnectionError`` — never a hang, a blind allocation, or an array the
 sender never sent — and a server fed such a frame must drop *that
@@ -38,9 +39,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import frame_specs
 from repro.core import Architecture, ArchitectureModel
+from repro.core.executor import _wire_state
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
@@ -49,10 +53,12 @@ from repro.system import (DeviceClient, EdgeServer, Message,
                           WIRE_FORMAT_RAW, WIRE_FORMAT_ZLIB, WIRE_FORMATS,
                           compressed_size, deserialize_message,
                           serialize_message)
-from repro.system.messages import (_DEFAULT, _LENGTH_FORMAT, _LENGTH_SIZE,
-                                   _RAW_MAGIC, _RAW_VERSION, _RLE, _STORED,
-                                   MAX_MESSAGE_BYTES, _pieced_zlib, _planed,
-                                   _plane_codings, recv_message, send_payload)
+from repro.system.messages import (_BP_MIN_ELEMENTS, _DEFAULT,
+                                   _LENGTH_FORMAT, _LENGTH_SIZE, _RAW_MAGIC,
+                                   _RAW_VERSION, _RLE, _STORED,
+                                   MAX_MESSAGE_BYTES, _byte_planes,
+                                   _pieced_zlib, _planed, _plane_codings,
+                                   recv_message, send_payload)
 
 
 def _sample_message(**overrides) -> Message:
@@ -321,6 +327,106 @@ class TestBytePlanedLayout:
                   "bool": np.zeros(8192, bool)}
         assert [spec[3:] for spec in frame_specs(serialize_message(
             Message(kind="frame", arrays=arrays)))] == [[], [], []]
+
+
+#: Every dtype the ``dp`` layout holds, in both byte orders.
+_DP_DTYPES = [np.dtype(f"{order}{kind}{size}") for kind in "iu"
+              for size in (2, 4, 8) for order in "<>"]
+
+
+@st.composite
+def _integer_arrays(draw):
+    """A 2/4/8-byte integer array of at least ``_BP_MIN_ELEMENTS``
+    elements: rows sorted or not, full-range values (negative ones in the
+    signed dtypes), and rows whose gaps wrap the dtype."""
+    dtype = draw(st.sampled_from(_DP_DTYPES))
+    width = draw(st.integers(1, 48))
+    rows = -(-_BP_MIN_ELEMENTS // width) + draw(st.integers(0, 3))
+    shape = draw(st.sampled_from([(rows, width), (1, rows, width),
+                                  (rows * width,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    info = np.iinfo(dtype)
+    values = rng.integers(info.min, info.max, size=shape, endpoint=True,
+                          dtype=dtype.newbyteorder("="))
+    rows_are = draw(st.sampled_from(["sorted", "unsorted", "wrapping",
+                                     "one_swap", "small_gaps"]))
+    if rows_are == "small_gaps":
+        steps = rng.integers(0, 3, size=shape)
+        values = (info.min // 2 + np.cumsum(steps, axis=-1)).astype(
+            values.dtype)
+    if rows_are != "unsorted":
+        values.sort(axis=-1)
+    if rows_are == "wrapping":  # min to max: a gap past the dtype's range
+        values[..., 0], values[..., -1] = info.min, info.max
+    table = values.reshape(-1, width)
+    row = rng.integers(len(table))
+    if rows_are == "one_swap" and width > 1 and (
+            table[row, -2] < table[row, -1]):
+        table[row, -2:] = table[row, -2:][::-1].copy()
+    return values.astype(dtype)
+
+
+class TestGapPlanedLayout:
+    """The zlib framing's fourth array layout: a large integer array whose
+    every row along the last axis is non-decreasing (the device's sorted
+    ``nbr`` table) ships each row's first value and then its gaps,
+    byte-planed.  The gaps are modular in the array's own dtype, so any
+    array round-trips exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_integer_arrays())
+    def test_round_trip_is_bit_exact_and_dp_iff_rows_sorted(self, values):
+        rows_sorted = bool(np.all(values[..., 1:] >= values[..., :-1]))
+        for wire_format in WIRE_FORMATS:
+            blob = serialize_message(Message(kind="frame",
+                                             arrays={"v": values}),
+                                     wire_format=wire_format)
+            [spec] = frame_specs(blob)
+            expected = (["dp" if rows_sorted else "bp"]
+                        if wire_format == WIRE_FORMAT_ZLIB else [])
+            assert spec[3:] == expected
+            received = deserialize_message(blob).arrays["v"]
+            assert received.dtype == values.dtype
+            assert received.shape == values.shape
+            assert received.tobytes() == values.tobytes()
+            assert not received.flags.writeable
+
+    def test_sorted_index_table_ships_smaller_than_bp(self):
+        rows = np.sort(np.random.default_rng(2).integers(
+            0, 1024, size=(1024, 20), dtype=np.uint16), axis=1)
+        dp = len(serialize_message(Message(kind="frame",
+                                           arrays={"nbr": rows})))
+        shuffled = rows.copy()
+        shuffled[:, [0, 1]] = shuffled[:, [1, 0]]
+        assert frame_specs(serialize_message(Message(
+            kind="frame", arrays={"nbr": shuffled})))[0][3:] == ["bp"]
+        bp = len(serialize_message(Message(kind="frame",
+                                           arrays={"nbr": shuffled})))
+        assert dp < 0.8 * bp
+
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    @pytest.mark.parametrize("dtype, gap, named", [
+        ("<u2", 400, "node 407"),   # row 7 runs past the 300 nodes
+        ("<i2", -8, "node -1")])    # a gap that wraps below node 0
+    def test_gaps_outside_the_frame_are_refused_by_the_schema(
+            self, wire_format, dtype, gap, named):
+        nodes, k = 300, 20
+        gaps = np.zeros((nodes, k), dtype)
+        gaps[:, 0] = np.arange(nodes)
+        gaps[7, 5] = gap
+        x, batch = np.zeros((nodes, 3)), np.zeros(nodes, np.int64)
+        frame = _raw_frame(
+            {"kind": "frame", "frame_id": 0, "meta": {"num_graphs": 1},
+             "arrays": [["x", "<f8", [nodes, 3]], ["batch", "<i8", [nodes]],
+                        ["nbr", dtype, [nodes, k], "dp"]]},
+            x.tobytes() + batch.tobytes()
+            + _byte_planes(gaps.reshape(-1)).tobytes())
+        if wire_format == WIRE_FORMAT_ZLIB:
+            frame = zlib.compress(frame)
+        message = deserialize_message(frame)
+        with pytest.raises(ValueError,
+                           match=f"names {named}, outside the frame"):
+            _wire_state(message.arrays, message.meta)
 
 
 def _noisy_planes_message(rows: int = 2048) -> Message:
@@ -792,6 +898,13 @@ FRAME_ATTACKS = {
                             "truncated"),
     "bp_wrong_arity": ([["x", "<u2", [4096], "bp", "extra"]], bytes(8192),
                        "fields"),
+    "dp_float_dtype": ([["x", "<f8", [4096], "dp"]], bytes(8 * 4096),
+                       "integers only"),
+    "dp_one_byte_dtype": ([["x", "|u1", [4096], "dp"]], bytes(4096),
+                          "integers only"),
+    "dp_truncated_planes": ([["x", "<u2", [64, 64], "dp"]], bytes(8191),
+                            "truncated"),
+    "dp_zero_d_shape": ([["x", "<u2", [], "dp"]], bytes(2), "last axis"),
     # A header that under-declares its payload: the bytes past its last
     # array are inside the frame (and the zlib stream).
     "bytes_after_the_last_array": ([["x", "<f8", [9], "zp"]],

@@ -561,7 +561,9 @@ class TestPaperScaleRequestSize:
     1024-point k=20 frame, in about a second instead of an end-to-end run.
     Each bound sits 1–4 % above today's request and below the request
     before the last change to it: 47.2 KB before the pos rule, 300.1 KB
-    before the byte-planed ``nbr`` table and the run-length planes."""
+    before the byte-planed ``nbr`` table and the run-length planes.  The
+    second ``paper_split`` pin sits 1 KiB above the 278 498 B request of
+    Z-ordered nodes and gap-coded ``nbr`` rows (296 142 B before them)."""
 
     @staticmethod
     def _request(split: int) -> bytes:
@@ -584,9 +586,10 @@ class TestPaperScaleRequestSize:
     def test_paper_split_request_fits_293_kib(self):
         blob = self._request(3)
         assert len(blob) <= 293 * 1024
-        # x zero-suppressed, the nbr table byte-planed, batch dense.
+        assert len(blob) <= 278_498 + 1024
+        # x zero-suppressed, the sorted nbr rows gap-coded, batch dense.
         layouts = {name: layout for name, _, _, *layout in frame_specs(blob)}
-        assert layouts == {"x": ["zp"], "nbr": ["bp"], "batch": []}
+        assert layouts == {"x": ["zp"], "nbr": ["dp"], "batch": []}
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,10 @@ takes seconds:
    (``_WIRE_ARRAYS``, ``_WIRE_META``, ``_EXCLUSIVE`` in
    ``repro.core.executor``); any difference fails.  Fix with
    ``PYTHONPATH=src python tools/check_docs.py --write``.
+6. **Generated wire layouts** — the layout table of ``docs/serving.md`` is
+   re-rendered from the layouts the codec reads and writes (``_LAYOUTS`` in
+   ``repro.system.messages``); any difference fails.  The same ``--write``
+   fixes it.
 
 Exit code is non-zero when anything fails, printing one line per problem.
 
@@ -182,29 +186,76 @@ def wire_schema_tables() -> str:
     return "\n".join(rows)
 
 
+WIRE_LAYOUTS_DOC = REPO_ROOT / "docs" / "serving.md"
+WIRE_LAYOUTS_BEGIN = ("<!-- wire-layouts:begin (generated block: do not "
+                      "edit) -->")
+WIRE_LAYOUTS_END = "<!-- wire-layouts:end -->"
+
+
+def wire_layout_table() -> str:
+    """The array layouts of ``repro.system.messages`` as a markdown table."""
+    from repro.system import messages
+
+    rows = ["| spec | layout | dtypes | ships from | bytes |",
+            "| --- | --- | --- | --- | --- |"]
+    for tag, layout in messages._LAYOUTS.items():
+        spec = ", ".join(["name", "dtype", "shape"]
+                         + ([] if tag is None else [f'"{tag}"']))
+        least = layout.min_elements
+        size = (f"{least} element{'s' * (least != 1)}" if least
+                else "any size")
+        rows.append(f"| `[{spec}]` | {layout.name} | {layout.dtypes} | "
+                    f"{size} | {layout.doc} |")
+    return "\n".join(rows)
+
+
+def _splice(text: str, begin: str, end: str, body: str, what: str) -> str:
+    """``text`` with the block between ``begin`` and ``end`` set to
+    ``body``."""
+    head, found_begin, rest = text.partition(begin)
+    _, found_end, tail = rest.partition(end)
+    if not (found_begin and found_end):
+        raise ValueError(f"{what} markers not found")
+    return f"{head}{begin}\n\n{body}\n\n{end}{tail}"
+
+
 def splice_wire_schema(text: str) -> str:
     """``text`` with the wire schema block regenerated."""
-    head, begin, rest = text.partition(WIRE_SCHEMA_BEGIN)
-    _, end, tail = rest.partition(WIRE_SCHEMA_END)
-    if not (begin and end):
-        raise ValueError("wire schema markers not found")
-    return f"{head}{begin}\n\n{wire_schema_tables()}\n\n{end}{tail}"
+    return _splice(text, WIRE_SCHEMA_BEGIN, WIRE_SCHEMA_END,
+                   wire_schema_tables(), "wire schema")
+
+
+def splice_wire_layouts(text: str) -> str:
+    """``text`` with the wire layout table regenerated."""
+    return _splice(text, WIRE_LAYOUTS_BEGIN, WIRE_LAYOUTS_END,
+                   wire_layout_table(), "wire layout")
+
+
+def _check_block(doc: Path, splice, what: str, source: str) -> list:
+    """Re-render one generated block of ``doc``; list any drift."""
+    path = doc.relative_to(REPO_ROOT)
+    text = doc.read_text(encoding="utf-8")
+    try:
+        fresh = splice(text)
+    except ValueError as exc:
+        return [f"{path}: {exc}"]
+    if fresh != text:
+        return [f"{path}: the {what} block drifted from {source}; run "
+                "PYTHONPATH=src python tools/check_docs.py --write"]
+    print(f"ok  {path}: {what} matches the declarations")
+    return []
 
 
 def check_wire_schema() -> list:
     """Re-render the wire schema block of docs/architecture.md."""
-    path = WIRE_SCHEMA_DOC.relative_to(REPO_ROOT)
-    text = WIRE_SCHEMA_DOC.read_text(encoding="utf-8")
-    try:
-        fresh = splice_wire_schema(text)
-    except ValueError as exc:
-        return [f"{path}: {exc}"]
-    if fresh != text:
-        return [f"{path}: the wire schema block drifted from "
-                "repro/core/executor.py; run PYTHONPATH=src python "
-                "tools/check_docs.py --write"]
-    print(f"ok  {path}: wire schema matches the declarations")
-    return []
+    return _check_block(WIRE_SCHEMA_DOC, splice_wire_schema, "wire schema",
+                        "repro/core/executor.py")
+
+
+def check_wire_layouts() -> list:
+    """Re-render the wire layout table of docs/serving.md."""
+    return _check_block(WIRE_LAYOUTS_DOC, splice_wire_layouts,
+                        "wire layout", "repro/system/messages.py")
 
 
 def check_root_doc_citations() -> list:
@@ -232,15 +283,17 @@ def check_root_doc_citations() -> list:
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv == ["--write"]:
-        WIRE_SCHEMA_DOC.write_text(splice_wire_schema(
-            WIRE_SCHEMA_DOC.read_text(encoding="utf-8")), encoding="utf-8")
+        for doc, splice in ((WIRE_SCHEMA_DOC, splice_wire_schema),
+                            (WIRE_LAYOUTS_DOC, splice_wire_layouts)):
+            doc.write_text(splice(doc.read_text(encoding="utf-8")),
+                           encoding="utf-8")
         return 0
     if argv:
         print("usage: python tools/check_docs.py [--write]", file=sys.stderr)
         return 2
     errors = (check_example_imports() + check_markdown_links()
               + check_knob_tables() + check_wire_schema()
-              + check_root_doc_citations())
+              + check_wire_layouts() + check_root_doc_citations())
     if errors:
         print(f"\n{len(errors)} problem(s):", file=sys.stderr)
         for error in errors:
