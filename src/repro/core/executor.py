@@ -13,10 +13,10 @@ Compiled serving runtime
 The engine callables built here default to the compiled inference runtime
 (:mod:`repro.runtime`): the builder compiles the model once into an
 autograd-free :class:`~repro.runtime.plan.InferencePlan` — fused
-linear+bias+activation kernels, EdgeConv specialized per reducer,
-destination-sorted edge lists, and a per-entry buffer arena reusing output
-buffers across frames — and runs plans instead of eager segments
-(``RuntimeConfig(runtime="eager")`` restores the old path;
+linear+bias+activation kernels, EdgeConv specialized per reducer over a
+sampled topology's ``(N, k)`` neighbour table, and a per-entry buffer arena
+reusing output buffers across frames — and runs plans instead of eager
+segments (``RuntimeConfig(runtime="eager")`` restores the old path;
 ``runtime="auto"`` falls back to eager only when the model contains a
 construct plans do not support).  Training, search and the simulator keep
 eager autograd execution; compiled results match eager within float64
@@ -27,7 +27,8 @@ Batched serving
 The edge side of a split model can also execute many frames in one call:
 :func:`collate_arrays` merges the serialized states of several frames into a
 single multi-graph state (concatenated features, batch vector shifted by the
-graph offset, edge index shifted by the node offset), the ``batch_fn`` of
+graph offset, edge index shifted by the node offset; a frame's ``nbr``
+table is first expanded to its edge list), the ``batch_fn`` of
 :class:`ServingCallables` resumes the architecture once over the merged
 state, and :func:`split_results` scatters the pooled per-graph outputs back
 to the originating frames.  This is what the engine's
@@ -48,6 +49,7 @@ import numpy as np
 
 from .. import nn
 from ..graph.data import Batch
+from ..graph.knn import edge_list
 from ..gnn.operations import (ClassifierOp, ExecState, Operation, OpSpec, OpType,
                               SampleOp, build_operation)
 from ..runtime import InferencePlan, PlanCompileError, compile_plan
@@ -193,29 +195,6 @@ def _eager_runners(model: ArchitectureModel, split: Optional[int]):
     return run_device, run_edge
 
 
-def _neighbour_table(edge_index: np.ndarray,
-                     num_nodes: int) -> Optional[np.ndarray]:
-    """The ``(N, k)`` uint16 table ``nbr`` of frame-local source indices
-    when ``edge_index`` is exactly ``[nbr.ravel(), repeat(arange(N), k)]``,
-    else ``None`` (the edge list then travels as is).
-
-    Every sampled topology has that shape — k incoming edges per node,
-    destination-sorted — so the row of centres never needs to travel and
-    the sources fit 2 bytes each (N <= 65 536): 41 KB instead of 328 KB
-    for a 1024-point, k=20 frame.  :func:`_wire_state` inverts it.
-    """
-    num_edges = edge_index.shape[1]
-    if not 0 < num_nodes <= 1 << 16 or num_edges % num_nodes:
-        return None
-    k = num_edges // num_nodes
-    sources = edge_index[0]
-    if (k == 0 or not np.array_equal(edge_index[1], np.repeat(
-            np.arange(num_nodes, dtype=edge_index.dtype), k))
-            or sources.min() < 0 or sources.max() >= num_nodes):
-        return None
-    return sources.astype(np.uint16).reshape(num_nodes, k)
-
-
 #: Frame metadata marker ``{"pos": "x"}``: the frame's ``pos`` is bitwise
 #: its ``x`` and travels once, as ``x`` (see :func:`_serving_fns`).
 _POS_META_KEY, _POS_IS_X = "pos", "x"
@@ -297,8 +276,8 @@ def _wire_state(arrays: ArrayDict, meta: Dict,
     The frame is first walked against the wire schema (``finished`` is the
     entry's fact); the first breach raises a ``ValueError`` naming the
     array or field and its bound.  Then ``nbr`` is expanded to
-    ``edge_index`` (see :func:`_neighbour_table`) and the pos-is-x marker
-    to ``pos``, so no runner sees either wire shorthand.
+    ``edge_index`` (:func:`~repro.graph.knn.edge_list`) and the pos-is-x
+    marker to ``pos``, so no runner sees either wire shorthand.
     """
     carried = set(arrays).union(f"meta.{key}" for key, value in meta.items()
                                 if value is not None)
@@ -372,10 +351,7 @@ def _wire_state(arrays: ArrayDict, meta: Dict,
         return arrays
     arrays = dict(arrays)
     if "nbr" in arrays:
-        nbr = arrays.pop("nbr")
-        arrays["edge_index"] = np.stack([
-            nbr.reshape(-1).astype(np.int64),
-            np.repeat(np.arange(rows, dtype=np.int64), nbr.shape[1])])
+        arrays["edge_index"] = edge_list(arrays.pop("nbr"))
     if got[_POS_META_KEY] is not None:
         arrays["pos"] = arrays["x"]
     return arrays
@@ -470,14 +446,15 @@ def _serving_fns(run_device: Callable, run_edge: Callable,
     """The three engine callables over one pair of segment runners.
 
     ``run_device(frame)`` returns ``(x, state)`` — the final features as an
-    ndarray and the state object carrying ``batch`` / ``edge_index`` /
-    ``pos`` / ``num_graphs`` / ``pooled``; ``run_edge(arrays, meta)``
-    resumes a (possibly collated) wire state and returns ``(logits,
-    num_graphs)``.  Everything else about serving a frame is the same for
+    ndarray and the state object carrying ``batch`` / ``nbr`` /
+    ``edge_index`` / ``pos`` / ``num_graphs`` / ``pooled``;
+    ``run_edge(arrays, meta)`` resumes a (possibly collated) wire state
+    and returns ``(logits, num_graphs)``.  Everything else about serving a frame is the same for
     the compiled and the eager runtime and lives here: the echo of
     Device-Only architectures (``split is None``), collate → run → split,
-    and the wire shorthands ``device_fn`` ships — a sampled topology as the
-    ``nbr`` table (see :func:`_neighbour_table`), its nodes renamed in
+    and the wire shorthands ``device_fn`` ships — a k-regular,
+    destination-sorted topology as the state's ``nbr`` table in uint16
+    (frames of at most 65 536 nodes), its nodes renamed in
     Z-order when the edge segment samples nothing (``edge_samples``, see
     :func:`_edge_samples` and :func:`_z_ordered`), and ``pos`` only when
     the edge segment samples by knn, as the marker ``{"pos": "x"}`` when
@@ -492,12 +469,14 @@ def _serving_fns(run_device: Callable, run_edge: Callable,
         arrays: ArrayDict = {"x": x, "batch": state.batch}
         meta = {"num_graphs": state.num_graphs, "pooled": state.pooled,
                 "finished": split is None}
-        if state.edge_index is not None:
-            nbr = _neighbour_table(state.edge_index, x.shape[0])
-            if nbr is None:
-                arrays["edge_index"] = state.edge_index
-            else:
-                arrays["nbr"] = nbr
+        nbr = state.nbr
+        if nbr is not None and x.shape[0] <= 1 << 16:
+            # Sampled topologies have this shape, so the row of centres
+            # never travels and each source fits 2 bytes: 41 KB instead of
+            # 328 KB for a 1024-point, k=20 frame.
+            arrays["nbr"] = nbr.astype(np.uint16)
+        elif state.edge_index is not None:
+            arrays["edge_index"] = state.edge_index
         pos = state.pos if reads_pos else None
         if pos is not None:
             if (pos.dtype == x.dtype and pos.shape == x.shape

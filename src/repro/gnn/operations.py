@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import nn
-from ..graph.knn import knn_graph, random_graph
+from ..graph.knn import knn_graph, neighbour_table, random_graph
 
 
 class OpType:
@@ -131,6 +131,14 @@ class ExecState:
     @property
     def num_nodes(self) -> int:
         return int(self.x.shape[0])
+
+    @property
+    def nbr(self) -> Optional[np.ndarray]:
+        """``edge_index``'s ``(N, k)`` neighbour table, when it is one (see
+        :func:`~repro.graph.knn.neighbour_table`); ``None`` otherwise."""
+        if self.edge_index is None:
+            return None
+        return neighbour_table(self.edge_index, self.num_nodes)
 
     @property
     def feature_dim(self) -> int:

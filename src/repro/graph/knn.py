@@ -7,6 +7,13 @@ neighbours: every batch shape, and the compiled runtime's selection-only
 kNN (:func:`repro.runtime.kernels.knn_edges_uniform`), goes through one
 selection loop over the ranking-key tiles of :class:`_KeyTiles`, so eager
 and compiled execution select the same neighbours.
+
+It is also the one place that knows a k-regular topology's two forms.  A
+topology with exactly ``k`` incoming edges per node, listed in destination
+order, is its ``(N, k)`` neighbour table ``nbr`` (row ``i``: node ``i``'s
+sources): the selection loop writes that table, :func:`edge_list` expands
+it to the ``(2, N·k)`` edge list, and :func:`neighbour_table` recognises
+an edge list that is one.
 """
 
 from __future__ import annotations
@@ -53,6 +60,38 @@ def _equal_graph_size(batch: np.ndarray, num_graphs: int) -> Optional[int]:
     return None
 
 
+def edge_list(nbr: np.ndarray) -> np.ndarray:
+    """The ``(2, N·k)`` int64 edge list of the ``(N, k)`` neighbour table
+    ``nbr``: ``[nbr.ravel(), repeat(arange(N), k)]``, sources over
+    destinations.  :func:`neighbour_table` inverts it."""
+    num_nodes, k = nbr.shape
+    return np.stack([nbr.reshape(-1).astype(np.int64, copy=False),
+                     np.repeat(np.arange(num_nodes, dtype=np.int64), k)])
+
+
+def neighbour_table(edge_index: np.ndarray,
+                    num_nodes: int) -> Optional[np.ndarray]:
+    """The ``(N, k)`` neighbour table ``edge_index`` lists, or ``None``.
+
+    A table is returned when ``edge_index`` is exactly
+    ``edge_list(table)`` for some ``k >= 1`` and every source lies in
+    ``[0, N)``: k-regular, destination-sorted, in range.  It is a view of
+    row 0 when that row is contiguous.  The range check is what lets the
+    compiled EdgeConv gather with ``mode="wrap"``, so every table the plan
+    holds comes from here or from the selection loop.
+    """
+    num_edges = edge_index.shape[1]
+    if num_nodes < 1 or num_edges % num_nodes:
+        return None
+    k = num_edges // num_nodes
+    sources = edge_index[0]
+    if (k == 0 or not np.array_equal(edge_index[1], np.repeat(
+            np.arange(num_nodes, dtype=edge_index.dtype), k))
+            or sources.min() < 0 or sources.max() >= num_nodes):
+        return None
+    return sources.reshape(num_nodes, k)
+
+
 def knn_graph(points: np.ndarray, k: int,
               batch: Optional[np.ndarray] = None) -> np.ndarray:
     """Build a directed KNN edge index (neighbours → centre node).
@@ -88,19 +127,18 @@ def knn_graph(points: np.ndarray, k: int,
     if n == 0:
         return np.zeros((2, 0), dtype=np.int64)
     if batch is None:
-        return _knn_edges(points, k, 1, n, nearest_first=True)
+        return edge_list(_knn_edges(points, k, 1, n, nearest_first=True))
     num_graphs = int(batch[-1]) + 1
     per_graph = _equal_graph_size(batch, num_graphs)
     if per_graph is not None:
-        return _knn_edges(points, k, num_graphs, per_graph,
-                          nearest_first=True)
+        return edge_list(_knn_edges(points, k, num_graphs, per_graph,
+                                    nearest_first=True))
     # Ragged or unsorted: one group per graph, listed in graph-id order.
     edges = []
     for graph_id in np.unique(batch):
         node_ids = np.nonzero(batch == graph_id)[0]
-        edges.append(node_ids[_knn_edges(points[node_ids], k, 1,
-                                         node_ids.shape[0],
-                                         nearest_first=True)])
+        edges.append(node_ids[edge_list(_knn_edges(
+            points[node_ids], k, 1, node_ids.shape[0], nearest_first=True))])
     return np.concatenate(edges, axis=1)
 
 
@@ -200,31 +238,32 @@ class _KeyTiles:
 def _knn_edges(points: np.ndarray, k: int, num_graphs: int, per_graph: int,
                nearest_first: bool,
                helper: Optional[_Helper] = None) -> np.ndarray:
-    """The kNN edge list of ``num_graphs`` consecutive graphs of
-    ``per_graph`` rows of ``points`` each: the one selection loop.
+    """The ``(N, k)`` kNN neighbour table of ``num_graphs`` consecutive
+    graphs of ``per_graph`` rows of ``points`` each: the one selection
+    loop.
 
     Each tile of :class:`_KeyTiles` gets one ``argpartition``, written
-    straight into row 0 of the result, so no index array beside it is
-    allocated.  ``nearest_first`` re-sorts each row's picks by key, the
-    order ``knn_graph`` lists; inference skips it, because neighbour order
-    moves only the floating-point summation order of ``add`` / ``mean``
+    straight into the table, so no index array beside it is allocated.
+    ``nearest_first`` re-sorts each row's picks by key, the order
+    ``knn_graph`` lists; inference skips it, because neighbour order moves
+    only the floating-point summation order of ``add`` / ``mean``
     aggregation, never the neighbour set.  A graph of at most ``k`` nodes
     has fewer than ``k`` other nodes: its rows list all of them (a
     one-node graph, its self-loop) and repeat them up to ``k``.  The order
     then decides which neighbours repeat once more, so such rows are
-    always re-sorted: every caller gets ``knn_graph``'s multiset.
-    Destinations are ``repeat(arange(N), k)``: destination-sorted and
-    k-regular by construction.
+    always re-sorted: every caller gets ``knn_graph``'s multiset.  Every
+    source lies in its own graph's rows, so the table is one
+    :func:`neighbour_table` would accept.
 
     ``helper``, when given, lends the loop a second participant: the
     caller hands it a task, and both claim tile numbers from one shared
     counter, each ranking into its own key buffer of half the tile size,
     so the two buffers together take one tile's memory.  They write
-    disjoint rows of the edge list, and a tile's keys do not depend on who
-    computes them, so the edges are bit-for-bit the single participant's.
+    disjoint rows of the table, and a tile's keys do not depend on who
+    computes them, so the table is bit-for-bit the single participant's.
     The caller never waits for the helper: a helper that starts late finds
     fewer tiles, or none, left to claim; once the counter runs out, the
-    caller closes the edge list to the helper's writes, ranks any tile the
+    caller closes the table to the helper's writes, ranks any tile the
     helper claimed but had not written, and re-raises an error the helper
     met before that.
     """
@@ -234,9 +273,8 @@ def _knn_edges(points: np.ndarray, k: int, num_graphs: int, per_graph: int,
     # arithmetic precision.
     grouped = np.asarray(points, dtype=np.float64).reshape(
         num_graphs, per_graph, -1)
-    num_nodes = num_graphs * per_graph
-    edges = np.empty((2, num_nodes * k), dtype=np.int64)
-    local = edges[0].reshape(num_graphs, per_graph, k)
+    table = np.empty((num_graphs * per_graph, k), dtype=np.int64)
+    local = table.reshape(num_graphs, per_graph, k)
     width = min(k, max(per_graph - 1, 1))
     tiles = _KeyTiles(grouped, _TILE_BYTES if helper is None
                       else _TILE_BYTES // 2)
@@ -299,8 +337,7 @@ def _knn_edges(points: np.ndarray, k: int, num_graphs: int, per_graph: int,
         write(index, *rank(int(index), keys_buffer))
     local += (np.arange(num_graphs, dtype=np.int64) * per_graph)[:, None,
                                                                   None]
-    edges[1].reshape(num_nodes, k)[...] = np.arange(num_nodes)[:, None]
-    return edges
+    return table
 
 
 def random_graph(num_nodes: int, k: int,

@@ -6,8 +6,9 @@ full :class:`~repro.nn.tensor.Tensor` machinery (graph-construction closures,
 per-op allocations, per-scatter bookkeeping).  This package compiles an
 :class:`~repro.core.executor.ArchitectureModel` once into a flat list of
 raw-ndarray kernels (:func:`compile_plan`), reuses pre-allocated output
-buffers across frames (:class:`BufferArena`) and canonicalizes edge lists so
-scatters always hit the ``reduceat`` fast path.
+buffers across frames (:class:`BufferArena`), runs EdgeConv over a sampled
+topology's ``(N, k)`` neighbour table and canonicalizes any other edge list
+so scatters always hit the ``reduceat`` fast path.
 
 Plans can also run **quantized** (int8 weights and activations from
 post-training calibration — :func:`calibrate`, :func:`compile_plan` with

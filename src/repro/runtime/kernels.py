@@ -5,9 +5,10 @@ These functions implement exactly the arithmetic of the eager operations in
 with caller-provided ``out=`` buffers — no :class:`~repro.nn.tensor.Tensor`
 wrappers, no backward closures, no per-op allocations.  Where the eager path
 re-derives bookkeeping on every call (is the scatter index sorted? where do
-its segments start? which segments are empty?), the compiled plan derives it
-once per edge list as a :class:`SegmentInfo` and reuses it for every scatter
-over that topology.
+its segments start? which segments are empty?), the compiled plan reads a
+k-regular topology as its ``(N, k)`` neighbour table (:func:`edgeconv_uniform`)
+and derives the bookkeeping of any other edge list once, as a
+:class:`SegmentInfo` reused for every scatter over that topology.
 
 Numerical contract: for ``float64`` inputs the kernels reproduce the eager
 results exactly whenever the eager path takes its ``reduceat`` fast path
@@ -53,11 +54,6 @@ class SegmentInfo:
     num_valid: int = 0
     counts: Optional[np.ndarray] = None
     has_empty: bool = False
-    #: Set when the index is sorted and every segment holds exactly this many
-    #: rows: the segments then form a perfect ``(num_segments, k)`` grid and
-    #: reductions can reshape instead of ``reduceat`` (which is markedly
-    #: slower for min/max and prevents the fused EdgeConv shortcut).
-    uniform_k: Optional[int] = None
 
     @classmethod
     def from_index(cls, index: np.ndarray, num_segments: int) -> "SegmentInfo":
@@ -68,56 +64,11 @@ class SegmentInfo:
         if (np.any(np.diff(index) < 0) or index[0] < 0
                 or index[-1] >= num_segments):
             return cls(is_sorted=False, num_segments=num_segments)
-        return cls._sorted_info(index, num_segments)
-
-    @classmethod
-    def _sorted_info(cls, index: np.ndarray, num_segments: int) -> "SegmentInfo":
         starts = np.searchsorted(index, np.arange(num_segments))
-        num_valid = int(np.count_nonzero(starts < index.shape[0]))
         counts = np.bincount(index, minlength=num_segments)
-        low, high = int(counts.min()), int(counts.max())
         return cls(is_sorted=True, num_segments=num_segments, starts=starts,
-                   num_valid=num_valid, counts=counts, has_empty=low == 0,
-                   uniform_k=low if (low == high and low > 0) else None)
-
-    @classmethod
-    def single_segment(cls, num_rows: int) -> "SegmentInfo":
-        """Bookkeeping for pooling a single graph (every row in segment 0)."""
-        return cls(is_sorted=True, num_segments=1,
-                   starts=np.zeros(1, dtype=np.int64), num_valid=1,
-                   counts=np.array([num_rows], dtype=np.int64),
-                   has_empty=num_rows == 0,
-                   uniform_k=num_rows if num_rows else None)
-
-    @classmethod
-    def from_sorted_index(cls, index: np.ndarray,
-                          num_segments: int) -> "SegmentInfo":
-        """Like :meth:`from_index` for an index the caller knows is sorted.
-
-        Skips the O(E) sortedness scan; range violations still demote to the
-        unsorted fallback so a corrupt index keeps eager error semantics.
-        """
-        if index.shape[0] == 0 or num_segments == 0:
-            return cls(is_sorted=False, num_segments=num_segments)
-        if index[0] < 0 or index[-1] >= num_segments:
-            return cls(is_sorted=False, num_segments=num_segments)
-        return cls._sorted_info(index, num_segments)
-
-    @classmethod
-    def uniform(cls, num_segments: int, k: int) -> "SegmentInfo":
-        """Bookkeeping for a k-regular index: exactly ``k`` rows per segment.
-
-        This is the static shape of every generated topology
-        (:func:`~repro.graph.knn.knn_graph` / ``random_graph`` emit exactly
-        ``k`` incoming edges per node, destination-sorted when the batch
-        vector is sorted), so the plan can skip the sortedness scan, the
-        ``searchsorted`` and the ``bincount`` entirely.
-        """
-        starts = np.arange(num_segments, dtype=np.int64) * k
-        counts = np.full(num_segments, k, dtype=np.int64)
-        return cls(is_sorted=True, num_segments=num_segments, starts=starts,
-                   num_valid=num_segments, counts=counts, has_empty=False,
-                   uniform_k=k)
+                   num_valid=int(np.count_nonzero(starts < index.shape[0])),
+                   counts=counts, has_empty=bool(counts.min() == 0))
 
 
 def canonical_edge_order(edge_index: np.ndarray,
@@ -125,11 +76,13 @@ def canonical_edge_order(edge_index: np.ndarray,
     """Destination-sort an edge list so scatters always hit the fast path.
 
     Returns the (possibly re-ordered) edge index together with its
-    :class:`SegmentInfo`.  Already-sorted edge lists — everything produced by
-    :func:`~repro.graph.knn.knn_graph` on a sorted batch vector, and wire
-    states collated from such frames — pass through untouched; anything else
-    is stably sorted by destination once, after which every scatter over the
-    topology reduces via ``reduceat`` instead of element-wise ``ufunc.at``.
+    :class:`SegmentInfo`.  Already-sorted edge lists pass through
+    untouched; anything else is stably sorted by destination once, after
+    which every scatter over the topology reduces via ``reduceat`` instead
+    of element-wise ``ufunc.at``.  The plan calls it only for a list that
+    is not a neighbour table as it stands
+    (:func:`~repro.graph.knn.neighbour_table`): a sampled topology over an
+    unsorted batch, or an irregular one.
     """
     info = SegmentInfo.from_index(edge_index[1], num_nodes)
     if info.is_sorted:
@@ -234,15 +187,16 @@ def _slot_major_chunks(x: np.ndarray, src: np.ndarray, k: int,
     Yields ``(start, stop, grid)`` where ``grid`` is a C-contiguous
     ``(k, stop - start, F)`` view of ``scratch`` whose slab ``j`` holds the
     j-th neighbour of every node in ``[start, stop)``.  ``src`` holds node
-    i's ``k`` sources at ``src.reshape(N, k)[i]``; the ``(k, N)`` slot table
-    is its transpose (a view when ``src`` is already one, as the plan
-    passes it).  ``scratch``'s ``(k, rows, F)`` shape sets the chunk size.
+    i's ``k`` sources at ``src.reshape(N, k)[i]``: the plan passes its
+    ``(N, k)`` neighbour table, whose transpose is the ``(k, N)`` slot
+    table.  ``scratch``'s ``(k, rows, F)`` shape sets the chunk size.
 
     The gather uses ``mode="wrap"``: with the default ``"raise"``, numpy
     gathers into a freshly allocated temporary and copies it into the
     scratch, a whole scratch per chunk.  For every index in ``[-N, N)`` — the range
     ``"raise"`` accepts — ``"wrap"`` picks the same row, so the caller
-    range-checks ``src`` instead; the plan does it once per topology.
+    range-checks ``src`` instead: every table the plan holds comes from the
+    kNN selection loop or passed :func:`~repro.graph.knn.neighbour_table`.
     """
     num_nodes, features = x.shape
     slots = src.reshape(num_nodes, k).T
@@ -647,7 +601,8 @@ os.register_at_fork(after_in_child=_forget_helper)
 
 def knn_edges_uniform(points: np.ndarray, k: int, num_graphs: int,
                       per_graph: int) -> np.ndarray:
-    """kNN edge list for a batch of equally sized graphs, selection-only.
+    """The ``(N, k)`` kNN neighbour table of a batch of equally sized
+    graphs, selection-only.
 
     :func:`repro.graph.knn.knn_graph`'s own selection loop over the same
     tiles of ranking keys (:class:`~repro.graph.knn._KeyTiles`),
@@ -662,14 +617,14 @@ def knn_edges_uniform(points: np.ndarray, k: int, num_graphs: int,
 
     A graph of at most ``k`` nodes gets ``knn_graph``'s own rows: all its
     other nodes nearest first, repeated up to ``k`` — there the order
-    decides which neighbours repeat once more.  Destinations are
-    ``repeat(arange(N), k)`` — destination-sorted and k-regular by
-    construction.
+    decides which neighbours repeat once more.  Row ``i`` holds node
+    ``i``'s sources, so :func:`~repro.graph.knn.edge_list` of the table is
+    ``knn_graph``'s edge list up to each row's order.
 
     A group whose keys span more than ``_HELPED_ABOVE_TILES`` tiles hands
     the process's helper thread (:func:`_process_helper`) a share of its
     tiles: ``argpartition`` and the GEMM release the GIL, so the two rank
-    on two cores, into the same edges bit for bit.  Smaller groups, and
+    on two cores, into the same table bit for bit.  Smaller groups, and
     processes without a helper, rank alone.
     """
     key_bytes = (num_graphs * per_graph * per_graph

@@ -6,19 +6,23 @@ steps that bypass the :class:`~repro.nn.tensor.Tensor` machinery entirely:
 
 * ``Combine`` and every classifier layer become a single fused
   linear+bias+activation kernel writing into an arena buffer;
-* ``Aggregate`` becomes gather → message build → segment ``reduceat``,
-  specialized per reducer, with the scatter bookkeeping
-  (:class:`~repro.runtime.kernels.SegmentInfo`) derived once per topology
-  instead of once per scatter;
+* ``Aggregate`` becomes a fused EdgeConv over the ``(N, k)`` neighbour
+  table of a k-regular, destination-sorted topology — the shape of every
+  sampled graph — and gather → message build → segment ``reduceat``
+  over any other edge list, specialized per reducer, with the scatter
+  bookkeeping (:class:`~repro.runtime.kernels.SegmentInfo`) derived once
+  per topology instead of once per scatter;
 * ``Sample`` selects the same kNN neighbours as eager execution through
-  :mod:`repro.graph.knn`'s one selection loop — without the nearest-first
-  re-sort on a sorted batch of equal-size graphs — and calls the same
-  ``random_graph``; kNN topologies are cached *within a frame*:
-  consecutive kNN samples over unchanged positions (or unchanged features)
-  reuse the edge list instead of recomputing it;
+  :mod:`repro.graph.knn`'s one selection loop — as a neighbour table,
+  without the nearest-first re-sort, on a sorted batch of equal-size
+  graphs — and calls the same ``random_graph``; kNN topologies are cached
+  *within a frame*: consecutive kNN samples over unchanged positions (or
+  unchanged features) reuse the topology instead of recomputing it;
 * ``Identity`` and ``Communicate`` are dropped at plan time;
-* edge lists arriving off the wire are canonicalized — destination-sorted
-  once — so every scatter hits the ``reduceat`` fast path.
+* an edge list handed to a segment is held as its neighbour table when
+  :func:`~repro.graph.knn.neighbour_table` accepts it; any other list is
+  canonicalized — destination-sorted once — so every scatter hits the
+  ``reduceat`` fast path.
 
 Plans are for **inference only** (the serving hot path); training, search
 and the simulator keep the eager autograd path.  Weights are resolved from
@@ -48,8 +52,8 @@ import numpy as np
 from ..gnn.operations import (AggregateOp, ClassifierOp, CombineOp,
                               CommunicateOp, GlobalPoolOp, IdentityOp,
                               Operation, SampleOp)
-from ..graph.knn import (_TILE_BYTES, _equal_graph_size, knn_graph,
-                         random_graph)
+from ..graph.knn import (_TILE_BYTES, _equal_graph_size, edge_list,
+                         knn_graph, neighbour_table, random_graph)
 from ..nn.modules import Dropout, Identity, LeakyReLU, Linear, MLP, ReLU
 from . import kernels
 from .arena import BufferArena
@@ -71,11 +75,21 @@ class PlanCompileError(NotImplementedError):
 # Run-time state threaded through a plan execution
 # ----------------------------------------------------------------------
 class PlanRun:
-    """Mutable state of one plan execution (the raw twin of ``ExecState``)."""
+    """Mutable state of one plan execution (the raw twin of ``ExecState``).
 
-    __slots__ = ("x", "batch", "num_graphs", "edge_index", "pos", "pooled",
-                 "edge_info", "edge_slots", "batch_sorted", "topo_cache",
-                 "arena", "x_in_arena", "x_scale", "x_qmax")
+    The topology is held in one form.  ``nbr`` is its ``(N, k)``
+    neighbour table whenever it is k-regular and destination-sorted: every
+    kNN sampled over equal-size graphs, and every edge list that
+    :func:`~repro.graph.knn.neighbour_table` accepts, before or after
+    canonicalization.  Otherwise ``nbr`` is ``None`` and the topology is
+    an edge list, with the ``edge_info`` of its canonical order once an
+    ``Aggregate`` has derived it.  :attr:`edge_index` expands a table into
+    a list at most once, when asked.
+    """
+
+    __slots__ = ("x", "batch", "num_graphs", "nbr", "_edges", "edge_info",
+                 "pos", "pooled", "topo_cache", "arena", "x_in_arena",
+                 "x_scale", "x_qmax")
 
     def __init__(self, x: np.ndarray, batch: np.ndarray, num_graphs: int,
                  edge_index: Optional[np.ndarray], pos: Optional[np.ndarray],
@@ -83,7 +97,7 @@ class PlanRun:
         self.x = x
         self.batch = batch
         self.num_graphs = num_graphs
-        self.edge_index = edge_index
+        self.use_edges(edge_index)
         self.pos = pos
         self.pooled = pooled
         #: When ``x`` holds quantized integers: its per-tensor scale and the
@@ -92,14 +106,6 @@ class PlanRun:
         #: bound).  ``None`` whenever ``x`` is float.
         self.x_scale: Optional[float] = None
         self.x_qmax: Optional[int] = None
-        #: SegmentInfo of the current edge list's destinations, or None when
-        #: not yet derived (wire edges are canonicalized lazily on first use).
-        self.edge_info: Optional[SegmentInfo] = None
-        #: ``(edge_index, slots)``: the range-checked slot table of a
-        #: k-regular edge list (see _slot_table), keyed by the list itself.
-        self.edge_slots: Optional[tuple] = None
-        self.batch_sorted = bool(batch.shape[0] == 0
-                                 or not np.any(np.diff(batch) < 0))
         #: Per-frame kNN topology cache (plan-time keys; see _SampleStep).
         self.topo_cache: dict = {}
         self.arena = arena
@@ -111,37 +117,28 @@ class PlanRun:
     def num_nodes(self) -> int:
         return int(self.x.shape[0])
 
+    @property
+    def edge_index(self) -> Optional[np.ndarray]:
+        """The topology as a ``(2, E)`` edge list (``None`` without one)."""
+        if self._edges is None and self.nbr is not None:
+            self._edges = edge_list(self.nbr)
+        return self._edges
+
+    def use_edges(self, edge_index: Optional[np.ndarray]) -> None:
+        """Make ``edge_index`` the topology, held as its table if it is one."""
+        self.nbr = (None if edge_index is None
+                    else neighbour_table(edge_index, self.num_nodes))
+        self._edges = edge_index
+        self.edge_info = None
+
 
 def _ensure_edge_info(run: PlanRun) -> None:
-    """Canonicalize the current edge list (destination-sort) once per frame."""
-    if run.edge_info is None:
-        run.edge_index, run.edge_info = canonical_edge_order(
-            run.edge_index, run.num_nodes)
-
-
-def _slot_table(run: PlanRun) -> np.ndarray:
-    """The k-regular edge list's sources as the uniform EdgeConv kernels
-    read them, derived and range-checked once per topology.
-
-    Returns the ``(N, k)`` transpose of a contiguous ``(k, N)`` slot table
-    (row j: every node's j-th source), so the kernels' slot-major view of
-    it is the table itself.  The kernels gather with ``mode="wrap"``, which
-    trusts every source to lie in ``[-N, N)``; this is the check that makes
-    that so, raising the ``IndexError`` numpy's default mode would.
-    """
-    cached = run.edge_slots
-    if cached is not None and cached[0] is run.edge_index:
-        return cached[1]
-    num_nodes, k = run.num_nodes, run.edge_info.uniform_k
-    slots = np.ascontiguousarray(
-        run.edge_index[0].reshape(num_nodes, k).T, dtype=np.intp)
-    low, high = int(slots.min()), int(slots.max())
-    if low < -num_nodes or high >= num_nodes:
-        bad = low if low < -num_nodes else high
-        raise IndexError(f"index {bad} is out of bounds for axis 0 with "
-                         f"size {num_nodes}")
-    run.edge_slots = (run.edge_index, slots.T)
-    return slots.T
+    """Canonicalize an edge list that is no table (destination-sort) once
+    per topology; a list the sort makes one is held as its table."""
+    if run.nbr is None and run.edge_info is None:
+        edges, info = canonical_edge_order(run.edge_index, run.num_nodes)
+        run.use_edges(edges)
+        run.edge_info = info
 
 
 def _scratch_shape(run: PlanRun, k: int, features: int,
@@ -247,31 +244,25 @@ class _SampleStep:
                    else ("knn", self.k, "x", self.x_version))
             cached = run.topo_cache.get(key)
             if cached is not None:
-                run.edge_index, run.edge_info = cached
+                run.nbr, run._edges, run.edge_info = cached
                 return
             reference = run.pos if run.pos is not None else run.x
             per_graph = _equal_graph_size(run.batch, run.num_graphs)
             if per_graph is not None:
-                edge_index = kernels.knn_edges_uniform(
-                    reference, self.k, run.num_graphs, per_graph)
+                run.nbr, run._edges, run.edge_info = kernels.knn_edges_uniform(
+                    reference, self.k, run.num_graphs, per_graph), None, None
             else:
-                edge_index = knn_graph(reference, self.k, batch=run.batch)
+                run.use_edges(knn_graph(reference, self.k, batch=run.batch))
         elif self.function == "random":
-            edge_index = random_graph(run.num_nodes, self.k, rng=self._rng,
-                                      batch=run.batch)
+            run.use_edges(random_graph(run.num_nodes, self.k, rng=self._rng,
+                                       batch=run.batch))
         else:
             raise ValueError(f"unknown sample function {self.function!r}")
-        run.edge_index = edge_index
-        if run.batch_sorted:
-            # Generated topologies are k-regular and, over a sorted batch
-            # vector, destination-sorted by construction: the bookkeeping is
-            # known statically, no scan needed.
-            run.edge_info = SegmentInfo.uniform(run.num_nodes, self.k)
-        else:
-            run.edge_info = None
-            _ensure_edge_info(run)
+        # A sampled list is k-regular, and destination-sorted unless the
+        # batch vector is not: sorting makes it a table then.
+        _ensure_edge_info(run)
         if self.function == "knn":
-            run.topo_cache[key] = (run.edge_index, run.edge_info)
+            run.topo_cache[key] = (run.nbr, run._edges, run.edge_info)
 
 
 class _AggregateStep:
@@ -292,7 +283,8 @@ class _AggregateStep:
 
     @staticmethod
     def _check(run: PlanRun) -> None:
-        if run.edge_index is None or run.edge_index.size == 0:
+        if run.nbr is None and (run.edge_index is None
+                                or run.edge_index.size == 0):
             raise RuntimeError("aggregate requires an existing graph structure")
         if run.pooled:
             raise RuntimeError("cannot aggregate after global pooling")
@@ -300,18 +292,17 @@ class _AggregateStep:
 
     def _edgeconv(self, run: PlanRun, x: np.ndarray, msg_slot: object,
                   out_slot: object) -> None:
-        """Float EdgeConv of ``x`` over the run's edge list, into ``run.x``."""
-        src, dst = run.edge_index[0], run.edge_index[1]
-        num_edges, features = src.shape[0], x.shape[1]
+        """Float EdgeConv of ``x`` over the run's topology, into ``run.x``."""
+        features = x.shape[1]
         out = run.arena.take(out_slot, (run.num_nodes, 2 * features), x.dtype)
-        k = run.edge_info.uniform_k
-        if k is not None:
+        if run.nbr is not None:
+            k = run.nbr.shape[1]
             scratch = run.arena.take(
                 msg_slot, _scratch_shape(run, k, features, x.dtype), x.dtype)
-            kernels.edgeconv_uniform(x, _slot_table(run), k, self.reduce,
-                                     scratch, out)
+            kernels.edgeconv_uniform(x, run.nbr, k, self.reduce, scratch, out)
         else:
-            messages = run.arena.take(msg_slot, (num_edges, 2 * features),
+            src, dst = run.edge_index
+            messages = run.arena.take(msg_slot, (src.shape[0], 2 * features),
                                       x.dtype)
             kernels.edge_messages(x, src, dst, messages)
             kernels.segment_reduce(messages, dst, run.edge_info, self.reduce,
@@ -338,17 +329,6 @@ class _GlobalPoolStep:
         _pool_into(run, self.mode, self.slot, self.scratch_slot)
 
 
-def _batch_segment_info(run: PlanRun) -> SegmentInfo:
-    """SegmentInfo of the batch vector (for pooling), cheapest derivation first."""
-    num_graphs = run.num_graphs
-    if (num_graphs == 1 and run.batch_sorted and run.batch.shape[0]
-            and run.batch[0] == 0 and run.batch[-1] == 0):
-        return SegmentInfo.single_segment(run.num_nodes)
-    if run.batch_sorted:
-        return SegmentInfo.from_sorted_index(run.batch, num_graphs)
-    return SegmentInfo.from_index(run.batch, num_graphs)
-
-
 def _finish_pool(run: PlanRun, out: np.ndarray, num_graphs: int) -> None:
     """Install pooled features and reset per-node state (shared pool epilogue)."""
     run.x = out
@@ -356,9 +336,7 @@ def _finish_pool(run: PlanRun, out: np.ndarray, num_graphs: int) -> None:
     run.x_scale = None
     run.x_qmax = None
     run.batch = np.arange(num_graphs, dtype=np.int64)
-    run.batch_sorted = True
-    run.edge_index = None
-    run.edge_info = None
+    run.use_edges(None)
     run.pos = None
     run.pooled = True
 
@@ -370,11 +348,13 @@ def _pool_into(run: PlanRun, mode: str, slot: object,
     Pooling is where quantized features re-enter float: uniform batch grids
     reduce in integer arithmetic (int64 scratch, so sums can never overflow)
     and dequantize the tiny per-graph result; ragged batches dequantize
-    first and pool like float input.
+    first and pool like float input.  A uniform grid is a batch vector of
+    ``num_graphs`` equal runs of the ids in order (``_equal_graph_size``).
     """
     num_graphs, features = run.num_graphs, run.x.shape[1]
-    info = _batch_segment_info(run)
-    per_graph = info.uniform_k
+    per_graph = _equal_graph_size(run.batch, num_graphs)
+    info = (None if per_graph is not None
+            else SegmentInfo.from_index(run.batch, num_graphs))
     if run.x.dtype.kind in "iu":
         if per_graph is not None:
             cols = 2 * features if mode in ("max||mean", "maxmean") else features
@@ -586,11 +566,10 @@ class _QuantAggregateStep(_AggregateStep):
     def __call__(self, run: PlanRun) -> None:
         self._check(run)
         x = run.x
-        k = run.edge_info.uniform_k
-        if k is None or x.dtype.kind not in "iu":
+        if run.nbr is None or x.dtype.kind not in "iu":
             self._float_fallback(run)
             return
-        features = x.shape[1]
+        k, features = run.nbr.shape[1], x.shape[1]
         qmax = run.x_qmax if run.x_qmax is not None else QMAX_INT8
         if self.reduce == "max":
             bound = 2 * qmax
@@ -608,8 +587,8 @@ class _QuantAggregateStep(_AggregateStep):
                              out_dtype)
         scratch = run.arena.take(
             self.msg_slot, _scratch_shape(run, k, features, x.dtype), x.dtype)
-        kernels.quant_edgeconv_uniform(x, _slot_table(run), k, self.reduce,
-                                       scratch, out)
+        kernels.quant_edgeconv_uniform(x, run.nbr, k, self.reduce, scratch,
+                                       out)
         run.x = out
         run.x_in_arena = True
         run.x_scale = new_scale

@@ -1,6 +1,7 @@
 """``tools/check_docs.py``: a cited root document that does not exist
-fails, and so does a wire schema block or a wire layout table that drifted
-from its declaration."""
+fails, and so do a wire schema block or a wire layout table that drifted
+from its declaration and a private name the docs cite that the code no
+longer defines."""
 
 import dataclasses
 import sys
@@ -107,3 +108,28 @@ def test_wire_layout_markers_are_required(tmp_path, monkeypatch):
 
 def test_live_tree_wire_layouts_are_current():
     assert check_docs.check_wire_layouts() == []
+
+
+def test_stale_private_name_is_reported(tmp_path, monkeypatch):
+    for directory in ("src", "tools", "benchmarks", "docs"):
+        (tmp_path / directory).mkdir()
+    (tmp_path / "src" / "module.py").write_text(
+        "class _Live:\n    def __init__(self):\n        self._slot = 1\n",
+        encoding="utf-8")
+    (tmp_path / "tools" / "tool.py").write_text("_CONSTANT = 2\n",
+                                                encoding="utf-8")
+    (tmp_path / "benchmarks" / "bench.py").write_text(
+        "def _helper():\n    pass\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "`_Live` keeps `_slot`; `__init__` is Python's.\n", encoding="utf-8")
+    (tmp_path / "docs" / "guide.md").write_text(
+        "Intro.\n\n`_CONSTANT`, `_helper` and `_slot_table`.\n",
+        encoding="utf-8")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    assert check_docs.check_private_names() == [
+        "docs/guide.md:3: names _slot_table, which nothing under src, "
+        "tools, benchmarks defines"]
+
+
+def test_live_tree_private_names_are_defined():
+    assert check_docs.check_private_names() == []

@@ -20,8 +20,9 @@ from repro.serving import RuntimeConfig, build_callables, build_zoo_callables
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40, SyntheticMR
 from repro.graph.data import Batch
+from repro.graph.knn import neighbour_table
 from repro.runtime import (BufferArena, InferencePlan, PlanCompileError,
-                           SegmentInfo, canonical_edge_order, compile_plan)
+                           canonical_edge_order, compile_plan)
 
 #: Equivalence bound for float64 plans: the compiled runtime may reorder
 #: within-segment summation (reshape reductions, unsorted-edge
@@ -548,18 +549,42 @@ class TestSegmentInfo:
         np.testing.assert_array_equal(ordered[0], [3, 1, 2, 0])
 
     def test_canonical_edge_order_passes_sorted_through(self):
-        edges = np.stack([np.arange(8), np.repeat(np.arange(4), 2)])
+        table = np.arange(8).reshape(4, 2) % 4
+        edges = np.stack([table.ravel(), np.repeat(np.arange(4), 2)])
         ordered, info = canonical_edge_order(edges, 4)
         assert ordered is edges
-        assert info.is_sorted and info.uniform_k == 2
+        assert info.is_sorted
+        np.testing.assert_array_equal(neighbour_table(ordered, 4), table)
 
-    def test_uniform_info_matches_scan(self):
-        index = np.repeat(np.arange(5), 3)
-        fast = SegmentInfo.uniform(5, 3)
-        scanned = SegmentInfo.from_index(index, 5)
-        np.testing.assert_array_equal(fast.starts, scanned.starts)
-        np.testing.assert_array_equal(fast.counts, scanned.counts)
-        assert fast.uniform_k == scanned.uniform_k == 3
+
+class TestOneTopologyForm:
+    def test_a_sampled_run_holds_the_table_and_lists_it_once(self):
+        model = ArchitectureModel(_arch("max", "mean"), in_dim=3,
+                                  num_classes=5, seed=0)
+        frame = _point_cloud_frames(count=1)[0]
+        run = compile_plan(model).device.execute(
+            frame.x, frame.batch, frame.num_graphs, pos=frame.pos)
+        num_nodes = frame.x.shape[0]
+        assert run.nbr.shape == (num_nodes, 6)
+        edges = run.edge_index
+        assert run.edge_index is edges
+        np.testing.assert_array_equal(neighbour_table(edges, num_nodes),
+                                      run.nbr)
+
+    def test_an_irregular_list_stays_a_canonical_list(self):
+        arch = Architecture(ops=(
+            OpSpec(OpType.AGGREGATE, "mean"), OpSpec(OpType.COMBINE, 16),
+            OpSpec(OpType.COMMUNICATE, "uplink"),
+            OpSpec(OpType.GLOBAL_POOL, "max")), name="irregular")
+        graph = SyntheticMR(num_documents=2, feature_dim=16, mean_nodes=10,
+                            seed=0).generate()[0]
+        frame = Batch.from_graphs([graph])
+        model = ArchitectureModel(arch, in_dim=16, num_classes=2, seed=0)
+        run = compile_plan(model).device.execute(
+            frame.x, frame.batch, 1, edge_index=frame.edge_index)
+        assert run.nbr is None and run.edge_info.is_sorted
+        np.testing.assert_array_equal(np.sort(run.edge_index[1]),
+                                      run.edge_index[1])
 
 
 class TestArenaRelease:

@@ -57,7 +57,7 @@ from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
-from repro.graph.knn import _TILE_BYTES, _KeyTiles, knn_graph
+from repro.graph.knn import _TILE_BYTES, _KeyTiles, edge_list, knn_graph
 from repro.runtime import compile_plan, kernels
 from repro.serving import RuntimeConfig, build_zoo_callables
 
@@ -122,6 +122,12 @@ def _per_graph_distances(points, num_graphs, per_graph):
         yield _full_matrix_distances(grouped[graph:graph + 1])
 
 
+def _uniform_edges(points, k, num_graphs, per_graph):
+    """The compiled runtime's kNN table as the edge list it stands for."""
+    return edge_list(kernels.knn_edges_uniform(points, k, num_graphs,
+                                               per_graph))
+
+
 def _reference_uniform(points, k, num_graphs, per_graph):
     """The selection-only kNN of the compiled runtime, on full matrices."""
     local = np.concatenate([
@@ -176,8 +182,7 @@ def _assert_knn_identical(points, num_graphs, per_graph):
     assert eager.tobytes() == _reference_eager(points, k, num_graphs,
                                                per_graph).tobytes()
     uniform_k = min(k, per_graph - 1)
-    uniform = kernels.knn_edges_uniform(points, uniform_k, num_graphs,
-                                        per_graph)
+    uniform = _uniform_edges(points, uniform_k, num_graphs, per_graph)
     assert uniform.tobytes() == _reference_uniform(
         points, uniform_k, num_graphs, per_graph).tobytes()
 
@@ -262,7 +267,7 @@ class TestBenchmarkClouds:
                               num_points)
             assert knn_graph(points, k, batch=batch).tobytes() == \
                 _reference_eager(points, k, num_graphs, num_points).tobytes()
-            assert kernels.knn_edges_uniform(
+            assert _uniform_edges(
                 points, k, num_graphs, num_points).tobytes() == \
                 _reference_uniform(points, k, num_graphs,
                                    num_points).tobytes()
@@ -293,7 +298,7 @@ class TestTinyGraphs:
         only the loop's re-sort keeps eager's repeats."""
         points = _cloud("gaussian", num_graphs * per_graph, 3, seed=k)
         batch = np.repeat(np.arange(num_graphs, dtype=np.int64), per_graph)
-        uniform = kernels.knn_edges_uniform(points, k, num_graphs, per_graph)
+        uniform = _uniform_edges(points, k, num_graphs, per_graph)
         eager = knn_graph(points, k, batch=batch)
         assert uniform.shape == eager.shape
         np.testing.assert_array_equal(uniform[1], eager[1])
@@ -345,7 +350,7 @@ class TestTileHelper:
                 start.wait(timeout=30)
                 cloud = clouds[(callers * round_ + side) % len(clouds)]
                 results[side].append(
-                    kernels.knn_edges_uniform(cloud, 20, 1, 1024).tobytes())
+                    _uniform_edges(cloud, 20, 1, 1024).tobytes())
 
         threads = [threading.Thread(target=caller, args=(side,))
                    for side in range(callers)]
@@ -376,7 +381,7 @@ class TestTileHelper:
         helper.helper.submit(lambda: release.wait(30))
         try:
             edges = _in_thread(
-                lambda: kernels.knn_edges_uniform(cloud, 20, 1, 1024))
+                lambda: _uniform_edges(cloud, 20, 1, 1024))
         finally:
             release.set()
         assert edges.tobytes() == \
@@ -398,7 +403,7 @@ class TestTileHelper:
 
         monkeypatch.setattr(kernels, "_process_helper", no_helper)
         points = _cloud("gaussian", num_graphs * num_points, 3, seed=k)
-        assert kernels.knn_edges_uniform(
+        assert _uniform_edges(
             points, k, num_graphs, num_points).tobytes() == \
             _reference_uniform(points, k, num_graphs, num_points).tobytes()
         cloud = _cloud("gaussian", 1024, 3, seed=1)
@@ -419,7 +424,7 @@ class TestTileHelper:
         monkeypatch.setattr(kernels.os, "sched_getaffinity",
                             lambda pid: {0, 1})
         cloud = _cloud("gaussian", 1024, 3, seed=2)
-        assert kernels.knn_edges_uniform(cloud, 20, 1, 1024).tobytes() == \
+        assert _uniform_edges(cloud, 20, 1, 1024).tobytes() == \
             _reference_uniform(cloud, 20, 1, 1024).tobytes()
         assert finder_calls == [1]
         assert kernels._helper is False
@@ -434,7 +439,7 @@ class TestTileHelper:
         monkeypatch.setattr(kernels, "_find_openblas", untouched)
         monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0})
         cloud = _cloud("gaussian", 1024, 3, seed=4)
-        assert kernels.knn_edges_uniform(cloud, 20, 1, 1024).tobytes() == \
+        assert _uniform_edges(cloud, 20, 1, 1024).tobytes() == \
             _reference_uniform(cloud, 20, 1, 1024).tobytes()
         assert kernels._process_helper() is None
 
@@ -469,7 +474,7 @@ class TestTileHelper:
         assert helper_failed.is_set()
         monkeypatch.setattr(np, "argpartition", argpartition)
         for _ in range(20):
-            assert _in_thread(lambda: kernels.knn_edges_uniform(
+            assert _in_thread(lambda: _uniform_edges(
                 cloud, 20, 1, 1024)).tobytes() == expected
             helper.settle()
             if sum(helper.ranked):
@@ -493,7 +498,7 @@ class TestTileHelper:
                 inherited = kernels._helper is helper
                 os.sched_getaffinity = lambda pid: {0, 1}
                 own = kernels._process_helper()
-                edges = kernels.knn_edges_uniform(cloud, 20, 1, 1024)
+                edges = _uniform_edges(cloud, 20, 1, 1024)
                 status = 0 if (
                     not inherited and own is not helper
                     and (own is None or own.thread.is_alive())

@@ -23,23 +23,29 @@ stay beside them.
 
 from __future__ import annotations
 
+import collections
 import functools
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import frame_specs
 from repro.core import (Architecture, ArchitectureModel, ArchitectureZoo,
-                        ZooEntry, collate_arrays)
+                        ZooEntry, collate_arrays, executor)
 from repro.core.executor import (_EXCLUSIVE, _FREE_AXES, _POS_META_KEY,
                                  _REQUIRED, _WIRE_ARRAYS, _WIRE_META,
-                                 _neighbour_table, _wire_state)
+                                 _wire_state)
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch, GraphData
-from repro.graph.knn import knn_graph, random_graph
+from repro.graph import knn
+from repro.graph.knn import (edge_list, knn_graph, neighbour_table,
+                             random_graph)
+from repro.runtime import plan as runtime_plan
 from repro.runtime.plan import PlanSegment
 from repro.serving import (RuntimeConfig, ServerConfig, ServingConfig,
                            ShardingConfig, build_callables,
@@ -134,15 +140,30 @@ class TestWhichTopologiesTravelAsNbr:
         assert "nbr" not in arrays
         assert arrays["edge_index"].shape == (2, 5)
 
-    def test_more_than_65536_nodes_ship_edge_index(self):
-        for num_nodes, eligible in ((1 << 16, True), ((1 << 16) + 1, False)):
+    @pytest.mark.parametrize("runtime", ["compiled", "eager"])
+    def test_more_than_65536_nodes_ship_edge_index(self, runtime):
+        """``nbr`` ships uint16 sources: a frame of 65 536 nodes ships its
+        table, and one of a node more its edge list."""
+        arch = Architecture(ops=(
+            OpSpec(OpType.AGGREGATE, "max"), OpSpec(OpType.COMMUNICATE,
+                                                    "uplink"),
+            OpSpec(OpType.GLOBAL_POOL, "max")))
+        device_fn = build_callables(
+            ArchitectureModel(arch, in_dim=1, num_classes=2, seed=0),
+            RuntimeConfig(runtime=runtime)).device_fn
+        for num_nodes in (1 << 16, (1 << 16) + 1):
             nodes = np.arange(num_nodes, dtype=np.int64)
             edges = np.stack([nodes[::-1], nodes])
-            assert (_neighbour_table(edges, num_nodes) is not None) == eligible
-
-    def test_out_of_range_sources_are_not_truncated(self):
-        edges = np.array([[1, 70000], [0, 1]])
-        assert _neighbour_table(edges, 2) is None
+            graph = GraphData(x=np.zeros((num_nodes, 1)), edge_index=edges)
+            arrays, _ = device_fn(Batch.from_graphs([graph]))
+            if num_nodes <= 1 << 16:
+                assert "edge_index" not in arrays
+                assert arrays["nbr"].dtype == np.uint16
+                np.testing.assert_array_equal(arrays["nbr"][:, 0],
+                                              nodes[::-1])
+            else:
+                assert "nbr" not in arrays
+                np.testing.assert_array_equal(arrays["edge_index"], edges)
 
     @pytest.mark.parametrize("build", ["knn_ragged", "random", "random_ragged"])
     def test_sampled_topologies_round_trip_exactly(self, build):
@@ -155,7 +176,7 @@ class TestWhichTopologiesTravelAsNbr:
         points = rng.standard_normal((batch.shape[0], 3))
         edges = (knn_graph(points, K, batch=batch) if build == "knn_ragged"
                  else random_graph(batch.shape[0], K, rng=rng, batch=batch))
-        nbr = _neighbour_table(edges, batch.shape[0])
+        nbr = neighbour_table(edges, batch.shape[0])
         assert nbr is not None and nbr.shape == (batch.shape[0], K)
         expanded = _wire_state({"x": points, "batch": batch, "nbr": nbr},
                                {"num_graphs": len(sizes)})["edge_index"]
@@ -182,6 +203,45 @@ class TestWhichTopologiesTravelAsNbr:
             _wire_state({"x": np.zeros((3, 2)), "batch": np.zeros(3, int),
                          "nbr": np.zeros((4, 2), np.uint16)},
                         {"num_graphs": 1})
+
+
+class TestNeighbourTable:
+    """``repro.graph.knn``'s two forms of a k-regular, destination-sorted
+    topology: ``edge_list`` expands the ``(N, k)`` table and
+    ``neighbour_table`` recognises the list, or returns ``None``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(num_nodes=st.integers(1, 40), k=st.integers(1, 50),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(num_nodes=1, k=1, seed=0)
+    @example(num_nodes=1, k=5, seed=0)
+    @example(num_nodes=3, k=7, seed=1)
+    def test_round_trip(self, num_nodes, k, seed):
+        table = np.random.default_rng(seed).integers(
+            0, num_nodes, size=(num_nodes, k))
+        edges = edge_list(table)
+        assert edges.dtype == np.int64 and edges.shape == (2, num_nodes * k)
+        np.testing.assert_array_equal(neighbour_table(edges, num_nodes),
+                                      table)
+
+    @pytest.mark.parametrize("case", ["swapped destinations", "k = 0",
+                                      "source -1", "source N",
+                                      "E not divisible by N"])
+    def test_no_table(self, case):
+        num_nodes, k = 4, 3
+        edges = edge_list(np.arange(num_nodes * k).reshape(num_nodes, k)
+                          % num_nodes)
+        if case == "swapped destinations":  # positions 2 and 3: nodes 0, 1
+            edges[1, [2, 3]] = edges[1, [3, 2]]
+        elif case == "k = 0":
+            edges = np.zeros((2, 0), dtype=np.int64)
+        elif case == "source -1":
+            edges[0, 5] = -1
+        elif case == "source N":
+            edges[0, 5] = num_nodes
+        else:
+            edges = edges[:, :-1]
+        assert neighbour_table(edges, num_nodes) is None
 
 
 class TestCollateMixedSchemas:
@@ -226,6 +286,82 @@ class TestCollateMixedSchemas:
         assert "pos" not in bare[0] and "pos" not in bare[1]
         with pytest.raises(ValueError, match="pos"):
             callables.batch_fn([aliased, bare])
+
+
+class TestTheTableIsCarried:
+    """A sampled topology stays its ``(N, k)`` table from the device's kNN
+    to the edge's EdgeConv: ``device_fn`` builds no edge list, and neither
+    ``edge_fn`` nor ``batch_fn`` canonicalizes one.  A ragged batch is
+    sampled as an edge list, and an unsorted one is canonicalized too;
+    both still serve eager's logits."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> collections.Counter:
+        """Calls of every builder of an edge list, and of the sort."""
+        calls = collections.Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (knn, runtime_plan, executor):
+            count(module, "edge_list")
+        count(runtime_plan, "knn_graph")
+        count(runtime_plan, "canonical_edge_order")
+        return calls
+
+    @staticmethod
+    def _serving():
+        model = ArchitectureModel(_e2blk(), in_dim=3, num_classes=3, seed=0)
+        callables = build_zoo_callables(ZOO, in_dim=3, num_classes=3,
+                                        seed=0)["e2blk"]
+        return model, callables
+
+    def test_64_point_frames_never_become_a_list(self, monkeypatch):
+        model, callables = self._serving()
+        graphs = SyntheticModelNet40(num_points=64, samples_per_class=3,
+                                     num_classes=3, seed=5).generate()
+        frames = [Batch.from_graphs([graph]) for graph in graphs[:8]]
+        expected = [model(frame).data for frame in frames]
+        calls = self._counted(monkeypatch)
+        states = [callables.device_fn(frame) for frame in frames]
+        assert all("nbr" in arrays for arrays, _ in states)
+        assert calls == {}
+        served = [callables.edge_fn(*state)[0]["logits"] for state in states]
+        batched = [arrays["logits"]
+                   for arrays, _ in callables.batch_fn(states)]
+        assert calls["canonical_edge_order"] == 0
+        for one, many, reference in zip(served, batched, expected):
+            np.testing.assert_allclose(one, reference, atol=1e-9, rtol=0)
+            np.testing.assert_allclose(many, reference, atol=1e-9, rtol=0)
+
+    @pytest.mark.parametrize("shape", ["ragged", "unsorted"])
+    def test_ragged_and_unsorted_batches_take_the_list_path(self,
+                                                            monkeypatch,
+                                                            shape):
+        model, callables = self._serving()
+        frame = Batch.from_graphs([
+            SyntheticModelNet40(num_points=size, samples_per_class=1,
+                                num_classes=2, seed=5).generate()[0]
+            for size in (17, 24, 9)])
+        if shape == "unsorted":
+            order = np.random.default_rng(0).permutation(frame.x.shape[0])
+            frame = Batch(x=frame.x[order], edge_index=None,
+                          batch=frame.batch[order], pos=frame.pos[order],
+                          num_graphs=frame.num_graphs)
+        expected = model(frame).data
+        calls = self._counted(monkeypatch)
+        state = callables.device_fn(frame)
+        assert calls["knn_graph"] == 1
+        assert (calls["canonical_edge_order"] > 0) == (shape == "unsorted")
+        for logits in (callables.edge_fn(*state)[0]["logits"],
+                       callables.batch_fn([state])[0][0]["logits"]):
+            np.testing.assert_allclose(logits, expected, atol=1e-9, rtol=0)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Docs and examples health check (run by the CI docs job).
 
-Four independent checks, all purely static/import-level so the whole run
+Seven independent checks, all purely static/import-level so the whole run
 takes seconds:
 
 1. **Example import smoke** — every ``examples/*.py`` must import cleanly
@@ -29,6 +29,11 @@ takes seconds:
    re-rendered from the layouts the codec reads and writes (``_LAYOUTS`` in
    ``repro.system.messages``); any difference fails.  The same ``--write``
    fixes it.
+7. **Private names in the docs** — a backticked private name (`` `_name` ``)
+   in ``README.md`` or ``docs/*.md`` must still be defined — by a ``def``,
+   a ``class`` or an assignment — somewhere under ``src/``, ``tools/`` or
+   ``benchmarks/``: a helper renamed or deleted must take its prose with
+   it.
 
 Exit code is non-zero when anything fails, printing one line per problem.
 
@@ -37,6 +42,7 @@ Run with:  PYTHONPATH=src python tools/check_docs.py [--write]
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import sys
@@ -53,6 +59,10 @@ _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 _ROOT_DOC_RE = re.compile(r"(?<![\w/.\-])[A-Z][A-Z0-9_]*\.md\b")
 #: Where root documents get cited from: sources, their tests and the docs.
 _CITING_DIRS = ("src", "benchmarks", "tools", "tests", "examples", "docs")
+#: A backticked private name (dunders are Python's, not ours).
+_PRIVATE_NAME_RE = re.compile(r"`(_[A-Za-z][A-Za-z0-9_]*)`")
+#: Where the private names the docs cite must be defined.
+_DEFINING_DIRS = ("src", "tools", "benchmarks")
 
 
 def check_example_imports() -> list:
@@ -280,6 +290,47 @@ def check_root_doc_citations() -> list:
     return errors
 
 
+def defined_names() -> set:
+    """Every name a ``def``, a ``class`` or an assignment (to a name or an
+    attribute) binds in the Python files under :data:`_DEFINING_DIRS`."""
+    names = set()
+    for directory in _DEFINING_DIRS:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                               ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(
+                        node.ctx, ast.Store):
+                    names.add(node.attr)
+    return names
+
+
+def check_private_names() -> list:
+    """Every backticked private name in the docs must still be defined."""
+    defined = defined_names()
+    errors = []
+    cited = 0
+    for md_file in iter_markdown_files():
+        if not md_file.exists():
+            continue  # check_markdown_links reports it
+        lines = md_file.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            for name in _PRIVATE_NAME_RE.findall(line):
+                cited += 1
+                if name not in defined:
+                    errors.append(
+                        f"{md_file.relative_to(REPO_ROOT)}:{number}: names "
+                        f"{name}, which nothing under "
+                        f"{', '.join(_DEFINING_DIRS)} defines")
+    print(f"ok  {cited} private name(s) in the docs checked")
+    return errors
+
+
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv == ["--write"]:
@@ -293,7 +344,8 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     errors = (check_example_imports() + check_markdown_links()
               + check_knob_tables() + check_wire_schema()
-              + check_wire_layouts() + check_root_doc_citations())
+              + check_wire_layouts() + check_root_doc_citations()
+              + check_private_names())
     if errors:
         print(f"\n{len(errors)} problem(s):", file=sys.stderr)
         for error in errors:

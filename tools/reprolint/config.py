@@ -12,6 +12,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 GRAPH = "src/repro/graph"
+GNN = "src/repro/gnn"
 SYSTEM = "src/repro/system"
 RUNTIME = "src/repro/runtime"
 SERVING = "src/repro/serving"
@@ -35,11 +36,16 @@ CORE = "src/repro/core"
 #   rather than allowed here.  The kNN ranking (graph/knn.py) sits below
 #   the runtime kernels: eager and compiled kNN share its one selection
 #   loop, so the runtime imports it and it never imports the runtime.
+#   It also owns the two forms of a k-regular topology (the ``(N, k)``
+#   neighbour table and its edge list); the eager operations
+#   (gnn/operations.py) take the table from it, never from the runtime
+#   or the executor above them.
 #   The executor (core/executor.py) builds the engine callables that the
 #   serving builders hand out, so it sits below the serving tier too: it
 #   takes a ``RuntimeConfig`` as an argument and never imports it.
 LAYERING_RULES = {
     f"{GRAPH}/knn.py": {"numpy"},
+    f"{GNN}/operations.py": {"numpy", "repro.nn", "repro.graph"},
     f"{CORE}/executor.py": {"numpy", "repro.core", "repro.gnn", "repro.graph",
                             "repro.nn", "repro.runtime"},
     f"{SYSTEM}/messages.py": {"numpy"},
