@@ -1,29 +1,30 @@
-"""TCP replica node: the shard worker main behind a socket transport.
+"""TCP replica node: the shard worker behind a socket.
 
 A *node* is :class:`~repro.runtime.shard.ReplicaCore` — the exact worker
-loop the shared-memory shards run — reached over TCP instead of a ring
-buffer, so a fleet of machines can serve the same zoo the way one box's
-cores do.  Everything above the transport is shared code: the same JSON zoo
-payload bootstrap (same seed → bit-identical replica weights), the same
-``frame``/``publish`` envelope kinds in the versioned raw wire framing, the
-same idempotent snapshot replication and pin checks.
+loop the shards run — reached over TCP instead of a pipe, so a fleet of
+machines can serve the same zoo the way one box's cores do.  Everything
+above the socket is shared code: the same JSON zoo payload bootstrap (same
+seed → bit-identical replica weights), the same ``frame``/``publish``
+envelope kinds in the versioned raw wire framing, the same idempotent
+snapshot replication and pin checks.  So is the byte stream itself: each
+end of a node hop drives its connected socket through the stream endpoint
+a shard's pipes use (``_StreamEndpoint`` in :mod:`repro.runtime.shard`:
+a non-blocking descriptor, ``poll`` waits, a two-part write deadline and a
+receive cap).
 
 Handshake
 ---------
 A node starts *empty* — it holds no models until a router connects — so
 nodes can be launched standalone on remote machines (``python -m
-repro.runtime.node --port 9000``) before any router exists.  Per
-connection:
-
-1. The router sends a **hello**: one ``publish`` envelope whose ``meta``
-   is the full bootstrap dict (``zoo`` payload, ``version``, ``in_dim``,
-   ``num_classes``, ``runtime``, ``seed``, ``retain``).
-2. The node builds its :class:`ReplicaCore` on first contact, or — on a
-   reconnect — idempotently installs the hello's snapshot if it is newer
-   than what the node already holds (a re-sync can never regress state).
-3. The node answers ``ready`` (pid, node id, installed version) and then
-   serves the normal envelope loop, including ``ping`` → ``pong``
-   heartbeats, until the connection closes.
+repro.runtime.node --port 9000``) before any router exists.  Each
+connection runs the one worker handshake every shard runs too
+(``_serve_worker``): the router's hello (one ``publish`` envelope whose
+``meta`` is the full bootstrap dict) builds the node's core on first
+contact, or — on a reconnect — idempotently installs the hello's snapshot
+if it is newer than what the node already holds; the node answers
+``ready`` (pid, node id, installed version) and then serves the normal
+envelope loop, including ``ping`` → ``pong`` heartbeats, until the
+connection closes.
 
 Connections are served concurrently (one thread each) against the single
 shared core, mirroring the in-process server's worker threads; a router
@@ -40,28 +41,19 @@ disappears.
 
 from __future__ import annotations
 
-import select
 import socket
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from ..system.messages import (MAX_MESSAGE_BYTES, Message, SHARD_KIND_PUBLISH,
-                               SHARD_KIND_READY, disable_nagle, recv_payload,
-                               send_payload)
-# bootstrap_meta is re-exported: a node's hello is the shard tier's spawn
-# payload, so there is one builder for both.
-from .shard import (ReplicaCore, _EnvelopeChannel, _parent_alive,
-                    bootstrap_meta, zoo_from_payload)
+from ..system.messages import disable_nagle
+# bootstrap_meta is re-exported: a node's hello is the shard tier's hello,
+# so there is one builder for both.
+from .shard import (_CoreHolder, _StreamEndpoint, _parent_alive,
+                    _serve_worker, bootstrap_meta)
 
 #: How long a node's accept loop sleeps between liveness polls (seconds).
 _ACCEPT_POLL_S = 0.5
-
-#: Socket timeout of a node's accepted connections — the one bound on
-#: every blocking op of their :class:`_SocketChannel`.  Request-scale on
-#: purpose: a peer that stalls an in-progress frame this long is
-#: unreachable, not slow.
-_IO_TIMEOUT_S = 60.0
 
 
 class NodeCrashedError(ConnectionError):
@@ -105,102 +97,10 @@ class NodeStats:
     last_death_reason: Optional[str] = None
 
 
-class _CoreHolder:
-    """The node's single shared core, built lazily from the first hello."""
-
-    def __init__(self) -> None:
-        self.core: Optional[ReplicaCore] = None
-        self.lock = threading.Lock()
-
-    def apply_hello(self, meta: Dict) -> ReplicaCore:
-        with self.lock:
-            if self.core is None:
-                self.core = ReplicaCore(meta)
-            else:
-                version = int(meta["version"])
-                if version > self.core.repository.version:
-                    self.core.repository.publish(
-                        zoo_from_payload(meta["zoo"]), version=version)
-            return self.core
-
-
-class _SocketChannel:
-    """The byte-channel surface of :class:`~repro.runtime.shard.ShardChannel`
-    over one connected TCP socket (length-prefixed blobs), at both ends of
-    the node hop.
-
-    One bound for every blocking socket op: the timeout set on the socket
-    (request-scale).  A send or a mid-frame read stalled longer than that
-    means the peer is unreachable by contract; ``send_bytes`` ignores its
-    per-call ``timeout`` because a ``settimeout`` from a sender would race
-    the reader thread's mid-frame reads on the same socket.
-    """
-
-    def __init__(self, sock: socket.socket,
-                 max_bytes: int = MAX_MESSAGE_BYTES) -> None:
-        self._sock = sock
-        #: What the peer's ``recv_payload`` accepts; larger envelopes are
-        #: refused before the first byte instead of killing the stream.
-        self.max_message_bytes = max_bytes
-
-    def send_bytes(self, blob: bytes, timeout: Optional[float] = None) -> int:
-        return send_payload(self._sock, blob)
-
-    def recv_bytes(self, timeout: float = 0.2) -> Optional[bytes]:
-        # The idle wait is a select() on readability, never a recv
-        # timeout: one firing after the length prefix would discard the
-        # partial frame and permanently desync the stream.
-        try:
-            readable, _, _ = select.select([self._sock], [], [], timeout)
-        except (OSError, ValueError) as exc:  # socket torn down mid-select
-            raise ConnectionError("connection closed") from exc
-        if not readable:
-            return None
-        try:
-            blob = recv_payload(self._sock, self.max_message_bytes)
-        except socket.timeout as exc:
-            raise ConnectionError("peer stalled mid-frame") from exc
-        if blob is None:
-            raise ConnectionError("connection closed by peer")
-        return blob
-
-    def close(self) -> None:
-        try:
-            # shutdown (not just close) reliably unblocks a reader thread
-            # parked in recv on the same socket.
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def unlink(self) -> None:  # sockets have no backing object to unlink
-        pass
-
-
 def _serve_connection(conn: socket.socket, holder: _CoreHolder,
                       node_id: int) -> None:
     """Handshake then envelope loop for one router connection."""
-    conn.settimeout(_IO_TIMEOUT_S)
-    link = _EnvelopeChannel(_SocketChannel(conn))
-    try:
-        hello = link.read_envelope(30.0)
-        if hello is None or hello.kind != SHARD_KIND_PUBLISH:
-            return  # not a router speaking our handshake: drop the link
-        try:
-            core = holder.apply_hello(hello.meta)
-        except Exception as exc:
-            link.reply_error(hello.frame_id, exc)
-            return
-        link.reply(Message(kind=SHARD_KIND_READY, frame_id=hello.frame_id,
-                           meta=core.ready_meta(node_id)))
-        core.serve(link)
-    except Exception:  # connection-scoped failure: the link is dead anyway
-        pass
-    finally:
-        link.channel.close()
+    _serve_worker(_StreamEndpoint(conn), holder, node_id)
 
 
 def _node_main(node_id: int, host: str, port: int, ready_conn=None) -> None:

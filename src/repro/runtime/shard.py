@@ -1,11 +1,23 @@
-"""Shard worker runtime: pipe / shared-memory frame transport + worker main.
+"""Worker runtime: the stream / shared-memory transports + the worker side.
 
 This module is the process-side half of the process-parallel serving tier
 (see :mod:`repro.serving.sharding` for the in-server pool that drives it).
 A *shard* is a worker process holding its own
 :class:`~repro.serving.repository.ModelRepository` — its own models,
 compiled plans and buffer arenas — so N shards execute N frames truly in
-parallel on N cores, instead of time-slicing one GIL.
+parallel on N cores, instead of time-slicing one GIL.  A cluster node
+(:mod:`repro.runtime.node`) is the same worker behind a TCP socket, and
+both tiers share what this module defines: the stream endpoint, the worker
+loop (:class:`ReplicaCore`) and its handshake.
+
+Handshake
+---------
+Every worker starts *empty*.  The parent's first envelope on a link is a
+**hello**: one ``publish`` envelope whose ``meta`` is the full
+:func:`bootstrap_meta` dict.  The worker builds its :class:`ReplicaCore`
+from it (a node that already holds one installs the hello's snapshot if it
+is newer), answers ``ready`` and serves the envelope loop
+(``_serve_worker``, which the shard main and each node connection run).
 
 Transport
 ---------
@@ -16,17 +28,19 @@ Nothing is pickled and nothing is re-encoded — moving a frame into a shard
 costs the raw-framing header plus straight memcpys of the array payloads.
 Each envelope travels as ``[u32 length][raw frame]``.
 
-Two transports carry the framed bytes:
+Two transports carry a shard's framed bytes:
 
 ``"pipe"`` (default)
     One OS pipe per direction (the descriptors of a
-    ``multiprocessing.Pipe``, which only carries them across spawn), driven
-    with non-blocking ``os.writev``/``os.read`` and ``poll``.  A waiting side
+    ``multiprocessing.Pipe``, which only carries them across spawn), each
+    end driven by a :class:`_StreamEndpoint` — the class that also drives
+    both ends of a node's TCP socket: non-blocking ``os.writev``/``os.read``
+    and ``poll``.  A waiting side
     sleeps in the kernel and wakes the moment bytes (or room) arrive — no
     spinning, no sleep quantum between a reply and its reader — and the
     kernel orders the bytes, so the transport needs no store-ordering
     assumption from the CPU.  Write deadline, in two parts (see
-    :meth:`_PipeEndpoint.send_bytes`):
+    :meth:`_StreamEndpoint.send_bytes`):
 
     * **shed before the first byte** — when not one byte of an envelope
       could be written within the shed bound, the send raises
@@ -39,7 +53,10 @@ Two transports carry the framed bytes:
 
     A closed peer (``EPIPE`` on a write, end-of-file on a read) raises
     :class:`ConnectionError` at once on either end — a crash at the parent,
-    an orderly exit at the worker.
+    an orderly exit at the worker.  So does a length prefix above the
+    endpoint's message limit (``MAX_MESSAGE_BYTES`` by default), before a
+    byte is buffered toward it; a sender refuses such an envelope with
+    :class:`ValueError` before writing its first byte.
 
 ``"shm"`` (opt-in)
     A pair of preallocated single-producer/single-consumer ring buffers in
@@ -92,15 +109,17 @@ import math
 import os
 import select
 import struct
+import threading
 import time
 import traceback
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT, KIND_STOP,
-                               Message, NODE_KIND_PING, NODE_KIND_PONG,
-                               SHARD_KIND_PUBLISH, SHARD_KIND_PUBLISHED,
-                               SHARD_KIND_READY, WIRE_FORMAT_RAW,
+                               MAX_MESSAGE_BYTES, Message, NODE_KIND_PING,
+                               NODE_KIND_PONG, SHARD_KIND_PUBLISH,
+                               SHARD_KIND_PUBLISHED, SHARD_KIND_READY,
+                               WIRE_FORMAT_RAW, _parse_prefix,
                                deserialize_message, pack_frames,
                                serialize_message, unpack_frames)
 
@@ -114,9 +133,9 @@ except ImportError:  # pragma: no cover - platform-dependent
 #: 4-byte big-endian length prefix in front of every ring/pipe message.
 _FRAME_PREFIX = ">I"
 _FRAME_PREFIX_BYTES = struct.calcsize(_FRAME_PREFIX)
-#: Largest single pipe read: the default Linux pipe capacity, so one read
-#: drains whatever the writer managed to put in.
-_PIPE_READ_BYTES = 1 << 16
+#: Largest single stream read: the default Linux pipe capacity, so one
+#: read drains whatever the writer managed to put in.
+_STREAM_READ_BYTES = 1 << 16
 #: Ring header: head (offset 0) and tail (offset 8) u32 byte counters,
 #: each padded to 8 bytes so the two writers never share a cache line word.
 _RING_HEADER = 16
@@ -314,9 +333,10 @@ class ShmRing:
         needed = _FRAME_PREFIX_BYTES + len(blob)
         if needed > self.capacity:
             raise ValueError(
-                f"message of {len(blob)} bytes cannot fit the "
-                f"{self.capacity}-byte shard ring — raise "
-                "ShardingConfig.ring_bytes for frames this large")
+                f"envelope of {len(blob)} bytes exceeds the "
+                f"{self.capacity - _FRAME_PREFIX_BYTES}-byte message limit "
+                f"of the {self.capacity}-byte shard ring — raise "
+                "ShardingConfig.ring_bytes for requests this large")
         deadline = time.monotonic() + timeout
         if not self._wait(lambda: self.capacity - self._used() >= needed,
                           deadline):
@@ -385,23 +405,17 @@ class ShardChannel:
     so both ends expose the same ``send_bytes``/``recv_bytes`` surface.
     """
 
-    def __init__(self, send_ring, recv_ring, *, owner: bool) -> None:
-        self._send = send_ring
-        self._recv = recv_ring
-        self._owner = owner
-
-    @property
-    def max_message_bytes(self) -> Optional[int]:
-        """Largest message this channel can carry (``None`` = unbounded)."""
-        capacity = getattr(self._send, "capacity", None)
-        return None if capacity is None else capacity - _FRAME_PREFIX_BYTES
+    def __init__(self, send, recv) -> None:
+        self._send = send
+        self._recv = recv
 
     def send_bytes(self, blob: bytes, timeout: float = 30.0,
                    shed_timeout: Optional[float] = None) -> int:
         """Ship one envelope.  :class:`TimeoutError` means nothing was
         written (within ``shed_timeout``, when given, else ``timeout``), so
         the caller may shed it; :class:`ConnectionError` means the peer is
-        gone or the stream broke."""
+        gone or the stream broke; :class:`ValueError` means the envelope is
+        above the channel's message limit (nothing written either)."""
         return self._send.send_bytes(blob, timeout=timeout,
                                      shed_timeout=shed_timeout)
 
@@ -417,46 +431,66 @@ class ShardChannel:
         self._recv.unlink()
 
 
-class _PipeEndpoint:
-    """Length-prefixed envelopes over one end of an OS pipe.
+class _StreamEndpoint:
+    """Length-prefixed envelopes over one stream descriptor.
 
-    The ``multiprocessing`` ``Connection`` only carries the descriptor
-    across spawn (and owns it); all I/O is non-blocking ``os.writev``/
-    ``os.read`` on the raw descriptor with ``poll`` as the wait, so a
-    waiting side sleeps in the kernel and wakes when the peer acts, and
-    every write honors a deadline.  One thread per endpoint at a time, as
-    with :class:`ShmRing` (the link's send lock, the lone reader thread).
+    Every stream hop of the worker tiers is one of these: each of a shard's
+    two pipes has one at either end, and a node hop's connected TCP socket
+    has one at the router and one at the node, carrying both directions.
+    ``conn`` owns the descriptor — a ``multiprocessing`` ``Connection``,
+    which only carries a pipe end across spawn, or a ``socket`` — and all
+    I/O is non-blocking ``os.writev``/``os.read`` on the raw descriptor with
+    ``poll`` as the wait, so a waiting side sleeps in the kernel and wakes
+    when the peer acts, and every write honors a deadline.  One sending and
+    one receiving thread at a time (the link's send lock, the lone reader
+    thread), each waiting on its own poller.
+
+    ``max_bytes`` is the message limit of the stream, reported as
+    ``max_message_bytes``: a larger envelope is refused before its first
+    byte is written, and a length prefix announcing one is refused with
+    :class:`ConnectionError` before any byte is buffered toward it.
     """
 
-    def __init__(self, conn, events: int) -> None:
+    def __init__(self, conn, max_bytes: int = MAX_MESSAGE_BYTES) -> None:
         self._conn = conn
         self._fd = conn.fileno()
         os.set_blocking(self._fd, False)
-        self._poller = select.poll()
-        self._poller.register(self._fd, events)
+        self._readable = select.poll()
+        self._readable.register(self._fd, select.POLLIN)
+        self._writable = select.poll()
+        self._writable.register(self._fd, select.POLLOUT)
+        self.max_message_bytes = max_bytes
         #: Read side: bytes received but not yet returned as a whole
         #: envelope (a partial one survives a timed-out ``recv_bytes``).
         self._inbox = bytearray()
 
-    def _wait(self, deadline: float) -> bool:
+    @staticmethod
+    def _wait(poller, deadline: float) -> bool:
         """Sleep in the kernel until the descriptor is ready (or hung up,
         which the next read/write reports) or ``deadline`` passes."""
         remaining = deadline - time.monotonic()
         return (remaining > 0
-                and bool(self._poller.poll(math.ceil(remaining * 1e3))))
+                and bool(poller.poll(math.ceil(remaining * 1e3))))
 
     def send_bytes(self, blob: bytes, timeout: float = 30.0,
                    shed_timeout: Optional[float] = None) -> int:
         """Write one envelope; returns the bytes written.
 
-        Raises :class:`TimeoutError` when not one byte could be written
-        within ``shed_timeout`` (``timeout`` when not given) — the stream is
-        untouched, so the envelope may be shed.  Once the first byte is in,
-        the envelope completes within ``timeout`` of the call or this raises
-        :class:`ConnectionError`: a half-written envelope has desynced the
-        stream (a wedged-but-alive reader), so the link is dead.  A closed
-        reader raises :class:`ConnectionError` too.
+        Raises :class:`ValueError`, with nothing written, when ``blob`` is
+        above the message limit, and :class:`TimeoutError` when not one
+        byte could be written within ``shed_timeout`` (``timeout`` when not
+        given) — the stream is untouched, so the envelope may be shed.
+        Once the first byte is in, the envelope completes within
+        ``timeout`` of the call or this raises :class:`ConnectionError`: a
+        half-written envelope has desynced the stream (a wedged-but-alive
+        reader), so the link is dead.  A closed reader raises
+        :class:`ConnectionError` too.
         """
+        if len(blob) > self.max_message_bytes:
+            raise ValueError(
+                f"envelope of {len(blob)} bytes exceeds the "
+                f"{self.max_message_bytes}-byte message limit of the "
+                "stream (its receiver's cap on one envelope)")
         prefix = struct.pack(_FRAME_PREFIX, len(blob))
         payload = memoryview(blob)
         total = _FRAME_PREFIX_BYTES + len(blob)
@@ -477,15 +511,16 @@ class _PipeEndpoint:
             except BlockingIOError:
                 pass
             except OSError as exc:  # EPIPE: the reading end is closed
-                raise ConnectionError(f"shard pipe closed: {exc}") from exc
-            if self._wait(first_deadline if written == 0 else deadline):
+                raise ConnectionError(f"stream closed: {exc}") from exc
+            if self._wait(self._writable,
+                          first_deadline if written == 0 else deadline):
                 continue
             if written == 0:
                 raise TimeoutError(
-                    "shard pipe full for "
+                    "stream full for "
                     f"{first_deadline - started:.3f}s (reader stalled)")
             raise ConnectionError(
-                f"shard pipe stalled mid-envelope: {written} of {total} "
+                f"stream stalled mid-envelope: {written} of {total} "
                 f"bytes written within {timeout:.3f}s")
         return total
 
@@ -494,8 +529,8 @@ class _PipeEndpoint:
         inbox = self._inbox
         if len(inbox) < _FRAME_PREFIX_BYTES:
             return None
-        (length,) = struct.unpack_from(_FRAME_PREFIX, inbox)
-        end = _FRAME_PREFIX_BYTES + length
+        end = _FRAME_PREFIX_BYTES + _parse_prefix(
+            inbox[:_FRAME_PREFIX_BYTES], self.max_message_bytes)
         if len(inbox) < end:
             return None
         with memoryview(inbox) as view:
@@ -506,8 +541,9 @@ class _PipeEndpoint:
     def recv_bytes(self, timeout: float = 0.2) -> Optional[bytes]:
         """Pop one envelope, or ``None`` when none completed in ``timeout``.
 
-        Raises :class:`ConnectionError` at end-of-file: the writing end is
-        closed, so nothing more can ever arrive.
+        Raises :class:`ConnectionError` at end-of-file (the writing end is
+        closed, so nothing more can ever arrive) and on a length prefix
+        above the message limit (the stream beyond it is unparseable).
         """
         deadline = None
         while True:
@@ -515,17 +551,17 @@ class _PipeEndpoint:
             if blob is not None:
                 return blob
             try:
-                chunk = os.read(self._fd, _PIPE_READ_BYTES)
+                chunk = os.read(self._fd, _STREAM_READ_BYTES)
             except BlockingIOError:
                 if deadline is None:
                     deadline = time.monotonic() + timeout
-                if not self._wait(deadline):
+                if not self._wait(self._readable, deadline):
                     return None
                 continue
             except OSError as exc:
-                raise ConnectionError(f"shard pipe failed: {exc}") from exc
+                raise ConnectionError(f"stream read failed: {exc}") from exc
             if not chunk:
-                raise ConnectionError("shard pipe closed by peer")
+                raise ConnectionError("stream closed by peer")
             self._inbox += chunk
 
     def close(self) -> None:
@@ -534,7 +570,7 @@ class _PipeEndpoint:
         except OSError:  # pragma: no cover - teardown race
             pass
 
-    def unlink(self) -> None:  # pipes have no backing object to unlink
+    def unlink(self) -> None:  # streams have no backing object to unlink
         pass
 
 
@@ -542,22 +578,22 @@ def create_channel(ctx, transport: str, capacity: int
                    ) -> Tuple[ShardChannel, Tuple]:
     """Build a parent-side channel plus the picklable worker-side spec.
 
-    The spec travels to the worker through ``Process`` args (the only
-    context in which multiprocessing synchronization primitives pickle)
-    and is turned back into a channel by :func:`attach_channel`.
+    ``capacity`` sizes each shm ring.  The spec travels to the worker
+    through ``Process`` args (the only context in which multiprocessing
+    synchronization primitives pickle) and is turned back into a channel by
+    :func:`attach_channel`.
     """
     if transport == SHARD_TRANSPORT_SHM:
         request = ShmRing.create(capacity)
         response = ShmRing.create(capacity)
-        parent = ShardChannel(request, response, owner=True)
+        parent = ShardChannel(request, response)
         spec = (SHARD_TRANSPORT_SHM, request.handle(), response.handle())
         return parent, spec
     if transport == SHARD_TRANSPORT_PIPE:
         request_rx, request_tx = ctx.Pipe(duplex=False)
         response_rx, response_tx = ctx.Pipe(duplex=False)
-        parent = ShardChannel(_PipeEndpoint(request_tx, select.POLLOUT),
-                              _PipeEndpoint(response_rx, select.POLLIN),
-                              owner=True)
+        parent = ShardChannel(_StreamEndpoint(request_tx),
+                              _StreamEndpoint(response_rx))
         spec = (SHARD_TRANSPORT_PIPE, request_rx, response_tx)
         return parent, spec
     raise ValueError(f"unknown shard transport {transport!r} "
@@ -570,12 +606,11 @@ def attach_channel(spec: Tuple) -> ShardChannel:
     if kind == SHARD_TRANSPORT_SHM:
         _, request_handle, response_handle = spec
         return ShardChannel(ShmRing.attach(response_handle),
-                            ShmRing.attach(request_handle), owner=False)
+                            ShmRing.attach(request_handle))
     if kind == SHARD_TRANSPORT_PIPE:
         _, request_rx, response_tx = spec
-        return ShardChannel(_PipeEndpoint(response_tx, select.POLLOUT),
-                            _PipeEndpoint(request_rx, select.POLLIN),
-                            owner=False)
+        return ShardChannel(_StreamEndpoint(response_tx),
+                            _StreamEndpoint(request_rx))
     raise ValueError(f"unknown shard channel spec {kind!r}")
 
 
@@ -597,8 +632,8 @@ def bootstrap_meta(repository) -> Dict:
     """The bootstrap dict for ``repository``'s current snapshot.
 
     Everything a replica needs to rebuild bit-identical serving state from
-    scratch — a shard receives it as a spawn argument, a node as the
-    ``meta`` of its hello envelope.
+    scratch — every worker, shard or node, receives it as the ``meta`` of
+    its hello envelope.
     """
     snapshot = repository.snapshot()
     return {
@@ -665,9 +700,10 @@ class ReplicaCore:
     requests, installing replicated snapshots, answering heartbeats —
     parameterized over an :class:`_EnvelopeChannel`.  The
     shard worker (:func:`_shard_main`) and the TCP cluster
-    node (:mod:`repro.runtime.node`) are the same core behind different
-    transports, so their guarantees (same seed → bit-identical weights,
-    idempotent publish, pin checks) are one implementation, not two.
+    node (:mod:`repro.runtime.node`) are the same core behind the same
+    handshake (:func:`_serve_worker`) on different channels, so their
+    guarantees (same seed → bit-identical weights, idempotent publish, pin
+    checks) are one implementation, not two.
     """
 
     def __init__(self, bootstrap: Dict) -> None:
@@ -745,9 +781,9 @@ class ReplicaCore:
                               meta={"frames": metas,
                                     "service_time_s": elapsed}))
             except Exception as exc:
-                # A result that cannot be shipped (larger than an shm response
-                # ring, parent stalled) must degrade to one error for the
-                # request, not kill the whole worker.
+                # A result that cannot be shipped (above the channel's
+                # message limit, parent stalled) must degrade to one error
+                # for the request, not kill the whole worker.
                 reply_error(corr, exc)
 
         def handle_publish(message: Message) -> None:
@@ -799,27 +835,61 @@ class ReplicaCore:
             # Unknown kinds are ignored: forward compatibility.
 
 
-def _shard_main(shard_id: int, spec: Tuple, bootstrap: Dict) -> None:
+class _CoreHolder:
+    """A worker's single shared core, built lazily from the first hello."""
+
+    def __init__(self) -> None:
+        self.core: Optional[ReplicaCore] = None
+        self.lock = threading.Lock()
+
+    def apply_hello(self, meta: Dict) -> ReplicaCore:
+        with self.lock:
+            if self.core is None:
+                self.core = ReplicaCore(meta)
+            else:
+                version = int(meta["version"])
+                if version > self.core.repository.version:
+                    self.core.repository.publish(
+                        zoo_from_payload(meta["zoo"]), version=version)
+            return self.core
+
+
+def _serve_worker(channel, holder: _CoreHolder, ident: int) -> None:
+    """The worker side of one link, a shard's or a node connection's.
+
+    The hello handshake (see the module docstring) goes through ``holder``,
+    which keeps a worker's one core across its links: built from the first
+    hello, re-synced by a later one, never regressed.  The worker answers
+    ``ready`` (pid, ``ident``, installed version), then serves until
+    ``stop``, a dead peer or bad bytes, and always closes ``channel``.
+    """
+    link = _EnvelopeChannel(channel)
+    try:
+        hello = link.read_envelope(30.0)
+        if hello is None or hello.kind != SHARD_KIND_PUBLISH:
+            return  # not a parent speaking our handshake: drop the link
+        try:
+            core = holder.apply_hello(hello.meta)
+        except Exception as exc:
+            link.reply_error(hello.frame_id, exc)
+            return
+        link.reply(Message(kind=SHARD_KIND_READY, frame_id=hello.frame_id,
+                           meta=core.ready_meta(ident)))
+        core.serve(link)
+    except Exception:  # link-scoped failure: the link is dead anyway
+        pass
+    finally:
+        channel.close()
+
+
+def _shard_main(shard_id: int, spec: Tuple) -> None:
     """Entry point of one shard worker process (spawn-safe, module-level).
 
-    ``bootstrap`` carries everything needed to rebuild the serving state
-    from scratch — zoo payload, snapshot version, model dimensions, runtime
-    config and seed — so the worker's models are bit-identical twins of the
-    parent's (same seed, same builder) and shard execution is numerically
-    equivalent to in-process serving.
+    The worker starts empty; the parent's hello carries everything needed
+    to rebuild the serving state from scratch — zoo payload, snapshot
+    version, model dimensions, runtime config and seed — so the worker's
+    models are bit-identical twins of the parent's (same seed, same
+    builder) and shard execution is numerically equivalent to in-process
+    serving.
     """
-    link = _EnvelopeChannel(attach_channel(spec))
-    try:
-        try:
-            core = ReplicaCore(bootstrap)
-        except Exception as exc:
-            link.reply_error(0, exc)
-            return
-        try:
-            link.reply(Message(kind=SHARD_KIND_READY,
-                               meta=core.ready_meta(shard_id)))
-        except Exception:  # parent died during our bootstrap
-            return
-        core.serve(link)
-    finally:
-        link.channel.close()
+    _serve_worker(attach_channel(spec), _CoreHolder(), shard_id)

@@ -36,9 +36,9 @@ The parent-side mechanism — correlated requests, the reader thread, crash
 propagation, heartbeat probes, publish replication, slot bookkeeping — is
 the tier-agnostic :class:`~repro.serving.workers.WorkerLink`/
 :class:`~repro.serving.workers.WorkerPool`; this module adds only what is
-node-specific: dial + hello over the node tier's socket byte channel
-(:mod:`repro.runtime.node`), the latest-replicated bootstrap, the routing
-policies and the heartbeat loop.
+node-specific: dialing a node, whose socket the shard tier's stream
+endpoint drives (:mod:`repro.runtime.node`), the latest-replicated
+bootstrap for its hello, the routing policies and the heartbeat loop.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ import socket
 import threading
 import time
 from bisect import bisect_right
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..runtime.node import (NodeCrashedError, NodeStats, _SocketChannel,
-                            bootstrap_meta)
+from ..runtime.node import NodeCrashedError, NodeStats, bootstrap_meta
+from ..runtime.shard import _StreamEndpoint
 from ..system.messages import disable_nagle
 from .config import ClusterConfig, ROUTING_HASH
 from .repository import ModelRepository
@@ -126,7 +127,7 @@ class ClusterPool(WorkerPool):
         return self
 
     def _open_link(self, index: int, timeout: float) -> WorkerLink:
-        """Dial node ``index`` and ship the bootstrap hello."""
+        """Dial node ``index``."""
         address = self.config.nodes[index]
         host, _, port = address.rpartition(":")
         try:
@@ -136,20 +137,16 @@ class ClusterPool(WorkerPool):
             raise RuntimeError(
                 f"node {index} ({address}) is unreachable: {exc}") from exc
         disable_nagle(sock)
-        sock.settimeout(self.config.request_timeout_s)
-        channel = _SocketChannel(sock)
-        # on_crash=close: a poisoned node's reader unblocks at once and
-        # the peer sees the link drop (sockets tolerate a concurrent send).
-        link = WorkerLink(f"node {index} ({address})", channel,
+        # on_crash=shutdown: a poisoned node's reader wakes on end-of-file
+        # and the peer sees the link drop; the descriptor stays open until
+        # WorkerLink.stop has joined that reader, then closes it.
+        return WorkerLink(f"node {index} ({address})", _StreamEndpoint(sock),
                           crash_error=NodeCrashedError,
                           request_timeout_s=self.config.request_timeout_s,
-                          on_crash=channel.close)
-        try:
-            link.hello(self._hello_meta)
-        except Exception:
-            link.stop()
-            raise
-        return link
+                          on_crash=partial(sock.shutdown, socket.SHUT_RDWR))
+
+    def _bootstrap(self) -> Dict:
+        return self._hello_meta
 
     def respawn(self, index: int, timeout: Optional[float] = None) -> None:
         """Bring slot ``index`` back: restart an owned dead replica on the

@@ -6,7 +6,8 @@ edge box the aggregate throughput of the in-process server is capped at
 roughly one core regardless of client count.  A :class:`ShardPool` lifts
 that cap: it spawns ``num_shards`` worker processes (each holding its *own*
 models, compiled plans and buffer arenas — see
-:func:`repro.runtime.shard._shard_main`), and exposes per-entry
+:func:`repro.runtime.shard._shard_main`), bootstraps each through the same
+hello a cluster node gets, and exposes per-entry
 ``batch_fns`` that hand whole micro-batches (a lone frame is a batch of one)
 to the workers over a pair of OS pipes per shard (see
 :mod:`repro.runtime.shard`; the preallocated shared-memory rings of
@@ -39,13 +40,16 @@ Guarantees preserved across the process boundary
 The parent-side mechanism — correlated requests, the reader thread, crash
 propagation, publish replication, slot bookkeeping — is the tier-agnostic
 :class:`~repro.serving.workers.WorkerLink`/:class:`~repro.serving.workers.
-WorkerPool`; this module adds only what is shard-specific: spawning a worker
-behind a pipe (or shm ring) channel, respawning it under the repository's
-publish barrier, round-robin routing, and shedding *before* the first byte.
+WorkerPool`, and the worker side is the one handshake and loop every worker
+runs; this module adds only what is shard-specific: spawning a worker
+behind a pipe (or shm ring) channel and sending it the hello, respawning it
+under the repository's publish barrier, round-robin routing, and shedding
+*before* the first byte.
 
 Transports
 ----------
-The default ``"pipe"`` channel sleeps in the kernel on both ends — an idle
+The default ``"pipe"`` channel (the stream endpoint that also drives a
+cluster node's socket) sleeps in the kernel on both ends — an idle
 worker and a parent reader waiting on an engine call wake the moment the
 other side writes — and gives every write a deadline: a request that could
 not put one byte into the pipe within :data:`RING_SHED_TIMEOUT_S` is shed
@@ -68,9 +72,8 @@ from __future__ import annotations
 import multiprocessing
 from typing import Dict
 
-from ..runtime.shard import (ShardCrashedError, ShardStats, bootstrap_meta,
-                             create_channel, transport_available,
-                             _shard_main)
+from ..runtime.shard import (ShardCrashedError, ShardStats, create_channel,
+                             transport_available, _shard_main)
 from .config import ShardingConfig
 from .repository import ModelRepository
 from .workers import WorkerLink, WorkerPool
@@ -116,19 +119,18 @@ class ShardPool(WorkerPool):
                          config.start_timeout_s)
 
     def _open_link(self, index: int, timeout: float) -> WorkerLink:
-        """Spawn one worker on the repository's current snapshot."""
+        """Spawn one empty worker (its hello carries the repository's
+        current snapshot)."""
         # Spawned (not forked) workers: a forked child would inherit the
         # parent's BLAS/thread state mid-flight, which is a known deadlock
         # source — and spawn keeps the bootstrap honest (everything a shard
-        # needs must cross as picklable/JSON data).
+        # serves must cross as JSON data in its hello).
         ctx = multiprocessing.get_context("spawn")
         channel, spec = create_channel(ctx, self.config.transport,
                                        self.config.ring_bytes)
         try:
-            process = ctx.Process(
-                target=_shard_main,
-                args=(index, spec, bootstrap_meta(self.repository)),
-                daemon=True, name=f"serving-shard-{index}")
+            process = ctx.Process(target=_shard_main, args=(index, spec),
+                                  daemon=True, name=f"serving-shard-{index}")
             process.start()
         except Exception:
             channel.close()
@@ -144,7 +146,7 @@ class ShardPool(WorkerPool):
                           shed_timeout_s=RING_SHED_TIMEOUT_S)
 
     def _respawn_exclusion(self):
-        # _open_link reads the repository's *current* snapshot, so nothing
+        # The hello reads the repository's *current* snapshot, so nothing
         # short of the repository's own barrier keeps a publish from
         # swapping between that read and the slot swap.
         return self.repository.publish_barrier()

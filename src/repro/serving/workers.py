@@ -8,13 +8,15 @@ parent-side mechanism, written once here:
 
 * :class:`WorkerLink` — correlated RPC to one worker over a byte channel
   (``send_bytes(blob, timeout)``, ``recv_bytes(timeout) -> Optional[bytes]``,
-  ``close()``, ``unlink()``, ``max_message_bytes`` — the surface
-  :class:`~repro.runtime.shard.ShardChannel` defines, whose ``send_bytes``
-  also takes the ``shed_timeout`` of a shedding link): correlation ids,
-  one self-contained envelope per request and per reply, a reader thread
-  completing replies out of order, crash propagation to every in-flight
-  request, heartbeat probes and the cumulative counters behind
-  ``ShardStats``/``NodeStats``.
+  ``close()``, ``unlink()`` — the surface of a shard's
+  :class:`~repro.runtime.shard.ShardChannel` and of the stream endpoint on
+  a node's socket, whose ``send_bytes`` also takes the ``shed_timeout`` of
+  a shedding link and refuses an envelope above the channel's message
+  limit with :class:`ValueError` before writing a byte): the bootstrap
+  hello every worker starts from, correlation ids, one self-contained
+  envelope per request and per reply, a reader thread completing replies
+  out of order, crash propagation to every in-flight request, heartbeat
+  probes and the cumulative counters behind ``ShardStats``/``NodeStats``.
 * :class:`WorkerPool` — the slots those links fill: start, routing
   callables, publish replication before the parent swap, respawn under the
   tier's publish exclusion, and the slot bookkeeping (restarts, quarantine,
@@ -34,7 +36,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..core.executor import ArrayDict, FrameState
-from ..runtime.shard import zoo_to_payload
+from ..runtime.shard import bootstrap_meta, zoo_to_payload
 from ..system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT,
                                KIND_STOP, Message, NODE_KIND_PING,
                                NODE_KIND_PONG, SHARD_KIND_PUBLISH,
@@ -86,8 +88,8 @@ class WorkerLink:
     :meth:`stop`; ``None`` for a remote worker).  ``on_crash`` severs the
     worker the moment the link is poisoned — a shard kills its serial
     process (everything queued behind a wedged request would time out
-    too), a node closes its socket (unblocking the reader and telling the
-    peer) — and must be safe against concurrent senders.
+    too), a node shuts its socket down (waking the reader on end-of-file
+    and telling the peer) — and must be safe against concurrent senders.
     ``shed_timeout_s`` bounds a request's wait for room on the channel
     (see :meth:`_send`); ``None`` never sheds.
     """
@@ -175,8 +177,8 @@ class WorkerLink:
             reply.fail(exc)
 
     def hello(self, meta: Dict) -> None:
-        """Ship a bootstrap hello (a worker that starts *empty* — a node —
-        builds its replica from it and answers ``ready``)."""
+        """Ship the bootstrap hello (every worker starts *empty*, builds its
+        replica from it and answers ``ready``)."""
         self._send(Message(kind=SHARD_KIND_PUBLISH, meta=dict(meta)))
 
     def wait_ready(self, timeout: float) -> None:
@@ -199,8 +201,10 @@ class WorkerLink:
 
     def _send(self, message: Message, timeout: Optional[float] = None,
               shed_timeout: Optional[float] = None) -> None:
-        """Ship one envelope, size-checked against the transport first.
+        """Ship one envelope.
 
+        An envelope above the channel's message limit raises
+        :class:`ValueError` naming that limit, with nothing written.
         ``shed_timeout`` bounds the wait for room: a channel that could not
         take the envelope's first byte within it raises
         :class:`~repro.system.scheduler.BackpressureError` — nothing was
@@ -210,12 +214,6 @@ class WorkerLink:
         Without it a full channel for ``timeout`` keeps the crash semantics.
         """
         blob = serialize_message(message, wire_format=WIRE_FORMAT_RAW)
-        limit = self.channel.max_message_bytes
-        if limit is not None and len(blob) > limit:
-            raise ValueError(
-                f"envelope of {len(blob)} bytes exceeds the {limit}-byte "
-                f"message limit of {self.label}'s channel — raise "
-                "ShardingConfig.ring_bytes for requests this large")
         timeout = self.request_timeout_s if timeout is None else timeout
         with self._send_lock:
             if self.crashed:
@@ -436,7 +434,8 @@ class WorkerLink:
                 self.process.kill()
                 self.process.join(timeout=join_timeout_s)
         self.mark_crashed("link stopped")
-        # The reader must be gone before a ring is unmapped under it.
+        # The reader must be gone before its channel is closed (a ring
+        # unmapped, a descriptor released) under it.
         self.reader.join(timeout=join_timeout_s)
         self.channel.close()
         self.channel.unlink()
@@ -483,8 +482,8 @@ class WorkerPool:
     A tier (:class:`~repro.serving.sharding.ShardPool`,
     :class:`~repro.serving.cluster.ClusterPool`) supplies ``tier`` (the
     slot noun), :meth:`_open_link` (reach one worker), :meth:`_pick`
-    (route one request), :meth:`_stats_view` and, where the default does
-    not hold, :meth:`_respawn_exclusion`.
+    (route one request), :meth:`_stats_view` and, where the defaults do
+    not hold, :meth:`_bootstrap` and :meth:`_respawn_exclusion`.
     """
 
     #: Slot noun for messages and the supervisor's stats rows.
@@ -510,8 +509,12 @@ class WorkerPool:
 
     # -- tier hooks ------------------------------------------------------
     def _open_link(self, index: int, timeout: float) -> WorkerLink:
-        """Reach the worker behind slot ``index`` (does not wait ready)."""
+        """Reach the (empty) worker behind slot ``index``."""
         raise NotImplementedError
+
+    def _bootstrap(self) -> Dict:
+        """The hello meta a fresh worker builds its replica from."""
+        return bootstrap_meta(self.repository)
 
     def _pick(self, name: str) -> WorkerLink:
         """The live link that serves the next request for entry ``name``."""
@@ -528,6 +531,17 @@ class WorkerPool:
 
     def _replicated(self, payload: Dict, version: int) -> None:
         """Called under the publish lock once a snapshot is replicated."""
+
+    def _connect(self, index: int, timeout: float) -> WorkerLink:
+        """Reach slot ``index``'s worker and send it the bootstrap hello
+        (does not wait ready)."""
+        link = self._open_link(index, timeout)
+        try:
+            link.hello(self._bootstrap())
+        except Exception:
+            link.stop()
+            raise
+        return link
 
     # ------------------------------------------------------------------
     def start(self) -> "WorkerPool":
@@ -547,7 +561,7 @@ class WorkerPool:
         try:
             for index in range(self.num_slots):
                 self._links.append(
-                    self._open_link(index, self._start_timeout_s))
+                    self._connect(index, self._start_timeout_s))
             deadline = time.monotonic() + self._start_timeout_s
             for link in self._links:
                 link.wait_ready(max(deadline - time.monotonic(), 0.001))
@@ -601,7 +615,7 @@ class WorkerPool:
                         f"{self.tier} pool stopped; respawn aborted")
             if self._links[index] is not old:
                 return  # another healer refilled the slot while we waited
-            fresh = self._open_link(index, budget)
+            fresh = self._connect(index, budget)
             try:
                 fresh.wait_ready(budget)
                 fresh.carry_counters(old)

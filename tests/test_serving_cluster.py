@@ -590,6 +590,28 @@ class TestNodeTransport:
             assert result.frame_id == 3
 
 
+    def test_poisoned_link_is_shut_down_then_closed_after_its_reader(
+            self, one_node):
+        """Poisoning a node link shuts its socket down, so the reader wakes
+        on end-of-file and exits; the descriptor stays open until
+        ``stop()`` has joined that reader, and only then is closed."""
+        repo = ModelRepository(in_dim=3, num_classes=3, zoo=ZOO_V1)
+        pool = ClusterPool(repo,
+                           ClusterConfig(nodes=(one_node.address,))).start()
+        try:
+            link = pool._links[0]
+            sock = link.channel._conn
+            link.mark_crashed("scripted poison")
+            link.reader.join(timeout=5.0)
+            assert not link.reader.is_alive()
+            assert sock.fileno() != -1, "descriptor closed under its reader"
+            with pytest.raises(OSError):  # shut down: nothing goes out
+                sock.send(b"x")
+        finally:
+            pool.stop()
+        assert sock.fileno() == -1
+
+
 # ----------------------------------------------------------------------
 # chaosnet primitives (no cluster involved: a plain length-framed echo)
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@
 mechanism behind both scaling tiers, so its guarantees are pinned here
 against an in-test peer — no worker process, no model — over each
 transport it runs on: the shared-memory ring and the pipe of the shard
-tier, and the socket channel of the cluster tier.  The tier suites
+tier, and the socket of the cluster tier — the pipe and the socket driven
+by the one stream endpoint.  The tier suites
 (``test_serving_shards.py``, ``test_serving_cluster.py``,
 ``test_serving_selfheal.py``) pin what a *pool* adds on top.
 """
@@ -12,8 +13,10 @@ tier, and the socket channel of the cluster tier.  The tier suites
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue
 import socket
+import struct
 import threading
 from types import SimpleNamespace
 
@@ -25,9 +28,10 @@ from repro.core import Architecture, ArchitectureZoo, ZooEntry
 from repro.gnn import OpSpec, OpType
 from repro.graph import SyntheticModelNet40
 from repro.graph.data import Batch
-from repro.runtime.node import NodeCrashedError, _SocketChannel
-from repro.runtime.shard import (ReplicaCore, ShardCrashedError,
-                                 _EnvelopeChannel, attach_channel,
+from repro.runtime.node import NodeCrashedError
+from repro.runtime.shard import (ReplicaCore, ShardChannel,
+                                 ShardCrashedError, ShmRing, _EnvelopeChannel,
+                                 _StreamEndpoint, attach_channel,
                                  bootstrap_meta, create_channel,
                                  shm_available)
 from repro.serving import ModelRepository
@@ -35,22 +39,30 @@ from repro.serving.repository import SNAPSHOT_META_KEY
 from repro.serving.workers import WorkerLink, WorkerPool
 from repro.system.scheduler import BackpressureError
 from repro.system.messages import (KIND_ERROR, KIND_FRAME, KIND_RESULT,
-                                   KIND_STOP, Message, NODE_KIND_PING,
-                                   NODE_KIND_PONG, SHARD_KIND_READY,
-                                   pack_frames, unpack_frames)
+                                   KIND_STOP, MAX_MESSAGE_BYTES, Message,
+                                   NODE_KIND_PING, NODE_KIND_PONG,
+                                   SHARD_KIND_READY, pack_frames,
+                                   unpack_frames)
 
 #: Per-message bound of the bounded test channels (ring capacity / cap).
 LIMIT = 1 << 16
 
 
-def _channel_pair(kind: str):
-    """(parent side, worker side, the tier's crash error) for ``kind``."""
+def _channel_pair(kind: str, limit: int = LIMIT):
+    """(parent side, worker side, the tier's crash error) for ``kind``;
+    ``limit`` is the message limit of a stream (pipe or socket)."""
     if kind == "socket":
         ours, theirs = socket.socketpair()
-        for sock in (ours, theirs):
-            sock.settimeout(10.0)
-        return (_SocketChannel(ours, max_bytes=LIMIT),
-                _SocketChannel(theirs, max_bytes=LIMIT), NodeCrashedError)
+        return (_StreamEndpoint(ours, limit), _StreamEndpoint(theirs, limit),
+                NodeCrashedError)
+    if kind == "pipe":  # create_channel's pipes, with the limit given
+        request_rx, request_tx = multiprocessing.Pipe(duplex=False)
+        response_rx, response_tx = multiprocessing.Pipe(duplex=False)
+        return (ShardChannel(_StreamEndpoint(request_tx, limit),
+                             _StreamEndpoint(response_rx, limit)),
+                ShardChannel(_StreamEndpoint(response_tx, limit),
+                             _StreamEndpoint(request_rx, limit)),
+                ShardCrashedError)
     ctx = multiprocessing.get_context("spawn")
     parent, spec = create_channel(ctx, kind, LIMIT)
     return parent, attach_channel(spec), ShardCrashedError
@@ -283,11 +295,13 @@ def test_reply_for_forgotten_correlation_id_is_dropped(wired):
 
 def test_oversize_envelope_raises_before_any_byte_is_written(wired):
     link, peer, _ = wired
-    if link.channel.max_message_bytes is None:
-        pytest.skip("the pipe transport carries messages of any size")
     big = ({"x": np.zeros(LIMIT)}, {})
-    with pytest.raises(ValueError, match="message limit"):
+    with pytest.raises(ValueError, match="message limit") as caught:
         link.request("m", [big])
+    # The error names the bound of the channel it was sent on: only a
+    # ring's is ShardingConfig.ring_bytes.
+    ring = isinstance(getattr(link.channel, "_send", None), ShmRing)
+    assert ("ring_bytes" in str(caught.value)) == ring
     # A request whose *last* frame is oversized writes nothing at all.
     with pytest.raises(ValueError, match="message limit"):
         link.request("m", [_frame(1.0), _frame(2.0), big])
@@ -323,9 +337,9 @@ def test_ping_pong_measures_rtt_and_retires_earlier_probes(wired):
 @pytest.mark.parametrize("kind", [
     pytest.param("shm", marks=pytest.mark.skipif(
         not shm_available(), reason="no shared memory")),
-    "pipe"])
+    "pipe", "socket"])
 def test_full_channel_sheds_before_the_first_byte(kind):
-    """A shard channel with no room sheds the request — nothing written,
+    """A channel with no room sheds the request — nothing written,
     the link healthy — and serves again once the worker drains."""
     parent, worker, crash_error = _channel_pair(kind)
     link = WorkerLink("worker 0", parent, crash_error=crash_error,
@@ -380,10 +394,37 @@ def test_channels_hand_over_the_exact_blob(kind):
         parent.unlink()
 
 
-def test_pipe_stalled_mid_envelope_crashes_the_link_not_sheds():
-    """A request the pipe took a first byte of, then stalled on for the
+@pytest.mark.parametrize("kind", ["pipe", "socket"])
+def test_over_cap_length_prefix_is_refused_before_buffering(kind):
+    """A length prefix above the receiver's cap breaks the stream at once.
+
+    Waiting for the bytes it announces would swallow every later envelope
+    (the link stalls with ``None`` forever), so the endpoint refuses it the
+    moment the prefix is in, as the device wire's prefix parser does."""
+    if kind == "socket":
+        read_end, write_end = socket.socketpair()
+        write = write_end.sendall
+    else:
+        read_end, write_end = multiprocessing.Pipe(duplex=False)
+        write = lambda data: os.write(write_end.fileno(), data)  # noqa: E731
+    assert _StreamEndpoint(read_end).max_message_bytes == MAX_MESSAGE_BYTES
+    endpoint = _StreamEndpoint(read_end, max_bytes=5)
+    try:
+        write(struct.pack(">I", 5) + b"hello")  # exactly at the cap
+        assert endpoint.recv_bytes(timeout=5.0) == b"hello"
+        write(struct.pack(">I", 0xFFFFFFF0) + struct.pack(">I", 5) + b"later")
+        with pytest.raises(ConnectionError, match="above the 5-byte"):
+            endpoint.recv_bytes(timeout=5.0)
+    finally:
+        endpoint.close()
+        write_end.close()
+
+
+@pytest.mark.parametrize("kind", ["pipe", "socket"])
+def test_pipe_stalled_mid_envelope_crashes_the_link_not_sheds(kind):
+    """A request the stream took a first byte of, then stalled on for the
     request timeout, has desynced the stream: a crash, never a shed."""
-    parent, worker, crash_error = _channel_pair("pipe")
+    parent, worker, crash_error = _channel_pair(kind, MAX_MESSAGE_BYTES)
     crashes = []
     link = WorkerLink("worker 0", parent, crash_error=crash_error,
                       request_timeout_s=0.3, shed_timeout_s=0.05,
@@ -391,7 +432,8 @@ def test_pipe_stalled_mid_envelope_crashes_the_link_not_sheds():
     try:
         _Peer(worker).reply(Message(kind=SHARD_KIND_READY, meta={}))
         link.wait_ready(5.0)
-        big = ({"x": np.zeros(1 << 14)}, {})  # 128 KiB > the pipe buffer
+        # 1 MiB: more than a pipe's buffer or a socket pair's two buffers.
+        big = ({"x": np.zeros(1 << 17)}, {})
         with pytest.raises(crash_error, match="mid-envelope"):
             link.request("m", [big])
         assert not link.alive and crashes == [1]

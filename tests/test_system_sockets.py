@@ -106,7 +106,7 @@ class TestNagleIsOff:
             pool = ClusterPool(repository,
                                ClusterConfig(nodes=(f"127.0.0.1:{port}",)))
             pool.start()
-            assert _nodelay(pool._links[0].channel._sock)
+            assert _nodelay(pool._links[0].channel._conn)
             assert _nodelay(accepted.get(timeout=10.0))
         finally:
             if pool is not None:

@@ -61,8 +61,7 @@ LAYERING_RULES = {
                            "repro.runtime"},
     f"{RUNTIME}/shard.py": {"numpy", "repro.core", "repro.runtime",
                             "repro.system"},
-    f"{RUNTIME}/node.py": {"numpy", "repro.core", "repro.runtime",
-                           "repro.system"},
+    f"{RUNTIME}/node.py": {"repro.runtime", "repro.system.messages"},
     f"{SERVING}/config.py": {"numpy", "repro.core", "repro.runtime",
                              "repro.system"},
     f"{SERVING}/builders.py": {"repro.core", "repro.serving"},
